@@ -69,6 +69,10 @@ merge_reports() {
 import json
 import sys
 
+# Google Benchmark reports real_time in each run's time_unit (kMillisecond
+# benchmarks say "ms"); normalise to nanoseconds so real_time_ns means it.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 merged = {"context": None, "benchmarks": {}}
 for path in sys.argv[1:-1]:
     with open(path) as f:
@@ -93,7 +97,8 @@ for path in sys.argv[1:-1]:
     }
     for bench in report.get("benchmarks", []):
         entry = {
-            "real_time_ns": bench["real_time"],
+            "real_time_ns": bench["real_time"]
+                            * NS_PER_UNIT[bench.get("time_unit", "ns")],
             "items_per_second": bench.get("items_per_second"),
         }
         for key, value in bench.items():

@@ -6,6 +6,24 @@
 #include "util/check.h"
 
 namespace kvec {
+namespace {
+
+// A checkpointed open session is well formed when its recency position is
+// -1 (never indexed) or a seen stream position, and its items are seen
+// positions in strictly ascending order (the value-match merge relies on
+// the order).
+bool ValidSession(int last_index, const std::vector<int>& item_indices,
+                  int next_index) {
+  if (last_index < -1 || last_index >= next_index) return false;
+  int previous = -1;
+  for (int index : item_indices) {
+    if (index <= previous || index >= next_index) return false;
+    previous = index;
+  }
+  return true;
+}
+
+}  // namespace
 
 CorrelationTracker::CorrelationTracker(const CorrelationOptions& options,
                                        std::pmr::memory_resource* memory)
@@ -26,44 +44,117 @@ void CorrelationTracker::Repool(std::pmr::memory_resource* memory) {
   for (const auto& [key, session] : state_->open_sessions) {
     fresh->open_sessions.emplace(key, session);
   }
-  fresh->by_value.reserve(state_->by_value.size());
-  for (const auto& [value, bucket] : state_->by_value) {
-    fresh->by_value.emplace(value, bucket);
-  }
+  // The live state never has two sessions at one stream position.
+  const bool linked = RebuildValueIndex(fresh.get());
+  KVEC_CHECK(linked);
   // Destroy the old containers while their resource is still alive, then
   // adopt the new one.
   state_ = std::move(fresh);
   memory_ = memory;
 }
 
-void CorrelationTracker::AppendValueMatches(int own_key, int session_value,
-                                            int index,
-                                            std::vector<int>* visible) const {
-  auto bucket_it = state_->by_value.find(session_value);
-  if (bucket_it == state_->by_value.end()) return;
-  const std::pmr::map<int, int>& bucket = bucket_it->second;
+void CorrelationTracker::PushNewest(OpenSession** head, OpenSession* session) {
+  session->newer = nullptr;
+  session->older = *head;
+  if (*head != nullptr) (*head)->newer = session;
+  *head = session;
+}
 
-  std::vector<int> cross;  // value-correlated items of *other* keys
-  // Newest-first walk; every session past the first stale one is staler
-  // still (the bucket is ordered by last_index), so the walk touches only
-  // sessions inside the window.
-  for (auto it = bucket.rbegin(); it != bucket.rend(); ++it) {
-    if (index - it->first > options_.value_correlation_window) break;
-    if (it->second == own_key) continue;  // same key is key correlation
-    const OpenSession& session = state_->open_sessions.at(it->second);
-    cross.insert(cross.end(), session.item_indices.begin(),
-                 session.item_indices.end());
+void CorrelationTracker::Unlink(State* state, OpenSession* session) {
+  if (session->older != nullptr) session->older->newer = session->newer;
+  if (session->newer != nullptr) {
+    session->newer->older = session->older;
+  } else {
+    // The list head: repoint the value's entry, or drop it with the list.
+    auto head = state->by_value.find(session->session_value);
+    if (session->older != nullptr) {
+      head->second = session->older;
+    } else {
+      state->by_value.erase(head);
+    }
   }
-  // Canonical ascending order (the pre-index tracker emitted sessions in
-  // key order; sorting makes the order deterministic and keeps the capped
-  // and uncapped paths consistent).
-  std::sort(cross.begin(), cross.end());
-  if (options_.max_value_correlations > 0 &&
-      static_cast<int>(cross.size()) > options_.max_value_correlations) {
-    // Keep only the most recent matches (largest stream positions).
-    cross.erase(cross.begin(), cross.end() - options_.max_value_correlations);
+  session->newer = nullptr;
+  session->older = nullptr;
+}
+
+bool CorrelationTracker::RebuildValueIndex(State* state) {
+  std::vector<OpenSession*> by_recency;
+  by_recency.reserve(state->open_sessions.size());
+  for (auto& [key, session] : state->open_sessions) {
+    session.newer = nullptr;
+    session.older = nullptr;
+    if (session.last_index >= 0) by_recency.push_back(&session);
   }
-  visible->insert(visible->end(), cross.begin(), cross.end());
+  std::sort(by_recency.begin(), by_recency.end(),
+            [](const OpenSession* a, const OpenSession* b) {
+              return a->last_index < b->last_index;
+            });
+  state->by_value.clear();
+  for (size_t i = 0; i < by_recency.size(); ++i) {
+    if (i > 0 && by_recency[i]->last_index == by_recency[i - 1]->last_index) {
+      return false;  // two sessions cannot share a stream position
+    }
+    PushNewest(&state->by_value[by_recency[i]->session_value], by_recency[i]);
+  }
+  return true;
+}
+
+void CorrelationTracker::AppendValueMatches(int index, int num_matches,
+                                            std::vector<int>* visible) {
+  // Keep only the most recent matches (largest stream positions).
+  const int cap = options_.max_value_correlations;
+  const int keep = cap > 0 && num_matches > cap ? cap : num_matches;
+  if (runs_.size() == 1) {
+    visible->insert(visible->end(), runs_[0].end - keep, runs_[0].end);
+    return;
+  }
+  int lowest = index;
+  for (const Run& run : runs_) lowest = std::min(lowest, *run.begin);
+  const int num_words = (index - lowest + 63) / 64;
+
+  if (num_words > 2 * num_matches) {
+    // Sparse over a wide span: sorting the matches beats clearing and
+    // scanning the bitmap.
+    const auto first = visible->end() - visible->begin();
+    for (const Run& run : runs_) {
+      visible->insert(visible->end(), run.begin, run.end);
+    }
+    std::sort(visible->begin() + first, visible->end());
+    visible->erase(visible->begin() + first, visible->end() - keep);
+    return;
+  }
+
+  // Dense: set one bit per match, then read the bits out in ascending
+  // order, skipping the oldest num_matches - keep. Every word read is
+  // cleared, so the bitmap is all-zero again for the next item.
+  if (union_bits_.size() < static_cast<size_t>(num_words)) {
+    union_bits_.resize(num_words, 0);
+  }
+  uint64_t* bits = union_bits_.data();
+  for (const Run& run : runs_) {
+    for (const int* p = run.begin; p != run.end; ++p) {
+      const int offset = *p - lowest;
+      bits[offset >> 6] |= uint64_t{1} << (offset & 63);
+    }
+  }
+  int skip = num_matches - keep;
+  for (int w = 0; w < num_words; ++w) {
+    uint64_t word = bits[w];
+    if (word == 0) continue;
+    bits[w] = 0;
+    if (skip > 0) {
+      const int count = __builtin_popcountll(word);
+      if (count <= skip) {
+        skip -= count;
+        continue;
+      }
+      for (; skip > 0; --skip) word &= word - 1;
+    }
+    const int base = lowest + w * 64;
+    for (; word != 0; word &= word - 1) {
+      visible->push_back(base + __builtin_ctzll(word));
+    }
+  }
 }
 
 std::vector<int> CorrelationTracker::ObserveItem(const Item& item) {
@@ -71,43 +162,58 @@ std::vector<int> CorrelationTracker::ObserveItem(const Item& item) {
   KVEC_CHECK_LT(options_.session_field,
                 static_cast<int>(item.value.size()));
   const int session_value = item.value[options_.session_field];
+  State& state = *state_;
+  std::pmr::vector<int>& own_items = state.key_items[item.key];
+  OpenSession*& head = state.by_value[session_value];
+
+  // Value correlation: the other keys' open sessions carrying this value
+  // whose last item lies inside the window. The list is newest-first, so
+  // the first stale session ends the walk. A run longer than the cap
+  // contributes only its most recent `cap` items.
+  runs_.clear();
+  int num_matches = 0;
+  if (options_.use_value_correlation) {
+    const int cap = options_.max_value_correlations;
+    for (const OpenSession* session = head;
+         session != nullptr &&
+         index - session->last_index <= options_.value_correlation_window;
+         session = session->older) {
+      if (session->key == item.key || session->item_indices.empty()) {
+        continue;  // same key is key correlation
+      }
+      const int* end =
+          session->item_indices.data() + session->item_indices.size();
+      const int* begin = session->item_indices.data();
+      if (cap > 0 && end - begin > cap) begin = end - cap;
+      runs_.push_back({begin, end});
+      num_matches += static_cast<int>(end - begin);
+    }
+  }
 
   std::vector<int> visible;
+  const size_t num_own =
+      options_.use_key_correlation ? own_items.size() : size_t{0};
+  visible.reserve(num_own + static_cast<size_t>(num_matches));
+  // Same-key indices first, then the value matches: the canonical order.
+  if (num_own > 0) visible.assign(own_items.begin(), own_items.end());
+  if (!runs_.empty()) AppendValueMatches(index, num_matches, &visible);
 
-  if (options_.use_key_correlation) {
-    auto it = state_->key_items.find(item.key);
-    if (it != state_->key_items.end()) {
-      visible.insert(visible.end(), it->second.begin(), it->second.end());
-    }
+  // Update this key's state *after* computing visibility so an item never
+  // reports itself. The item's position is the largest seen, so its
+  // session moves to the front of its value's recency list.
+  own_items.push_back(index);
+  OpenSession& session = state.open_sessions[item.key];
+  if (&session != head) {
+    if (session.last_index >= 0) Unlink(&state, &session);
+    PushNewest(&head, &session);
   }
-
-  if (options_.use_value_correlation) {
-    AppendValueMatches(item.key, session_value, index, &visible);
-  }
-
-  // Update this key's open session *after* computing visibility so an item
-  // never reports itself.
-  state_->key_items[item.key].push_back(index);
-  OpenSession& session = state_->open_sessions[item.key];
-  const bool session_rotates =
-      session.item_indices.empty() || session.session_value != session_value;
-  // Reposition the session in the inverted index: drop the stale
-  // (last_index -> key) entry — from the old value's bucket if the session
-  // value changed — and re-insert under the new recency.
-  if (session.last_index >= 0) {
-    auto old_bucket = state_->by_value.find(session.session_value);
-    if (old_bucket != state_->by_value.end()) {
-      old_bucket->second.erase(session.last_index);
-      if (old_bucket->second.empty()) state_->by_value.erase(old_bucket);
-    }
-  }
-  if (session_rotates) {
+  if (session.item_indices.empty() || session.session_value != session_value) {
+    session.key = item.key;
     session.session_value = session_value;
     session.item_indices.clear();
   }
   session.item_indices.push_back(index);
   session.last_index = index;
-  state_->by_value[session_value].emplace(index, item.key);
 
   return visible;
 }
@@ -198,24 +304,16 @@ bool CorrelationTracker::Restore(BinaryReader* reader) {
     const int last_index = reader->ReadInt32();
     std::vector<int> item_indices = reader->ReadIntVector();
     if (!reader->ok()) return false;
-    if (last_index < -1 || last_index >= next_index) return false;
-    for (int index : item_indices) {
-      if (index < 0 || index >= next_index) return false;
-    }
-    // Rebuild the inverted index: one recency entry per indexed session.
-    if (last_index >= 0) {
-      if (!staged->by_value[session_value].emplace(last_index, key).second) {
-        return false;  // two sessions cannot share a stream position
-      }
-    }
+    if (!ValidSession(last_index, item_indices, next_index)) return false;
     auto [slot, inserted] = staged->open_sessions.try_emplace(key);
     if (!inserted) return false;
+    slot->second.key = key;
     slot->second.session_value = session_value;
     slot->second.last_index = last_index;
     slot->second.item_indices.assign(item_indices.begin(),
                                      item_indices.end());
   }
-  if (!reader->ok()) return false;
+  if (!reader->ok() || !RebuildValueIndex(staged.get())) return false;
 
   next_index_ = next_index;
   state_ = std::move(staged);
@@ -291,32 +389,20 @@ bool CorrelationTracker::ApplyDelta(BinaryReader* reader,
       const int session_value = reader->ReadInt32();
       const int last_index = reader->ReadInt32();
       std::vector<int> item_indices = reader->ReadIntVector();
-      if (!reader->ok()) return false;
-      if (last_index < -1 || last_index >= next_index) return false;
-      for (int index : item_indices) {
-        if (index < 0 || index >= next_index) return false;
+      if (!reader->ok() ||
+          !ValidSession(last_index, item_indices, next_index)) {
+        return false;
       }
-      // Reposition in the inverted index: drop the key's old recency entry
-      // (if the base had one), then insert the new one.
       OpenSession& session = state_->open_sessions[key];
-      if (session.last_index >= 0) {
-        auto old_bucket = state_->by_value.find(session.session_value);
-        if (old_bucket != state_->by_value.end()) {
-          old_bucket->second.erase(session.last_index);
-          if (old_bucket->second.empty()) state_->by_value.erase(old_bucket);
-        }
-      }
+      session.key = key;
       session.session_value = session_value;
       session.last_index = last_index;
       session.item_indices.assign(item_indices.begin(), item_indices.end());
-      if (last_index >= 0) {
-        if (!state_->by_value[session_value].emplace(last_index, key).second) {
-          return false;  // two sessions cannot share a stream position
-        }
-      }
     }
   }
-  if (!reader->ok()) return false;
+  // The upserts moved sessions between values and recency positions:
+  // relink every list from the final state.
+  if (!reader->ok() || !RebuildValueIndex(state_.get())) return false;
   next_index_ = next_index;
   return true;
 }

@@ -13,12 +13,17 @@
 // `value_correlation_window` stream positions ago ("uninterrupted in time").
 //
 // Value matching is served by an inverted index: for each session value the
-// tracker keeps the open sessions currently carrying that value, ordered by
-// the stream position of their most recent item. An arriving item walks its
-// value's bucket newest-first and stops at the first session outside the
-// recency window, so the per-item cost is O(own-key items + matches +
-// log sessions-sharing-the-value) — independent of the total number of open
-// sessions. The pre-index implementation scanned every open session per
+// tracker keeps the open sessions currently carrying that value in an
+// intrusive recency list, newest first. An arriving item always holds the
+// largest stream position, so moving its session to the front of its
+// value's list is an O(1) relink. The item then walks its value's list
+// newest-first and stops at the first session outside the recency window.
+// The matched sessions' item lists are merged through a reused bitmap over
+// [lowest matched position, index), read out in ascending order with
+// count-trailing-zeros, so the per-item cost is O(own-key items + matches +
+// span/64) — independent of the total number of open sessions. When the
+// span is wide relative to the match count the merge sorts the matches
+// instead. The pre-index implementation scanned every open session per
 // item, which is exactly what a busy server with 10⁵ open keys cannot
 // afford (see bench/micro_pipeline.cc, BM_CorrelationObserve).
 //
@@ -31,15 +36,16 @@
 // (OnlineClassifier) and is mutated on every ObserveItem. Independent
 // trackers on different threads never share state.
 //
-// Memory: every container — the per-key item lists, the open sessions
-// (including their index vectors), and the inverted index — allocates from
-// the memory_resource passed at construction. Serving hands in the shard's
+// Memory: every container of per-key state — the per-key item lists, the
+// open sessions (including their index vectors), and the inverted index —
+// allocates from the memory_resource passed at construction; only the
+// per-item merge scratch uses the default heap. Serving hands in the shard's
 // ShardPool so session churn recycles pool nodes; training and tests use
 // the default resource. Repool() rebuilds the whole state into a fresh
 // resource (shard compaction).
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <memory_resource>
 #include <unordered_map>
@@ -72,8 +78,9 @@ class CorrelationTracker {
   // byte stream; Restore parses it into a tracker constructed with the
   // same options and rebuilds the inverted index from the open sessions.
   // Restore fails closed: on truncated/corrupt bytes, an options mismatch,
-  // or structurally impossible indices it returns false and leaves *this
-  // untouched.
+  // or structurally impossible indices (out of range, session items out of
+  // order, two sessions at one stream position) it returns false and
+  // leaves *this untouched.
   void Snapshot(BinaryWriter* writer) const;
   bool Restore(BinaryReader* reader);
 
@@ -83,12 +90,14 @@ class CorrelationTracker {
   // `dirty_sorted` (strictly ascending): the item-index list and the open
   // session, each behind a presence flag. ApplyDelta upserts those keys
   // into a tracker already holding the base state — replacing their lists
-  // and repositioning their sessions in the inverted index — and adopts
-  // the delta's stream clock. `expected_next_index`, when non-negative,
-  // must match the delta's clock (the caller cross-checks against the
-  // engine's item count). ApplyDelta fails closed on corrupt bytes but may
-  // leave *this partially updated — callers stage into a scratch tracker
-  // (the chain loader's staged-servers pattern) and discard on failure.
+  // and sessions, then relinking the inverted index from the result — and
+  // adopts the delta's stream clock. `expected_next_index`, when
+  // non-negative, must match the delta's clock (the caller cross-checks
+  // against the engine's item count). ApplyDelta fails closed on corrupt
+  // bytes (the same session checks as Restore) but may leave *this
+  // partially updated, inverted index included, so it must not observe
+  // again — callers stage into a scratch tracker (the chain loader's
+  // staged-servers pattern) and discard on failure.
   void SnapshotDelta(BinaryWriter* writer,
                      const std::vector<int>& dirty_sorted) const;
   bool ApplyDelta(BinaryReader* reader, int expected_next_index = -1);
@@ -101,27 +110,26 @@ class CorrelationTracker {
 
  private:
   // Allocator-aware so pmr maps propagate their resource into the per-
-  // session index vector (uses-allocator construction).
+  // session index vector (uses-allocator construction). The recency links
+  // point into the owning State, so the allocator-extended copy (a pmr map
+  // copying a session) leaves them null for RebuildValueIndex to set.
   struct OpenSession {
     using allocator_type = std::pmr::polymorphic_allocator<int>;
     OpenSession() = default;
     explicit OpenSession(const allocator_type& alloc) : item_indices(alloc) {}
     OpenSession(const OpenSession& other, const allocator_type& alloc)
-        : session_value(other.session_value),
+        : key(other.key),
+          session_value(other.session_value),
           item_indices(other.item_indices, alloc),
           last_index(other.last_index) {}
-    OpenSession(OpenSession&& other, const allocator_type& alloc)
-        : session_value(other.session_value),
-          item_indices(std::move(other.item_indices), alloc),
-          last_index(other.last_index) {}
-    OpenSession(const OpenSession&) = default;
-    OpenSession(OpenSession&&) = default;
-    OpenSession& operator=(const OpenSession&) = default;
-    OpenSession& operator=(OpenSession&&) = default;
 
+    int key = -1;
     int session_value = -1;
     std::pmr::vector<int> item_indices;  // members of the open session
-    int last_index = -1;
+    int last_index = -1;                 // -1: not in any recency list
+    // Neighbours in the session value's recency list (null at the ends).
+    OpenSession* newer = nullptr;
+    OpenSession* older = nullptr;
   };
 
   // All pool-backed containers live behind one pointer: pmr allocators do
@@ -131,26 +139,49 @@ class CorrelationTracker {
     explicit State(std::pmr::memory_resource* memory)
         : key_items(memory), open_sessions(memory), by_value(memory) {}
     // Hot per-item lookups: iteration order is not load-bearing, so these
-    // are hash maps (the ordered walk lives in by_value below).
+    // are hash maps. Map nodes never move, so the recency links can point
+    // into open_sessions.
     std::pmr::unordered_map<int, std::pmr::vector<int>> key_items;
     std::pmr::unordered_map<int, OpenSession> open_sessions;
-    // Inverted index: session value -> (last_index -> key) over the open
-    // sessions currently carrying that value. last_index is unique (one
-    // item per stream position), and the map order is recency order, so the
+    // Inverted index: session value -> newest open session carrying it,
+    // the head of a list ordered by strictly decreasing last_index, so the
     // window cutoff is a newest-first walk stopping at the first stale
-    // session.
-    std::pmr::unordered_map<int, std::pmr::map<int, int>> by_value;
+    // session. Values with no open session have no entry.
+    std::pmr::unordered_map<int, OpenSession*> by_value;
   };
 
-  // Collects the cross-key value matches for an item with `session_value`
-  // arriving at stream position `index`, appending to `visible`.
-  void AppendValueMatches(int own_key, int session_value, int index,
-                          std::vector<int>* visible) const;
+  // Appends the union of runs_ (the matched sessions' item lists, each
+  // ascending, pairwise disjoint, all below `index`) to `visible` in
+  // ascending order, keeping only the most recent max_value_correlations.
+  void AppendValueMatches(int index, int num_matches,
+                          std::vector<int>* visible);
+
+  // Recency-list edits. Unlink finds the list's by_value entry through the
+  // session_value the session is listed under, and drops the entry when
+  // the list empties.
+  static void PushNewest(OpenSession** head, OpenSession* session);
+  static void Unlink(State* state, OpenSession* session);
+
+  // Links every open session with a stream position into its value's
+  // recency list, from scratch. Returns false when two sessions claim one
+  // stream position (impossible in a real stream: a corrupt checkpoint).
+  static bool RebuildValueIndex(State* state);
 
   CorrelationOptions options_;
   int next_index_ = 0;
   std::pmr::memory_resource* memory_;
   std::unique_ptr<State> state_;
+  // Per-item scratch, reused so ObserveItem allocates only its result: the
+  // matched sessions' item runs and the merge bitmap (all-zero between
+  // calls; at most two words per match, since wider spans sort instead).
+  // Both live on the default heap: their size follows the largest match
+  // set, not the number of keys.
+  struct Run {
+    const int* begin;
+    const int* end;
+  };
+  std::vector<Run> runs_;
+  std::vector<uint64_t> union_bits_;
 };
 
 // The dynamic mask matrix over a whole episode.

@@ -1,10 +1,17 @@
 #include "core/correlation.h"
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "tensor/ops.h"
+#include "util/arena.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace kvec {
 namespace {
@@ -131,6 +138,345 @@ TEST(CorrelationTrackerTest, SelectiveCapCountsItemsNotSessions) {
   for (int i = 0; i < 5; ++i) tracker.ObserveItem(MakeItem(1, 7));
   std::vector<int> visible = tracker.ObserveItem(MakeItem(9, 7));
   EXPECT_EQ(visible, (std::vector<int>{2, 3, 4}));
+}
+
+// The definition of the visible set, computed the slow way: every open
+// session of every other key is scanned, the matches are sorted, and the
+// cap keeps the most recent ones. It also records which merge the tracker
+// must take for the item (one matched run, or several over a narrow or a
+// wide span) and how often a session value loses its last open session and
+// later gains one again, so a test can check that its streams reach both
+// merge paths and empty buckets.
+class ReferenceTracker {
+ public:
+  explicit ReferenceTracker(const CorrelationOptions& options)
+      : options_(options) {}
+
+  std::vector<int> Observe(const Item& item) {
+    const int index = next_index_++;
+    const int value = item.value[options_.session_field];
+    std::vector<int> visible;
+    if (options_.use_key_correlation) visible = key_items_[item.key];
+    if (options_.use_value_correlation) {
+      const int cap = options_.max_value_correlations;
+      std::vector<int> cross;
+      int runs = 0;
+      int trimmed = 0;
+      int lowest = index;
+      for (const auto& [key, session] : sessions_) {
+        if (key == item.key || session.value != value ||
+            index - session.last_index > options_.value_correlation_window) {
+          continue;
+        }
+        cross.insert(cross.end(), session.items.begin(), session.items.end());
+        const int size = static_cast<int>(session.items.size());
+        const int kept = cap > 0 ? std::min(cap, size) : size;
+        ++runs;
+        trimmed += kept;
+        lowest = std::min(lowest, session.items[size - kept]);
+      }
+      std::sort(cross.begin(), cross.end());
+      if (cap > 0 && static_cast<int>(cross.size()) > cap) {
+        cross.erase(cross.begin(), cross.end() - cap);
+      }
+      visible.insert(visible.end(), cross.begin(), cross.end());
+      if (runs > 1) {
+        const bool wide = (index - lowest + 63) / 64 > 2 * trimmed;
+        ++(wide ? wide_unions : narrow_unions);
+      }
+    }
+
+    key_items_[item.key].push_back(index);
+    Session& session = sessions_[item.key];
+    if (session.items.empty() || session.value != value) {
+      if (!session.items.empty() && --open_per_value_[session.value] == 0) {
+        emptied_.insert(session.value);
+      }
+      if (open_per_value_[value]++ == 0 && emptied_.erase(value) > 0) {
+        ++refilled_buckets;
+      }
+      session.value = value;
+      session.items.clear();
+    }
+    session.items.push_back(index);
+    session.last_index = index;
+    return visible;
+  }
+
+  int narrow_unions = 0;
+  int wide_unions = 0;
+  int refilled_buckets = 0;
+
+ private:
+  struct Session {
+    int value = -1;
+    std::vector<int> items;
+    int last_index = -1;
+  };
+  CorrelationOptions options_;
+  int next_index_ = 0;
+  std::map<int, std::vector<int>> key_items_;
+  std::map<int, Session> sessions_;
+  std::map<int, int> open_per_value_;
+  std::set<int> emptied_;
+};
+
+// Stream shapes for the differential test. Dense: few keys switching
+// values often, so matched items crowd the recent positions. Sparse: one
+// item in 8 comes from 128 long-lived keys sharing two values, the rest
+// from one-off keys whose values match nothing, so matched sessions reach
+// far back with few items. Drifting: the value vocabulary moves on and
+// comes back, so buckets empty and refill.
+enum class Shape { kDense, kSparse, kDrifting };
+
+std::vector<Item> MakeStream(Shape shape, int length, Rng* rng) {
+  std::vector<int> current(128, 0);
+  std::vector<Item> stream;
+  for (int t = 0; t < length; ++t) {
+    if (shape == Shape::kSparse && rng->NextInt(8) != 0) {
+      const int key = 128 + rng->NextInt(1000);
+      stream.push_back(MakeItem(key, 100 + key, t));
+      continue;
+    }
+    const int key = rng->NextInt(shape == Shape::kSparse ? 128 : 12);
+    if (rng->NextBernoulli(shape == Shape::kSparse ? 0.02 : 0.3)) {
+      current[key] = shape == Shape::kSparse     ? rng->NextInt(2)
+                     : shape == Shape::kDrifting ? 2 * ((t / 300) % 3) +
+                                                       rng->NextInt(2)
+                                                 : rng->NextInt(4);
+    }
+    stream.push_back(MakeItem(key, current[key], t));
+  }
+  return stream;
+}
+
+// A tracker rebuilt from the uninterrupted one at a cut point, checked
+// against it for the next kFollowItems items. The pool outlives the
+// tracker that may allocate from it (members are destroyed in reverse
+// order; followers are held by pointer so they are never move-assigned).
+struct Follower {
+  std::unique_ptr<ShardPool> pool;
+  std::unique_ptr<CorrelationTracker> tracker;
+  int remaining = 0;
+  std::string how;
+};
+constexpr int kFollowItems = 48;
+
+std::string SnapshotBytes(const CorrelationTracker& tracker) {
+  BinaryWriter writer;
+  tracker.Snapshot(&writer);
+  return writer.buffer();
+}
+
+void RunDifferential(const CorrelationOptions& options, Shape shape,
+                     uint64_t seed, ReferenceTracker* reference) {
+  Rng rng(seed);
+  const std::vector<Item> stream = MakeStream(shape, 2500, &rng);
+  CorrelationTracker tracker(options);
+  std::vector<std::unique_ptr<Follower>> followers;
+  std::string base = SnapshotBytes(tracker);
+  std::set<int> dirty;  // keys observed since `base`
+  int cuts = 0;
+  for (int t = 0; t < static_cast<int>(stream.size()); ++t) {
+    if (rng.NextBernoulli(1.0 / 100)) {
+      auto follower = std::make_unique<Follower>();
+      follower->tracker = std::make_unique<CorrelationTracker>(options);
+      follower->remaining = kFollowItems;
+      BinaryReader full(SnapshotBytes(tracker));
+      switch (cuts++ % 3) {
+        case 0:
+          follower->how = "Snapshot/Restore";
+          ASSERT_TRUE(follower->tracker->Restore(&full));
+          break;
+        case 1: {
+          follower->how = "SnapshotDelta/ApplyDelta";
+          BinaryReader base_reader(base);
+          ASSERT_TRUE(follower->tracker->Restore(&base_reader));
+          BinaryWriter delta;
+          tracker.SnapshotDelta(&delta, {dirty.begin(), dirty.end()});
+          BinaryReader delta_reader(delta.buffer());
+          ASSERT_TRUE(follower->tracker->ApplyDelta(&delta_reader,
+                                                   tracker.num_observed()));
+          break;
+        }
+        default: {
+          follower->how = "Repool";
+          ShardPool staging;
+          follower->tracker =
+              std::make_unique<CorrelationTracker>(options, staging.resource());
+          ASSERT_TRUE(follower->tracker->Restore(&full));
+          follower->pool = std::make_unique<ShardPool>();
+          follower->tracker->Repool(follower->pool->resource());
+          EXPECT_EQ(staging.bytes_live(), 0u);
+          break;
+        }
+      }
+      followers.push_back(std::move(follower));
+      base = SnapshotBytes(tracker);
+      dirty.clear();
+    }
+
+    const std::vector<int> got = tracker.ObserveItem(stream[t]);
+    ASSERT_EQ(got, reference->Observe(stream[t])) << "item " << t;
+    dirty.insert(stream[t].key);
+    for (const auto& follower : followers) {
+      ASSERT_EQ(follower->tracker->ObserveItem(stream[t]), got)
+          << "item " << t << " after " << follower->how;
+      --follower->remaining;
+    }
+    followers.erase(std::remove_if(followers.begin(), followers.end(),
+                                   [](const auto& follower) {
+                                     return follower->remaining == 0;
+                                   }),
+                    followers.end());
+  }
+  EXPECT_GE(cuts, 3);
+}
+
+TEST(CorrelationTrackerTest, MatchesBruteForceReferenceAcrossCuts) {
+  int narrow_unions = 0;
+  int wide_unions = 0;
+  int refilled_buckets = 0;
+  uint64_t seed = 1;
+  for (int cap : {0, 1, 4}) {
+    for (int window : {1, 16, 64}) {
+      for (auto [key_corr, value_corr] :
+           {std::pair{true, true}, {true, false}, {false, true}}) {
+        for (Shape shape : {Shape::kDense, Shape::kSparse, Shape::kDrifting}) {
+          CorrelationOptions options = Options(key_corr, value_corr, window);
+          options.max_value_correlations = cap;
+          ReferenceTracker reference(options);
+          SCOPED_TRACE(::testing::Message()
+                       << "cap " << cap << " window " << window << " key "
+                       << key_corr << " value " << value_corr << " shape "
+                       << static_cast<int>(shape));
+          ASSERT_NO_FATAL_FAILURE(
+              RunDifferential(options, shape, seed++, &reference));
+          narrow_unions += reference.narrow_unions;
+          wide_unions += reference.wide_unions;
+          refilled_buckets += reference.refilled_buckets;
+        }
+      }
+    }
+  }
+  // The streams must reach both merges (bitmap over a narrow span, sort
+  // over a wide one) and values whose last open session rotated away.
+  EXPECT_GT(narrow_unions, 10000);
+  EXPECT_GT(wide_unions, 200);
+  EXPECT_GT(refilled_buckets, 300);
+}
+
+// Hand-written tracker checkpoints (the Snapshot/SnapshotDelta formats),
+// for states no real stream produces.
+struct SessionRecord {
+  int key;
+  int session_value;
+  int last_index;
+  std::vector<int> item_indices;
+};
+
+std::string TrackerCheckpoint(const CorrelationOptions& options,
+                              int next_index,
+                              const std::vector<SessionRecord>& sessions) {
+  BinaryWriter writer;
+  writer.WriteInt32(options.use_key_correlation ? 1 : 0);
+  writer.WriteInt32(options.use_value_correlation ? 1 : 0);
+  writer.WriteInt32(options.value_correlation_window);
+  writer.WriteInt32(options.session_field);
+  writer.WriteInt32(options.max_value_correlations);
+  writer.WriteInt32(next_index);
+  writer.WriteInt32(static_cast<int32_t>(sessions.size()));
+  for (const SessionRecord& session : sessions) {
+    writer.WriteInt32(session.key);
+    writer.WriteIntVector(session.item_indices);
+  }
+  writer.WriteInt32(static_cast<int32_t>(sessions.size()));
+  for (const SessionRecord& session : sessions) {
+    writer.WriteInt32(session.key);
+    writer.WriteInt32(session.session_value);
+    writer.WriteInt32(session.last_index);
+    writer.WriteIntVector(session.item_indices);
+  }
+  return writer.buffer();
+}
+
+std::string TrackerDelta(int next_index,
+                         const std::vector<SessionRecord>& sessions) {
+  BinaryWriter writer;
+  writer.WriteInt32(next_index);
+  writer.WriteInt32(static_cast<int32_t>(sessions.size()));
+  for (const SessionRecord& session : sessions) {
+    writer.WriteInt32(session.key);
+    writer.WriteInt32(1);
+    writer.WriteIntVector(session.item_indices);
+    writer.WriteInt32(1);
+    writer.WriteInt32(session.session_value);
+    writer.WriteInt32(session.last_index);
+    writer.WriteIntVector(session.item_indices);
+  }
+  return writer.buffer();
+}
+
+TEST(CorrelationTrackerTest, RestoreRejectsTwoSessionsAtOneStreamPosition) {
+  const CorrelationOptions options = Options();
+  CorrelationTracker tracker(options);
+  tracker.ObserveItem(MakeItem(5, 1));
+  const std::string before = SnapshotBytes(tracker);
+
+  // Control: distinct stream positions restore.
+  {
+    CorrelationTracker control(options);
+    BinaryReader reader(
+        TrackerCheckpoint(options, 3, {{0, 7, 1, {0, 1}}, {1, 7, 2, {2}}}));
+    ASSERT_TRUE(control.Restore(&reader));
+    EXPECT_EQ(control.ObserveItem(MakeItem(2, 7)), (std::vector<int>{0, 1, 2}));
+  }
+  // Two sessions ending at position 1, with one value and with two.
+  for (int other_value : {7, 8}) {
+    BinaryReader reader(TrackerCheckpoint(
+        options, 3, {{0, 7, 1, {0, 1}}, {1, other_value, 1, {1}}}));
+    EXPECT_FALSE(tracker.Restore(&reader)) << "value " << other_value;
+    EXPECT_EQ(SnapshotBytes(tracker), before) << "value " << other_value;
+  }
+}
+
+TEST(CorrelationTrackerTest, RestoreRejectsUnorderedSessionItems) {
+  const CorrelationOptions options = Options();
+  for (const std::vector<int>& items :
+       {std::vector<int>{1, 0}, std::vector<int>{1, 1}}) {
+    CorrelationTracker tracker(options);
+    BinaryReader reader(TrackerCheckpoint(options, 2, {{0, 7, 1, items}}));
+    EXPECT_FALSE(tracker.Restore(&reader));
+    EXPECT_EQ(tracker.num_observed(), 0);
+  }
+}
+
+TEST(CorrelationTrackerTest, ApplyDeltaRejectsTwoSessionsAtOneStreamPosition) {
+  const CorrelationOptions options = Options();
+  CorrelationTracker source(options);
+  source.ObserveItem(MakeItem(0, 7));  // 0
+  source.ObserveItem(MakeItem(1, 7));  // 1
+  source.ObserveItem(MakeItem(2, 8));  // 2
+  const std::string base = SnapshotBytes(source);
+
+  // Control: key 1 moves to a fresh position and value 8.
+  {
+    CorrelationTracker control(options);
+    BinaryReader base_reader(base);
+    ASSERT_TRUE(control.Restore(&base_reader));
+    BinaryReader delta(TrackerDelta(4, {{1, 8, 3, {1, 3}}}));
+    ASSERT_TRUE(control.ApplyDelta(&delta, 4));
+    EXPECT_EQ(control.ObserveItem(MakeItem(3, 8)), (std::vector<int>{1, 2, 3}));
+  }
+  // Key 1's upserted session claims position 2, which key 2's (untouched)
+  // session already holds.
+  for (int value : {7, 8}) {
+    CorrelationTracker target(options);
+    BinaryReader base_reader(base);
+    ASSERT_TRUE(target.Restore(&base_reader));
+    BinaryReader delta(TrackerDelta(3, {{1, value, 2, {1, 2}}}));
+    EXPECT_FALSE(target.ApplyDelta(&delta, 3)) << "value " << value;
+  }
 }
 
 TEST(BuildEpisodeMaskTest, SelectiveMaskIsSubsetOfUnlimitedMask) {
