@@ -45,23 +45,15 @@ void KvrlEncoder::CollectParameters(std::vector<Tensor>* out) {
 
 // ---- IncrementalEncoder --------------------------------------------------
 
-IncrementalEncoder::PooledBuffer::~PooledBuffer() {
-  BufferPool::Global().Release(std::move(buffer_));
-}
-
-float* IncrementalEncoder::PooledBuffer::Ensure(size_t n) {
-  if (buffer_.size() < n) {
-    BufferPool::Global().Release(std::move(buffer_));
-    buffer_ = BufferPool::Global().AcquireUninitialized(n);
-  }
-  return buffer_.data();
-}
-
 IncrementalEncoder::IncrementalEncoder(const KvrlEncoder& encoder)
     : encoder_(encoder),
       dim_(encoder.config().embed_dim),
       head_dim_(encoder.blocks().front().attention().head_dim()),
-      num_heads_(encoder.blocks().front().attention().num_heads()) {}
+      num_heads_(encoder.blocks().front().attention().num_heads()) {
+  for (const AttentionBlock& block : encoder.blocks()) {
+    max_ffn_dim_ = std::max(max_ffn_dim_, block.ffn().first().weight().cols());
+  }
+}
 
 IncrementalEncoder::~IncrementalEncoder() {
   BufferPool::Global().Release(std::move(arena_));
@@ -142,20 +134,6 @@ void IncrementalEncoder::ScatterKv(int block, int t, const float* k,
   }
 }
 
-void IncrementalEncoder::LinearRow(const std::vector<float>& x,
-                                   const Tensor& weight, const Tensor& bias,
-                                   std::vector<float>* y) {
-  const int in = weight.rows(), out = weight.cols();
-  KVEC_DCHECK(static_cast<int>(x.size()) >= in);
-  if (static_cast<int>(y->size()) < out) y->resize(out);
-  kernels::VecMat(x.data(), weight.data().data(), y->data(), in, out,
-                  /*accumulate=*/false);
-  if (bias.defined()) {
-    const float* b = bias.data().data();
-    for (int j = 0; j < out; ++j) (*y)[j] += b[j];
-  }
-}
-
 void IncrementalEncoder::LayerNormRow(const Tensor& gamma, const Tensor& beta,
                                       float* x, int n) {
   float mean = 0.0f;
@@ -172,9 +150,7 @@ void IncrementalEncoder::LayerNormRow(const Tensor& gamma, const Tensor& beta,
   }
 }
 
-void IncrementalEncoder::AttendRow(int block,
-                                   const MaskedSelfAttention& attention,
-                                   const float* q,
+void IncrementalEncoder::AttendRow(int block, const float* q,
                                    const std::vector<int>& targets,
                                    float* out) {
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
@@ -335,60 +311,9 @@ bool IncrementalEncoder::RestoreTail(BinaryReader* reader,
 
 std::vector<float> IncrementalEncoder::AppendItem(
     const Item& item, int position_in_key, const std::vector<int>& visible) {
-  const int t = num_items_;
-  EnsureCapacity(t + 1);
-  num_items_ = t + 1;
-
-  // ---- Input embedding row: sum of the four embedding families. This
-  // mirrors InputEmbedding::Forward for a single item; the batch-vs-
-  // incremental equivalence test keeps the two in sync. ----
-  float* x = x_.Ensure(dim_);
-  std::fill(x, x + dim_, 0.0f);
-  encoder_.input_embedding().AccumulateItemRow(item, position_in_key, t, x);
-
-  // ---- Attention blocks. ----
-  targets_.assign(visible.begin(), visible.end());
-  targets_.push_back(t);
-  for (size_t b = 0; b < encoder_.blocks().size(); ++b) {
-    const AttentionBlock& block = encoder_.blocks()[b];
-    const MaskedSelfAttention& attention = block.attention();
-
-    LinearRow(x_.vec(), attention.query().weight(), Tensor(), &q_.vec());
-    LinearRow(x_.vec(), attention.key().weight(), Tensor(), &k_.vec());
-    LinearRow(x_.vec(), attention.value().weight(), Tensor(), &v_.vec());
-    ScatterKv(static_cast<int>(b), t, k_.data(), v_.data());
-
-    // Scores over the visible set plus self, independently per head (the
-    // heads read disjoint panels of the arena).
-    float* attended = attended_.Ensure(dim_);
-    AttendRow(static_cast<int>(b), attention, q_.data(), targets_, attended);
-    if (attention.output_projection() != nullptr) {
-      LinearRow(attended_.vec(), attention.output_projection()->weight(),
-                Tensor(), &mixed_.vec());
-      attended = mixed_.data();
-    }
-
-    // Residual + LN, FFN, residual + LN (no dropout at inference).
-    float* h = h_.Ensure(dim_);
-    for (int c = 0; c < dim_; ++c) h[c] = x[c] + attended[c];
-    LayerNormRow(block.norm_attention().gamma(), block.norm_attention().beta(),
-                 h, dim_);
-    LinearRow(h_.vec(), block.ffn().first().weight(),
-              block.ffn().first().bias(), &hidden_.vec());
-    const int ffn_dim = block.ffn().first().weight().cols();
-    float* hidden = hidden_.data();
-    for (int c = 0; c < ffn_dim; ++c) {
-      hidden[c] = hidden[c] > 0.0f ? hidden[c] : 0.0f;
-    }
-    LinearRow(hidden_.vec(), block.ffn().second().weight(),
-              block.ffn().second().bias(), &f_.vec());
-    float* f = f_.data();
-    for (int c = 0; c < dim_; ++c) f[c] += h[c];
-    LayerNormRow(block.norm_ffn().gamma(), block.norm_ffn().beta(), f, dim_);
-
-    std::memcpy(x, f, dim_ * sizeof(float));
-  }
-  return std::vector<float>(x, x + dim_);
+  std::vector<float> row;
+  AppendBatch(&item, &position_in_key, &visible, 1, &row);
+  return row;
 }
 
 void IncrementalEncoder::AppendBatch(const Item* items,
@@ -407,11 +332,6 @@ void IncrementalEncoder::AppendBatch(const Item* items,
   // ResetScratch() after the microbatch drains).
   scratch_.Reset();
 
-  int max_ffn_dim = 0;
-  for (const AttentionBlock& block : encoder_.blocks()) {
-    max_ffn_dim = std::max(max_ffn_dim, block.ffn().first().weight().cols());
-  }
-
   float* x = scratch_.AllocArray<float>(panel);
   float* q = scratch_.AllocArray<float>(panel);
   float* k = scratch_.AllocArray<float>(panel);
@@ -420,7 +340,7 @@ void IncrementalEncoder::AppendBatch(const Item* items,
   float* mixed_panel = scratch_.AllocArray<float>(panel);
   float* h = scratch_.AllocArray<float>(panel);
   float* hidden = scratch_.AllocArray<float>(
-      static_cast<size_t>(batch) * std::max(max_ffn_dim, 1));
+      static_cast<size_t>(batch) * max_ffn_dim_);
   float* f = scratch_.AllocArray<float>(panel);
 
   // ---- Input embedding rows, stacked into X [batch, d]. ----
@@ -430,8 +350,8 @@ void IncrementalEncoder::AppendBatch(const Item* items,
         items[i], positions_in_key[i], t0 + i, x + static_cast<size_t>(i) * d);
   }
 
-  // ---- Attention blocks: one GemmNN per projection per block instead of
-  // `batch` VecMats; attention gathers and layer norms stay per-row. ----
+  // ---- Attention blocks: one GemmNN per projection per block; attention
+  // gathers and layer norms stay per-row. ----
   for (size_t b = 0; b < encoder_.blocks().size(); ++b) {
     const AttentionBlock& block = encoder_.blocks()[b];
     const MaskedSelfAttention& attention = block.attention();
@@ -452,8 +372,8 @@ void IncrementalEncoder::AppendBatch(const Item* items,
     for (int i = 0; i < batch; ++i) {
       targets_.assign(visibles[i].begin(), visibles[i].end());
       targets_.push_back(t0 + i);
-      AttendRow(static_cast<int>(b), attention, q + static_cast<size_t>(i) * d,
-                targets_, att + static_cast<size_t>(i) * d);
+      AttendRow(static_cast<int>(b), q + static_cast<size_t>(i) * d, targets_,
+                att + static_cast<size_t>(i) * d);
     }
     if (attention.output_projection() != nullptr) {
       kernels::GemmNN(att, attention.output_projection()->weight().data().data(),

@@ -76,10 +76,11 @@ class IncrementalEncoder {
   IncrementalEncoder(const IncrementalEncoder&) = delete;
   IncrementalEncoder& operator=(const IncrementalEncoder&) = delete;
 
-  // Appends the next stream item. `position_in_key` is its 0-based index
-  // within its key sequence; `visible` lists the earlier stream positions
-  // it may attend to (from CorrelationTracker::ObserveItem). Returns the
-  // final-block embedding row E(t)_e (length d).
+  // Appends the next stream item: a microbatch of one (AppendBatch with
+  // batch = 1). `position_in_key` is its 0-based index within its key
+  // sequence; `visible` lists the earlier stream positions it may attend to
+  // (from CorrelationTracker::ObserveItem). Returns the final-block
+  // embedding row E(t)_e (length d).
   std::vector<float> AppendItem(const Item& item, int position_in_key,
                                 const std::vector<int>& visible);
 
@@ -87,11 +88,12 @@ class IncrementalEncoder {
   // once. items[i] arrives at stream position num_items() + i with
   // visibility `visibles[i]` (which may reference earlier items of the
   // same batch — their K/V rows are cached before any attention runs).
-  // The Q/K/V/FFN projections run as one [batch, d] GemmNN per weight
-  // instead of `batch` row-vector VecMats; only the attention gather and
-  // the layer norms stay per-row. Writes the final-block rows to `rows`
-  // ([batch, d], row-major). Equivalent to `batch` AppendItem calls up to
-  // GEMM summation order (≤1e-5; pinned by core_batch_equivalence_test).
+  // The Q/K/V/FFN projections run as one [batch, d] GemmNN per weight;
+  // only the attention gather and the layer norms stay per-row. Writes the
+  // final-block rows to `rows` ([batch, d], row-major). Bit-identical to
+  // `batch` single-item appends, because GemmNN computes each output row
+  // independently of the others (pinned by core_batch_equivalence_test and
+  // tensor_property_test).
   void AppendBatch(const Item* items, const int* positions_in_key,
                    const std::vector<int>* visibles, int batch,
                    std::vector<float>* rows);
@@ -141,29 +143,6 @@ class IncrementalEncoder {
   size_t scratch_high_water() const { return scratch_.high_water(); }
 
  private:
-  // A BufferPool-backed grow-only scratch buffer: the q/k/v/attended/hidden
-  // scratch of the seed implementation was reallocated on every AppendItem
-  // call; these persist per engine and return their storage to the pool on
-  // destruction (so a rotated-in engine reuses the old engine's buffers).
-  class PooledBuffer {
-   public:
-    PooledBuffer() = default;
-    ~PooledBuffer();
-    PooledBuffer(const PooledBuffer&) = delete;
-    PooledBuffer& operator=(const PooledBuffer&) = delete;
-
-    // Grow-only; existing contents are NOT preserved across growth.
-    float* Ensure(size_t n);
-    float* data() { return buffer_.data(); }
-    std::vector<float>& vec() { return buffer_; }
-
-   private:
-    std::vector<float> buffer_;
-  };
-
-  // y = x W (+ b); row vector times weight matrix.
-  static void LinearRow(const std::vector<float>& x, const Tensor& weight,
-                        const Tensor& bias, std::vector<float>* y);
   static void LayerNormRow(const Tensor& gamma, const Tensor& beta,
                            float* x, int n);
 
@@ -183,8 +162,8 @@ class IncrementalEncoder {
   void ScatterKv(int block, int t, const float* k, const float* v);
   // Masked attention for one query row against the cached panels of
   // `block`; writes the concatenated head outputs (length d) to `out`.
-  void AttendRow(int block, const MaskedSelfAttention& attention,
-                 const float* q, const std::vector<int>& targets, float* out);
+  void AttendRow(int block, const float* q, const std::vector<int>& targets,
+                 float* out);
 
   const KvrlEncoder& encoder_;
   int dim_;
@@ -192,11 +171,10 @@ class IncrementalEncoder {
   int num_heads_;
   int num_items_ = 0;
   int capacity_ = 0;           // cached items the arena can hold
+  int max_ffn_dim_ = 1;        // widest FFN hidden layer over the blocks
   std::vector<float> arena_;   // pooled; see layout above
 
-  // Single-row scratch (AppendItem).
-  PooledBuffer x_, q_, k_, v_, attended_, mixed_, h_, hidden_, f_;
-  // Batched scratch (AppendBatch): all [batch, ·] panels come from this
+  // Batch scratch (AppendBatch): all [batch, ·] panels come from this
   // monotonic arena, reset at the top of every batch — per-microbatch
   // scratch costs one pointer bump per panel instead of nine BufferPool
   // draws (and plateaus at the largest batch seen).

@@ -51,14 +51,8 @@ void OnlineClassifier::EncodeBatch(const Item* items, int count,
     visible_scratch_[i] = tracker_.ObserveItem(items[i]);
     position_scratch_[i] = (*keys_)[items[i].key].position_in_key++;
   }
-  if (count == 1) {
-    // Single-item fast path: the row-vector VecMat pipeline, no GEMM setup.
-    *rows = incremental_.AppendItem(items[0], position_scratch_[0],
-                                    visible_scratch_[0]);
-  } else {
-    incremental_.AppendBatch(items, position_scratch_.data(),
-                             visible_scratch_.data(), count, rows);
-  }
+  incremental_.AppendBatch(items, position_scratch_.data(),
+                           visible_scratch_.data(), count, rows);
   num_items_ += count;
 }
 

@@ -12,9 +12,8 @@
 // Observation is split into two stages so callers can microbatch:
 //  * EncodeBatch — correlation tracking + incremental encoding for B
 //    consecutive stream items, driving the encoder's projections through
-//    one GEMM per block instead of B row-vector multiplies. Every item is
-//    encoded (halted keys included: their items shape the visibility sets
-//    of live keys).
+//    one GEMM per block (B = 1 for Observe). Every item is encoded (halted
+//    keys included: their items shape the visibility sets of live keys).
 //  * DecideObserved — per item, folds the encoded row into its key's
 //    fusion state and runs the halting policy / classifier.
 // Observe == EncodeBatch of one item + DecideObserved, and ObserveBatch is

@@ -193,24 +193,12 @@ int ShardedStreamServer::ShardOf(int key) const {
 }
 
 std::vector<StreamEvent> ShardedStreamServer::Observe(const Item& item) {
-  Shard& shard = *shards_[ShardOf(item.key)];
-  shard.items_submitted.fetch_add(1, std::memory_order_relaxed);
-  if (!asynchronous()) {
-    MutexLock lock(shard.mutex);
-    return shard.server->Observe(item);
-  }
+  const int s = ShardOf(item.key);
+  shards_[s]->items_submitted.fetch_add(1, std::memory_order_relaxed);
   std::vector<StreamEvent> events;
-  Barrier barrier(1);
-  ShardTask task;
-  task.fn = [&events, &barrier, &item](StreamServer& server) {
+  RunOnShard(s, [&events, &item](StreamServer& server) {
     events = server.Observe(item);
-    barrier.Arrive();
-  };
-  const auto result = shard.queue->Push(std::move(task), OverloadPolicy::kBlock,
-                                        /*sheddable=*/false,
-                                        /*shed_out=*/nullptr);
-  KVEC_CHECK(result == BoundedQueue<ShardTask>::PushResult::kAccepted);
-  barrier.Wait();
+  });
   return events;
 }
 

@@ -255,9 +255,10 @@ class ShardedStreamServer {
   // runs under the shard mutex) and blocks until all shards ran it.
   void RunOnAllShards(const std::function<void(int, StreamServer&)>& fn) const;
   // Same seam for ONE shard: runs `fn` on the owning worker (async) or
-  // under the shard mutex (sync) and blocks until it ran. Checkpoint
-  // encode and CompactAll iterate this so only one shard is paused at a
-  // time while the rest of the fleet keeps serving.
+  // under the shard mutex (sync) and blocks until it ran. Per-item Observe
+  // goes through it; checkpoint encode and CompactAll iterate it so only
+  // one shard is paused at a time while the rest of the fleet keeps
+  // serving.
   void RunOnShard(int shard,
                   const std::function<void(StreamServer&)>& fn) const;
   // Charges `count` dropped items against `shard`'s shed counters.

@@ -161,40 +161,36 @@ void StreamServer::Bookkeep(const Item& item, const OnlineDecision& decision,
 }
 
 std::vector<StreamEvent> StreamServer::Observe(const Item& item) {
-  // Belt and braces with OnlineClassifier's own guard: everything the
-  // serving loop does (engine steps, forced closes, rotations) runs tapeless.
-  InferenceMode inference_guard;
-  std::vector<StreamEvent> events;
-  if (window_items_ >= config_.max_window_items) RotateWindow(&events);
-
-  OnlineDecision decision = engine_->Observe(item);
-  Bookkeep(item, decision, &events);
-  MaybeCompact(1);
-  return events;
+  return ObserveItems(&item, 1);
 }
 
 std::vector<StreamEvent> StreamServer::ObserveBatch(
     const std::vector<Item>& items) {
+  return ObserveItems(items.data(), static_cast<int>(items.size()));
+}
+
+std::vector<StreamEvent> StreamServer::ObserveItems(const Item* items,
+                                                    int count) {
+  // Belt and braces with OnlineClassifier's own guard: everything the
+  // serving loop does (engine steps, forced closes, rotations) runs tapeless.
   InferenceMode inference_guard;
   std::vector<StreamEvent> events;
-  const int total = static_cast<int>(items.size());
   const int embed = engine_->embed_dim();
-  std::vector<float> rows;
   int begin = 0;
-  while (begin < total) {
+  while (begin < count) {
     if (window_items_ >= config_.max_window_items) RotateWindow(&events);
     // Encode up to the next rotation boundary in one microbatch. Encoding
     // ahead of the per-item bookkeeping below is safe: the encoder stage
     // depends only on the item stream (never on halts or evictions), and
     // rotations — which do reset the encoder — land exactly on chunk
     // boundaries because the window clock ticks once per item.
-    const int chunk = std::min(total - begin,
-                               config_.max_window_items - window_items_);
-    engine_->EncodeBatch(items.data() + begin, chunk, &rows);
+    const int chunk =
+        std::min(count - begin, config_.max_window_items - window_items_);
+    engine_->EncodeBatch(items + begin, chunk, &rows_);
     for (int i = 0; i < chunk; ++i) {
       const Item& item = items[begin + i];
       OnlineDecision decision = engine_->DecideObserved(
-          item.key, rows.data() + static_cast<size_t>(i) * embed);
+          item.key, rows_.data() + static_cast<size_t>(i) * embed);
       Bookkeep(item, decision, &events);
     }
     // The microbatch is drained: rewind the encoder's scratch arena so a

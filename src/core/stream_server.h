@@ -171,14 +171,7 @@ class StreamServer {
   // would have produced (pinned by core_batch_equivalence_test.cc). The
   // encoder runs each microbatch through blocked GEMMs, splitting only at
   // window-rotation boundaries; eviction bookkeeping stays per item.
-  // Note the exactness rests on GemmNN and VecMat sharing the same
-  // per-row accumulation kernel; should the GEMM layer ever reorder
-  // per-row accumulation, batched embeddings may drift by ~1 ulp and a
-  // halt probability sitting exactly on the 0.5 threshold could flip.
   std::vector<StreamEvent> ObserveBatch(const std::vector<Item>& items);
-
-  // Serving-API alias for Observe.
-  std::vector<StreamEvent> Push(const Item& item) { return Observe(item); }
 
   // Force-classifies all still-open keys (end of stream).
   std::vector<StreamEvent> Flush();
@@ -270,8 +263,12 @@ class StreamServer {
   void RotateWindow(std::vector<StreamEvent>* events);
   void EvictIdle(std::vector<StreamEvent>* events);
   void RecordEvent(const StreamEvent& event);
-  // Post-decision bookkeeping shared by Observe and ObserveBatch: advances
-  // the clocks, emits/halts/evicts for one observed item.
+  // The one ingest body behind Observe (count = 1) and ObserveBatch:
+  // rotate → EncodeBatch → per-item DecideObserved + Bookkeep → scratch
+  // reset → compaction check, one microbatch per window segment.
+  std::vector<StreamEvent> ObserveItems(const Item* items, int count);
+  // Post-decision bookkeeping for one observed item: advances the clocks,
+  // emits/halts/evicts.
   void Bookkeep(const Item& item, const OnlineDecision& decision,
                 std::vector<StreamEvent>* events);
 
@@ -325,6 +322,7 @@ class StreamServer {
   int window_items_ = 0;  // items in the current engine window
   int items_since_compaction_check_ = 0;
   mutable StreamServerStats stats_;
+  std::vector<float> rows_;  // EncodeBatch output, reused across calls
 
   // ---- Dirty-key tracking (incremental checkpoints). ----
   // Plain std containers, deliberately NOT pool-backed: the dirty map is

@@ -63,7 +63,7 @@ inline float VSum(VReg v) {
 
 #if KVEC_HAVE_SIMD
 
-// ---- Broadcast micro-kernel (GemmNN / GemmTN / VecMat) ----------------------
+// ---- Broadcast micro-kernel (GemmNN / GemmTN) -------------------------------
 //
 // C tile [MR x NV*W] (+)= A-slab · B-panel. A is accessed through explicit
 // row/column strides so the same body serves A (a_rs=k, a_cs=1) and A^T
@@ -273,11 +273,6 @@ void GemmNT(const float* a, const float* b, float* c, int m, int k, int n,
                    [=](int i0, int i1) {
                      DotRows(a, b, c, i0, i1, k, n, accumulate);
                    });
-}
-
-void VecMat(const float* x, const float* b, float* y, int k, int n,
-            bool accumulate) {
-  BroadcastRows(x, /*a_rs=*/k, /*a_cs=*/1, b, y, 0, 1, k, n, accumulate);
 }
 
 void AddBiasRows(float* c, const float* bias, int m, int n) {

@@ -17,6 +17,12 @@
 //
 // Aliasing contract: C must not overlap A or B. A and B may alias each
 // other (e.g. Q·Qᵀ).
+//
+// Row contract: GemmNN computes every row of C with the same accumulation
+// order whatever m, the row tile or the thread chunk, so row i of an
+// [m, n] product equals the [1, n] product of row i alone, bit for bit.
+// The incremental encoder's microbatches depend on this to match
+// single-item appends exactly (pinned by tests/tensor_property_test.cc).
 #pragma once
 
 namespace kvec {
@@ -32,11 +38,6 @@ void GemmNN(const float* a, const float* b, float* c, int m, int k, int n,
 void GemmNT(const float* a, const float* b, float* c, int m, int k, int n,
             bool accumulate);
 void GemmTN(const float* a, const float* b, float* c, int m, int k, int n,
-            bool accumulate);
-
-// y[n] (+)= x[k] · B[k,n]; the single-row GemmNN, exposed separately so the
-// incremental encoder's per-item rows skip Tensor plumbing entirely.
-void VecMat(const float* x, const float* b, float* y, int k, int n,
             bool accumulate);
 
 // dot(a, b) over n floats.

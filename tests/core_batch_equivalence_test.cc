@@ -1,5 +1,5 @@
 // Batched-vs-sequential equivalence of the streaming inference pipeline:
-//  * IncrementalEncoder::AppendBatch vs AppendItem (numeric, <= 1e-5),
+//  * IncrementalEncoder::AppendBatch vs AppendItem (bit-identical rows),
 //  * OnlineClassifier::ObserveBatch vs Observe (decision-for-decision),
 //  * StreamServer::ObserveBatch vs Observe on tangled streams that span
 //    window-rotation, idle-timeout, and capacity-eviction boundaries
@@ -7,6 +7,8 @@
 //  * ShardedStreamServer::ObserveBatch vs per-item Observe.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <vector>
@@ -50,6 +52,12 @@ Fixture TrainSmallModel(uint64_t seed, int num_heads = 1) {
   return fixture;
 }
 
+uint32_t FloatBits(float value) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
 // Concatenates every test episode into one long tangled stream with
 // non-colliding keys.
 std::vector<Item> ConcatStream(const Dataset& dataset) {
@@ -75,7 +83,7 @@ void ExpectSameEvents(const std::vector<StreamEvent>& sequential,
     EXPECT_EQ(sequential[i].cause, batched[i].cause) << "event " << i;
     EXPECT_EQ(sequential[i].observed_items, batched[i].observed_items)
         << "event " << i;
-    EXPECT_NEAR(sequential[i].confidence, batched[i].confidence, 1e-4)
+    EXPECT_EQ(sequential[i].confidence, batched[i].confidence)
         << "event " << i;
   }
 }
@@ -120,8 +128,8 @@ TEST(BatchEquivalenceTest, AppendBatchMatchesAppendItem) {
       ASSERT_EQ(rows.size(), static_cast<size_t>(batch) * d);
       for (int i = 0; i < batch; ++i) {
         for (int c = 0; c < d; ++c) {
-          ASSERT_NEAR(rows[static_cast<size_t>(i) * d + c],
-                      expected[begin + i][c], 1e-5f)
+          ASSERT_EQ(FloatBits(rows[static_cast<size_t>(i) * d + c]),
+                    FloatBits(expected[begin + i][c]))
               << "heads " << num_heads << " item " << begin + i << " col "
               << c;
         }
@@ -242,41 +250,50 @@ TEST(BatchEquivalenceTest, ShardedObserveBatchMatchesPerItemObserve) {
   config.shard.idle_check_interval = 2;
   config.shard.max_open_keys = 2;
 
-  ShardedStreamServer sequential(*fixture.model, config);
-  std::vector<StreamEvent> expected;
-  for (const Item& item : stream) {
-    for (const StreamEvent& event : sequential.Observe(item)) {
-      expected.push_back(event);
-    }
-  }
+  // Synchronous mode and shard-owned workers route per-item Observe
+  // differently (shard mutex vs a waited-on control task); both must match.
+  for (int worker_threads : {0, config.num_shards}) {
+    SCOPED_TRACE(testing::Message() << "worker_threads " << worker_threads);
+    config.worker_threads = worker_threads;
 
-  ShardedStreamServer batched(*fixture.model, config);
-  std::vector<StreamEvent> actual;
-  const size_t kBatch = 24;
-  for (size_t begin = 0; begin < stream.size(); begin += kBatch) {
-    const size_t end = std::min(stream.size(), begin + kBatch);
-    std::vector<Item> chunk(stream.begin() + begin, stream.begin() + end);
-    for (const StreamEvent& event : batched.ObserveBatch(chunk)) {
-      actual.push_back(event);
+    ShardedStreamServer sequential(*fixture.model, config);
+    std::vector<StreamEvent> expected;
+    for (const Item& item : stream) {
+      for (const StreamEvent& event : sequential.Observe(item)) {
+        expected.push_back(event);
+      }
     }
-  }
 
-  // Batched events come grouped by shard; compare per-key verdict streams
-  // (within a key, order and causes must match exactly).
-  auto by_key = [](const std::vector<StreamEvent>& events) {
-    std::map<int, std::vector<StreamEvent>> grouped;
-    for (const StreamEvent& event : events) grouped[event.key].push_back(event);
-    return grouped;
-  };
-  auto expected_by_key = by_key(expected);
-  auto actual_by_key = by_key(actual);
-  ASSERT_EQ(expected_by_key.size(), actual_by_key.size());
-  for (auto& [key, events] : expected_by_key) {
-    ASSERT_TRUE(actual_by_key.count(key)) << "key " << key;
-    ExpectSameEvents(events, actual_by_key[key]);
+    ShardedStreamServer batched(*fixture.model, config);
+    std::vector<StreamEvent> actual;
+    const size_t kBatch = 24;
+    for (size_t begin = 0; begin < stream.size(); begin += kBatch) {
+      const size_t end = std::min(stream.size(), begin + kBatch);
+      std::vector<Item> chunk(stream.begin() + begin, stream.begin() + end);
+      for (const StreamEvent& event : batched.ObserveBatch(chunk)) {
+        actual.push_back(event);
+      }
+    }
+
+    // Batched events come grouped by shard; compare per-key verdict streams
+    // (within a key, order and causes must match exactly).
+    auto by_key = [](const std::vector<StreamEvent>& events) {
+      std::map<int, std::vector<StreamEvent>> grouped;
+      for (const StreamEvent& event : events) {
+        grouped[event.key].push_back(event);
+      }
+      return grouped;
+    };
+    auto expected_by_key = by_key(expected);
+    auto actual_by_key = by_key(actual);
+    ASSERT_EQ(expected_by_key.size(), actual_by_key.size());
+    for (auto& [key, events] : expected_by_key) {
+      ASSERT_TRUE(actual_by_key.count(key)) << "key " << key;
+      ExpectSameEvents(events, actual_by_key[key]);
+    }
+    EXPECT_EQ(sequential.stats().sequences_classified,
+              batched.stats().sequences_classified);
   }
-  EXPECT_EQ(sequential.stats().sequences_classified,
-            batched.stats().sequences_classified);
 }
 
 }  // namespace

@@ -98,7 +98,7 @@ TEST(InferenceModeTest, StreamServerPushBuildsZeroTape) {
   int events_seen = 0;
   for (const TangledSequence& episode : dataset.test) {
     for (const Item& item : episode.items) {
-      events_seen += static_cast<int>(server.Push(item).size());
+      events_seen += static_cast<int>(server.Observe(item).size());
     }
   }
   events_seen += static_cast<int>(server.Flush().size());

@@ -1,10 +1,13 @@
 // Parameterized property tests of the tensor operators: algebraic
 // identities that must hold for every shape, independent of the values.
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -78,6 +81,55 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatMulProperty,
                          ::testing::Values(Shape{1, 1}, Shape{1, 7},
                                            Shape{4, 4}, Shape{3, 8},
                                            Shape{9, 2}));
+
+// GemmNN computes every output row independently of the others: row i of
+// an [m, n] product equals the [1, n] product of row i alone, bit for bit,
+// whatever row tile, column tile or thread chunk the row lands in. The
+// incremental encoder relies on this for microbatches to be bit-identical
+// to single-item appends. Parameters are (k, n): the widths cover the full
+// SIMD panel, the single-vector tile and the scalar column remainder on
+// both AVX-512 (64/16-float tiles) and AVX2 (16/8), and the last shape
+// crosses kParallelFlopThreshold so the rows split over the thread pool.
+class GemmRowIndependenceProperty : public ::testing::TestWithParam<Shape> {};
+
+uint32_t FloatBits(float value) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST_P(GemmRowIndependenceProperty, EachRowMatchesItsSingleRowProduct) {
+  auto [k, n] = GetParam();
+  Rng rng(k * 61 + n);
+  std::vector<float> row(n);
+  for (int m = 1; m <= 13; ++m) {
+    Tensor a = RandomTensor(m, k, rng);
+    Tensor b = RandomTensor(k, n, rng);
+    std::vector<float> c(static_cast<size_t>(m) * n);
+    kernels::GemmNN(a.data().data(), b.data().data(), c.data(), m, k, n,
+                    /*accumulate=*/false);
+    for (int i = 0; i < m; ++i) {
+      kernels::GemmNN(a.data().data() + static_cast<size_t>(i) * k,
+                      b.data().data(), row.data(), 1, k, n,
+                      /*accumulate=*/false);
+      for (int j = 0; j < n; ++j) {
+        ASSERT_EQ(FloatBits(c[static_cast<size_t>(i) * n + j]),
+                  FloatBits(row[j]))
+            << "m " << m << " row " << i << " col " << j;
+      }
+    }
+  }
+}
+
+static_assert(13LL * 160 * 160 > kernels::kParallelFlopThreshold,
+              "the largest GemmRowIndependenceProperty shape must fork");
+
+INSTANTIATE_TEST_SUITE_P(Widths, GemmRowIndependenceProperty,
+                         ::testing::Values(Shape{12, 1}, Shape{12, 7},
+                                           Shape{12, 12}, Shape{16, 16},
+                                           Shape{19, 24}, Shape{12, 64},
+                                           Shape{19, 85}, Shape{16, 93},
+                                           Shape{160, 160}));
 
 class SoftmaxShiftProperty : public ::testing::TestWithParam<Shape> {};
 
