@@ -117,6 +117,54 @@ void BM_OnlineInferencePerItem(benchmark::State& state) {
 }
 BENCHMARK(BM_OnlineInferencePerItem);
 
+// Per-item cost of OnlineClassifier::DecideObserved alone: fold an encoded
+// row into its key's fusion state and run the halting policy. Args:
+// {embed_dim, state_dim} — {8, 8} is kvbench's state-churn model and
+// {16, 24} its replay-trained one. Each iteration encodes a fresh 4,096-item
+// stream over 64 round-robin keys (timer paused), then times the decide
+// stage over it. The policy bias is pinned low so keys keep fusing instead
+// of halting on their first items, which measures the steady-state path.
+void BM_OnlineDecide(benchmark::State& state) {
+  constexpr int kKeys = 64;
+  constexpr int kItems = 4096;
+  TrafficGenerator generator(SmallTraffic());
+  KvecConfig config = KvecConfig::ForSpec(generator.spec());
+  config.embed_dim = static_cast<int>(state.range(0));
+  config.state_dim = static_cast<int>(state.range(1));
+  config.num_blocks = 1;
+  config.ffn_hidden_dim = config.embed_dim;
+  KvecModel model(config);
+  // MainParameters ends with the policy's weight and bias, then the
+  // classifier's weight and bias.
+  std::vector<Tensor> params = model.MainParameters();
+  params[params.size() - 3].data()[0] = -8.0f;
+
+  std::vector<Item> stream(kItems);
+  for (int i = 0; i < kItems; ++i) {
+    stream[i].key = i % kKeys;
+    for (const ValueField& field : generator.spec().value_fields) {
+      stream[i].value.push_back(i % field.vocab_size);
+    }
+    stream[i].time = i;
+  }
+  const int embed = config.embed_dim;
+  std::vector<float> rows;
+  int64_t items = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    OnlineClassifier online(model);
+    online.EncodeBatch(stream.data(), kItems, &rows);
+    state.ResumeTiming();
+    for (int i = 0; i < kItems; ++i) {
+      benchmark::DoNotOptimize(online.DecideObserved(
+          stream[i].key, rows.data() + static_cast<size_t>(i) * embed));
+    }
+    items += kItems;
+  }
+  state.SetItemsProcessed(items);
+}
+BENCHMARK(BM_OnlineDecide)->Args({8, 8})->Args({16, 24});
+
 // ---- PR-3 serving benchmarks (BENCH_PR3.json) ---------------------------
 
 // A tiny untrained model: the end-to-end serving benchmarks measure the

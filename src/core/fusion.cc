@@ -1,5 +1,8 @@
 #include "core/fusion.h"
 
+#include <algorithm>
+
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 
@@ -8,8 +11,7 @@ namespace kvec {
 void FusionState::DetachInPlace() {
   // Tensors that don't require grad never carry parents/backward_fn
   // (MakeOpOutput's invariant), so states produced under InferenceMode are
-  // already detached and keep their storage — copying them would defeat the
-  // zero-allocation serving path.
+  // already detached and keep their storage instead of being copied.
   if (hidden.defined() && hidden.requires_grad()) hidden = hidden.Detach();
   if (cell.defined() && cell.requires_grad()) cell = cell.Detach();
 }
@@ -27,6 +29,23 @@ EmbeddingFusion::EmbeddingFusion(const KvecConfig& config, Rng& rng)
 
 int EmbeddingFusion::output_dim() const {
   return kind_ == KvecConfig::FusionKind::kLstm ? state_dim_ : embed_dim_;
+}
+
+int EmbeddingFusion::cell_dim() const {
+  switch (kind_) {
+    case KvecConfig::FusionKind::kLstm:
+      return state_dim_;
+    case KvecConfig::FusionKind::kMean:
+      return embed_dim_;
+    case KvecConfig::FusionKind::kSum:
+    case KvecConfig::FusionKind::kLast:
+      break;
+  }
+  return 0;
+}
+
+int EmbeddingFusion::row_scratch_dim() const {
+  return lstm_ != nullptr ? lstm_->row_scratch_dim() : 0;
 }
 
 FusionState EmbeddingFusion::InitialState() const {
@@ -71,6 +90,29 @@ FusionState EmbeddingFusion::Step(const FusionState& previous,
       break;
   }
   return next;
+}
+
+void EmbeddingFusion::StepRow(float* hidden, float* cell, int count,
+                              const float* embedding, float* scratch) const {
+  switch (kind_) {
+    case KvecConfig::FusionKind::kLstm:
+      lstm_->StepRow(hidden, cell, embedding, scratch);
+      break;
+    case KvecConfig::FusionKind::kSum:
+      for (int j = 0; j < embed_dim_; ++j) hidden[j] += embedding[j];
+      break;
+    case KvecConfig::FusionKind::kMean: {
+      const float scale = 1.0f / static_cast<float>(count);
+      for (int j = 0; j < embed_dim_; ++j) {
+        cell[j] += embedding[j];
+        hidden[j] = kernels::Affine(cell[j], scale, 0.0f);
+      }
+      break;
+    }
+    case KvecConfig::FusionKind::kLast:
+      std::copy(embedding, embedding + embed_dim_, hidden);
+      break;
+  }
 }
 
 void EmbeddingFusion::CollectParameters(std::vector<Tensor>* out) {

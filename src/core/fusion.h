@@ -27,7 +27,8 @@
 
 namespace kvec {
 
-// Running fusion state of one key-value sequence.
+// Running fusion state of one key-value sequence (training and offline
+// evaluation; serving keeps the same rows in raw floats, see StepRow).
 struct FusionState {
   Tensor hidden;  // s_t, the representation consumed by the heads
   Tensor cell;    // mode memory: LSTM cell (kLstm) / running sum (kMean)
@@ -35,7 +36,7 @@ struct FusionState {
 
   bool defined() const { return hidden.defined(); }
 
-  // Cuts the autograd graph (streaming inference / evaluation).
+  // Cuts the autograd graph (evaluation).
   void DetachInPlace();
 };
 
@@ -50,8 +51,21 @@ class EmbeddingFusion : public Module {
   FusionState Step(const FusionState& previous,
                    const Tensor& item_embedding) const;
 
+  // Tensor-free serving step (OnlineClassifier): the state lives in
+  // caller-owned rows, `hidden` (output_dim() floats) and `cell`
+  // (cell_dim() floats; nullptr when that is 0), which start all-zero like
+  // InitialState and are advanced in place. `count` is the number of items
+  // fused including this one (Step's next.count). `scratch` holds
+  // row_scratch_dim() floats. Bit-equal to Step (pinned by
+  // core_fusion_test.cc); records no graph and allocates nothing.
+  void StepRow(float* hidden, float* cell, int count, const float* embedding,
+               float* scratch) const;
+
   // Width of `hidden`: state_dim for kLstm, embed_dim otherwise.
   int output_dim() const;
+  // Width of `cell`: state_dim for kLstm, embed_dim for kMean, 0 otherwise.
+  int cell_dim() const;
+  int row_scratch_dim() const;
 
   KvecConfig::FusionKind kind() const { return kind_; }
   // The gated cell; nullptr unless kind() == kLstm.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 
@@ -13,6 +14,12 @@ EctlPolicy::EctlPolicy(int state_dim, Rng& rng)
 
 Tensor EctlPolicy::HaltProbability(const Tensor& state) const {
   return ops::Sigmoid(linear_.Forward(state));
+}
+
+float EctlPolicy::HaltProbabilityRow(const float* state) const {
+  float logit = 0.0f;
+  linear_.ForwardRow(state, &logit);
+  return kernels::Sigmoid(logit);
 }
 
 void EctlPolicy::CollectParameters(std::vector<Tensor>* out) {
@@ -38,17 +45,27 @@ Tensor SequenceClassifier::Logits(const Tensor& state) const {
   return linear_.Forward(state);
 }
 
+void SequenceClassifier::LogitsRow(const float* state, float* logits) const {
+  linear_.ForwardRow(state, logits);
+}
+
 void SequenceClassifier::CollectParameters(std::vector<Tensor>* out) {
   linear_.CollectParameters(out);
 }
 
 double MaxSoftmaxProbability(const Tensor& logits) {
   KVEC_CHECK_EQ(logits.rows(), 1);
+  return MaxSoftmaxProbability(logits.data().data(), logits.cols());
+}
+
+double MaxSoftmaxProbability(const float* logits, int num_classes) {
   double max_logit = -1e30;
-  for (float v : logits.data()) max_logit = std::max<double>(max_logit, v);
+  for (int c = 0; c < num_classes; ++c) {
+    max_logit = std::max<double>(max_logit, logits[c]);
+  }
   double total = 0.0, best = 0.0;
-  for (float v : logits.data()) {
-    const double e = std::exp(v - max_logit);
+  for (int c = 0; c < num_classes; ++c) {
+    const double e = std::exp(logits[c] - max_logit);
     total += e;
     best = std::max(best, e);
   }

@@ -19,6 +19,9 @@ class EctlPolicy : public Module {
 
   // P(a = Halt | s) as a [1,1] tensor in (0,1).
   Tensor HaltProbability(const Tensor& state) const;
+  // Tensor-free serving form over a raw state row (state_dim floats);
+  // bit-equal to HaltProbability, allocates nothing.
+  float HaltProbabilityRow(const float* state) const;
 
   void CollectParameters(std::vector<Tensor>* out) override;
 
@@ -47,6 +50,9 @@ class SequenceClassifier : public Module {
 
   // Unnormalised class scores ([1,C]); softmax is folded into the loss.
   Tensor Logits(const Tensor& state) const;
+  // Tensor-free serving form: writes num_classes() scores for the raw state
+  // row `state` to `logits`; bit-equal to Logits, allocates nothing.
+  void LogitsRow(const float* state, float* logits) const;
 
   int num_classes() const { return linear_.out_features(); }
 
@@ -59,6 +65,9 @@ class SequenceClassifier : public Module {
 // softmax(logits)[argmax]: the classifier's confidence in its prediction.
 // `logits` is a [1,C] row; no graph is recorded.
 double MaxSoftmaxProbability(const Tensor& logits);
+// The same over a raw row of `num_classes` scores (the Tensor form
+// forwards here).
+double MaxSoftmaxProbability(const float* logits, int num_classes);
 
 }  // namespace kvec
 

@@ -12,20 +12,58 @@ OnlineClassifier::OnlineClassifier(const KvecModel& model,
                                    std::pmr::memory_resource* memory)
     : model_(model),
       memory_(memory),
+      hidden_dim_(model.fusion().output_dim()),
+      cell_dim_(model.fusion().cell_dim()),
+      slot_width_(hidden_dim_ + cell_dim_),
       incremental_(model.encoder()),
       tracker_(model.config().correlation, memory),
-      keys_(std::make_unique<KeyStateMap>(memory)) {}
+      keys_(std::make_unique<KeyTable>(memory)),
+      decide_scratch_(model.fusion().row_scratch_dim() +
+                      model.classifier().num_classes()) {}
 
 void OnlineClassifier::Repool(std::pmr::memory_resource* memory) {
   tracker_.Repool(memory);
-  auto fresh = std::make_unique<KeyStateMap>(memory);
-  fresh->reserve(keys_->size());
-  // KeyState's tensors are shared handles into BufferPool storage — the
-  // copy moves the map nodes into the new pool, not the float data.
-  for (const auto& [key, state] : *keys_) fresh->emplace(key, state);
+  auto fresh = std::make_unique<KeyTable>(memory);
+  fresh->states.reserve(keys_->states.size());
+  for (const auto& [key, state] : keys_->states) {
+    fresh->states.emplace(key, state);
+  }
+  // Slots keep their indices; the copy is tight (capacity == size).
+  fresh->slab.assign(keys_->slab.begin(), keys_->slab.end());
   keys_ = std::move(fresh);
   memory_ = memory;
   incremental_.ShrinkToFit();
+}
+
+int OnlineClassifier::AddSlot(KeyTable* table) const {
+  // The slab starts above the pool's largest pooled block (4 KB with the
+  // default pool options), so it is always one upstream block: growing
+  // through the small size classes would leave a cached chunk in each.
+  constexpr size_t kFirstSlabFloats = 2048;
+  if (table->slab.capacity() < kFirstSlabFloats) {
+    table->slab.reserve(kFirstSlabFloats);
+  }
+  const size_t offset = table->slab.size();
+  table->slab.resize(offset + slot_width_, 0.0f);
+  return static_cast<int>(offset / slot_width_);
+}
+
+void OnlineClassifier::PlaceRows(KeyTable* table, int slot,
+                                 const std::vector<float>& rows,
+                                 KeyState* state) const {
+  state->slot = slot >= 0 ? slot : AddSlot(table);
+  const size_t offset = static_cast<size_t>(state->slot) * slot_width_;
+  std::copy(rows.begin(), rows.end(), table->slab.data() + offset);
+}
+
+int OnlineClassifier::Classify(const float* hidden, double* confidence) {
+  float* logits = decide_scratch_.data() + model_.fusion().row_scratch_dim();
+  const int num_classes = model_.classifier().num_classes();
+  model_.classifier().LogitsRow(hidden, logits);
+  if (confidence != nullptr) {
+    *confidence = MaxSoftmaxProbability(logits, num_classes);
+  }
+  return ops::ArgMaxRow(logits, num_classes);
 }
 
 void OnlineClassifier::ResetEncodeScratch() { incremental_.ResetScratch(); }
@@ -49,7 +87,7 @@ void OnlineClassifier::EncodeBatch(const Item* items, int count,
   position_scratch_.resize(count);
   for (int i = 0; i < count; ++i) {
     visible_scratch_[i] = tracker_.ObserveItem(items[i]);
-    position_scratch_[i] = (*keys_)[items[i].key].position_in_key++;
+    position_scratch_[i] = keys_->states[items[i].key].position_in_key++;
   }
   incremental_.AppendBatch(items, position_scratch_.data(),
                            visible_scratch_.data(), count, rows);
@@ -57,47 +95,38 @@ void OnlineClassifier::EncodeBatch(const Item* items, int count,
 }
 
 OnlineDecision OnlineClassifier::DecideObserved(int key, const float* row) {
-  // Pure serving: no op below may record tape nodes, so the fusion step and
-  // head evaluations build zero graph (no Detach() cleanup required).
-  InferenceMode inference_guard;
   OnlineDecision decision;
   decision.key = key;
 
-  KeyState& key_state = keys_->at(key);  // created by EncodeBatch
+  KeyState& key_state = keys_->states.at(key);  // created by EncodeBatch
   if (key_state.halted) {
     decision.already_halted = true;
     decision.predicted_label = key_state.predicted;
     decision.observed_items = key_state.observed;
     return decision;
   }
-  if (!key_state.state.defined()) {
-    key_state.state = model_.fusion().InitialState();
-  }
+  if (key_state.slot < 0) key_state.slot = AddSlot(keys_.get());
 
-  const int embed = embed_dim();
-  Tensor embedding =
-      Tensor::FromData(1, embed, std::vector<float>(row, row + embed));
-  key_state.state = model_.fusion().Step(key_state.state, embedding);
-  // No gradients at inference: cut the graph so state does not accumulate.
-  key_state.state.DetachInPlace();
+  // Taken after AddSlot: growing the slab moves every slot.
+  float* hidden = SlotRows(key_state.slot);
+  float* cell = cell_dim_ > 0 ? hidden + hidden_dim_ : nullptr;
+  ++key_state.fused;
+  model_.fusion().StepRow(hidden, cell, key_state.fused, row,
+                          decide_scratch_.data());
   ++key_state.observed;
 
-  Tensor halt_prob = model_.policy().HaltProbability(key_state.state.hidden);
-  decision.halt_probability = halt_prob.ScalarValue();
+  decision.halt_probability = model_.policy().HaltProbabilityRow(hidden);
   decision.observed_items = key_state.observed;
   if (decision.halt_probability > 0.5) {
-    Tensor logits = model_.classifier().Logits(key_state.state.hidden);
-    key_state.predicted = ops::ArgMaxRow(logits, 0);
+    key_state.predicted = Classify(hidden, &decision.confidence);
     key_state.halted = true;
     decision.halted_now = true;
     decision.predicted_label = key_state.predicted;
-    decision.confidence = MaxSoftmaxProbability(logits);
   }
   return decision;
 }
 
 OnlineDecision OnlineClassifier::Observe(const Item& item) {
-  InferenceMode inference_guard;
   std::vector<float> row;
   EncodeBatch(&item, 1, &row);
   return DecideObserved(item.key, row.data());
@@ -105,7 +134,6 @@ OnlineDecision OnlineClassifier::Observe(const Item& item) {
 
 std::vector<OnlineDecision> OnlineClassifier::ObserveBatch(
     const std::vector<Item>& items) {
-  InferenceMode inference_guard;
   std::vector<OnlineDecision> decisions;
   if (items.empty()) return decisions;
   decisions.reserve(items.size());
@@ -120,34 +148,36 @@ std::vector<OnlineDecision> OnlineClassifier::ObserveBatch(
 }
 
 int OnlineClassifier::ForceClassify(int key, double* confidence) {
-  InferenceMode inference_guard;
-  auto it = keys_->find(key);
-  if (it == keys_->end() || it->second.observed == 0) {
+  auto it = keys_->states.find(key);
+  if (it == keys_->states.end() || it->second.observed == 0) {
     if (confidence != nullptr) *confidence = 0.0;
     return -1;
   }
   KeyState& key_state = it->second;
   if (!key_state.halted || confidence != nullptr) {
-    Tensor logits = model_.classifier().Logits(key_state.state.hidden);
+    const int predicted = Classify(SlotRows(key_state.slot), confidence);
     if (!key_state.halted) {
-      key_state.predicted = ops::ArgMaxRow(logits, 0);
+      key_state.predicted = predicted;
       key_state.halted = true;
     }
-    if (confidence != nullptr) *confidence = MaxSoftmaxProbability(logits);
   }
   return key_state.predicted;
 }
 
 namespace {
 
-void WriteStateTensor(BinaryWriter* writer, const Tensor& tensor) {
-  writer->WriteInt32(tensor.rows());
-  writer->WriteInt32(tensor.cols());
-  writer->WriteFloatVector(tensor.data());
+// A fusion-state row is stored as a [1, cols] matrix record (rows, cols,
+// floats).
+void WriteStateRow(BinaryWriter* writer, const float* row, int cols) {
+  writer->WriteInt32(1);
+  writer->WriteInt32(cols);
+  writer->WriteFloats(row, static_cast<size_t>(cols));
 }
 
-// Fusion states are always single rows; anything else is corruption.
-bool ReadStateTensor(BinaryReader* reader, int expected_cols, Tensor* out) {
+// Appends one stored row to *out; anything but a single row of
+// `expected_cols` floats is corruption.
+bool ReadStateRow(BinaryReader* reader, int expected_cols,
+                  std::vector<float>* out) {
   const int rows = reader->ReadInt32();
   const int cols = reader->ReadInt32();
   std::vector<float> data = reader->ReadFloatVector();
@@ -155,7 +185,7 @@ bool ReadStateTensor(BinaryReader* reader, int expected_cols, Tensor* out) {
       data.size() != static_cast<size_t>(expected_cols)) {
     return false;
   }
-  *out = Tensor::FromData(rows, cols, std::move(data));
+  out->insert(out->end(), data.begin(), data.end());
   return true;
 }
 
@@ -168,46 +198,45 @@ void OnlineClassifier::WriteKeyState(BinaryWriter* writer, int key,
   writer->WriteInt32(state.observed);
   writer->WriteInt32(state.position_in_key);
   writer->WriteInt32(state.predicted);
-  writer->WriteInt32(state.state.count);
-  writer->WriteInt32(state.state.hidden.defined() ? 1 : 0);
-  if (state.state.hidden.defined()) {
-    WriteStateTensor(writer, state.state.hidden);
-  }
-  writer->WriteInt32(state.state.cell.defined() ? 1 : 0);
-  if (state.state.cell.defined()) {
-    WriteStateTensor(writer, state.state.cell);
+  writer->WriteInt32(state.fused);
+  const bool has_state = state.slot >= 0;
+  writer->WriteInt32(has_state ? 1 : 0);
+  if (has_state) WriteStateRow(writer, SlotRows(state.slot), hidden_dim_);
+  const bool has_cell = has_state && cell_dim_ > 0;
+  writer->WriteInt32(has_cell ? 1 : 0);
+  if (has_cell) {
+    WriteStateRow(writer, SlotRows(state.slot) + hidden_dim_, cell_dim_);
   }
 }
 
 bool OnlineClassifier::ReadKeyState(BinaryReader* reader, int* key,
-                                    KeyState* state) const {
+                                    KeyState* state,
+                                    std::vector<float>* rows) const {
   const KvecConfig& config = model_.config();
-  const int hidden_dim = model_.fusion().output_dim();
-  const int cell_dim = config.fusion == KvecConfig::FusionKind::kLstm
-                           ? config.state_dim
-                           : config.embed_dim;
+  rows->clear();
   *key = reader->ReadInt32();
+  state->slot = -1;
   state->halted = reader->ReadInt32() != 0;
   state->observed = reader->ReadInt32();
   state->position_in_key = reader->ReadInt32();
   state->predicted = reader->ReadInt32();
-  state->state.count = reader->ReadInt32();
+  state->fused = reader->ReadInt32();
   if (!reader->ok() || state->observed < 0 ||
-      state->position_in_key < state->observed || state->state.count < 0 ||
+      state->position_in_key < state->observed || state->fused < 0 ||
       state->predicted < -1 || state->predicted >= config.spec.num_classes) {
     return false;
   }
-  if (reader->ReadInt32() != 0) {
-    if (!ReadStateTensor(reader, hidden_dim, &state->state.hidden)) {
-      return false;
-    }
-  }
-  if (reader->ReadInt32() != 0) {
-    if (!ReadStateTensor(reader, cell_dim, &state->state.cell)) return false;
-  }
-  // ForceClassify and Step both dereference the hidden state of any key
-  // with observed items; a checkpoint without one is corrupt.
-  if (state->observed > 0 && !state->state.hidden.defined()) return false;
+  const bool has_hidden = reader->ReadInt32() != 0;
+  if (has_hidden && !ReadStateRow(reader, hidden_dim_, rows)) return false;
+  const bool has_cell = reader->ReadInt32() != 0;
+  // A state is a whole slot: the cell row comes with the hidden row exactly
+  // when the fusion kind keeps one (kLstm, kMean). A record without it would
+  // make StepRow read past the key's slot.
+  if (has_cell != (has_hidden && cell_dim_ > 0)) return false;
+  if (has_cell && !ReadStateRow(reader, cell_dim_, rows)) return false;
+  // ForceClassify and StepRow both read the state of any key with observed
+  // items; a checkpoint without one is corrupt.
+  if (state->observed > 0 && !has_hidden) return false;
   return true;
 }
 
@@ -216,12 +245,12 @@ void OnlineClassifier::Snapshot(BinaryWriter* writer) const {
   tracker_.Snapshot(writer);
 
   std::vector<int> sorted_keys;
-  sorted_keys.reserve(keys_->size());
-  for (const auto& [key, state] : *keys_) sorted_keys.push_back(key);
+  sorted_keys.reserve(keys_->states.size());
+  for (const auto& [key, state] : keys_->states) sorted_keys.push_back(key);
   std::sort(sorted_keys.begin(), sorted_keys.end());
   writer->WriteInt32(static_cast<int32_t>(sorted_keys.size()));
   for (int key : sorted_keys) {
-    WriteKeyState(writer, key, keys_->at(key));
+    WriteKeyState(writer, key, keys_->states.at(key));
   }
 
   // The encoder arena goes last so Restore can stage everything else in
@@ -240,18 +269,20 @@ bool OnlineClassifier::Restore(BinaryReader* reader) {
   if (tracker.num_observed() != num_items) return false;
 
   // Staged into the engine's own resource; committed by a pointer swap.
-  auto keys = std::make_unique<KeyStateMap>(memory_);
+  auto keys = std::make_unique<KeyTable>(memory_);
   const int32_t num_keys = reader->ReadInt32();
   if (!reader->ok() || num_keys < 0 ||
       static_cast<size_t>(num_keys) > reader->remaining() / 8) {
     return false;
   }
-  keys->reserve(num_keys);
+  keys->states.reserve(num_keys);
+  std::vector<float> rows;
   for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
     int key = 0;
     KeyState state;
-    if (!ReadKeyState(reader, &key, &state)) return false;
-    if (!keys->emplace(key, std::move(state)).second) return false;
+    if (!ReadKeyState(reader, &key, &state, &rows)) return false;
+    if (!rows.empty()) PlaceRows(keys.get(), /*slot=*/-1, rows, &state);
+    if (!keys->states.emplace(key, state).second) return false;
   }
   if (!reader->ok()) return false;
 
@@ -280,11 +311,11 @@ void OnlineClassifier::SnapshotDelta(BinaryWriter* writer,
   std::vector<int> present;
   present.reserve(dirty_sorted.size());
   for (int key : dirty_sorted) {
-    if (keys_->count(key)) present.push_back(key);
+    if (keys_->states.count(key)) present.push_back(key);
   }
   writer->WriteInt32(static_cast<int32_t>(present.size()));
   for (int key : present) {
-    WriteKeyState(writer, key, keys_->at(key));
+    WriteKeyState(writer, key, keys_->states.at(key));
   }
 
   incremental_.SnapshotTail(writer, base_items);
@@ -306,14 +337,18 @@ bool OnlineClassifier::ApplyDelta(BinaryReader* reader) {
   }
   int prev_key = -1;
   bool first = true;
+  std::vector<float> rows;
   for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
     int key = 0;
     KeyState state;
-    if (!ReadKeyState(reader, &key, &state)) return false;
+    if (!ReadKeyState(reader, &key, &state, &rows)) return false;
     if (!first && key <= prev_key) return false;  // canonical ascending
     first = false;
     prev_key = key;
-    (*keys_)[key] = std::move(state);
+    KeyState& target = keys_->states[key];
+    // An upserted key keeps its slot; a new one appends.
+    if (!rows.empty()) PlaceRows(keys_.get(), target.slot, rows, &state);
+    target = state;
   }
   if (!reader->ok()) return false;
 
@@ -323,13 +358,13 @@ bool OnlineClassifier::ApplyDelta(BinaryReader* reader) {
 }
 
 int OnlineClassifier::ObservedItems(int key) const {
-  auto it = keys_->find(key);
-  return it == keys_->end() ? 0 : it->second.observed;
+  auto it = keys_->states.find(key);
+  return it == keys_->states.end() ? 0 : it->second.observed;
 }
 
 bool OnlineClassifier::IsHalted(int key) const {
-  auto it = keys_->find(key);
-  return it != keys_->end() && it->second.halted;
+  auto it = keys_->states.find(key);
+  return it != keys_->states.end() && it->second.halted;
 }
 
 }  // namespace kvec

@@ -15,7 +15,11 @@
 //    one GEMM per block (B = 1 for Observe). Every item is encoded (halted
 //    keys included: their items shape the visibility sets of live keys).
 //  * DecideObserved — per item, folds the encoded row into its key's
-//    fusion state and runs the halting policy / classifier.
+//    fusion state and runs the halting policy / classifier. This stage is
+//    tensor-free: the frozen heads' row entry points (EmbeddingFusion::
+//    StepRow, EctlPolicy::HaltProbabilityRow, SequenceClassifier::
+//    LogitsRow) work on raw float rows, bit-equal to their Tensor forms,
+//    and make no heap allocation once a key has its state slot.
 // Observe == EncodeBatch of one item + DecideObserved, and ObserveBatch is
 // stream-order equivalent to B Observe calls (pinned by
 // core_batch_equivalence_test.cc). StreamServer interleaves the two stages
@@ -29,6 +33,10 @@
 // re-encodes history) plus O(matches + log) correlation tracking — see
 // core/correlation.h. Memory grows with every observed item until the
 // owner rotates the engine (StreamServer's max_window_items bound).
+// Per-key fusion states live in one append-only float slab drawn from the
+// engine's memory resource: a key takes a slot on its first fused item and
+// keeps it for the engine's lifetime (keys are never erased within a
+// window, so slots are never freed).
 #pragma once
 
 #include <memory>
@@ -57,7 +65,8 @@ class OnlineClassifier {
  public:
   // `model` must outlive the classifier and should be trained; the engine
   // never updates parameters. `memory` backs the long-lived per-key state
-  // (key-state map nodes and the correlation tracker's containers);
+  // (key-state map nodes, the fusion-state slab and the correlation
+  // tracker's containers);
   // StreamServer passes its shard's ShardPool, standalone users get the
   // default resource. The resource must outlive the classifier.
   explicit OnlineClassifier(
@@ -121,8 +130,9 @@ class OnlineClassifier {
                      int base_items) const;
   bool ApplyDelta(BinaryReader* reader);
 
-  // Rebuilds the per-key map and tracker containers into `memory` (leaving
-  // the old resource empty) and tight-repacks the encoder's K/V arena.
+  // Rebuilds the per-key map, the fusion-state slab and the tracker
+  // containers into `memory` (leaving the old resource empty) and
+  // tight-repacks the encoder's K/V arena.
   // Observable behaviour is unchanged — shard compaction's correctness
   // contract (bit-identical events, byte-identical checkpoints) rests on
   // every snapshot path already being canonical-order.
@@ -138,32 +148,67 @@ class OnlineClassifier {
 
  private:
   struct KeyState {
-    FusionState state;
+    // This key's fusion state: slot `slot` of KeyTable::slab holds the
+    // hidden row then the cell row. -1 until the first fused item (the
+    // state is then all-zero, EmbeddingFusion::InitialState).
+    int slot = -1;
+    int fused = 0;  // items folded into the fusion state (FusionState::count)
     bool halted = false;
     int observed = 0;
     int position_in_key = 0;
     int predicted = -1;
   };
-  // pmr allocators do not propagate on assignment, so rebinding the map to
-  // a fresh pool (Repool) means reconstructing it; owning it through a
-  // pointer makes that a swap.
-  using KeyStateMap = std::pmr::unordered_map<int, KeyState>;
+  // Everything per key, all in the engine's memory resource. pmr
+  // allocators do not propagate on assignment, so rebinding to a fresh
+  // pool (Repool) means reconstructing the table; owning it through a
+  // pointer makes that, and Restore's commit, a swap.
+  struct KeyTable {
+    explicit KeyTable(std::pmr::memory_resource* memory)
+        : states(memory), slab(memory) {}
+    std::pmr::unordered_map<int, KeyState> states;
+    std::pmr::vector<float> slab;  // append-only, slot_width_ per slot
+  };
+
+  // Appends an all-zero slot to `table` and returns its index.
+  int AddSlot(KeyTable* table) const;
+  // Copies a restored record's rows (ReadKeyState) into `slot` of `table`,
+  // or into a new slot when `slot` is -1, and points *state at it.
+  void PlaceRows(KeyTable* table, int slot, const std::vector<float>& rows,
+                 KeyState* state) const;
+  float* SlotRows(int slot) {
+    return keys_->slab.data() + static_cast<size_t>(slot) * slot_width_;
+  }
+  const float* SlotRows(int slot) const {
+    return keys_->slab.data() + static_cast<size_t>(slot) * slot_width_;
+  }
+  // Runs the classifier on `hidden`, returning its argmax; the max-softmax
+  // confidence goes to *confidence when it is non-null.
+  int Classify(const float* hidden, double* confidence);
 
   // One per-key record of the snapshot byte stream (shared by the full and
-  // delta paths so the two formats cannot drift).
+  // delta paths so the two formats cannot drift). ReadKeyState leaves the
+  // record's fusion rows (hidden then cell) in *rows, or clears it when the
+  // record has none; state->slot is left -1 for the caller to place them.
   void WriteKeyState(BinaryWriter* writer, int key,
                      const KeyState& state) const;
-  bool ReadKeyState(BinaryReader* reader, int* key, KeyState* state) const;
+  bool ReadKeyState(BinaryReader* reader, int* key, KeyState* state,
+                    std::vector<float>* rows) const;
 
   const KvecModel& model_;
   std::pmr::memory_resource* memory_;
+  const int hidden_dim_;  // EmbeddingFusion::output_dim()
+  const int cell_dim_;    // EmbeddingFusion::cell_dim(); 0 for kSum/kLast
+  const int slot_width_;  // hidden_dim_ + cell_dim_
   IncrementalEncoder incremental_;
   CorrelationTracker tracker_;
-  std::unique_ptr<KeyStateMap> keys_;
+  std::unique_ptr<KeyTable> keys_;
   int num_items_ = 0;
   // EncodeBatch scratch, reused across calls.
   std::vector<std::vector<int>> visible_scratch_;
   std::vector<int> position_scratch_;
+  // DecideObserved / ForceClassify scratch, sized once at construction:
+  // the fusion step's rows, then the classifier's logits.
+  std::vector<float> decide_scratch_;
 };
 
 }  // namespace kvec

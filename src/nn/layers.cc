@@ -1,6 +1,7 @@
 #include "nn/layers.h"
 
 #include "nn/init.h"
+#include "tensor/kernels.h"
 #include "util/check.h"
 
 namespace kvec {
@@ -18,6 +19,14 @@ Tensor Linear::Forward(const Tensor& x) const {
   KVEC_CHECK_EQ(x.cols(), in_features_) << "Linear input width mismatch";
   // Fused matmul+bias: one graph node and one output buffer instead of two.
   return ops::LinearForward(x, weight_, bias_);
+}
+
+void Linear::ForwardRow(const float* x, float* y) const {
+  kernels::GemmNN(x, weight_.data().data(), y, 1, in_features_, out_features_,
+                  /*accumulate=*/false);
+  if (bias_.defined()) {
+    kernels::AddBiasRows(y, bias_.data().data(), 1, out_features_);
+  }
 }
 
 void Linear::CollectParameters(std::vector<Tensor>* out) {

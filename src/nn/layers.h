@@ -18,6 +18,12 @@ class Linear : public Module {
 
   Tensor Forward(const Tensor& x) const;
 
+  // Tensor-free forward of one row for serving: y (out_features floats) =
+  // x (in_features floats) · W + b. Same GEMM call and bias epilogue as
+  // Forward on a [1, in] input, so the two are bit-equal; records no graph
+  // and allocates nothing.
+  void ForwardRow(const float* x, float* y) const;
+
   void CollectParameters(std::vector<Tensor>* out) override;
 
   int in_features() const { return in_features_; }

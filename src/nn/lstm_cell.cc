@@ -1,5 +1,8 @@
 #include "nn/lstm_cell.h"
 
+#include <algorithm>
+
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 
@@ -37,6 +40,35 @@ LstmState LstmFusionCell::Step(const LstmState& previous,
   Tensor cell = ops::FusedMulAdd(forget, previous.cell, in, candidate);
   Tensor hidden = ops::MulTanh(out, cell);
   return {hidden, cell};
+}
+
+void LstmFusionCell::StepRow(float* hidden, float* cell, const float* input,
+                             float* scratch) const {
+  // The same ops as Step in the same order, on rows: ConcatCols, four
+  // Linear + Sigmoid/Tanh gates, FusedMulAdd, MulTanh.
+  const int s = state_dim_;
+  float* joined = scratch;
+  float* forget = joined + s + input_dim_;
+  float* in = forget + s;
+  float* out = in + s;
+  float* candidate = out + s;
+  std::copy(hidden, hidden + s, joined);
+  std::copy(input, input + input_dim_, joined + s);
+  forget_gate_.ForwardRow(joined, forget);
+  input_gate_.ForwardRow(joined, in);
+  output_gate_.ForwardRow(joined, out);
+  candidate_.ForwardRow(joined, candidate);
+  for (int j = 0; j < s; ++j) {
+    forget[j] = kernels::Sigmoid(forget[j]);
+    in[j] = kernels::Sigmoid(in[j]);
+    out[j] = kernels::Sigmoid(out[j]);
+    candidate[j] = kernels::Tanh(candidate[j]);
+  }
+  for (int j = 0; j < s; ++j) {
+    cell[j] = kernels::FusedMulAdd(forget[j], cell[j], in[j], candidate[j]);
+    float tanh_cell;
+    hidden[j] = kernels::MulTanh(out[j], cell[j], &tanh_cell);
+  }
 }
 
 void LstmFusionCell::CollectParameters(std::vector<Tensor>* out) {

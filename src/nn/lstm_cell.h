@@ -37,6 +37,15 @@ class LstmFusionCell : public Module {
   // One fusion step; `input` is the item embedding E(t)_e ([1, input_dim]).
   LstmState Step(const LstmState& previous, const Tensor& input) const;
 
+  // Tensor-free serving step: advances the caller-owned rows `hidden` and
+  // `cell` (state_dim floats each) in place by one `input` row (input_dim
+  // floats). `scratch` holds row_scratch_dim() floats. Bit-equal to Step;
+  // records no graph and allocates nothing.
+  void StepRow(float* hidden, float* cell, const float* input,
+               float* scratch) const;
+  // The joined [s; E] row plus the four gate rows.
+  int row_scratch_dim() const { return input_dim_ + 5 * state_dim_; }
+
   void CollectParameters(std::vector<Tensor>* out) override;
 
   int input_dim() const { return input_dim_; }

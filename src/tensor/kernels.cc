@@ -275,13 +275,6 @@ void GemmNT(const float* a, const float* b, float* c, int m, int k, int n,
                    });
 }
 
-void AddBiasRows(float* c, const float* bias, int m, int n) {
-  for (int i = 0; i < m; ++i) {
-    float* row = c + static_cast<size_t>(i) * n;
-    for (int j = 0; j < n; ++j) row[j] += bias[j];
-  }
-}
-
 float Dot(const float* a, const float* b, int n) {
 #if KVEC_HAVE_SIMD
   VReg acc = VZero();

@@ -25,6 +25,9 @@
 // single-item appends exactly (pinned by tests/tensor_property_test.cc).
 #pragma once
 
+#include <cmath>
+#include <cstddef>
+
 namespace kvec {
 namespace kernels {
 
@@ -45,7 +48,35 @@ float Dot(const float* a, const float* b, int n);
 
 // C[i, :] += bias for every row i of C[m, n]; the broadcast epilogue of a
 // batched linear (GemmNN on the weight followed by one bias sweep).
-void AddBiasRows(float* c, const float* bias, int m, int n);
+inline void AddBiasRows(float* c, const float* bias, int m, int n) {
+  for (int i = 0; i < m; ++i) {
+    float* row = c + static_cast<size_t>(i) * n;
+    for (int j = 0; j < n; ++j) row[j] += bias[j];
+  }
+}
+
+// ---- Elementwise bodies ----------------------------------------------------
+//
+// The one definition of each formula, called by both the autograd ops
+// (tensor/ops.cc) and the tensor-free serving rows (EmbeddingFusion::StepRow,
+// the heads' *Row entry points), so the two paths cannot drift apart.
+// core_fusion_test.cc pins them bit-equal.
+
+inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+inline float Tanh(float x) { return std::tanh(x); }
+// a·b + c·d: the LSTM cell update f ⊙ C + i ⊙ C̃.
+inline float FusedMulAdd(float a, float b, float c, float d) {
+  return a * b + c * d;
+}
+// a · tanh(b): the LSTM hidden update o ⊙ tanh(C). tanh(b) also goes to
+// *tanh_b, which the autograd op keeps for its backward pass.
+inline float MulTanh(float a, float b, float* tanh_b) {
+  *tanh_b = Tanh(b);
+  return a * *tanh_b;
+}
+inline float Affine(float x, float scale, float shift) {
+  return scale * x + shift;
+}
 
 }  // namespace kernels
 }  // namespace kvec

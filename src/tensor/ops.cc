@@ -171,12 +171,7 @@ Tensor LinearForward(const Tensor& x, const Tensor& weight,
   kernels::GemmNN(x.data().data(), weight.data().data(), out.data().data(), m,
                   k, n, /*accumulate=*/false);
   if (has_bias) {
-    const float* pb = bias.data().data();
-    float* po = out.data().data();
-    for (int i = 0; i < m; ++i) {
-      float* o_row = po + static_cast<size_t>(i) * n;
-      for (int j = 0; j < n; ++j) o_row[j] += pb[j];
-    }
+    kernels::AddBiasRows(out.data().data(), bias.data().data(), m, n);
   }
   if (needs_grad) {
     auto ix = x.impl(), iw = weight.impl();
@@ -360,7 +355,7 @@ Tensor Affine(const Tensor& a, float scale, float shift) {
   bool needs_grad = AnyRequiresGrad({&a});
   Tensor out = MakeOpOutput(a.rows(), a.cols(), {a.impl()}, needs_grad);
   for (int i = 0; i < a.size(); ++i) {
-    out.data()[i] = scale * a.data()[i] + shift;
+    out.data()[i] = kernels::Affine(a.data()[i], scale, shift);
   }
   if (needs_grad) {
     auto ia = a.impl();
@@ -518,7 +513,9 @@ Tensor FusedMulAdd(const Tensor& a, const Tensor& b, const Tensor& c,
     const float* pc = c.data().data();
     const float* pd = d.data().data();
     float* po = out.data().data();
-    for (int i = 0; i < a.size(); ++i) po[i] = pa[i] * pb[i] + pc[i] * pd[i];
+    for (int i = 0; i < a.size(); ++i) {
+      po[i] = kernels::FusedMulAdd(pa[i], pb[i], pc[i], pd[i]);
+    }
   }
   if (needs_grad) {
     auto ia = a.impl(), ib = b.impl(), ic = c.impl(), id = d.impl();
@@ -557,9 +554,9 @@ Tensor MulTanh(const Tensor& a, const Tensor& b) {
     const float* pb = b.data().data();
     float* po = out.data().data();
     for (int i = 0; i < a.size(); ++i) {
-      const float t = std::tanh(pb[i]);
+      float t;
+      po[i] = kernels::MulTanh(pa[i], pb[i], &t);
       if (tanh_b) (*tanh_b)[i] = t;
-      po[i] = pa[i] * t;
     }
   }
   if (needs_grad) {
@@ -733,13 +730,13 @@ Tensor Gelu(const Tensor& a) {
 
 Tensor Sigmoid(const Tensor& a) {
   return ElementwiseOp(
-      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
+      a, [](float x) { return kernels::Sigmoid(x); },
       [](float y, float x) { return y * (1.0f - y); });
 }
 
 Tensor Tanh(const Tensor& a) {
   return ElementwiseOp(
-      a, [](float x) { return std::tanh(x); },
+      a, [](float x) { return kernels::Tanh(x); },
       [](float y, float x) { return 1.0f - y * y; });
 }
 
@@ -1038,11 +1035,16 @@ Tensor MseLoss(const Tensor& pred, const std::vector<float>& targets) {
 int ArgMaxRow(const Tensor& a, int row) {
   KVEC_CHECK_GE(row, 0);
   KVEC_CHECK_LT(row, a.rows());
+  return ArgMaxRow(a.data().data() + static_cast<size_t>(row) * a.cols(),
+                   a.cols());
+}
+
+int ArgMaxRow(const float* row, int cols) {
   int best = 0;
-  float best_value = a.At(row, 0);
-  for (int c = 1; c < a.cols(); ++c) {
-    if (a.At(row, c) > best_value) {
-      best_value = a.At(row, c);
+  float best_value = row[0];
+  for (int c = 1; c < cols; ++c) {
+    if (row[c] > best_value) {
+      best_value = row[c];
       best = c;
     }
   }

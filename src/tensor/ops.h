@@ -125,8 +125,10 @@ Tensor MseLoss(const Tensor& pred, const std::vector<float>& targets);
 
 // ---- Non-differentiable helpers ----
 
-// argmax over the single row of a [1,C] tensor.
+// argmax over row `row` of `a`; ties go to the lowest column.
 int ArgMaxRow(const Tensor& a, int row);
+// The same over a raw row of `cols` floats (the Tensor form forwards here).
+int ArgMaxRow(const float* row, int cols);
 
 }  // namespace ops
 }  // namespace kvec

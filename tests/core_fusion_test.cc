@@ -1,9 +1,12 @@
 #include "core/fusion.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "data/generator.h"
 #include "data/traffic_generator.h"
+#include "core/heads.h"
 #include "core/model.h"
 #include "core/trainer.h"
 #include "gtest/gtest.h"
@@ -114,6 +117,121 @@ TEST(EmbeddingFusionTest, GradientsFlowThroughLstmMode) {
   }
   EXPECT_GT(with_grad, 0);
 }
+
+// ---- The tensor-free serving path is bit-equal to the Tensor path. ----
+
+uint32_t Bits(float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void ExpectBitEqual(const Tensor& tensor, const std::vector<float>& row,
+                    const char* what) {
+  ASSERT_EQ(tensor.rows(), 1) << what;
+  ASSERT_EQ(tensor.cols(), static_cast<int>(row.size())) << what;
+  for (size_t j = 0; j < row.size(); ++j) {
+    ASSERT_EQ(Bits(tensor.data()[j]), Bits(row[j]))
+        << what << "[" << j << "]: " << tensor.data()[j] << " vs " << row[j];
+  }
+}
+
+void Randomize(Module* module, Rng& rng) {
+  for (Tensor& parameter : module->Parameters()) {
+    for (float& v : parameter.data()) {
+      v = 0.5f * static_cast<float>(rng.NextGaussian());
+    }
+  }
+}
+
+struct RowPathCase {
+  KvecConfig::FusionKind kind;
+  int width;  // state_dim: the gate GEMMs' n (and the heads' k for kLstm)
+};
+
+class RowPathBitExactTest : public ::testing::TestWithParam<RowPathCase> {};
+
+// StepRow + HaltProbabilityRow + LogitsRow + the raw-row ArgMaxRow /
+// MaxSoftmaxProbability (OnlineClassifier's serving decide) against
+// Step + HaltProbability + Logits + the Tensor forms, over 60 random items.
+// The widths put the gate GEMMs' columns on a full SIMD panel, a single
+// vector tile and the scalar remainder.
+TEST_P(RowPathBitExactTest, MatchesTensorPath) {
+  constexpr int kClasses = 5;
+  constexpr int kSteps = 60;
+  KvecConfig config = FusionConfig(GetParam().kind);
+  config.state_dim = GetParam().width;
+  config.embed_dim = GetParam().width + 5;
+  config.spec.num_classes = kClasses;
+  Rng rng(100 + GetParam().width);
+  EmbeddingFusion fusion(config, rng);
+  EctlPolicy policy(fusion.output_dim(), rng);
+  SequenceClassifier classifier(fusion.output_dim(), kClasses, rng);
+  // Non-zero biases everywhere, so the bias epilogue is compared too.
+  Randomize(&fusion, rng);
+  Randomize(&policy, rng);
+  Randomize(&classifier, rng);
+
+  InferenceMode inference_guard;
+  FusionState state = fusion.InitialState();
+  std::vector<float> hidden(fusion.output_dim(), 0.0f);
+  std::vector<float> cell(fusion.cell_dim(), 0.0f);
+  std::vector<float> scratch(fusion.row_scratch_dim());
+  std::vector<float> logits(kClasses);
+  std::vector<float> embedding(config.embed_dim);
+  int halts = 0;
+  for (int step = 1; step <= kSteps; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    for (float& v : embedding) v = static_cast<float>(rng.NextGaussian());
+    state = fusion.Step(
+        state, Tensor::FromData(1, config.embed_dim, embedding));
+    fusion.StepRow(hidden.data(), cell.empty() ? nullptr : cell.data(), step,
+                   embedding.data(), scratch.data());
+    ASSERT_EQ(state.count, step);
+    ExpectBitEqual(state.hidden, hidden, "hidden");
+    if (cell.empty()) {
+      EXPECT_FALSE(state.cell.defined());
+    } else {
+      ExpectBitEqual(state.cell, cell, "cell");
+    }
+
+    const float halt_tensor =
+        policy.HaltProbability(state.hidden).ScalarValue();
+    const float halt_row = policy.HaltProbabilityRow(hidden.data());
+    EXPECT_EQ(Bits(halt_tensor), Bits(halt_row));
+    if (halt_row > 0.5f) ++halts;
+
+    Tensor logits_tensor = classifier.Logits(state.hidden);
+    classifier.LogitsRow(hidden.data(), logits.data());
+    ExpectBitEqual(logits_tensor, logits, "logits");
+    EXPECT_EQ(ops::ArgMaxRow(logits_tensor, 0),
+              ops::ArgMaxRow(logits.data(), kClasses));
+    EXPECT_EQ(Bits(MaxSoftmaxProbability(logits_tensor)),
+              Bits(MaxSoftmaxProbability(logits.data(), kClasses)));
+  }
+  // Both sides of the halting threshold were compared.
+  EXPECT_GT(halts, 0);
+  EXPECT_LT(halts, kSteps);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModesAndTiles, RowPathBitExactTest,
+    ::testing::Values(RowPathCase{KvecConfig::FusionKind::kLstm, 8},
+                      RowPathCase{KvecConfig::FusionKind::kLstm, 24},
+                      RowPathCase{KvecConfig::FusionKind::kLstm, 70},
+                      RowPathCase{KvecConfig::FusionKind::kSum, 8},
+                      RowPathCase{KvecConfig::FusionKind::kSum, 70},
+                      RowPathCase{KvecConfig::FusionKind::kMean, 8},
+                      RowPathCase{KvecConfig::FusionKind::kMean, 24},
+                      RowPathCase{KvecConfig::FusionKind::kMean, 70},
+                      RowPathCase{KvecConfig::FusionKind::kLast, 8},
+                      RowPathCase{KvecConfig::FusionKind::kLast, 70}));
 
 // ---- End-to-end: every fusion mode trains and evaluates. ----
 

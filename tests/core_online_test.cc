@@ -1,5 +1,8 @@
 #include "core/online.h"
 
+#include <string>
+#include <vector>
+
 #include "core/trainer.h"
 #include "data/generator.h"
 #include "data/traffic_generator.h"
@@ -120,6 +123,102 @@ TEST(OnlineClassifierTest, ObservedCountsPerKey) {
   }
   EXPECT_EQ(online.num_items_observed(),
             static_cast<int>(episode.items.size()));
+}
+
+// ---- Restore validates each key's fusion-state record. ----
+
+// A hand-built engine snapshot of an empty stream (no items, no tracker
+// sessions, empty encoder cache) plus one key record with one observed item,
+// whose fusion rows are present as the flags say. The rows are full width,
+// so only their presence decides whether the record is valid.
+std::string SnapshotWithOneKey(const KvecModel& model, bool with_hidden,
+                               bool with_cell) {
+  const KvecConfig& config = model.config();
+  const int hidden_dim = model.fusion().output_dim();
+  const int cell_dim = config.fusion == KvecConfig::FusionKind::kLstm
+                           ? config.state_dim
+                           : config.embed_dim;
+  BinaryWriter writer;
+  writer.WriteInt32(0);  // stream clock
+  CorrelationTracker(config.correlation).Snapshot(&writer);
+  writer.WriteInt32(1);   // one key record:
+  writer.WriteInt32(5);   // key
+  writer.WriteInt32(0);   // halted
+  writer.WriteInt32(1);   // observed
+  writer.WriteInt32(1);   // position_in_key
+  writer.WriteInt32(-1);  // predicted
+  writer.WriteInt32(1);   // items fused
+  writer.WriteInt32(with_hidden ? 1 : 0);
+  if (with_hidden) {
+    writer.WriteInt32(1);
+    writer.WriteInt32(hidden_dim);
+    writer.WriteFloatVector(std::vector<float>(hidden_dim, 0.25f));
+  }
+  writer.WriteInt32(with_cell ? 1 : 0);
+  if (with_cell) {
+    writer.WriteInt32(1);
+    writer.WriteInt32(cell_dim);
+    writer.WriteFloatVector(std::vector<float>(cell_dim, 0.5f));
+  }
+  IncrementalEncoder(model.encoder()).Snapshot(&writer);
+  return writer.buffer();
+}
+
+std::string EngineBytes(const OnlineClassifier& online) {
+  BinaryWriter writer;
+  online.Snapshot(&writer);
+  return writer.buffer();
+}
+
+void ExpectRestore(const KvecModel& model, bool with_hidden, bool with_cell,
+                   bool want_ok) {
+  SCOPED_TRACE(testing::Message() << "hidden " << with_hidden << " cell "
+                                  << with_cell);
+  Dataset dataset = SmallDataset();
+  OnlineClassifier online(model);
+  for (const Item& item : dataset.test[0].items) online.Observe(item);
+  const std::string before = EngineBytes(online);
+
+  BinaryReader reader(SnapshotWithOneKey(model, with_hidden, with_cell));
+  ASSERT_EQ(online.Restore(&reader), want_ok);
+  if (!want_ok) {
+    EXPECT_EQ(EngineBytes(online), before) << "failed restore mutated";
+    return;
+  }
+  // A valid record serves: the key folds its next item and classifies.
+  Item item;
+  item.key = 5;
+  item.value = dataset.test[0].items[0].value;
+  item.time = 1.0;
+  EXPECT_EQ(online.Observe(item).observed_items, 2);
+  EXPECT_GE(online.ForceClassify(5), 0);
+}
+
+TEST(OnlineClassifierRestoreTest, GatedStateNeedsBothRows) {
+  Dataset dataset = SmallDataset();
+  for (auto kind :
+       {KvecConfig::FusionKind::kLstm, KvecConfig::FusionKind::kMean}) {
+    KvecConfig config = SmallModelConfig(dataset.spec);
+    config.fusion = kind;
+    config.state_dim = 10;  // distinct from embed_dim
+    KvecModel model(config);
+    ExpectRestore(model, /*with_hidden=*/true, /*with_cell=*/true, true);
+    ExpectRestore(model, /*with_hidden=*/true, /*with_cell=*/false, false);
+    ExpectRestore(model, /*with_hidden=*/false, /*with_cell=*/true, false);
+    ExpectRestore(model, /*with_hidden=*/false, /*with_cell=*/false, false);
+  }
+}
+
+TEST(OnlineClassifierRestoreTest, CelllessStateRejectsACell) {
+  Dataset dataset = SmallDataset();
+  for (auto kind :
+       {KvecConfig::FusionKind::kSum, KvecConfig::FusionKind::kLast}) {
+    KvecConfig config = SmallModelConfig(dataset.spec);
+    config.fusion = kind;
+    KvecModel model(config);
+    ExpectRestore(model, /*with_hidden=*/true, /*with_cell=*/false, true);
+    ExpectRestore(model, /*with_hidden=*/true, /*with_cell=*/true, false);
+  }
 }
 
 }  // namespace
