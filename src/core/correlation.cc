@@ -230,24 +230,29 @@ void CorrelationTracker::Snapshot(BinaryWriter* writer) const {
 
   // Key-sorted iteration makes the byte stream canonical (unordered_map
   // order depends on insertion history, which a restored tracker does not
-  // share).
-  std::vector<int> keys;
-  keys.reserve(state_->key_items.size());
-  for (const auto& [key, items] : state_->key_items) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  writer->WriteInt32(static_cast<int32_t>(keys.size()));
-  for (int key : keys) {
-    const auto& items = state_->key_items.at(key);
+  // share). Each entry keeps its value's address, so the write loops need
+  // no second lookup.
+  std::vector<std::pair<int, const std::pmr::vector<int>*>> items_by_key;
+  items_by_key.reserve(state_->key_items.size());
+  for (const auto& [key, items] : state_->key_items) {
+    items_by_key.emplace_back(key, &items);
+  }
+  std::sort(items_by_key.begin(), items_by_key.end());
+  writer->WriteInt32(static_cast<int32_t>(items_by_key.size()));
+  for (const auto& [key, items] : items_by_key) {
     writer->WriteInt32(key);
-    writer->WriteInts(items.data(), items.size());
+    writer->WriteInts(items->data(), items->size());
   }
 
-  keys.clear();
-  for (const auto& [key, session] : state_->open_sessions) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  writer->WriteInt32(static_cast<int32_t>(keys.size()));
-  for (int key : keys) {
-    const OpenSession& session = state_->open_sessions.at(key);
+  std::vector<std::pair<int, const OpenSession*>> sessions_by_key;
+  sessions_by_key.reserve(state_->open_sessions.size());
+  for (const auto& [key, session] : state_->open_sessions) {
+    sessions_by_key.emplace_back(key, &session);
+  }
+  std::sort(sessions_by_key.begin(), sessions_by_key.end());
+  writer->WriteInt32(static_cast<int32_t>(sessions_by_key.size()));
+  for (const auto& [key, session_ptr] : sessions_by_key) {
+    const OpenSession& session = *session_ptr;
     writer->WriteInt32(key);
     writer->WriteInt32(session.session_value);
     writer->WriteInt32(session.last_index);
@@ -325,26 +330,34 @@ void CorrelationTracker::SnapshotDelta(
   writer->WriteInt32(next_index_);
   // Only dirty keys that actually carry tracker state are serialised (a
   // key can be dirtied by a force-close without ever reaching the
-  // tracker's maps in this window).
-  std::vector<int> present;
+  // tracker's maps in this window). Each map is probed once per key.
+  struct Present {
+    int key;
+    const std::pmr::vector<int>* items;  // null when the key has none
+    const OpenSession* session;          // null when no session is open
+  };
+  std::vector<Present> present;
   present.reserve(dirty_sorted.size());
   for (int key : dirty_sorted) {
-    if (state_->key_items.count(key) || state_->open_sessions.count(key)) {
-      present.push_back(key);
+    const auto items_it = state_->key_items.find(key);
+    const auto session_it = state_->open_sessions.find(key);
+    const bool has_items = items_it != state_->key_items.end();
+    const bool has_session = session_it != state_->open_sessions.end();
+    if (has_items || has_session) {
+      present.push_back({key, has_items ? &items_it->second : nullptr,
+                         has_session ? &session_it->second : nullptr});
     }
   }
   writer->WriteInt32(static_cast<int32_t>(present.size()));
-  for (int key : present) {
-    writer->WriteInt32(key);
-    auto items_it = state_->key_items.find(key);
-    writer->WriteInt32(items_it != state_->key_items.end() ? 1 : 0);
-    if (items_it != state_->key_items.end()) {
-      writer->WriteInts(items_it->second.data(), items_it->second.size());
+  for (const Present& entry : present) {
+    writer->WriteInt32(entry.key);
+    writer->WriteInt32(entry.items != nullptr ? 1 : 0);
+    if (entry.items != nullptr) {
+      writer->WriteInts(entry.items->data(), entry.items->size());
     }
-    auto session_it = state_->open_sessions.find(key);
-    writer->WriteInt32(session_it != state_->open_sessions.end() ? 1 : 0);
-    if (session_it != state_->open_sessions.end()) {
-      const OpenSession& session = session_it->second;
+    writer->WriteInt32(entry.session != nullptr ? 1 : 0);
+    if (entry.session != nullptr) {
+      const OpenSession& session = *entry.session;
       writer->WriteInt32(session.session_value);
       writer->WriteInt32(session.last_index);
       writer->WriteInts(session.item_indices.data(),

@@ -244,14 +244,16 @@ void OnlineClassifier::Snapshot(BinaryWriter* writer) const {
   writer->WriteInt32(num_items_);
   tracker_.Snapshot(writer);
 
-  std::vector<int> sorted_keys;
-  sorted_keys.reserve(keys_->states.size());
-  for (const auto& [key, state] : keys_->states) sorted_keys.push_back(key);
-  std::sort(sorted_keys.begin(), sorted_keys.end());
-  writer->WriteInt32(static_cast<int32_t>(sorted_keys.size()));
-  for (int key : sorted_keys) {
-    WriteKeyState(writer, key, keys_->states.at(key));
+  // Key-sorted for a canonical byte stream; each entry keeps its state's
+  // address so the write loop needs no second lookup.
+  std::vector<std::pair<int, const KeyState*>> sorted;
+  sorted.reserve(keys_->states.size());
+  for (const auto& [key, state] : keys_->states) {
+    sorted.emplace_back(key, &state);
   }
+  std::sort(sorted.begin(), sorted.end());
+  writer->WriteInt32(static_cast<int32_t>(sorted.size()));
+  for (const auto& [key, state] : sorted) WriteKeyState(writer, key, *state);
 
   // The encoder arena goes last so Restore can stage everything else in
   // temporaries and only mutate members once all sections parsed.
@@ -308,15 +310,14 @@ void OnlineClassifier::SnapshotDelta(BinaryWriter* writer,
   // Dirty keys that reached the engine this window (a key can be dirtied
   // purely in the serving index — e.g. evicted before its first item of a
   // fresh window — without a KeyState).
-  std::vector<int> present;
+  std::vector<std::pair<int, const KeyState*>> present;
   present.reserve(dirty_sorted.size());
   for (int key : dirty_sorted) {
-    if (keys_->states.count(key)) present.push_back(key);
+    const auto it = keys_->states.find(key);
+    if (it != keys_->states.end()) present.emplace_back(key, &it->second);
   }
   writer->WriteInt32(static_cast<int32_t>(present.size()));
-  for (int key : present) {
-    WriteKeyState(writer, key, keys_->states.at(key));
-  }
+  for (const auto& [key, state] : present) WriteKeyState(writer, key, *state);
 
   incremental_.SnapshotTail(writer, base_items);
 }

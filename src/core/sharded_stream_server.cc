@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
 #include "util/check.h"
@@ -552,6 +551,24 @@ std::string ShardedStreamServer::DeltaPath(const std::string& base_path,
   return base_path + ".delta." + std::to_string(seq);
 }
 
+namespace {
+
+// A chain file's sections: the manifest, then one section per shard, each
+// borrowing its writer's bytes so the file is framed straight from them.
+std::vector<CheckpointSectionView> ChainSections(
+    int32_t manifest_id, const BinaryWriter& manifest, int32_t shard_id,
+    const std::vector<BinaryWriter>& shards) {
+  std::vector<CheckpointSectionView> sections;
+  sections.reserve(1 + shards.size());
+  sections.push_back({manifest_id, manifest.view()});
+  for (const BinaryWriter& shard : shards) {
+    sections.push_back({shard_id, shard.view()});
+  }
+  return sections;
+}
+
+}  // namespace
+
 bool ShardedStreamServer::CheckpointIncremental(
     const std::string& base_path, int rebase_every,
     IncrementalCheckpointState* state) {
@@ -559,26 +576,22 @@ bool ShardedStreamServer::CheckpointIncremental(
   const bool rebase =
       state->base_fingerprint == 0 ||
       (rebase_every > 0 && state->deltas_written >= rebase_every);
+  // Every section stays in its own writer until CheckpointWrite frames it
+  // to disk; the writers die with this call.
+  BinaryWriter manifest;
+  std::vector<BinaryWriter> shard_writers(shards_.size());
 
   if (rebase) {
     // Full base. Snapshot and baseline-staging happen in ONE control task
     // per shard, so the staged dirty-clear is atomic with the bytes.
-    Checkpoint checkpoint;
-    {
-      BinaryWriter manifest;
-      manifest.WriteInt32(num_shards);
-      checkpoint.sections.push_back(
-          {kCheckpointSectionShardManifest, manifest.buffer()});
-    }
+    manifest.WriteInt32(num_shards);
     for (int s = 0; s < num_shards; ++s) {
-      BinaryWriter writer;
+      BinaryWriter& writer = shard_writers[s];
       writer.WriteInt32(s);
       RunOnShard(s, [&writer](StreamServer& server) {
         server.Snapshot(&writer);
         server.StageDeltaBaseline();
       });
-      checkpoint.sections.push_back(
-          {kCheckpointSectionShard, writer.buffer()});
     }
     // Unlink the stale chain newest-first BEFORE replacing the base:
     // every crash point along the way leaves a loadable chain (old base
@@ -587,19 +600,23 @@ bool ShardedStreamServer::CheckpointIncremental(
     for (int64_t seq = state->deltas_written; seq >= 1; --seq) {
       std::remove(DeltaPath(base_path, seq).c_str());
     }
-    const std::string bytes = CheckpointEncode(checkpoint);
     // A failed base write leaves the old base on disk (loadable) but the
     // old deltas already unlinked — zeroing the fingerprint forces the
     // next call back into this branch instead of appending deltas to a
     // chain whose middle links are gone. The dirty baseline stays
     // staged-only, so no churn is lost either way.
+    uint64_t fingerprint = 0;
     if (KVEC_FAULT_POINT("checkpoint.save") ||
-        !AtomicWriteFile(base_path, bytes)) {
+        !CheckpointWrite(base_path, kCheckpointFormatVersion,
+                         ChainSections(kCheckpointSectionShardManifest,
+                                       manifest, kCheckpointSectionShard,
+                                       shard_writers),
+                         &fingerprint)) {
       state->base_fingerprint = 0;
       return false;
     }
-    state->base_fingerprint = CheckpointFingerprint(bytes);
-    state->prev_fingerprint = state->base_fingerprint;
+    state->base_fingerprint = fingerprint;
+    state->prev_fingerprint = fingerprint;
     state->deltas_written = 0;
     RunOnAllShards(
         [](int, StreamServer& server) { server.CommitDeltaBaseline(); });
@@ -607,50 +624,37 @@ bool ShardedStreamServer::CheckpointIncremental(
   }
 
   // Delta link. SnapshotDelta stages each shard's dirty-clear itself.
-  Checkpoint delta;
-  delta.version = kCheckpointDeltaFormatVersion;
   const int64_t seq = state->deltas_written + 1;
-  {
-    BinaryWriter manifest;
-    manifest.WriteInt64(static_cast<int64_t>(state->base_fingerprint));
-    manifest.WriteInt64(static_cast<int64_t>(state->prev_fingerprint));
-    manifest.WriteInt64(seq);
-    manifest.WriteInt32(num_shards);
-    delta.sections.push_back(
-        {kCheckpointSectionDeltaManifest, manifest.buffer()});
-  }
+  manifest.WriteInt64(static_cast<int64_t>(state->base_fingerprint));
+  manifest.WriteInt64(static_cast<int64_t>(state->prev_fingerprint));
+  manifest.WriteInt64(seq);
+  manifest.WriteInt32(num_shards);
   for (int s = 0; s < num_shards; ++s) {
-    BinaryWriter writer;
+    BinaryWriter& writer = shard_writers[s];
     writer.WriteInt32(s);
     RunOnShard(s, [&writer](StreamServer& server) {
       server.SnapshotDelta(&writer);
     });
-    delta.sections.push_back({kCheckpointSectionShardDelta, writer.buffer()});
   }
-  const std::string bytes = CheckpointEncode(delta);
   // Failed delta write: no baseline commit, so every dirty bit survives
   // and the next delta re-carries this one's churn; the chain on disk is
   // untouched and stays loadable. Tests force this path here.
   if (KVEC_FAULT_POINT("checkpoint.delta")) return false;
-  if (!AtomicWriteFile(DeltaPath(base_path, seq), bytes)) return false;
-  state->prev_fingerprint = CheckpointFingerprint(bytes);
+  uint64_t fingerprint = 0;
+  if (!CheckpointWrite(DeltaPath(base_path, seq),
+                       kCheckpointDeltaFormatVersion,
+                       ChainSections(kCheckpointSectionDeltaManifest, manifest,
+                                     kCheckpointSectionShardDelta,
+                                     shard_writers),
+                       &fingerprint)) {
+    return false;
+  }
+  state->prev_fingerprint = fingerprint;
   state->deltas_written = seq;
   RunOnAllShards(
       [](int, StreamServer& server) { server.CommitDeltaBaseline(); });
   return true;
 }
-
-namespace {
-
-bool ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out->assign((std::istreambuf_iterator<char>(in)),
-              std::istreambuf_iterator<char>());
-  return true;
-}
-
-}  // namespace
 
 bool ShardedStreamServer::RestoreFromCheckpointChain(
     const std::string& base_path, IncrementalCheckpointState* state) {

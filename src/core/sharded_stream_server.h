@@ -177,7 +177,7 @@ class ShardedStreamServer {
   // shard leaves the server untouched. Restore also re-baselines the
   // transport counters (items_submitted := restored items_processed, shed
   // counters zeroed) so the overload invariant keeps holding after a warm
-  // restart.
+  // restart. SaveCheckpoint is atomic, as StreamServer's is.
   std::string EncodeCheckpoint() const;
   bool RestoreCheckpoint(const std::string& bytes);
   bool SaveCheckpoint(const std::string& path) const;

@@ -448,19 +448,20 @@ void StreamServer::SnapshotDelta(BinaryWriter* writer) {
   const int base_items = engine_reset ? 0 : base_engine_items_;
 
   // Serving-index upserts: dirty keys still open (canonical ascending).
-  std::vector<int> open_dirty;
+  std::vector<std::pair<int, int64_t>> open_dirty;  // (key, last_seen)
   std::vector<int> tombstones;
   for (int key : dirty_sorted) {
-    if (index_->open.count(key)) {
-      open_dirty.push_back(key);
+    const auto it = index_->open.find(key);
+    if (it != index_->open.end()) {
+      open_dirty.emplace_back(key, it->second.last_seen);
     } else {
       tombstones.push_back(key);
     }
   }
   writer->WriteInt32(static_cast<int32_t>(open_dirty.size()));
-  for (int key : open_dirty) {
+  for (const auto& [key, last_seen] : open_dirty) {
     writer->WriteInt32(key);
-    writer->WriteInt64(index_->open.at(key).last_seen);
+    writer->WriteInt64(last_seen);
   }
   // Tombstones: dirty keys no longer open (closed, evicted, or rotated
   // away since the base).

@@ -211,6 +211,8 @@ class StreamServer {
 
   // Convenience wrappers around the checkpoint container: one
   // kCheckpointSectionStreamServer section framed with magic + version.
+  // SaveCheckpoint is atomic (CheckpointWrite): a failed save returns false
+  // and leaves any previous file at `path` intact.
   std::string EncodeCheckpoint() const;
   bool RestoreCheckpoint(const std::string& bytes);
   bool SaveCheckpoint(const std::string& path) const;

@@ -31,35 +31,117 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace kvec {
 
+// Per-kind value tags (shared by BinaryWriter's inline writes and
+// BinaryReader's checks).
+namespace serialize_internal {
+inline constexpr int32_t kTagInt32 = 0x4b561001;
+inline constexpr int32_t kTagInt64 = 0x4b561002;
+inline constexpr int32_t kTagFloat = 0x4b561003;
+inline constexpr int32_t kTagString = 0x4b561004;
+inline constexpr int32_t kTagFloatVec = 0x4b561005;
+inline constexpr int32_t kTagIntVec = 0x4b561006;
+inline constexpr int32_t kTagDouble = 0x4b561007;
+}  // namespace serialize_internal
+
+// Appends tagged values to a growable byte buffer. Every write is inline:
+// one capacity check, then the tag, any length prefix and the value are
+// copied in place. The buffer doubles when full and is never zero-filled:
+// below 1 MB it is a heap block grown with realloc; from 1 MB on it is an
+// anonymous mapping of its own, grown by remapping its pages rather than
+// copying them and unmapped when the writer dies. Checkpoint snapshots
+// write tens of MB through here one value at a time.
 class BinaryWriter {
  public:
-  void WriteInt32(int32_t value);
-  void WriteInt64(int64_t value);
-  void WriteFloat(float value);
-  void WriteDouble(double value);
-  void WriteString(const std::string& value);
-  void WriteFloatVector(const std::vector<float>& values);
+  BinaryWriter() = default;
+  ~BinaryWriter();
+  BinaryWriter(const BinaryWriter& other);
+  BinaryWriter(BinaryWriter&& other) noexcept;
+  BinaryWriter& operator=(const BinaryWriter&) = delete;
+  BinaryWriter& operator=(BinaryWriter&&) = delete;
+
+  void WriteInt32(int32_t value) {
+    WriteScalar(serialize_internal::kTagInt32, value);
+  }
+  void WriteInt64(int64_t value) {
+    WriteScalar(serialize_internal::kTagInt64, value);
+  }
+  void WriteFloat(float value) {
+    WriteScalar(serialize_internal::kTagFloat, value);
+  }
+  void WriteDouble(double value) {
+    WriteScalar(serialize_internal::kTagDouble, value);
+  }
+  void WriteString(const std::string& value) {
+    WriteSized(serialize_internal::kTagString, value.data(), value.size(), 1);
+  }
+  void WriteFloatVector(const std::vector<float>& values) {
+    WriteFloats(values.data(), values.size());
+  }
   // Same wire format as WriteFloatVector, straight from a raw buffer (no
   // intermediate std::vector copy; used by the encoder arena snapshot).
-  void WriteFloats(const float* values, size_t count);
-  void WriteIntVector(const std::vector<int>& values);
+  void WriteFloats(const float* values, size_t count) {
+    WriteSized(serialize_internal::kTagFloatVec, values, count, sizeof(float));
+  }
+  void WriteIntVector(const std::vector<int>& values) {
+    WriteInts(values.data(), values.size());
+  }
   // Same wire format as WriteIntVector, straight from a raw buffer (used by
   // the pmr-backed per-key state, whose vectors are not std::vector).
-  void WriteInts(const int* values, size_t count);
+  void WriteInts(const int* values, size_t count) {
+    WriteSized(serialize_internal::kTagIntVec, values, count, sizeof(int));
+  }
 
-  const std::string& buffer() const { return buffer_; }
+  // The bytes written so far; valid until the next write or move.
+  std::string_view view() const { return {data_, size_}; }
+  // A copy of the bytes written so far.
+  std::string buffer() const { return std::string(view()); }
 
-  // Writes the buffer to `path`. Returns false on I/O failure.
+  // Writes the buffer to `path` atomically (AtomicWriteFile). Returns false
+  // on I/O failure, leaving any previous file at `path` untouched.
   bool SaveToFile(const std::string& path) const;
 
  private:
-  void Append(const void* data, size_t size);
-  std::string buffer_;
+  // Reserves `size` more bytes at the end and returns where they start.
+  char* Extend(size_t size) {
+    if (size > capacity_ - size_) Grow(size);
+    char* out = data_ + size_;
+    size_ += size;
+    return out;
+  }
+  // Out-of-line slow path: at least doubles the capacity.
+  void Grow(size_t size);
+
+  template <typename T>
+  void WriteScalar(int32_t tag, T value) {
+    char* out = Extend(sizeof(tag) + sizeof(value));
+    std::memcpy(out, &tag, sizeof(tag));
+    std::memcpy(out + sizeof(tag), &value, sizeof(value));
+  }
+
+  void WriteSized(int32_t tag, const void* values, size_t count,
+                  size_t elem_size) {
+    const int64_t length = static_cast<int64_t>(count);
+    const size_t bytes = count * elem_size;
+    char* out = Extend(sizeof(tag) + sizeof(length) + bytes);
+    std::memcpy(out, &tag, sizeof(tag));
+    std::memcpy(out + sizeof(tag), &length, sizeof(length));
+    // Empty containers hand over a null data().
+    if (bytes != 0) {
+      std::memcpy(out + sizeof(tag) + sizeof(length), values, bytes);
+    }
+  }
+
+  char* data_ = nullptr;
+  size_t size_ = 0;
+  size_t capacity_ = 0;
+  bool mapped_ = false;  // data_ is a mapping of capacity_ bytes
 };
 
 class BinaryReader {
@@ -164,7 +246,27 @@ std::string CheckpointEncode(const Checkpoint& checkpoint);
 // Never aborts and never allocates more than `bytes.size()` payload.
 bool CheckpointDecode(const std::string& bytes, Checkpoint* out);
 
-// File entry points: Save frames + writes, Load reads + parses.
+// One section of a checkpoint about to be written, borrowing its payload
+// (typically a BinaryWriter's view()) instead of copying it.
+struct CheckpointSectionView {
+  int32_t id = 0;
+  std::string_view payload;
+};
+
+// Writes the checkpoint framed from `version` and `sections` to `path`:
+// the header and each payload go straight to a sibling ".tmp" file, which
+// is renamed over `path` once complete, so a failure or crash mid-write
+// leaves either the old file or the complete new one, never a torn one.
+// The file's bytes equal CheckpointEncode of the same sections. FNV-1a is
+// folded over them in the same pass; on success `*fingerprint` (if
+// non-null) receives CheckpointFingerprint of the file. Returns false on
+// I/O failure, having removed the ".tmp" file.
+bool CheckpointWrite(const std::string& path, int32_t version,
+                     const std::vector<CheckpointSectionView>& sections,
+                     uint64_t* fingerprint = nullptr);
+
+// File entry points: Save frames + writes atomically (CheckpointWrite),
+// Load reads + parses.
 bool CheckpointSave(const std::string& path, const Checkpoint& checkpoint);
 bool CheckpointLoad(const std::string& path, Checkpoint* out);
 
@@ -174,10 +276,13 @@ bool CheckpointLoad(const std::string& path, Checkpoint* out);
 // against operational mix-ups and reordering, not adversaries.
 uint64_t CheckpointFingerprint(const std::string& bytes);
 
-// Writes `bytes` to `path` via a sibling ".tmp" file + rename, so a crash
-// mid-write leaves either the old file or the complete new one on disk,
-// never a torn one. Delta-chain writes go through this.
-bool AtomicWriteFile(const std::string& path, const std::string& bytes);
+// Writes `bytes` to `path` via a sibling ".tmp" file + rename (the same
+// writer CheckpointWrite uses).
+bool AtomicWriteFile(const std::string& path, std::string_view bytes);
+
+// Reads the whole file at `path` into `*out` with one sized read. Returns
+// false if the file cannot be opened or read.
+bool ReadFileBytes(const std::string& path, std::string* out);
 
 }  // namespace kvec
 

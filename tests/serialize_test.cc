@@ -4,9 +4,13 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "util/fault_injection.h"
+#include "util/rng.h"
 
 namespace kvec {
 namespace {
@@ -242,6 +246,269 @@ TEST(CheckpointContainerTest, RejectsOversizedSectionCount) {
   std::memcpy(&bytes[8], &huge, sizeof(huge));  // section-count field
   Checkpoint decoded;
   EXPECT_FALSE(CheckpointDecode(bytes, &decoded));
+}
+
+// ---- Byte identity of the inline writer ----
+
+// The wire format spelled out independently of BinaryWriter: a 4-byte tag,
+// then the raw value, or an int64 element count and the raw elements.
+class ReferenceEncoder {
+ public:
+  void Int32(int32_t value) { Tagged(0x4b561001, &value, sizeof(value)); }
+  void Int64(int64_t value) { Tagged(0x4b561002, &value, sizeof(value)); }
+  void Float(float value) { Tagged(0x4b561003, &value, sizeof(value)); }
+  void Double(double value) { Tagged(0x4b561007, &value, sizeof(value)); }
+  void String(const std::string& value) {
+    Sized(0x4b561004, value.data(), value.size(), 1);
+  }
+  void Floats(const std::vector<float>& values) {
+    Sized(0x4b561005, values.data(), values.size(), sizeof(float));
+  }
+  void Ints(const std::vector<int>& values) {
+    Sized(0x4b561006, values.data(), values.size(), sizeof(int));
+  }
+  const std::string& bytes() const { return bytes_; }
+
+ private:
+  void Raw(const void* data, size_t size) {
+    bytes_.append(static_cast<const char*>(data), size);
+  }
+  void Tagged(int32_t tag, const void* value, size_t size) {
+    Raw(&tag, sizeof(tag));
+    Raw(value, size);
+  }
+  void Sized(int32_t tag, const void* values, size_t count, size_t elem) {
+    const int64_t length = static_cast<int64_t>(count);
+    Raw(&tag, sizeof(tag));
+    Raw(&length, sizeof(length));
+    if (count != 0) Raw(values, count * elem);
+  }
+  std::string bytes_;
+};
+
+// Seeded random sequences of every Write* kind — including empty vectors
+// and strings and vectors large enough to jump several growth steps at
+// once — must produce exactly the reference bytes, past 1 MB in total.
+TEST(BinaryWriterBytesTest, MatchesReferenceEncoderOnRandomSequences) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    BinaryWriter writer;
+    ReferenceEncoder reference;
+    size_t checked_up_to = 0;
+    while (reference.bytes().size() < (size_t{3} << 19)) {
+      // Mostly short vectors; now and then a long one (up to 64k elements).
+      const int length = rng.NextBernoulli(0.02) ? rng.NextInt(1 << 16)
+                         : rng.NextBernoulli(0.2) ? 0
+                                                  : rng.NextInt(40);
+      switch (rng.NextInt(9)) {
+        case 0: {
+          const int32_t v = static_cast<int32_t>(rng.NextUint64());
+          writer.WriteInt32(v);
+          reference.Int32(v);
+          break;
+        }
+        case 1: {
+          const int64_t v = static_cast<int64_t>(rng.NextUint64());
+          writer.WriteInt64(v);
+          reference.Int64(v);
+          break;
+        }
+        case 2: {
+          const float v = static_cast<float>(rng.NextGaussian());
+          writer.WriteFloat(v);
+          reference.Float(v);
+          break;
+        }
+        case 3: {
+          const double v = rng.NextGaussian();
+          writer.WriteDouble(v);
+          reference.Double(v);
+          break;
+        }
+        case 4: {
+          std::string v(static_cast<size_t>(length), '\0');
+          for (char& c : v) c = static_cast<char>(rng.NextInt(256));
+          writer.WriteString(v);
+          reference.String(v);
+          break;
+        }
+        case 5:
+        case 6: {
+          std::vector<float> v(static_cast<size_t>(length));
+          for (float& x : v) x = static_cast<float>(rng.NextGaussian());
+          if (rng.NextBernoulli(0.5)) {
+            writer.WriteFloatVector(v);
+          } else {
+            writer.WriteFloats(v.data(), v.size());
+          }
+          reference.Floats(v);
+          break;
+        }
+        default: {
+          std::vector<int> v(static_cast<size_t>(length));
+          for (int& x : v) x = static_cast<int>(rng.NextUint64());
+          if (rng.NextBernoulli(0.5)) {
+            writer.WriteIntVector(v);
+          } else {
+            writer.WriteInts(v.data(), v.size());
+          }
+          reference.Ints(v);
+          break;
+        }
+      }
+      // Compare the new suffix after every write, so a mismatch names the
+      // write that caused it.
+      ASSERT_EQ(writer.view().size(), reference.bytes().size())
+          << "seed " << seed;
+      ASSERT_EQ(writer.view().substr(checked_up_to),
+                std::string_view(reference.bytes()).substr(checked_up_to))
+          << "seed " << seed << " at byte " << checked_up_to;
+      checked_up_to = reference.bytes().size();
+    }
+    EXPECT_EQ(writer.buffer(), reference.bytes());
+
+    // Copies carry the same bytes; a moved-from writer is empty and
+    // reusable.
+    BinaryWriter copy = writer;
+    EXPECT_EQ(copy.view(), writer.view());
+    BinaryWriter moved = std::move(copy);
+    EXPECT_EQ(moved.view(), writer.view());
+    EXPECT_TRUE(copy.view().empty());  // NOLINT(bugprone-use-after-move)
+    copy.WriteInt32(5);
+    ReferenceEncoder five;
+    five.Int32(5);
+    EXPECT_EQ(copy.buffer(), five.bytes());
+  }
+}
+
+// ---- CheckpointWrite: the one atomic checkpoint file writer ----
+
+std::string SlurpFile(const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(ReadFileBytes(path, &bytes)) << path;
+  return bytes;
+}
+
+bool FileExists(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return false;
+  std::fclose(file);
+  return true;
+}
+
+TEST(CheckpointWriteTest, FileEqualsEncodeAndFingerprintEqualsFile) {
+  // A large payload (several write chunks) between an empty one and a
+  // short one.
+  BinaryWriter big;
+  for (int i = 0; i < 200000; ++i) big.WriteInt32(i * 7919);
+  for (const int32_t version :
+       {kCheckpointFormatVersion, kCheckpointDeltaFormatVersion}) {
+    Checkpoint checkpoint;
+    checkpoint.version = version;
+    // kvec-lint: allow-next(section-id) container framing test, ids arbitrary
+    checkpoint.sections.push_back({3, std::string()});
+    // kvec-lint: allow-next(section-id) container framing test, ids arbitrary
+    checkpoint.sections.push_back({9, big.buffer()});
+    // kvec-lint: allow-next(section-id) container framing test, ids arbitrary
+    checkpoint.sections.push_back({4, std::string("\x00tail", 5)});
+    std::vector<CheckpointSectionView> views;
+    for (const CheckpointSection& section : checkpoint.sections) {
+      views.push_back({section.id, section.payload});
+    }
+
+    const std::string path = ::testing::TempDir() + "/kvec_ckpt_write.ckpt";
+    uint64_t fingerprint = 0;
+    ASSERT_TRUE(CheckpointWrite(path, version, views, &fingerprint));
+    const std::string file = SlurpFile(path);
+    EXPECT_EQ(file, CheckpointEncode(checkpoint));
+    EXPECT_EQ(fingerprint, CheckpointFingerprint(file));
+    EXPECT_FALSE(FileExists(path + ".tmp"));
+
+    // CheckpointSave frames through the same writer.
+    ASSERT_TRUE(CheckpointSave(path, checkpoint));
+    EXPECT_EQ(SlurpFile(path), file);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CheckpointWriteTest, UnwritablePathFails) {
+  uint64_t fingerprint = 42;
+  EXPECT_FALSE(CheckpointWrite("/nonexistent/dir/kvec.ckpt",
+                               kCheckpointFormatVersion, {}, &fingerprint));
+  EXPECT_EQ(fingerprint, 42u);  // untouched on failure
+}
+
+// Fails every write to a checkpoint's ".tmp" file after the first
+// `good_writes`, like a disk filling up part-way through a save.
+// The count lives outside the hook because every firing runs a copy of it.
+void FailWritesAfter(int good_writes) {
+  auto writes = std::make_shared<int>(0);
+  FaultInjection::Arm("checkpoint.write", [good_writes, writes](const char*) {
+    return ++*writes > good_writes;
+  });
+}
+
+// A full save that fails after it started writing must return false and
+// leave the previous file byte-identical (the bug: CheckpointSave used to
+// truncate the target in place before writing).
+TEST(CheckpointWriteTest, FailedSaveKeepsTheOldFile) {
+  const std::string path = ::testing::TempDir() + "/kvec_atomic_save.ckpt";
+  Checkpoint old_checkpoint = MakeTwoSectionCheckpoint();
+  ASSERT_TRUE(CheckpointSave(path, old_checkpoint));
+  const std::string old_bytes = SlurpFile(path);
+
+  Checkpoint replacement = MakeTwoSectionCheckpoint();
+  replacement.sections[0].payload = std::string(1 << 20, 'n');
+  // Header (3 writes) and the first section (3 writes) land in the .tmp;
+  // the second section's header fails.
+  for (const int good_writes : {0, 3, 6}) {
+    FailWritesAfter(good_writes);
+    EXPECT_FALSE(CheckpointSave(path, replacement)) << good_writes;
+    EXPECT_GE(FaultInjection::FireCount("checkpoint.write"), good_writes + 1);
+    FaultInjection::DisarmAll();
+    EXPECT_EQ(SlurpFile(path), old_bytes) << good_writes;
+    EXPECT_FALSE(FileExists(path + ".tmp")) << good_writes;
+  }
+  ASSERT_TRUE(CheckpointSave(path, replacement));  // and a retry succeeds
+  EXPECT_EQ(SlurpFile(path), CheckpointEncode(replacement));
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointWriteTest, FailedSaveToFileKeepsTheOldFile) {
+  const std::string path = ::testing::TempDir() + "/kvec_atomic_params.bin";
+  BinaryWriter old_writer;
+  old_writer.WriteFloatVector({1.0f, 2.0f});
+  ASSERT_TRUE(old_writer.SaveToFile(path));
+
+  BinaryWriter new_writer;
+  new_writer.WriteFloatVector(std::vector<float>(1 << 18, 3.0f));
+  FailWritesAfter(0);
+  EXPECT_FALSE(new_writer.SaveToFile(path));
+  FaultInjection::DisarmAll();
+  EXPECT_EQ(SlurpFile(path), old_writer.buffer());
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(ReadFileBytesTest, ReadsWholeFileAndReportsMissing) {
+  const std::string path = ::testing::TempDir() + "/kvec_read_bytes.bin";
+  std::string bytes(300000, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 131);
+  }
+  ASSERT_TRUE(AtomicWriteFile(path, bytes));
+  std::string read = "stale";
+  ASSERT_TRUE(ReadFileBytes(path, &read));
+  EXPECT_EQ(read, bytes);
+  ASSERT_TRUE(AtomicWriteFile(path, ""));
+  ASSERT_TRUE(ReadFileBytes(path, &read));
+  EXPECT_TRUE(read.empty());
+  std::remove(path.c_str());
+  EXPECT_FALSE(ReadFileBytes(path, &read));
+  // A directory opens for reading but is not a file to load.
+  EXPECT_FALSE(ReadFileBytes(::testing::TempDir(), &read));
+  Checkpoint checkpoint;
+  EXPECT_FALSE(CheckpointLoad(::testing::TempDir(), &checkpoint));
 }
 
 }  // namespace
