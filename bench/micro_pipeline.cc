@@ -2,7 +2,8 @@
 // one training step, evaluation, and streaming inference throughput —
 // including the PR-3 serving benchmarks (BENCH_PR3.json): end-to-end
 // items/sec of the stream-serving path (single-item vs microbatched, 1-8
-// shards, 8k-key tangled stream) and the per-item cost of the indexed
+// shards, 8k-key tangled stream), open-key bookkeeping past a 64k-key
+// capacity with idle timeouts, and the per-item cost of the indexed
 // correlation tracker as the open-key count grows.
 #include <benchmark/benchmark.h>
 
@@ -248,6 +249,56 @@ BENCHMARK(BM_StreamServeEndToEnd)
     ->Args({4, 256})
     ->Args({8, 256})
     ->Unit(benchmark::kMillisecond);
+
+// Open-key bookkeeping at scale: one StreamServer with max_open_keys =
+// 65536 serves 64-item batches of a churn stream in two phases. First,
+// 100k one-hit keys fill the index and push past capacity (LRU evictions);
+// then 100k items round-robin over 1,024 hot keys, while the one-hit keys
+// still open age past idle_timeout = 80000 and leave through the idle
+// sweep. The window never rotates, so
+// the cost is the serving path with a 64k-key index, not rotation. Reports
+// an error, not a time, if either eviction kind did not happen.
+void BM_StreamServeChurn(benchmark::State& state) {
+  constexpr int kPhaseItems = 100000;
+  constexpr int kHotKeys = 1024;
+  constexpr int kBatch = 64;
+  KvecModel model = MakeServingModel();
+  std::vector<Item> stream;
+  stream.reserve(2 * kPhaseItems);
+  for (int i = 0; i < 2 * kPhaseItems; ++i) {
+    Item item;
+    item.key = i < kPhaseItems ? i : (1 << 24) + i % kHotKeys;
+    item.value.push_back(i % 8);
+    item.time = i;
+    stream.push_back(item);
+  }
+  StreamServerConfig config;
+  config.max_window_items = 1 << 30;
+  config.max_open_keys = 65536;
+  config.idle_timeout = 80000;
+
+  int64_t capacity_evictions = 0;
+  int64_t idle_timeouts = 0;
+  for (auto _ : state) {
+    StreamServer server(model, config);
+    for (size_t begin = 0; begin < stream.size(); begin += kBatch) {
+      const size_t end = std::min(stream.size(), begin + kBatch);
+      std::vector<Item> batch(stream.begin() + begin, stream.begin() + end);
+      benchmark::DoNotOptimize(server.ObserveBatch(batch));
+    }
+    capacity_evictions = server.stats().capacity_evictions;
+    idle_timeouts = server.stats().idle_timeouts;
+  }
+  if (capacity_evictions == 0 || idle_timeouts == 0) {
+    state.SkipWithError("the churn stream no longer evicts by both causes");
+  }
+  state.counters["capacity_evictions"] =
+      static_cast<double>(capacity_evictions);
+  state.counters["idle_timeouts"] = static_cast<double>(idle_timeouts);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(stream.size()));
+}
+BENCHMARK(BM_StreamServeChurn)->Unit(benchmark::kMillisecond);
 
 // Steady-state per-item cost of CorrelationTracker::ObserveItem with
 // `open_keys` open sessions. The inverted index walks only the sessions

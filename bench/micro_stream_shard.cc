@@ -14,8 +14,8 @@
 //    fan-out (see docs/SERVING.md and bench/micro_pipeline.cc's
 //    BM_StreamServeEndToEnd).
 //  * BM_CapacityEvictionSteadyState — per-item cost of StreamServer at the
-//    capacity limit (every item evicts). With the (last_seen, key) index
-//    this is O(log open_keys); the pre-index full scan was O(open_keys)
+//    capacity limit (every item evicts). With the hash map + recency list
+//    this is O(1); the pre-index full scan was O(open_keys)
 //    (12 us -> 1781 us per item from 1k to 100k open keys on the reference
 //    machine; see docs/SERVING.md for before/after numbers).
 //  * BM_ShardWorkerThroughput — end-to-end items/sec of the shard-owned

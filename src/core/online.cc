@@ -368,4 +368,18 @@ bool OnlineClassifier::IsHalted(int key) const {
   return it != keys_->states.end() && it->second.halted;
 }
 
+bool OnlineClassifier::IsUndecided(int key) const {
+  auto it = keys_->states.find(key);
+  return it != keys_->states.end() && it->second.observed > 0 &&
+         !it->second.halted;
+}
+
+int OnlineClassifier::CountUndecided() const {
+  int count = 0;
+  for (const auto& [key, state] : keys_->states) {
+    if (state.observed > 0 && !state.halted) ++count;
+  }
+  return count;
+}
+
 }  // namespace kvec

@@ -103,6 +103,10 @@ class OnlineClassifier {
   int ObservedItems(int key) const;
 
   bool IsHalted(int key) const;
+  // True when `key` has observed items and no verdict yet: exactly the
+  // keys StreamServer keeps open. CountUndecided is O(keys).
+  bool IsUndecided(int key) const;
+  int CountUndecided() const;
   int num_items_observed() const { return num_items_; }
   int embed_dim() const { return model_.config().embed_dim; }
 

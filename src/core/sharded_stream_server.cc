@@ -438,14 +438,29 @@ int ShardedStreamServer::CompactAll() {
   return compacted;
 }
 
-Checkpoint ShardedStreamServer::BuildCheckpoint() const {
-  Checkpoint checkpoint;
-  {
-    BinaryWriter manifest;
-    manifest.WriteInt32(static_cast<int32_t>(shards_.size()));
-    checkpoint.sections.push_back(
-        {kCheckpointSectionShardManifest, manifest.buffer()});
+namespace {
+
+// A checkpoint file's sections: the manifest, then one section per shard,
+// each borrowing its writer's bytes so the file is framed straight from
+// them.
+std::vector<CheckpointSectionView> WriterSections(
+    int32_t manifest_id, const BinaryWriter& manifest, int32_t shard_id,
+    const std::vector<BinaryWriter>& shards) {
+  std::vector<CheckpointSectionView> sections;
+  sections.reserve(1 + shards.size());
+  sections.push_back({manifest_id, manifest.view()});
+  for (const BinaryWriter& shard : shards) {
+    sections.push_back({shard_id, shard.view()});
   }
+  return sections;
+}
+
+}  // namespace
+
+void ShardedStreamServer::SnapshotSections(
+    BinaryWriter* manifest, std::vector<BinaryWriter>* shard_writers) const {
+  manifest->WriteInt32(static_cast<int32_t>(shards_.size()));
+  shard_writers->resize(shards_.size());
   // Each shard snapshots on its owner (async: behind everything already
   // queued — drain-then-snapshot; sync: under its mutex), ONE SHARD AT A
   // TIME: while shard s serializes, every other shard keeps serving. The
@@ -454,13 +469,11 @@ Checkpoint ShardedStreamServer::BuildCheckpoint() const {
   // snapshot. Cross-shard consistency is unchanged either way — it is the
   // caller's quiesce protocol, as documented.
   for (size_t s = 0; s < shards_.size(); ++s) {
-    BinaryWriter writer;
+    BinaryWriter& writer = (*shard_writers)[s];
     writer.WriteInt32(static_cast<int32_t>(s));
     RunOnShard(static_cast<int>(s),
                [&writer](StreamServer& server) { server.Snapshot(&writer); });
-    checkpoint.sections.push_back({kCheckpointSectionShard, writer.buffer()});
   }
-  return checkpoint;
 }
 
 bool ShardedStreamServer::StageFromCheckpoint(
@@ -527,7 +540,13 @@ bool ShardedStreamServer::RestoreFromCheckpoint(const Checkpoint& checkpoint) {
 }
 
 std::string ShardedStreamServer::EncodeCheckpoint() const {
-  return CheckpointEncode(BuildCheckpoint());
+  BinaryWriter manifest;
+  std::vector<BinaryWriter> shard_writers;
+  SnapshotSections(&manifest, &shard_writers);
+  return CheckpointEncode(
+      kCheckpointFormatVersion,
+      WriterSections(kCheckpointSectionShardManifest, manifest,
+                     kCheckpointSectionShard, shard_writers));
 }
 
 bool ShardedStreamServer::RestoreCheckpoint(const std::string& bytes) {
@@ -537,7 +556,13 @@ bool ShardedStreamServer::RestoreCheckpoint(const std::string& bytes) {
 }
 
 bool ShardedStreamServer::SaveCheckpoint(const std::string& path) const {
-  return CheckpointSave(path, BuildCheckpoint());
+  BinaryWriter manifest;
+  std::vector<BinaryWriter> shard_writers;
+  SnapshotSections(&manifest, &shard_writers);
+  return CheckpointSave(
+      path, kCheckpointFormatVersion,
+      WriterSections(kCheckpointSectionShardManifest, manifest,
+                     kCheckpointSectionShard, shard_writers));
 }
 
 bool ShardedStreamServer::LoadCheckpoint(const std::string& path) {
@@ -550,24 +575,6 @@ std::string ShardedStreamServer::DeltaPath(const std::string& base_path,
                                            int64_t seq) {
   return base_path + ".delta." + std::to_string(seq);
 }
-
-namespace {
-
-// A chain file's sections: the manifest, then one section per shard, each
-// borrowing its writer's bytes so the file is framed straight from them.
-std::vector<CheckpointSectionView> ChainSections(
-    int32_t manifest_id, const BinaryWriter& manifest, int32_t shard_id,
-    const std::vector<BinaryWriter>& shards) {
-  std::vector<CheckpointSectionView> sections;
-  sections.reserve(1 + shards.size());
-  sections.push_back({manifest_id, manifest.view()});
-  for (const BinaryWriter& shard : shards) {
-    sections.push_back({shard_id, shard.view()});
-  }
-  return sections;
-}
-
-}  // namespace
 
 bool ShardedStreamServer::CheckpointIncremental(
     const std::string& base_path, int rebase_every,
@@ -608,9 +615,9 @@ bool ShardedStreamServer::CheckpointIncremental(
     uint64_t fingerprint = 0;
     if (KVEC_FAULT_POINT("checkpoint.save") ||
         !CheckpointWrite(base_path, kCheckpointFormatVersion,
-                         ChainSections(kCheckpointSectionShardManifest,
-                                       manifest, kCheckpointSectionShard,
-                                       shard_writers),
+                         WriterSections(kCheckpointSectionShardManifest,
+                                        manifest, kCheckpointSectionShard,
+                                        shard_writers),
                          &fingerprint)) {
       state->base_fingerprint = 0;
       return false;
@@ -643,9 +650,9 @@ bool ShardedStreamServer::CheckpointIncremental(
   uint64_t fingerprint = 0;
   if (!CheckpointWrite(DeltaPath(base_path, seq),
                        kCheckpointDeltaFormatVersion,
-                       ChainSections(kCheckpointSectionDeltaManifest, manifest,
-                                     kCheckpointSectionShardDelta,
-                                     shard_writers),
+                       WriterSections(kCheckpointSectionDeltaManifest,
+                                      manifest, kCheckpointSectionShardDelta,
+                                      shard_writers),
                        &fingerprint)) {
     return false;
   }

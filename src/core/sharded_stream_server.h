@@ -302,8 +302,12 @@ class ShardedStreamServer {
   std::vector<StreamServerStats> SnapshotAllShardsLocked() const
       KVEC_NO_THREAD_SAFETY_ANALYSIS;
 
-  // Shared bodies of the four checkpoint entry points.
-  Checkpoint BuildCheckpoint() const;
+  // A full checkpoint's sections, kept in their writers so Encode/Save
+  // frame them without a copy: the manifest (the shard count), then one
+  // writer per shard holding its index and StreamServer::Snapshot.
+  void SnapshotSections(BinaryWriter* manifest,
+                        std::vector<BinaryWriter>* shard_writers) const;
+  // Shared body of the two restoring checkpoint entry points.
   bool RestoreFromCheckpoint(const Checkpoint& checkpoint);
   // Restore split in two so the chain loader can apply deltas between the
   // staging and the commit: Stage parses a full checkpoint into fresh

@@ -71,20 +71,68 @@ void StreamServer::RecordEvent(const StreamEvent& event) {
   }
 }
 
-void StreamServer::CloseKey(OpenKeyMap::iterator it) {
-  index_->by_last_seen.erase({it->second.last_seen, it->first});
-  index_->open.erase(it);
+void StreamServer::KeyIndex::Unlink(OpenKey* node) {
+  (node->prev != nullptr ? node->prev->next : head) = node->next;
+  (node->next != nullptr ? node->next->prev : tail) = node->prev;
+  node->prev = node->next = nullptr;
+}
+
+void StreamServer::KeyIndex::Append(OpenKey* node) {
+  node->prev = tail;
+  node->next = nullptr;
+  (tail != nullptr ? tail->next : head) = node;
+  tail = node;
+}
+
+void StreamServer::KeyIndex::Touch(int key, int64_t last_seen) {
+  auto [it, inserted] = open.try_emplace(key);
+  OpenKey* node = &it->second;
+  node->key = key;
+  node->last_seen = last_seen;
+  if (node == tail) return;  // a fresh node is never the tail
+  if (!inserted) Unlink(node);
+  Append(node);
+}
+
+void StreamServer::KeyIndex::Erase(OpenKeyMap::iterator it) {
+  Unlink(&it->second);
+  open.erase(it);
+}
+
+void StreamServer::KeyIndex::Clear() {
+  open.clear();
+  head = tail = nullptr;
+}
+
+void StreamServer::KeyIndex::Relink() {
+  std::vector<OpenKey*> nodes;
+  nodes.reserve(open.size());
+  for (auto& [key, node] : open) nodes.push_back(&node);
+  std::sort(nodes.begin(), nodes.end(), [](const OpenKey* a, const OpenKey* b) {
+    return a->last_seen != b->last_seen ? a->last_seen < b->last_seen
+                                        : a->key < b->key;
+  });
+  head = tail = nullptr;
+  for (OpenKey* node : nodes) Append(node);
 }
 
 void StreamServer::CloseKey(int key) {
   auto it = index_->open.find(key);
-  if (it != index_->open.end()) CloseKey(it);
+  if (it != index_->open.end()) index_->Erase(it);
 }
 
-void StreamServer::ForceClose(int key, StreamEvent::Cause cause,
+bool StreamServer::IndexMatchesEngine(const KeyIndex& index,
+                                      const OnlineClassifier& engine) {
+  // Every open key is undecided in the engine, and the counts agree, so
+  // the two key sets are equal.
+  for (const auto& [key, node] : index.open) {
+    if (!engine.IsUndecided(key)) return false;
+  }
+  return static_cast<int>(index.open.size()) == engine.CountUndecided();
+}
+
+void StreamServer::EmitForced(int key, StreamEvent::Cause cause,
                               std::vector<StreamEvent>* events) {
-  auto it = index_->open.find(key);
-  if (it == index_->open.end()) return;
   // ForceClassify mutates the key's engine state (halted/predicted) and
   // the close drops it from the serving index — both must reach the next
   // delta (as an engine upsert and a tombstone respectively).
@@ -94,31 +142,42 @@ void StreamServer::ForceClose(int key, StreamEvent::Cause cause,
   event.cause = cause;
   event.observed_items = engine_->ObservedItems(key);
   event.predicted_label = engine_->ForceClassify(key, &event.confidence);
-  CloseKey(it);
   RecordEvent(event);
   events->push_back(event);
 }
 
-void StreamServer::RotateWindow(std::vector<StreamEvent>* events) {
-  // Close everything still open under the old engine, then rebuild it.
+void StreamServer::ForceClose(int key, StreamEvent::Cause cause,
+                              std::vector<StreamEvent>* events) {
+  auto it = index_->open.find(key);
+  if (it == index_->open.end()) return;
+  EmitForced(key, cause, events);
+  index_->Erase(it);
+}
+
+void StreamServer::CloseAllInKeyOrder(StreamEvent::Cause cause,
+                                      std::vector<StreamEvent>* events) {
   std::vector<int> keys;
   keys.reserve(index_->open.size());
-  for (const auto& [key, state] : index_->open) keys.push_back(key);
-  for (int key : keys) {
-    ForceClose(key, StreamEvent::Cause::kWindowRotation, events);
-  }
+  for (const auto& [key, node] : index_->open) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  for (int key : keys) EmitForced(key, cause, events);
+  index_->Clear();
+}
+
+void StreamServer::RotateWindow(std::vector<StreamEvent>* events) {
+  // Close everything still open under the old engine, then rebuild it.
+  CloseAllInKeyOrder(StreamEvent::Cause::kWindowRotation, events);
   engine_ = std::make_unique<OnlineClassifier>(model_, pool_->resource());
   window_items_ = 0;
   ++stats_.windows_started;
 }
 
 void StreamServer::EvictIdle(std::vector<StreamEvent>* events) {
-  // Oldest-first walk of the recency index: stop at the first key still
+  // Oldest-first walk of the recency list: stop at the first key still
   // inside its idle window. O(evicted), not O(open keys).
-  while (!index_->by_last_seen.empty() &&
-         position_ - index_->by_last_seen.begin()->first >= config_.idle_timeout) {
-    ForceClose(index_->by_last_seen.begin()->second, StreamEvent::Cause::kIdleTimeout,
-               events);
+  while (index_->head != nullptr &&
+         position_ - index_->head->last_seen >= config_.idle_timeout) {
+    ForceClose(index_->head->key, StreamEvent::Cause::kIdleTimeout, events);
   }
 }
 
@@ -146,14 +205,11 @@ void StreamServer::Bookkeep(const Item& item, const OnlineDecision& decision,
     RecordEvent(event);
     events->push_back(event);
   } else {
-    auto [it, inserted] = index_->open.try_emplace(item.key);
-    if (!inserted) index_->by_last_seen.erase({it->second.last_seen, item.key});
-    it->second.last_seen = position_;
-    index_->by_last_seen.insert({position_, item.key});
+    index_->Touch(item.key, position_);
     if (static_cast<int>(index_->open.size()) > config_.max_open_keys) {
-      // Evict the least recently active key: the front of the recency index.
-      ForceClose(index_->by_last_seen.begin()->second,
-                 StreamEvent::Cause::kCapacityEviction, events);
+      // Evict the least recently active key: the head of the recency list.
+      ForceClose(index_->head->key, StreamEvent::Cause::kCapacityEviction,
+                 events);
     }
   }
 
@@ -208,15 +264,15 @@ bool StreamServer::Compact() {
   if (KVEC_FAULT_POINT("compaction.run")) return false;
   auto pool = std::make_unique<ShardPool>();
   // Order matters. (1) Move the engine's state into the fresh pool while
-  // both pools are alive; (2) rebuild the open-key index (uses-allocator
-  // copies land in the fresh pool); (3) drop the old index, then (4) the
-  // old pool — destruction of pool-backed containers must precede their
-  // pool's.
+  // both pools are alive; (2) rebuild the open-key index in the fresh pool,
+  // copying it in list order so the new list is ordered too; (3) drop the
+  // old index, then (4) the old pool — destruction of pool-backed
+  // containers must precede their pool's.
   engine_->Repool(pool->resource());
   auto index = std::make_unique<KeyIndex>(pool->resource());
-  for (const auto& entry : index_->open) index->open.insert(entry);
-  for (const auto& entry : index_->by_last_seen) {
-    index->by_last_seen.insert(entry);
+  index->open.reserve(index_->open.size());
+  for (const OpenKey* node = index_->head; node != nullptr; node = node->next) {
+    index->Touch(node->key, node->last_seen);
   }
   index_ = std::move(index);
   pool_ = std::move(pool);
@@ -282,10 +338,17 @@ void StreamServer::Snapshot(BinaryWriter* writer) const {
   // ingest layer's process lifetime, not to serving state, and leaving
   // them out keeps the v1 snapshot layout byte-identical.
 
-  writer->WriteInt32(static_cast<int32_t>(index_->open.size()));
-  for (const auto& [key, state] : index_->open) {  // std::map: canonical order
+  // Key-sorted for a canonical byte stream.
+  std::vector<std::pair<int, int64_t>> open;  // (key, last_seen)
+  open.reserve(index_->open.size());
+  for (const auto& [key, node] : index_->open) {
+    open.emplace_back(key, node.last_seen);
+  }
+  std::sort(open.begin(), open.end());
+  writer->WriteInt32(static_cast<int32_t>(open.size()));
+  for (const auto& [key, last_seen] : open) {
     writer->WriteInt32(key);
-    writer->WriteInt64(state.last_seen);
+    writer->WriteInt64(last_seen);
   }
 
   // Engine last: Restore stages everything above in temporaries and only
@@ -341,22 +404,24 @@ bool StreamServer::Restore(BinaryReader* reader) {
       num_open > config.max_open_keys) {
     return false;
   }
+  index->open.reserve(num_open);
   for (int32_t i = 0; i < num_open && reader->ok(); ++i) {
     const int key = reader->ReadInt32();
-    OpenKey state;
-    state.last_seen = reader->ReadInt64();
-    if (!reader->ok() || state.last_seen < 0 || state.last_seen > position) {
-      return false;
-    }
-    if (!index->open.emplace(key, state).second) return false;
-    index->by_last_seen.insert({state.last_seen, key});
+    const int64_t last_seen = reader->ReadInt64();
+    if (!reader->ok() || last_seen < 0 || last_seen > position) return false;
+    index->Touch(key, last_seen);
   }
-  if (!reader->ok()) return false;
+  // A repeated key would have been touched twice into one node.
+  if (!reader->ok() || static_cast<int32_t>(index->open.size()) != num_open) {
+    return false;
+  }
+  index->Relink();
 
   // A fresh engine keeps the current one intact if the engine section is
   // the part that turns out to be corrupt.
   auto engine = std::make_unique<OnlineClassifier>(model_, pool_->resource());
   if (!engine->Restore(reader)) return false;
+  if (!IndexMatchesEngine(*index, *engine)) return false;
   // The snapshot is the last thing in its section: bytes after it are
   // corruption the container framing cannot see. Checked before the
   // commit below so a tainted checkpoint leaves *this untouched.
@@ -528,12 +593,7 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
       return false;
     }
     prev_key = key;
-    auto [it, inserted] = index_->open.try_emplace(key);
-    if (!inserted) {
-      index_->by_last_seen.erase({it->second.last_seen, key});
-    }
-    it->second.last_seen = last_seen;
-    index_->by_last_seen.insert({last_seen, key});
+    index_->Touch(key, last_seen);
   }
 
   const int32_t num_tombstones = reader->ReadInt32();
@@ -553,6 +613,8 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
   if (static_cast<int>(index_->open.size()) > config_.max_open_keys) {
     return false;
   }
+  // The upserts can carry any last_seen; the list order is restored once.
+  if (num_upserts > 0) index_->Relink();
 
   if (engine_reset != 0) {
     // Mirrors RotateWindow on the writer: a fresh engine over the live
@@ -561,6 +623,7 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
   }
   if (!engine_->ApplyDelta(reader)) return false;
   if (!reader->AtEnd()) return false;
+  if (!IndexMatchesEngine(*index_, *engine_)) return false;
 
   // Same process-local carve-outs as Restore.
   stats.compactions = stats_.compactions;
@@ -575,15 +638,6 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
   return true;
 }
 
-Checkpoint StreamServer::BuildCheckpoint() const {
-  Checkpoint checkpoint;
-  BinaryWriter writer;
-  Snapshot(&writer);
-  checkpoint.sections.push_back(
-      {kCheckpointSectionStreamServer, writer.buffer()});
-  return checkpoint;
-}
-
 bool StreamServer::RestoreFromCheckpoint(const Checkpoint& checkpoint) {
   // Delta containers (version 2) carry partial state and only make sense
   // relative to a staged base; a full restore must refuse them.
@@ -596,7 +650,10 @@ bool StreamServer::RestoreFromCheckpoint(const Checkpoint& checkpoint) {
 }
 
 std::string StreamServer::EncodeCheckpoint() const {
-  return CheckpointEncode(BuildCheckpoint());
+  BinaryWriter section;
+  Snapshot(&section);
+  return CheckpointEncode(kCheckpointFormatVersion,
+                          {{kCheckpointSectionStreamServer, section.view()}});
 }
 
 bool StreamServer::RestoreCheckpoint(const std::string& bytes) {
@@ -606,7 +663,10 @@ bool StreamServer::RestoreCheckpoint(const std::string& bytes) {
 }
 
 bool StreamServer::SaveCheckpoint(const std::string& path) const {
-  return CheckpointSave(path, BuildCheckpoint());
+  BinaryWriter section;
+  Snapshot(&section);
+  return CheckpointSave(path, kCheckpointFormatVersion,
+                        {{kCheckpointSectionStreamServer, section.view()}});
 }
 
 bool StreamServer::LoadCheckpoint(const std::string& path) {
@@ -617,10 +677,7 @@ bool StreamServer::LoadCheckpoint(const std::string& path) {
 
 std::vector<StreamEvent> StreamServer::Flush() {
   std::vector<StreamEvent> events;
-  std::vector<int> keys;
-  keys.reserve(index_->open.size());
-  for (const auto& [key, state] : index_->open) keys.push_back(key);
-  for (int key : keys) ForceClose(key, StreamEvent::Cause::kFlush, &events);
+  CloseAllInKeyOrder(StreamEvent::Cause::kFlush, &events);
   return events;
 }
 

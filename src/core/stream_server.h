@@ -17,10 +17,14 @@
 //   * capacity eviction — when more than `max_open_keys` keys are open,
 //     the least recently active one is force-classified.
 //
-// Both evictions are driven by a last-seen index (an ordered set of
-// (last_seen, key) pairs mirroring the open map), so capacity eviction is
-// O(log open_keys) per item and an idle sweep is O(evicted), never a full
-// scan of the open set.
+// Both evictions are driven by the serving index: one hash map of open
+// keys whose nodes also form an intrusive recency list, least recently
+// active first. Stream positions only grow, so a touched key always moves
+// to the tail and the list stays ordered by (last_seen, key) without any
+// search: touching a key, closing it, popping the LRU key and each step of
+// an idle sweep are O(1), and a sweep never scans the open set. Only the
+// callers that need key order pay a sort: Snapshot, and the close-all of a
+// window rotation or Flush, which classify keys in ascending key order.
 //
 // Every classification (policy halt or forced) is emitted as a
 // StreamEvent, with the cause recorded, so downstream consumers see one
@@ -30,8 +34,8 @@
 // thread. For concurrent ingest wrap shards in ShardedStreamServer,
 // which serialises same-shard callers on a per-shard mutex.
 //
-// Memory: all long-lived per-key state — the open-key map, the recency
-// index, the engine's key-state map, and the correlation containers —
+// Memory: all long-lived per-key state — the open-key index, the
+// engine's key-state map, and the correlation containers —
 // allocates from a per-server ShardPool (std::pmr::unsynchronized_pool_
 // resource), so eviction/insert churn recycles pool nodes instead of
 // hitting the global allocator. A fragmentation heuristic (pool bytes
@@ -45,13 +49,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <memory_resource>
-#include <set>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/online.h"
@@ -202,10 +203,13 @@ class StreamServer {
   //
   // Restore fails closed: on truncated, corrupted, or model-mismatched
   // bytes it returns false and the server is untouched (pinned by the
-  // corruption-fuzz test). The recency index is rebuilt from the open map
-  // rather than serialized. The snapshot must be the reader's final
-  // content (it always is in a checkpoint section); trailing bytes are
-  // treated as corruption.
+  // corruption-fuzz test). So does an open-key set that disagrees with the
+  // engine: every open key must be an engine key with observed items and
+  // no verdict, and every such engine key must be open. The snapshot
+  // stores (key, last_seen) pairs in ascending key order; the recency list
+  // is rebuilt from them, ordered by (last_seen, key). The snapshot must be
+  // the reader's final content (it always is in a checkpoint section);
+  // trailing bytes are treated as corruption.
   void Snapshot(BinaryWriter* writer) const;
   bool Restore(BinaryReader* reader);
 
@@ -241,8 +245,9 @@ class StreamServer {
   //
   // ApplyDelta expects *this to hold exactly the predecessor state of the
   // chain (validated via the engine's item-clock echo); it fails closed
-  // on corrupt bytes but may leave *this partially updated, so callers
-  // stage into fresh servers and commit all-or-nothing
+  // on corrupt bytes, and on an open-key set that disagrees with the
+  // engine (the same check as Restore), but may leave *this partially
+  // updated, so callers stage into fresh servers and commit all-or-nothing
   // (ShardedStreamServer::RestoreFromCheckpointChain). A full Restore
   // disarms dirty tracking; the chain loader re-arms it after commit.
   void SnapshotDelta(BinaryWriter* writer);
@@ -255,12 +260,25 @@ class StreamServer {
   void CommitDeltaBaseline();
 
  private:
+  // One open key: a node of the index's hash map and of its recency list.
   struct OpenKey {
-    int64_t last_seen = 0;  // global stream position of the latest item
+    OpenKey* prev = nullptr;  // next less recently active key
+    OpenKey* next = nullptr;  // next more recently active key
+    int64_t last_seen = 0;    // global stream position of the latest item
+    int key = 0;
   };
 
-  // Emits a forced classification for `key` and drops it from the open set.
+  // Emits a forced classification for `key` and drops it from the open set
+  // (no-op if `key` is not open).
   void ForceClose(int key, StreamEvent::Cause cause,
+                  std::vector<StreamEvent>* events);
+  // Force-classifies every open key in ascending key order, then empties
+  // the index (window rotation and Flush).
+  void CloseAllInKeyOrder(StreamEvent::Cause cause,
+                          std::vector<StreamEvent>* events);
+  // The event half of a forced close: classifies `key` and records the
+  // event; the caller drops the key from the index.
+  void EmitForced(int key, StreamEvent::Cause cause,
                   std::vector<StreamEvent>* events);
   void RotateWindow(std::vector<StreamEvent>* events);
   void EvictIdle(std::vector<StreamEvent>* events);
@@ -274,31 +292,47 @@ class StreamServer {
   void Bookkeep(const Item& item, const OnlineDecision& decision,
                 std::vector<StreamEvent>* events);
 
-  using OpenKeyMap = std::pmr::map<int, OpenKey>;
+  using OpenKeyMap = std::pmr::unordered_map<int, OpenKey>;
 
-  // The pool-backed serving index. pmr allocators do not propagate on
-  // assignment, so rebinding to a fresh pool (Compact) means
-  // reconstructing the containers; grouping them in one struct behind a
+  // The pool-backed serving index: the open keys in a hash map whose nodes
+  // are linked into a recency list, head = least recently active. Map
+  // nodes never move (rehashing relinks buckets, not nodes), so the links
+  // stay valid for a node's whole life. The list is ordered by
+  // (last_seen, key): Touch appends at the tail, which is correct because
+  // every touch carries a position later than any in the list, and the
+  // paths that can set any last_seen (Restore, ApplyDelta) call Relink.
+  // pmr allocators do not propagate on assignment, so rebinding to a fresh
+  // pool (Compact) means reconstructing the index; owning it through a
   // pointer makes the rebuild an allocate-copy-swap.
   struct KeyIndex {
-    explicit KeyIndex(std::pmr::memory_resource* memory)
-        : open(memory), by_last_seen(memory) {}
+    explicit KeyIndex(std::pmr::memory_resource* memory) : open(memory) {}
+
+    // Inserts `key` if it is not open, sets its last_seen and moves it to
+    // the tail of the list.
+    void Touch(int key, int64_t last_seen);
+    void Erase(OpenKeyMap::iterator it);
+    void Clear();
+    // Re-sorts the whole list by (last_seen, key).
+    void Relink();
 
     OpenKeyMap open;  // keys fed to the engine, not yet closed
-    // Mirror of open ordered by recency: one (last_seen, key) entry per
-    // open key. begin() is the LRU candidate; idle sweeps walk it
-    // oldest-first.
-    std::pmr::set<std::pair<int64_t, int>> by_last_seen;
+    OpenKey* head = nullptr;  // least recently active: the LRU candidate
+    OpenKey* tail = nullptr;  // most recently active
+
+   private:
+    void Unlink(OpenKey* node);
+    void Append(OpenKey* node);
   };
 
-  // Shared bodies of the four checkpoint entry points.
-  Checkpoint BuildCheckpoint() const;
+  // Shared body of the two restoring checkpoint entry points.
   bool RestoreFromCheckpoint(const Checkpoint& checkpoint);
 
-  // Remove a key from open and by_last_seen together — the only place
-  // the two structures' mirror invariant is maintained on the close path.
-  void CloseKey(OpenKeyMap::iterator it);
-  void CloseKey(int key);  // no-op if not open
+  // Drops `key` from the index; no-op if it is not open.
+  void CloseKey(int key);
+  // True when `index` holds exactly the keys `engine` has observed and not
+  // yet classified (Restore and ApplyDelta reject any other state).
+  static bool IndexMatchesEngine(const KeyIndex& index,
+                                 const OnlineClassifier& engine);
 
   // Records `key` as mutated since the last committed delta baseline.
   // No-op until dirty tracking is armed (see SnapshotDelta above).

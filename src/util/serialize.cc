@@ -369,18 +369,23 @@ class AtomicFileSink {
 
 }  // namespace
 
-std::string CheckpointEncode(const Checkpoint& checkpoint) {
+std::string CheckpointEncode(
+    int32_t version, const std::vector<CheckpointSectionView>& sections) {
   constexpr size_t kHeaderBytes = 3 * sizeof(int32_t);
   constexpr size_t kSectionHeaderBytes = sizeof(int32_t) + sizeof(int64_t);
   size_t total = kHeaderBytes;
-  for (const CheckpointSection& section : checkpoint.sections) {
+  for (const CheckpointSectionView& section : sections) {
     total += kSectionHeaderBytes + section.payload.size();
   }
   std::string out;
   out.reserve(total);
   StringSink sink(&out);
-  FrameCheckpoint(checkpoint.version, SectionViews(checkpoint), &sink);
+  FrameCheckpoint(version, sections, &sink);
   return out;
+}
+
+std::string CheckpointEncode(const Checkpoint& checkpoint) {
+  return CheckpointEncode(checkpoint.version, SectionViews(checkpoint));
 }
 
 bool CheckpointDecode(const std::string& bytes, Checkpoint* out) {
@@ -433,11 +438,16 @@ bool CheckpointWrite(const std::string& path, int32_t version,
   return true;
 }
 
-bool CheckpointSave(const std::string& path, const Checkpoint& checkpoint) {
+bool CheckpointSave(const std::string& path, int32_t version,
+                    const std::vector<CheckpointSectionView>& sections) {
   // Tests force the disk-full / yanked-volume shape here; callers must
   // treat a false as "no new checkpoint at `path`" (any old one survives).
   if (KVEC_FAULT_POINT("checkpoint.save")) return false;
-  return CheckpointWrite(path, checkpoint.version, SectionViews(checkpoint));
+  return CheckpointWrite(path, version, sections);
+}
+
+bool CheckpointSave(const std::string& path, const Checkpoint& checkpoint) {
+  return CheckpointSave(path, checkpoint.version, SectionViews(checkpoint));
 }
 
 bool CheckpointLoad(const std::string& path, Checkpoint* out) {

@@ -238,9 +238,6 @@ struct Checkpoint {
   const CheckpointSection* Find(int32_t id) const;
 };
 
-// Frames `checkpoint` into a byte string (always succeeds).
-std::string CheckpointEncode(const Checkpoint& checkpoint);
-
 // Parses `bytes`; returns false (leaving `*out` unspecified) on a bad
 // magic, an unknown future version, a malformed frame, or truncation.
 // Never aborts and never allocates more than `bytes.size()` payload.
@@ -265,8 +262,16 @@ bool CheckpointWrite(const std::string& path, int32_t version,
                      const std::vector<CheckpointSectionView>& sections,
                      uint64_t* fingerprint = nullptr);
 
+// Frames a checkpoint into a byte string (always succeeds). The view form
+// frames straight from borrowed payloads, with no copy before the framing.
+std::string CheckpointEncode(int32_t version,
+                             const std::vector<CheckpointSectionView>& sections);
+std::string CheckpointEncode(const Checkpoint& checkpoint);
+
 // File entry points: Save frames + writes atomically (CheckpointWrite),
 // Load reads + parses.
+bool CheckpointSave(const std::string& path, int32_t version,
+                    const std::vector<CheckpointSectionView>& sections);
 bool CheckpointSave(const std::string& path, const Checkpoint& checkpoint);
 bool CheckpointLoad(const std::string& path, Checkpoint* out);
 

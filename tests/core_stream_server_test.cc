@@ -1,7 +1,13 @@
 #include "core/stream_server.h"
 
+#include <algorithm>
+#include <cstring>
 #include <map>
+#include <memory>
+#include <random>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/trainer.h"
@@ -338,6 +344,387 @@ TEST(StreamServerTest, EventsCarryConfidence) {
     EXPECT_LE(event.confidence, 1.0);
     EXPECT_GE(event.observed_items, 1);
   }
+}
+
+// ---- The serving index's orders and its agreement with the engine. ----
+
+using Cause = StreamEvent::Cause;
+using KeyCause = std::pair<int, Cause>;
+
+std::vector<KeyCause> KeysAndCauses(const std::vector<StreamEvent>& events) {
+  std::vector<KeyCause> out;
+  out.reserve(events.size());
+  for (const StreamEvent& event : events) out.emplace_back(event.key, event.cause);
+  return out;
+}
+
+std::vector<int> KeysOf(const std::vector<StreamEvent>& events) {
+  std::vector<int> keys;
+  for (const StreamEvent& event : events) keys.push_back(event.key);
+  return keys;
+}
+
+// Feeds `base` once under each of `keys`, asserting every key stays open.
+void OpenKeys(StreamServer& server, Item base, const std::vector<int>& keys) {
+  for (int key : keys) {
+    base.key = key;
+    ASSERT_TRUE(server.Observe(base).empty()) << "key " << key;
+  }
+}
+
+std::unique_ptr<StreamServer> RestoredCopy(const KvecModel& model,
+                                           const StreamServerConfig& config,
+                                           const StreamServer& source) {
+  BinaryWriter writer;
+  source.Snapshot(&writer);
+  auto copy = std::make_unique<StreamServer>(model, config);
+  BinaryReader reader(writer.buffer());
+  EXPECT_TRUE(copy->Restore(&reader));
+  return copy;
+}
+
+// Re-encodes a StreamServer snapshot with its open-key records replaced by
+// `records` ((key, last_seen) pairs, written in the given order); every
+// other byte is kept.
+std::string WithOpenKeys(const std::string& snapshot,
+                         const std::vector<std::pair<int, int64_t>>& records) {
+  BinaryReader reader(snapshot);
+  BinaryWriter writer;
+  for (int i = 0; i < 4; ++i) writer.WriteInt32(reader.ReadInt32());  // config
+  writer.WriteInt64(reader.ReadInt64());  // position
+  writer.WriteInt32(reader.ReadInt32());  // window_items
+  for (int i = 0; i < 7; ++i) writer.WriteInt64(reader.ReadInt64());  // stats
+  writer.WriteInt32(reader.ReadInt32());  // windows_started
+  const int32_t num_classes = reader.ReadInt32();
+  writer.WriteInt32(num_classes);
+  for (int32_t c = 0; c < num_classes; ++c) {
+    writer.WriteInt64(reader.ReadInt64());
+  }
+  const int32_t num_open = reader.ReadInt32();
+  for (int32_t i = 0; i < num_open; ++i) {
+    reader.ReadInt32();
+    reader.ReadInt64();
+  }
+  EXPECT_TRUE(reader.ok());
+  writer.WriteInt32(static_cast<int32_t>(records.size()));
+  for (const auto& [key, last_seen] : records) {
+    writer.WriteInt32(key);
+    writer.WriteInt64(last_seen);
+  }
+  return writer.buffer() + snapshot.substr(snapshot.size() - reader.remaining());
+}
+
+// Overwrites the first little-endian occurrence of `from` in `bytes`.
+bool ReplaceFirstInt32(std::string* bytes, int32_t from, int32_t to) {
+  const std::string pattern(reinterpret_cast<const char*>(&from), sizeof(from));
+  const size_t at = bytes->find(pattern);
+  if (at == std::string::npos) return false;
+  std::memcpy(bytes->data() + at, &to, sizeof(to));
+  return true;
+}
+
+TEST(StreamServerTest, RotationAndFlushCloseInAscendingKeyOrder) {
+  Fixture fixture = TrainSmallModel(70);
+  StreamServerConfig config;
+  config.max_window_items = 6;
+  config.idle_timeout = 1 << 20;
+  StreamServer server(*fixture.model, config);
+  const std::vector<Item>& items = fixture.dataset.test[0].items;
+
+  // Feeds one item per key, out of key order, and returns the keys still
+  // open afterwards (a key may policy-halt on its item), sorted.
+  size_t next_item = 0;
+  auto open_keys = [&](const std::vector<int>& keys) {
+    std::vector<int> open;
+    for (int key : keys) {
+      Item item = items[next_item++ % items.size()];
+      item.key = key;
+      if (server.Observe(item).empty()) open.push_back(key);
+    }
+    std::sort(open.begin(), open.end());
+    return open;
+  };
+
+  // Six keys fill the window; the next item rotates it, closing every
+  // open key in ascending key order.
+  const std::vector<int> before_rotation = open_keys({42, 7, 500, 3, 99, 8});
+  ASSERT_GE(before_rotation.size(), 3u);
+  Item next = items[next_item++ % items.size()];
+  next.key = 5;
+  const std::vector<StreamEvent> rotated = server.Observe(next);
+  EXPECT_EQ(KeysOf(rotated), before_rotation);
+  for (const StreamEvent& event : rotated) {
+    EXPECT_EQ(event.cause, Cause::kWindowRotation);
+  }
+
+  std::vector<int> before_flush = open_keys({31, 1, 12, 2});
+  if (server.open_keys() > static_cast<int>(before_flush.size())) {
+    before_flush.push_back(5);  // still open from its own item
+    std::sort(before_flush.begin(), before_flush.end());
+  }
+  ASSERT_GE(before_flush.size(), 3u);
+  const std::vector<StreamEvent> flushed = server.Flush();
+  EXPECT_EQ(KeysOf(flushed), before_flush);
+  for (const StreamEvent& event : flushed) {
+    EXPECT_EQ(event.cause, Cause::kFlush);
+  }
+}
+
+TEST(StreamServerTest, RestoredLastSeenTiesEvictInLastSeenThenKeyOrder) {
+  // A hand-built snapshot whose open keys share last_seen values, listed in
+  // key order, which is not their recency order: after Restore, capacity
+  // evictions must follow (last_seen, key).
+  Fixture fixture = TrainSmallModel(71);
+  StreamServerConfig config;
+  config.max_open_keys = 4;
+  config.idle_timeout = 1 << 20;
+  StreamServer source(*fixture.model, config);
+  const Item base = fixture.dataset.test[0].items[0];
+  OpenKeys(source, base, {10, 20, 30, 40});
+  BinaryWriter writer;
+  source.Snapshot(&writer);
+  const std::string snapshot =
+      WithOpenKeys(writer.buffer(), {{10, 3}, {20, 2}, {30, 3}, {40, 2}});
+
+  StreamServer server(*fixture.model, config);
+  BinaryReader reader(snapshot);
+  ASSERT_TRUE(server.Restore(&reader));
+  std::vector<StreamEvent> evicted;
+  for (int key = 50; key <= 80; key += 10) {
+    Item item = base;
+    item.key = key;
+    for (const StreamEvent& event : server.Observe(item)) {
+      EXPECT_EQ(event.cause, Cause::kCapacityEviction);
+      evicted.push_back(event);
+    }
+  }
+  EXPECT_EQ(KeysOf(evicted), (std::vector<int>{20, 40, 10, 30}));
+}
+
+TEST(StreamServerTest, RestoreRejectsOpenKeyTheEngineNeverSaw) {
+  // A checkpoint whose open-key record names a key the engine has no state
+  // for used to restore, and Flush then emitted a phantom verdict for it.
+  Fixture fixture = TrainSmallModel(72);
+  StreamServer source(*fixture.model, {});
+  OpenKeys(source, fixture.dataset.test[0].items[0], {777777, 5});
+  std::string bytes = source.EncodeCheckpoint();
+  ASSERT_TRUE(ReplaceFirstInt32(&bytes, 777777, 888888));
+
+  StreamServer target(*fixture.model, {});
+  OpenKeys(target, fixture.dataset.test[0].items[1], {11});
+  const std::string before = target.EncodeCheckpoint();
+  EXPECT_FALSE(target.RestoreCheckpoint(bytes));
+  EXPECT_EQ(target.EncodeCheckpoint(), before);  // untouched
+  EXPECT_EQ(KeysOf(target.Flush()), std::vector<int>{11});
+
+  // The untampered checkpoint restores.
+  StreamServer fresh(*fixture.model, {});
+  ASSERT_TRUE(fresh.RestoreCheckpoint(source.EncodeCheckpoint()));
+  EXPECT_EQ(KeysOf(fresh.Flush()), (std::vector<int>{5, 777777}));
+}
+
+TEST(StreamServerTest, RestoreRejectsUndecidedEngineKeyMissingFromIndex) {
+  // The reverse direction: an engine key with observed items and no
+  // verdict must be open.
+  Fixture fixture = TrainSmallModel(72);
+  StreamServer source(*fixture.model, {});
+  OpenKeys(source, fixture.dataset.test[0].items[0], {3, 9});
+  BinaryWriter writer;
+  source.Snapshot(&writer);
+  StreamServer target(*fixture.model, {});
+  BinaryReader reader(WithOpenKeys(writer.buffer(), {{3, 1}}));
+  EXPECT_FALSE(target.Restore(&reader));
+  EXPECT_EQ(target.open_keys(), 0);
+}
+
+TEST(StreamServerTest, ApplyDeltaRejectsOpenKeyTheEngineNeverSaw) {
+  Fixture fixture = TrainSmallModel(72);
+  StreamServer live(*fixture.model, {});
+  const Item base = fixture.dataset.test[0].items[0];
+  OpenKeys(live, base, {5});
+  std::unique_ptr<StreamServer> tampered_base =
+      RestoredCopy(*fixture.model, {}, live);
+  std::unique_ptr<StreamServer> clean_base =
+      RestoredCopy(*fixture.model, {}, live);
+  live.StageDeltaBaseline();
+  live.CommitDeltaBaseline();
+  OpenKeys(live, base, {777777});
+  BinaryWriter delta;
+  live.SnapshotDelta(&delta);
+
+  std::string tampered = delta.buffer();
+  ASSERT_TRUE(ReplaceFirstInt32(&tampered, 777777, 888888));
+  BinaryReader bad(tampered);
+  EXPECT_FALSE(tampered_base->ApplyDelta(&bad));
+
+  BinaryReader good(delta.buffer());
+  ASSERT_TRUE(clean_base->ApplyDelta(&good));
+  EXPECT_EQ(KeysOf(clean_base->Flush()), (std::vector<int>{5, 777777}));
+}
+
+// The recency model the hash index replaced, kept as the test's reference:
+// an ordered open-key map and its (last_seen, key) mirror. It predicts
+// every forced event; policy halts come from the server under test (the
+// reference has no model), so it takes the server's events to stay in
+// step.
+class ReferenceRecency {
+ public:
+  explicit ReferenceRecency(const StreamServerConfig& config)
+      : config_(config) {}
+
+  // The events `items` must produce, given the server's `actual` events
+  // for them (consulted only for policy halts).
+  std::vector<KeyCause> Expect(const std::vector<Item>& items,
+                               const std::vector<KeyCause>& actual) {
+    std::vector<KeyCause> expected;
+    for (const Item& item : items) {
+      if (window_items_ >= config_.max_window_items) {
+        for (const auto& [key, last_seen] : open_) {
+          expected.emplace_back(key, Cause::kWindowRotation);
+        }
+        open_.clear();
+        by_last_seen_.clear();
+        decided_.clear();  // a fresh engine
+        window_items_ = 0;
+      }
+      ++position_;
+      ++window_items_;
+      if (decided_.count(item.key) == 0) {
+        const size_t next = expected.size();
+        if (next < actual.size() &&
+            actual[next] == KeyCause{item.key, Cause::kPolicyHalt}) {
+          expected.push_back(actual[next]);
+          Close(item.key);
+        } else {
+          auto [it, inserted] = open_.try_emplace(item.key, position_);
+          if (!inserted) {
+            by_last_seen_.erase({it->second, item.key});
+            it->second = position_;
+          }
+          by_last_seen_.insert({position_, item.key});
+          if (static_cast<int>(open_.size()) > config_.max_open_keys) {
+            const int lru = by_last_seen_.begin()->second;
+            expected.emplace_back(lru, Cause::kCapacityEviction);
+            Close(lru);
+          }
+        }
+      }
+      if (position_ % config_.idle_check_interval == 0) {
+        while (!by_last_seen_.empty() &&
+               position_ - by_last_seen_.begin()->first >=
+                   config_.idle_timeout) {
+          const int idle = by_last_seen_.begin()->second;
+          expected.emplace_back(idle, Cause::kIdleTimeout);
+          Close(idle);
+        }
+      }
+    }
+    return expected;
+  }
+
+  std::vector<KeyCause> ExpectFlush() {
+    std::vector<KeyCause> expected;
+    for (const auto& [key, last_seen] : open_) {
+      expected.emplace_back(key, Cause::kFlush);
+    }
+    return expected;
+  }
+
+ private:
+  // The key got its verdict: it leaves the index and stays closed until
+  // the window rotates.
+  void Close(int key) {
+    auto it = open_.find(key);
+    if (it != open_.end()) {
+      by_last_seen_.erase({it->second, key});
+      open_.erase(it);
+    }
+    decided_.insert(key);
+  }
+
+  const StreamServerConfig config_;
+  std::map<int, int64_t> open_;
+  std::set<std::pair<int64_t, int>> by_last_seen_;
+  std::set<int> decided_;
+  int64_t position_ = 0;
+  int window_items_ = 0;
+};
+
+TEST(StreamServerTest, EvictionsMatchReferenceRecencyModelAcrossCuts) {
+  Fixture fixture = TrainSmallModel(73);
+  std::vector<Item> pool;
+  for (const TangledSequence& episode : fixture.dataset.train) {
+    pool.insert(pool.end(), episode.items.begin(), episode.items.end());
+  }
+  ASSERT_FALSE(pool.empty());
+
+  int64_t capacity = 0, idle = 0, rotations = 0, restores = 0, deltas = 0;
+  for (uint32_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937 rng(seed);
+    StreamServerConfig config;
+    config.max_open_keys = 3 + static_cast<int>(rng() % 6);
+    config.idle_timeout = 4 + static_cast<int>(rng() % 24);
+    config.idle_check_interval = 1 + static_cast<int>(rng() % 5);
+    config.max_window_items = 60 + static_cast<int>(rng() % 120);
+    ReferenceRecency reference(config);
+    auto live = std::make_unique<StreamServer>(*fixture.model, config);
+    // The base the next delta applies to; null until a restore cut arms
+    // dirty tracking on `live`.
+    std::unique_ptr<StreamServer> mirror;
+
+    const int num_keys = 8 + static_cast<int>(rng() % 24);
+    int64_t time = 0;
+    for (int served = 0; served < 800;) {
+      std::vector<Item> batch(1 + rng() % 8);
+      for (Item& item : batch) {
+        item = pool[rng() % pool.size()];
+        item.key = static_cast<int>(rng() % num_keys);
+        item.time = static_cast<double>(++time);
+      }
+      served += static_cast<int>(batch.size());
+      const std::vector<KeyCause> actual =
+          KeysAndCauses(live->ObserveBatch(batch));
+      ASSERT_EQ(actual, reference.Expect(batch, actual))
+          << "seed " << seed << " after " << served << " items";
+
+      if (rng() % 6 != 0) continue;
+      if (mirror == nullptr || rng() % 3 == 0) {
+        // Restore cut: serve on from a restored copy, whose state is also
+        // the base of the next delta.
+        live = RestoredCopy(*fixture.model, config, *live);
+        mirror = RestoredCopy(*fixture.model, config, *live);
+        live->StageDeltaBaseline();
+        live->CommitDeltaBaseline();
+        ++restores;
+      } else {
+        // Delta cut: the mirror catches up through ApplyDelta; half the
+        // time it takes over serving (re-armed as the next base's source).
+        BinaryWriter delta;
+        live->SnapshotDelta(&delta);
+        live->CommitDeltaBaseline();
+        BinaryReader reader(delta.buffer());
+        ASSERT_TRUE(mirror->ApplyDelta(&reader)) << "seed " << seed;
+        if (rng() % 2 == 0) {
+          std::swap(live, mirror);
+          live->StageDeltaBaseline();
+          live->CommitDeltaBaseline();
+        }
+        ++deltas;
+      }
+    }
+    ASSERT_EQ(KeysAndCauses(live->Flush()), reference.ExpectFlush())
+        << "seed " << seed;
+    const StreamServerStats& stats = live->stats();
+    capacity += stats.capacity_evictions;
+    idle += stats.idle_timeouts;
+    rotations += stats.rotation_classifications;
+  }
+  // Every forced path and both cut kinds were exercised.
+  EXPECT_GT(capacity, 0);
+  EXPECT_GT(idle, 0);
+  EXPECT_GT(rotations, 0);
+  EXPECT_GT(restores, 0);
+  EXPECT_GT(deltas, 0);
 }
 
 TEST(StreamServerDeathTest, RejectsBadConfig) {
