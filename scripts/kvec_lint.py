@@ -42,6 +42,11 @@ Enforces the rules no off-the-shelf tool knows about this codebase
                           ``CheckpointSection`` or calling
                           ``Checkpoint::Find``) — two subsystems colliding
                           on an id silently corrupt each other's restores.
+* ``tsa-escape``        — every ``KVEC_NO_THREAD_SAFETY_ANALYSIS`` outside
+                          src/util/thread_annotations.h (which defines it)
+                          carries a ``kvec-lint: allow(tsa-escape)``
+                          suppression whose reason names the ownership or
+                          ordering argument the analysis cannot see.
 
 Suppressions (a reason is mandatory):
 
@@ -77,6 +82,7 @@ RULES = (
     "include-path",
     "pool-discipline",
     "section-id",
+    "tsa-escape",
 )
 
 ALLOW = re.compile(r"//\s*kvec-lint:\s*allow(-next)?\(([a-z-]+)\)\s*(\S.*)?$")
@@ -118,6 +124,7 @@ SECTION_ID_LITERAL = re.compile(
     r"(?:\bCheckpointSection\s*(?:\w+\s*)?\{|"
     r"sections\.(?:push_back|emplace_back)\(\s*\{|"
     r"\bFind\(\s*)[-+]?\d")
+TSA_ESCAPE = re.compile(r"\bKVEC_NO_THREAD_SAFETY_ANALYSIS\b")
 
 
 def path_components(path):
@@ -220,6 +227,8 @@ def lint_file(file, repo_root, fault_doc, errors):
                 and os.path.basename(file.path).startswith("arena."))
     in_serialize = (in_src and "util" in comps
                     and os.path.basename(file.path).startswith("serialize."))
+    in_annotations = (in_src and "util" in comps and os.path.basename(
+        file.path) == "thread_annotations.h")
     file_dir = os.path.dirname(file.path)
 
     def report(lineno, rule, message):
@@ -292,6 +301,13 @@ def lint_file(file, repo_root, fault_doc, errors):
                        "raw integer used as a checkpoint section id; use "
                        "the named kCheckpointSection* constants from "
                        "src/util/serialize.h")
+
+        if not in_annotations and TSA_ESCAPE.search(line):
+            report(lineno, "tsa-escape",
+                   "KVEC_NO_THREAD_SAFETY_ANALYSIS switches clang's lock "
+                   "checking off for the whole function; suppress with "
+                   "kvec-lint: allow(tsa-escape) and the reason it is safe, "
+                   "or restructure so the analysis can see the lock")
 
         if in_src and not in_cli and IOSTREAM.search(line):
             report(lineno, "iostream-outside-cli",

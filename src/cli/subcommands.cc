@@ -6,13 +6,13 @@
 #include <chrono>
 #include <cmath>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "cli/args.h"
 #include "cli/json_writer.h"
@@ -885,78 +885,26 @@ Table PerShardTable(const std::vector<StreamServerStats>& per_shard) {
   return table;
 }
 
-// Replays `stream` through a server built from the flags (synchronous
-// ingest: events come back from Observe/ObserveBatch). Shared by serve and
+// Invoked at batch boundaries with the cumulative offered item count;
+// returning false aborts the replay (the periodic checkpoint could not be
+// written).
+using ReplayTick = std::function<bool(int64_t fed)>;
+// Feeds one microbatch to the server: ObserveBatch, recording the events
+// it returns, or in workers mode a fire-and-forget Submit, whose events
+// reach the recorder through the on_events sink.
+using ReplayIngest = std::function<void(const std::vector<Item>& batch)>;
+
+// Replays `stream` in microbatches of `batch` items. Shared by serve and
 // bench so the two subcommands cannot drift apart in semantics. Polls the
 // SIGINT flag at batch boundaries; on interrupt the rest of the stream is
 // skipped and no flush runs (keys stay open for --save-checkpoint).
-// Invoked at batch boundaries with the cumulative item count; returning
-// false aborts the replay (the periodic checkpoint could not be written).
-using ReplayTick = std::function<bool(int64_t fed)>;
-
+// Throughput counts *processed* items (offered minus shed), from the
+// items_processed delta so a --load-checkpoint baseline is excluded.
 template <typename Server>
-ServeOutcome ReplayStream(Server& server, const std::vector<Item>& stream,
-                          int batch, bool flush,
-                          const std::map<int, int>& truth,
-                          const ReplayTick& tick = nullptr) {
-  ServeOutcome outcome;
-  auto record = [&](const std::vector<StreamEvent>& events) {
-    for (const StreamEvent& event : events) {
-      auto it = truth.find(event.key);
-      if (it != truth.end()) {
-        ++outcome.labelled;
-        if (event.predicted_label == it->second) ++outcome.correct;
-      }
-    }
-  };
-  const auto start = std::chrono::steady_clock::now();
-  int64_t fed = 0;
-  if (batch <= 1) {
-    for (const Item& item : stream) {
-      if (g_serve_interrupted.load()) break;
-      (void)KVEC_FAULT_POINT("serve.batch");
-      record(server.Observe(item));
-      ++fed;
-      if (tick && !tick(fed)) {
-        outcome.checkpoint_failed = true;
-        break;
-      }
-    }
-  } else {
-    for (size_t begin = 0; begin < stream.size();
-         begin += static_cast<size_t>(batch)) {
-      if (g_serve_interrupted.load()) break;
-      (void)KVEC_FAULT_POINT("serve.batch");
-      size_t end = std::min(stream.size(), begin + static_cast<size_t>(batch));
-      record(server.ObserveBatch(
-          std::vector<Item>(stream.begin() + begin, stream.begin() + end)));
-      fed += static_cast<int64_t>(end - begin);
-      if (tick && !tick(fed)) {
-        outcome.checkpoint_failed = true;
-        break;
-      }
-    }
-  }
-  outcome.interrupted = g_serve_interrupted.load();
-  if (flush && !outcome.interrupted) record(server.Flush());
-  const auto stop = std::chrono::steady_clock::now();
-  outcome.seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(stop - start)
-          .count();
-  outcome.items = fed;
-  outcome.stats = server.stats();
-  outcome.open_keys_after = server.open_keys();
-  return outcome;
-}
-
-// The overload-policy replay: fire-and-forget Submit into the shard
-// workers, events recorded by `recorder` through the on_events sink.
-// Throughput reported over *processed* items (offered minus shed), from
-// the items_processed delta so a --load-checkpoint baseline is excluded.
-ServeOutcome ReplaySubmitStream(ShardedStreamServer& server,
-                                EventRecorder* recorder,
-                                const std::vector<Item>& stream, int batch,
-                                bool flush, const ReplayTick& tick = nullptr) {
+ServeOutcome ReplayStream(Server& server, const ReplayIngest& ingest,
+                          EventRecorder* recorder,
+                          const std::vector<Item>& stream, int batch,
+                          bool flush, const ReplayTick& tick = nullptr) {
   ServeOutcome outcome;
   const int64_t processed_before = server.stats().items_processed;
   const size_t step = static_cast<size_t>(std::max(1, batch));
@@ -965,18 +913,19 @@ ServeOutcome ReplaySubmitStream(ShardedStreamServer& server,
   for (size_t begin = 0; begin < stream.size(); begin += step) {
     if (g_serve_interrupted.load()) break;
     (void)KVEC_FAULT_POINT("serve.batch");
-    size_t end = std::min(stream.size(), begin + step);
-    server.Submit(
-        std::vector<Item>(stream.begin() + begin, stream.begin() + end));
+    const size_t end = std::min(stream.size(), begin + step);
+    ingest(std::vector<Item>(stream.begin() + begin, stream.begin() + end));
     offered += static_cast<int64_t>(end - begin);
-    // The periodic checkpoint runs as a shard control task, so it is safe
-    // to take while the workers keep draining their queues.
+    // In workers mode the periodic checkpoint runs as a shard control
+    // task, so it is safe to take while the workers drain their queues.
     if (tick && !tick(offered)) {
       outcome.checkpoint_failed = true;
       break;
     }
   }
-  server.Drain();
+  // Submitted batches may still sit in the shard queues; the clock stops
+  // only once they are served.
+  if constexpr (std::is_same_v<Server, ShardedStreamServer>) server.Drain();
   outcome.interrupted = g_serve_interrupted.load();
   if (flush && !outcome.interrupted) recorder->Record(server.Flush());
   const auto stop = std::chrono::steady_clock::now();
@@ -1163,14 +1112,10 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
       "split", "test", "which split to replay: train|validation|test");
   int64_t* shards = parser.AddInt(
       "shards", 1, "serve through a ShardedStreamServer with N shards");
-  int64_t workers_default = 0;
-  if (const char* env = std::getenv("KVEC_SHARD_WORKERS")) {
-    workers_default = std::atoll(env);
-  }
   int64_t* workers = parser.AddInt(
-      "workers", workers_default,
+      "workers", 0,
       "shard-owned worker threads (0 = synchronous ingest; N>0 = one worker "
-      "per shard, implies --shards N; default from KVEC_SHARD_WORKERS)");
+      "per shard, implies --shards N)");
   int64_t* queue_depth = parser.AddInt(
       "queue-depth", 256,
       "per-shard bounded task-queue capacity, in batches (workers mode)");
@@ -1216,15 +1161,6 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
   int64_t* repeat =
       bench ? parser.AddInt("repeat", 3, "measured repetitions") : nullptr;
   // The TCP front end is a serve-only mode (bench measures local replay).
-  // Env knobs mirror KVEC_SHARD_WORKERS: flag > env > built-in default.
-  int64_t max_frame_default = net::kDefaultMaxFrameBytes;
-  if (const char* env = std::getenv("KVEC_NET_MAX_FRAME_BYTES")) {
-    max_frame_default = std::atoll(env);
-  }
-  int64_t net_idle_default = 30000;
-  if (const char* env = std::getenv("KVEC_NET_IDLE_TIMEOUT_MS")) {
-    net_idle_default = std::atoll(env);
-  }
   std::string* listen =
       bench ? nullptr
             : parser.AddString(
@@ -1244,14 +1180,13 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
                             "OVERLOADED error frame");
   int64_t* max_frame_bytes =
       bench ? nullptr
-            : parser.AddInt("max-frame-bytes", max_frame_default,
-                            "reject frames with larger payloads as MALFORMED "
-                            "(default from KVEC_NET_MAX_FRAME_BYTES)");
+            : parser.AddInt("max-frame-bytes", net::kDefaultMaxFrameBytes,
+                            "reject frames with larger payloads as MALFORMED");
   int64_t* net_idle_timeout =
       bench ? nullptr
-            : parser.AddInt("net-idle-timeout-ms", net_idle_default,
+            : parser.AddInt("net-idle-timeout-ms", 30000,
                             "evict connections that complete no frame for "
-                            "this long (default from KVEC_NET_IDLE_TIMEOUT_MS)");
+                            "this long");
   bool* json = parser.AddBool("json", false, "emit JSON instead of tables");
   if (!parser.Parse(args)) return UsageError(parser, err);
   if (parser.help_requested()) {
@@ -1392,9 +1327,9 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
   std::vector<ServeOutcome> outcomes;
   for (int run = 0; run < runs; ++run) {
     ServeOutcome outcome;
+    EventRecorder recorder;
+    recorder.truth = &truth;
     if (*shards > 1 || *workers > 0 || ckpt_every > 0) {
-      EventRecorder recorder;
-      recorder.truth = &truth;
       ShardedStreamServerConfig sharded_config;
       sharded_config.num_shards = static_cast<int>(*shards);
       sharded_config.worker_threads = static_cast<int>(*workers);
@@ -1435,12 +1370,17 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
                                               &inc_state);
         };
       }
-      outcome = *workers > 0
-                    ? ReplaySubmitStream(server, &recorder, stream,
-                                         static_cast<int>(*batch), *flush,
-                                         tick)
-                    : ReplayStream(server, stream, static_cast<int>(*batch),
-                                   *flush, truth, tick);
+      const ReplayIngest ingest = [&server, &recorder,
+                                   submit = *workers > 0](
+                                      const std::vector<Item>& items) {
+        if (submit) {
+          server.Submit(items);
+        } else {
+          recorder.Record(server.ObserveBatch(items));
+        }
+      };
+      outcome = ReplayStream(server, ingest, &recorder, stream,
+                             static_cast<int>(*batch), *flush, tick);
       outcome.per_shard.reserve(server.num_shards());
       for (int s = 0; s < server.num_shards(); ++s) {
         outcome.per_shard.push_back(server.shard_stats(s));
@@ -1470,8 +1410,12 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
         return RuntimeError(
             "cannot restore checkpoint '" + *load_checkpoint + "'", err);
       }
-      outcome = ReplayStream(server, stream, static_cast<int>(*batch),
-                             *flush, truth);
+      outcome = ReplayStream(
+          server,
+          [&server, &recorder](const std::vector<Item>& items) {
+            recorder.Record(server.ObserveBatch(items));
+          },
+          &recorder, stream, static_cast<int>(*batch), *flush);
       if (!save_checkpoint->empty() &&
           !server.SaveCheckpoint(*save_checkpoint)) {
         return RuntimeError(

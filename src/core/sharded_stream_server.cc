@@ -49,6 +49,19 @@ class Barrier {
   int remaining_ KVEC_GUARDED_BY(mutex_);
 };
 
+// Shard 0's events first, then shard 1's, ...
+std::vector<StreamEvent> Concat(
+    const std::vector<std::vector<StreamEvent>>& shard_events) {
+  size_t total = 0;
+  for (const auto& events : shard_events) total += events.size();
+  std::vector<StreamEvent> merged;
+  merged.reserve(total);
+  for (const auto& events : shard_events) {
+    merged.insert(merged.end(), events.begin(), events.end());
+  }
+  return merged;
+}
+
 }  // namespace
 
 ShardedStreamServer::ShardedStreamServer(
@@ -60,22 +73,24 @@ ShardedStreamServer::ShardedStreamServer(
       << "worker_threads must be 0 (synchronous) or num_shards (one owned "
          "worker per shard), got "
       << config.worker_threads << " for " << config.num_shards << " shards";
-  if (config.worker_threads > 0) {
+  if (asynchronous()) {
     KVEC_CHECK_GT(config.queue_depth, 0);
   }
   shards_.reserve(config.num_shards);
+  all_shards_.reserve(config.num_shards);
   for (int s = 0; s < config.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->server = std::make_unique<StreamServer>(model, config.shard);
-    if (config.worker_threads > 0) {
+    if (asynchronous()) {
       shard->queue =
           std::make_unique<BoundedQueue<ShardTask>>(config.queue_depth);
     }
     shards_.push_back(std::move(shard));
+    all_shards_.push_back(s);
   }
   // Workers start only after every shard is constructed: a worker may
   // never touch another shard, but the loop captures `this`.
-  if (config.worker_threads > 0) {
+  if (asynchronous()) {
     for (int s = 0; s < config.num_shards; ++s) {
       Shard* shard = shards_[s].get();
       shard->worker = std::thread([this, shard, s]() { WorkerLoop(shard, s); });
@@ -93,29 +108,20 @@ ShardedStreamServer::~ShardedStreamServer() {
   }
 }
 
-StreamServer& ShardedStreamServer::WorkerOwnedServer(Shard& shard) {
+ShardedStreamServer::ServerSlot& ShardedStreamServer::WorkerOwnedServer(
+    Shard& shard) {
   // See the declaration for the ownership argument; every worker-side
   // access to shard state funnels through here so the escape from the
   // GUARDED_BY contract stays a single audited line.
-  return *shard.server;
-}
-
-void ShardedStreamServer::InstallServer(Shard& shard,
-                                        std::unique_ptr<StreamServer> server) {
-  shard.server = std::move(server);
-}
-
-std::vector<StreamEvent> ShardedStreamServer::ObserveBatchLocked(
-    Shard& shard, const std::vector<Item>& items) {
-  return shard.server->ObserveBatch(items);
+  return shard.server;
 }
 
 void ShardedStreamServer::WorkerLoop(Shard* shard, int shard_index) {
+  // The slot outlives every task; a restore task swaps the server inside
+  // it, so each task dereferences the slot afresh.
+  ServerSlot& server = WorkerOwnedServer(*shard);
   ShardTask task;
   while (shard->queue->Pop(&task)) {
-    // Re-fetched per task: a restore control task swaps the server out
-    // (InstallServer), so a reference held across tasks would dangle.
-    StreamServer& server = WorkerOwnedServer(*shard);
     if (task.fn) {
       task.fn(server);
       continue;
@@ -124,26 +130,41 @@ void ShardedStreamServer::WorkerLoop(Shard* shard, int shard_index) {
     // queue deterministically (the verdict is irrelevant — not a failable
     // site).
     (void)KVEC_FAULT_POINT("shard_worker.batch");
-    const std::vector<StreamEvent> events = server.ObserveBatch(task.items);
+    const std::vector<StreamEvent> events = server->ObserveBatch(task.items);
     if (config_.on_events) config_.on_events(shard_index, events);
   }
 }
 
-void ShardedStreamServer::RunOnAllShards(
-    const std::function<void(int, StreamServer&)>& fn) const {
-  const int num_shards = static_cast<int>(shards_.size());
+void ShardedStreamServer::RunOnShards(const std::vector<int>& shards,
+                                      const ShardFn& fn) const {
+  if (shards.empty()) return;
   if (!asynchronous()) {
-    for (int s = 0; s < num_shards; ++s) {
+    auto run = [this, &fn](int s) {
       Shard& shard = *shards_[s];
       MutexLock lock(shard.mutex);
-      fn(s, *shard.server);
+      fn(s, shard.server);
+    };
+    if (shards.size() == 1) {
+      // Entering ParallelFor would mark the thread as inside a parallel
+      // region and force the tensor kernels under `fn` to run serial; one
+      // shard has nothing to fan out, so it runs inline.
+      run(shards[0]);
+      return;
     }
+    // One chunk per shard. Model inference inside `fn` may itself use
+    // ParallelFor: nested regions run inline, and a caller runs its own
+    // region's queued chunks, so a shard-mutex holder never waits on a
+    // chunk stuck behind that mutex — this cannot deadlock.
+    ParallelFor(0, static_cast<int>(shards.size()), /*grain=*/1,
+                [&run, &shards](int begin, int end) {
+                  for (int i = begin; i < end; ++i) run(shards[i]);
+                });
     return;
   }
-  Barrier barrier(num_shards);
-  for (int s = 0; s < num_shards; ++s) {
+  Barrier barrier(static_cast<int>(shards.size()));
+  for (int s : shards) {
     ShardTask task;
-    task.fn = [&fn, &barrier, s](StreamServer& server) {
+    task.fn = [&fn, &barrier, s](ServerSlot& server) {
       fn(s, server);
       barrier.Arrive();
     };
@@ -155,28 +176,6 @@ void ShardedStreamServer::RunOnAllShards(
     KVEC_CHECK(result == BoundedQueue<ShardTask>::PushResult::kAccepted)
         << "control task pushed into a closed shard queue";
   }
-  barrier.Wait();
-}
-
-void ShardedStreamServer::RunOnShard(
-    int shard_index, const std::function<void(StreamServer&)>& fn) const {
-  Shard& shard = *shards_[shard_index];
-  if (!asynchronous()) {
-    MutexLock lock(shard.mutex);
-    fn(*shard.server);
-    return;
-  }
-  Barrier barrier(1);
-  ShardTask task;
-  task.fn = [&fn, &barrier](StreamServer& server) {
-    fn(server);
-    barrier.Arrive();
-  };
-  const auto result = shard.queue->Push(std::move(task), OverloadPolicy::kBlock,
-                                        /*sheddable=*/false,
-                                        /*shed_out=*/nullptr);
-  KVEC_CHECK(result == BoundedQueue<ShardTask>::PushResult::kAccepted)
-      << "control task pushed into a closed shard queue";
   barrier.Wait();
 }
 
@@ -195,124 +194,78 @@ std::vector<StreamEvent> ShardedStreamServer::Observe(const Item& item) {
   const int s = ShardOf(item.key);
   shards_[s]->items_submitted.fetch_add(1, std::memory_order_relaxed);
   std::vector<StreamEvent> events;
-  RunOnShard(s, [&events, &item](StreamServer& server) {
-    events = server.Observe(item);
+  RunOnShard(s, [&events, &item](int, ServerSlot& server) {
+    events = server->Observe(item);
   });
   return events;
 }
 
-std::vector<StreamEvent> ShardedStreamServer::ObserveBatch(
+std::vector<std::vector<Item>> ShardedStreamServer::Route(
     const std::vector<Item>& items) {
-  const int num_shards = static_cast<int>(shards_.size());
-  if (num_shards == 1 && !asynchronous()) {
-    // One shard, synchronous: no routing, no copies — hand the batch
-    // straight through.
-    Shard& shard = *shards_[0];
-    shard.items_submitted.fetch_add(static_cast<int64_t>(items.size()),
-                                    std::memory_order_relaxed);
-    MutexLock lock(shard.mutex);
-    return ObserveBatchLocked(shard, items);
-  }
-  // Route first: per-shard contiguous microbatches preserve arrival order
-  // within a shard, which is all a shard's serving semantics depend on,
-  // and let each shard drive its encoder through one GEMM per block
+  // Per-shard contiguous microbatches preserve arrival order within a
+  // shard, which is all a shard's serving semantics depend on, and let
+  // each shard drive its encoder through one GEMM per block
   // (StreamServer::ObserveBatch) instead of an item-at-a-time loop.
-  std::vector<std::vector<Item>> routed(num_shards);
+  std::vector<std::vector<Item>> routed(shards_.size());
   for (const Item& item : items) {
     routed[ShardOf(item.key)].push_back(item);
   }
-  for (int s = 0; s < num_shards; ++s) {
+  for (size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->items_submitted.fetch_add(
         static_cast<int64_t>(routed[s].size()), std::memory_order_relaxed);
   }
+  return routed;
+}
 
-  std::vector<std::vector<StreamEvent>> shard_events(num_shards);
-  if (asynchronous()) {
-    // Each sub-batch runs on its owning worker as a waited-on control
-    // task: synchronous semantics (events returned, nothing shed) with
-    // the workers providing the parallelism.
-    int active_shards = 0;
-    for (int s = 0; s < num_shards; ++s) {
-      if (!routed[s].empty()) ++active_shards;
-    }
-    if (active_shards == 0) return {};
-    Barrier barrier(active_shards);
-    for (int s = 0; s < num_shards; ++s) {
-      if (routed[s].empty()) continue;
-      ShardTask task;
-      task.fn = [&shard_events, &barrier, s,
-                 batch = std::move(routed[s])](StreamServer& server) {
-        shard_events[s] = server.ObserveBatch(batch);
-        barrier.Arrive();
-      };
-      const auto result = shards_[s]->queue->Push(
-          std::move(task), OverloadPolicy::kBlock, /*sheddable=*/false,
-          /*shed_out=*/nullptr);
-      KVEC_CHECK(result == BoundedQueue<ShardTask>::PushResult::kAccepted);
-    }
-    barrier.Wait();
-  } else {
-    auto serve_shard = [&](int s) {
-      Shard& shard = *shards_[s];
-      MutexLock lock(shard.mutex);
-      shard_events[s] = ObserveBatchLocked(shard, routed[s]);
-    };
-    int active_shards = 0;
-    int last_active = -1;
-    for (int s = 0; s < num_shards; ++s) {
-      if (!routed[s].empty()) {
-        ++active_shards;
-        last_active = s;
-      }
-    }
-    if (active_shards <= 1) {
-      // Entering ParallelFor would mark the thread as inside a parallel
-      // region and force the tensor kernels under Observe to run serial;
-      // with one busy shard there is nothing to fan out, so serve inline.
-      if (active_shards == 1) serve_shard(last_active);
-    } else {
-      // Fan out one chunk per shard. Model inference inside Observe may
-      // itself use ParallelFor; nested regions run inline, so this cannot
-      // deadlock.
-      ParallelFor(0, num_shards, /*grain=*/1, [&](int begin, int end) {
-        for (int s = begin; s < end; ++s) {
-          if (!routed[s].empty()) serve_shard(s);
-        }
-      });
-    }
+std::vector<std::vector<StreamEvent>> ShardedStreamServer::ServeRouted(
+    const std::vector<std::vector<Item>>& routed) {
+  std::vector<int> active;
+  for (size_t s = 0; s < routed.size(); ++s) {
+    if (!routed[s].empty()) active.push_back(static_cast<int>(s));
   }
+  std::vector<std::vector<StreamEvent>> shard_events(routed.size());
+  RunOnShards(active, [&routed, &shard_events](int s, ServerSlot& server) {
+    shard_events[s] = server->ObserveBatch(routed[s]);
+  });
+  return shard_events;
+}
 
-  size_t total = 0;
-  for (const auto& events : shard_events) total += events.size();
-  std::vector<StreamEvent> merged;
-  merged.reserve(total);
-  for (const auto& events : shard_events) {
-    merged.insert(merged.end(), events.begin(), events.end());
+std::vector<StreamEvent> ShardedStreamServer::ObserveBatch(
+    const std::vector<Item>& items) {
+  if (shards_.size() == 1) {
+    // One shard: no routing, no copies — hand the batch straight through.
+    shards_[0]->items_submitted.fetch_add(static_cast<int64_t>(items.size()),
+                                          std::memory_order_relaxed);
+    std::vector<StreamEvent> events;
+    RunOnShard(0, [&events, &items](int, ServerSlot& server) {
+      events = server->ObserveBatch(items);
+    });
+    return events;
   }
-  return merged;
+  return Concat(ServeRouted(Route(items)));
 }
 
 int64_t ShardedStreamServer::Submit(const std::vector<Item>& items) {
-  const int num_shards = static_cast<int>(shards_.size());
-  std::vector<std::vector<Item>> routed(num_shards);
-  for (const Item& item : items) {
-    routed[ShardOf(item.key)].push_back(item);
+  std::vector<std::vector<Item>> routed = Route(items);
+  if (!asynchronous()) {
+    // Nothing to shed: the batch is served before Submit returns, and its
+    // events reach the sink on this thread.
+    const std::vector<std::vector<StreamEvent>> shard_events =
+        ServeRouted(routed);
+    if (config_.on_events) {
+      for (size_t s = 0; s < routed.size(); ++s) {
+        if (!routed[s].empty()) {
+          config_.on_events(static_cast<int>(s), shard_events[s]);
+        }
+      }
+    }
+    return 0;
   }
   int64_t shed_by_call = 0;
-  for (int s = 0; s < num_shards; ++s) {
+  for (size_t s = 0; s < routed.size(); ++s) {
     if (routed[s].empty()) continue;
     Shard& shard = *shards_[s];
     const int64_t count = static_cast<int64_t>(routed[s].size());
-    shard.items_submitted.fetch_add(count, std::memory_order_relaxed);
-    if (!asynchronous()) {
-      std::vector<StreamEvent> events;
-      {
-        MutexLock lock(shard.mutex);
-        events = ObserveBatchLocked(shard, routed[s]);
-      }
-      if (config_.on_events) config_.on_events(s, events);
-      continue;
-    }
     ShardTask task;
     task.items = std::move(routed[s]);
     std::vector<ShardTask> shed;
@@ -344,24 +297,18 @@ int64_t ShardedStreamServer::Submit(const std::vector<Item>& items) {
 }
 
 void ShardedStreamServer::Drain() {
-  if (!asynchronous()) return;
-  // A no-op control task per shard: FIFO order means everything enqueued
-  // before it — batches and queries alike — has been processed once it
-  // runs.
-  RunOnAllShards([](int, StreamServer&) {});
+  // An empty task per shard: once it ran, everything that entered the
+  // shard before it — queued batches and queries alike, or a concurrent
+  // sync-mode call holding the shard — has been processed.
+  RunOnAllShards([](int, ServerSlot&) {});
 }
 
 std::vector<StreamEvent> ShardedStreamServer::Flush() {
-  const int num_shards = static_cast<int>(shards_.size());
-  std::vector<std::vector<StreamEvent>> shard_events(num_shards);
-  RunOnAllShards([&shard_events](int s, StreamServer& server) {
-    shard_events[s] = server.Flush();
+  std::vector<std::vector<StreamEvent>> shard_events(shards_.size());
+  RunOnAllShards([&shard_events](int s, ServerSlot& server) {
+    shard_events[s] = server->Flush();
   });
-  std::vector<StreamEvent> merged;
-  for (const auto& events : shard_events) {
-    merged.insert(merged.end(), events.begin(), events.end());
-  }
-  return merged;
+  return Concat(shard_events);
 }
 
 StreamServerStats ShardedStreamServer::MergeTransportCounters(
@@ -373,39 +320,13 @@ StreamServerStats ShardedStreamServer::MergeTransportCounters(
   return stats;
 }
 
-std::vector<StreamServerStats> ShardedStreamServer::SnapshotAllShardsLocked()
-    const {
-  // Coherent cross-shard snapshot: take EVERY shard mutex (in index
-  // order — the only multi-mutex acquisition in this class, so no
-  // ordering cycle exists), then copy. No shard can be mid-batch, and
-  // no sharded ObserveBatch can be half-merged across the copies.
-  // (Escapes -Wthread-safety — see the declaration — because the lock
-  // set is sized at runtime; the acquire/release loops below are the
-  // whole argument.)
-  const int num_shards = static_cast<int>(shards_.size());
-  std::vector<StreamServerStats> per_shard(num_shards);
-  for (int s = 0; s < num_shards; ++s) shards_[s]->mutex.Lock();
-  for (int s = 0; s < num_shards; ++s) {
-    per_shard[s] =
-        MergeTransportCounters(*shards_[s], shards_[s]->server->stats());
-  }
-  for (int s = num_shards - 1; s >= 0; --s) shards_[s]->mutex.Unlock();
-  return per_shard;
-}
-
 StreamServerStats ShardedStreamServer::stats() const {
-  std::vector<StreamServerStats> per_shard;
-  if (!asynchronous()) {
-    per_shard = SnapshotAllShardsLocked();
-  } else {
-    // Each shard answers on its owning worker at a batch boundary, so a
-    // shard's counters always partition (stats snapshots route through
-    // the task queue, behind every batch enqueued before this call).
-    per_shard.resize(shards_.size());
-    RunOnAllShards([this, &per_shard](int s, StreamServer& server) {
-      per_shard[s] = MergeTransportCounters(*shards_[s], server.stats());
-    });
-  }
+  // Each shard answers between two of its own batches, so a shard's
+  // counters always partition; shards are copied independently.
+  std::vector<StreamServerStats> per_shard(shards_.size());
+  RunOnAllShards([this, &per_shard](int s, ServerSlot& server) {
+    per_shard[s] = MergeTransportCounters(*shards_[s], server->stats());
+  });
   StreamServerStats merged;
   merged.windows_started = 0;
   for (const StreamServerStats& stats : per_shard) merged.Merge(stats);
@@ -415,24 +336,28 @@ StreamServerStats ShardedStreamServer::stats() const {
 StreamServerStats ShardedStreamServer::shard_stats(int shard) const {
   KVEC_CHECK_GE(shard, 0);
   KVEC_CHECK_LT(shard, static_cast<int>(shards_.size()));
-  Shard& target = *shards_[shard];
-  if (!asynchronous()) {
-    MutexLock lock(target.mutex);
-    return MergeTransportCounters(target, target.server->stats());
-  }
   StreamServerStats stats;
-  RunOnShard(shard, [&target, &stats](StreamServer& server) {
-    stats = MergeTransportCounters(target, server.stats());
+  RunOnShard(shard, [this, &stats](int s, ServerSlot& server) {
+    stats = MergeTransportCounters(*shards_[s], server->stats());
   });
   return stats;
 }
 
+int ShardedStreamServer::open_keys() const {
+  std::vector<int> per_shard(shards_.size());
+  RunOnAllShards([&per_shard](int s, ServerSlot& server) {
+    per_shard[s] = server->open_keys();
+  });
+  int total = 0;
+  for (int keys : per_shard) total += keys;
+  return total;
+}
+
 int ShardedStreamServer::CompactAll() {
   int compacted = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
+  for (int s : all_shards_) {
     bool ran = false;
-    RunOnShard(static_cast<int>(s),
-               [&ran](StreamServer& server) { ran = server.Compact(); });
+    RunOnShard(s, [&ran](int, ServerSlot& server) { ran = server->Compact(); });
     if (ran) ++compacted;
   }
   return compacted;
@@ -457,23 +382,29 @@ std::vector<CheckpointSectionView> WriterSections(
 
 }  // namespace
 
+void ShardedStreamServer::SnapshotShards(
+    std::vector<BinaryWriter>* shard_writers,
+    const std::function<void(StreamServer&, BinaryWriter*)>& snapshot) const {
+  shard_writers->resize(shards_.size());
+  // ONE SHARD AT A TIME: while shard s serializes (worker mode: behind
+  // everything already queued to it), every other shard keeps serving, so
+  // the pause per shard is just its own snapshot. Cross-shard consistency
+  // is the caller's quiesce protocol, as documented.
+  for (int s : all_shards_) {
+    BinaryWriter& writer = (*shard_writers)[s];
+    writer.WriteInt32(s);
+    RunOnShard(s, [&snapshot, &writer](int, ServerSlot& server) {
+      snapshot(*server, &writer);
+    });
+  }
+}
+
 void ShardedStreamServer::SnapshotSections(
     BinaryWriter* manifest, std::vector<BinaryWriter>* shard_writers) const {
-  manifest->WriteInt32(static_cast<int32_t>(shards_.size()));
-  shard_writers->resize(shards_.size());
-  // Each shard snapshots on its owner (async: behind everything already
-  // queued — drain-then-snapshot; sync: under its mutex), ONE SHARD AT A
-  // TIME: while shard s serializes, every other shard keeps serving. The
-  // original all-shard fan-out stalled the whole fleet for the duration
-  // of the slowest serialization; now the pause per shard is just its own
-  // snapshot. Cross-shard consistency is unchanged either way — it is the
-  // caller's quiesce protocol, as documented.
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    BinaryWriter& writer = (*shard_writers)[s];
-    writer.WriteInt32(static_cast<int32_t>(s));
-    RunOnShard(static_cast<int>(s),
-               [&writer](StreamServer& server) { server.Snapshot(&writer); });
-  }
+  manifest->WriteInt32(num_shards());
+  SnapshotShards(shard_writers, [](StreamServer& server, BinaryWriter* writer) {
+    server.Snapshot(writer);
+  });
 }
 
 bool ShardedStreamServer::StageFromCheckpoint(
@@ -522,10 +453,8 @@ void ShardedStreamServer::CommitStaged(
   for (size_t s = 0; s < shards_.size(); ++s) {
     processed[s] = (*staged)[s]->stats().items_processed;
   }
-  RunOnAllShards([this, staged, &processed](int s, StreamServer&) {
-    // InstallServer is ownership-transfer point 2: this callback runs
-    // under the shard mutex (sync) or on the owning worker (async).
-    InstallServer(*shards_[s], std::move((*staged)[s]));
+  RunOnAllShards([this, staged, &processed](int s, ServerSlot& server) {
+    server = std::move((*staged)[s]);
     shards_[s]->items_submitted.store(processed[s], std::memory_order_relaxed);
     shards_[s]->batches_shed.store(0, std::memory_order_relaxed);
     shards_[s]->items_shed.store(0, std::memory_order_relaxed);
@@ -579,27 +508,23 @@ std::string ShardedStreamServer::DeltaPath(const std::string& base_path,
 bool ShardedStreamServer::CheckpointIncremental(
     const std::string& base_path, int rebase_every,
     IncrementalCheckpointState* state) {
-  const int num_shards = static_cast<int>(shards_.size());
   const bool rebase =
       state->base_fingerprint == 0 ||
       (rebase_every > 0 && state->deltas_written >= rebase_every);
   // Every section stays in its own writer until CheckpointWrite frames it
   // to disk; the writers die with this call.
   BinaryWriter manifest;
-  std::vector<BinaryWriter> shard_writers(shards_.size());
+  std::vector<BinaryWriter> shard_writers;
 
   if (rebase) {
     // Full base. Snapshot and baseline-staging happen in ONE control task
     // per shard, so the staged dirty-clear is atomic with the bytes.
-    manifest.WriteInt32(num_shards);
-    for (int s = 0; s < num_shards; ++s) {
-      BinaryWriter& writer = shard_writers[s];
-      writer.WriteInt32(s);
-      RunOnShard(s, [&writer](StreamServer& server) {
-        server.Snapshot(&writer);
-        server.StageDeltaBaseline();
-      });
-    }
+    manifest.WriteInt32(num_shards());
+    SnapshotShards(&shard_writers,
+                   [](StreamServer& server, BinaryWriter* writer) {
+                     server.Snapshot(writer);
+                     server.StageDeltaBaseline();
+                   });
     // Unlink the stale chain newest-first BEFORE replacing the base:
     // every crash point along the way leaves a loadable chain (old base
     // plus a consecutive delta prefix, then the old base alone, then —
@@ -626,7 +551,7 @@ bool ShardedStreamServer::CheckpointIncremental(
     state->prev_fingerprint = fingerprint;
     state->deltas_written = 0;
     RunOnAllShards(
-        [](int, StreamServer& server) { server.CommitDeltaBaseline(); });
+        [](int, ServerSlot& server) { server->CommitDeltaBaseline(); });
     return true;
   }
 
@@ -635,14 +560,10 @@ bool ShardedStreamServer::CheckpointIncremental(
   manifest.WriteInt64(static_cast<int64_t>(state->base_fingerprint));
   manifest.WriteInt64(static_cast<int64_t>(state->prev_fingerprint));
   manifest.WriteInt64(seq);
-  manifest.WriteInt32(num_shards);
-  for (int s = 0; s < num_shards; ++s) {
-    BinaryWriter& writer = shard_writers[s];
-    writer.WriteInt32(s);
-    RunOnShard(s, [&writer](StreamServer& server) {
-      server.SnapshotDelta(&writer);
-    });
-  }
+  manifest.WriteInt32(num_shards());
+  SnapshotShards(&shard_writers, [](StreamServer& server, BinaryWriter* writer) {
+    server.SnapshotDelta(writer);
+  });
   // Failed delta write: no baseline commit, so every dirty bit survives
   // and the next delta re-carries this one's churn; the chain on disk is
   // untouched and stays loadable. Tests force this path here.
@@ -659,7 +580,7 @@ bool ShardedStreamServer::CheckpointIncremental(
   state->prev_fingerprint = fingerprint;
   state->deltas_written = seq;
   RunOnAllShards(
-      [](int, StreamServer& server) { server.CommitDeltaBaseline(); });
+      [](int, ServerSlot& server) { server->CommitDeltaBaseline(); });
   return true;
 }
 
@@ -729,34 +650,15 @@ bool ShardedStreamServer::RestoreFromCheckpointChain(
     // per shard = empty dirty set, baselines = now). Without `state` the
     // load is a plain warm restart and tracking stays disarmed — a dirty
     // map on a server that never checkpoints again would only grow.
-    RunOnAllShards([](int, StreamServer& server) {
-      server.StageDeltaBaseline();
-      server.CommitDeltaBaseline();
+    RunOnAllShards([](int, ServerSlot& server) {
+      server->StageDeltaBaseline();
+      server->CommitDeltaBaseline();
     });
     state->base_fingerprint = base_fp;
     state->prev_fingerprint = prev_fp;
     state->deltas_written = seq - 1;
   }
   return true;
-}
-
-int ShardedStreamServer::open_keys() const {
-  int total = 0;
-  if (!asynchronous()) {
-    for (const auto& shard_ptr : shards_) {
-      Shard& shard = *shard_ptr;
-      MutexLock lock(shard.mutex);
-      total += shard.server->open_keys();
-    }
-    return total;
-  }
-  Mutex merge_mutex;
-  RunOnAllShards([&total, &merge_mutex](int, StreamServer& server) {
-    const int keys = server.open_keys();
-    MutexLock lock(merge_mutex);
-    total += keys;
-  });
-  return total;
 }
 
 }  // namespace kvec

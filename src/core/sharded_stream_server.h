@@ -3,33 +3,39 @@
 // One StreamServer is inherently serial — every item mutates one engine,
 // one open-key map, one stats block. ShardedStreamServer partitions the
 // key space across `num_shards` independent shards, each owning a full
-// StreamServer (engine + open-key state + stats), in one of two execution
-// modes:
+// StreamServer (engine + open-key state + stats).
 //
-//   * synchronous (worker_threads = 0, the default) — callers run the
-//     shard engines in place, serialized on a per-shard mutex;
-//     ObserveBatch fans a batch out across shards on the global
-//     ThreadPool. Deterministic and byte-identical to the historical
-//     behavior: the replay/golden/equivalence tests run this mode.
+// Every operation reaches the shards through ONE private seam,
+// RunOnShards(shards, fn): run fn on each listed shard, with that shard
+// to itself, and return once all ran. The seam has two executors:
+//
+//   * synchronous (worker_threads = 0, the default) — the calling thread
+//     runs fn under the shard's mutex; a call that touches several shards
+//     fans them out on the global ThreadPool. Deterministic and
+//     byte-identical to the historical behavior: the replay/golden/
+//     equivalence tests run this mode.
 //   * shard-owned workers (worker_threads = num_shards) — each shard owns
 //     one worker thread plus a bounded MPSC task queue
-//     (util/bounded_queue.h). ALL shard-state mutation happens on the
-//     owning worker, so the hot update path takes no shard lock; queries
-//     (stats, flush, checkpoint snapshot) route to the owning shard as
-//     control tasks and are answered at a batch boundary, never mid-batch.
-//     Overload is a first-class condition: when a shard's queue is full,
-//     `overload_policy` decides whether the producer blocks
-//     (backpressure), the new batch is dropped, or the oldest queued batch
-//     is dropped — every dropped batch/item is counted in the
-//     batches_shed/items_shed stats, never lost silently.
+//     (util/bounded_queue.h), and fn rides that queue as a waited-on
+//     control task. ALL shard-state mutation happens on the owning
+//     worker, so the hot update path takes no shard lock, and every query
+//     is answered at a batch boundary, never mid-batch.
 //
-// Async ingest has two shapes. `Submit` is fire-and-forget: it routes the
-// batch, enqueues per-shard sub-batches under the overload policy, and
-// returns immediately; events surface through `config.on_events` on the
-// worker threads. `Observe`/`ObserveBatch`/`Flush` keep their synchronous
-// signatures in both modes — in async mode they run as control tasks the
-// caller waits on, so their event sequences match the synchronous mode
-// exactly (they bypass the overload policy; only Submit can shed).
+// Either way the exclusion is per shard: no operation holds two shards at
+// once, so a cross-shard read (stats, checkpoint) can land between two
+// shards' halves of a concurrent batch. Quiescing is the caller's protocol.
+//
+// Ingest has one extra shape, `Submit`: fire-and-forget in worker
+// mode — it routes the batch, enqueues per-shard sub-batches under the
+// overload policy, and returns; events surface through `config.on_events`
+// on the worker threads. Overload is a first-class condition there: when a
+// shard's queue is full, `overload_policy` decides whether the producer
+// blocks (backpressure), the new batch is dropped, or the oldest queued
+// batch is dropped — every dropped batch/item is counted in the
+// batches_shed/items_shed stats, never lost silently. In sync mode Submit
+// serves the batch inline. `Observe`/`ObserveBatch`/`Flush` return their
+// events in both modes and bypass the overload policy (only Submit sheds),
+// so their event sequences are the same in both modes.
 //
 // The trade-off, stated once here and assumed everywhere: cross-shard
 // value correlations are cut. Two keys that hash to different shards never
@@ -66,11 +72,11 @@ struct ShardedStreamServerConfig {
   // Other values are rejected (the model is one worker per shard — scale
   // workers by scaling shards).
   int worker_threads = 0;
-  // Per-shard bounded task-queue capacity, in tasks (async mode only).
+  // Per-shard bounded task-queue capacity, in tasks (worker mode only).
   int queue_depth = 256;
-  // What a full shard queue does to a Submit batch (async mode only).
+  // What a full shard queue does to a Submit batch (worker mode only).
   OverloadPolicy overload_policy = OverloadPolicy::kBlock;
-  // Event sink for Submit-ingested batches. Async mode: invoked on the
+  // Event sink for Submit-ingested batches. Worker mode: invoked on the
   // owning worker thread after each processed batch, concurrently across
   // shards — the sink must be thread-safe. Sync mode: invoked inline from
   // Submit. Events returned by Observe/ObserveBatch/Flush do NOT pass
@@ -84,7 +90,7 @@ struct ShardedStreamServerConfig {
 class ShardedStreamServer {
  public:
   // `model` must be trained and outlive the server. Builds `num_shards`
-  // independent engines and, in async mode, starts the shard workers.
+  // independent engines and, in worker mode, starts the shard workers.
   ShardedStreamServer(const KvecModel& model,
                       const ShardedStreamServerConfig& config);
 
@@ -99,17 +105,17 @@ class ShardedStreamServer {
   int ShardOf(int key) const;
 
   // Synchronous-semantics ingest: returns the item's events. Thread-safe
-  // in both modes; in async mode it rides the task queue as a waited-on
-  // control task (never shed).
+  // in both modes; never shed.
   std::vector<StreamEvent> Observe(const Item& item);
 
   // Batched ingest with synchronous semantics: fans `items` out to their
-  // shards (sync mode: global ThreadPool; async mode: the shard workers),
+  // shards (sync mode: global ThreadPool; worker mode: the shard workers),
   // handing each shard its sub-batch as one contiguous microbatch
   // (StreamServer::ObserveBatch — arrival order within the shard
   // preserved, encoder projections batched through GEMM). Returned events
   // are grouped by shard (shard 0's events first), in emission order
-  // within a shard. Thread-safe; never shed.
+  // within a shard. With one shard the batch is handed through uncopied.
+  // Thread-safe; never shed.
   std::vector<StreamEvent> ObserveBatch(const std::vector<Item>& items);
 
   // Fire-and-forget ingest, the overload-policy path. Routes `items` and
@@ -120,7 +126,8 @@ class ShardedStreamServer {
   // Every accepted item is eventually processed (visible via on_events and
   // stats); every dropped one is counted. After Drain() the overload
   // invariant holds: items_submitted == items_processed + items_shed.
-  // Sync mode: runs inline (nothing to shed) with events to on_events.
+  // Sync mode: serves the batch before returning (nothing to shed) and
+  // hands each shard's events to on_events on the calling thread.
   // Returns how many items this call caused to be shed (0 = nothing
   // dropped): the incoming sub-batches under kShedNewest, older queued
   // batches under kShedOldest. This is what lets the TCP front end answer
@@ -128,28 +135,29 @@ class ShardedStreamServer {
   // stats.
   int64_t Submit(const std::vector<Item>& items);
 
-  // Blocks until every task enqueued before this call has been processed.
-  // Sync mode: no-op. Does not stop concurrent producers — quiescing is
-  // the caller's protocol (stop submitting, then Drain).
+  // Blocks until every task enqueued before this call has been processed
+  // (sync mode: until no earlier call still holds a shard). Does not stop
+  // concurrent producers — quiescing is the caller's protocol (stop
+  // submitting, then Drain).
   void Drain();
 
-  // Force-classifies all still-open keys on every shard (waited-on control
-  // task in async mode; drains each shard's queue first by FIFO order).
+  // Force-classifies all still-open keys on every shard (worker mode: after
+  // everything already queued to the shard, by FIFO order).
   std::vector<StreamEvent> Flush();
 
   // Merged view across shards: counters and class_counts are summed;
   // windows_started is the total across shards (each shard starts at 1);
   // items_submitted/batches_shed/items_shed aggregate the transport-layer
-  // counters. The snapshot is coherent: sync mode holds ALL shard mutexes
-  // while copying (no shard can be mid-batch); async mode answers through
-  // each shard's task queue at a batch boundary.
+  // counters. Each shard is copied between two of its own batches, so
+  // its counters partition; shards are copied one by one through the seam,
+  // so under concurrent ingest the merged view is not a single instant.
   StreamServerStats stats() const;
 
   // One shard's own stats (same snapshot discipline as stats()).
   StreamServerStats shard_stats(int shard) const;
 
   // Forces a pool compaction on every shard (StreamServer::Compact), one
-  // shard at a time through the owner seam — shard s rebuilds its pool
+  // shard at a time through the shard seam — shard s rebuilds its pool
   // while every other shard keeps serving, so it composes with the
   // overload policies the same way checkpoint encode does. Returns how
   // many shards actually compacted (the `compaction.run` fault point can
@@ -165,10 +173,9 @@ class ShardedStreamServer {
   //
   // The checkpoint is a manifest section (shard count — restore fails on a
   // mismatch, since the key hash routes by shard count) plus one section
-  // per shard holding that shard's full StreamServer snapshot. Sync mode
-  // snapshots each shard under its mutex; async mode snapshots on the
-  // owning worker behind everything already queued (quiesce =
-  // drain-then-snapshot per shard). For a cross-shard-consistent
+  // per shard holding that shard's full StreamServer snapshot, taken one
+  // shard at a time through the seam (worker mode: behind everything
+  // already queued to the shard). For a cross-shard-consistent
   // checkpoint, stop submitting first (concurrent ingest would land in
   // some shards' snapshots and not others).
   //
@@ -204,7 +211,7 @@ class ShardedStreamServer {
   // the keys mutated since the previous link, or — when no base exists
   // yet, or `rebase_every` > 0 deltas have accumulated — a fresh full
   // base (the rebase bounds both restore time and on-disk chain length).
-  // Shards are serialized ONE AT A TIME through the worker seam, so the
+  // Shards are serialized ONE AT A TIME through the shard seam, so the
   // rest of the fleet keeps serving during a snapshot; dirty bits are
   // cleared only after the bytes are durably on disk (a failed write —
   // see the `checkpoint.delta` fault point — leaves the server serving,
@@ -226,22 +233,27 @@ class ShardedStreamServer {
                                   IncrementalCheckpointState* state = nullptr);
 
  private:
+  // A shard's StreamServer slot. Tasks get the slot, not the server, so a
+  // checkpoint restore swaps a staged server in like any other task.
+  using ServerSlot = std::unique_ptr<StreamServer>;
+  using ShardFn = std::function<void(int shard, ServerSlot& server)>;
+
   // One queue entry: an item batch (fn empty) or a control task.
   struct ShardTask {
     std::vector<Item> items;
-    std::function<void(StreamServer&)> fn;
+    std::function<void(ServerSlot&)> fn;
   };
 
   struct Shard {
-    // Sync mode: every access to `server` holds this mutex, and the
-    // KVEC_GUARDED_BY below makes clang -Wthread-safety reject any that
-    // does not. Async mode: the mutex is idle — `server` is owned by the
-    // shard's worker thread and reached only through WorkerOwnedServer /
-    // InstallServer, the two audited ownership-transfer points.
+    // Sync mode: every access to `server` holds this mutex (TCP handler
+    // threads call Submit concurrently), and the KVEC_GUARDED_BY below
+    // makes clang -Wthread-safety reject any that does not. Worker mode:
+    // the mutex is idle — `server` is owned by the shard's worker thread
+    // and reached only through WorkerOwnedServer.
     mutable Mutex mutex;
-    std::unique_ptr<StreamServer> server KVEC_GUARDED_BY(mutex);
-    std::unique_ptr<BoundedQueue<ShardTask>> queue;  // async mode only
-    std::thread worker;                              // async mode only
+    ServerSlot server KVEC_GUARDED_BY(mutex);
+    std::unique_ptr<BoundedQueue<ShardTask>> queue;  // worker mode only
+    std::thread worker;                              // worker mode only
     // Transport-layer counters. Producers bump submitted/shed (Submit may
     // shed on the producer thread); stats snapshots read them. Atomics:
     // deliberately outside the mutex so the Submit hot path never locks.
@@ -251,41 +263,41 @@ class ShardedStreamServer {
   };
 
   void WorkerLoop(Shard* shard, int shard_index);
-  // Posts `fn` to every shard (async: non-sheddable control task; sync:
-  // runs under the shard mutex) and blocks until all shards ran it.
-  void RunOnAllShards(const std::function<void(int, StreamServer&)>& fn) const;
-  // Same seam for ONE shard: runs `fn` on the owning worker (async) or
-  // under the shard mutex (sync) and blocks until it ran. Per-item Observe
-  // goes through it; checkpoint encode and CompactAll iterate it so only
-  // one shard is paused at a time while the rest of the fleet keeps
-  // serving.
-  void RunOnShard(int shard,
-                  const std::function<void(StreamServer&)>& fn) const;
+
+  // The one shard-dispatch seam: runs fn(s, slot) on every listed shard
+  // and returns once all of them ran. Apart from start-up and shutdown,
+  // only this function and Submit know the execution mode:
+  //   * sync — each shard runs under its mutex; more than one listed
+  //     shard fans out on the global ThreadPool, a single one runs inline;
+  //   * workers — each shard gets a non-sheddable control task, FIFO
+  //     behind everything already queued to it, and a Barrier collects
+  //     them.
+  // Either way a task has its shard to itself, and nothing more: no two
+  // shards are ever held at once.
+  void RunOnShards(const std::vector<int>& shards, const ShardFn& fn) const;
+  void RunOnShard(int shard, const ShardFn& fn) const {
+    RunOnShards({shard}, fn);
+  }
+  void RunOnAllShards(const ShardFn& fn) const { RunOnShards(all_shards_, fn); }
   // Charges `count` dropped items against `shard`'s shed counters.
   static void CountShed(Shard* shard, int64_t batches, int64_t items);
 
-  // The synchronous-mode ingest body: requires the shard mutex, which is
-  // what pins "callers run the shard engines in place, serialized on a
-  // per-shard mutex" at compile time — delete the KVEC_REQUIRES and the
-  // clang -Wthread-safety build fails on the guarded access inside.
-  static std::vector<StreamEvent> ObserveBatchLocked(
-      Shard& shard, const std::vector<Item>& items) KVEC_REQUIRES(shard.mutex);
+  // Splits `items` into one arrival-ordered microbatch per shard and
+  // counts them as submitted.
+  std::vector<std::vector<Item>> Route(const std::vector<Item>& items);
+  // Serves each non-empty routed microbatch on its shard through the seam;
+  // returns the events per shard.
+  std::vector<std::vector<StreamEvent>> ServeRouted(
+      const std::vector<std::vector<Item>>& routed);
 
-  // Ownership-transfer point 1 (async mode): the worker's view of its own
-  // shard. Safe without the mutex because (a) `server` is written before
-  // the worker thread is spawned (constructor) or through InstallServer on
-  // this same worker (restore), and (b) the queue's internal mutex gives
-  // the worker a happens-before edge with every producer. Justification
-  // for the escape hatch: TSA has no notion of thread ownership.
-  static StreamServer& WorkerOwnedServer(Shard& shard)
-      KVEC_NO_THREAD_SAFETY_ANALYSIS;
-
-  // Ownership-transfer point 2 (checkpoint restore commit): swaps a staged
-  // server in. Runs either under the shard mutex (sync mode, via
-  // RunOnAllShards) or on the owning worker (async mode) — both exclusive,
-  // but expressed as "lock OR ownership", which TSA cannot state.
-  static void InstallServer(Shard& shard,
-                            std::unique_ptr<StreamServer> server)
+  // The worker's view of its own shard. Safe without the mutex because
+  // (a) the slot is written before the worker thread is spawned
+  // (constructor) or by a restore task on this same worker, and (b) the
+  // queue's internal mutex gives the worker a happens-before edge with
+  // every producer. TSA has no notion of thread ownership, hence the one
+  // escape hatch in this class.
+  static ServerSlot& WorkerOwnedServer(Shard& shard)
+      // kvec-lint: allow-next(tsa-escape) worker-thread ownership, see above
       KVEC_NO_THREAD_SAFETY_ANALYSIS;
 
   // Copies the transport atomics into an engine-stats snapshot the caller
@@ -293,18 +305,14 @@ class ShardedStreamServer {
   static StreamServerStats MergeTransportCounters(const Shard& shard,
                                                   StreamServerStats stats);
 
-  // The sync-mode coherent stats snapshot: acquires EVERY shard mutex in
-  // index order, copies, releases. A dynamically-sized, loop-acquired lock
-  // set is outside what TSA can model, so this one function opts out;
-  // safety argument: index order is the only multi-mutex order in this
-  // class, so no cycle is possible, and the loop releases exactly what it
-  // acquired.
-  std::vector<StreamServerStats> SnapshotAllShardsLocked() const
-      KVEC_NO_THREAD_SAFETY_ANALYSIS;
-
-  // A full checkpoint's sections, kept in their writers so Encode/Save
-  // frame them without a copy: the manifest (the shard count), then one
-  // writer per shard holding its index and StreamServer::Snapshot.
+  // Fills one writer per shard with its index and then `snapshot`, run as
+  // one task on that shard. A full checkpoint's sections stay in their
+  // writers so Encode/Save frame them without a copy: SnapshotSections
+  // writes the manifest (the shard count) and each shard's
+  // StreamServer::Snapshot.
+  void SnapshotShards(
+      std::vector<BinaryWriter>* shard_writers,
+      const std::function<void(StreamServer&, BinaryWriter*)>& snapshot) const;
   void SnapshotSections(BinaryWriter* manifest,
                         std::vector<BinaryWriter>* shard_writers) const;
   // Shared body of the two restoring checkpoint entry points.
@@ -320,6 +328,7 @@ class ShardedStreamServer {
   const KvecModel& model_;
   ShardedStreamServerConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<int> all_shards_;  // 0 .. num_shards-1, for RunOnAllShards
 };
 
 }  // namespace kvec

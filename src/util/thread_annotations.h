@@ -62,6 +62,8 @@
 // Escape hatch: disables the analysis for one function. Policy
 // (docs/STATIC_ANALYSIS.md): allowed ONLY where the safety argument is
 // ownership or ordering the analysis cannot express — each use carries a
-// justification comment naming the happens-before edge that makes it safe.
+// justification comment naming the happens-before edge that makes it safe,
+// and an allow(tsa-escape) suppression (scripts/kvec_lint.py flags every
+// use without one).
 #define KVEC_NO_THREAD_SAFETY_ANALYSIS \
   KVEC_THREAD_ANNOTATION(no_thread_safety_analysis)

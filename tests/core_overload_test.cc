@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/sharded_stream_server.h"
@@ -110,16 +111,20 @@ TEST_F(OverloadTest, InvariantHoldsAcrossPoliciesDepthsAndShardCounts) {
                                      OverloadPolicy::kShedNewest,
                                      OverloadPolicy::kShedOldest};
   const int depths[] = {1, 16, 1024};
-  const int shard_counts[] = {1, 2, 8};
+  // {num_shards, worker_threads}: shard-owned workers, then the sync
+  // executor, where the two producers race through the shard mutexes.
+  const std::pair<int, int> shard_configs[] = {{1, 1}, {2, 2}, {8, 8},
+                                               {1, 0}, {2, 0}, {8, 0}};
   for (OverloadPolicy policy : policies) {
     for (int depth : depths) {
-      for (int num_shards : shard_counts) {
+      for (const auto& [num_shards, worker_threads] : shard_configs) {
         SCOPED_TRACE(std::string(OverloadPolicyName(policy)) + " depth " +
                      std::to_string(depth) + " shards " +
-                     std::to_string(num_shards));
+                     std::to_string(num_shards) + " workers " +
+                     std::to_string(worker_threads));
         ShardedStreamServerConfig config;
         config.num_shards = num_shards;
-        config.worker_threads = num_shards;
+        config.worker_threads = worker_threads;
         config.queue_depth = depth;
         config.overload_policy = policy;
         ShardedStreamServer server(*fixture.model, config);

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -184,6 +187,99 @@ TEST(ShardedStreamServerTest, EveryKeyGetsExactlyOneVerdict) {
   EXPECT_EQ(static_cast<int>(verdicts.size()), expected_keys);
   EXPECT_EQ(server.open_keys(), 0);
   EXPECT_TRUE(server.Flush().empty());  // idempotent
+}
+
+// Every field of an event, so event sequences compare exactly.
+using EventFields = std::tuple<int, int, int, double, StreamEvent::Cause>;
+
+std::vector<EventFields> Fields(const std::vector<StreamEvent>& events) {
+  std::vector<EventFields> fields;
+  for (const StreamEvent& event : events) {
+    fields.emplace_back(event.key, event.predicted_label,
+                        event.observed_items, event.confidence, event.cause);
+  }
+  return fields;
+}
+
+TEST(ShardedStreamServerTest, SubmitDeliversEachShardsEventsOnceToTheSink) {
+  // Submit's events reach the caller only through on_events. In both
+  // execution modes every shard's events must arrive exactly once, under
+  // the right shard index, equal to a plain StreamServer per shard fed the
+  // same sub-batches through ObserveBatch. Sync mode also promises to
+  // deliver on the calling thread before Submit returns.
+  Fixture fixture = TrainSmallModel(78);
+  const std::vector<Item> stream = GlobalStream(fixture.dataset);
+  constexpr int kShards = 3;
+  for (int workers : {0, kShards}) {
+    SCOPED_TRACE("worker_threads " + std::to_string(workers));
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mutex;
+    std::vector<std::vector<StreamEvent>> delivered(kShards);
+    std::vector<int> deliveries(kShards, 0);
+    bool off_caller_thread = false;
+
+    ShardedStreamServerConfig config;
+    config.num_shards = kShards;
+    config.worker_threads = workers;
+    config.on_events = [&](int shard, const std::vector<StreamEvent>& events) {
+      std::lock_guard<std::mutex> lock(mutex);
+      ASSERT_GE(shard, 0);
+      ASSERT_LT(shard, kShards);
+      if (std::this_thread::get_id() != caller) off_caller_thread = true;
+      ++deliveries[shard];
+      delivered[shard].insert(delivered[shard].end(), events.begin(),
+                              events.end());
+    };
+    ShardedStreamServer server(*fixture.model, config);
+
+    std::vector<std::unique_ptr<StreamServer>> reference;
+    for (int s = 0; s < kShards; ++s) {
+      reference.push_back(
+          std::make_unique<StreamServer>(*fixture.model, config.shard));
+    }
+    std::vector<std::vector<StreamEvent>> expected(kShards);
+    std::vector<int> expected_deliveries(kShards, 0);
+    // Uneven batch sizes so batch boundaries fall mid-episode.
+    for (size_t begin = 0; begin < stream.size();) {
+      const size_t size =
+          std::min<size_t>(1 + begin % 29, stream.size() - begin);
+      const std::vector<Item> batch(stream.begin() + begin,
+                                    stream.begin() + begin + size);
+      begin += size;
+      EXPECT_EQ(server.Submit(batch), 0);
+      std::vector<std::vector<Item>> routed(kShards);
+      for (const Item& item : batch) {
+        routed[server.ShardOf(item.key)].push_back(item);
+      }
+      for (int s = 0; s < kShards; ++s) {
+        if (routed[s].empty()) continue;
+        const std::vector<StreamEvent> events =
+            reference[s]->ObserveBatch(routed[s]);
+        expected[s].insert(expected[s].end(), events.begin(), events.end());
+        ++expected_deliveries[s];
+      }
+      if (workers == 0) {
+        std::lock_guard<std::mutex> lock(mutex);
+        EXPECT_EQ(deliveries, expected_deliveries);
+      }
+    }
+    server.Drain();
+    // Flush hands its events to the caller, never to the sink.
+    EXPECT_FALSE(server.Flush().empty());
+
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_EQ(deliveries, expected_deliveries);
+    EXPECT_EQ(off_caller_thread, workers > 0);
+    size_t total = 0;
+    for (int s = 0; s < kShards; ++s) {
+      EXPECT_EQ(Fields(delivered[s]), Fields(expected[s])) << "shard " << s;
+      for (const StreamEvent& event : delivered[s]) {
+        EXPECT_EQ(server.ShardOf(event.key), s);
+      }
+      total += delivered[s].size();
+    }
+    EXPECT_GT(total, 0u);
+  }
 }
 
 TEST(ShardedStreamServerTest, PerShardCapacityCapHolds) {

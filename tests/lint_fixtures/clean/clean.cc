@@ -1,9 +1,15 @@
 // Fixture: a source file the lint pass must accept — canonical include,
-// documented fault point, a reasoned suppression, cli-free output.
+// documented fault point, reasoned suppressions, cli-free output.
 #include "clean.h"
 
 #include "util/check.h"
 #include "util/fault_injection.h"
+#include "util/thread_annotations.h"
+
+// A reasoned thread-safety escape is accepted.
+int FixtureOwnedRead(int* owned)
+    // kvec-lint: allow-next(tsa-escape) owned by the calling thread
+    KVEC_NO_THREAD_SAFETY_ANALYSIS;
 
 int FixtureCleanUse() {
   // kvec-lint: allow-next(naked-new) exercising the suppression syntax
