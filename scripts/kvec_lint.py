@@ -47,6 +47,11 @@ Enforces the rules no off-the-shelf tool knows about this codebase
                           carries a ``kvec-lint: allow(tsa-escape)``
                           suppression whose reason names the ownership or
                           ordering argument the analysis cannot see.
+* ``count-guard``       — no ``remaining()`` arithmetic in library code
+                          (src/) outside src/util/serialize.*: a record
+                          reader bounds its element counts with
+                          ``BinaryReader::ReadCount``, which fails the
+                          reader closed, instead of a hand-rolled guard.
 
 Suppressions (a reason is mandatory):
 
@@ -83,6 +88,7 @@ RULES = (
     "pool-discipline",
     "section-id",
     "tsa-escape",
+    "count-guard",
 )
 
 ALLOW = re.compile(r"//\s*kvec-lint:\s*allow(-next)?\(([a-z-]+)\)\s*(\S.*)?$")
@@ -125,6 +131,11 @@ SECTION_ID_LITERAL = re.compile(
     r"sections\.(?:push_back|emplace_back)\(\s*\{|"
     r"\bFind\(\s*)[-+]?\d")
 TSA_ESCAPE = re.compile(r"\bKVEC_NO_THREAD_SAFETY_ANALYSIS\b")
+# remaining() next to an arithmetic or comparison operator (the "->" of a
+# member call is not one).
+COUNT_GUARD = re.compile(
+    r"(?:[-+*/%<]|(?<!-)>)=?\s*(?:\w+\s*(?:\.|->)\s*)?remaining\(\s*\)"
+    r"|\bremaining\(\s*\)\s*[-+*/%<>]")
 
 
 def path_components(path):
@@ -308,6 +319,12 @@ def lint_file(file, repo_root, fault_doc, errors):
                    "checking off for the whole function; suppress with "
                    "kvec-lint: allow(tsa-escape) and the reason it is safe, "
                    "or restructure so the analysis can see the lock")
+
+        if in_src and not in_serialize and COUNT_GUARD.search(line):
+            report(lineno, "count-guard",
+                   "hand-rolled count guard on remaining(); read the count "
+                   "with BinaryReader::ReadCount(min_bytes_per_element), "
+                   "which fails the reader closed")
 
         if in_src and not in_cli and IOSTREAM.search(line):
             report(lineno, "iostream-outside-cli",

@@ -35,11 +35,8 @@ void WriteSpec(const DatasetSpec& spec, BinaryWriter* writer) {
 bool ReadSpec(BinaryReader* reader, DatasetSpec* spec) {
   DatasetSpec out;
   out.name = reader->ReadString();
-  int32_t num_fields = reader->ReadInt32();
-  if (!reader->ok() || num_fields < 0 ||
-      static_cast<size_t>(num_fields) > reader->remaining()) {
-    return false;
-  }
+  const int32_t num_fields = reader->ReadCount(1);
+  if (!reader->ok()) return false;
   out.value_fields.resize(num_fields);
   for (ValueField& field : out.value_fields) {
     field.name = reader->ReadString();

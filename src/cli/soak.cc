@@ -20,7 +20,6 @@
 #include "core/model.h"
 #include "core/sharded_stream_server.h"
 #include "data/types.h"
-#include "tensor/buffer_pool.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -174,17 +173,25 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
               StageResult* result, std::string* error) {
   const int shards = options.shards;
   const int64_t per_shard = (target_keys + shards - 1) / shards;
+  // The hash split is uneven (20,000 keys over 4 shards route as 5,116 /
+  // 4,937 / 4,928 / 5,019), so capacity follows the busiest shard of the
+  // first key window rather than the even split, which it never undercuts.
+  std::vector<int64_t> routed(shards, 0);
+  for (int64_t key = 0; key < target_keys; ++key) {
+    ++routed[ShardedStreamServer::ShardOf(static_cast<int>(key), shards)];
+  }
+  const int64_t busiest = *std::max_element(routed.begin(), routed.end());
 
   ShardedStreamServerConfig config;
   config.num_shards = shards;
   config.worker_threads = options.workers;
   // Per-shard bounds sized from the stage target so all three close paths
-  // fire every steady cycle: capacity 2% above an even hash split, idle
+  // fire every steady cycle: capacity 2% above the busiest shard, idle
   // eviction at 1.3 passes (active keys are touched every ~1.0 pass;
   // churn-retired ones stop and get swept mid-next-pass), and engine
   // rotation once per cycle (the window holds exactly one cycle's items).
   config.shard.max_open_keys = static_cast<int>(
-      std::max<int64_t>(16, per_shard + std::max<int64_t>(8, per_shard / 50)));
+      std::max<int64_t>(16, busiest + std::max<int64_t>(8, busiest / 50)));
   config.shard.idle_timeout = static_cast<int>(
       std::max<int64_t>(64, per_shard + (3 * per_shard) / 10));
   config.shard.max_window_items =
@@ -318,19 +325,6 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
     }
 
     if (!warmup && cycle_rss_peak >= 0) steady_rss.push_back(cycle_rss_peak);
-    if (std::getenv("KVEC_SOAK_DEBUG_POOL") != nullptr) {
-      const BufferPool::Stats bp = BufferPool::Global().stats();
-      std::fprintf(
-          stderr,
-          "[cycle %d] cached=%.1fMiB bufs=%zu hits=%llu miss=%llu "
-          "oversized=%llu evict=%llu drop=%llu\n",
-          cycle, static_cast<double>(bp.cached_floats) * 4.0 / (1024.0 * 1024.0),
-          bp.cached_buffers, static_cast<unsigned long long>(bp.hits),
-          static_cast<unsigned long long>(bp.misses),
-          static_cast<unsigned long long>(bp.oversized_rejects),
-          static_cast<unsigned long long>(bp.evicted),
-          static_cast<unsigned long long>(bp.dropped));
-    }
     ++cycle;
   }
 

@@ -218,6 +218,44 @@ std::vector<int> CorrelationTracker::ObserveItem(const Item& item) {
   return visible;
 }
 
+void CorrelationTracker::WriteItems(BinaryWriter* writer,
+                                    const std::pmr::vector<int>& items) {
+  writer->WriteInts(items.data(), items.size());
+}
+
+bool CorrelationTracker::ReadItems(BinaryReader* reader, int next_index,
+                                   std::pmr::vector<int>* items) {
+  const std::vector<int> read = reader->ReadIntVector();
+  if (!reader->ok()) return false;
+  for (int index : read) {
+    if (index < 0 || index >= next_index) return false;
+  }
+  items->assign(read.begin(), read.end());
+  return true;
+}
+
+void CorrelationTracker::WriteSession(BinaryWriter* writer,
+                                      const OpenSession& session) {
+  writer->WriteInt32(session.session_value);
+  writer->WriteInt32(session.last_index);
+  writer->WriteInts(session.item_indices.data(), session.item_indices.size());
+}
+
+bool CorrelationTracker::ReadSession(BinaryReader* reader, int key,
+                                     int next_index, OpenSession* session) {
+  const int session_value = reader->ReadInt32();
+  const int last_index = reader->ReadInt32();
+  const std::vector<int> item_indices = reader->ReadIntVector();
+  if (!reader->ok() || !ValidSession(last_index, item_indices, next_index)) {
+    return false;
+  }
+  session->key = key;
+  session->session_value = session_value;
+  session->last_index = last_index;
+  session->item_indices.assign(item_indices.begin(), item_indices.end());
+  return true;
+}
+
 void CorrelationTracker::Snapshot(BinaryWriter* writer) const {
   // Echo the options so a checkpoint can never be restored into a tracker
   // with different correlation semantics.
@@ -241,7 +279,7 @@ void CorrelationTracker::Snapshot(BinaryWriter* writer) const {
   writer->WriteInt32(static_cast<int32_t>(items_by_key.size()));
   for (const auto& [key, items] : items_by_key) {
     writer->WriteInt32(key);
-    writer->WriteInts(items->data(), items->size());
+    WriteItems(writer, *items);
   }
 
   std::vector<std::pair<int, const OpenSession*>> sessions_by_key;
@@ -251,23 +289,13 @@ void CorrelationTracker::Snapshot(BinaryWriter* writer) const {
   }
   std::sort(sessions_by_key.begin(), sessions_by_key.end());
   writer->WriteInt32(static_cast<int32_t>(sessions_by_key.size()));
-  for (const auto& [key, session_ptr] : sessions_by_key) {
-    const OpenSession& session = *session_ptr;
+  for (const auto& [key, session] : sessions_by_key) {
     writer->WriteInt32(key);
-    writer->WriteInt32(session.session_value);
-    writer->WriteInt32(session.last_index);
-    writer->WriteInts(session.item_indices.data(),
-                      session.item_indices.size());
+    WriteSession(writer, *session);
   }
 }
 
 bool CorrelationTracker::Restore(BinaryReader* reader) {
-  // One tagged int32 costs 8 bytes: bounds every count below so a corrupted
-  // prefix cannot spin a long loop over an already-failed reader.
-  const auto plausible_count = [reader](int32_t count) {
-    return count >= 0 && static_cast<size_t>(count) <= reader->remaining() / 8;
-  };
-
   const bool use_key = reader->ReadInt32() != 0;
   const bool use_value = reader->ReadInt32() != 0;
   const int window = reader->ReadInt32();
@@ -286,37 +314,24 @@ bool CorrelationTracker::Restore(BinaryReader* reader) {
 
   // Staged into the tracker's own resource; committed by a pointer swap.
   auto staged = std::make_unique<State>(memory_);
-  const int32_t num_keys = reader->ReadInt32();
-  if (!reader->ok() || !plausible_count(num_keys)) return false;
+  const int32_t num_keys = reader->ReadCount(kMinTaggedValueBytes);
   staged->key_items.reserve(num_keys);
   for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
     const int key = reader->ReadInt32();
-    std::vector<int> items = reader->ReadIntVector();
-    for (int index : items) {
-      if (index < 0 || index >= next_index) return false;
-    }
     auto [slot, inserted] = staged->key_items.try_emplace(key);
-    if (!inserted) return false;
-    slot->second.assign(items.begin(), items.end());
+    if (!inserted || !ReadItems(reader, next_index, &slot->second)) {
+      return false;
+    }
   }
 
-  const int32_t num_sessions = reader->ReadInt32();
-  if (!reader->ok() || !plausible_count(num_sessions)) return false;
+  const int32_t num_sessions = reader->ReadCount(kMinTaggedValueBytes);
   staged->open_sessions.reserve(num_sessions);
   for (int32_t i = 0; i < num_sessions && reader->ok(); ++i) {
     const int key = reader->ReadInt32();
-    const int session_value = reader->ReadInt32();
-    const int last_index = reader->ReadInt32();
-    std::vector<int> item_indices = reader->ReadIntVector();
-    if (!reader->ok()) return false;
-    if (!ValidSession(last_index, item_indices, next_index)) return false;
     auto [slot, inserted] = staged->open_sessions.try_emplace(key);
-    if (!inserted) return false;
-    slot->second.key = key;
-    slot->second.session_value = session_value;
-    slot->second.last_index = last_index;
-    slot->second.item_indices.assign(item_indices.begin(),
-                                     item_indices.end());
+    if (!inserted || !ReadSession(reader, key, next_index, &slot->second)) {
+      return false;
+    }
   }
   if (!reader->ok() || !RebuildValueIndex(staged.get())) return false;
 
@@ -352,17 +367,9 @@ void CorrelationTracker::SnapshotDelta(
   for (const Present& entry : present) {
     writer->WriteInt32(entry.key);
     writer->WriteInt32(entry.items != nullptr ? 1 : 0);
-    if (entry.items != nullptr) {
-      writer->WriteInts(entry.items->data(), entry.items->size());
-    }
+    if (entry.items != nullptr) WriteItems(writer, *entry.items);
     writer->WriteInt32(entry.session != nullptr ? 1 : 0);
-    if (entry.session != nullptr) {
-      const OpenSession& session = *entry.session;
-      writer->WriteInt32(session.session_value);
-      writer->WriteInt32(session.last_index);
-      writer->WriteInts(session.item_indices.data(),
-                        session.item_indices.size());
-    }
+    if (entry.session != nullptr) WriteSession(writer, *entry.session);
   }
 }
 
@@ -373,11 +380,7 @@ bool CorrelationTracker::ApplyDelta(BinaryReader* reader,
       (expected_next_index >= 0 && next_index != expected_next_index)) {
     return false;
   }
-  const int32_t num_keys = reader->ReadInt32();
-  if (!reader->ok() || num_keys < 0 ||
-      static_cast<size_t>(num_keys) > reader->remaining() / 8) {
-    return false;
-  }
+  const int32_t num_keys = reader->ReadCount(kMinTaggedValueBytes);
   int prev_key = -1;
   bool first = true;
   for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
@@ -387,30 +390,14 @@ bool CorrelationTracker::ApplyDelta(BinaryReader* reader,
     prev_key = key;
 
     const bool has_items = reader->ReadInt32() != 0;
-    if (has_items) {
-      std::vector<int> items = reader->ReadIntVector();
-      if (!reader->ok()) return false;
-      for (int index : items) {
-        if (index < 0 || index >= next_index) return false;
-      }
-      auto& slot = state_->key_items[key];
-      slot.assign(items.begin(), items.end());
+    if (has_items &&
+        !ReadItems(reader, next_index, &state_->key_items[key])) {
+      return false;
     }
-
     const bool has_session = reader->ReadInt32() != 0;
-    if (has_session) {
-      const int session_value = reader->ReadInt32();
-      const int last_index = reader->ReadInt32();
-      std::vector<int> item_indices = reader->ReadIntVector();
-      if (!reader->ok() ||
-          !ValidSession(last_index, item_indices, next_index)) {
-        return false;
-      }
-      OpenSession& session = state_->open_sessions[key];
-      session.key = key;
-      session.session_value = session_value;
-      session.last_index = last_index;
-      session.item_indices.assign(item_indices.begin(), item_indices.end());
+    if (has_session &&
+        !ReadSession(reader, key, next_index, &state_->open_sessions[key])) {
+      return false;
     }
   }
   // The upserts moved sessions between values and recency positions:

@@ -162,6 +162,18 @@ class CorrelationTracker {
   static void PushNewest(OpenSession** head, OpenSession* session);
   static void Unlink(State* state, OpenSession* session);
 
+  // The per-key record codecs Snapshot and SnapshotDelta share: a key's
+  // item list, and an open session (value, last index, item indices). The
+  // readers reject stream positions outside [0, next_index) and leave
+  // their target untouched on failure.
+  static void WriteItems(BinaryWriter* writer,
+                         const std::pmr::vector<int>& items);
+  static bool ReadItems(BinaryReader* reader, int next_index,
+                        std::pmr::vector<int>* items);
+  static void WriteSession(BinaryWriter* writer, const OpenSession& session);
+  static bool ReadSession(BinaryReader* reader, int key, int next_index,
+                          OpenSession* session);
+
   // Links every open session with a stream position into its value's
   // recency list, from scratch. Returns false when two sessions claim one
   // stream position (impossible in a real stream: a corrupt checkpoint).

@@ -165,6 +165,17 @@ class IncrementalEncoder {
   void AttendRow(int block, const float* q, const std::vector<int>& targets,
                  float* out);
 
+  // The record codecs the full and tail snapshots share. The geometry
+  // echo (dim, head_dim, num_heads, blocks) must match the frozen encoder.
+  // The panels are one float vector of the rows [from, to) per (block,
+  // head, K/V); WritePanels writes to = num_items(). ReadPanels stages
+  // every panel before it touches the arena, then commits them and sets
+  // num_items() to `to`; on failure *this is untouched.
+  void WriteGeometry(BinaryWriter* writer) const;
+  bool ReadGeometry(BinaryReader* reader) const;
+  void WritePanels(BinaryWriter* writer, int from) const;
+  bool ReadPanels(BinaryReader* reader, int from, int to);
+
   const KvrlEncoder& encoder_;
   int dim_;
   int head_dim_;

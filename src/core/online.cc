@@ -272,11 +272,7 @@ bool OnlineClassifier::Restore(BinaryReader* reader) {
 
   // Staged into the engine's own resource; committed by a pointer swap.
   auto keys = std::make_unique<KeyTable>(memory_);
-  const int32_t num_keys = reader->ReadInt32();
-  if (!reader->ok() || num_keys < 0 ||
-      static_cast<size_t>(num_keys) > reader->remaining() / 8) {
-    return false;
-  }
+  const int32_t num_keys = reader->ReadCount(kMinTaggedValueBytes);
   keys->states.reserve(num_keys);
   std::vector<float> rows;
   for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
@@ -331,11 +327,7 @@ bool OnlineClassifier::ApplyDelta(BinaryReader* reader) {
   }
   if (!tracker_.ApplyDelta(reader, num_items)) return false;
 
-  const int32_t num_keys = reader->ReadInt32();
-  if (!reader->ok() || num_keys < 0 ||
-      static_cast<size_t>(num_keys) > reader->remaining() / 8) {
-    return false;
-  }
+  const int32_t num_keys = reader->ReadCount(kMinTaggedValueBytes);
   int prev_key = -1;
   bool first = true;
   std::vector<float> rows;

@@ -1,5 +1,6 @@
 #include "core/sharded_stream_server.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <utility>
@@ -186,8 +187,12 @@ void ShardedStreamServer::CountShed(Shard* shard, int64_t batches,
 }
 
 int ShardedStreamServer::ShardOf(int key) const {
+  return ShardOf(key, static_cast<int>(shards_.size()));
+}
+
+int ShardedStreamServer::ShardOf(int key, int num_shards) {
   return static_cast<int>(MixKey(static_cast<uint32_t>(key)) %
-                          static_cast<uint32_t>(shards_.size()));
+                          static_cast<uint32_t>(num_shards));
 }
 
 std::vector<StreamEvent> ShardedStreamServer::Observe(const Item& item) {
@@ -380,6 +385,28 @@ std::vector<CheckpointSectionView> WriterSections(
   return sections;
 }
 
+// Walks the `section_id` sections of `checkpoint`, one per shard, each
+// opening with its shard number: hands `apply` the shard and a reader at
+// the rest of its payload. Fails on an out-of-range, duplicate or missing
+// shard, and when `apply` fails.
+bool ForEachShardSection(
+    const Checkpoint& checkpoint, int32_t section_id, int num_shards,
+    const std::function<bool(int, BinaryReader*)>& apply) {
+  std::vector<char> seen(num_shards, 0);
+  for (const CheckpointSection& section : checkpoint.sections) {
+    if (section.id != section_id) continue;
+    BinaryReader reader(section.payload);
+    const int32_t shard = reader.ReadInt32();
+    if (!reader.ok() || shard < 0 || shard >= num_shards || seen[shard] != 0) {
+      return false;
+    }
+    seen[shard] = 1;
+    if (!apply(shard, &reader)) return false;
+  }
+  // Every shard needs its section.
+  return std::find(seen.begin(), seen.end(), 0) == seen.end();
+}
+
 }  // namespace
 
 void ShardedStreamServer::SnapshotShards(
@@ -427,21 +454,13 @@ bool ShardedStreamServer::StageFromCheckpoint(
   // shard state, so it runs on the calling thread in both modes.
   staged->clear();
   staged->resize(shards_.size());
-  for (const CheckpointSection& section : checkpoint.sections) {
-    if (section.id != kCheckpointSectionShard) continue;
-    BinaryReader reader(section.payload);
-    const int32_t shard = reader.ReadInt32();
-    if (!reader.ok() || shard < 0 || shard >= num_shards ||
-        (*staged)[shard] != nullptr) {
-      return false;
-    }
-    (*staged)[shard] = std::make_unique<StreamServer>(model_, config_.shard);
-    if (!(*staged)[shard]->Restore(&reader)) return false;
-  }
-  for (const auto& server : *staged) {
-    if (server == nullptr) return false;  // a shard section is missing
-  }
-  return true;
+  return ForEachShardSection(
+      checkpoint, kCheckpointSectionShard, num_shards,
+      [this, staged](int shard, BinaryReader* reader) {
+        auto& server = (*staged)[shard];
+        server = std::make_unique<StreamServer>(model_, config_.shard);
+        return server->Restore(reader);
+      });
 }
 
 void ShardedStreamServer::CommitStaged(
@@ -625,20 +644,11 @@ bool ShardedStreamServer::RestoreFromCheckpointChain(
         num_shards != static_cast<int32_t>(shards_.size())) {
       return false;
     }
-    std::vector<char> applied(shards_.size(), 0);
-    for (const CheckpointSection& section : delta.sections) {
-      if (section.id != kCheckpointSectionShardDelta) continue;
-      BinaryReader reader(section.payload);
-      const int32_t shard = reader.ReadInt32();
-      if (!reader.ok() || shard < 0 || shard >= num_shards ||
-          applied[shard] != 0) {
-        return false;
-      }
-      if (!staged[shard]->ApplyDelta(&reader)) return false;
-      applied[shard] = 1;
-    }
-    for (char a : applied) {
-      if (a == 0) return false;  // a shard's delta section is missing
+    if (!ForEachShardSection(delta, kCheckpointSectionShardDelta, num_shards,
+                             [&staged](int shard, BinaryReader* reader) {
+                               return staged[shard]->ApplyDelta(reader);
+                             })) {
+      return false;
     }
     prev_fp = CheckpointFingerprint(delta_bytes);
   }

@@ -101,8 +101,10 @@ class ShardedStreamServer {
   ShardedStreamServer(const ShardedStreamServer&) = delete;
   ShardedStreamServer& operator=(const ShardedStreamServer&) = delete;
 
-  // The shard an item with this key is routed to (deterministic hash).
+  // The shard an item with this key is routed to (deterministic hash);
+  // the static form routes for a server of `num_shards` shards.
   int ShardOf(int key) const;
+  static int ShardOf(int key, int num_shards);
 
   // Synchronous-semantics ingest: returns the item's events. Thread-safe
   // in both modes; never shed.

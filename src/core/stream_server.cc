@@ -314,7 +314,7 @@ const StreamServerStats& StreamServer::stats() const {
   return stats_;
 }
 
-void StreamServer::Snapshot(BinaryWriter* writer) const {
+void StreamServer::WriteHeader(BinaryWriter* writer) const {
   writer->WriteInt32(config_.max_window_items);
   writer->WriteInt32(config_.idle_timeout);
   writer->WriteInt32(config_.idle_check_interval);
@@ -337,45 +337,22 @@ void StreamServer::Snapshot(BinaryWriter* writer) const {
   // items_shed) are intentionally absent: they belong to the sharded
   // ingest layer's process lifetime, not to serving state, and leaving
   // them out keeps the v1 snapshot layout byte-identical.
-
-  // Key-sorted for a canonical byte stream.
-  std::vector<std::pair<int, int64_t>> open;  // (key, last_seen)
-  open.reserve(index_->open.size());
-  for (const auto& [key, node] : index_->open) {
-    open.emplace_back(key, node.last_seen);
-  }
-  std::sort(open.begin(), open.end());
-  writer->WriteInt32(static_cast<int32_t>(open.size()));
-  for (const auto& [key, last_seen] : open) {
-    writer->WriteInt32(key);
-    writer->WriteInt64(last_seen);
-  }
-
-  // Engine last: Restore stages everything above in temporaries and only
-  // builds the (fresh) engine once the bookkeeping sections parsed.
-  engine_->Snapshot(writer);
 }
 
-bool StreamServer::Restore(BinaryReader* reader) {
-  StreamServerConfig config;
-  config.max_window_items = reader->ReadInt32();
-  config.idle_timeout = reader->ReadInt32();
-  config.idle_check_interval = reader->ReadInt32();
-  config.max_open_keys = reader->ReadInt32();
-  if (!reader->ok() || config.max_window_items <= 0 ||
-      config.idle_timeout <= 0 || config.idle_check_interval <= 0 ||
-      config.max_open_keys <= 0) {
-    return false;
-  }
+bool StreamServer::ReadHeader(BinaryReader* reader, Header* header) const {
+  // The compaction knobs, the compaction count and the memory gauges are
+  // process-local (never serialized; see StreamServerConfig): a restore
+  // keeps the live values.
+  header->config = config_;
+  header->config.max_window_items = reader->ReadInt32();
+  header->config.idle_timeout = reader->ReadInt32();
+  header->config.idle_check_interval = reader->ReadInt32();
+  header->config.max_open_keys = reader->ReadInt32();
 
-  const int64_t position = reader->ReadInt64();
-  const int window_items = reader->ReadInt32();
-  if (!reader->ok() || position < 0 || window_items < 0 ||
-      window_items > config.max_window_items) {
-    return false;
-  }
+  header->position = reader->ReadInt64();
+  header->window_items = reader->ReadInt32();
 
-  StreamServerStats stats;
+  StreamServerStats& stats = header->stats;
   stats.items_processed = reader->ReadInt64();
   stats.sequences_classified = reader->ReadInt64();
   stats.policy_halts = reader->ReadInt64();
@@ -385,36 +362,83 @@ bool StreamServer::Restore(BinaryReader* reader) {
   stats.flush_classifications = reader->ReadInt64();
   stats.windows_started = reader->ReadInt32();
   const int32_t num_classes = reader->ReadInt32();
-  if (!reader->ok() ||
-      num_classes != model_.config().spec.num_classes) {
+  if (!reader->ok() || num_classes != model_.config().spec.num_classes) {
     return false;
   }
   stats.class_counts.resize(num_classes);
-  for (int32_t c = 0; c < num_classes; ++c) {
-    stats.class_counts[c] = reader->ReadInt64();
+  for (int64_t& count : stats.class_counts) count = reader->ReadInt64();
+  stats.compactions = stats_.compactions;
+  stats.scratch_high_water = stats_.scratch_high_water;
+  stats.bytes_resident = stats_.bytes_resident;
+  stats.pool_blocks = stats_.pool_blocks;
+  return reader->ok() && header->position >= 0 && header->window_items >= 0 &&
+         header->window_items <= header->config.max_window_items;
+}
+
+void StreamServer::WriteOpenKeys(BinaryWriter* writer,
+                                 const std::vector<OpenKeyRecord>& records) {
+  writer->WriteInt32(static_cast<int32_t>(records.size()));
+  for (const auto& [key, last_seen] : records) {
+    writer->WriteInt32(key);
+    writer->WriteInt64(last_seen);
+  }
+}
+
+bool StreamServer::ReadOpenKeys(BinaryReader* reader, int64_t position,
+                                std::vector<OpenKeyRecord>* records) {
+  // A record's last_seen can never be ahead of the stream clock it was
+  // written with.
+  const int32_t count = reader->ReadCount(kMinTaggedValueBytes);
+  records->clear();
+  records->reserve(count);
+  for (int32_t i = 0; i < count && reader->ok(); ++i) {
+    const int key = reader->ReadInt32();
+    const int64_t last_seen = reader->ReadInt64();
+    if (last_seen < 0 || last_seen > position) return false;
+    records->emplace_back(key, last_seen);
+  }
+  return reader->ok();
+}
+
+void StreamServer::Snapshot(BinaryWriter* writer) const {
+  WriteHeader(writer);
+
+  // Key-sorted for a canonical byte stream.
+  std::vector<OpenKeyRecord> open;
+  open.reserve(index_->open.size());
+  for (const auto& [key, node] : index_->open) {
+    open.emplace_back(key, node.last_seen);
+  }
+  std::sort(open.begin(), open.end());
+  WriteOpenKeys(writer, open);
+
+  // Engine last: Restore stages everything above in temporaries and only
+  // builds the (fresh) engine once the bookkeeping sections parsed.
+  engine_->Snapshot(writer);
+}
+
+bool StreamServer::Restore(BinaryReader* reader) {
+  Header header;
+  if (!ReadHeader(reader, &header)) return false;
+  const StreamServerConfig& config = header.config;
+  if (config.max_window_items <= 0 || config.idle_timeout <= 0 ||
+      config.idle_check_interval <= 0 || config.max_open_keys <= 0) {
+    return false;
   }
 
+  std::vector<OpenKeyRecord> open;
+  if (!ReadOpenKeys(reader, header.position, &open) ||
+      open.size() > static_cast<size_t>(config.max_open_keys)) {
+    return false;
+  }
   // Staged into the live shard pool (the pool just grows while the old
   // state still exists; a failed restore leaves only recyclable pool
   // space behind, which the next compaction reclaims).
   auto index = std::make_unique<KeyIndex>(pool_->resource());
-  const int32_t num_open = reader->ReadInt32();
-  if (!reader->ok() || num_open < 0 ||
-      static_cast<size_t>(num_open) > reader->remaining() / 8 ||
-      num_open > config.max_open_keys) {
-    return false;
-  }
-  index->open.reserve(num_open);
-  for (int32_t i = 0; i < num_open && reader->ok(); ++i) {
-    const int key = reader->ReadInt32();
-    const int64_t last_seen = reader->ReadInt64();
-    if (!reader->ok() || last_seen < 0 || last_seen > position) return false;
-    index->Touch(key, last_seen);
-  }
+  index->open.reserve(open.size());
+  for (const auto& [key, last_seen] : open) index->Touch(key, last_seen);
   // A repeated key would have been touched twice into one node.
-  if (!reader->ok() || static_cast<int32_t>(index->open.size()) != num_open) {
-    return false;
-  }
+  if (index->open.size() != open.size()) return false;
   index->Relink();
 
   // A fresh engine keeps the current one intact if the engine section is
@@ -427,19 +451,10 @@ bool StreamServer::Restore(BinaryReader* reader) {
   // commit below so a tainted checkpoint leaves *this untouched.
   if (!reader->AtEnd()) return false;
 
-  // The compaction knobs and lifetime counter are process-local (never
-  // serialized; see StreamServerConfig): a restore keeps the live values.
-  config.compaction_check_interval = config_.compaction_check_interval;
-  config.compaction_fragmentation_threshold =
-      config_.compaction_fragmentation_threshold;
-  config.compaction_min_bytes = config_.compaction_min_bytes;
-  stats.compactions = stats_.compactions;
-  stats.scratch_high_water = stats_.scratch_high_water;
-
   config_ = config;
-  position_ = position;
-  window_items_ = window_items;
-  stats_ = std::move(stats);
+  position_ = header.position;
+  window_items_ = header.window_items;
+  stats_ = std::move(header.stats);
   index_ = std::move(index);
   engine_ = std::move(engine);
   items_since_compaction_check_ = 0;
@@ -483,28 +498,11 @@ void StreamServer::SnapshotDelta(BinaryWriter* writer) {
   for (const auto& [key, epoch] : dirty_keys_) dirty_sorted.push_back(key);
   std::sort(dirty_sorted.begin(), dirty_sorted.end());
 
-  // Config echo: a delta must never apply to a server with different
-  // serving semantics (same four knobs the full snapshot carries).
-  writer->WriteInt32(config_.max_window_items);
-  writer->WriteInt32(config_.idle_timeout);
-  writer->WriteInt32(config_.idle_check_interval);
-  writer->WriteInt32(config_.max_open_keys);
-
-  writer->WriteInt64(position_);
-  writer->WriteInt32(window_items_);
-
-  // Stats travel whole (they are a handful of scalars; the churn-
-  // proportional savings are in the per-key payloads below).
-  writer->WriteInt64(stats_.items_processed);
-  writer->WriteInt64(stats_.sequences_classified);
-  writer->WriteInt64(stats_.policy_halts);
-  writer->WriteInt64(stats_.idle_timeouts);
-  writer->WriteInt64(stats_.capacity_evictions);
-  writer->WriteInt64(stats_.rotation_classifications);
-  writer->WriteInt64(stats_.flush_classifications);
-  writer->WriteInt32(stats_.windows_started);
-  writer->WriteInt32(static_cast<int32_t>(stats_.class_counts.size()));
-  for (int64_t count : stats_.class_counts) writer->WriteInt64(count);
+  // The full snapshot's header: the config echo keeps a delta from ever
+  // applying to a server with different serving semantics, and the stats
+  // travel whole (a handful of scalars; the churn-proportional savings are
+  // in the per-key payloads below).
+  WriteHeader(writer);
 
   // When the engine was rebuilt since the base (window rotation), the
   // receiver rebuilds a fresh engine too and the encoder tail starts at 0.
@@ -513,7 +511,7 @@ void StreamServer::SnapshotDelta(BinaryWriter* writer) {
   const int base_items = engine_reset ? 0 : base_engine_items_;
 
   // Serving-index upserts: dirty keys still open (canonical ascending).
-  std::vector<std::pair<int, int64_t>> open_dirty;  // (key, last_seen)
+  std::vector<OpenKeyRecord> open_dirty;
   std::vector<int> tombstones;
   for (int key : dirty_sorted) {
     const auto it = index_->open.find(key);
@@ -523,11 +521,7 @@ void StreamServer::SnapshotDelta(BinaryWriter* writer) {
       tombstones.push_back(key);
     }
   }
-  writer->WriteInt32(static_cast<int32_t>(open_dirty.size()));
-  for (const auto& [key, last_seen] : open_dirty) {
-    writer->WriteInt32(key);
-    writer->WriteInt64(last_seen);
-  }
+  WriteOpenKeys(writer, open_dirty);
   // Tombstones: dirty keys no longer open (closed, evicted, or rotated
   // away since the base).
   writer->WriteInt32(static_cast<int32_t>(tombstones.size()));
@@ -537,71 +531,31 @@ void StreamServer::SnapshotDelta(BinaryWriter* writer) {
 }
 
 bool StreamServer::ApplyDelta(BinaryReader* reader) {
-  const int max_window_items = reader->ReadInt32();
-  const int idle_timeout = reader->ReadInt32();
-  const int idle_check_interval = reader->ReadInt32();
-  const int max_open_keys = reader->ReadInt32();
-  if (!reader->ok() || max_window_items != config_.max_window_items ||
-      idle_timeout != config_.idle_timeout ||
-      idle_check_interval != config_.idle_check_interval ||
-      max_open_keys != config_.max_open_keys) {
-    return false;
-  }
-
-  const int64_t position = reader->ReadInt64();
-  const int window_items = reader->ReadInt32();
-  if (!reader->ok() || position < position_ || window_items < 0 ||
-      window_items > config_.max_window_items) {
-    return false;
-  }
-
-  StreamServerStats stats;
-  stats.items_processed = reader->ReadInt64();
-  stats.sequences_classified = reader->ReadInt64();
-  stats.policy_halts = reader->ReadInt64();
-  stats.idle_timeouts = reader->ReadInt64();
-  stats.capacity_evictions = reader->ReadInt64();
-  stats.rotation_classifications = reader->ReadInt64();
-  stats.flush_classifications = reader->ReadInt64();
-  stats.windows_started = reader->ReadInt32();
-  const int32_t num_classes = reader->ReadInt32();
-  if (!reader->ok() || num_classes != model_.config().spec.num_classes) {
-    return false;
-  }
-  stats.class_counts.resize(num_classes);
-  for (int32_t c = 0; c < num_classes; ++c) {
-    stats.class_counts[c] = reader->ReadInt64();
-  }
-  if (!reader->ok() || stats.windows_started < stats_.windows_started) {
+  Header header;
+  if (!ReadHeader(reader, &header)) return false;
+  const StreamServerConfig& config = header.config;
+  if (config.max_window_items != config_.max_window_items ||
+      config.idle_timeout != config_.idle_timeout ||
+      config.idle_check_interval != config_.idle_check_interval ||
+      config.max_open_keys != config_.max_open_keys ||
+      header.position < position_ ||
+      header.stats.windows_started < stats_.windows_started) {
     return false;
   }
 
   const int engine_reset = reader->ReadInt32();
   if (!reader->ok() || (engine_reset != 0 && engine_reset != 1)) return false;
 
-  const int32_t num_upserts = reader->ReadInt32();
-  if (!reader->ok() || num_upserts < 0 ||
-      static_cast<size_t>(num_upserts) > reader->remaining() / 8) {
-    return false;
-  }
-  int prev_key = -1;
-  for (int32_t i = 0; i < num_upserts && reader->ok(); ++i) {
-    const int key = reader->ReadInt32();
-    const int64_t last_seen = reader->ReadInt64();
-    if (!reader->ok() || (i > 0 && key <= prev_key) || last_seen < 0 ||
-        last_seen > position) {
-      return false;
-    }
-    prev_key = key;
-    index_->Touch(key, last_seen);
+  std::vector<OpenKeyRecord> upserts;
+  if (!ReadOpenKeys(reader, header.position, &upserts)) return false;
+  for (size_t i = 0; i < upserts.size(); ++i) {
+    // Strictly ascending is the canonical encoding.
+    if (i > 0 && upserts[i].first <= upserts[i - 1].first) return false;
+    index_->Touch(upserts[i].first, upserts[i].second);
   }
 
-  const int32_t num_tombstones = reader->ReadInt32();
-  if (!reader->ok() || num_tombstones < 0 ||
-      static_cast<size_t>(num_tombstones) > reader->remaining() / 8) {
-    return false;
-  }
-  prev_key = -1;
+  const int32_t num_tombstones = reader->ReadCount(kMinTaggedValueBytes);
+  int prev_key = -1;
   for (int32_t i = 0; i < num_tombstones && reader->ok(); ++i) {
     const int key = reader->ReadInt32();
     // Strictly ascending is the canonical encoding; a duplicate (or
@@ -610,11 +564,12 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
     prev_key = key;
     CloseKey(key);
   }
-  if (static_cast<int>(index_->open.size()) > config_.max_open_keys) {
+  if (!reader->ok() ||
+      static_cast<int>(index_->open.size()) > config_.max_open_keys) {
     return false;
   }
   // The upserts can carry any last_seen; the list order is restored once.
-  if (num_upserts > 0) index_->Relink();
+  if (!upserts.empty()) index_->Relink();
 
   if (engine_reset != 0) {
     // Mirrors RotateWindow on the writer: a fresh engine over the live
@@ -625,15 +580,9 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
   if (!reader->AtEnd()) return false;
   if (!IndexMatchesEngine(*index_, *engine_)) return false;
 
-  // Same process-local carve-outs as Restore.
-  stats.compactions = stats_.compactions;
-  stats.scratch_high_water = stats_.scratch_high_water;
-  stats.bytes_resident = stats_.bytes_resident;
-  stats.pool_blocks = stats_.pool_blocks;
-
-  position_ = position;
-  window_items_ = window_items;
-  stats_ = std::move(stats);
+  position_ = header.position;
+  window_items_ = header.window_items;
+  stats_ = std::move(header.stats);
   items_since_compaction_check_ = 0;
   return true;
 }

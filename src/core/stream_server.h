@@ -53,6 +53,7 @@
 #include <memory_resource>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/online.h"
@@ -326,6 +327,28 @@ class StreamServer {
 
   // Shared body of the two restoring checkpoint entry points.
   bool RestoreFromCheckpoint(const Checkpoint& checkpoint);
+
+  // The record codecs Snapshot and SnapshotDelta share (one layout each,
+  // so v1 and v2 cannot drift apart).
+  // The header both layouts open with: the four serialized config knobs,
+  // the stream clock, and the serialized stats. ReadHeader keeps the live
+  // process-local fields (compaction knobs, memory gauges) and checks what
+  // any header must satisfy; Restore and ApplyDelta add their own checks.
+  struct Header {
+    StreamServerConfig config;
+    int64_t position = 0;
+    int window_items = 0;
+    StreamServerStats stats;
+  };
+  void WriteHeader(BinaryWriter* writer) const;
+  bool ReadHeader(BinaryReader* reader, Header* header) const;
+  // A (key, last_seen) list of open keys, written in the given order.
+  // ReadOpenKeys rejects a last_seen outside [0, position].
+  using OpenKeyRecord = std::pair<int, int64_t>;
+  static void WriteOpenKeys(BinaryWriter* writer,
+                            const std::vector<OpenKeyRecord>& records);
+  static bool ReadOpenKeys(BinaryReader* reader, int64_t position,
+                           std::vector<OpenKeyRecord>* records);
 
   // Drops `key` from the index; no-op if it is not open.
   void CloseKey(int key);

@@ -179,11 +179,10 @@ std::string EncodeItems(const std::vector<Item>& items) {
 
 bool DecodeItems(const std::string& payload, std::vector<Item>* out) {
   BinaryReader reader(payload);
-  const int32_t count = reader.ReadInt32();
-  if (!reader.ok() || count < 0) return false;
   // Every item is at least 3 tagged values (> 24 bytes); a count the
   // remaining bytes cannot possibly hold fails before the reserve.
-  if (static_cast<uint64_t>(count) > reader.remaining() / 24) return false;
+  const int32_t count = reader.ReadCount(3 * kMinTaggedValueBytes);
+  if (!reader.ok()) return false;
   out->clear();
   out->reserve(static_cast<size_t>(count));
   for (int32_t i = 0; i < count; ++i) {

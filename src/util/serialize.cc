@@ -205,6 +205,16 @@ std::vector<int> BinaryReader::ReadIntVector() {
   return values;
 }
 
+int32_t BinaryReader::ReadCount(size_t min_bytes_per_element) {
+  const int32_t count = ReadInt32();
+  if (count < 0 ||
+      static_cast<size_t>(count) > remaining() / min_bytes_per_element) {
+    Fail();
+    return 0;
+  }
+  return count;
+}
+
 // ---- Checkpoint container ------------------------------------------------
 
 namespace {

@@ -50,6 +50,10 @@ inline constexpr int32_t kTagIntVec = 0x4b561006;
 inline constexpr int32_t kTagDouble = 0x4b561007;
 }  // namespace serialize_internal
 
+// Bytes of the smallest tagged value (an int32: tag plus payload), the
+// floor BinaryReader::ReadCount callers pass for lists of records.
+inline constexpr size_t kMinTaggedValueBytes = 8;
+
 // Appends tagged values to a growable byte buffer. Every write is inline:
 // one capacity check, then the tag, any length prefix and the value are
 // copied in place. The buffer doubles when full and is never zero-filled:
@@ -161,11 +165,16 @@ class BinaryReader {
   std::string ReadString();
   std::vector<float> ReadFloatVector();
   std::vector<int> ReadIntVector();
+  // Reads the int32 element count of a record list whose every element
+  // takes at least `min_bytes_per_element` bytes. A negative count, or one
+  // the bytes left after it cannot back, fails the reader, so a corrupted
+  // count can never drive a reserve or spin a loop over a near-empty
+  // reader. Returns 0 on failure.
+  int32_t ReadCount(size_t min_bytes_per_element);
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return position_ == buffer_.size(); }
-  // Bytes not yet consumed. Restore loops bound their element counts by
-  // this so a corrupted count can never spin a near-empty reader.
+  // Bytes not yet consumed.
   size_t remaining() const { return buffer_.size() - position_; }
 
  private:

@@ -91,6 +91,7 @@ TEST(LintTest, ViolationFixturesFlagEveryRule) {
       "[pragma-once]",      "[iostream-outside-cli]",
       "[raw-syscall]",      "[test-wiring]", "[include-path]",
       "[pool-discipline]",  "[section-id]",  "[tsa-escape]",
+      "[count-guard]",
       // Not a configurable rule but a linter invariant: suppressions must
       // name a real rule and carry a reason.
       "[bad-allow]",
@@ -113,6 +114,9 @@ TEST(LintTest, ViolationFixturesPinpointTheRightLines) {
             std::string::npos)
       << run.output;
   EXPECT_NE(run.output.find("tsa_escape.cc:7: [tsa-escape]"),
+            std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("count_guard.cc:13: [count-guard]"),
             std::string::npos)
       << run.output;
 }

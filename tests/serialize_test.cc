@@ -8,7 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "data/types.h"
 #include "gtest/gtest.h"
+#include "net/frame.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 
@@ -135,6 +137,71 @@ TEST(SerializeTest, RemainingTracksConsumption) {
   EXPECT_EQ(reader.remaining(), writer.buffer().size());
   reader.ReadInt32();
   EXPECT_EQ(reader.remaining(), 0u);
+}
+
+// Writes `count` as an element count followed by `elements` int32s (8
+// bytes each on the wire).
+std::string CountedInts(int32_t count, int elements) {
+  BinaryWriter writer;
+  writer.WriteInt32(count);
+  for (int i = 0; i < elements; ++i) writer.WriteInt32(i);
+  return writer.buffer();
+}
+
+TEST(ReadCountTest, NegativeCountFailsClosed) {
+  BinaryReader reader(CountedInts(-1, 2));
+  EXPECT_EQ(reader.ReadCount(kMinTaggedValueBytes), 0);
+  EXPECT_FALSE(reader.ok());
+  EXPECT_EQ(reader.ReadInt32(), 0);  // and stays failed
+}
+
+TEST(ReadCountTest, ExactlyBackedCountPasses) {
+  BinaryReader reader(CountedInts(3, 3));
+  EXPECT_EQ(reader.ReadCount(kMinTaggedValueBytes), 3);
+  EXPECT_TRUE(reader.ok());
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(reader.ReadInt32(), i);
+  EXPECT_TRUE(reader.AtEnd());
+
+  BinaryReader empty(CountedInts(0, 0));
+  EXPECT_EQ(empty.ReadCount(kMinTaggedValueBytes), 0);
+  EXPECT_TRUE(empty.ok());
+}
+
+TEST(ReadCountTest, CountOneOverTheBytesFailsClosed) {
+  BinaryReader reader(CountedInts(4, 3));
+  EXPECT_EQ(reader.ReadCount(kMinTaggedValueBytes), 0);
+  EXPECT_FALSE(reader.ok());
+  // The per-element floor scales the bound: three 8-byte values back one
+  // 24-byte element, not two.
+  BinaryReader wide(CountedInts(2, 3));
+  EXPECT_EQ(wide.ReadCount(3 * kMinTaggedValueBytes), 0);
+  EXPECT_FALSE(wide.ok());
+}
+
+TEST(ReadCountTest, AlreadyFailedReaderStaysFailed) {
+  BinaryWriter writer;
+  writer.WriteFloat(1.0f);
+  writer.WriteInt32(0);  // a count that would pass on a healthy reader
+  BinaryReader reader(writer.buffer());
+  EXPECT_EQ(reader.ReadInt32(), 0);  // tag mismatch fails the reader
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.ReadCount(kMinTaggedValueBytes), 0);
+  EXPECT_FALSE(reader.ok());
+}
+
+TEST(ReadCountTest, DecodeItemsRejectsAnUnbackedItemCount) {
+  const std::vector<Item> sent = {{1, {2}, 0.5}, {3, {4, 5}, 1.5}};
+  std::string payload = net::EncodeItems(sent);
+  std::vector<Item> decoded;
+  ASSERT_TRUE(net::DecodeItems(payload, &decoded));
+  ASSERT_EQ(decoded.size(), sent.size());
+
+  // The count sits after its 4-byte tag. A count the item bytes cannot back
+  // fails at the guard, before DecodeItems clears or reserves its output.
+  const int32_t unbacked = 1 << 20;
+  std::memcpy(&payload[4], &unbacked, sizeof(unbacked));
+  EXPECT_FALSE(net::DecodeItems(payload, &decoded));
+  EXPECT_EQ(decoded.size(), sent.size());
 }
 
 // ---- Checkpoint container ----

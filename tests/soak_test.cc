@@ -96,6 +96,16 @@ TEST(SoakCli, BudgetRunIsFlatAndExercisesEveryClosePath) {
   EXPECT_GT(JsonInt(result.out, "scratch_high_water"), 0);
 }
 
+// 20,000 keys hash unevenly over the four default shards (5,116 on the
+// busiest against an even 5,000), so a capacity sized from the even split
+// evicts keys the stage means to keep open. Sized from the busiest shard,
+// every key is open at the end of the first pass, in every build.
+TEST(SoakCli, CapacityHoldsEveryKeyOfTheBusiestShard) {
+  CliResult result = RunSoak({"--keys", "20000", "--scales", "1", "--json"});
+  ASSERT_EQ(result.code, 0) << result.err;
+  EXPECT_EQ(JsonInt(result.out, "open_keys_peak"), 20000);
+}
+
 TEST(SoakCli, DisablingCompactionAndCheckpointStillHoldsTheBand) {
   CliResult result =
       RunSoak({"--keys", "2000", "--shards", "2", "--scales", "1",
