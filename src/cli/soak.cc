@@ -16,6 +16,7 @@
 
 #include "cli/args.h"
 #include "cli/json_writer.h"
+#include "cli/stats_report.h"
 #include "core/config.h"
 #include "core/model.h"
 #include "core/sharded_stream_server.h"
@@ -152,14 +153,11 @@ struct StageResult {
   // symmetric (max-min)/min spread would.
   double rss_drift = 0.0;
   bool rss_flat = true;
-  int64_t bytes_resident = 0;
-  int64_t pool_blocks = 0;
-  int64_t scratch_high_water = 0;
-  int64_t compactions = 0;
-  int64_t sequences_classified = 0;
-  int64_t idle_timeouts = 0;
-  int64_t capacity_evictions = 0;
-  int64_t rotation_classifications = 0;
+  // The server's counters at the end of the stage, except the memory
+  // group: its gauges are the last ones read before a checkpoint restore
+  // (scratch_high_water the highest), and `compactions` sums the runs
+  // across restores.
+  StreamServerStats stats;
   std::vector<int64_t> rss_samples;  // per-steady-cycle peak RSS, in order
 };
 
@@ -231,6 +229,7 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
   int64_t position = 0;
   int64_t compactions_seen = 0;
   int64_t compaction_counter_floor = 0;
+  StreamServerStats gauges;
   std::vector<int64_t> steady_rss;
   result->target_keys = target_keys;
 
@@ -296,10 +295,10 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
       const StreamServerStats stats = server.stats();
       compactions_seen += stats.compactions - compaction_counter_floor;
       compaction_counter_floor = stats.compactions;
-      result->bytes_resident = stats.bytes_resident;
-      result->pool_blocks = stats.pool_blocks;
-      result->scratch_high_water =
-          std::max(result->scratch_high_water, stats.scratch_high_water);
+      gauges.bytes_resident = stats.bytes_resident;
+      gauges.pool_blocks = stats.pool_blocks;
+      gauges.scratch_high_water =
+          std::max(gauges.scratch_high_water, stats.scratch_high_water);
     }
 
     if (options.checkpoint) {
@@ -337,12 +336,11 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
   // The serving counters ARE serialized, so they survive the per-cycle
   // restores and read cumulatively here; the memory gauges were captured
   // pre-restore inside the loop.
-  const StreamServerStats stats = server.stats();
-  result->compactions = compactions_seen;
-  result->sequences_classified = stats.sequences_classified;
-  result->idle_timeouts = stats.idle_timeouts;
-  result->capacity_evictions = stats.capacity_evictions;
-  result->rotation_classifications = stats.rotation_classifications;
+  result->stats = server.stats();
+  result->stats.bytes_resident = gauges.bytes_resident;
+  result->stats.pool_blocks = gauges.pool_blocks;
+  result->stats.scratch_high_water = gauges.scratch_high_water;
+  result->stats.compactions = compactions_seen;
 
   result->rss_samples = steady_rss;
   if (!steady_rss.empty()) {
@@ -383,19 +381,7 @@ void EmitStageJson(const StageResult& stage, JsonWriter* writer) {
   writer->Key("rss_samples").BeginArray();
   for (int64_t sample : stage.rss_samples) writer->Int(sample);
   writer->EndArray();
-  writer->Key("memory").BeginObject();
-  writer->Key("bytes_resident").Int(stage.bytes_resident);
-  writer->Key("pool_blocks").Int(stage.pool_blocks);
-  writer->Key("scratch_high_water").Int(stage.scratch_high_water);
-  writer->Key("compactions").Int(stage.compactions);
-  writer->EndObject();
-  writer->Key("events").BeginObject();
-  writer->Key("sequences_classified").Int(stage.sequences_classified);
-  writer->Key("idle_timeouts").Int(stage.idle_timeouts);
-  writer->Key("capacity_evictions").Int(stage.capacity_evictions);
-  writer->Key("rotation_classifications")
-      .Int(stage.rotation_classifications);
-  writer->EndObject();
+  EmitStatsJson(stage.stats, writer);
   writer->EndObject();
 }
 
@@ -425,10 +411,10 @@ std::string CurveJson(const SoakOptions& options,
     writer.Key("open_keys_peak").Int(stage.open_keys_peak);
     writer.Key("rss_bytes").Int(stage.rss_steady);
     writer.Key("rss_drift").Double(stage.rss_drift, 4);
-    writer.Key("pool_resident_bytes").Int(stage.bytes_resident);
-    writer.Key("pool_blocks").Int(stage.pool_blocks);
-    writer.Key("scratch_high_water").Int(stage.scratch_high_water);
-    writer.Key("compactions").Int(stage.compactions);
+    writer.Key("pool_resident_bytes").Int(stage.stats.bytes_resident);
+    writer.Key("pool_blocks").Int(stage.stats.pool_blocks);
+    writer.Key("scratch_high_water").Int(stage.stats.scratch_high_water);
+    writer.Key("compactions").Int(stage.stats.compactions);
     writer.EndObject();
   }
   writer.EndObject();
@@ -612,8 +598,9 @@ int RunSoakCommand(const std::vector<std::string>& args, std::ostream& out,
         << Table::FormatDouble(options.rss_band, 2) << ", "
         << (flat ? "RSS FLAT" : "RSS DRIFTED") << "\n";
     Table table({"target keys", "open peak", "items", "items/sec",
-                 "rss MiB", "drift", "flat", "pool MiB", "compactions",
-                 "evictions"});
+                 "rss MiB", "drift", "flat"});
+    std::vector<std::string> names;
+    std::vector<StreamServerStats> views;
     for (const StageResult& stage : stages) {
       table.AddRow(
           {std::to_string(stage.target_keys),
@@ -623,14 +610,11 @@ int RunSoakCommand(const std::vector<std::string>& args, std::ostream& out,
            Table::FormatDouble(
                static_cast<double>(stage.rss_steady) / (1024.0 * 1024.0), 1),
            Table::FormatDouble(stage.rss_drift, 4),
-           stage.rss_flat ? "yes" : "NO",
-           Table::FormatDouble(
-               static_cast<double>(stage.bytes_resident) / (1024.0 * 1024.0),
-               1),
-           std::to_string(stage.compactions),
-           std::to_string(stage.idle_timeouts + stage.capacity_evictions)});
+           stage.rss_flat ? "yes" : "NO"});
+      names.push_back(std::to_string(stage.target_keys) + " keys");
+      views.push_back(stage.stats);
     }
-    out << table.ToText();
+    out << table.ToText() << StatsColumns(names, views).ToText();
   }
 
   if (!flat) {

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "cli/json_writer.h"
 #include "cli/model_io.h"
 #include "cli/soak.h"
+#include "cli/stats_report.h"
 #include "core/model.h"
 #include "core/sharded_stream_server.h"
 #include "core/stream_server.h"
@@ -721,8 +723,7 @@ int RunSweep(const std::vector<std::string>& args, std::ostream& out,
 
 // All episodes of a split interleaved round-robin with globally unique
 // keys — a router serving many tenants at once rather than one episode at
-// a time (the idiom of examples/sharded_router.cpp). `truth` receives
-// global key -> true label.
+// a time. `truth` receives global key -> true label.
 std::vector<Item> InterleaveEpisodes(
     const std::vector<TangledSequence>& episodes, int key_stride,
     std::map<int, int>* truth) {
@@ -754,13 +755,17 @@ struct ServeOutcome {
   int64_t items = 0;
   int64_t correct = 0;
   int64_t labelled = 0;
+  int64_t flush_events = 0;
   double seconds = 0.0;
   StreamServerStats stats;
   int open_keys_after = 0;
   bool interrupted = false;
-  bool checkpoint_failed = false;  // a periodic checkpoint could not be written
-  // Per-shard views (workers/sharded mode only) for the SIGINT report.
+  // One view per shard (a plain StreamServer is its own single shard) for
+  // the SIGINT report.
   std::vector<StreamServerStats> per_shard;
+  // --listen only: the bound HOST:PORT and the TCP front end's counters.
+  std::string listen;
+  net::TcpIngestServerStats net;
 };
 
 // Thread-safe verdict-accuracy accumulator: the shard workers deliver
@@ -787,160 +792,167 @@ struct EventRecorder {
   }
 };
 
-void EmitServeJson(const ServeOutcome& outcome, int shards, int workers,
-                   int batch, JsonWriter* writer) {
-  writer->Key("items").Int(outcome.items);
-  writer->Key("shards").Int(shards);
-  writer->Key("workers").Int(workers);
-  writer->Key("batch").Int(batch);
-  writer->Key("seconds").Double(outcome.seconds);
-  writer->Key("items_per_sec")
-      .Double(outcome.seconds > 0 ? outcome.items / outcome.seconds : 0.0, 1);
-  writer->Key("serving_accuracy")
-      .Double(outcome.labelled > 0
-                  ? static_cast<double>(outcome.correct) / outcome.labelled
-                  : 0.0);
-  writer->Key("open_keys_after").Int(outcome.open_keys_after);
-  writer->Key("interrupted").Bool(outcome.interrupted);
-  writer->Key("overload").BeginObject();
-  writer->Key("items_submitted").Int(outcome.stats.items_submitted);
-  writer->Key("batches_shed").Int(outcome.stats.batches_shed);
-  writer->Key("items_shed").Int(outcome.stats.items_shed);
-  writer->EndObject();
-  writer->Key("memory").BeginObject();
-  writer->Key("bytes_resident").Int(outcome.stats.bytes_resident);
-  writer->Key("pool_blocks").Int(outcome.stats.pool_blocks);
-  writer->Key("scratch_high_water").Int(outcome.stats.scratch_high_water);
-  writer->Key("compactions").Int(outcome.stats.compactions);
-  writer->EndObject();
-  writer->Key("events").BeginObject();
-  writer->Key("sequences_classified").Int(outcome.stats.sequences_classified);
-  writer->Key("policy_halts").Int(outcome.stats.policy_halts);
-  writer->Key("idle_timeouts").Int(outcome.stats.idle_timeouts);
-  writer->Key("capacity_evictions").Int(outcome.stats.capacity_evictions);
-  writer->Key("rotation_classifications")
-      .Int(outcome.stats.rotation_classifications);
-  writer->Key("flush_classifications")
-      .Int(outcome.stats.flush_classifications);
-  writer->Key("windows_started").Int(outcome.stats.windows_started);
-  writer->EndObject();
-}
-
-Table ServeTable(const ServeOutcome& outcome) {
-  Table table({"stat", "value"});
-  table.AddRow({"items", std::to_string(outcome.items)});
-  table.AddRow({"seconds", Table::FormatDouble(outcome.seconds)});
-  table.AddRow(
-      {"items/sec",
-       Table::FormatDouble(
-           outcome.seconds > 0 ? outcome.items / outcome.seconds : 0.0, 1)});
-  table.AddRow(
-      {"serving accuracy",
-       Table::FormatDouble(outcome.labelled > 0
-                               ? static_cast<double>(outcome.correct) /
-                                     outcome.labelled
-                               : 0.0)});
-  table.AddRow({"sequences classified",
-                std::to_string(outcome.stats.sequences_classified)});
-  table.AddRow({"  policy halts", std::to_string(outcome.stats.policy_halts)});
-  table.AddRow(
-      {"  idle timeouts", std::to_string(outcome.stats.idle_timeouts)});
-  table.AddRow({"  capacity evictions",
-                std::to_string(outcome.stats.capacity_evictions)});
-  table.AddRow({"  rotation closes",
-                std::to_string(outcome.stats.rotation_classifications)});
-  table.AddRow({"  flush closes",
-                std::to_string(outcome.stats.flush_classifications)});
-  table.AddRow(
-      {"windows started", std::to_string(outcome.stats.windows_started)});
-  table.AddRow({"open keys after", std::to_string(outcome.open_keys_after)});
-  table.AddRow(
-      {"items submitted", std::to_string(outcome.stats.items_submitted)});
-  table.AddRow({"batches shed", std::to_string(outcome.stats.batches_shed)});
-  table.AddRow({"items shed", std::to_string(outcome.stats.items_shed)});
-  table.AddRow(
-      {"bytes resident", std::to_string(outcome.stats.bytes_resident)});
-  table.AddRow({"pool blocks", std::to_string(outcome.stats.pool_blocks)});
-  table.AddRow({"scratch high water",
-                std::to_string(outcome.stats.scratch_high_water)});
-  table.AddRow({"compactions", std::to_string(outcome.stats.compactions)});
-  return table;
-}
-
-// The SIGINT report: one row per shard so an operator can see which shard
-// was hot (or shedding) when the process was asked to stop.
-Table PerShardTable(const std::vector<StreamServerStats>& per_shard) {
-  Table table({"shard", "processed", "classified", "submitted", "shed items",
-               "shed batches", "resident bytes", "compactions"});
-  for (size_t s = 0; s < per_shard.size(); ++s) {
-    const StreamServerStats& stats = per_shard[s];
-    table.AddRow({std::to_string(s), std::to_string(stats.items_processed),
-                  std::to_string(stats.sequences_classified),
-                  std::to_string(stats.items_submitted),
-                  std::to_string(stats.items_shed),
-                  std::to_string(stats.batches_shed),
-                  std::to_string(stats.bytes_resident),
-                  std::to_string(stats.compactions)});
-  }
-  return table;
-}
+// How a feed ended. A replay that SIGINT cut short is not flushed, so its
+// keys stay open for --save-checkpoint; the TCP front end's stream ends
+// with SIGINT, so it is.
+enum class FeedEnd { kEnded, kCutShort, kFailed };
+// Feeds the server its stream; kFailed sets *error.
+using Feed = std::function<FeedEnd(std::string* error)>;
 
 // Invoked at batch boundaries with the cumulative offered item count;
-// returning false aborts the replay (the periodic checkpoint could not be
-// written).
-using ReplayTick = std::function<bool(int64_t fed)>;
-// Feeds one microbatch to the server: ObserveBatch, recording the events
-// it returns, or in workers mode a fire-and-forget Submit, whose events
-// reach the recorder through the on_events sink.
-using ReplayIngest = std::function<void(const std::vector<Item>& batch)>;
+// false (with *error set) aborts the replay.
+using ReplayTick = std::function<bool(int64_t fed, std::string* error)>;
 
-// Replays `stream` in microbatches of `batch` items. Shared by serve and
-// bench so the two subcommands cannot drift apart in semantics. Polls the
-// SIGINT flag at batch boundaries; on interrupt the rest of the stream is
-// skipped and no flush runs (keys stay open for --save-checkpoint).
-// Throughput counts *processed* items (offered minus shed), from the
-// items_processed delta so a --load-checkpoint baseline is excluded.
+// Replays `stream` in microbatches of `batch` items: ObserveBatch,
+// recording the events it returns, or with `submit` (workers mode) a
+// fire-and-forget Submit, whose events reach the recorder through the
+// on_events sink. Shared by serve and bench so the two subcommands cannot
+// drift apart in semantics. Polls the SIGINT flag at batch boundaries.
 template <typename Server>
-ServeOutcome ReplayStream(Server& server, const ReplayIngest& ingest,
-                          EventRecorder* recorder,
-                          const std::vector<Item>& stream, int batch,
-                          bool flush, const ReplayTick& tick = nullptr) {
-  ServeOutcome outcome;
-  const int64_t processed_before = server.stats().items_processed;
-  const size_t step = static_cast<size_t>(std::max(1, batch));
-  const auto start = std::chrono::steady_clock::now();
-  int64_t offered = 0;
-  for (size_t begin = 0; begin < stream.size(); begin += step) {
-    if (g_serve_interrupted.load()) break;
-    (void)KVEC_FAULT_POINT("serve.batch");
-    const size_t end = std::min(stream.size(), begin + step);
-    ingest(std::vector<Item>(stream.begin() + begin, stream.begin() + end));
-    offered += static_cast<int64_t>(end - begin);
-    // In workers mode the periodic checkpoint runs as a shard control
-    // task, so it is safe to take while the workers drain their queues.
-    if (tick && !tick(offered)) {
-      outcome.checkpoint_failed = true;
-      break;
+Feed ReplayFeed(Server* server, EventRecorder* recorder, bool submit,
+                const std::vector<Item>& stream, int batch,
+                const ReplayTick& tick) {
+  return [=, &stream](std::string* error) {
+    const size_t step = static_cast<size_t>(batch);
+    int64_t offered = 0;
+    for (size_t begin = 0; begin < stream.size(); begin += step) {
+      if (g_serve_interrupted.load()) return FeedEnd::kCutShort;
+      (void)KVEC_FAULT_POINT("serve.batch");
+      const size_t end = std::min(stream.size(), begin + step);
+      std::vector<Item> items(stream.begin() + begin, stream.begin() + end);
+      if constexpr (std::is_same_v<Server, ShardedStreamServer>) {
+        if (submit) {
+          server->Submit(items);
+        } else {
+          recorder->Record(server->ObserveBatch(items));
+        }
+      } else {
+        recorder->Record(server->ObserveBatch(items));
+      }
+      offered += static_cast<int64_t>(end - begin);
+      // In workers mode the periodic checkpoint runs as a shard control
+      // task, so it is safe to take while the workers drain their queues.
+      if (tick && !tick(offered, error)) return FeedEnd::kFailed;
+    }
+    return g_serve_interrupted.load() ? FeedEnd::kCutShort : FeedEnd::kEnded;
+  };
+}
+
+// Serves over TCP until SIGINT, then stops accepting and drains the
+// connections (buffered requests are still answered). The dataset only
+// supplies the model and its hello-shape here; the stream itself arrives
+// over the wire.
+Feed ListenFeed(ShardedStreamServer* server,
+                const net::TcpIngestServerConfig& config,
+                const std::string& port_file, std::ostream& err,
+                ServeOutcome* outcome) {
+  return [=, &err](std::string* error) {
+    net::TcpIngestServer tcp(server, config);
+    if (!tcp.Start(error)) return FeedEnd::kFailed;
+    outcome->listen = config.host + ":" + std::to_string(tcp.port());
+    // The listen line goes to stderr so --json stdout stays pure JSON;
+    // scripts should use --port-file rather than parsing this.
+    err << "kvec: listening on " << outcome->listen << "\n";
+    if (!port_file.empty()) {
+      std::ofstream file(port_file);
+      file << tcp.port() << "\n";
+      if (!file) {
+        *error = "cannot write port file '" + port_file + "'";
+        return FeedEnd::kFailed;
+      }
+    }
+    while (!g_serve_interrupted.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    tcp.Shutdown();
+    outcome->net = tcp.stats();
+    return FeedEnd::kEnded;
+  };
+}
+
+// The serving-state files of one run. With --checkpoint-every, `chain` is
+// the delta chain's state (sharded servers only); otherwise it is null and
+// both files are plain snapshots.
+struct CheckpointPlan {
+  std::string load;
+  std::string save;
+  int64_t rebase_every = 0;
+  ShardedStreamServer::IncrementalCheckpointState* chain = nullptr;
+};
+
+// The one serve sequence: load → feed → drain → flush → save. Only the
+// feed differs between a local replay and the TCP front end. Throughput
+// counts *processed* items (offered minus shed), from the items_processed
+// delta so a --load-checkpoint baseline is excluded. False with *error
+// set when the run must fail.
+template <typename Server>
+bool ServeOnce(Server& server, const CheckpointPlan& plan, const Feed& feed,
+               bool flush, EventRecorder* recorder, ServeOutcome* outcome,
+               std::string* error) {
+  constexpr bool kSharded = std::is_same_v<Server, ShardedStreamServer>;
+  if (!plan.load.empty()) {
+    bool loaded = false;
+    if constexpr (kSharded) {
+      // The load path of a delta chain is its head; loading the path we
+      // save to resumes the chain in place instead of rebasing.
+      loaded = plan.chain != nullptr
+                   ? server.RestoreFromCheckpointChain(
+                         plan.load,
+                         plan.load == plan.save ? plan.chain : nullptr)
+                   : server.LoadCheckpoint(plan.load);
+    } else {
+      loaded = server.LoadCheckpoint(plan.load);
+    }
+    if (!loaded) {
+      *error = "cannot restore checkpoint '" + plan.load + "'";
+      return false;
     }
   }
+  const int64_t processed_before = server.stats().items_processed;
+  const auto start = std::chrono::steady_clock::now();
+  const FeedEnd end = feed(error);
+  if (end == FeedEnd::kFailed) return false;
   // Submitted batches may still sit in the shard queues; the clock stops
   // only once they are served.
-  if constexpr (std::is_same_v<Server, ShardedStreamServer>) server.Drain();
-  outcome.interrupted = g_serve_interrupted.load();
-  if (flush && !outcome.interrupted) recorder->Record(server.Flush());
-  const auto stop = std::chrono::steady_clock::now();
-  outcome.seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(stop - start)
-          .count();
-  outcome.stats = server.stats();
-  outcome.items = outcome.stats.items_processed - processed_before;
-  outcome.open_keys_after = server.open_keys();
+  if constexpr (kSharded) server.Drain();
+  outcome->interrupted = g_serve_interrupted.load();
+  if (flush && end == FeedEnd::kEnded) {
+    const std::vector<StreamEvent> events = server.Flush();
+    outcome->flush_events = static_cast<int64_t>(events.size());
+    recorder->Record(events);
+  }
+  outcome->seconds = std::chrono::duration_cast<std::chrono::duration<double>>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+  outcome->stats = server.stats();
+  outcome->items = outcome->stats.items_processed - processed_before;
+  outcome->open_keys_after = server.open_keys();
   {
     MutexLock lock(recorder->mutex);
-    outcome.correct = recorder->correct;
-    outcome.labelled = recorder->labelled;
+    outcome->correct = recorder->correct;
+    outcome->labelled = recorder->labelled;
   }
-  return outcome;
+  if constexpr (kSharded) {
+    for (int s = 0; s < server.num_shards(); ++s) {
+      outcome->per_shard.push_back(server.shard_stats(s));
+    }
+  } else {
+    outcome->per_shard = {outcome->stats};
+  }
+  if (plan.save.empty()) return true;
+  // A final incremental write puts the flush results on the chain; a plain
+  // save would orphan the chain's fingerprints.
+  bool saved = false;
+  if constexpr (kSharded) {
+    saved = plan.chain != nullptr
+                ? server.CheckpointIncremental(plan.save, plan.rebase_every,
+                                               plan.chain)
+                : server.SaveCheckpoint(plan.save);
+  } else {
+    saved = server.SaveCheckpoint(plan.save);
+  }
+  if (!saved) *error = "cannot write checkpoint '" + plan.save + "'";
+  return saved;
 }
 
 // Restores the previous SIGINT disposition on every exit path (including
@@ -959,146 +971,19 @@ struct SigintScope {
   void (*previous)(int) = SIG_DFL;
 };
 
-// ---- kvec serve --listen (TCP front end) ---------------------------------
+// An int flag must lie in [min, INT_MAX], so that its static_cast<int> is
+// exact.
+bool CheckIntFlag(const char* name, int64_t value, int64_t min,
+                  std::ostream& err) {
+  constexpr int64_t kMax = std::numeric_limits<int>::max();
+  if (value >= min && value <= kMax) return true;
+  err << "kvec: --" << name << " must be in [" << min << ", " << kMax
+      << "], got " << value << "\n";
+  return false;
+}
 
-struct ListenOptions {
-  std::string listen;     // HOST:PORT, port 0 = ephemeral
-  std::string port_file;  // written with the bound port, for scripts
-  int max_connections = 64;
-  uint32_t max_frame_bytes = net::kDefaultMaxFrameBytes;
-  int idle_timeout_ms = 30000;
-};
-
-// Serves over TCP until SIGINT, then drains in order: stop accepting →
-// drain connections (buffered requests still answered) → drain shard
-// queues → optional flush → optional checkpoint → exit 130. The replay
-// flags' dataset is only used for the model and its hello-shape here; the
-// stream itself arrives over the wire.
-int RunListenServe(const KvecModel& model,
-                   const ShardedStreamServerConfig& sharded_config,
-                   const ListenOptions& options,
-                   const std::string& load_checkpoint,
-                   const std::string& save_checkpoint, bool flush, bool json,
-                   std::ostream& out, std::ostream& err) {
-  std::string host;
-  uint16_t port = 0;
-  std::string error;
-  if (!ParseHostPort(options.listen, &host, &port, &error)) {
-    err << "kvec: --listen: " << error << "\n";
-    return kExitUsage;
-  }
-  ShardedStreamServer server(model, sharded_config);
-  if (!load_checkpoint.empty() && !server.LoadCheckpoint(load_checkpoint)) {
-    return RuntimeError("cannot restore checkpoint '" + load_checkpoint + "'",
-                        err);
-  }
-  net::TcpIngestServerConfig net_config;
-  net_config.host = host;
-  net_config.port = port;
-  net_config.max_connections = options.max_connections;
-  net_config.max_frame_bytes = options.max_frame_bytes;
-  net_config.idle_timeout_ms = options.idle_timeout_ms;
-  net_config.num_value_fields = model.config().spec.num_value_fields();
-  net_config.num_classes = model.config().spec.num_classes;
-  net::TcpIngestServer tcp(&server, net_config);
-  if (!tcp.Start(&error)) return RuntimeError(error, err);
-  // The listen line goes to stderr so --json stdout stays pure JSON;
-  // scripts should use --port-file rather than parsing this.
-  err << "kvec: listening on " << host << ":" << tcp.port() << "\n";
-  if (!options.port_file.empty()) {
-    std::ofstream port_file(options.port_file);
-    port_file << tcp.port() << "\n";
-    if (!port_file) {
-      return RuntimeError("cannot write port file '" + options.port_file + "'",
-                          err);
-    }
-  }
-
-  const int64_t processed_before = server.stats().items_processed;
-  const auto start = std::chrono::steady_clock::now();
-  while (!g_serve_interrupted.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  tcp.Shutdown();
-  server.Drain();
-  int64_t flush_events = 0;
-  if (flush) flush_events = static_cast<int64_t>(server.Flush().size());
-  const auto stop = std::chrono::steady_clock::now();
-  const double seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(stop - start)
-          .count();
-  const StreamServerStats stats = server.stats();
-  const net::TcpIngestServerStats net_stats = tcp.stats();
-  if (!save_checkpoint.empty() && !server.SaveCheckpoint(save_checkpoint)) {
-    return RuntimeError("cannot write checkpoint '" + save_checkpoint + "'",
-                        err);
-  }
-
-  if (json) {
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("listen").String(host + ":" + std::to_string(tcp.port()));
-    writer.Key("seconds").Double(seconds);
-    writer.Key("items_processed").Int(stats.items_processed -
-                                      processed_before);
-    writer.Key("flush_events").Int(flush_events);
-    writer.Key("interrupted").Bool(true);
-    writer.Key("overload").BeginObject();
-    writer.Key("items_submitted").Int(stats.items_submitted);
-    writer.Key("batches_shed").Int(stats.batches_shed);
-    writer.Key("items_shed").Int(stats.items_shed);
-    writer.EndObject();
-    writer.Key("memory").BeginObject();
-    writer.Key("bytes_resident").Int(stats.bytes_resident);
-    writer.Key("pool_blocks").Int(stats.pool_blocks);
-    writer.Key("scratch_high_water").Int(stats.scratch_high_water);
-    writer.Key("compactions").Int(stats.compactions);
-    writer.EndObject();
-    writer.Key("net").BeginObject();
-    writer.Key("connections_accepted").Int(net_stats.connections_accepted);
-    writer.Key("connections_rejected").Int(net_stats.connections_rejected);
-    writer.Key("connections_evicted_idle")
-        .Int(net_stats.connections_evicted_idle);
-    writer.Key("frames_received").Int(net_stats.frames_received);
-    writer.Key("frames_malformed").Int(net_stats.frames_malformed);
-    writer.Key("batches_ingested").Int(net_stats.batches_ingested);
-    writer.Key("items_accepted").Int(net_stats.items_accepted);
-    writer.Key("items_shed").Int(net_stats.items_shed);
-    writer.Key("errors_sent").Int(net_stats.errors_sent);
-    writer.EndObject();
-    writer.Key("events").BeginObject();
-    writer.Key("sequences_classified").Int(stats.sequences_classified);
-    writer.Key("flush_classifications").Int(stats.flush_classifications);
-    writer.EndObject();
-    writer.EndObject();
-    out << writer.str();
-  } else {
-    out << "interrupted: drained connections and shard queues\n";
-    Table table({"stat", "value"});
-    table.AddRow({"seconds", Table::FormatDouble(seconds)});
-    table.AddRow({"items processed",
-                  std::to_string(stats.items_processed - processed_before)});
-    table.AddRow({"sequences classified",
-                  std::to_string(stats.sequences_classified)});
-    table.AddRow({"items submitted", std::to_string(stats.items_submitted)});
-    table.AddRow({"items shed", std::to_string(stats.items_shed)});
-    table.AddRow({"bytes resident", std::to_string(stats.bytes_resident)});
-    table.AddRow({"compactions", std::to_string(stats.compactions)});
-    table.AddRow({"flush events", std::to_string(flush_events)});
-    table.AddRow({"connections accepted",
-                  std::to_string(net_stats.connections_accepted)});
-    table.AddRow({"connections rejected",
-                  std::to_string(net_stats.connections_rejected)});
-    table.AddRow({"idle evictions",
-                  std::to_string(net_stats.connections_evicted_idle)});
-    table.AddRow(
-        {"frames received", std::to_string(net_stats.frames_received)});
-    table.AddRow(
-        {"frames malformed", std::to_string(net_stats.frames_malformed)});
-    table.AddRow({"error frames sent", std::to_string(net_stats.errors_sent)});
-    out << table.ToText();
-  }
-  return kExitInterrupted;
+double ItemsPerSec(const ServeOutcome& outcome) {
+  return outcome.seconds > 0 ? outcome.items / outcome.seconds : 0.0;
 }
 
 int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
@@ -1194,19 +1079,14 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
     return kExitOk;
   }
 
+  // Every flag is checked here, before the dataset is resolved (and a
+  // throwaway model trained), so a bad value is a usage error rather than
+  // a check failure in a server constructor.
   OverloadPolicy overload_policy = OverloadPolicy::kBlock;
   if (!ParseOverloadPolicy(*overload_policy_text, &overload_policy)) {
     err << "kvec: --overload-policy must be block|shed-newest|shed-oldest, "
            "got '"
         << *overload_policy_text << "'\n";
-    return kExitUsage;
-  }
-  if (*workers < 0) {
-    err << "kvec: --workers must be >= 0, got " << *workers << "\n";
-    return kExitUsage;
-  }
-  if (*queue_depth <= 0) {
-    err << "kvec: --queue-depth must be > 0, got " << *queue_depth << "\n";
     return kExitUsage;
   }
   if (*workers > 0) {
@@ -1222,6 +1102,17 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
       return kExitUsage;
     }
   }
+  if (!CheckIntFlag("workers", *workers, 0, err) ||
+      !CheckIntFlag("shards", *shards, 1, err) ||
+      !CheckIntFlag("queue-depth", *queue_depth, 1, err) ||
+      !CheckIntFlag("batch", *batch, 1, err) ||
+      !CheckIntFlag("max-window-items", *max_window, 1, err) ||
+      !CheckIntFlag("idle-timeout", *idle_timeout, 1, err) ||
+      !CheckIntFlag("max-open-keys", *max_open_keys, 1, err) ||
+      !CheckIntFlag("compaction-check-interval", *compaction_interval,
+                    std::numeric_limits<int>::min(), err)) {
+    return kExitUsage;
+  }
   const int64_t ckpt_every =
       checkpoint_every != nullptr ? *checkpoint_every : 0;
   const int64_t ckpt_rebase = rebase_every != nullptr ? *rebase_every : 0;
@@ -1234,13 +1125,40 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
            "path of the delta chain\n";
     return kExitUsage;
   }
-  if (ckpt_every > 0 && listen != nullptr && !listen->empty()) {
-    err << "kvec: --checkpoint-every applies to local replay, not --listen\n";
+  if (SplitOf(Dataset(), *split) == nullptr) {
+    err << "kvec: --split must be train|validation|test, got '" << *split
+        << "'\n";
     return kExitUsage;
+  }
+  const bool listening = listen != nullptr && !listen->empty();
+  net::TcpIngestServerConfig net_config;
+  std::string error;
+  if (listening) {
+    if (ckpt_every > 0) {
+      err << "kvec: --checkpoint-every applies to local replay, not "
+             "--listen\n";
+      return kExitUsage;
+    }
+    if (!ParseHostPort(*listen, &net_config.host, &net_config.port,
+                       &error)) {
+      err << "kvec: --listen: " << error << "\n";
+      return kExitUsage;
+    }
+    if (!CheckIntFlag("max-connections", *max_connections, 1, err) ||
+        !CheckIntFlag("net-idle-timeout-ms", *net_idle_timeout, 1, err)) {
+      return kExitUsage;
+    }
+    if (*max_frame_bytes <= 0 || *max_frame_bytes > (1LL << 31)) {
+      err << "kvec: --max-frame-bytes must be in (0, 2^31], got "
+          << *max_frame_bytes << "\n";
+      return kExitUsage;
+    }
+    net_config.max_connections = static_cast<int>(*max_connections);
+    net_config.max_frame_bytes = static_cast<uint32_t>(*max_frame_bytes);
+    net_config.idle_timeout_ms = static_cast<int>(*net_idle_timeout);
   }
 
   Dataset dataset;
-  std::string error;
   if (!ResolveDataset(dataset_flags, &dataset, &error)) {
     return RuntimeError(error, err);
   }
@@ -1268,57 +1186,28 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
     trainer.Train(dataset.train);
   }
 
-  const std::vector<TangledSequence>* episodes = SplitOf(dataset, *split);
-  if (episodes == nullptr) {
-    err << "kvec: --split must be train|validation|test, got '" << *split
-        << "'\n";
-    return kExitUsage;
-  }
   std::map<int, int> truth;
   std::vector<Item> stream = InterleaveEpisodes(
-      *episodes, dataset.spec.max_keys_per_episode, &truth);
+      *SplitOf(dataset, *split), dataset.spec.max_keys_per_episode, &truth);
+  net_config.num_value_fields = model->config().spec.num_value_fields();
+  net_config.num_classes = model->config().spec.num_classes;
 
-  StreamServerConfig server_config;
-  server_config.max_window_items = static_cast<int>(*max_window);
-  server_config.idle_timeout = static_cast<int>(*idle_timeout);
-  server_config.max_open_keys = static_cast<int>(*max_open_keys);
-  server_config.compaction_check_interval =
+  ShardedStreamServerConfig sharded_config;
+  sharded_config.num_shards = static_cast<int>(*shards);
+  sharded_config.worker_threads = static_cast<int>(*workers);
+  sharded_config.queue_depth = static_cast<int>(*queue_depth);
+  sharded_config.overload_policy = overload_policy;
+  sharded_config.shard.max_window_items = static_cast<int>(*max_window);
+  sharded_config.shard.idle_timeout = static_cast<int>(*idle_timeout);
+  sharded_config.shard.max_open_keys = static_cast<int>(*max_open_keys);
+  sharded_config.shard.compaction_check_interval =
       static_cast<int>(*compaction_interval);
-  server_config.compaction_fragmentation_threshold = *compaction_threshold;
-  server_config.compaction_min_bytes = *compaction_min_bytes;
-
-  if (listen != nullptr && !listen->empty()) {
-    if (*max_connections <= 0) {
-      err << "kvec: --max-connections must be > 0, got " << *max_connections
-          << "\n";
-      return kExitUsage;
-    }
-    if (*max_frame_bytes <= 0 || *max_frame_bytes > (1LL << 31)) {
-      err << "kvec: --max-frame-bytes must be in (0, 2^31], got "
-          << *max_frame_bytes << "\n";
-      return kExitUsage;
-    }
-    if (*net_idle_timeout <= 0) {
-      err << "kvec: --net-idle-timeout-ms must be > 0, got "
-          << *net_idle_timeout << "\n";
-      return kExitUsage;
-    }
-    ShardedStreamServerConfig sharded_config;
-    sharded_config.num_shards = static_cast<int>(*shards);
-    sharded_config.worker_threads = static_cast<int>(*workers);
-    sharded_config.queue_depth = static_cast<int>(*queue_depth);
-    sharded_config.overload_policy = overload_policy;
-    sharded_config.shard = server_config;
-    ListenOptions options;
-    options.listen = *listen;
-    options.port_file = *port_file;
-    options.max_connections = static_cast<int>(*max_connections);
-    options.max_frame_bytes = static_cast<uint32_t>(*max_frame_bytes);
-    options.idle_timeout_ms = static_cast<int>(*net_idle_timeout);
-    SigintScope listen_sigint(true);
-    return RunListenServe(*model, sharded_config, options, *load_checkpoint,
-                          *save_checkpoint, *flush, *json, out, err);
-  }
+  sharded_config.shard.compaction_fragmentation_threshold =
+      *compaction_threshold;
+  sharded_config.shard.compaction_min_bytes = *compaction_min_bytes;
+  const bool sharded =
+      *shards > 1 || *workers > 0 || ckpt_every > 0 || listening;
+  const int batch_size = static_cast<int>(*batch);
 
   const int runs = bench ? std::max<int>(1, static_cast<int>(*repeat)) : 1;
   // serve handles SIGINT gracefully (drain, per-shard report, checkpoint,
@@ -1329,99 +1218,47 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
     ServeOutcome outcome;
     EventRecorder recorder;
     recorder.truth = &truth;
-    if (*shards > 1 || *workers > 0 || ckpt_every > 0) {
-      ShardedStreamServerConfig sharded_config;
-      sharded_config.num_shards = static_cast<int>(*shards);
-      sharded_config.worker_threads = static_cast<int>(*workers);
-      sharded_config.queue_depth = static_cast<int>(*queue_depth);
-      sharded_config.overload_policy = overload_policy;
+    CheckpointPlan plan{*load_checkpoint, *save_checkpoint, ckpt_rebase};
+    bool ok = false;
+    if (sharded) {
+      ShardedStreamServerConfig config = sharded_config;
       if (*workers > 0) {
-        sharded_config.on_events =
-            [&recorder](int /*shard*/, const std::vector<StreamEvent>& events) {
-              recorder.Record(events);
-            };
-      }
-      sharded_config.shard = server_config;
-      ShardedStreamServer server(*model, sharded_config);
-      ShardedStreamServer::IncrementalCheckpointState inc_state;
-      if (!load_checkpoint->empty()) {
-        // With incremental checkpointing on, the load path is the head of a
-        // delta chain; loading the same path we save to resumes the chain
-        // in place instead of rebasing from scratch.
-        const bool ok =
-            ckpt_every > 0
-                ? server.RestoreFromCheckpointChain(
-                      *load_checkpoint, *load_checkpoint == *save_checkpoint
-                                            ? &inc_state
-                                            : nullptr)
-                : server.LoadCheckpoint(*load_checkpoint);
-        if (!ok) {
-          return RuntimeError(
-              "cannot restore checkpoint '" + *load_checkpoint + "'", err);
-        }
-      }
-      ReplayTick tick;
-      if (ckpt_every > 0) {
-        tick = [&server, &inc_state, &save_checkpoint, ckpt_every, ckpt_rebase,
-                next = ckpt_every](int64_t fed) mutable {
-          if (fed < next) return true;
-          while (next <= fed) next += ckpt_every;
-          return server.CheckpointIncremental(*save_checkpoint, ckpt_rebase,
-                                              &inc_state);
+        config.on_events = [&recorder](int /*shard*/,
+                                       const std::vector<StreamEvent>& events) {
+          recorder.Record(events);
         };
       }
-      const ReplayIngest ingest = [&server, &recorder,
-                                   submit = *workers > 0](
-                                      const std::vector<Item>& items) {
-        if (submit) {
-          server.Submit(items);
-        } else {
-          recorder.Record(server.ObserveBatch(items));
-        }
-      };
-      outcome = ReplayStream(server, ingest, &recorder, stream,
-                             static_cast<int>(*batch), *flush, tick);
-      outcome.per_shard.reserve(server.num_shards());
-      for (int s = 0; s < server.num_shards(); ++s) {
-        outcome.per_shard.push_back(server.shard_stats(s));
+      ShardedStreamServer server(*model, config);
+      ShardedStreamServer::IncrementalCheckpointState chain;
+      ReplayTick tick;
+      if (ckpt_every > 0) {
+        plan.chain = &chain;
+        tick = [&server, &plan, ckpt_every, next = ckpt_every](
+                   int64_t fed, std::string* tick_error) mutable {
+          if (fed < next) return true;
+          while (next <= fed) next += ckpt_every;
+          if (server.CheckpointIncremental(plan.save, plan.rebase_every,
+                                           plan.chain)) {
+            return true;
+          }
+          *tick_error = "cannot write incremental checkpoint chain at '" +
+                        plan.save + "'";
+          return false;
+        };
       }
-      if (outcome.checkpoint_failed) {
-        return RuntimeError("cannot write incremental checkpoint chain at '" +
-                                *save_checkpoint + "'",
-                            err);
-      }
-      if (!save_checkpoint->empty()) {
-        // A final incremental write puts the flush results on the chain;
-        // a plain save would orphan the chain's fingerprints.
-        const bool saved =
-            ckpt_every > 0
-                ? server.CheckpointIncremental(*save_checkpoint, ckpt_rebase,
-                                               &inc_state)
-                : server.SaveCheckpoint(*save_checkpoint);
-        if (!saved) {
-          return RuntimeError(
-              "cannot write checkpoint '" + *save_checkpoint + "'", err);
-        }
-      }
+      const Feed feed =
+          listening ? ListenFeed(&server, net_config, *port_file, err, &outcome)
+                    : ReplayFeed(&server, &recorder, *workers > 0, stream,
+                                 batch_size, tick);
+      ok = ServeOnce(server, plan, feed, *flush, &recorder, &outcome, &error);
     } else {
-      StreamServer server(*model, server_config);
-      if (!load_checkpoint->empty() &&
-          !server.LoadCheckpoint(*load_checkpoint)) {
-        return RuntimeError(
-            "cannot restore checkpoint '" + *load_checkpoint + "'", err);
-      }
-      outcome = ReplayStream(
-          server,
-          [&server, &recorder](const std::vector<Item>& items) {
-            recorder.Record(server.ObserveBatch(items));
-          },
-          &recorder, stream, static_cast<int>(*batch), *flush);
-      if (!save_checkpoint->empty() &&
-          !server.SaveCheckpoint(*save_checkpoint)) {
-        return RuntimeError(
-            "cannot write checkpoint '" + *save_checkpoint + "'", err);
-      }
+      StreamServer server(*model, sharded_config.shard);
+      ok = ServeOnce(server, plan,
+                     ReplayFeed(&server, &recorder, /*submit=*/false, stream,
+                                batch_size, nullptr),
+                     *flush, &recorder, &outcome, &error);
     }
+    if (!ok) return RuntimeError(error, err);
     const bool interrupted = outcome.interrupted;
     outcomes.push_back(std::move(outcome));
     if (interrupted) break;
@@ -1433,15 +1270,36 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
   for (const ServeOutcome& outcome : outcomes) {
     if (outcome.seconds < best->seconds) best = &outcome;
   }
+  const double accuracy =
+      best->labelled > 0
+          ? static_cast<double>(best->correct) / best->labelled
+          : 0.0;
 
   if (*json) {
     JsonWriter writer;
     writer.BeginObject();
-    writer.Key("dataset").String(dataset.spec.name);
-    writer.Key("split").String(*split);
-    EmitServeJson(*best, static_cast<int>(*shards), static_cast<int>(*workers),
-                  static_cast<int>(*batch), &writer);
-    if (*workers > 0) {
+    if (listening) {
+      writer.Key("listen").String(best->listen);
+      writer.Key("seconds").Double(best->seconds);
+      writer.Key("items_processed").Int(best->items);
+      writer.Key("flush_events").Int(best->flush_events);
+    } else {
+      writer.Key("dataset").String(dataset.spec.name);
+      writer.Key("split").String(*split);
+      writer.Key("items").Int(best->items);
+      writer.Key("shards").Int(*shards);
+      writer.Key("workers").Int(*workers);
+      writer.Key("batch").Int(*batch);
+      writer.Key("seconds").Double(best->seconds);
+      writer.Key("items_per_sec").Double(ItemsPerSec(*best), 1);
+      writer.Key("serving_accuracy").Double(accuracy);
+      writer.Key("open_keys_after").Int(best->open_keys_after);
+    }
+    writer.Key("interrupted").Bool(best->interrupted);
+    EmitStatsJson(best->stats, &writer);
+    if (listening) {
+      EmitStatsJson(best->net, &writer);
+    } else if (*workers > 0) {
       writer.Key("overload_policy").String(OverloadPolicyName(overload_policy));
       writer.Key("queue_depth").Int(*queue_depth);
     }
@@ -1449,24 +1307,46 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
       writer.Key("repetitions").Int(runs);
       writer.Key("items_per_sec_all").BeginArray();
       for (const ServeOutcome& outcome : outcomes) {
-        writer.Double(
-            outcome.seconds > 0 ? outcome.items / outcome.seconds : 0.0, 1);
+        writer.Double(ItemsPerSec(outcome), 1);
       }
       writer.EndArray();
     }
     writer.EndObject();
     out << writer.str();
   } else {
-    out << dataset.spec.name << " / " << *split << " split, " << *shards
-        << " shard(s), ";
-    if (*workers > 0) {
-      out << *workers << " worker(s), queue depth " << *queue_depth << ", "
-          << OverloadPolicyName(overload_policy) << " policy, ";
+    Table table({"stat", "value"});
+    table.AddRow({"seconds", Table::FormatDouble(best->seconds)});
+    if (listening) {
+      out << best->listen << ", " << *shards
+          << " shard(s), drained connections:\n";
+      table.AddRow({"items processed", std::to_string(best->items)});
+      table.AddRow({"flush events", std::to_string(best->flush_events)});
+    } else {
+      out << dataset.spec.name << " / " << *split << " split, " << *shards
+          << " shard(s), ";
+      if (*workers > 0) {
+        out << *workers << " worker(s), queue depth " << *queue_depth << ", "
+            << OverloadPolicyName(overload_policy) << " policy, ";
+      }
+      out << "batch " << *batch << ":\n";
+      table.AddRow({"items", std::to_string(best->items)});
+      table.AddRow({"items/sec", Table::FormatDouble(ItemsPerSec(*best), 1)});
+      table.AddRow({"serving accuracy", Table::FormatDouble(accuracy)});
+      table.AddRow(
+          {"open keys after", std::to_string(best->open_keys_after)});
     }
-    out << "batch " << *batch << ":\n" << ServeTable(*best).ToText();
+    AddStatsRows(best->stats, &table);
+    if (listening) AddStatsRows(best->net, &table);
+    out << table.ToText();
+    // The SIGINT report: one column per shard so an operator can see which
+    // shard was hot (or shedding) when the process was asked to stop.
     if (best->interrupted) {
+      std::vector<std::string> names;
+      for (size_t s = 0; s < best->per_shard.size(); ++s) {
+        names.push_back("shard " + std::to_string(s));
+      }
       out << "interrupted: drained shard queues, final per-shard stats:\n"
-          << PerShardTable(best->per_shard).ToText();
+          << StatsColumns(names, best->per_shard).ToText();
     }
     if (bench && runs > 1) {
       out << "best of " << runs << " repetitions\n";

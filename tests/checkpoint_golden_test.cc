@@ -13,12 +13,18 @@
 //   KVEC_REGEN_GOLDEN=tests/data/stream_server_v1.ckpt ./checkpoint_golden_test
 // then update the pinned constants below from the printed values.
 //
-// PR 10 adds the version-2 delta golden: a two-shard chain (base +
-// delta.1) produced by the same tiny recipe, pinning the delta container
-// frame, the manifest layout, and chain restore. Regenerating it:
-//   KVEC_REGEN_GOLDEN_V2=tests/data/stream_server_v2_base.ckpt \
+// The version-2 delta golden is a two-shard chain (base + delta.1)
+// produced by the same tiny recipe. It pins the delta container frame and
+// manifest, the kernel-independent layout of every link against a fresh
+// replay, and the events a chain-restored server serves. Its floats come
+// from the -march=native kernels, so no check compares them, and the
+// suite passes on the scalar kernel build too. Regenerating it (one
+// command line):
+//   KVEC_REGEN_GOLDEN_V2=tests/data/stream_server_v2_base.ckpt
 //       ./checkpoint_golden_test
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -248,19 +254,160 @@ TEST(CheckpointGoldenTest, DeltaFrameDecodesAtVersion2) {
   EXPECT_EQ(stored_prev, stored_base);
 }
 
+// The values of a tagged BinaryWriter stream with every float payload
+// dropped (float-vector lengths kept): what the kernel build cannot
+// change. The committed chain's K/V panels and fusion states were computed
+// by the -march=native kernels, and the scalar fallback rounds them
+// differently (separate multiply and add, no FMA); everything else —
+// headers, open-key, tracker and key-state records, geometry, counts —
+// must match on both builds. Empty on a malformed stream.
+std::string KernelIndependentValues(const std::string& payload) {
+  std::string kept;
+  size_t at = 0;
+  auto take = [&](size_t bytes, bool keep) {
+    if (at + bytes > payload.size()) return false;
+    if (keep) kept.append(payload, at, bytes);
+    at += bytes;
+    return true;
+  };
+  while (at < payload.size()) {
+    int32_t tag = 0;
+    if (at + sizeof(tag) > payload.size()) return std::string();
+    std::memcpy(&tag, payload.data() + at, sizeof(tag));
+    take(sizeof(tag), true);
+    bool ok = true;
+    switch (tag) {
+      case serialize_internal::kTagInt32:
+        ok = take(4, true);
+        break;
+      case serialize_internal::kTagInt64:
+      case serialize_internal::kTagDouble:
+        ok = take(8, true);
+        break;
+      case serialize_internal::kTagFloat:
+        ok = take(4, false);
+        break;
+      case serialize_internal::kTagString:
+      case serialize_internal::kTagFloatVec:
+      case serialize_internal::kTagIntVec: {
+        int64_t length = 0;
+        if (at + sizeof(length) > payload.size()) return std::string();
+        std::memcpy(&length, payload.data() + at, sizeof(length));
+        const size_t element = tag == serialize_internal::kTagString ? 1 : 4;
+        ok = length >= 0 && take(sizeof(length), true) &&
+             take(static_cast<size_t>(length) * element,
+                  tag != serialize_internal::kTagFloatVec);
+        break;
+      }
+      default:
+        ok = false;
+    }
+    if (!ok) return std::string();
+  }
+  return kept;
+}
+
+// Section by section: same ids, and the same kernel-independent values.
+// A delta manifest opens with the fingerprints of the base and the
+// previous link, which hash those links' floats; DeltaFrameDecodesAtVersion2
+// pins the committed ones, so they are left out here.
+void ExpectSameLayout(const Checkpoint& committed, const Checkpoint& replayed) {
+  EXPECT_EQ(committed.version, replayed.version);
+  ASSERT_EQ(committed.sections.size(), replayed.sections.size());
+  for (size_t i = 0; i < committed.sections.size(); ++i) {
+    SCOPED_TRACE("section " + std::to_string(i));
+    const int32_t id = committed.sections[i].id;
+    EXPECT_EQ(id, replayed.sections[i].id);
+    const size_t fingerprints =
+        id == kCheckpointSectionDeltaManifest
+            ? 2 * (sizeof(int32_t) + sizeof(int64_t))
+            : 0;
+    const std::string kept = KernelIndependentValues(
+        committed.sections[i].payload.substr(fingerprints));
+    ASSERT_FALSE(kept.empty());
+    EXPECT_EQ(kept, KernelIndependentValues(
+                        replayed.sections[i].payload.substr(fingerprints)));
+  }
+}
+
+// The committed chain (base + delta.1) has the layout a fresh replay of
+// the generator's stream writes on this build.
+TEST(CheckpointGoldenTest, DeltaChainLayoutMatchesAReplay) {
+  const std::string base_path =
+      std::string(KVEC_TEST_DATA_DIR) + kDeltaGoldenBase;
+  const std::string replay_path = "checkpoint_golden_test_replay.ckpt";
+  KvecModel model = MakeGoldenModel();
+  ShardedStreamServer replayed(model, GoldenShardedConfig());
+  ShardedStreamServer::IncrementalCheckpointState state;
+  FeedGoldenRange(&replayed, 0, 120);
+  ASSERT_TRUE(replayed.CheckpointIncremental(replay_path, 0, &state));
+  FeedGoldenRange(&replayed, 120, 180);
+  ASSERT_TRUE(replayed.CheckpointIncremental(replay_path, 0, &state));
+
+  for (int64_t seq = 0; seq <= 1; ++seq) {
+    SCOPED_TRACE("link " + std::to_string(seq));
+    const std::string committed_path =
+        seq == 0 ? base_path : ShardedStreamServer::DeltaPath(base_path, seq);
+    const std::string replay_link =
+        seq == 0 ? replay_path
+                 : ShardedStreamServer::DeltaPath(replay_path, seq);
+    Checkpoint committed;
+    Checkpoint replay;
+    ASSERT_TRUE(CheckpointLoad(committed_path, &committed));
+    ASSERT_TRUE(CheckpointLoad(replay_link, &replay));
+    ExpectSameLayout(committed, replay);
+  }
+  std::remove(ShardedStreamServer::DeltaPath(replay_path, 1).c_str());
+  std::remove(replay_path.c_str());
+}
+
+// The committed chain restores into a server that serves any continuation
+// exactly as a fresh replay of the generator's 180 items does. Confidences
+// may differ in their last bits on the scalar kernels (the restored K/V
+// came from the native ones); keys, labels, causes and counts may not.
 TEST(CheckpointGoldenTest, DeltaChainRestoresIntoCompatibleServer) {
   const std::string base_path =
       std::string(KVEC_TEST_DATA_DIR) + kDeltaGoldenBase;
   KvecModel model = MakeGoldenModel();
   ShardedStreamServer restored(model, GoldenShardedConfig());
   ASSERT_TRUE(restored.RestoreFromCheckpointChain(base_path));
+  EXPECT_EQ(restored.stats().items_processed, 180);
 
-  // The committed chain must reconstruct exactly the state a fresh server
-  // reaches by serving the generator's 180 items directly.
   ShardedStreamServer replayed(model, GoldenShardedConfig());
   FeedGoldenRange(&replayed, 0, 180);
-  EXPECT_EQ(restored.EncodeCheckpoint(), replayed.EncodeCheckpoint());
-  EXPECT_EQ(restored.stats().items_processed, 180);
+  EXPECT_EQ(restored.open_keys(), replayed.open_keys());
+
+  auto serve = [](ShardedStreamServer* server) {
+    std::vector<StreamEvent> events;
+    for (int i = 180; i < 300; ++i) {
+      Item item;
+      item.key = i % 23;
+      item.value = {i % 3};
+      item.time = i;
+      for (const StreamEvent& event : server->Observe(item)) {
+        events.push_back(event);
+      }
+    }
+    for (const StreamEvent& event : server->Flush()) events.push_back(event);
+    return events;
+  };
+  const std::vector<StreamEvent> want = serve(&replayed);
+  const std::vector<StreamEvent> got = serve(&restored);
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(got[i].key, want[i].key);
+    EXPECT_EQ(got[i].predicted_label, want[i].predicted_label);
+    EXPECT_EQ(got[i].observed_items, want[i].observed_items);
+    EXPECT_EQ(got[i].cause, want[i].cause);
+    EXPECT_NEAR(got[i].confidence, want[i].confidence, 1e-4);
+  }
+  const StreamServerStats got_stats = restored.stats();
+  const StreamServerStats want_stats = replayed.stats();
+  EXPECT_EQ(got_stats.items_processed, want_stats.items_processed);
+  EXPECT_EQ(got_stats.sequences_classified, want_stats.sequences_classified);
+  EXPECT_EQ(got_stats.class_counts, want_stats.class_counts);
 }
 
 }  // namespace

@@ -12,11 +12,15 @@
 //   KVEC_REGEN_GOLDEN=1 ./cli_test --gtest_filter='*EvalJsonGolden*'
 // (writes the golden next to the source tree via KVEC_TEST_DATA_DIR).
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cli/args.h"
@@ -370,7 +374,8 @@ TEST(CliServe, InterruptDrainsReportsAndStillSavesTheCheckpoint) {
   EXPECT_NE(result.out.find("interrupted: drained shard queues"),
             std::string::npos)
       << result.out;
-  EXPECT_NE(result.out.find("shed batches"), std::string::npos) << result.out;
+  // The per-shard report has one column per shard.
+  EXPECT_NE(result.out.find("shard 1"), std::string::npos) << result.out;
   ASSERT_TRUE(std::filesystem::exists(checkpoint));
 
   // The interrupted process's state restores into a fresh serve run.
@@ -378,6 +383,213 @@ TEST(CliServe, InterruptDrainsReportsAndStillSavesTheCheckpoint) {
                               "--load-checkpoint", checkpoint});
   EXPECT_EQ(resumed.code, 0) << resumed.err;
   std::filesystem::remove(checkpoint);
+}
+
+// ---- Report schemas ------------------------------------------------------
+
+// The key paths of a JsonWriter document ("overload.items_shed",
+// "stages[].memory.compactions"): JsonWriter puts every member on its own
+// line and opens and closes containers at line ends, so a line scan
+// recovers the nesting.
+std::set<std::string> JsonKeyPaths(const std::string& json) {
+  std::set<std::string> paths;
+  std::vector<std::string> open;  // enclosing members; "" = array element
+  std::istringstream lines(json);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const size_t first = line.find_first_not_of(' ');
+    if (first == std::string::npos) continue;
+    if (line[first] == '}' || line[first] == ']') {
+      if (!open.empty()) open.pop_back();
+      continue;
+    }
+    std::string key;
+    if (line[first] == '"') {
+      const size_t close = line.find("\": ", first + 1);
+      if (close != std::string::npos) {
+        key = line.substr(first + 1, close - first - 1);
+      }
+    }
+    std::string prefix;
+    for (const std::string& name : open) {
+      prefix += name.empty() ? "[]" : (prefix.empty() ? "" : ".") + name;
+    }
+    if (!key.empty()) {
+      paths.insert(prefix.empty() ? key : prefix + "." + key);
+    }
+    const char last = line.back();
+    if (last == '{' || last == '[') {
+      if (open.size() > 0 || !key.empty() || first > 0) open.push_back(key);
+    }
+  }
+  return paths;
+}
+
+std::set<std::string> Paths(std::initializer_list<const char*> names) {
+  return std::set<std::string>(names.begin(), names.end());
+}
+
+// The overload / memory / events groups every serve-side report carries.
+const std::set<std::string>& ServerGroupPaths() {
+  static const std::set<std::string> paths = Paths(
+      {"overload", "overload.items_submitted", "overload.batches_shed",
+       "overload.items_shed", "memory", "memory.bytes_resident",
+       "memory.pool_blocks", "memory.scratch_high_water",
+       "memory.compactions", "events", "events.sequences_classified",
+       "events.policy_halts", "events.idle_timeouts",
+       "events.capacity_evictions", "events.rotation_classifications",
+       "events.flush_classifications", "events.windows_started"});
+  return paths;
+}
+
+std::set<std::string> Union(std::set<std::string> a,
+                            const std::set<std::string>& b) {
+  a.insert(b.begin(), b.end());
+  return a;
+}
+
+// Every path of `pinned` is present in `actual` (a report may gain keys).
+void ExpectContainsAll(const std::set<std::string>& actual,
+                       const std::set<std::string>& pinned,
+                       const std::string& json) {
+  for (const std::string& path : pinned) {
+    EXPECT_EQ(actual.count(path), 1u) << "missing " << path << "\n" << json;
+  }
+}
+
+TEST(CliSchema, JsonKeyPathsFollowNesting) {
+  EXPECT_EQ(JsonKeyPaths("{\n  \"a\": 1,\n  \"b\": {\n    \"c\": [\n      "
+                         "{\n        \"d\": true\n      }\n    ],\n    "
+                         "\"e\": [\n      1\n    ]\n  },\n  \"f\": 2\n}\n"),
+            Paths({"a", "b", "b.c", "b.c[].d", "b.e", "f"}));
+}
+
+TEST(CliSchema, ServeJsonKeySetIsPinned) {
+  const std::set<std::string> replay = Union(
+      Paths({"dataset", "split", "items", "shards", "workers", "batch",
+             "seconds", "items_per_sec", "serving_accuracy",
+             "open_keys_after", "interrupted"}),
+      ServerGroupPaths());
+  CliResult sync = RunCli({"serve", "--episodes", "20", "--json"});
+  ASSERT_EQ(sync.code, 0) << sync.err;
+  EXPECT_EQ(JsonKeyPaths(sync.out), replay) << sync.out;
+
+  CliResult workers =
+      RunCli({"serve", "--episodes", "20", "--workers", "2", "--json"});
+  ASSERT_EQ(workers.code, 0) << workers.err;
+  EXPECT_EQ(JsonKeyPaths(workers.out),
+            Union(replay, Paths({"overload_policy", "queue_depth"})))
+      << workers.out;
+}
+
+TEST(CliSchema, SoakStageJsonKeysArePinned) {
+  CliResult soak = RunCli({"soak", "--keys", "400", "--scales", "1",
+                           "--warmup-cycles", "0", "--cycles", "1",
+                           "--rss-band", "100", "--json"});
+  ASSERT_EQ(soak.code, 0) << soak.err;
+  ExpectContainsAll(
+      JsonKeyPaths(soak.out),
+      Paths({"keys", "shards", "workers", "batch", "rss_band",
+             "rss_available", "flat", "stages", "stages[].target_keys",
+             "stages[].open_keys_peak", "stages[].items", "stages[].seconds",
+             "stages[].items_per_sec", "stages[].rss_steady_bytes",
+             "stages[].rss_drift", "stages[].rss_flat",
+             "stages[].rss_samples", "stages[].memory",
+             "stages[].memory.bytes_resident", "stages[].memory.pool_blocks",
+             "stages[].memory.scratch_high_water",
+             "stages[].memory.compactions", "stages[].events",
+             "stages[].events.sequences_classified",
+             "stages[].events.idle_timeouts",
+             "stages[].events.capacity_evictions",
+             "stages[].events.rotation_classifications"}),
+      soak.out);
+}
+
+// `serve --listen` in-process: the SIGINT handler is installed before the
+// port file is written, so raising SIGINT once the file appears takes the
+// real signal path (drain, flush, report, exit 130).
+TEST(CliServe, ListenDrainsOnSigintAndReportsItsCounters) {
+  const std::string port_file = "cli_test_listen.port";
+  std::filesystem::remove(port_file);
+  CliResult result;
+  std::thread serve([&result, &port_file]() {
+    result = RunCli({"serve", "--episodes", "20", "--shards", "2",
+                     "--listen", "127.0.0.1:0", "--port-file", port_file,
+                     "--json"});
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (std::chrono::steady_clock::now() < deadline &&
+         !(std::filesystem::exists(port_file) &&
+           std::filesystem::file_size(port_file) > 0)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GT(std::filesystem::file_size(port_file), 0u)
+      << "serve --listen never wrote its port file";
+  std::raise(SIGINT);
+  serve.join();
+  std::filesystem::remove(port_file);
+
+  EXPECT_EQ(result.code, 130) << result.err;
+  EXPECT_NE(result.err.find("listening on 127.0.0.1:"), std::string::npos)
+      << result.err;
+  ExpectContainsAll(
+      JsonKeyPaths(result.out),
+      Paths({"listen", "seconds", "items_processed", "flush_events",
+             "interrupted", "overload", "overload.items_submitted",
+             "overload.batches_shed", "overload.items_shed", "memory",
+             "memory.bytes_resident", "memory.pool_blocks",
+             "memory.scratch_high_water", "memory.compactions", "net",
+             "net.connections_accepted", "net.connections_rejected",
+             "net.connections_evicted_idle", "net.frames_received",
+             "net.frames_malformed", "net.batches_ingested",
+             "net.items_accepted", "net.items_shed", "net.errors_sent",
+             "events", "events.sequences_classified",
+             "events.flush_classifications"}),
+      result.out);
+  EXPECT_NE(result.out.find("\"interrupted\": true"), std::string::npos);
+}
+
+// ---- Flag ranges ---------------------------------------------------------
+
+// Out-of-range serve flags are usage errors caught before the dataset is
+// resolved: with an unreadable --data directory, a late check would exit
+// 1 on the dataset instead (or abort in a server constructor).
+TEST(CliServe, OutOfRangeFlagsAreUsageErrorsBeforeTheDataset) {
+  const std::vector<std::vector<std::string>> replay_cases = {
+      {"--max-open-keys", "0"},
+      {"--idle-timeout", "0"},
+      {"--max-window-items", "0"},
+      {"--shards", "0"},
+      {"--batch", "0"},
+      {"--batch", "-5"},
+      {"--max-open-keys", "4294967297"},
+      {"--shards", "2147483648"},
+      {"--compaction-check-interval", "4294967296"},
+      {"--split", "nope"},
+  };
+  const std::vector<std::vector<std::string>> listen_cases = {
+      {"--listen", "127.0.0.1:0", "--shards", "0"},
+      {"--listen", "nohost"},
+      {"--listen", "127.0.0.1:0", "--max-connections", "0"},
+  };
+  auto expect_usage_error = [](const std::string& subcommand,
+                               const std::vector<std::string>& flags) {
+    std::vector<std::string> args = {subcommand, "--data",
+                                     "cli_test_no_such_dir"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const CliResult result = RunCli(args);
+    EXPECT_EQ(result.code, 2) << subcommand << " " << flags[0] << " "
+                              << flags[1] << "\n" << result.err;
+    EXPECT_NE(result.err.find("kvec: --"), std::string::npos) << result.err;
+  };
+  for (const std::vector<std::string>& flags : replay_cases) {
+    expect_usage_error("serve", flags);
+    expect_usage_error("bench", flags);
+  }
+  for (const std::vector<std::string>& flags : listen_cases) {
+    expect_usage_error("serve", flags);
+  }
 }
 
 }  // namespace
