@@ -52,6 +52,11 @@ Enforces the rules no off-the-shelf tool knows about this codebase
                           reader bounds its element counts with
                           ``BinaryReader::ReadCount``, which fails the
                           reader closed, instead of a hand-rolled guard.
+* ``env-knob``          — every ``getenv`` in library code (src/) carries
+                          a ``kvec-lint: allow(env-knob)`` suppression
+                          whose reason says why the setting cannot be a
+                          flag: an environment variable is a hidden
+                          execution mode no ``--help`` lists.
 
 Suppressions (a reason is mandatory):
 
@@ -89,6 +94,7 @@ RULES = (
     "section-id",
     "tsa-escape",
     "count-guard",
+    "env-knob",
 )
 
 ALLOW = re.compile(r"//\s*kvec-lint:\s*allow(-next)?\(([a-z-]+)\)\s*(\S.*)?$")
@@ -136,6 +142,7 @@ TSA_ESCAPE = re.compile(r"\bKVEC_NO_THREAD_SAFETY_ANALYSIS\b")
 COUNT_GUARD = re.compile(
     r"(?:[-+*/%<]|(?<!-)>)=?\s*(?:\w+\s*(?:\.|->)\s*)?remaining\(\s*\)"
     r"|\bremaining\(\s*\)\s*[-+*/%<>]")
+GETENV = re.compile(r"\b(?:secure_)?getenv\s*\(")
 
 
 def path_components(path):
@@ -325,6 +332,13 @@ def lint_file(file, repo_root, fault_doc, errors):
                    "hand-rolled count guard on remaining(); read the count "
                    "with BinaryReader::ReadCount(min_bytes_per_element), "
                    "which fails the reader closed")
+
+        if in_src and GETENV.search(line):
+            report(lineno, "env-knob",
+                   "getenv in library code adds a hidden execution mode; "
+                   "make it a flag, or suppress with kvec-lint: "
+                   "allow(env-knob) and the reason it must be an "
+                   "environment variable")
 
         if in_src and not in_cli and IOSTREAM.search(line):
             report(lineno, "iostream-outside-cli",

@@ -138,12 +138,6 @@ JsonWriter& JsonWriter::Bool(bool value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Null() {
-  BeforeValue();
-  out_ += "null";
-  return *this;
-}
-
 std::string JsonWriter::str() const { return out_ + "\n"; }
 
 }  // namespace cli

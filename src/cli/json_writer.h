@@ -33,7 +33,6 @@ class JsonWriter {
   JsonWriter& Int(int64_t value);
   JsonWriter& Double(double value, int precision = 6);
   JsonWriter& Bool(bool value);
-  JsonWriter& Null();
 
   // The document so far. Pretty-printed with two-space indentation and a
   // trailing newline, so shell users and golden files both read naturally.

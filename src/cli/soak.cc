@@ -206,6 +206,7 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
   // Incremental mode round-trips through an on-disk delta chain; the chain
   // lives in the temp dir and is unlinked when the stage finishes. A short
   // rebase cadence keeps both the delta and the rebase branch hot.
+  // kvec-lint: allow-next(env-knob) POSIX temp-dir convention, not kvec's
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string chain_base =
       std::string(tmpdir != nullptr ? tmpdir : "/tmp") + "/kvec_soak_" +
@@ -448,6 +449,8 @@ int RunSoakCommand(const std::vector<std::string>& args, std::ostream& out,
       "max allowed post-warm-up RSS drift, (max-min)/min; exceeded = exit 1 "
       "(default widens under sanitizers)");
   double minutes_default = 0.0;
+  // Only the default of --minutes: a long soak reuses CI's command line.
+  // kvec-lint: allow-next(env-knob) default of --minutes, which wins
   if (const char* env = std::getenv("KVEC_SOAK_MINUTES")) {
     minutes_default = std::atof(env);
   }

@@ -27,6 +27,7 @@
 #include "data/generator.h"
 #include "data/presets.h"
 #include "exp/cache.h"
+#include "exp/figures.h"
 #include "exp/method.h"
 #include "exp/sweep.h"
 #include "metrics/metrics.h"
@@ -655,27 +656,14 @@ int RunSweep(const std::vector<std::string>& args, std::ostream& out,
     }
   }
 
+  const SweepCache cache(*cache_dir);
   std::vector<SweepPoint> points;
   for (MethodSpec method : selected) {
     method.grid = SubsampleGrid(method.grid, grid_points);
-    auto compute = [&]() { return RunMethodSweep(method, dataset, options); };
-    std::vector<SweepPoint> method_points;
-    if (!cache_dir->empty()) {
-      SweepCache cache(*cache_dir);
-      // The key must pin everything that shapes the numbers: dataset
-      // recipe (preset/scale/seed/episode override) AND the model recipe
-      // (epochs, dims — the smoke profile shrinks them), or different
-      // invocations silently reuse each other's results.
-      std::ostringstream key;
-      key << PresetName(preset) << "-" << ScaleName(scale) << "-seed"
-          << *seed << "-n" << total_episodes << "-ep" << options.epochs
-          << "-d" << options.embed_dim << "x" << options.state_dim << "x"
-          << options.num_blocks << "x" << options.ffn_hidden_dim << "-g"
-          << method.grid.size() << "-" << method.name;
-      method_points = cache.LoadOrCompute(key.str(), compute);
-    } else {
-      method_points = compute();
-    }
+    std::vector<SweepPoint> method_points = cache.LoadOrCompute(
+        SweepCacheKey(preset, scale, static_cast<uint64_t>(*seed),
+                      static_cast<int>(total_episodes), options, method),
+        [&]() { return RunMethodSweep(method, dataset, options); });
     points.insert(points.end(), method_points.begin(), method_points.end());
   }
 
@@ -716,6 +704,55 @@ int RunSweep(const std::vector<std::string>& args, std::ostream& out,
       return RuntimeError(error, err);
     }
   }
+  return kExitOk;
+}
+
+// ---- kvec figure ---------------------------------------------------------
+
+int RunFigure(const std::vector<std::string>& args, std::ostream& out,
+              std::ostream& err) {
+  ArgParser parser("kvec figure NAME");
+  std::string* scale_text =
+      parser.AddString("scale", "tiny", "experiment scale: tiny|small|full");
+  std::string* cache_dir = parser.AddString(
+      "cache", "", "sweep-cache directory, shared with kvec sweep (empty = "
+                   "no cache)");
+  bool* list = parser.AddBool("list", false, "list the experiments and exit");
+  // NAME is the one positional argument; it comes first.
+  std::string name;
+  std::vector<std::string> flags = args;
+  if (!flags.empty() && flags[0].compare(0, 1, "-") != 0) {
+    name = flags[0];
+    flags.erase(flags.begin());
+  }
+  if (!parser.Parse(flags)) return UsageError(parser, err);
+  if (parser.help_requested()) {
+    err << parser.Usage();
+    return kExitOk;
+  }
+  if (*list) {
+    Table table({"name", "reproduces"});
+    for (const Experiment& experiment : Experiments()) {
+      table.AddRow({experiment.name, experiment.title});
+    }
+    out << table.ToText();
+    return kExitOk;
+  }
+  const Experiment* experiment = FindExperiment(name);
+  if (experiment == nullptr) {
+    err << "kvec: "
+        << (name.empty() ? "figure needs a NAME"
+                         : "unknown figure '" + name + "'")
+        << " (see kvec figure --list)\n";
+    return kExitUsage;
+  }
+  ExperimentScale scale;
+  if (!ParseScale(*scale_text, &scale)) {
+    err << "kvec: --scale must be tiny|small|full, got '" << *scale_text
+        << "'\n";
+    return kExitUsage;
+  }
+  experiment->run(scale, SweepCache(*cache_dir), out);
   return kExitOk;
 }
 
@@ -1631,7 +1668,9 @@ const std::vector<SubcommandInfo>& Subcommands() {
       {"generate", "synthesize a dataset preset into a CSV directory"},
       {"train", "train a KVEC model and save a self-describing bundle"},
       {"eval", "evaluate a model bundle on a split (tables or JSON)"},
-      {"sweep", "earliness/accuracy sweeps across methods (paper figures)"},
+      {"sweep", "earliness/accuracy sweeps across methods"},
+      {"figure", "reproduce one of the paper's tables, figures or "
+                 "extensions"},
       {"serve", "replay a stream through the bounded/sharded serving stack"},
       {"loadgen", "drive a kvec serve --listen endpoint over TCP with "
                   "retry/backoff and latency percentiles"},
@@ -1656,6 +1695,7 @@ int RunKvecCli(const std::vector<std::string>& args, std::ostream& out,
   if (subcommand == "train") return RunTrain(rest, out, err);
   if (subcommand == "eval") return RunEval(rest, out, err);
   if (subcommand == "sweep") return RunSweep(rest, out, err);
+  if (subcommand == "figure") return RunFigure(rest, out, err);
   if (subcommand == "serve") {
     return RunServeOrBench(rest, out, err, /*bench=*/false);
   }

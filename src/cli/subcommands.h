@@ -10,6 +10,7 @@
 //   kvec train       train a KVEC model, save a self-describing bundle
 //   kvec eval        evaluate a bundle on a split (tables or JSON)
 //   kvec sweep       earliness/accuracy sweeps across methods
+//   kvec figure      the paper's tables and figures, and the extensions
 //   kvec serve       replay a stream through StreamServer/sharded serving
 //   kvec bench       end-to-end serving throughput measurement
 //   kvec checkpoint  inspect model bundles and serving checkpoints

@@ -1,7 +1,5 @@
 #include "data/presets.h"
 
-#include <cstdlib>
-
 #include "data/movielens_generator.h"
 #include "data/stop_signal_generator.h"
 #include "data/traffic_generator.h"
@@ -90,20 +88,6 @@ bool ParseScale(const std::string& text, ExperimentScale* scale) {
     return false;
   }
   return true;
-}
-
-ExperimentScale ScaleFromEnv() {
-  const char* env = std::getenv("KVEC_BENCH_SCALE");
-  // Default to the cheapest scale: the full figure suite then completes in
-  // minutes on one core. Export KVEC_BENCH_SCALE=small|full for more
-  // faithful curves.
-  if (env == nullptr) return ExperimentScale::kTiny;
-  ExperimentScale scale = ExperimentScale::kSmall;
-  if (!ParseScale(env, &scale)) {
-    KVEC_CHECK(false) << "KVEC_BENCH_SCALE must be tiny|small|full, got "
-                      << env;
-  }
-  return scale;
 }
 
 std::unique_ptr<EpisodeGenerator> MakeGenerator(PresetId id,

@@ -29,9 +29,6 @@ const char* ScaleName(ExperimentScale scale);
 // Parses "tiny"/"small"/"full"; returns false on anything else.
 bool ParseScale(const std::string& text, ExperimentScale* scale);
 
-// Reads KVEC_BENCH_SCALE from the environment (default kSmall).
-ExperimentScale ScaleFromEnv();
-
 std::unique_ptr<EpisodeGenerator> MakeGenerator(PresetId id,
                                                 ExperimentScale scale);
 

@@ -1,24 +1,33 @@
 #include "exp/cache.h"
 
-#include <cstdlib>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "util/check.h"
 
 namespace kvec {
 
-SweepCache::SweepCache(std::string directory)
-    : directory_(std::move(directory)) {
-  std::error_code error;
-  std::filesystem::create_directories(directory_, error);
+std::string SweepCacheKey(PresetId preset, ExperimentScale scale,
+                          uint64_t dataset_seed, int episodes,
+                          const MethodRunOptions& options,
+                          const MethodSpec& method) {
+  std::ostringstream key;
+  key << PresetName(preset) << "-" << ScaleName(scale) << "-seed"
+      << dataset_seed << "-model" << options.seed << "-n" << episodes
+      << "-ep" << options.epochs << "-d" << options.embed_dim << "x"
+      << options.state_dim << "x" << options.num_blocks << "x"
+      << options.ffn_hidden_dim << "-lr" << options.learning_rate << "-g"
+      << method.grid.size() << "-" << method.name;
+  return key.str();
 }
 
-SweepCache SweepCache::Default() { return SweepCache("kvec_bench_cache"); }
-
-bool SweepCache::FreshRunRequested() {
-  const char* env = std::getenv("KVEC_BENCH_FRESH");
-  return env != nullptr && std::string(env) == "1";
+SweepCache::SweepCache(std::string directory)
+    : directory_(std::move(directory)) {
+  if (directory_.empty()) return;
+  std::error_code error;
+  std::filesystem::create_directories(directory_, error);
 }
 
 std::string SweepCache::PathFor(const std::string& key) const {
@@ -34,7 +43,7 @@ std::string SweepCache::PathFor(const std::string& key) const {
 
 bool SweepCache::Load(const std::string& key,
                       std::vector<SweepPoint>* points) const {
-  if (FreshRunRequested()) return false;
+  if (directory_.empty()) return false;
   std::ifstream in(PathFor(key));
   if (!in) return false;
   std::string contents((std::istreambuf_iterator<char>(in)),
@@ -46,6 +55,7 @@ bool SweepCache::Load(const std::string& key,
 
 void SweepCache::Store(const std::string& key,
                        const std::vector<SweepPoint>& points) const {
+  if (directory_.empty()) return;
   std::ofstream out(PathFor(key));
   KVEC_CHECK(static_cast<bool>(out))
       << "cannot write sweep cache " << PathFor(key);

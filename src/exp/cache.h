@@ -1,9 +1,14 @@
-// On-disk cache of sweep results.
+// On-disk cache of method sweeps.
 //
-// Figures 3–7 are projections of one training sweep; the first figure
-// binary to run performs the (expensive) training and stores the points as
-// CSV, subsequent binaries reload them. KVEC_BENCH_FRESH=1 bypasses the
-// cache.
+// One method's sweep is |grid| trainings; `kvec sweep --cache DIR` and
+// `kvec figure --cache DIR` store each finished sweep as one CSV and reload
+// it on the next run. Figures 3–7 and the headline project the same five
+// curve sweeps, so with a shared cache they train them once. A cache over
+// an empty directory name is disabled: every Load misses, Store is a
+// no-op, and LoadOrCompute always computes (a fresh run).
+//
+// Keys come from SweepCacheKey, which pins everything that shapes the
+// numbers, so a changed recipe can never reuse stale points.
 //
 // Concurrency contract: one CSV file per key, written whole — concurrent
 // Store calls for the SAME key are last-writer-wins (both writers hold a
@@ -13,6 +18,8 @@
 // printable key is safe.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -20,20 +27,23 @@
 
 namespace kvec {
 
+// The key of one method's sweep on a generated preset dataset: preset,
+// scale, dataset seed, episode override (0 = the preset's default), every
+// MethodRunOptions field (model seed, epochs, dims, learning rate), the
+// method's name and its grid size.
+std::string SweepCacheKey(PresetId preset, ExperimentScale scale,
+                          uint64_t dataset_seed, int episodes,
+                          const MethodRunOptions& options,
+                          const MethodSpec& method);
+
 class SweepCache {
  public:
-  // `directory` is created if missing.
+  // `directory` is created if missing; empty disables the cache.
   explicit SweepCache(std::string directory);
-
-  // Default cache next to the binary: ./kvec_bench_cache.
-  static SweepCache Default();
 
   bool Load(const std::string& key, std::vector<SweepPoint>* points) const;
   void Store(const std::string& key,
              const std::vector<SweepPoint>& points) const;
-
-  // True when KVEC_BENCH_FRESH=1 (cache reads disabled).
-  static bool FreshRunRequested();
 
   // Loads from the cache or runs `compute` and stores the result.
   std::vector<SweepPoint> LoadOrCompute(
@@ -46,4 +56,3 @@ class SweepCache {
 };
 
 }  // namespace kvec
-

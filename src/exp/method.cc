@@ -9,8 +9,17 @@
 namespace kvec {
 namespace {
 
-KvecConfig BaseConfig(const Dataset& dataset,
-                      const MethodRunOptions& options) {
+EvaluationResult RunBaseline(const Dataset& dataset, BaselineConfig config) {
+  BaselineModel model(config);
+  BaselineTrainer trainer(&model);
+  trainer.Train(dataset.train);
+  return trainer.Evaluate(dataset.test);
+}
+
+}  // namespace
+
+KvecConfig KvecConfigFor(const Dataset& dataset,
+                         const MethodRunOptions& options) {
   KvecConfig config = KvecConfig::ForSpec(dataset.spec);
   config.embed_dim = options.embed_dim;
   config.state_dim = options.state_dim;
@@ -23,14 +32,13 @@ KvecConfig BaseConfig(const Dataset& dataset,
   return config;
 }
 
-EvaluationResult RunBaseline(const Dataset& dataset, BaselineConfig config) {
-  BaselineModel model(config);
-  BaselineTrainer trainer(&model);
+EvaluationResult TrainAndEvaluateKvec(const Dataset& dataset,
+                                      const KvecConfig& config) {
+  KvecModel model(config);
+  KvecTrainer trainer(&model);
   trainer.Train(dataset.train);
   return trainer.Evaluate(dataset.test);
 }
-
-}  // namespace
 
 MethodRunOptions MethodRunOptions::ForScale(ExperimentScale scale) {
   MethodRunOptions options;
@@ -69,13 +77,10 @@ MethodSpec KvecMethod() {
   spec.grid = {-2e-2, 0.0, 2e-3, 1e-2, 5e-2, 2e-1};
   spec.run = [](const Dataset& dataset, double hyper,
                 const MethodRunOptions& options) {
-    KvecConfig config = BaseConfig(dataset, options);
+    KvecConfig config = KvecConfigFor(dataset, options);
     config.alpha = 0.1f;
     config.beta = static_cast<float>(hyper);
-    KvecModel model(config);
-    KvecTrainer trainer(&model);
-    trainer.Train(dataset.train);
-    return trainer.Evaluate(dataset.test);
+    return TrainAndEvaluateKvec(dataset, config);
   };
   return spec;
 }
@@ -96,7 +101,7 @@ MethodSpec PolicyBaselineMethod(const std::string& name,
                       : "SRN-EARLIEST";
     config.representation = representation;
     config.halting = HaltingKind::kPolicy;
-    config.base = BaseConfig(dataset, options);
+    config.base = KvecConfigFor(dataset, options);
     config.base.alpha = 0.1f;
     config.base.beta = static_cast<float>(hyper);
     return RunBaseline(dataset, config);
@@ -127,7 +132,7 @@ MethodSpec SrnFixedMethod() {
     config.representation = RepresentationKind::kTransformer;
     config.halting = HaltingKind::kFixed;
     config.fixed_halt_step = static_cast<int>(hyper);
-    config.base = BaseConfig(dataset, options);
+    config.base = KvecConfigFor(dataset, options);
     return RunBaseline(dataset, config);
   };
   return spec;
@@ -145,7 +150,7 @@ MethodSpec SrnConfidenceMethod() {
     config.representation = RepresentationKind::kTransformer;
     config.halting = HaltingKind::kConfidence;
     config.confidence_threshold = static_cast<float>(hyper);
-    config.base = BaseConfig(dataset, options);
+    config.base = KvecConfigFor(dataset, options);
     return RunBaseline(dataset, config);
   };
   return spec;

@@ -1,5 +1,5 @@
 // Uniform "method" abstraction over KVEC and the four baselines, used by
-// the figure-reproducing benchmark harness.
+// the sweeps and the paper experiments (exp/figures.h).
 //
 // Every method exposes the hyper-parameter grid of Table II that traces its
 // earliness-accuracy curve (β for KVEC, λ for (SRN-)EARLIEST, τ for
@@ -35,6 +35,17 @@ struct MethodRunOptions {
   static MethodRunOptions ForScale(ExperimentScale scale);
 };
 
+// The KVEC config every method and experiment starts from: the dataset's
+// shape with `options`' sizes, learning rate, epochs and seed. Callers then
+// set only what they vary (alpha, beta, an ablation switch).
+KvecConfig KvecConfigFor(const Dataset& dataset,
+                         const MethodRunOptions& options);
+
+// Trains a fresh KVEC model on the train split and evaluates it on the
+// test split.
+EvaluationResult TrainAndEvaluateKvec(const Dataset& dataset,
+                                      const KvecConfig& config);
+
 struct MethodSpec {
   std::string name;
   std::string hyper_name;  // "beta", "lambda", "tau", "mu"
@@ -53,7 +64,7 @@ MethodSpec SrnConfidenceMethod();
 // Classical (non-deep) references beyond the paper's baseline set, from the
 // two Related-Work families the paper does not evaluate: the prefix-based
 // stability rule (stability δ grid) and feature-based indicator matching
-// (precision µ grid). Used by the ext_method_comparison bench.
+// (precision µ grid). Used by the ext-method-comparison experiment.
 MethodSpec PrefixEctsMethod();
 MethodSpec IndicatorMatcherMethod();
 

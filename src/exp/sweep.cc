@@ -32,17 +32,6 @@ std::vector<SweepPoint> RunMethodSweep(const MethodSpec& method,
   return points;
 }
 
-std::vector<SweepPoint> RunAllMethodSweeps(const Dataset& dataset,
-                                           const MethodRunOptions& options) {
-  std::vector<SweepPoint> all;
-  for (const MethodSpec& method : AllMethods()) {
-    std::vector<SweepPoint> points =
-        RunMethodSweep(method, dataset, options);
-    all.insert(all.end(), points.begin(), points.end());
-  }
-  return all;
-}
-
 Table SweepToTable(const std::vector<SweepPoint>& points) {
   Table table({"method", "hyper", "earliness", "accuracy", "precision",
                "recall", "f1", "hm"});

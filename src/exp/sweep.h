@@ -3,11 +3,12 @@
 //
 // Cost contract: RunMethodSweep trains one FRESH model per grid value —
 // a full sweep is |grid| independent trainings, which at full scale is
-// the expensive part of reproducing the figures (cache results via
-// exp/cache.h, or drive it through `kvec sweep --cache`). Deterministic
-// for fixed MethodRunOptions::seed. The functions share no mutable
-// state, so concurrent sweeps of different methods/datasets from
-// different threads are safe; a single sweep runs sequentially.
+// the expensive part of reproducing the figures. `kvec sweep --cache DIR`
+// and `kvec figure --cache DIR` keep finished sweeps in one SweepCache
+// (exp/cache.h) under SweepCacheKey. Deterministic for fixed
+// MethodRunOptions. The functions share no mutable state, so concurrent
+// sweeps of different methods/datasets from different threads are safe;
+// a single sweep runs sequentially.
 #pragma once
 
 #include <string>
@@ -35,10 +36,6 @@ struct SweepPoint {
 std::vector<SweepPoint> RunMethodSweep(const MethodSpec& method,
                                        const Dataset& dataset,
                                        const MethodRunOptions& options);
-
-// All methods on one dataset.
-std::vector<SweepPoint> RunAllMethodSweeps(const Dataset& dataset,
-                                           const MethodRunOptions& options);
 
 Table SweepToTable(const std::vector<SweepPoint>& points);
 bool SweepFromTable(const Table& table, std::vector<SweepPoint>* points);

@@ -53,20 +53,6 @@ int RemainingMs(int64_t deadline_ms) {
 
 }  // namespace
 
-const char* IoStatusName(IoStatus status) {
-  switch (status) {
-    case IoStatus::kOk:
-      return "ok";
-    case IoStatus::kTimeout:
-      return "timeout";
-    case IoStatus::kClosed:
-      return "closed";
-    case IoStatus::kError:
-      return "error";
-  }
-  return "unknown";
-}
-
 int64_t SteadyNowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())

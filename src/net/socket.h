@@ -37,8 +37,6 @@ enum class IoStatus {
   kError,    // errno-level failure (connection reset, refused, ...)
 };
 
-const char* IoStatusName(IoStatus status);
-
 class Socket {
  public:
   Socket() = default;

@@ -7,6 +7,9 @@
 namespace kvec {
 
 BufferPool::BufferPool() {
+  // An environment variable, not a flag: sanitizer runs must bypass
+  // recycling from the first tensor, before any flag parser runs.
+  // kvec-lint: allow-next(env-knob) read before any flag parser runs
   if (const char* env = std::getenv("KVEC_NO_BUFFER_POOL")) {
     if (env[0] != '\0' && env[0] != '0') enabled_ = false;
   }

@@ -4,9 +4,6 @@
 #include <cstdlib>
 #include <deque>
 #include <memory>
-#include <mutex>
-
-#include "util/check.h"
 
 namespace kvec {
 namespace {
@@ -121,28 +118,10 @@ void ThreadPool::ParallelFor(int begin, int end, int grain,
   }
 }
 
-namespace {
-
-std::shared_ptr<ThreadPool>& GlobalPoolSlot() {
-  // Leaked on purpose: tensor kernels may run during static teardown; the
-  // pool object must outlive every user. A replaced pool is destroyed
-  // (workers joined) when its last in-flight user drops the shared_ptr.
-  // kvec-lint: allow-next(naked-new) leaked teardown-safe singleton
-  static auto* slot = new std::shared_ptr<ThreadPool>();
-  return *slot;
-}
-
-std::mutex& GlobalPoolMutex() {
-  // A raw std::mutex (not kvec::Mutex): a function-local static cannot be
-  // named in a capability expression, so annotating it buys no checking.
-  // kvec-lint: allow-next(naked-new) leaked teardown-safe singleton
-  static auto* mutex = new std::mutex();
-  return *mutex;
-}
-
-}  // namespace
-
 int ThreadPool::DefaultThreadCount() {
+  // An environment variable, not a flag: the first tensor kernel creates
+  // the pool, which can be before any flag parser runs.
+  // kvec-lint: allow-next(env-knob) read before any flag parser runs
   if (const char* env = std::getenv("KVEC_NUM_THREADS")) {
     const int parsed = std::atoi(env);
     if (parsed >= 1) return parsed;
@@ -151,25 +130,12 @@ int ThreadPool::DefaultThreadCount() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-std::shared_ptr<ThreadPool> ThreadPool::GlobalShared() {
-  std::lock_guard<std::mutex> lock(GlobalPoolMutex());
-  auto& slot = GlobalPoolSlot();
-  if (slot == nullptr) {
-    slot = std::make_shared<ThreadPool>(DefaultThreadCount());
-  }
-  return slot;
-}
-
-void ThreadPool::SetGlobalThreads(int num_threads) {
-  KVEC_CHECK_GE(num_threads, 1);
-  std::shared_ptr<ThreadPool> replaced;
-  {
-    std::lock_guard<std::mutex> lock(GlobalPoolMutex());
-    replaced = std::move(GlobalPoolSlot());
-    GlobalPoolSlot() = std::make_shared<ThreadPool>(num_threads);
-  }
-  // `replaced` (if any) is destroyed here, outside the registry lock, once
-  // in-flight users have dropped their references.
+ThreadPool& ThreadPool::Global() {
+  // Leaked on purpose: tensor kernels may run during static teardown, so
+  // the pool must outlive every user.
+  // kvec-lint: allow-next(naked-new) leaked teardown-safe singleton
+  static ThreadPool* pool = new ThreadPool(DefaultThreadCount());
+  return *pool;
 }
 
 }  // namespace kvec

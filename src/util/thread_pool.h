@@ -15,10 +15,10 @@
 //    with no synchronisation cost.
 //  * Nested calls run inline (no re-entrant scheduling); kernels can call
 //    ParallelFor without worrying about being inside another region.
-//  * The pool is lazily created on first use with
-//    ThreadPool::DefaultThreadCount() workers: $KVEC_NUM_THREADS if set,
-//    else std::thread::hardware_concurrency(). ThreadPool::SetGlobalThreads
-//    resizes it at runtime (e.g., to pin serving to one core).
+//  * The global pool is created on first use with
+//    ThreadPool::DefaultThreadCount() threads: $KVEC_NUM_THREADS if set,
+//    else std::thread::hardware_concurrency(). Its size is fixed for the
+//    life of the process.
 //
 // The chunk queue and shutdown flag are KVEC_GUARDED_BY the pool mutex
 // (util/mutex.h), so the scheduler's lock discipline is enforced by clang
@@ -55,14 +55,9 @@ class ThreadPool {
   void ParallelFor(int begin, int end, int grain,
                    const std::function<void(int, int)>& fn);
 
-  // The process-wide pool used by the tensor kernels. Shared ownership:
-  // callers hold the pool alive across their ParallelFor even if
-  // SetGlobalThreads concurrently swaps in a replacement (the old pool is
-  // destroyed — joining its workers — when the last in-flight user drops
-  // its reference).
-  static std::shared_ptr<ThreadPool> GlobalShared();
-  // Replaces the global pool with one of `num_threads` threads (>= 1).
-  static void SetGlobalThreads(int num_threads);
+  // The process-wide pool used by the tensor kernels, created on first
+  // use and never destroyed (kernels may run during static teardown).
+  static ThreadPool& Global();
   // $KVEC_NUM_THREADS if set and valid, else hardware_concurrency().
   static int DefaultThreadCount();
 
@@ -89,14 +84,14 @@ class ThreadPool {
 // Convenience wrapper over the global pool.
 inline void ParallelFor(int begin, int end, int grain,
                         const std::function<void(int, int)>& fn) {
-  ThreadPool::GlobalShared()->ParallelFor(begin, end, grain, fn);
+  ThreadPool::Global().ParallelFor(begin, end, grain, fn);
 }
 
 // The dispatch pattern every parallel kernel shares: run fn(0, n) inline
 // when the job is below `work_threshold` units of work (or the pool is
 // single-threaded), otherwise split [0, n) with the given grain. Templated
 // so the inline fast path — tiny serving-path tensors — never constructs a
-// std::function or touches the pool registry.
+// std::function or touches the pool.
 template <typename Fn>
 void ParallelForThreshold(long long work, long long work_threshold, int n,
                           int grain, Fn&& fn) {
@@ -104,12 +99,12 @@ void ParallelForThreshold(long long work, long long work_threshold, int n,
     fn(0, n);
     return;
   }
-  auto pool = ThreadPool::GlobalShared();
-  if (pool->num_threads() == 1) {
+  ThreadPool& pool = ThreadPool::Global();
+  if (pool.num_threads() == 1) {
     fn(0, n);
     return;
   }
-  pool->ParallelFor(0, n, grain, fn);
+  pool.ParallelFor(0, n, grain, fn);
 }
 
 }  // namespace kvec

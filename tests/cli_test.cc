@@ -26,6 +26,7 @@
 #include "cli/args.h"
 #include "cli/model_io.h"
 #include "cli/subcommands.h"
+#include "exp/figures.h"
 #include "gtest/gtest.h"
 #include "util/fault_injection.h"
 
@@ -590,6 +591,70 @@ TEST(CliServe, OutOfRangeFlagsAreUsageErrorsBeforeTheDataset) {
   for (const std::vector<std::string>& flags : listen_cases) {
     expect_usage_error("serve", flags);
   }
+}
+
+// ---- kvec figure ---------------------------------------------------------
+
+TEST(CliFigure, ListNamesEveryExperiment) {
+  const CliResult result = RunCli({"figure", "--list"});
+  EXPECT_EQ(result.code, 0) << result.err;
+  ASSERT_EQ(Experiments().size(), 21u);
+  for (const char* name :
+       {"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7",
+        "headline", "fig8", "fig9", "fig10", "fig11", "fig12",
+        "ext-calibration", "ext-crossval", "ext-fusion",
+        "ext-method-comparison", "ext-multihead", "ext-robustness",
+        "ext-schedulers", "ext-selective-corr"}) {
+    EXPECT_NE(FindExperiment(name), nullptr) << name;
+    EXPECT_NE(result.out.find(std::string("| ") + name + " "),
+              std::string::npos)
+        << name;
+  }
+}
+
+// Every experiment prints its header before it builds a dataset, so an
+// empty stdout shows the usage error came first.
+TEST(CliFigure, BadNameOrScaleIsAUsageErrorBeforeAnyWork) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"figure", "fig99"},
+           {"figure"},
+           {"figure", "fig3", "--scale", "huge"},
+           {"figure", "headline", "--scale", "TINY"},
+       }) {
+    const CliResult result = RunCli(args);
+    EXPECT_EQ(result.code, 2) << args.back();
+    EXPECT_EQ(result.err.rfind("kvec: ", 0), 0u) << result.err;
+    EXPECT_TRUE(result.out.empty()) << result.out;
+  }
+}
+
+// Tables I and II as text, byte for byte: a change here changes the
+// reproduced numbers or their layout, and must be deliberate.
+TEST(CliFigure, TablesReproduceTheirText) {
+  const CliResult table1 = RunCli({"figure", "table1", "--scale", "tiny"});
+  EXPECT_EQ(table1.code, 0) << table1.err;
+  EXPECT_EQ(table1.out, R"(=== Table I: dataset statistics (scale=tiny) ===
+| dataset                  | #keys | avg |Sk| | avg session len | #classes | paper avg |Sk| | paper session len |
+|--------------------------|-------|----------|-----------------|----------|----------------|-------------------|
+| USTC-TFC2016             | 300   | 12.5     | 5.4             | 9        | 31.2           | 8.3               |
+| MovieLens-1M             | 300   | 22.7     | 1.6             | 2        | 163.5          | 1.7               |
+| Traffic-FG               | 300   | 14.1     | 2.3             | 12       | 50.7           | 2.4               |
+| Traffic-App              | 300   | 12.8     | 2.6             | 10       | 57.5           | 2.7               |
+| Synthetic-Traffic(early) | 300   | 40.0     | 1.8             | 2        | 100.0          | 2.1               |
+| Synthetic-Traffic(late)  | 300   | 40.0     | 1.8             | 2        | 100.0          | 2.1               |
+)");
+  const CliResult table2 = RunCli({"figure", "table2"});
+  EXPECT_EQ(table2.code, 0) << table2.err;
+  EXPECT_EQ(table2.out, R"(=== Table II: hyper-parameters of each method ===
+| method         | hyperparameter  | sweep grid                       | description                  |
+|----------------|-----------------|----------------------------------|------------------------------|
+| KVEC           | alpha=0.1, beta | -0.02, 0, 0.002, 0.01, 0.05, 0.2 | earliness-accuracy trade off |
+| SRN-EARLIEST   | lambda          | -0.02, 0, 0.002, 0.01, 0.05, 0.2 | earliness-accuracy trade off |
+| SRN-Confidence | mu              | 0.5, 0.7, 0.8, 0.9, 0.95, 0.99   | halting confidence threshold |
+| SRN-Fixed      | tau             | 1, 2, 4, 8, 16, 32               | halting time threshold       |
+| EARLIEST       | lambda          | -0.02, 0, 0.002, 0.01, 0.05, 0.2 | earliness-accuracy trade off |
+)");
 }
 
 }  // namespace

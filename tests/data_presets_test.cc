@@ -95,13 +95,5 @@ TEST(PresetsTest, ScaleChangesLengths) {
   EXPECT_GT(full_stats.num_episodes, tiny_stats.num_episodes);
 }
 
-TEST(PresetsTest, ScaleFromEnvDefaultsToTiny) {
-  unsetenv("KVEC_BENCH_SCALE");
-  EXPECT_EQ(ScaleFromEnv(), ExperimentScale::kTiny);
-  setenv("KVEC_BENCH_SCALE", "small", 1);
-  EXPECT_EQ(ScaleFromEnv(), ExperimentScale::kSmall);
-  unsetenv("KVEC_BENCH_SCALE");
-}
-
 }  // namespace
 }  // namespace kvec

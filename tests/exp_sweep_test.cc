@@ -141,6 +141,65 @@ TEST(CacheTest, LoadOrComputeComputesOnce) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CacheTest, EmptyDirectoryDisablesTheCache) {
+  SweepCache cache("");
+  int calls = 0;
+  auto compute = [&]() {
+    ++calls;
+    return std::vector<SweepPoint>(1);
+  };
+  cache.LoadOrCompute("key", compute);
+  cache.LoadOrCompute("key", compute);
+  EXPECT_EQ(calls, 2);
+  std::vector<SweepPoint> loaded;
+  EXPECT_FALSE(cache.Load("key", &loaded));
+}
+
+TEST(CacheTest, KeyPinsTheWholeRecipe) {
+  const MethodRunOptions options =
+      MethodRunOptions::ForScale(ExperimentScale::kTiny);
+  const MethodSpec method = KvecMethod();
+  auto key = [&](uint64_t dataset_seed, int episodes,
+                 const MethodRunOptions& run_options,
+                 const MethodSpec& spec) {
+    return SweepCacheKey(PresetId::kUstcTfc2016, ExperimentScale::kTiny,
+                         dataset_seed, episodes, run_options, spec);
+  };
+  const std::string base = key(20240411, 0, options, method);
+  EXPECT_EQ(base, key(20240411, 0, options, method));
+
+  EXPECT_NE(base, key(20240412, 0, options, method)) << "dataset seed";
+  EXPECT_NE(base, key(20240411, 30, options, method)) << "episodes";
+  EXPECT_NE(base,
+            SweepCacheKey(PresetId::kTrafficFg, ExperimentScale::kTiny,
+                          20240411, 0, options, method))
+      << "preset";
+  EXPECT_NE(base,
+            SweepCacheKey(PresetId::kUstcTfc2016, ExperimentScale::kSmall,
+                          20240411, 0, options, method))
+      << "scale";
+  const std::vector<std::pair<const char*, void (*)(MethodRunOptions*)>>
+      changes = {
+          {"model seed", [](MethodRunOptions* o) { o->seed += 1; }},
+          {"epochs", [](MethodRunOptions* o) { o->epochs += 1; }},
+          {"embed dim", [](MethodRunOptions* o) { o->embed_dim += 1; }},
+          {"state dim", [](MethodRunOptions* o) { o->state_dim += 1; }},
+          {"blocks", [](MethodRunOptions* o) { o->num_blocks += 1; }},
+          {"ffn dim", [](MethodRunOptions* o) { o->ffn_hidden_dim += 1; }},
+          {"learning rate",
+           [](MethodRunOptions* o) { o->learning_rate *= 2; }},
+      };
+  for (const auto& [what, change] : changes) {
+    MethodRunOptions changed = options;
+    change(&changed);
+    EXPECT_NE(base, key(20240411, 0, changed, method)) << what;
+  }
+  MethodSpec fewer_points = method;
+  fewer_points.grid.pop_back();
+  EXPECT_NE(base, key(20240411, 0, options, fewer_points)) << "grid size";
+  EXPECT_NE(base, key(20240411, 0, options, SrnFixedMethod())) << "method";
+}
+
 // ---- Curve interpolation (headline_improvements machinery) ----
 
 SweepPoint Point(const std::string& method, double earliness,
@@ -201,21 +260,6 @@ TEST(InterpolateTest, DuplicateEarlinessDoesNotDivideByZero) {
 TEST(InterpolateDeathTest, EmptyCurveRejected) {
   EXPECT_DEATH(InterpolateMetric({}, 0.5, &SweepPoint::accuracy),
                "check failed");
-}
-
-TEST(CacheTest, FreshEnvBypassesCache) {
-  std::string dir = ::testing::TempDir() + "/kvec_cache_test4";
-  std::filesystem::remove_all(dir);
-  SweepCache cache(dir);
-  std::vector<SweepPoint> points(1);
-  points[0].method = "M";
-  cache.Store("key", points);
-  setenv("KVEC_BENCH_FRESH", "1", 1);
-  std::vector<SweepPoint> loaded;
-  EXPECT_FALSE(cache.Load("key", &loaded));
-  unsetenv("KVEC_BENCH_FRESH");
-  EXPECT_TRUE(cache.Load("key", &loaded));
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

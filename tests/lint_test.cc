@@ -91,7 +91,7 @@ TEST(LintTest, ViolationFixturesFlagEveryRule) {
       "[pragma-once]",      "[iostream-outside-cli]",
       "[raw-syscall]",      "[test-wiring]", "[include-path]",
       "[pool-discipline]",  "[section-id]",  "[tsa-escape]",
-      "[count-guard]",
+      "[count-guard]",      "[env-knob]",
       // Not a configurable rule but a linter invariant: suppressions must
       // name a real rule and carry a reason.
       "[bad-allow]",
@@ -118,6 +118,8 @@ TEST(LintTest, ViolationFixturesPinpointTheRightLines) {
       << run.output;
   EXPECT_NE(run.output.find("count_guard.cc:13: [count-guard]"),
             std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("env_knob.cc:6: [env-knob]"), std::string::npos)
       << run.output;
 }
 
