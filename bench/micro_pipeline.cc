@@ -166,6 +166,56 @@ void BM_OnlineDecide(benchmark::State& state) {
 }
 BENCHMARK(BM_OnlineDecide)->Args({8, 8})->Args({16, 24});
 
+// Per-item cost of OnlineClassifier::EncodeBatch when a share of the keys
+// already has a verdict: the engine still tracks those keys' items and
+// caches their K/V rows, but computes no final-block row (and, with one
+// block, no visible set) for them. Arg: the percentage of the 64
+// round-robin keys force-classified before the timed 4,096-item stream,
+// encoded in 64-item batches. Report-only: the 0/50/90 curve shows what
+// the skip saves, with the replay-trained model's dimensions.
+void BM_EncodeBatchDecided(benchmark::State& state) {
+  constexpr int kKeys = 64;
+  constexpr int kItems = 4096;
+  constexpr int kBatch = 64;
+  const int decided_keys = static_cast<int>(state.range(0)) * kKeys / 100;
+  TrafficGenerator generator(SmallTraffic());
+  KvecConfig config = ModelConfig(generator.spec());
+  KvecModel model(config);
+  std::vector<Item> stream(kKeys + kItems);
+  for (int i = 0; i < kKeys + kItems; ++i) {
+    stream[i].key = i % kKeys;
+    for (const ValueField& field : generator.spec().value_fields) {
+      stream[i].value.push_back(i % field.vocab_size);
+    }
+    stream[i].time = i;
+  }
+  const int embed = config.embed_dim;
+  std::vector<float> rows;
+  int64_t items = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    // One item per key, then verdicts for the first `decided_keys` keys.
+    OnlineClassifier online(model);
+    online.EncodeBatch(stream.data(), kKeys, &rows);
+    for (int i = 0; i < kKeys; ++i) {
+      online.DecideObserved(stream[i].key,
+                            rows.data() + static_cast<size_t>(i) * embed);
+    }
+    for (int key = 0; key < decided_keys; ++key) online.ForceClassify(key);
+    online.ResetEncodeScratch();
+    state.ResumeTiming();
+    for (int begin = kKeys; begin < kKeys + kItems; begin += kBatch) {
+      online.EncodeBatch(stream.data() + begin, kBatch, &rows);
+      online.ResetEncodeScratch();
+    }
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+    items += kItems;
+  }
+  state.SetItemsProcessed(items);
+}
+BENCHMARK(BM_EncodeBatchDecided)->Arg(0)->Arg(50)->Arg(90);
+
 // ---- PR-3 serving benchmarks (BENCH_PR3.json) ---------------------------
 
 // A tiny untrained model: the end-to-end serving benchmarks measure the

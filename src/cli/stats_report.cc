@@ -39,6 +39,7 @@ const Counter<Stats> kCounters[] = {
     KVEC_COUNTER("events", rotation_classifications, "  rotation closes"),
     KVEC_COUNTER("events", flush_classifications, "  flush closes"),
     KVEC_COUNTER("events", windows_started, "windows started"),
+    KVEC_COUNTER("events", items_after_verdict, "items after verdict"),
 };
 }  // namespace server
 

@@ -157,15 +157,10 @@ void CorrelationTracker::AppendValueMatches(int index, int num_matches,
   }
 }
 
-std::vector<int> CorrelationTracker::ObserveItem(const Item& item) {
-  const int index = next_index_++;
-  KVEC_CHECK_LT(options_.session_field,
-                static_cast<int>(item.value.size()));
-  const int session_value = item.value[options_.session_field];
-  State& state = *state_;
-  std::pmr::vector<int>& own_items = state.key_items[item.key];
-  OpenSession*& head = state.by_value[session_value];
-
+void CorrelationTracker::CollectVisible(int index, int key,
+                                        const std::pmr::vector<int>& own_items,
+                                        const OpenSession* head,
+                                        std::vector<int>* visible) {
   // Value correlation: the other keys' open sessions carrying this value
   // whose last item lies inside the window. The list is newest-first, so
   // the first stale session ends the walk. A run longer than the cap
@@ -178,7 +173,7 @@ std::vector<int> CorrelationTracker::ObserveItem(const Item& item) {
          session != nullptr &&
          index - session->last_index <= options_.value_correlation_window;
          session = session->older) {
-      if (session->key == item.key || session->item_indices.empty()) {
+      if (session->key == key || session->item_indices.empty()) {
         continue;  // same key is key correlation
       }
       const int* end =
@@ -190,13 +185,33 @@ std::vector<int> CorrelationTracker::ObserveItem(const Item& item) {
     }
   }
 
-  std::vector<int> visible;
   const size_t num_own =
       options_.use_key_correlation ? own_items.size() : size_t{0};
-  visible.reserve(num_own + static_cast<size_t>(num_matches));
+  visible->clear();
+  visible->reserve(num_own + static_cast<size_t>(num_matches));
   // Same-key indices first, then the value matches: the canonical order.
-  if (num_own > 0) visible.assign(own_items.begin(), own_items.end());
-  if (!runs_.empty()) AppendValueMatches(index, num_matches, &visible);
+  if (num_own > 0) visible->assign(own_items.begin(), own_items.end());
+  if (!runs_.empty()) AppendValueMatches(index, num_matches, visible);
+}
+
+std::vector<int> CorrelationTracker::ObserveItem(const Item& item) {
+  std::vector<int> visible;
+  ObserveItem(item, &visible);
+  return visible;
+}
+
+void CorrelationTracker::ObserveItem(const Item& item,
+                                     std::vector<int>* visible) {
+  const int index = next_index_++;
+  KVEC_CHECK_LT(options_.session_field,
+                static_cast<int>(item.value.size()));
+  const int session_value = item.value[options_.session_field];
+  State& state = *state_;
+  std::pmr::vector<int>& own_items = state.key_items[item.key];
+  OpenSession*& head = state.by_value[session_value];
+  if (visible != nullptr) {
+    CollectVisible(index, item.key, own_items, head, visible);
+  }
 
   // Update this key's state *after* computing visibility so an item never
   // reports itself. The item's position is the largest seen, so its
@@ -214,8 +229,6 @@ std::vector<int> CorrelationTracker::ObserveItem(const Item& item) {
   }
   session.item_indices.push_back(index);
   session.last_index = index;
-
-  return visible;
 }
 
 void CorrelationTracker::WriteItems(BinaryWriter* writer,

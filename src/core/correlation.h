@@ -71,6 +71,12 @@ class CorrelationTracker {
   // indices follow, also ascending — a canonical order, so batched and
   // item-at-a-time consumers see identical sets in identical order.
   std::vector<int> ObserveItem(const Item& item);
+  // The same state update, writing the visible set into *visible (its
+  // capacity is reused). A null `visible` skips building the set — the
+  // value-match walk and merge — for a consumer that will not attend for
+  // this item; the tracker's state, and so every later visible set and
+  // every snapshot byte, is the same either way.
+  void ObserveItem(const Item& item, std::vector<int>* visible);
 
   int num_observed() const { return next_index_; }
 
@@ -149,6 +155,13 @@ class CorrelationTracker {
     // session. Values with no open session have no entry.
     std::pmr::unordered_map<int, OpenSession*> by_value;
   };
+
+  // Writes the visible set of the item at stream position `index` of
+  // `key` (own-key items `own_items`, value list head `head`) to *visible,
+  // before the item updates any state.
+  void CollectVisible(int index, int key,
+                      const std::pmr::vector<int>& own_items,
+                      const OpenSession* head, std::vector<int>* visible);
 
   // Appends the union of runs_ (the matched sessions' item lists, each
   // ascending, pairwise disjoint, all below `index`) to `visible` in

@@ -295,13 +295,15 @@ std::vector<float> IncrementalEncoder::AppendItem(
 void IncrementalEncoder::AppendBatch(const Item* items,
                                      const int* positions_in_key,
                                      const std::vector<int>* visibles,
-                                     int batch, std::vector<float>* rows) {
+                                     int batch, std::vector<float>* rows,
+                                     const uint8_t* needed) {
   KVEC_CHECK_GT(batch, 0);
   const int t0 = num_items_;
   EnsureCapacity(t0 + batch);
   num_items_ = t0 + batch;
   const int d = dim_;
   const size_t panel = static_cast<size_t>(batch) * d;
+  const int num_blocks = static_cast<int>(encoder_.blocks().size());
 
   // All batch panels are bump allocations from the per-engine scratch
   // arena; nothing here survives the call (the owner also calls
@@ -318,6 +320,12 @@ void IncrementalEncoder::AppendBatch(const Item* items,
   float* hidden = scratch_.AllocArray<float>(
       static_cast<size_t>(batch) * max_ffn_dim_);
   float* f = scratch_.AllocArray<float>(panel);
+  // The batch indices of the needed rows, ascending.
+  int* kept = scratch_.AllocArray<int>(static_cast<size_t>(batch));
+  int num_kept = 0;
+  for (int i = 0; i < batch; ++i) {
+    if (needed == nullptr || needed[i] != 0) kept[num_kept++] = i;
+  }
 
   // ---- Input embedding rows, stacked into X [batch, d]. ----
   std::fill(x, x + panel, 0.0f);
@@ -328,11 +336,9 @@ void IncrementalEncoder::AppendBatch(const Item* items,
 
   // ---- Attention blocks: one GemmNN per projection per block; attention
   // gathers and layer norms stay per-row. ----
-  for (size_t b = 0; b < encoder_.blocks().size(); ++b) {
+  for (int b = 0; b < num_blocks; ++b) {
     const AttentionBlock& block = encoder_.blocks()[b];
     const MaskedSelfAttention& attention = block.attention();
-    kernels::GemmNN(x, attention.query().weight().data().data(), q, batch, d,
-                    d, /*accumulate=*/false);
     kernels::GemmNN(x, attention.key().weight().data().data(), k, batch, d, d,
                     /*accumulate=*/false);
     kernels::GemmNN(x, attention.value().weight().data().data(), v, batch, d,
@@ -340,59 +346,83 @@ void IncrementalEncoder::AppendBatch(const Item* items,
     // Cache every row before any attention runs: later batch items may have
     // earlier ones in their visible sets.
     for (int i = 0; i < batch; ++i) {
-      ScatterKv(static_cast<int>(b), t0 + i, k + static_cast<size_t>(i) * d,
+      ScatterKv(b, t0 + i, k + static_cast<size_t>(i) * d,
                 v + static_cast<size_t>(i) * d);
     }
 
+    // The rows this block carries past its K/V: every row feeds the next
+    // block's K/V, but the final block only serves the needed rows, which
+    // it gathers into the compact panel `in` (h, free until the residual).
+    const int m = b + 1 == num_blocks ? num_kept : batch;
+    if (m == 0) break;
+    const auto item_of = [&](int row) { return m == batch ? row : kept[row]; };
+    const float* in = x;
+    if (m < batch) {
+      for (int row = 0; row < m; ++row) {
+        std::memcpy(h + static_cast<size_t>(row) * d,
+                    x + static_cast<size_t>(kept[row]) * d, d * sizeof(float));
+      }
+      in = h;
+    }
+    const size_t rows_panel = static_cast<size_t>(m) * d;
+
+    kernels::GemmNN(in, attention.query().weight().data().data(), q, m, d, d,
+                    /*accumulate=*/false);
     float* att = att_panel;
-    for (int i = 0; i < batch; ++i) {
+    for (int row = 0; row < m; ++row) {
+      const int i = item_of(row);
       targets_.assign(visibles[i].begin(), visibles[i].end());
       targets_.push_back(t0 + i);
-      AttendRow(static_cast<int>(b), q + static_cast<size_t>(i) * d, targets_,
-                att + static_cast<size_t>(i) * d);
+      AttendRow(b, q + static_cast<size_t>(row) * d, targets_,
+                att + static_cast<size_t>(row) * d);
     }
     if (attention.output_projection() != nullptr) {
       kernels::GemmNN(att, attention.output_projection()->weight().data().data(),
-                      mixed_panel, batch, d, d, /*accumulate=*/false);
+                      mixed_panel, m, d, d, /*accumulate=*/false);
       att = mixed_panel;
     }
 
     // Residual + LN, FFN (batched GEMMs), residual + LN.
-    for (size_t e = 0; e < panel; ++e) h[e] = x[e] + att[e];
-    for (int i = 0; i < batch; ++i) {
+    for (size_t e = 0; e < rows_panel; ++e) h[e] = in[e] + att[e];
+    for (int row = 0; row < m; ++row) {
       LayerNormRow(block.norm_attention().gamma(),
                    block.norm_attention().beta(),
-                   h + static_cast<size_t>(i) * d, d);
+                   h + static_cast<size_t>(row) * d, d);
     }
 
     const Linear& ffn1 = block.ffn().first();
     const Linear& ffn2 = block.ffn().second();
     const int ffn_dim = ffn1.weight().cols();
-    const size_t hidden_panel = static_cast<size_t>(batch) * ffn_dim;
-    kernels::GemmNN(h, ffn1.weight().data().data(), hidden, batch, d, ffn_dim,
+    const size_t hidden_panel = static_cast<size_t>(m) * ffn_dim;
+    kernels::GemmNN(h, ffn1.weight().data().data(), hidden, m, d, ffn_dim,
                     /*accumulate=*/false);
     if (ffn1.bias().defined()) {
-      kernels::AddBiasRows(hidden, ffn1.bias().data().data(), batch, ffn_dim);
+      kernels::AddBiasRows(hidden, ffn1.bias().data().data(), m, ffn_dim);
     }
     for (size_t e = 0; e < hidden_panel; ++e) {
       hidden[e] = hidden[e] > 0.0f ? hidden[e] : 0.0f;
     }
-    kernels::GemmNN(hidden, ffn2.weight().data().data(), f, batch, ffn_dim, d,
+    kernels::GemmNN(hidden, ffn2.weight().data().data(), f, m, ffn_dim, d,
                     /*accumulate=*/false);
     if (ffn2.bias().defined()) {
-      kernels::AddBiasRows(f, ffn2.bias().data().data(), batch, d);
+      kernels::AddBiasRows(f, ffn2.bias().data().data(), m, d);
     }
-    for (size_t e = 0; e < panel; ++e) f[e] += h[e];
-    for (int i = 0; i < batch; ++i) {
+    for (size_t e = 0; e < rows_panel; ++e) f[e] += h[e];
+    for (int row = 0; row < m; ++row) {
       LayerNormRow(block.norm_ffn().gamma(), block.norm_ffn().beta(),
-                   f + static_cast<size_t>(i) * d, d);
+                   f + static_cast<size_t>(row) * d, d);
     }
 
     // The block's output panel is the next block's input panel.
     std::swap(x, f);
   }
 
-  rows->assign(x, x + panel);
+  // After the final block x holds the kept rows, compacted.
+  rows->assign(panel, 0.0f);
+  for (int row = 0; row < num_kept; ++row) {
+    std::memcpy(rows->data() + static_cast<size_t>(kept[row]) * d,
+                x + static_cast<size_t>(row) * d, d * sizeof(float));
+  }
 }
 
 }  // namespace kvec

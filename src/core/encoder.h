@@ -15,6 +15,7 @@
 // is how OnlineClassifier and each ShardedStreamServer shard use it.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/config.h"
@@ -94,9 +95,19 @@ class IncrementalEncoder {
   // `batch` single-item appends, because GemmNN computes each output row
   // independently of the others (pinned by core_batch_equivalence_test and
   // tensor_property_test).
+  //
+  // `needed` (length `batch`, or null for all rows) names the rows the
+  // caller will read. Every item still gets its K/V rows in every block —
+  // later items attend to it — but the final block's query projection,
+  // attention, output projection, layer norms and FFN run only on the
+  // needed rows, gathered into one compact panel. A needed row is
+  // bit-identical to the unmasked call's; a row that is not needed comes
+  // back zero. The visible set of an item that is not needed is read only
+  // when the encoder has more than one block (the earlier blocks attend
+  // for every item).
   void AppendBatch(const Item* items, const int* positions_in_key,
                    const std::vector<int>* visibles, int batch,
-                   std::vector<float>* rows);
+                   std::vector<float>* rows, const uint8_t* needed = nullptr);
 
   int num_items() const { return num_items_; }
 

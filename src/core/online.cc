@@ -79,18 +79,31 @@ size_t OnlineClassifier::scratch_high_water() const {
 void OnlineClassifier::EncodeBatch(const Item* items, int count,
                                    std::vector<float>* rows) {
   KVEC_CHECK_GT(count, 0);
-  // The tracker must see every stream item — even those of halted keys —
-  // so the visibility sets of live keys stay identical to training.
+  // Every item reaches the tracker and every block's K/V cache — even
+  // those of halted keys — so the visibility sets and attention context of
+  // live keys stay identical to training. Only an item whose key has no
+  // verdict yet needs its final-block row: DecideObserved never reads the
+  // row of a halted key, and a verdict is never revoked within an engine.
+  // Without a row, the item needs its visible set only when an earlier
+  // block attends for it.
+  const bool earlier_blocks_attend = model_.config().num_blocks > 1;
   if (static_cast<int>(visible_scratch_.size()) < count) {
     visible_scratch_.resize(count);
   }
   position_scratch_.resize(count);
+  needed_scratch_.resize(count);
   for (int i = 0; i < count; ++i) {
-    visible_scratch_[i] = tracker_.ObserveItem(items[i]);
-    position_scratch_[i] = keys_->states[items[i].key].position_in_key++;
+    KeyState& state = keys_->states[items[i].key];
+    position_scratch_[i] = state.position_in_key++;
+    const bool needed = !state.halted;
+    needed_scratch_[i] = needed ? 1 : 0;
+    tracker_.ObserveItem(items[i], needed || earlier_blocks_attend
+                                       ? &visible_scratch_[i]
+                                       : nullptr);
   }
   incremental_.AppendBatch(items, position_scratch_.data(),
-                           visible_scratch_.data(), count, rows);
+                           visible_scratch_.data(), count, rows,
+                           needed_scratch_.data());
   num_items_ += count;
 }
 

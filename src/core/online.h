@@ -12,8 +12,12 @@
 // Observation is split into two stages so callers can microbatch:
 //  * EncodeBatch — correlation tracking + incremental encoding for B
 //    consecutive stream items, driving the encoder's projections through
-//    one GEMM per block (B = 1 for Observe). Every item is encoded (halted
-//    keys included: their items shape the visibility sets of live keys).
+//    one GEMM per block (B = 1 for Observe). Every item reaches the
+//    correlation tracker and every block's K/V cache (halted keys
+//    included: their items shape the visibility sets and attention context
+//    of live keys), but only an item whose key has no verdict when the
+//    batch starts gets a final-block row; with one encoder block, such an
+//    item's visible set is not built either.
 //  * DecideObserved — per item, folds the encoded row into its key's
 //    fusion state and runs the halting policy / classifier. This stage is
 //    tensor-free: the frozen heads' row entry points (EmbeddingFusion::
@@ -39,6 +43,7 @@
 // window, so slots are never freed).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <memory_resource>
 #include <unordered_map>
@@ -85,7 +90,9 @@ class OnlineClassifier {
 
   // Stage 1: tracks + encodes `count` consecutive stream items, writing
   // their final-block embedding rows to `rows` ([count, embed_dim],
-  // row-major). Advances per-key positions and the stream clock.
+  // row-major). Advances per-key positions and the stream clock. The row
+  // of an item whose key was already halted when the call began is zero:
+  // DecideObserved ignores it.
   void EncodeBatch(const Item* items, int count, std::vector<float>* rows);
 
   // Stage 2: folds `row` (length embed_dim, from EncodeBatch) into `key`'s
@@ -210,6 +217,7 @@ class OnlineClassifier {
   // EncodeBatch scratch, reused across calls.
   std::vector<std::vector<int>> visible_scratch_;
   std::vector<int> position_scratch_;
+  std::vector<uint8_t> needed_scratch_;  // 1: the item's key has no verdict
   // DecideObserved / ForceClassify scratch, sized once at construction:
   // the fusion step's rows, then the classifier's logits.
   std::vector<float> decide_scratch_;

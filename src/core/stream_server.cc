@@ -30,6 +30,7 @@ void StreamServerStats::Merge(const StreamServerStats& other) {
   pool_blocks += other.pool_blocks;
   scratch_high_water += other.scratch_high_water;
   compactions += other.compactions;
+  items_after_verdict += other.items_after_verdict;
 }
 
 StreamServer::StreamServer(const KvecModel& model,
@@ -194,6 +195,7 @@ void StreamServer::Bookkeep(const Item& item, const OnlineDecision& decision,
     // The engine still tracks the item (its visibility matters for other
     // keys), but the key's verdict was already emitted. The idle sweep
     // below must still run: these items advance the clock like any other.
+    ++stats_.items_after_verdict;
   } else if (decision.halted_now) {
     CloseKey(item.key);
     StreamEvent event;
@@ -236,10 +238,13 @@ std::vector<StreamEvent> StreamServer::ObserveItems(const Item* items,
   while (begin < count) {
     if (window_items_ >= config_.max_window_items) RotateWindow(&events);
     // Encode up to the next rotation boundary in one microbatch. Encoding
-    // ahead of the per-item bookkeeping below is safe: the encoder stage
-    // depends only on the item stream (never on halts or evictions), and
-    // rotations — which do reset the encoder — land exactly on chunk
-    // boundaries because the window clock ticks once per item.
+    // ahead of the per-item bookkeeping below is safe: the tracker and K/V
+    // caches depend only on the item stream, and the engine skips a row
+    // only for a key already halted when the chunk starts — halts and
+    // forced closes during the chunk only add verdicts, so every row
+    // DecideObserved reads is computed. Rotations, which do reset the
+    // encoder, land exactly on chunk boundaries because the window clock
+    // ticks once per item.
     const int chunk =
         std::min(count - begin, config_.max_window_items - window_items_);
     engine_->EncodeBatch(items + begin, chunk, &rows_);
@@ -368,6 +373,7 @@ bool StreamServer::ReadHeader(BinaryReader* reader, Header* header) const {
   stats.class_counts.resize(num_classes);
   for (int64_t& count : stats.class_counts) count = reader->ReadInt64();
   stats.compactions = stats_.compactions;
+  stats.items_after_verdict = stats_.items_after_verdict;
   stats.scratch_high_water = stats_.scratch_high_water;
   stats.bytes_resident = stats_.bytes_resident;
   stats.pool_blocks = stats_.pool_blocks;

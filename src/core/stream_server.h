@@ -151,6 +151,13 @@ struct StreamServerStats {
   int64_t scratch_high_water = 0;  // batch scratch arena high-water bytes
   int64_t compactions = 0;         // Compact() runs (heuristic or forced)
 
+  // Items whose key already had a verdict when they arrived: the engine
+  // keeps them only as context for other keys, and skips their final-block
+  // row when the verdict predates their microbatch. Process-local like the
+  // memory counters (never serialized; Restore keeps the live value) and
+  // summed by Merge().
+  int64_t items_after_verdict = 0;
+
   // Accumulates `other` into this view: counters and class_counts are
   // summed (class_counts widened as needed); windows_started adds up, so
   // start a merged view from windows_started = 0.

@@ -150,11 +150,15 @@ void ScalarBroadcastRange(const float* __restrict a, long a_rs, long a_cs,
   }
 }
 
+#if !KVEC_HAVE_SIMD
+// The portable dot product behind DotRows and Dot; SIMD builds use the
+// vector micro-kernels instead.
 float ScalarDot(const float* __restrict a, const float* __restrict b, int n) {
   float total = 0.0f;
   for (int i = 0; i < n; ++i) total += a[i] * b[i];
   return total;
 }
+#endif
 
 // ---- Drivers ----------------------------------------------------------------
 

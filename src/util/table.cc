@@ -51,6 +51,16 @@ std::vector<std::string> ParseCsvLine(const std::string& line) {
   return fields;
 }
 
+// Display width of a UTF-8 cell: its code points (every byte that is not
+// a continuation byte 10xxxxxx starts one), so "µs" pads like "us".
+size_t CodePoints(const std::string& text) {
+  size_t count = 0;
+  for (char c : text) {
+    if ((static_cast<unsigned char>(c) & 0xC0) != 0x80) ++count;
+  }
+  return count;
+}
+
 }  // namespace
 
 Table::Table(std::vector<std::string> columns) : columns_(std::move(columns)) {
@@ -71,17 +81,19 @@ std::string Table::FormatDouble(double value, int precision) {
 
 std::string Table::ToText() const {
   std::vector<size_t> widths(columns_.size());
-  for (size_t i = 0; i < columns_.size(); ++i) widths[i] = columns_[i].size();
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    widths[i] = CodePoints(columns_[i]);
+  }
   for (const auto& row : rows_) {
     for (size_t i = 0; i < row.size(); ++i) {
-      widths[i] = std::max(widths[i], row[i].size());
+      widths[i] = std::max(widths[i], CodePoints(row[i]));
     }
   }
   std::ostringstream out;
   auto emit_row = [&](const std::vector<std::string>& row) {
     for (size_t i = 0; i < row.size(); ++i) {
       out << (i == 0 ? "| " : " | ");
-      out << row[i] << std::string(widths[i] - row[i].size(), ' ');
+      out << row[i] << std::string(widths[i] - CodePoints(row[i]), ' ');
     }
     out << " |\n";
   };

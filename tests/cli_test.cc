@@ -439,7 +439,8 @@ const std::set<std::string>& ServerGroupPaths() {
        "memory.compactions", "events", "events.sequences_classified",
        "events.policy_halts", "events.idle_timeouts",
        "events.capacity_evictions", "events.rotation_classifications",
-       "events.flush_classifications", "events.windows_started"});
+       "events.flush_classifications", "events.windows_started",
+       "events.items_after_verdict"});
   return paths;
 }
 

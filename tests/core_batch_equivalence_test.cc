@@ -4,13 +4,19 @@
 //  * StreamServer::ObserveBatch vs Observe on tangled streams that span
 //    window-rotation, idle-timeout, and capacity-eviction boundaries
 //    (identical StreamEvent sequences: keys, labels, causes, order),
-//  * ShardedStreamServer::ObserveBatch vs per-item Observe.
+//  * ShardedStreamServer::ObserveBatch vs per-item Observe,
+//  * AppendBatch with a row mask vs without (needed rows and K/V cache
+//    bit-identical), and a server whose keys halt early, where the engine
+//    skips the rows of halted keys, across batch sizes (identical events
+//    and checkpoint bytes).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sharded_stream_server.h"
@@ -19,6 +25,8 @@
 #include "data/generator.h"
 #include "data/traffic_generator.h"
 #include "gtest/gtest.h"
+#include "util/rng.h"
+#include "util/serialize.h"
 
 namespace kvec {
 namespace {
@@ -28,7 +36,7 @@ struct Fixture {
   std::unique_ptr<KvecModel> model;
 };
 
-Fixture TrainSmallModel(uint64_t seed, int num_heads = 1) {
+Dataset SmallTrafficDataset(uint64_t seed) {
   TrafficGeneratorConfig generator_config;
   generator_config.num_classes = 2;
   generator_config.concurrency = 3;
@@ -36,8 +44,12 @@ Fixture TrainSmallModel(uint64_t seed, int num_heads = 1) {
   generator_config.min_flow_length = 6;
   generator_config.handshake_sharpness = 6.0;
   TrafficGenerator generator(generator_config);
+  return GenerateDataset(generator, {12, 2, 6}, seed);
+}
+
+Fixture TrainSmallModel(uint64_t seed, int num_heads = 1) {
   Fixture fixture;
-  fixture.dataset = GenerateDataset(generator, {12, 2, 6}, seed);
+  fixture.dataset = SmallTrafficDataset(seed);
   KvecConfig config = KvecConfig::ForSpec(fixture.dataset.spec);
   config.embed_dim = 12;
   config.state_dim = 16;
@@ -50,6 +62,25 @@ Fixture TrainSmallModel(uint64_t seed, int num_heads = 1) {
   KvecTrainer trainer(fixture.model.get());
   trainer.Train(fixture.dataset.train);
   return fixture;
+}
+
+// An untrained model over `spec`: bit-identity between two encoder paths
+// holds for any weights, so the mask tests need no training.
+std::unique_ptr<KvecModel> UntrainedModel(const DatasetSpec& spec,
+                                          int num_blocks, int num_heads) {
+  KvecConfig config = KvecConfig::ForSpec(spec);
+  config.embed_dim = 12;
+  config.state_dim = 16;
+  config.num_blocks = num_blocks;
+  config.num_heads = num_heads;
+  config.ffn_hidden_dim = 16;
+  return std::make_unique<KvecModel>(config);
+}
+
+std::string EncoderSnapshot(const IncrementalEncoder& encoder) {
+  BinaryWriter writer;
+  encoder.Snapshot(&writer);
+  return writer.buffer();
 }
 
 uint32_t FloatBits(float value) {
@@ -137,6 +168,74 @@ TEST(BatchEquivalenceTest, AppendBatchMatchesAppendItem) {
       begin += batch;
     }
     EXPECT_EQ(batched.num_items(), sequential.num_items());
+  }
+}
+
+TEST(BatchEquivalenceTest, MaskedAppendBatchKeepsNeededRowsAndCache) {
+  const Dataset dataset = SmallTrafficDataset(76);
+  std::vector<Item> stream = ConcatStream(dataset);
+  stream.resize(std::min<size_t>(stream.size(), 400));
+  const int total = static_cast<int>(stream.size());
+  enum class Mask { kAll, kNone, kAlternating, kRandom };
+  for (int num_blocks : {1, 2}) {
+    for (int num_heads : {1, 2}) {
+      std::unique_ptr<KvecModel> model =
+          UntrainedModel(dataset.spec, num_blocks, num_heads);
+      const int d = model->config().embed_dim;
+      for (Mask mask : {Mask::kAll, Mask::kNone, Mask::kAlternating,
+                        Mask::kRandom}) {
+        SCOPED_TRACE(testing::Message()
+                     << "blocks " << num_blocks << " heads " << num_heads
+                     << " mask " << static_cast<int>(mask));
+        IncrementalEncoder full(model->encoder());
+        IncrementalEncoder masked(model->encoder());
+        CorrelationTracker tracker(model->config().correlation);
+        std::map<int, int> position_in_key;
+        Rng rng(77);
+        const int sizes[] = {1, 2, 3, 5, 8, 13, 64};
+        int size_index = 0;
+        int needed_rows = 0;
+        for (int begin = 0; begin < total;) {
+          const int batch = std::min(sizes[size_index++ % 7], total - begin);
+          std::vector<int> positions(batch);
+          std::vector<std::vector<int>> visibles(batch);
+          std::vector<uint8_t> needed(batch);
+          for (int i = 0; i < batch; ++i) {
+            const Item& item = stream[begin + i];
+            visibles[i] = tracker.ObserveItem(item);
+            positions[i] = position_in_key[item.key]++;
+            switch (mask) {
+              case Mask::kAll: needed[i] = 1; break;
+              case Mask::kNone: needed[i] = 0; break;
+              case Mask::kAlternating: needed[i] = (begin + i) % 2; break;
+              case Mask::kRandom: needed[i] = rng.NextBernoulli(0.3); break;
+            }
+            needed_rows += needed[i];
+          }
+          std::vector<float> expected;
+          std::vector<float> actual;
+          full.AppendBatch(stream.data() + begin, positions.data(),
+                           visibles.data(), batch, &expected);
+          masked.AppendBatch(stream.data() + begin, positions.data(),
+                             visibles.data(), batch, &actual, needed.data());
+          ASSERT_EQ(actual.size(), expected.size());
+          const std::vector<float> zero(d, 0.0f);
+          for (int i = 0; i < batch; ++i) {
+            const size_t row = static_cast<size_t>(i) * d;
+            const float* want = needed[i] ? expected.data() + row : zero.data();
+            ASSERT_EQ(std::memcmp(actual.data() + row, want, d * sizeof(float)),
+                      0)
+                << "item " << begin + i << " needed " << int{needed[i]};
+          }
+          begin += batch;
+        }
+        if (mask == Mask::kRandom) {
+          EXPECT_GT(needed_rows, 0);
+          EXPECT_LT(needed_rows, total);
+        }
+        EXPECT_EQ(EncoderSnapshot(masked), EncoderSnapshot(full));
+      }
+    }
   }
 }
 
@@ -237,6 +336,69 @@ TEST(BatchEquivalenceTest, StreamServerAcrossIdleAndCapacityBoundaries) {
   config.max_open_keys = 2;  // constant capacity pressure
   for (size_t batch_size : {5u, 32u}) {
     CheckServerEquivalence(*fixture.model, config, stream, batch_size);
+  }
+}
+
+// The engine computes no final-block row for an item whose key was halted
+// before its microbatch began. With a policy biased to halt early most
+// items are such items, and each batch size cuts the stream differently —
+// a key's items in the batch of its halt are still encoded — so the skip
+// pattern differs while the events and checkpoint bytes must not. The
+// tight bounds force idle timeouts, capacity evictions and rotations, and
+// the items of force-closed keys that come back are skipped too.
+TEST(BatchEquivalenceTest, EarlyHaltingServerMatchesAcrossBatchSizes) {
+  Dataset dataset = SmallTrafficDataset(78);
+  // The train episodes too: a stream long enough to rotate many times.
+  dataset.test.insert(dataset.test.end(), dataset.train.begin(),
+                      dataset.train.end());
+  const std::vector<Item> stream = ConcatStream(dataset);
+  StreamServerConfig config;
+  config.max_window_items = 97;
+  config.idle_timeout = 13;
+  config.idle_check_interval = 3;
+  config.max_open_keys = 3;
+  // A policy bias per depth under which about a third of the keys halt
+  // early and the rest reach a forced close.
+  for (auto [num_blocks, policy_bias] : {std::pair{1, 0.0f}, {2, -0.2f}}) {
+    SCOPED_TRACE(testing::Message() << "blocks " << num_blocks);
+    std::unique_ptr<KvecModel> model =
+        UntrainedModel(dataset.spec, num_blocks, /*num_heads=*/1);
+    // MainParameters ends with the policy's weight and bias, then the
+    // classifier's weight and bias.
+    std::vector<Tensor> params = model->MainParameters();
+    params[params.size() - 3].data()[0] = policy_bias;
+
+    std::vector<StreamEvent> reference_events;
+    std::string reference_bytes;
+    for (size_t batch_size : {1u, 7u, 64u}) {
+      SCOPED_TRACE(testing::Message() << "batch " << batch_size);
+      StreamServer server(*model, config);
+      std::vector<StreamEvent> events;
+      for (size_t begin = 0; begin < stream.size(); begin += batch_size) {
+        const size_t end = std::min(stream.size(), begin + batch_size);
+        std::vector<Item> chunk(stream.begin() + begin, stream.begin() + end);
+        for (const StreamEvent& event : server.ObserveBatch(chunk)) {
+          events.push_back(event);
+        }
+      }
+      const std::string bytes = server.EncodeCheckpoint();
+      for (const StreamEvent& event : server.Flush()) events.push_back(event);
+
+      const StreamServerStats& stats = server.stats();
+      EXPECT_GT(stats.policy_halts, 0);
+      EXPECT_GT(stats.idle_timeouts + stats.capacity_evictions, 0);
+      EXPECT_GT(stats.windows_started, 1);
+      // A fifth or more of the stream arrives after its key's verdict.
+      EXPECT_GT(stats.items_after_verdict,
+                static_cast<int64_t>(stream.size()) / 5);
+      if (batch_size == 1) {
+        reference_events = events;
+        reference_bytes = bytes;
+        continue;
+      }
+      ExpectSameEvents(reference_events, events);
+      EXPECT_TRUE(bytes == reference_bytes) << "checkpoint bytes differ";
+    }
   }
 }
 

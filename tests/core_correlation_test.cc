@@ -366,6 +366,44 @@ TEST(CorrelationTrackerTest, MatchesBruteForceReferenceAcrossCuts) {
   EXPECT_GT(refilled_buckets, 300);
 }
 
+// Observing without a visible set is the same state update: a tracker that
+// skips the set for a random share of the items snapshots to the same
+// bytes, and returns the same set for every item it does ask about, as one
+// that builds every set.
+TEST(CorrelationTrackerTest, ObservingWithoutVisibleSetKeepsStateIdentical) {
+  uint64_t seed = 11;
+  for (int cap : {0, 4}) {
+    for (Shape shape : {Shape::kDense, Shape::kSparse, Shape::kDrifting}) {
+      SCOPED_TRACE(::testing::Message() << "cap " << cap << " shape "
+                                        << static_cast<int>(shape));
+      CorrelationOptions options = Options(true, true, 16);
+      options.max_value_correlations = cap;
+      Rng rng(seed++);
+      const std::vector<Item> stream = MakeStream(shape, 2000, &rng);
+      CorrelationTracker full(options);
+      CorrelationTracker skipping(options);
+      std::vector<int> visible = {-1};  // reused: stale contents are replaced
+      int skipped = 0;
+      for (int t = 0; t < static_cast<int>(stream.size()); ++t) {
+        const std::vector<int> expected = full.ObserveItem(stream[t]);
+        if (rng.NextBernoulli(0.5)) {
+          skipping.ObserveItem(stream[t], nullptr);
+          ++skipped;
+        } else {
+          skipping.ObserveItem(stream[t], &visible);
+          ASSERT_EQ(visible, expected) << "item " << t;
+        }
+        if (t % 250 == 0) {
+          ASSERT_EQ(SnapshotBytes(skipping), SnapshotBytes(full))
+              << "item " << t;
+        }
+      }
+      EXPECT_GT(skipped, 0);
+      EXPECT_EQ(SnapshotBytes(skipping), SnapshotBytes(full));
+    }
+  }
+}
+
 // Hand-written tracker checkpoints (the Snapshot/SnapshotDelta formats),
 // for states no real stream produces.
 struct SessionRecord {

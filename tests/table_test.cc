@@ -14,6 +14,19 @@ TEST(TableTest, TextRenderingAligns) {
   EXPECT_NE(text.find("| alpha | 1     |"), std::string::npos);
 }
 
+TEST(TableTest, TextRenderingPadsByCodePoints) {
+  // "§" and "µ" are two bytes each in UTF-8; the columns must still line up
+  // as if every character were one column wide.
+  Table table({"section", "unit"});
+  table.AddRow({"§IV-C", "µs"});
+  table.AddRow({"Table I", "ns"});
+  EXPECT_EQ(table.ToText(),
+            "| section | unit |\n"
+            "|---------|------|\n"
+            "| §IV-C   | µs   |\n"
+            "| Table I | ns   |\n");
+}
+
 TEST(TableTest, CsvRoundTrip) {
   Table table({"a", "b"});
   table.AddRow({"1", "plain"});
