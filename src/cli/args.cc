@@ -24,13 +24,14 @@ std::string* ArgParser::AddString(const std::string& name,
 }
 
 int64_t* ArgParser::AddInt(const std::string& name, int64_t default_value,
-                           const std::string& help) {
+                           const std::string& help, IntRange range) {
   ints_.push_back(std::make_unique<int64_t>(default_value));
   Flag flag;
   flag.name = name;
   flag.kind = Kind::kInt;
   flag.help = help;
   flag.default_text = std::to_string(default_value);
+  flag.range = range;
   flag.value_index = ints_.size() - 1;
   flags_.push_back(std::move(flag));
   return ints_.back().get();
@@ -82,6 +83,12 @@ bool ArgParser::SetValue(Flag* flag, const std::string& text) {
       long long value = std::strtoll(text.c_str(), &end, 10);
       if (errno != 0 || end == text.c_str() || *end != '\0') {
         error_ = "--" + flag->name + " expects an integer, got '" + text + "'";
+        return false;
+      }
+      if (value < flag->range.min || value > flag->range.max) {
+        error_ = "--" + flag->name + " must be in [" +
+                 std::to_string(flag->range.min) + ", " +
+                 std::to_string(flag->range.max) + "], got " + text;
         return false;
       }
       *ints_[flag->value_index] = value;

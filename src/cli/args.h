@@ -13,12 +13,25 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace kvec {
 namespace cli {
+
+// The values an int flag accepts; Parse rejects any other as a usage error.
+struct IntRange {
+  int64_t min = std::numeric_limits<int64_t>::min();
+  int64_t max = std::numeric_limits<int64_t>::max();
+};
+
+// [min, INT_MAX]: the range of a flag the subcommand narrows to int, so
+// that its static_cast<int> is exact.
+inline IntRange IntAtLeast(int64_t min) {
+  return {min, std::numeric_limits<int>::max()};
+}
 
 class ArgParser {
  public:
@@ -30,7 +43,7 @@ class ArgParser {
   std::string* AddString(const std::string& name, std::string default_value,
                          const std::string& help);
   int64_t* AddInt(const std::string& name, int64_t default_value,
-                  const std::string& help);
+                  const std::string& help, IntRange range = {});
   double* AddDouble(const std::string& name, double default_value,
                     const std::string& help);
   // Boolean flags take no value: `--flag` sets true, `--no-flag` sets false.
@@ -59,6 +72,7 @@ class ArgParser {
     Kind kind = Kind::kString;
     std::string help;
     std::string default_text;
+    IntRange range;  // kInt only
     bool provided = false;
     // Exactly one is live, per kind. Deques would avoid the indirection but
     // pointers into std::vector<unique_ptr-free> members must stay stable,

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -15,14 +16,13 @@
 #include <unistd.h>
 
 #include "cli/args.h"
-#include "cli/json_writer.h"
+#include "cli/report.h"
 #include "cli/stats_report.h"
 #include "core/config.h"
 #include "core/model.h"
 #include "core/sharded_stream_server.h"
 #include "data/types.h"
 #include "util/rng.h"
-#include "util/table.h"
 
 // Sanitizer instrumentation inflates and de-flattens RSS (shadow memory,
 // quarantines, allocator redzones), so the default flatness band widens —
@@ -368,22 +368,20 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
   return true;
 }
 
-void EmitStageJson(const StageResult& stage, JsonWriter* writer) {
-  writer->BeginObject();
-  writer->Key("target_keys").Int(stage.target_keys);
-  writer->Key("open_keys_peak").Int(stage.open_keys_peak);
-  writer->Key("items").Int(stage.items);
-  writer->Key("seconds").Double(stage.seconds);
-  writer->Key("items_per_sec")
-      .Double(stage.seconds > 0 ? stage.items / stage.seconds : 0.0, 1);
-  writer->Key("rss_steady_bytes").Int(stage.rss_steady);
-  writer->Key("rss_drift").Double(stage.rss_drift, 4);
-  writer->Key("rss_flat").Bool(stage.rss_flat);
-  writer->Key("rss_samples").BeginArray();
-  for (int64_t sample : stage.rss_samples) writer->Int(sample);
-  writer->EndArray();
-  EmitStatsJson(stage.stats, writer);
-  writer->EndObject();
+Report StageReport(const StageResult& stage) {
+  Report report;
+  report.Int("target_keys", stage.target_keys)
+      .Int("open_keys_peak", stage.open_keys_peak)
+      .Int("items", stage.items)
+      .Double("seconds", stage.seconds)
+      .Double("items_per_sec",
+              stage.seconds > 0 ? stage.items / stage.seconds : 0.0, 1)
+      .Int("rss_steady_bytes", stage.rss_steady)
+      .Double("rss_drift", stage.rss_drift, 4)
+      .Bool("rss_flat", stage.rss_flat)
+      .Ints("rss_samples", stage.rss_samples);
+  AddStats(stage.stats, &report);
+  return report;
 }
 
 // The memory-vs-open-keys curve in the shape bench/run_benchmarks.sh
@@ -391,36 +389,35 @@ void EmitStageJson(const StageResult& stage, JsonWriter* writer) {
 // BENCH_PR9.json sits beside the google-benchmark-derived reports.
 std::string CurveJson(const SoakOptions& options,
                       const std::vector<StageResult>& stages) {
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("context").BeginObject();
-  writer.Key("keys").Int(options.keys);
-  writer.Key("shards").Int(options.shards);
-  writer.Key("workers").Int(options.workers);
-  writer.Key("batch").Int(options.batch);
-  writer.Key("rss_band").Double(options.rss_band, 4);
-  writer.Key("passes_per_cycle").Int(kPassesPerCycle);
-  writer.Key("churn").Double(options.churn, 4);
-  writer.EndObject();
-  writer.Key("benchmarks").BeginObject();
+  Report context;
+  context.Int("keys", options.keys)
+      .Int("shards", options.shards)
+      .Int("workers", options.workers)
+      .Int("batch", options.batch)
+      .Double("rss_band", options.rss_band, 4)
+      .Int("passes_per_cycle", kPassesPerCycle)
+      .Double("churn", options.churn, 4);
+  Report benchmarks;
   for (const StageResult& stage : stages) {
-    writer.Key("SOAK_MemoryVsOpenKeys/" + std::to_string(stage.target_keys))
-        .BeginObject();
-    writer.Key("real_time_ns").Double(stage.seconds * 1e9, 1);
-    writer.Key("items_per_second")
-        .Double(stage.seconds > 0 ? stage.items / stage.seconds : 0.0, 1);
-    writer.Key("open_keys_peak").Int(stage.open_keys_peak);
-    writer.Key("rss_bytes").Int(stage.rss_steady);
-    writer.Key("rss_drift").Double(stage.rss_drift, 4);
-    writer.Key("pool_resident_bytes").Int(stage.stats.bytes_resident);
-    writer.Key("pool_blocks").Int(stage.stats.pool_blocks);
-    writer.Key("scratch_high_water").Int(stage.stats.scratch_high_water);
-    writer.Key("compactions").Int(stage.stats.compactions);
-    writer.EndObject();
+    Report point;
+    point.Double("real_time_ns", stage.seconds * 1e9, 1)
+        .Double("items_per_second",
+                stage.seconds > 0 ? stage.items / stage.seconds : 0.0, 1)
+        .Int("open_keys_peak", stage.open_keys_peak)
+        .Int("rss_bytes", stage.rss_steady)
+        .Double("rss_drift", stage.rss_drift, 4)
+        .Int("pool_resident_bytes", stage.stats.bytes_resident)
+        .Int("pool_blocks", stage.stats.pool_blocks)
+        .Int("scratch_high_water", stage.stats.scratch_high_water)
+        .Int("compactions", stage.stats.compactions);
+    benchmarks.Object(
+        "SOAK_MemoryVsOpenKeys/" + std::to_string(stage.target_keys),
+        std::move(point));
   }
-  writer.EndObject();
-  writer.EndObject();
-  return writer.str();
+  Report curve;
+  curve.Object("context", std::move(context))
+      .Object("benchmarks", std::move(benchmarks));
+  return curve.ToJson();
 }
 
 }  // namespace
@@ -428,18 +425,24 @@ std::string CurveJson(const SoakOptions& options,
 int RunSoakCommand(const std::vector<std::string>& args, std::ostream& out,
                    std::ostream& err) {
   ArgParser parser("kvec soak");
-  int64_t* keys = parser.AddInt(
-      "keys", 100000, "peak open-key population of the final stage");
-  int64_t* shards = parser.AddInt("shards", 4, "serving shards");
+  int64_t* keys =
+      parser.AddInt("keys", 100000,
+                    "peak open-key population of the final stage",
+                    IntAtLeast(1));
+  int64_t* shards =
+      parser.AddInt("shards", 4, "serving shards", IntAtLeast(1));
   int64_t* workers = parser.AddInt(
       "workers", 0,
       "shard-owned worker threads (0 = synchronous ingest; N>0 must equal "
-      "--shards)");
-  int64_t* batch = parser.AddInt("batch", 512, "ObserveBatch microbatch size");
+      "--shards)",
+      IntAtLeast(0));
+  int64_t* batch = parser.AddInt("batch", 512, "ObserveBatch microbatch size",
+                                 IntAtLeast(1));
   int64_t* warmup = parser.AddInt(
-      "warmup-cycles", 2, "cycles per stage excluded from the flatness band");
+      "warmup-cycles", 2, "cycles per stage excluded from the flatness band",
+      IntAtLeast(0));
   int64_t* cycles = parser.AddInt(
-      "cycles", 4, "measured steady-state cycles per stage");
+      "cycles", 4, "measured steady-state cycles per stage", IntAtLeast(1));
   double* churn = parser.AddDouble(
       "churn", 0.25,
       "fraction of the key window replaced per steady cycle (drives "
@@ -478,7 +481,8 @@ int RunSoakCommand(const std::vector<std::string>& args, std::ostream& out,
   int64_t* compaction_interval = parser.AddInt(
       "compaction-check-interval", 4096,
       "per-shard items between fragmentation checks (<=0 disables the "
-      "heuristic)");
+      "heuristic)",
+      IntAtLeast(std::numeric_limits<int>::min()));
   double* compaction_threshold = parser.AddDouble(
       "compaction-threshold", 2.0,
       "compact when pool resident/live exceeds this ratio");
@@ -496,11 +500,8 @@ int RunSoakCommand(const std::vector<std::string>& args, std::ostream& out,
     return kExitOk;
   }
 
-  if (*keys <= 0 || *shards <= 0 || *batch <= 0 || *warmup < 0 ||
-      *cycles <= 0 || *churn < 0 || *churn > 1 || *rss_band <= 0 ||
-      *minutes < 0) {
-    err << "kvec: soak flags out of range (keys/shards/batch/cycles > 0, "
-           "warmup-cycles >= 0, 0 <= churn <= 1, rss-band > 0, "
+  if (*churn < 0 || *churn > 1 || *rss_band <= 0 || *minutes < 0) {
+    err << "kvec: soak flags out of range (0 <= churn <= 1, rss-band > 0, "
            "minutes >= 0)\n";
     return kExitUsage;
   }
@@ -581,44 +582,20 @@ int RunSoakCommand(const std::vector<std::string>& args, std::ostream& out,
     }
   }
 
-  if (*json) {
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("keys").Int(options.keys);
-    writer.Key("shards").Int(options.shards);
-    writer.Key("workers").Int(options.workers);
-    writer.Key("batch").Int(options.batch);
-    writer.Key("rss_band").Double(options.rss_band, 4);
-    writer.Key("rss_available").Bool(rss_available);
-    writer.Key("flat").Bool(flat);
-    writer.Key("stages").BeginArray();
-    for (const StageResult& stage : stages) EmitStageJson(stage, &writer);
-    writer.EndArray();
-    writer.EndObject();
-    out << writer.str();
-  } else {
-    out << "soak: " << stages.size() << " stage(s), band "
-        << Table::FormatDouble(options.rss_band, 2) << ", "
-        << (flat ? "RSS FLAT" : "RSS DRIFTED") << "\n";
-    Table table({"target keys", "open peak", "items", "items/sec",
-                 "rss MiB", "drift", "flat"});
-    std::vector<std::string> names;
-    std::vector<StreamServerStats> views;
-    for (const StageResult& stage : stages) {
-      table.AddRow(
-          {std::to_string(stage.target_keys),
-           std::to_string(stage.open_keys_peak), std::to_string(stage.items),
-           Table::FormatDouble(
-               stage.seconds > 0 ? stage.items / stage.seconds : 0.0, 1),
-           Table::FormatDouble(
-               static_cast<double>(stage.rss_steady) / (1024.0 * 1024.0), 1),
-           Table::FormatDouble(stage.rss_drift, 4),
-           stage.rss_flat ? "yes" : "NO"});
-      names.push_back(std::to_string(stage.target_keys) + " keys");
-      views.push_back(stage.stats);
-    }
-    out << table.ToText() << StatsColumns(names, views).ToText();
+  std::vector<Report> stage_reports;
+  for (const StageResult& stage : stages) {
+    stage_reports.push_back(StageReport(stage));
   }
+  Report report;
+  report.Int("keys", options.keys)
+      .Int("shards", options.shards)
+      .Int("workers", options.workers)
+      .Int("batch", options.batch)
+      .Double("rss_band", options.rss_band, 4)
+      .Bool("rss_available", rss_available)
+      .Bool("flat", flat)
+      .Objects("stages", std::move(stage_reports), "stage");
+  out << report.Render(*json);
 
   if (!flat) {
     return RuntimeError(

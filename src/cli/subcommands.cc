@@ -16,8 +16,8 @@
 #include <type_traits>
 
 #include "cli/args.h"
-#include "cli/json_writer.h"
 #include "cli/model_io.h"
+#include "cli/report.h"
 #include "cli/soak.h"
 #include "cli/stats_report.h"
 #include "core/model.h"
@@ -78,7 +78,8 @@ DatasetFlags AddDatasetFlags(ArgParser* parser,
                                   "experiment scale: tiny|small|full");
   flags.seed = parser->AddInt("seed", 7, "dataset generation seed");
   flags.episodes = parser->AddInt(
-      "episodes", 0, "override total episode count (0 = preset default)");
+      "episodes", 0, "override total episode count (0 = preset default)",
+      IntAtLeast(0));
   flags.data = parser->AddString(
       "data", "", "load a dataset directory (kvec generate --out) instead "
                   "of generating from --preset");
@@ -119,6 +120,15 @@ const std::vector<TangledSequence>* SplitOf(const Dataset& dataset,
   return nullptr;
 }
 
+// --split names one of a dataset's three splits; checked before the
+// dataset is resolved, so a typo is a usage error rather than a late one.
+bool CheckSplit(const std::string& split, std::ostream& err) {
+  if (SplitOf(Dataset(), split) != nullptr) return true;
+  err << "kvec: --split must be train|validation|test, got '" << split
+      << "'\n";
+  return false;
+}
+
 int UsageError(ArgParser& parser, std::ostream& err) {
   err << "kvec: " << parser.error() << "\n" << parser.Usage();
   return kExitUsage;
@@ -129,28 +139,16 @@ int RuntimeError(const std::string& message, std::ostream& err) {
   return kExitRuntime;
 }
 
-void EmitSummaryFields(const EvaluationSummary& summary, JsonWriter* json) {
-  json->Key("earliness").Double(summary.earliness);
-  json->Key("accuracy").Double(summary.accuracy);
-  json->Key("macro_precision").Double(summary.macro_precision);
-  json->Key("macro_recall").Double(summary.macro_recall);
-  json->Key("macro_f1").Double(summary.macro_f1);
-  json->Key("harmonic_mean").Double(summary.harmonic_mean);
-  json->Key("num_sequences").Int(summary.num_sequences);
-}
-
-Table SummaryTable(const EvaluationSummary& summary) {
-  Table table({"metric", "value"});
-  table.AddRow({"earliness", Table::FormatDouble(summary.earliness)});
-  table.AddRow({"accuracy", Table::FormatDouble(summary.accuracy)});
-  table.AddRow(
-      {"macro_precision", Table::FormatDouble(summary.macro_precision)});
-  table.AddRow({"macro_recall", Table::FormatDouble(summary.macro_recall)});
-  table.AddRow({"macro_f1", Table::FormatDouble(summary.macro_f1)});
-  table.AddRow(
-      {"harmonic_mean", Table::FormatDouble(summary.harmonic_mean)});
-  table.AddRow({"sequences", std::to_string(summary.num_sequences)});
-  return table;
+Report SummaryReport(const EvaluationSummary& summary) {
+  Report report;
+  report.Double("earliness", summary.earliness)
+      .Double("accuracy", summary.accuracy)
+      .Double("macro_precision", summary.macro_precision)
+      .Double("macro_recall", summary.macro_recall)
+      .Double("macro_f1", summary.macro_f1)
+      .Double("harmonic_mean", summary.harmonic_mean)
+      .Int("num_sequences", summary.num_sequences);
+  return report;
 }
 
 // A dataset is servable/evaluable by a model when every embedding lookup
@@ -216,7 +214,7 @@ int RunGenerate(const std::vector<std::string>& args, std::ostream& out,
   std::string* out_dir =
       parser.AddString("out", "", "output directory for the CSV dataset");
   bool* list = parser.AddBool("list", false, "list all presets and exit");
-  bool* json = parser.AddBool("json", false, "emit a JSON summary");
+  bool* json = parser.AddBool("json", false, "emit JSON instead of a table");
   if (!parser.Parse(args)) return UsageError(parser, err);
   if (parser.help_requested()) {
     err << parser.Usage();
@@ -262,45 +260,27 @@ int RunGenerate(const std::vector<std::string>& args, std::ostream& out,
     return RuntimeError(error, err);
   }
 
-  auto items_of = [](const std::vector<TangledSequence>& episodes) {
+  auto split_report = [](const std::vector<TangledSequence>& episodes) {
     int64_t items = 0;
     for (const TangledSequence& episode : episodes) {
       items += static_cast<int64_t>(episode.items.size());
     }
-    return items;
+    Report split;
+    split.Int("episodes", static_cast<int64_t>(episodes.size()))
+        .Int("items", items);
+    return split;
   };
-  if (*json) {
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("dataset").String(dataset.spec.name);
-    writer.Key("out").String(*out_dir);
-    writer.Key("num_classes").Int(dataset.spec.num_classes);
-    writer.Key("value_fields").Int(dataset.spec.num_value_fields());
-    writer.Key("splits").BeginObject();
-    writer.Key("train").BeginObject();
-    writer.Key("episodes").Int(static_cast<int64_t>(dataset.train.size()));
-    writer.Key("items").Int(items_of(dataset.train));
-    writer.EndObject();
-    writer.Key("validation").BeginObject();
-    writer.Key("episodes")
-        .Int(static_cast<int64_t>(dataset.validation.size()));
-    writer.Key("items").Int(items_of(dataset.validation));
-    writer.EndObject();
-    writer.Key("test").BeginObject();
-    writer.Key("episodes").Int(static_cast<int64_t>(dataset.test.size()));
-    writer.Key("items").Int(items_of(dataset.test));
-    writer.EndObject();
-    writer.EndObject();
-    writer.EndObject();
-    out << writer.str();
-  } else {
-    out << "wrote " << dataset.spec.name << " to " << *out_dir << ": "
-        << dataset.train.size() << " train / " << dataset.validation.size()
-        << " validation / " << dataset.test.size() << " test episodes ("
-        << items_of(dataset.train) + items_of(dataset.validation) +
-               items_of(dataset.test)
-        << " items)\n";
-  }
+  Report splits;
+  splits.Object("train", split_report(dataset.train))
+      .Object("validation", split_report(dataset.validation))
+      .Object("test", split_report(dataset.test));
+  Report report;
+  report.String("dataset", dataset.spec.name)
+      .String("out", *out_dir)
+      .Int("num_classes", dataset.spec.num_classes)
+      .Int("value_fields", dataset.spec.num_value_fields())
+      .Object("splits", std::move(splits));
+  out << report.Render(*json);
   return kExitOk;
 }
 
@@ -312,20 +292,24 @@ int RunTrain(const std::vector<std::string>& args, std::ostream& out,
   DatasetFlags dataset_flags = AddDatasetFlags(&parser, "ustc");
   std::string* model_path =
       parser.AddString("model", "", "output path of the model bundle");
-  int64_t* epochs = parser.AddInt("epochs", 0, "training epochs (0 = config "
-                                  "default)");
-  int64_t* embed_dim = parser.AddInt("embed-dim", 0, "item embedding width");
-  int64_t* state_dim = parser.AddInt("state-dim", 0, "fusion state width");
-  int64_t* blocks = parser.AddInt("blocks", 0, "attention blocks");
-  int64_t* ffn_dim = parser.AddInt("ffn-dim", 0, "FFN hidden width");
+  int64_t* epochs = parser.AddInt(
+      "epochs", 0, "training epochs (0 = config default)", IntAtLeast(0));
+  int64_t* embed_dim =
+      parser.AddInt("embed-dim", 0, "item embedding width", IntAtLeast(0));
+  int64_t* state_dim =
+      parser.AddInt("state-dim", 0, "fusion state width", IntAtLeast(0));
+  int64_t* blocks =
+      parser.AddInt("blocks", 0, "attention blocks", IntAtLeast(0));
+  int64_t* ffn_dim =
+      parser.AddInt("ffn-dim", 0, "FFN hidden width", IntAtLeast(0));
   double* lr = parser.AddDouble("lr", 0.0, "learning rate");
   double* alpha = parser.AddDouble("alpha", -1.0,
                                    "REINFORCE surrogate weight l2");
   double* beta = parser.AddDouble(
       "beta", 0.0, "earliness pressure l3 (larger = earlier halts)");
-  int64_t* train_seed =
-      parser.AddInt("train-seed", 0, "model init/training seed (0 = config "
-                    "default)");
+  int64_t* train_seed = parser.AddInt(
+      "train-seed", 0, "model init/training seed (0 = config default)",
+      IntRange{0});
   bool* validate = parser.AddBool(
       "validate", true, "early-stopping model selection on the validation "
       "split");
@@ -376,55 +360,27 @@ int RunTrain(const std::vector<std::string>& args, std::ostream& out,
                         err);
   }
 
-  if (*json) {
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("dataset").String(dataset.spec.name);
-    writer.Key("model").String(*model_path);
-    writer.Key("parameters").Int(model.ParameterCount());
-    writer.Key("epochs").Int(static_cast<int64_t>(history.size()));
-    writer.Key("best_epoch").Int(best_epoch);
-    writer.Key("history").BeginArray();
-    for (const TrainEpochStats& stats : history) {
-      writer.BeginObject();
-      writer.Key("total_loss").Double(stats.total_loss);
-      writer.Key("classification_loss").Double(stats.classification_loss);
-      writer.Key("policy_loss").Double(stats.policy_loss);
-      writer.Key("earliness_loss").Double(stats.earliness_loss);
-      writer.Key("baseline_loss").Double(stats.baseline_loss);
-      writer.Key("train_accuracy").Double(stats.train_accuracy);
-      writer.Key("train_earliness").Double(stats.train_earliness);
-      writer.EndObject();
-    }
-    writer.EndArray();
-    writer.Key("test").BeginObject();
-    EmitSummaryFields(result.summary, &writer);
-    writer.EndObject();
-    writer.EndObject();
-    out << writer.str();
-  } else {
-    Table epochs_table({"epoch", "loss", "l1", "l2", "l3", "baseline",
-                        "train_acc", "train_earliness"});
-    for (size_t i = 0; i < history.size(); ++i) {
-      const TrainEpochStats& stats = history[i];
-      epochs_table.AddRow({std::to_string(i + 1),
-                           Table::FormatDouble(stats.total_loss),
-                           Table::FormatDouble(stats.classification_loss),
-                           Table::FormatDouble(stats.policy_loss),
-                           Table::FormatDouble(stats.earliness_loss),
-                           Table::FormatDouble(stats.baseline_loss),
-                           Table::FormatDouble(stats.train_accuracy),
-                           Table::FormatDouble(stats.train_earliness)});
-    }
-    out << epochs_table.ToText();
-    if (best_epoch >= 0) {
-      out << "selected epoch " << best_epoch + 1
-          << " by validation harmonic mean\n";
-    }
-    out << "\ntest split:\n" << SummaryTable(result.summary).ToText();
-    out << "\nmodel bundle (" << model.ParameterCount()
-        << " parameters) written to " << *model_path << "\n";
+  std::vector<Report> epochs_report;
+  for (const TrainEpochStats& stats : history) {
+    Report epoch;
+    epoch.Double("total_loss", stats.total_loss)
+        .Double("classification_loss", stats.classification_loss)
+        .Double("policy_loss", stats.policy_loss)
+        .Double("earliness_loss", stats.earliness_loss)
+        .Double("baseline_loss", stats.baseline_loss)
+        .Double("train_accuracy", stats.train_accuracy)
+        .Double("train_earliness", stats.train_earliness);
+    epochs_report.push_back(std::move(epoch));
   }
+  Report report;
+  report.String("dataset", dataset.spec.name)
+      .String("model", *model_path)
+      .Int("parameters", model.ParameterCount())
+      .Int("epochs", static_cast<int64_t>(history.size()))
+      .Int("best_epoch", best_epoch)
+      .Objects("history", std::move(epochs_report), "epoch")
+      .Object("test", SummaryReport(result.summary));
+  out << report.Render(*json);
   return kExitOk;
 }
 
@@ -439,7 +395,7 @@ int RunEval(const std::vector<std::string>& args, std::ostream& out,
   std::string* split = parser.AddString(
       "split", "test", "which split to evaluate: train|validation|test");
   bool* json = parser.AddBool("json", false, "emit JSON instead of tables");
-  bool* report = parser.AddBool(
+  bool* class_report = parser.AddBool(
       "report", false, "append the per-class classification report");
   if (!parser.Parse(args)) return UsageError(parser, err);
   if (parser.help_requested()) {
@@ -450,6 +406,7 @@ int RunEval(const std::vector<std::string>& args, std::ostream& out,
     err << "kvec: eval requires --model <path>\n" << parser.Usage();
     return kExitUsage;
   }
+  if (!CheckSplit(*split, err)) return kExitUsage;
 
   std::string error;
   std::unique_ptr<KvecModel> model = LoadModelBundle(*model_path, &error);
@@ -460,11 +417,6 @@ int RunEval(const std::vector<std::string>& args, std::ostream& out,
     return RuntimeError(error, err);
   }
   const std::vector<TangledSequence>* episodes = SplitOf(dataset, *split);
-  if (episodes == nullptr) {
-    err << "kvec: --split must be train|validation|test, got '" << *split
-        << "'\n";
-    return kExitUsage;
-  }
   std::string why;
   if (!SpecCompatible(model->config().spec, dataset.spec, &why)) {
     return RuntimeError(
@@ -475,37 +427,25 @@ int RunEval(const std::vector<std::string>& args, std::ostream& out,
 
   KvecTrainer trainer(model.get());
   EvaluationResult result = trainer.Evaluate(*episodes);
-  const std::string report_text =
-      *report ? ClassificationReport(result.records, dataset.spec.num_classes)
-              : std::string();
-
-  if (*json) {
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("dataset").String(dataset.spec.name);
-    writer.Key("split").String(*split);
-    writer.Key("episodes").Int(static_cast<int64_t>(episodes->size()));
-    writer.Key("model").BeginObject();
-    writer.Key("path").String(*model_path);
-    writer.Key("parameters").Int(model->ParameterCount());
-    writer.Key("embed_dim").Int(model->config().embed_dim);
-    writer.Key("state_dim").Int(model->config().state_dim);
-    writer.Key("num_blocks").Int(model->config().num_blocks);
-    writer.EndObject();
-    writer.Key("summary").BeginObject();
-    EmitSummaryFields(result.summary, &writer);
-    writer.EndObject();
-    // The report rides inside the document so stdout stays one valid JSON
-    // value (`... --json --report | jq .` must keep working).
-    if (*report) writer.Key("report").String(report_text);
-    writer.EndObject();
-    out << writer.str();
-  } else {
-    out << dataset.spec.name << " / " << *split << " split ("
-        << episodes->size() << " episodes):\n"
-        << SummaryTable(result.summary).ToText();
-    if (*report) out << "\n" << report_text;
+  Report model_report;
+  model_report.String("path", *model_path)
+      .Int("parameters", model->ParameterCount())
+      .Int("embed_dim", model->config().embed_dim)
+      .Int("state_dim", model->config().state_dim)
+      .Int("num_blocks", model->config().num_blocks);
+  Report report;
+  report.String("dataset", dataset.spec.name)
+      .String("split", *split)
+      .Int("episodes", static_cast<int64_t>(episodes->size()))
+      .Object("model", std::move(model_report))
+      .Object("summary", SummaryReport(result.summary));
+  // The report rides inside the document so stdout stays one valid JSON
+  // value (`... --json --report | jq .` must keep working).
+  if (*class_report) {
+    report.String("report", ClassificationReport(result.records,
+                                                 dataset.spec.num_classes));
   }
+  out << report.Render(*json);
   return kExitOk;
 }
 
@@ -556,16 +496,18 @@ int RunSweep(const std::vector<std::string>& args, std::ostream& out,
       parser.AddString("scale", "tiny", "experiment scale: tiny|small|full");
   int64_t* seed = parser.AddInt("seed", 7, "dataset generation seed");
   int64_t* episodes = parser.AddInt(
-      "episodes", 0, "override total episode count (0 = profile default)");
+      "episodes", 0, "override total episode count (0 = profile default)",
+      IntAtLeast(0));
   std::string* methods_text = parser.AddString(
       "methods", "",
       "comma list of methods (kvec, earliest, srn-earliest, srn-fixed, "
       "srn-confidence, prefix-ects, indicator); empty = profile default");
   int64_t* max_grid_points = parser.AddInt(
       "max-grid-points", 0,
-      "subsample each method's hyper grid to at most N points (0 = full)");
-  int64_t* epochs =
-      parser.AddInt("epochs", 0, "override training epochs per grid point");
+      "subsample each method's hyper grid to at most N points (0 = full)",
+      IntAtLeast(0));
+  int64_t* epochs = parser.AddInt(
+      "epochs", 0, "override training epochs per grid point", IntAtLeast(0));
   std::string* cache_dir = parser.AddString(
       "cache", "", "sweep-cache directory (reuses finished method sweeps)");
   std::string* out_path =
@@ -667,39 +609,27 @@ int RunSweep(const std::vector<std::string>& args, std::ostream& out,
     points.insert(points.end(), method_points.begin(), method_points.end());
   }
 
-  Table table = SweepToTable(points);
-  std::string rendered;
-  if (*json) {
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("dataset").String(dataset.spec.name);
-    writer.Key("scale").String(ScaleName(scale));
-    writer.Key("profile").String(*profile);
-    writer.Key("points").BeginArray();
-    for (const SweepPoint& point : points) {
-      writer.BeginObject();
-      writer.Key("method").String(point.method);
-      writer.Key("hyper").Double(point.hyper);
-      writer.Key("earliness").Double(point.earliness);
-      writer.Key("accuracy").Double(point.accuracy);
-      writer.Key("precision").Double(point.precision);
-      writer.Key("recall").Double(point.recall);
-      writer.Key("f1").Double(point.f1);
-      writer.Key("harmonic_mean").Double(point.harmonic_mean);
-      writer.EndObject();
+  std::vector<Report> point_reports;
+  for (const SweepPoint& point : points) {
+    Report element;
+    element.String("method", point.method);
+    for (const SweepMetric& metric : SweepMetrics()) {
+      element.Double(metric.key, point.*metric.value);
     }
-    writer.EndArray();
-    writer.EndObject();
-    rendered = writer.str();
-  } else if (*csv) {
-    rendered = table.ToCsv();
-  } else {
-    rendered = table.ToText();
+    point_reports.push_back(std::move(element));
   }
+  Report report;
+  report.String("dataset", dataset.spec.name)
+      .String("scale", ScaleName(scale))
+      .String("profile", *profile)
+      .Objects("points", std::move(point_reports), "point");
+  const std::string csv_text = SweepToTable(points).ToCsv();
+  const std::string rendered =
+      *csv && !*json ? csv_text : report.Render(*json);
   out << rendered;
   if (!out_path->empty()) {
     std::string error;
-    if (!WriteTextFile(*out_path, *csv || *json ? rendered : table.ToCsv(),
+    if (!WriteTextFile(*out_path, *csv || *json ? rendered : csv_text,
                        &error)) {
       return RuntimeError(error, err);
     }
@@ -1008,17 +938,6 @@ struct SigintScope {
   void (*previous)(int) = SIG_DFL;
 };
 
-// An int flag must lie in [min, INT_MAX], so that its static_cast<int> is
-// exact.
-bool CheckIntFlag(const char* name, int64_t value, int64_t min,
-                  std::ostream& err) {
-  constexpr int64_t kMax = std::numeric_limits<int>::max();
-  if (value >= min && value <= kMax) return true;
-  err << "kvec: --" << name << " must be in [" << min << ", " << kMax
-      << "], got " << value << "\n";
-  return false;
-}
-
 double ItemsPerSec(const ServeOutcome& outcome) {
   return outcome.seconds > 0 ? outcome.items / outcome.seconds : 0.0;
 }
@@ -1033,29 +952,36 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
   std::string* split = parser.AddString(
       "split", "test", "which split to replay: train|validation|test");
   int64_t* shards = parser.AddInt(
-      "shards", 1, "serve through a ShardedStreamServer with N shards");
+      "shards", 1, "serve through a ShardedStreamServer with N shards",
+      IntAtLeast(1));
   int64_t* workers = parser.AddInt(
       "workers", 0,
       "shard-owned worker threads (0 = synchronous ingest; N>0 = one worker "
-      "per shard, implies --shards N)");
+      "per shard, implies --shards N)",
+      IntAtLeast(0));
   int64_t* queue_depth = parser.AddInt(
       "queue-depth", 256,
-      "per-shard bounded task-queue capacity, in batches (workers mode)");
+      "per-shard bounded task-queue capacity, in batches (workers mode)",
+      IntAtLeast(1));
   std::string* overload_policy_text = parser.AddString(
       "overload-policy", "block",
       "full-queue behavior in workers mode: block|shed-newest|shed-oldest");
   int64_t* batch = parser.AddInt(
-      "batch", 64, "microbatch size for ObserveBatch (1 = item at a time)");
-  int64_t* max_window = parser.AddInt(
-      "max-window-items", 4096, "engine rebuild period in stream items");
+      "batch", 64, "microbatch size for ObserveBatch (1 = item at a time)",
+      IntAtLeast(1));
+  int64_t* max_window =
+      parser.AddInt("max-window-items", 4096,
+                    "engine rebuild period in stream items", IntAtLeast(1));
   int64_t* idle_timeout = parser.AddInt(
-      "idle-timeout", 512, "evict keys idle for this many stream positions");
-  int64_t* max_open_keys =
-      parser.AddInt("max-open-keys", 1024, "open-key capacity per shard");
+      "idle-timeout", 512, "evict keys idle for this many stream positions",
+      IntAtLeast(1));
+  int64_t* max_open_keys = parser.AddInt(
+      "max-open-keys", 1024, "open-key capacity per shard", IntAtLeast(1));
   int64_t* compaction_interval = parser.AddInt(
       "compaction-check-interval", 4096,
       "per-shard items between pool-fragmentation checks (<=0 disables "
-      "automatic compaction)");
+      "automatic compaction)",
+      IntAtLeast(std::numeric_limits<int>::min()));
   double* compaction_threshold = parser.AddDouble(
       "compaction-threshold", 2.0,
       "compact a shard pool when resident/live bytes exceed this ratio");
@@ -1081,7 +1007,8 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
                   "fold the delta chain into a fresh full base after this "
                   "many deltas (0 = never rebase)");
   int64_t* repeat =
-      bench ? parser.AddInt("repeat", 3, "measured repetitions") : nullptr;
+      bench ? parser.AddInt("repeat", 3, "measured repetitions", IntAtLeast(1))
+            : nullptr;
   // The TCP front end is a serve-only mode (bench measures local replay).
   std::string* listen =
       bench ? nullptr
@@ -1099,7 +1026,8 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
       bench ? nullptr
             : parser.AddInt("max-connections", 64,
                             "TCP connection cap; excess connections get an "
-                            "OVERLOADED error frame");
+                            "OVERLOADED error frame",
+                            IntAtLeast(1));
   int64_t* max_frame_bytes =
       bench ? nullptr
             : parser.AddInt("max-frame-bytes", net::kDefaultMaxFrameBytes,
@@ -1108,7 +1036,8 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
       bench ? nullptr
             : parser.AddInt("net-idle-timeout-ms", 30000,
                             "evict connections that complete no frame for "
-                            "this long");
+                            "this long",
+                            IntAtLeast(1));
   bool* json = parser.AddBool("json", false, "emit JSON instead of tables");
   if (!parser.Parse(args)) return UsageError(parser, err);
   if (parser.help_requested()) {
@@ -1139,17 +1068,6 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
       return kExitUsage;
     }
   }
-  if (!CheckIntFlag("workers", *workers, 0, err) ||
-      !CheckIntFlag("shards", *shards, 1, err) ||
-      !CheckIntFlag("queue-depth", *queue_depth, 1, err) ||
-      !CheckIntFlag("batch", *batch, 1, err) ||
-      !CheckIntFlag("max-window-items", *max_window, 1, err) ||
-      !CheckIntFlag("idle-timeout", *idle_timeout, 1, err) ||
-      !CheckIntFlag("max-open-keys", *max_open_keys, 1, err) ||
-      !CheckIntFlag("compaction-check-interval", *compaction_interval,
-                    std::numeric_limits<int>::min(), err)) {
-    return kExitUsage;
-  }
   const int64_t ckpt_every =
       checkpoint_every != nullptr ? *checkpoint_every : 0;
   const int64_t ckpt_rebase = rebase_every != nullptr ? *rebase_every : 0;
@@ -1162,11 +1080,7 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
            "path of the delta chain\n";
     return kExitUsage;
   }
-  if (SplitOf(Dataset(), *split) == nullptr) {
-    err << "kvec: --split must be train|validation|test, got '" << *split
-        << "'\n";
-    return kExitUsage;
-  }
+  if (!CheckSplit(*split, err)) return kExitUsage;
   const bool listening = listen != nullptr && !listen->empty();
   net::TcpIngestServerConfig net_config;
   std::string error;
@@ -1179,10 +1093,6 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
     if (!ParseHostPort(*listen, &net_config.host, &net_config.port,
                        &error)) {
       err << "kvec: --listen: " << error << "\n";
-      return kExitUsage;
-    }
-    if (!CheckIntFlag("max-connections", *max_connections, 1, err) ||
-        !CheckIntFlag("net-idle-timeout-ms", *net_idle_timeout, 1, err)) {
       return kExitUsage;
     }
     if (*max_frame_bytes <= 0 || *max_frame_bytes > (1LL << 31)) {
@@ -1246,7 +1156,7 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
       *shards > 1 || *workers > 0 || ckpt_every > 0 || listening;
   const int batch_size = static_cast<int>(*batch);
 
-  const int runs = bench ? std::max<int>(1, static_cast<int>(*repeat)) : 1;
+  const int runs = bench ? static_cast<int>(*repeat) : 1;
   // serve handles SIGINT gracefully (drain, per-shard report, checkpoint,
   // exit 130); bench keeps the default disposition so a Ctrl-C kills it.
   SigintScope sigint_scope(!bench);
@@ -1312,83 +1222,50 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
           ? static_cast<double>(best->correct) / best->labelled
           : 0.0;
 
-  if (*json) {
-    JsonWriter writer;
-    writer.BeginObject();
-    if (listening) {
-      writer.Key("listen").String(best->listen);
-      writer.Key("seconds").Double(best->seconds);
-      writer.Key("items_processed").Int(best->items);
-      writer.Key("flush_events").Int(best->flush_events);
-    } else {
-      writer.Key("dataset").String(dataset.spec.name);
-      writer.Key("split").String(*split);
-      writer.Key("items").Int(best->items);
-      writer.Key("shards").Int(*shards);
-      writer.Key("workers").Int(*workers);
-      writer.Key("batch").Int(*batch);
-      writer.Key("seconds").Double(best->seconds);
-      writer.Key("items_per_sec").Double(ItemsPerSec(*best), 1);
-      writer.Key("serving_accuracy").Double(accuracy);
-      writer.Key("open_keys_after").Int(best->open_keys_after);
-    }
-    writer.Key("interrupted").Bool(best->interrupted);
-    EmitStatsJson(best->stats, &writer);
-    if (listening) {
-      EmitStatsJson(best->net, &writer);
-    } else if (*workers > 0) {
-      writer.Key("overload_policy").String(OverloadPolicyName(overload_policy));
-      writer.Key("queue_depth").Int(*queue_depth);
-    }
-    if (bench) {
-      writer.Key("repetitions").Int(runs);
-      writer.Key("items_per_sec_all").BeginArray();
-      for (const ServeOutcome& outcome : outcomes) {
-        writer.Double(ItemsPerSec(outcome), 1);
-      }
-      writer.EndArray();
-    }
-    writer.EndObject();
-    out << writer.str();
+  Report report;
+  if (listening) {
+    report.String("listen", best->listen)
+        .Double("seconds", best->seconds)
+        .Int("items_processed", best->items)
+        .Int("flush_events", best->flush_events);
   } else {
-    Table table({"stat", "value"});
-    table.AddRow({"seconds", Table::FormatDouble(best->seconds)});
-    if (listening) {
-      out << best->listen << ", " << *shards
-          << " shard(s), drained connections:\n";
-      table.AddRow({"items processed", std::to_string(best->items)});
-      table.AddRow({"flush events", std::to_string(best->flush_events)});
-    } else {
-      out << dataset.spec.name << " / " << *split << " split, " << *shards
-          << " shard(s), ";
-      if (*workers > 0) {
-        out << *workers << " worker(s), queue depth " << *queue_depth << ", "
-            << OverloadPolicyName(overload_policy) << " policy, ";
-      }
-      out << "batch " << *batch << ":\n";
-      table.AddRow({"items", std::to_string(best->items)});
-      table.AddRow({"items/sec", Table::FormatDouble(ItemsPerSec(*best), 1)});
-      table.AddRow({"serving accuracy", Table::FormatDouble(accuracy)});
-      table.AddRow(
-          {"open keys after", std::to_string(best->open_keys_after)});
-    }
-    AddStatsRows(best->stats, &table);
-    if (listening) AddStatsRows(best->net, &table);
-    out << table.ToText();
-    // The SIGINT report: one column per shard so an operator can see which
-    // shard was hot (or shedding) when the process was asked to stop.
-    if (best->interrupted) {
-      std::vector<std::string> names;
-      for (size_t s = 0; s < best->per_shard.size(); ++s) {
-        names.push_back("shard " + std::to_string(s));
-      }
-      out << "interrupted: drained shard queues, final per-shard stats:\n"
-          << StatsColumns(names, best->per_shard).ToText();
-    }
-    if (bench && runs > 1) {
-      out << "best of " << runs << " repetitions\n";
-    }
+    report.String("dataset", dataset.spec.name)
+        .String("split", *split)
+        .Int("items", best->items)
+        .Int("shards", *shards)
+        .Int("workers", *workers)
+        .Int("batch", *batch)
+        .Double("seconds", best->seconds)
+        .Double("items_per_sec", ItemsPerSec(*best), 1)
+        .Double("serving_accuracy", accuracy)
+        .Int("open_keys_after", best->open_keys_after);
   }
+  report.Bool("interrupted", best->interrupted);
+  AddStats(best->stats, &report);
+  if (listening) {
+    AddStats(best->net, &report);
+  } else if (*workers > 0) {
+    report.String("overload_policy", OverloadPolicyName(overload_policy))
+        .Int("queue_depth", *queue_depth);
+  }
+  if (bench) {
+    std::vector<double> rates;
+    for (const ServeOutcome& outcome : outcomes) {
+      rates.push_back(ItemsPerSec(outcome));
+    }
+    report.Int("repetitions", runs).Doubles("items_per_sec_all", rates, 1);
+  }
+  // After SIGINT, one column per shard, so an operator can see which shard
+  // was hot (or shedding) when the process was asked to stop.
+  if (best->interrupted) {
+    std::vector<Report> shard_reports(best->per_shard.size());
+    for (size_t s = 0; s < best->per_shard.size(); ++s) {
+      AddStats(best->per_shard[s], &shard_reports[s]);
+    }
+    report.Breakdown("interrupted: drained shard queues, final per-shard stats",
+                     std::move(shard_reports), "shard");
+  }
+  out << report.Render(*json);
   return best->interrupted ? kExitInterrupted : kExitOk;
 }
 
@@ -1403,21 +1280,25 @@ int RunLoadgenCommand(const std::vector<std::string>& args, std::ostream& out,
   std::string* connect = parser.AddString(
       "connect", "", "server HOST:PORT to drive (kvec serve --listen)");
   int64_t* connections = parser.AddInt(
-      "connections", 1, "concurrent client connections (one thread each)");
+      "connections", 1, "concurrent client connections (one thread each)",
+      IntAtLeast(1));
   int64_t* batch =
-      parser.AddInt("batch", 64, "items per ingest frame");
+      parser.AddInt("batch", 64, "items per ingest frame", IntAtLeast(1));
   double* rate = parser.AddDouble(
       "rate", 0.0,
       "microbatches/sec per connection (0 = as fast as acks return)");
   int64_t* timeout_ms = parser.AddInt(
-      "timeout-ms", 2000, "per-request deadline (connect and round trip)");
+      "timeout-ms", 2000, "per-request deadline (connect and round trip)",
+      IntAtLeast(1));
   int64_t* retries = parser.AddInt(
-      "retries", 5, "retry budget per batch beyond the first attempt");
+      "retries", 5, "retry budget per batch beyond the first attempt",
+      IntAtLeast(0));
   int64_t* backoff_ms = parser.AddInt(
-      "backoff-ms", 10, "initial retry backoff (doubles per attempt, "
-                        "jittered)");
-  int64_t* backoff_cap_ms = parser.AddInt(
-      "backoff-cap-ms", 1000, "exponential backoff growth stops here");
+      "backoff-ms", 10,
+      "initial retry backoff (doubles per attempt, jittered)", IntAtLeast(0));
+  int64_t* backoff_cap_ms =
+      parser.AddInt("backoff-cap-ms", 1000,
+                    "exponential backoff growth stops here", IntAtLeast(0));
   bool* json = parser.AddBool("json", false, "emit JSON instead of tables");
   if (!parser.Parse(args)) return UsageError(parser, err);
   if (parser.help_requested()) {
@@ -1437,28 +1318,21 @@ int RunLoadgenCommand(const std::vector<std::string>& args, std::ostream& out,
         << "\n";
     return kExitUsage;
   }
-  if (*connections <= 0 || *batch <= 0 || *timeout_ms <= 0 ||
-      *retries < 0 || *backoff_ms < 0 || *backoff_cap_ms < *backoff_ms ||
-      *rate < 0) {
-    err << "kvec: loadgen flags out of range (connections/batch/timeout-ms "
-           "> 0, retries/backoff-ms >= 0, backoff-cap-ms >= backoff-ms, "
-           "rate >= 0)\n";
+  if (*backoff_cap_ms < *backoff_ms || *rate < 0) {
+    err << "kvec: --backoff-cap-ms must be >= --backoff-ms and --rate >= "
+           "0\n";
     return kExitUsage;
   }
+  if (!CheckSplit(*split, err)) return kExitUsage;
 
   Dataset dataset;
   if (!ResolveDataset(dataset_flags, &dataset, &error)) {
     return RuntimeError(error, err);
   }
-  const std::vector<TangledSequence>* episodes = SplitOf(dataset, *split);
-  if (episodes == nullptr) {
-    err << "kvec: --split must be train|validation|test, got '" << *split
-        << "'\n";
-    return kExitUsage;
-  }
   std::map<int, int> truth;  // unused: verdicts surface on the server side
-  const std::vector<Item> stream = InterleaveEpisodes(
-      *episodes, dataset.spec.max_keys_per_episode, &truth);
+  const std::vector<Item> stream =
+      InterleaveEpisodes(*SplitOf(dataset, *split),
+                         dataset.spec.max_keys_per_episode, &truth);
 
   net::LoadgenConfig config;
   config.client.host = host;
@@ -1480,57 +1354,31 @@ int RunLoadgenCommand(const std::vector<std::string>& args, std::ostream& out,
     return RuntimeError(error, err);
   }
 
-  if (*json) {
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("connect").String(*connect);
-    writer.Key("connections").Int(*connections);
-    writer.Key("batch").Int(*batch);
-    writer.Key("batches_sent").Int(report.batches_sent);
-    writer.Key("batches_failed").Int(report.batches_failed);
-    writer.Key("items_acked").Int(report.items_acked);
-    writer.Key("items_shed").Int(report.items_shed);
-    writer.Key("retries").Int(report.retries);
-    writer.Key("overloaded_replies").Int(report.overloaded_replies);
-    writer.Key("reconnects").Int(report.reconnects);
-    writer.Key("elapsed_ms").Int(report.elapsed_ms);
-    writer.Key("batches_per_sec").Double(report.batches_per_sec, 1);
-    writer.Key("items_per_sec").Double(report.items_per_sec, 1);
-    writer.Key("latency_us").BeginObject();
-    writer.Key("count").Int(report.latency.count);
-    writer.Key("min").Int(report.latency.min_us);
-    writer.Key("mean").Double(report.latency.mean_us, 1);
-    writer.Key("p50").Int(report.latency.p50_us);
-    writer.Key("p90").Int(report.latency.p90_us);
-    writer.Key("p99").Int(report.latency.p99_us);
-    writer.Key("p999").Int(report.latency.p999_us);
-    writer.Key("max").Int(report.latency.max_us);
-    writer.EndObject();
-    writer.EndObject();
-    out << writer.str();
-  } else {
-    out << *connect << ", " << *connections << " connection(s), batch "
-        << *batch << ":\n";
-    Table table({"stat", "value"});
-    table.AddRow({"batches sent", std::to_string(report.batches_sent)});
-    table.AddRow({"batches failed", std::to_string(report.batches_failed)});
-    table.AddRow({"items acked", std::to_string(report.items_acked)});
-    table.AddRow({"items shed", std::to_string(report.items_shed)});
-    table.AddRow({"retries", std::to_string(report.retries)});
-    table.AddRow(
-        {"overloaded replies", std::to_string(report.overloaded_replies)});
-    table.AddRow({"reconnects", std::to_string(report.reconnects)});
-    table.AddRow({"elapsed ms", std::to_string(report.elapsed_ms)});
-    table.AddRow(
-        {"batches/sec", Table::FormatDouble(report.batches_per_sec, 1)});
-    table.AddRow({"items/sec", Table::FormatDouble(report.items_per_sec, 1)});
-    table.AddRow({"latency p50 us", std::to_string(report.latency.p50_us)});
-    table.AddRow({"latency p99 us", std::to_string(report.latency.p99_us)});
-    table.AddRow(
-        {"latency p999 us", std::to_string(report.latency.p999_us)});
-    table.AddRow({"latency max us", std::to_string(report.latency.max_us)});
-    out << table.ToText();
-  }
+  Report latency;
+  latency.Int("count", report.latency.count)
+      .Int("min", report.latency.min_us)
+      .Double("mean", report.latency.mean_us, 1)
+      .Int("p50", report.latency.p50_us)
+      .Int("p90", report.latency.p90_us)
+      .Int("p99", report.latency.p99_us)
+      .Int("p999", report.latency.p999_us)
+      .Int("max", report.latency.max_us);
+  Report result;
+  result.String("connect", *connect)
+      .Int("connections", *connections)
+      .Int("batch", *batch)
+      .Int("batches_sent", report.batches_sent)
+      .Int("batches_failed", report.batches_failed)
+      .Int("items_acked", report.items_acked)
+      .Int("items_shed", report.items_shed)
+      .Int("retries", report.retries)
+      .Int("overloaded_replies", report.overloaded_replies)
+      .Int("reconnects", report.reconnects)
+      .Int("elapsed_ms", report.elapsed_ms)
+      .Double("batches_per_sec", report.batches_per_sec, 1)
+      .Double("items_per_sec", report.items_per_sec, 1)
+      .Object("latency_us", std::move(latency));
+  out << result.Render(*json);
   // "It ran" is not success if nothing was delivered: a server that
   // rejected or dropped every batch should fail scripts loudly.
   if (report.batches_sent == 0 && report.batches_failed > 0) {
@@ -1596,48 +1444,29 @@ int RunCheckpoint(const std::vector<std::string>& args, std::ostream& out,
     have_config = ReadKvecConfig(&reader, &config);
   }
 
-  if (*json) {
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("file").String(*file);
-    writer.Key("format_version").Int(checkpoint.version);
-    writer.Key("sections").BeginArray();
-    for (const CheckpointSection& section : checkpoint.sections) {
-      writer.BeginObject();
-      writer.Key("id").Int(section.id);
-      writer.Key("name").String(SectionName(section.id));
-      writer.Key("bytes").Int(static_cast<int64_t>(section.payload.size()));
-      writer.EndObject();
-    }
-    writer.EndArray();
-    if (have_config) {
-      writer.Key("model").BeginObject();
-      writer.Key("dataset").String(config.spec.name);
-      writer.Key("num_classes").Int(config.spec.num_classes);
-      writer.Key("embed_dim").Int(config.embed_dim);
-      writer.Key("state_dim").Int(config.state_dim);
-      writer.Key("num_blocks").Int(config.num_blocks);
-      writer.Key("ffn_hidden_dim").Int(config.ffn_hidden_dim);
-      writer.EndObject();
-    }
-    writer.EndObject();
-    out << writer.str();
-  } else {
-    out << *file << ": checkpoint container, format version "
-        << checkpoint.version << "\n";
-    Table table({"section", "id", "bytes"});
-    for (const CheckpointSection& section : checkpoint.sections) {
-      table.AddRow({SectionName(section.id), std::to_string(section.id),
-                    std::to_string(section.payload.size())});
-    }
-    out << table.ToText();
-    if (have_config) {
-      out << "model: " << config.spec.name << ", "
-          << config.spec.num_classes << " classes, embed_dim "
-          << config.embed_dim << ", state_dim " << config.state_dim << ", "
-          << config.num_blocks << " block(s)\n";
-    }
+  std::vector<Report> sections;
+  for (const CheckpointSection& section : checkpoint.sections) {
+    Report element;
+    element.Int("id", section.id)
+        .String("name", SectionName(section.id))
+        .Int("bytes", static_cast<int64_t>(section.payload.size()));
+    sections.push_back(std::move(element));
   }
+  Report report;
+  report.String("file", *file)
+      .Int("format_version", checkpoint.version)
+      .Objects("sections", std::move(sections), "section");
+  if (have_config) {
+    Report model;
+    model.String("dataset", config.spec.name)
+        .Int("num_classes", config.spec.num_classes)
+        .Int("embed_dim", config.embed_dim)
+        .Int("state_dim", config.state_dim)
+        .Int("num_blocks", config.num_blocks)
+        .Int("ffn_hidden_dim", config.ffn_hidden_dim);
+    report.Object("model", std::move(model));
+  }
+  out << report.Render(*json);
   return kExitOk;
 }
 

@@ -32,36 +32,48 @@ std::vector<SweepPoint> RunMethodSweep(const MethodSpec& method,
   return points;
 }
 
+const std::vector<SweepMetric>& SweepMetrics() {
+  static const std::vector<SweepMetric> metrics = {
+      {"hyper", "hyper", &SweepPoint::hyper},
+      {"earliness", "earliness", &SweepPoint::earliness},
+      {"accuracy", "accuracy", &SweepPoint::accuracy},
+      {"precision", "precision", &SweepPoint::precision},
+      {"recall", "recall", &SweepPoint::recall},
+      {"f1", "f1", &SweepPoint::f1},
+      {"harmonic_mean", "hm", &SweepPoint::harmonic_mean},
+  };
+  return metrics;
+}
+
 Table SweepToTable(const std::vector<SweepPoint>& points) {
-  Table table({"method", "hyper", "earliness", "accuracy", "precision",
-               "recall", "f1", "hm"});
+  std::vector<std::string> columns = {"method"};
+  for (const SweepMetric& metric : SweepMetrics()) {
+    columns.push_back(metric.column);
+  }
+  Table table(std::move(columns));
   for (const SweepPoint& point : points) {
-    table.AddRow({point.method, Table::FormatDouble(point.hyper, 6),
-                  Table::FormatDouble(point.earliness, 6),
-                  Table::FormatDouble(point.accuracy, 6),
-                  Table::FormatDouble(point.precision, 6),
-                  Table::FormatDouble(point.recall, 6),
-                  Table::FormatDouble(point.f1, 6),
-                  Table::FormatDouble(point.harmonic_mean, 6)});
+    std::vector<std::string> row = {point.method};
+    for (const SweepMetric& metric : SweepMetrics()) {
+      row.push_back(Table::FormatDouble(point.*metric.value, 6));
+    }
+    table.AddRow(std::move(row));
   }
   return table;
 }
 
 bool SweepFromTable(const Table& table, std::vector<SweepPoint>* points) {
-  if (table.columns().size() != 8 || table.columns()[0] != "method") {
+  const std::vector<SweepMetric>& metrics = SweepMetrics();
+  if (table.columns().size() != 1 + metrics.size() ||
+      table.columns()[0] != "method") {
     return false;
   }
   points->clear();
   for (const auto& row : table.rows()) {
     SweepPoint point;
     point.method = row[0];
-    point.hyper = std::atof(row[1].c_str());
-    point.earliness = std::atof(row[2].c_str());
-    point.accuracy = std::atof(row[3].c_str());
-    point.precision = std::atof(row[4].c_str());
-    point.recall = std::atof(row[5].c_str());
-    point.f1 = std::atof(row[6].c_str());
-    point.harmonic_mean = std::atof(row[7].c_str());
+    for (size_t i = 0; i < metrics.size(); ++i) {
+      point.*metrics[i].value = std::atof(row[1 + i].c_str());
+    }
     points->push_back(point);
   }
   return true;

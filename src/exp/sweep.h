@@ -37,6 +37,18 @@ std::vector<SweepPoint> RunMethodSweep(const MethodSpec& method,
                                        const Dataset& dataset,
                                        const MethodRunOptions& options);
 
+// The numeric fields of a SweepPoint, in column order after `method`:
+// each one's name (the `kvec sweep --json` key and table label) and its
+// sweep-cache CSV column. The columns keep `hm`, which existing cache
+// directories carry.
+struct SweepMetric {
+  const char* key;
+  const char* column;
+  double SweepPoint::*value;
+};
+const std::vector<SweepMetric>& SweepMetrics();
+
+// The sweep-cache table: `method`, then one column per SweepMetric.
 Table SweepToTable(const std::vector<SweepPoint>& points);
 bool SweepFromTable(const Table& table, std::vector<SweepPoint>* points);
 

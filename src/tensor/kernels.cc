@@ -31,7 +31,22 @@ inline VReg VZero() { return _mm512_setzero_ps(); }
 inline VReg VFma(VReg a, VReg b, VReg acc) { return _mm512_fmadd_ps(a, b, acc); }
 inline VReg VAdd(VReg a, VReg b) { return _mm512_add_ps(a, b); }
 inline VReg VMul(VReg a, VReg b) { return _mm512_mul_ps(a, b); }
-inline float VSum(VReg v) { return _mm512_reduce_add_ps(v); }
+// The sum in _mm512_reduce_add_ps's order (halves, quarters, pairs,
+// then the last two lanes), so results stay bit-identical to it. GCC's
+// version extracts through _mm256_undefined_pd and warns
+// -Wuninitialized; vector-extension shuffles have no pass-through.
+inline float VSum(VReg v) {
+  const __m256 lo = __builtin_shufflevector(v, v, 0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256 hi =
+      __builtin_shufflevector(v, v, 8, 9, 10, 11, 12, 13, 14, 15);
+  const __m256 half = _mm256_add_ps(hi, lo);
+  const __m128 quarter = _mm_add_ps(_mm256_extractf128_ps(half, 1),
+                                    _mm256_castps256_ps128(half));
+  const __m128 pairs = _mm_add_ps(
+      quarter, _mm_shuffle_ps(quarter, quarter, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm_cvtss_f32(pairs) +
+         _mm_cvtss_f32(_mm_shuffle_ps(pairs, pairs, _MM_SHUFFLE(1, 1, 1, 1)));
+}
 #define KVEC_HAVE_SIMD 1
 
 #elif defined(__AVX2__) && defined(__FMA__)

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -25,6 +26,7 @@
 
 #include "cli/args.h"
 #include "cli/model_io.h"
+#include "cli/report.h"
 #include "cli/subcommands.h"
 #include "exp/figures.h"
 #include "gtest/gtest.h"
@@ -388,9 +390,9 @@ TEST(CliServe, InterruptDrainsReportsAndStillSavesTheCheckpoint) {
 
 // ---- Report schemas ------------------------------------------------------
 
-// The key paths of a JsonWriter document ("overload.items_shed",
-// "stages[].memory.compactions"): JsonWriter puts every member on its own
-// line and opens and closes containers at line ends, so a line scan
+// The key paths of a report's JSON ("overload.items_shed",
+// "stages[].memory.compactions"): Report::ToJson puts every member on its
+// own line and opens and closes containers at line ends, so a line scan
 // recovers the nesting.
 std::set<std::string> JsonKeyPaths(const std::string& json) {
   std::set<std::string> paths;
@@ -507,6 +509,157 @@ TEST(CliSchema, SoakStageJsonKeysArePinned) {
       soak.out);
 }
 
+// ---- One walk per result -------------------------------------------------
+
+// The labels of a table-form report: every cell of a table row and every
+// section title (a line that ends in ':').
+std::set<std::string> TableLabels(const std::string& text) {
+  std::set<std::string> labels;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty()) continue;
+    if (line.back() == ':') labels.insert(line.substr(0, line.size() - 1));
+    if (line[0] != '|') continue;
+    for (size_t begin = 1, end; (end = line.find('|', begin)) !=
+                                std::string::npos;
+         begin = end + 1) {
+      const std::string cell = line.substr(begin, end - begin);
+      const size_t first = cell.find_first_not_of(' ');
+      if (first == std::string::npos) continue;
+      labels.insert(cell.substr(first, cell.find_last_not_of(' ') - first + 1));
+    }
+  }
+  return labels;
+}
+
+// The leaves among JSON key paths: the paths no other path extends.
+std::set<std::string> LeafPaths(const std::set<std::string>& paths) {
+  auto extended = [&paths](const std::string& prefix) {
+    const auto next = paths.lower_bound(prefix);
+    return next != paths.end() && next->compare(0, prefix.size(), prefix) == 0;
+  };
+  std::set<std::string> leaves;
+  for (const std::string& path : paths) {
+    if (!extended(path + ".") && !extended(path + "[]")) leaves.insert(path);
+  }
+  return leaves;
+}
+
+// Runs `args` with and without --json. Both forms come from one walk, so
+// the table shows every leaf of the JSON: "a.b" as a row label, and
+// "a[].b" as the label "b" in a section titled "a".
+void ExpectBothFormsShowTheSameFields(std::vector<std::string> args) {
+  const CliResult text = RunCli(args);
+  args.push_back("--json");
+  const CliResult json = RunCli(args);
+  ASSERT_EQ(text.code, 0) << text.err;
+  ASSERT_EQ(json.code, 0) << json.err;
+  const std::set<std::string> labels = TableLabels(text.out);
+  const std::set<std::string> leaves = LeafPaths(JsonKeyPaths(json.out));
+  ASSERT_FALSE(leaves.empty()) << json.out;
+  for (const std::string& leaf : leaves) {
+    const size_t cut = leaf.rfind("[].");
+    for (const std::string& label :
+         cut == std::string::npos
+             ? std::vector<std::string>{leaf}
+             : std::vector<std::string>{leaf.substr(0, cut),
+                                        leaf.substr(cut + 3)}) {
+      EXPECT_EQ(labels.count(label), 1u)
+          << "the table lacks '" << label << "' of " << leaf << "\n"
+          << text.out;
+    }
+  }
+}
+
+TEST(CliSchema, LeafPathsSkipTheirParents) {
+  EXPECT_EQ(LeafPaths(Paths({"a", "a-b", "a.b", "c", "c2", "c[].d", "e",
+                              "ef"})),
+            Paths({"a-b", "a.b", "c2", "c[].d", "e", "ef"}));
+}
+
+TEST(CliSchema, GenerateFormsShowTheSameFields) {
+  ExpectBothFormsShowTheSameFields(
+      {"generate", "--preset", "ustc", "--scale", "tiny", "--episodes", "30",
+       "--seed", "7", "--out", "cli_test_schema_data"});
+}
+
+TEST(CliSchema, TrainFormsShowTheSameFields) {
+  RunGoldenPipeline();  // ensures the dataset exists
+  ExpectBothFormsShowTheSameFields(
+      {"train", "--data", kGoldenDataDir, "--model", "cli_test_schema.kvm",
+       "--epochs", "2", "--embed-dim", "12", "--state-dim", "16", "--blocks",
+       "1", "--ffn-dim", "24", "--train-seed", "42"});
+}
+
+TEST(CliSchema, EvalFormsShowTheSameFields) {
+  RunGoldenPipeline();
+  ExpectBothFormsShowTheSameFields({"eval", "--model", kGoldenModel, "--data",
+                                    kGoldenDataDir, "--report"});
+}
+
+TEST(CliSchema, SweepFormsShowTheSameFields) {
+  ExpectBothFormsShowTheSameFields({"sweep", "--preset", "smoke"});
+}
+
+TEST(CliSchema, ServeFormsShowTheSameFields) {
+  ExpectBothFormsShowTheSameFields({"serve", "--episodes", "20"});
+  ExpectBothFormsShowTheSameFields(
+      {"serve", "--episodes", "20", "--workers", "2"});
+}
+
+TEST(CliSchema, BenchFormsShowTheSameFields) {
+  ExpectBothFormsShowTheSameFields(
+      {"bench", "--episodes", "20", "--repeat", "1"});
+}
+
+TEST(CliSchema, CheckpointFormsShowTheSameFields) {
+  RunGoldenPipeline();  // ensures the bundle exists
+  ExpectBothFormsShowTheSameFields({"checkpoint", "--inspect", kGoldenModel});
+}
+
+TEST(CliSchema, SoakFormsShowTheSameFields) {
+  ExpectBothFormsShowTheSameFields({"soak", "--keys", "400", "--scales", "1",
+                                    "--warmup-cycles", "0", "--cycles", "1",
+                                    "--rss-band", "100"});
+}
+
+// The table rules of cli/report.h on one small report.
+TEST(CliReport, TableFormFollowsTheJsonTree) {
+  Report inner;
+  inner.Int("n", 3).Bool("ok", true);
+  std::vector<Report> rows(2);
+  rows[0].String("name", "a").Double("x", 0.5, 2);
+  rows[1].String("name", "b").Double("x", 1.25, 2);
+  std::vector<Report> wide(1);
+  for (size_t i = 0; i <= Report::kMaxColumns; ++i) {
+    wide[0].Int("f" + std::to_string(i), static_cast<int64_t>(i));
+  }
+  Report report;
+  report.String("title", "t")
+      .Object("inner", std::move(inner))
+      .Ints("samples", {1, 2})
+      .Objects("rows", std::move(rows), "row")
+      .Breakdown("table only", std::move(wide), "view")
+      .String("text", "line 1\nline 2\n");
+  EXPECT_EQ(report.ToJson(),
+            "{\n  \"title\": \"t\",\n  \"inner\": {\n    \"n\": 3,\n"
+            "    \"ok\": true\n  },\n  \"samples\": [\n    1,\n    2\n  ],\n"
+            "  \"rows\": [\n    {\n      \"name\": \"a\",\n      \"x\": "
+            "0.50\n    },\n    {\n      \"name\": \"b\",\n      \"x\": "
+            "1.25\n    }\n  ],\n  \"text\": \"line 1\\nline 2\\n\"\n}\n");
+  const std::string text = report.ToText();
+  EXPECT_NE(text.find("| inner.ok | true  |"), std::string::npos) << text;
+  EXPECT_NE(text.find("| samples  | 1, 2  |"), std::string::npos) << text;
+  EXPECT_NE(text.find("rows:\n| row | name | x    |"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("| 1   | b    | 1.25 |"), std::string::npos) << text;
+  EXPECT_NE(text.find("table only:\n| stat | view 0 |"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("| f8   | 8      |"), std::string::npos) << text;
+  EXPECT_NE(text.find("text:\nline 1\nline 2\n"), std::string::npos) << text;
+}
+
 // `serve --listen` in-process: the SIGINT handler is installed before the
 // port file is written, so raising SIGINT once the file appears takes the
 // real signal path (drain, flush, report, exit 130).
@@ -552,6 +705,37 @@ TEST(CliServe, ListenDrainsOnSigintAndReportsItsCounters) {
   EXPECT_NE(result.out.find("\"interrupted\": true"), std::string::npos);
 }
 
+// `kvec loadgen` against an in-process `serve --listen`: both forms of
+// its report show the same fields.
+TEST(CliSchema, LoadgenFormsShowTheSameFields) {
+  const std::string port_file = "cli_test_loadgen.port";
+  std::filesystem::remove(port_file);
+  CliResult serve;
+  std::thread server([&serve, &port_file]() {
+    serve = RunCli({"serve", "--episodes", "20", "--listen", "127.0.0.1:0",
+                    "--port-file", port_file, "--json"});
+  });
+  std::string port;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (port.empty() && std::chrono::steady_clock::now() < deadline) {
+    std::ifstream in(port_file);
+    std::getline(in, port);
+    if (port.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  if (!port.empty()) {
+    ExpectBothFormsShowTheSameFields({"loadgen", "--episodes", "20",
+                                      "--connect", "127.0.0.1:" + port});
+  }
+  RequestServeInterrupt();
+  server.join();
+  std::filesystem::remove(port_file);
+  ASSERT_FALSE(port.empty()) << "serve --listen never wrote its port file";
+  EXPECT_EQ(serve.code, 130) << serve.err;
+}
+
 // ---- Flag ranges ---------------------------------------------------------
 
 // Out-of-range serve flags are usage errors caught before the dataset is
@@ -591,6 +775,69 @@ TEST(CliServe, OutOfRangeFlagsAreUsageErrorsBeforeTheDataset) {
   }
   for (const std::vector<std::string>& flags : listen_cases) {
     expect_usage_error("serve", flags);
+  }
+}
+
+// The int flags of loadgen, soak and train go through the same range
+// check as serve's, and eval and loadgen check --split before the dataset
+// (or the model bundle) is read. Only rejected values run here: an
+// accepted --connections, --workers or --shards starts that many threads.
+TEST(CliFlags, OutOfRangeFlagsAreUsageErrorsBeforeAnyWork) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"loadgen", "--connections", "4294967297"},
+      {"loadgen", "--connections", "0"},
+      {"loadgen", "--batch", "4294967297"},
+      {"loadgen", "--batch", "0"},
+      {"loadgen", "--timeout-ms", "2147483648"},
+      {"loadgen", "--timeout-ms", "0"},
+      {"loadgen", "--retries", "4294967296"},
+      {"loadgen", "--retries", "-1"},
+      {"loadgen", "--backoff-ms", "4294967296"},
+      {"loadgen", "--backoff-ms", "-1"},
+      {"loadgen", "--backoff-cap-ms", "4294967296"},
+      {"loadgen", "--backoff-cap-ms", "5"},
+      {"loadgen", "--split", "nope"},
+      {"soak", "--shards", "4294967297"},
+      {"soak", "--shards", "0"},
+      {"soak", "--workers", "4294967297"},
+      {"soak", "--workers", "-1"},
+      {"soak", "--batch", "4294967297"},
+      {"soak", "--batch", "0"},
+      {"soak", "--warmup-cycles", "4294967296"},
+      {"soak", "--warmup-cycles", "-1"},
+      {"soak", "--cycles", "4294967297"},
+      {"soak", "--cycles", "0"},
+      {"soak", "--compaction-check-interval", "4294967296"},
+      {"soak", "--compaction-check-interval", "-4294967296"},
+      {"train", "--epochs", "4294967298"},
+      {"train", "--epochs", "-1"},
+      {"train", "--embed-dim", "4294967297"},
+      {"train", "--state-dim", "4294967297"},
+      {"train", "--blocks", "4294967297"},
+      {"train", "--ffn-dim", "4294967297"},
+      {"train", "--train-seed", "-1"},
+      {"eval", "--split", "nope"},
+  };
+  // Every flag the cases do not vary is valid, and the dataset directory
+  // does not exist: a late check would exit 1 on the dataset instead.
+  const std::map<std::string, std::vector<std::string>> base = {
+      {"loadgen", {"--data", "cli_test_no_such_dir", "--connect",
+                   "127.0.0.1:1"}},
+      {"soak", {"--keys", "400"}},
+      {"train", {"--data", "cli_test_no_such_dir", "--model",
+                 "cli_test_no_such.kvm"}},
+      {"eval", {"--data", "cli_test_no_such_dir", "--model",
+                "cli_test_no_such.kvm"}},
+  };
+  for (const std::vector<std::string>& flags : cases) {
+    std::vector<std::string> args = {flags[0]};
+    const std::vector<std::string>& fixed = base.at(flags[0]);
+    args.insert(args.end(), fixed.begin(), fixed.end());
+    args.insert(args.end(), flags.begin() + 1, flags.end());
+    const CliResult result = RunCli(args);
+    EXPECT_EQ(result.code, 2) << flags[0] << " " << flags[1] << " "
+                              << flags[2] << "\n" << result.err;
+    EXPECT_NE(result.err.find("kvec: --"), std::string::npos) << result.err;
   }
 }
 

@@ -5,7 +5,9 @@
 
 #include "gtest/gtest.h"
 #include "tensor/buffer_pool.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
+#include "util/rng.h"
 
 namespace kvec {
 namespace {
@@ -162,6 +164,29 @@ TEST(TensorTest, AdoptedBuffersDoNotDepositIntoThePool) {
   EXPECT_EQ(after.cached_floats, 16u);
   pool.Clear();
 }
+
+#if defined(__AVX512F__)
+// The AVX-512 Dot reduces its accumulator in _mm512_reduce_add_ps's
+// order. These values came from the build that called that intrinsic, so
+// a reduction in any other order changes a bit. Lengths 17 and 100 add a
+// scalar tail after the vector sum.
+TEST(KernelsTest, Avx512DotKeepsTheReduceAddOrder) {
+  const std::pair<int, float> cases[] = {{16, 0x1.314e1p+0f},
+                                         {17, 0x1.e35cc4p+0f},
+                                         {64, -0x1.0c0cd8p-1f},
+                                         {100, 0x1.40d5e8p+1f}};
+  for (const auto& [n, expected] : cases) {
+    Rng rng(1000 + n);
+    std::vector<float> a(n);
+    std::vector<float> b(n);
+    for (int i = 0; i < n; ++i) {
+      a[i] = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+      b[i] = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+    }
+    EXPECT_EQ(kernels::Dot(a.data(), b.data(), n), expected) << "n = " << n;
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace kvec
