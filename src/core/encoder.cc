@@ -162,12 +162,11 @@ void IncrementalEncoder::AttendRow(int block, const float* q,
     const float* kp = KeyPanel(block, head);
     const float* vp = ValuePanel(block, head);
     const float* qh = q + head * head_dim_;
+    kernels::GatherDots(qh, kp, targets.data(), static_cast<int>(count),
+                        head_dim_, scores_.data());
     float max_score = -1e30f;
     for (size_t s = 0; s < count; ++s) {
-      scores_[s] = kernels::Dot(
-                       qh, kp + static_cast<size_t>(targets[s]) * head_dim_,
-                       head_dim_) *
-                   scale;
+      scores_[s] *= scale;
       max_score = std::max(max_score, scores_[s]);
     }
     float total = 0.0f;
@@ -175,13 +174,10 @@ void IncrementalEncoder::AttendRow(int block, const float* q,
       scores_[s] = std::exp(scores_[s] - max_score);
       total += scores_[s];
     }
-    float* oh = out + head * head_dim_;
-    std::fill(oh, oh + head_dim_, 0.0f);
-    for (size_t s = 0; s < count; ++s) {
-      const float w = scores_[s] / total;
-      const float* vj = vp + static_cast<size_t>(targets[s]) * head_dim_;
-      for (int c = 0; c < head_dim_; ++c) oh[c] += w * vj[c];
-    }
+    for (size_t s = 0; s < count; ++s) scores_[s] /= total;
+    kernels::GatherWeightedSum(scores_.data(), vp, targets.data(),
+                               static_cast<int>(count), head_dim_,
+                               out + head * head_dim_);
   }
 }
 

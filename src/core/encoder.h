@@ -63,8 +63,8 @@ class KvrlEncoder : public Module {
 // from BufferPool and grown geometrically, laid out SoA head-major —
 // for block b and head h the keys of items 0..t form one contiguous
 // [t, head_dim] panel. The attention score loop over an item's visible set
-// therefore gathers contiguous head_dim-long rows (kernels::Dot on
-// sequential memory) instead of striding across a [t, d] row-major matrix,
+// therefore gathers contiguous head_dim-long rows (kernels::GatherDots and
+// kernels::GatherWeightedSum on sequential memory) instead of striding across a [t, d] row-major matrix,
 // and window rotation returns the whole arena to the pool in one release.
 // (The seed implementation kept three std::vectors per block — including a
 // block-outputs cache that nothing ever read — each reallocating

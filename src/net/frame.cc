@@ -90,6 +90,13 @@ std::string EncodeFrame(const Frame& frame) {
 FrameDecoder::FrameDecoder(uint32_t max_frame_bytes)
     : max_frame_bytes_(max_frame_bytes) {}
 
+void FrameDecoder::Reset() {
+  buffer_.clear();
+  consumed_ = 0;
+  malformed_ = false;
+  malformed_reason_.clear();
+}
+
 void FrameDecoder::Feed(const char* data, size_t size) {
   if (malformed_ || size == 0) return;
   // Compact once the consumed prefix dominates, so the buffer stays

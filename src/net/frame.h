@@ -104,6 +104,10 @@ class FrameDecoder {
 
   size_t buffered_bytes() const { return buffer_.size() - consumed_; }
 
+  // Drops every buffered byte and the poisoned state: the decoder of a new
+  // connection.
+  void Reset();
+
  private:
   const uint32_t max_frame_bytes_;
   std::string buffer_;

@@ -155,21 +155,19 @@ void RunWorker(const LoadgenConfig& config, const std::vector<Item>& items,
 
 }  // namespace
 
-IngestClient::IngestClient(const ClientConfig& config) : config_(config) {}
+IngestClient::IngestClient(const ClientConfig& config)
+    : config_(config), decoder_(config.max_frame_bytes) {}
 
 bool IngestClient::Connect(std::string* error) {
   Close();
   socket_ = Socket::Connect(config_.host, config_.port,
                             config_.connect_timeout_ms, error);
   if (!socket_.valid()) return false;
-  decoder_.emplace(config_.max_frame_bytes);
+  decoder_.Reset();
   return true;
 }
 
-void IngestClient::Close() {
-  socket_.Close();
-  decoder_.reset();
-}
+void IngestClient::Close() { socket_.Close(); }
 
 IngestClient::CallStatus IngestClient::Call(FrameType type,
                                             const std::string& payload,
@@ -193,7 +191,7 @@ IngestClient::CallStatus IngestClient::Call(FrameType type,
   for (;;) {
     Frame frame;
     std::string reason;
-    const FrameDecoder::Status status = decoder_->Next(&frame, &reason);
+    const FrameDecoder::Status status = decoder_.Next(&frame, &reason);
     if (status == FrameDecoder::Status::kFrame) {
       if (frame.request_id != request.request_id) {
         Close();  // a stray reply means the stream is out of sync
@@ -218,7 +216,7 @@ IngestClient::CallStatus IngestClient::Call(FrameType type,
         socket_.RecvSome(chunk.data(), chunk.size(),
                          static_cast<int>(remaining), &received);
     if (io == IoStatus::kOk) {
-      decoder_->Feed(chunk.data(), received);
+      decoder_.Feed(chunk.data(), received);
     } else if (io != IoStatus::kTimeout) {
       Close();
       return CallStatus::kDisconnected;

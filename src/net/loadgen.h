@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,7 +70,7 @@ class IngestClient {
  private:
   const ClientConfig config_;
   Socket socket_;
-  std::optional<FrameDecoder> decoder_;
+  FrameDecoder decoder_;  // reset by every Connect
   uint64_t next_request_id_ = 1;
 };
 

@@ -21,12 +21,14 @@ Tensor Linear::Forward(const Tensor& x) const {
   return ops::LinearForward(x, weight_, bias_);
 }
 
+kernels::RowGemvTarget Linear::RowTarget(float* y) const {
+  return {weight_.data().data(),
+          bias_.defined() ? bias_.data().data() : nullptr, y};
+}
+
 void Linear::ForwardRow(const float* x, float* y) const {
-  kernels::GemmNN(x, weight_.data().data(), y, 1, in_features_, out_features_,
-                  /*accumulate=*/false);
-  if (bias_.defined()) {
-    kernels::AddBiasRows(y, bias_.data().data(), 1, out_features_);
-  }
+  const kernels::RowGemvTarget target = RowTarget(y);
+  kernels::RowGemv(x, in_features_, out_features_, &target, 1);
 }
 
 void Linear::CollectParameters(std::vector<Tensor>* out) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "nn/module.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -19,10 +20,13 @@ class Linear : public Module {
   Tensor Forward(const Tensor& x) const;
 
   // Tensor-free forward of one row for serving: y (out_features floats) =
-  // x (in_features floats) · W + b. Same GEMM call and bias epilogue as
-  // Forward on a [1, in] input, so the two are bit-equal; records no graph
-  // and allocates nothing.
+  // x (in_features floats) · W + b through kernels::RowGemv, which is
+  // bit-equal to Forward's GEMM and bias epilogue on a [1, in] input;
+  // records no graph and allocates nothing.
   void ForwardRow(const float* x, float* y) const;
+  // This layer as one product of a kernels::RowGemv call writing y, for
+  // callers that run several layers on one input row at once.
+  kernels::RowGemvTarget RowTarget(float* y) const;
 
   void CollectParameters(std::vector<Tensor>* out) override;
 

@@ -54,10 +54,11 @@ void LstmFusionCell::StepRow(float* hidden, float* cell, const float* input,
   float* candidate = out + s;
   std::copy(hidden, hidden + s, joined);
   std::copy(input, input + input_dim_, joined + s);
-  forget_gate_.ForwardRow(joined, forget);
-  input_gate_.ForwardRow(joined, in);
-  output_gate_.ForwardRow(joined, out);
-  candidate_.ForwardRow(joined, candidate);
+  // The four gate products share the joined row: one fused RowGemv.
+  const kernels::RowGemvTarget gates[] = {
+      forget_gate_.RowTarget(forget), input_gate_.RowTarget(in),
+      output_gate_.RowTarget(out), candidate_.RowTarget(candidate)};
+  kernels::RowGemv(joined, s + input_dim_, s, gates, 4);
   for (int j = 0; j < s; ++j) {
     forget[j] = kernels::Sigmoid(forget[j]);
     in[j] = kernels::Sigmoid(in[j]);

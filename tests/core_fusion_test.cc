@@ -161,7 +161,10 @@ class RowPathBitExactTest : public ::testing::TestWithParam<RowPathCase> {};
 // MaxSoftmaxProbability (OnlineClassifier's serving decide) against
 // Step + HaltProbability + Logits + the Tensor forms, over 60 random items.
 // The widths put the gate GEMMs' columns on a full SIMD panel, a single
-// vector tile and the scalar remainder.
+// vector tile and the scalar remainder, and on both sides of the fused
+// gate kernel's register limit (kernels::RowGemv holds 4 gates x 4 tiles
+// of 16 on AVX-512 and 4 x 2 tiles of 8 on AVX2, so 64 and 16 columns fit
+// one pass and 65 and 17 take two).
 TEST_P(RowPathBitExactTest, MatchesTensorPath) {
   constexpr int kClasses = 5;
   constexpr int kSteps = 60;
@@ -223,7 +226,11 @@ TEST_P(RowPathBitExactTest, MatchesTensorPath) {
 INSTANTIATE_TEST_SUITE_P(
     AllModesAndTiles, RowPathBitExactTest,
     ::testing::Values(RowPathCase{KvecConfig::FusionKind::kLstm, 8},
+                      RowPathCase{KvecConfig::FusionKind::kLstm, 16},
+                      RowPathCase{KvecConfig::FusionKind::kLstm, 17},
                       RowPathCase{KvecConfig::FusionKind::kLstm, 24},
+                      RowPathCase{KvecConfig::FusionKind::kLstm, 64},
+                      RowPathCase{KvecConfig::FusionKind::kLstm, 65},
                       RowPathCase{KvecConfig::FusionKind::kLstm, 70},
                       RowPathCase{KvecConfig::FusionKind::kSum, 8},
                       RowPathCase{KvecConfig::FusionKind::kSum, 70},

@@ -1,5 +1,6 @@
 #include "core/online.h"
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -220,6 +221,47 @@ TEST(OnlineClassifierRestoreTest, CelllessStateRejectsACell) {
     ExpectRestore(model, /*with_hidden=*/true, /*with_cell=*/true, false);
   }
 }
+
+#if defined(__AVX512F__) && defined(KVEC_RELEASE_BUILD) && \
+    !defined(__SANITIZE_ADDRESS__)
+// The serving decide of a fixed untrained model (d = 16, two heads, a
+// 24-wide fusion cell: one full vector tile and an 8-column remainder in
+// its gate products) over the first 24 items of a test episode. The
+// expected halt probabilities, labels and confidences came from the Release
+// build whose decide ran one GemmNN per gate, so a change in any gate's
+// accumulation order changes a bit.
+TEST(OnlineClassifierTest, DecideObservedKeepsItsBits) {
+  Dataset dataset = SmallDataset();
+  KvecConfig config = SmallModelConfig(dataset.spec);
+  config.embed_dim = 16;
+  config.state_dim = 24;
+  config.num_heads = 2;
+  KvecModel model(config);
+  OnlineClassifier online(model);
+  std::ostringstream actual;
+  actual << std::hexfloat;
+  std::vector<double> got;
+  for (int i = 0; i < 24; ++i) {
+    const OnlineDecision decision = online.Observe(dataset.test[0].items[i]);
+    if (decision.already_halted) continue;
+    got.push_back(decision.halt_probability);
+    if (decision.halted_now) {
+      got.push_back(decision.predicted_label);
+      got.push_back(decision.confidence);
+    }
+  }
+  for (double v : got) actual << v << ", ";
+  const std::vector<double> want = {
+      0x1.ed35acp-2, 0x1.03e1e4p-1, 0, 0x1.3be43017b22d6p-1,
+      0x1.103dfep-1, 0, 0x1.1b7464032913ap-1, 0x1.d424b4p-2,
+      0x1.bb78eap-2, 0x1.aedcccp-2, 0x1.978612p-2, 0x1.ddb9b4p-2,
+      0x1.a8eccap-2, 0x1.d92dccp-2};
+  ASSERT_EQ(got.size(), want.size()) << actual.str();
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "value " << i << "; got " << actual.str();
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace kvec

@@ -153,6 +153,32 @@ TEST(NetFrameTest, BadMagicPoisonsTheDecoder) {
             FrameDecoder::Status::kMalformed);
 }
 
+TEST(NetFrameTest, ResetStartsAFreshStream) {
+  // A poisoned decoder with a torn frame buffered: Reset drops both, as a
+  // client does when it reconnects.
+  const std::string bad = RawHeader(
+      0x12345678u, kFrameProtocolVersion,
+      static_cast<uint16_t>(FrameType::kHello), 1, 0);
+  Frame valid;
+  valid.type = FrameType::kFlush;
+  valid.request_id = 9;
+  const std::string bytes = EncodeFrame(valid);
+  FrameDecoder decoder;
+  decoder.Feed(bad.data(), bad.size());
+  Frame decoded;
+  std::string error;
+  ASSERT_EQ(decoder.Next(&decoded, &error), FrameDecoder::Status::kMalformed);
+  decoder.Reset();
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);
+  decoder.Feed(bytes.data(), 5);
+  decoder.Reset();
+  EXPECT_EQ(decoder.Next(&decoded, &error), FrameDecoder::Status::kNeedMore);
+  decoder.Feed(bytes.data(), bytes.size());
+  ASSERT_EQ(decoder.Next(&decoded, &error), FrameDecoder::Status::kFrame);
+  EXPECT_EQ(decoded.type, FrameType::kFlush);
+  EXPECT_EQ(decoded.request_id, 9u);
+}
+
 TEST(NetFrameTest, WrongProtocolVersionIsMalformed) {
   const std::string header = RawHeader(
       kFrameMagic, kFrameProtocolVersion + 1,
