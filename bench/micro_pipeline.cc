@@ -4,10 +4,12 @@
 // items/sec of the stream-serving path (single-item vs microbatched, 1-8
 // shards, 8k-key tangled stream), open-key bookkeeping past a 64k-key
 // capacity with idle timeouts, and the per-item cost of the indexed
-// correlation tracker as the open-key count grows.
+// correlation tracker as the open-key count grows, in order and in the
+// state-churn shape.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "core/online.h"
@@ -15,6 +17,8 @@
 #include "core/trainer.h"
 #include "data/movielens_generator.h"
 #include "data/traffic_generator.h"
+#include "util/arena.h"
+#include "util/rng.h"
 
 namespace kvec {
 namespace {
@@ -386,6 +390,57 @@ BENCHMARK(BM_CorrelationObserve)
     ->Arg(1 << 14)
     ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
+
+// The state-churn shape (kvbench's state-churn workload): keys drawn
+// uniformly at random over `open_keys` keys, key correlation on, a session
+// vocabulary of 8 values, and a fresh session one item in five. The tracker
+// starts over every 262,144 items, as a serving engine does at a window
+// rotation, so per-key item lists keep their serving length and most keys
+// miss the cache. This is where the per-key lookups, not the value walk,
+// decide the cost.
+void BM_CorrelationObserveChurn(benchmark::State& state) {
+  const int open_keys = static_cast<int>(state.range(0));
+  constexpr size_t kWindowItems = 262144;
+  constexpr int kSessionValues = 8;
+  CorrelationOptions options;
+  options.use_key_correlation = true;
+  options.use_value_correlation = true;
+  options.value_correlation_window = 16;
+  options.max_value_correlations = 4;
+  options.session_field = 0;
+
+  Rng rng(17);
+  std::vector<int> session(open_keys);
+  for (int& value : session) value = rng.NextInt(kSessionValues);
+  std::vector<Item> window(kWindowItems);
+  for (Item& item : window) {
+    item.key = rng.NextInt(open_keys);
+    if (rng.NextBernoulli(0.2)) {
+      session[item.key] = rng.NextInt(kSessionValues);
+    }
+    item.value = {session[item.key]};
+  }
+
+  ShardPool pool;
+  auto tracker = std::make_unique<CorrelationTracker>(options, pool.resource());
+  std::vector<int> visible;
+  size_t next = 0;
+  for (auto _ : state) {
+    if (next == kWindowItems) {
+      state.PauseTiming();
+      tracker = std::make_unique<CorrelationTracker>(options, pool.resource());
+      next = 0;
+      state.ResumeTiming();
+    }
+    tracker->ObserveItem(window[next++], &visible);
+    benchmark::DoNotOptimize(visible.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CorrelationObserveChurn)
+    ->Arg(1 << 16)
+    ->Arg(1 << 18)
+    ->Unit(benchmark::kNanosecond);
 
 }  // namespace
 }  // namespace kvec

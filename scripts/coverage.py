@@ -27,11 +27,14 @@ import sys
 
 # Each directory's coverage as this script measured it (GCC 12, -O1, the
 # full ctest suite), rounded down to a whole percent: src/cli 90.9 %,
-# src/core 98.9 %, src/net 92.3 %, src/util 95.4 %. A directory must
-# stay at or above its floor.
+# src/core 98.9 %, src/net 92.3 %, src/util 95.4 %; src/exp 54.7 % once
+# ctest ran the figure registry (exp_figures_smoke). At that run the others
+# read 91.2, 98.9, 92.2 and 96.0 %. A directory must stay at or above its
+# floor.
 FLOORS = {
     "src/cli": 90,
     "src/core": 98,
+    "src/exp": 54,
     "src/net": 92,
     "src/util": 95,
 }

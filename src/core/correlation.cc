@@ -36,13 +36,9 @@ CorrelationTracker::CorrelationTracker(const CorrelationOptions& options,
 
 void CorrelationTracker::Repool(std::pmr::memory_resource* memory) {
   auto fresh = std::make_unique<State>(memory);
-  fresh->key_items.reserve(state_->key_items.size());
-  for (const auto& [key, items] : state_->key_items) {
-    fresh->key_items.emplace(key, items);
-  }
-  fresh->open_sessions.reserve(state_->open_sessions.size());
-  for (const auto& [key, session] : state_->open_sessions) {
-    fresh->open_sessions.emplace(key, session);
+  fresh->records.reserve(state_->records.size());
+  for (const auto& [key, record] : state_->records) {
+    fresh->records.emplace(key, record);
   }
   // The live state never has two sessions at one stream position.
   const bool linked = RebuildValueIndex(fresh.get());
@@ -79,11 +75,14 @@ void CorrelationTracker::Unlink(State* state, OpenSession* session) {
 
 bool CorrelationTracker::RebuildValueIndex(State* state) {
   std::vector<OpenSession*> by_recency;
-  by_recency.reserve(state->open_sessions.size());
-  for (auto& [key, session] : state->open_sessions) {
+  by_recency.reserve(state->records.size());
+  for (auto& [key, record] : state->records) {
+    OpenSession& session = record.session;
     session.newer = nullptr;
     session.older = nullptr;
-    if (session.last_index >= 0) by_recency.push_back(&session);
+    if (record.has_session && session.last_index >= 0) {
+      by_recency.push_back(&session);
+    }
   }
   std::sort(by_recency.begin(), by_recency.end(),
             [](const OpenSession* a, const OpenSession* b) {
@@ -207,17 +206,19 @@ void CorrelationTracker::ObserveItem(const Item& item,
                 static_cast<int>(item.value.size()));
   const int session_value = item.value[options_.session_field];
   State& state = *state_;
-  std::pmr::vector<int>& own_items = state.key_items[item.key];
+  KeyRecord& record = state.records.try_emplace(item.key).first->second;
   OpenSession*& head = state.by_value[session_value];
   if (visible != nullptr) {
-    CollectVisible(index, item.key, own_items, head, visible);
+    CollectVisible(index, item.key, record.items, head, visible);
   }
 
   // Update this key's state *after* computing visibility so an item never
   // reports itself. The item's position is the largest seen, so its
   // session moves to the front of its value's recency list.
-  own_items.push_back(index);
-  OpenSession& session = state.open_sessions[item.key];
+  record.items.push_back(index);
+  record.has_items = true;
+  record.has_session = true;
+  OpenSession& session = record.session;
   if (&session != head) {
     if (session.last_index >= 0) Unlink(&state, &session);
     PushNewest(&head, &session);
@@ -281,30 +282,29 @@ void CorrelationTracker::Snapshot(BinaryWriter* writer) const {
 
   // Key-sorted iteration makes the byte stream canonical (unordered_map
   // order depends on insertion history, which a restored tracker does not
-  // share). Each entry keeps its value's address, so the write loops need
-  // no second lookup.
-  std::vector<std::pair<int, const std::pmr::vector<int>*>> items_by_key;
-  items_by_key.reserve(state_->key_items.size());
-  for (const auto& [key, items] : state_->key_items) {
-    items_by_key.emplace_back(key, &items);
+  // share). Each entry keeps its record's address, so the write loops need
+  // no second lookup. The item lists come first, then the sessions.
+  std::vector<std::pair<int, const KeyRecord*>> by_key;
+  by_key.reserve(state_->records.size());
+  int32_t num_items = 0;
+  int32_t num_sessions = 0;
+  for (const auto& [key, record] : state_->records) {
+    by_key.emplace_back(key, &record);
+    num_items += record.has_items ? 1 : 0;
+    num_sessions += record.has_session ? 1 : 0;
   }
-  std::sort(items_by_key.begin(), items_by_key.end());
-  writer->WriteInt32(static_cast<int32_t>(items_by_key.size()));
-  for (const auto& [key, items] : items_by_key) {
+  std::sort(by_key.begin(), by_key.end());
+  writer->WriteInt32(num_items);
+  for (const auto& [key, record] : by_key) {
+    if (!record->has_items) continue;
     writer->WriteInt32(key);
-    WriteItems(writer, *items);
+    WriteItems(writer, record->items);
   }
-
-  std::vector<std::pair<int, const OpenSession*>> sessions_by_key;
-  sessions_by_key.reserve(state_->open_sessions.size());
-  for (const auto& [key, session] : state_->open_sessions) {
-    sessions_by_key.emplace_back(key, &session);
-  }
-  std::sort(sessions_by_key.begin(), sessions_by_key.end());
-  writer->WriteInt32(static_cast<int32_t>(sessions_by_key.size()));
-  for (const auto& [key, session] : sessions_by_key) {
+  writer->WriteInt32(num_sessions);
+  for (const auto& [key, record] : by_key) {
+    if (!record->has_session) continue;
     writer->WriteInt32(key);
-    WriteSession(writer, *session);
+    WriteSession(writer, record->session);
   }
 }
 
@@ -327,24 +327,27 @@ bool CorrelationTracker::Restore(BinaryReader* reader) {
 
   // Staged into the tracker's own resource; committed by a pointer swap.
   auto staged = std::make_unique<State>(memory_);
+  // A key listed twice in either list is corruption.
   const int32_t num_keys = reader->ReadCount(kMinTaggedValueBytes);
-  staged->key_items.reserve(num_keys);
+  staged->records.reserve(num_keys);
   for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
     const int key = reader->ReadInt32();
-    auto [slot, inserted] = staged->key_items.try_emplace(key);
-    if (!inserted || !ReadItems(reader, next_index, &slot->second)) {
+    KeyRecord& record = staged->records.try_emplace(key).first->second;
+    if (record.has_items || !ReadItems(reader, next_index, &record.items)) {
       return false;
     }
+    record.has_items = true;
   }
 
   const int32_t num_sessions = reader->ReadCount(kMinTaggedValueBytes);
-  staged->open_sessions.reserve(num_sessions);
   for (int32_t i = 0; i < num_sessions && reader->ok(); ++i) {
     const int key = reader->ReadInt32();
-    auto [slot, inserted] = staged->open_sessions.try_emplace(key);
-    if (!inserted || !ReadSession(reader, key, next_index, &slot->second)) {
+    KeyRecord& record = staged->records.try_emplace(key).first->second;
+    if (record.has_session ||
+        !ReadSession(reader, key, next_index, &record.session)) {
       return false;
     }
+    record.has_session = true;
   }
   if (!reader->ok() || !RebuildValueIndex(staged.get())) return false;
 
@@ -358,31 +361,20 @@ void CorrelationTracker::SnapshotDelta(
   writer->WriteInt32(next_index_);
   // Only dirty keys that actually carry tracker state are serialised (a
   // key can be dirtied by a force-close without ever reaching the
-  // tracker's maps in this window). Each map is probed once per key.
-  struct Present {
-    int key;
-    const std::pmr::vector<int>* items;  // null when the key has none
-    const OpenSession* session;          // null when no session is open
-  };
-  std::vector<Present> present;
+  // tracker's records in this window). Each key is looked up once.
+  std::vector<std::pair<int, const KeyRecord*>> present;
   present.reserve(dirty_sorted.size());
   for (int key : dirty_sorted) {
-    const auto items_it = state_->key_items.find(key);
-    const auto session_it = state_->open_sessions.find(key);
-    const bool has_items = items_it != state_->key_items.end();
-    const bool has_session = session_it != state_->open_sessions.end();
-    if (has_items || has_session) {
-      present.push_back({key, has_items ? &items_it->second : nullptr,
-                         has_session ? &session_it->second : nullptr});
-    }
+    const auto it = state_->records.find(key);
+    if (it != state_->records.end()) present.emplace_back(key, &it->second);
   }
   writer->WriteInt32(static_cast<int32_t>(present.size()));
-  for (const Present& entry : present) {
-    writer->WriteInt32(entry.key);
-    writer->WriteInt32(entry.items != nullptr ? 1 : 0);
-    if (entry.items != nullptr) WriteItems(writer, *entry.items);
-    writer->WriteInt32(entry.session != nullptr ? 1 : 0);
-    if (entry.session != nullptr) WriteSession(writer, *entry.session);
+  for (const auto& [key, record] : present) {
+    writer->WriteInt32(key);
+    writer->WriteInt32(record->has_items ? 1 : 0);
+    if (record->has_items) WriteItems(writer, record->items);
+    writer->WriteInt32(record->has_session ? 1 : 0);
+    if (record->has_session) WriteSession(writer, record->session);
   }
 }
 
@@ -402,15 +394,18 @@ bool CorrelationTracker::ApplyDelta(BinaryReader* reader,
     first = false;
     prev_key = key;
 
-    const bool has_items = reader->ReadInt32() != 0;
-    if (has_items &&
-        !ReadItems(reader, next_index, &state_->key_items[key])) {
-      return false;
+    // A record is created only for a key the delta carries a list for.
+    if (reader->ReadInt32() != 0) {
+      KeyRecord& record = state_->records.try_emplace(key).first->second;
+      if (!ReadItems(reader, next_index, &record.items)) return false;
+      record.has_items = true;
     }
-    const bool has_session = reader->ReadInt32() != 0;
-    if (has_session &&
-        !ReadSession(reader, key, next_index, &state_->open_sessions[key])) {
-      return false;
+    if (reader->ReadInt32() != 0) {
+      KeyRecord& record = state_->records.try_emplace(key).first->second;
+      if (!ReadSession(reader, key, next_index, &record.session)) {
+        return false;
+      }
+      record.has_session = true;
     }
   }
   // The upserts moved sessions between values and recency positions:

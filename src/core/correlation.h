@@ -36,13 +36,14 @@
 // (OnlineClassifier) and is mutated on every ObserveItem. Independent
 // trackers on different threads never share state.
 //
-// Memory: every container of per-key state — the per-key item lists, the
-// open sessions (including their index vectors), and the inverted index —
-// allocates from the memory_resource passed at construction; only the
-// per-item merge scratch uses the default heap. Serving hands in the shard's
-// ShardPool so session churn recycles pool nodes; training and tests use
-// the default resource. Repool() rebuilds the whole state into a fresh
-// resource (shard compaction).
+// Memory: one hash-map node per key holds both the key's item list and its
+// open session (including the session's index vector), so an item costs
+// one per-key lookup plus one in the inverted index. Those nodes, their
+// vectors and the inverted index allocate from the memory_resource passed
+// at construction; only the per-item merge scratch uses the default heap.
+// Serving hands in the shard's ShardPool so session churn recycles pool
+// nodes; training and tests use the default resource. Repool() rebuilds
+// the whole state into a fresh resource (shard compaction).
 #pragma once
 
 #include <cstdint>
@@ -115,13 +116,12 @@ class CorrelationTracker {
   void Repool(std::pmr::memory_resource* memory);
 
  private:
-  // Allocator-aware so pmr maps propagate their resource into the per-
-  // session index vector (uses-allocator construction). The recency links
-  // point into the owning State, so the allocator-extended copy (a pmr map
-  // copying a session) leaves them null for RebuildValueIndex to set.
+  // An open session (the key's current run of one session value) and its
+  // link in that value's recency list. The links point into the owning
+  // State, so the allocator-extended copy (Repool copying a record) leaves
+  // them null for RebuildValueIndex to set.
   struct OpenSession {
     using allocator_type = std::pmr::polymorphic_allocator<int>;
-    OpenSession() = default;
     explicit OpenSession(const allocator_type& alloc) : item_indices(alloc) {}
     OpenSession(const OpenSession& other, const allocator_type& alloc)
         : key(other.key),
@@ -138,17 +138,39 @@ class CorrelationTracker {
     OpenSession* older = nullptr;
   };
 
+  // Everything the tracker keeps for one key, so an item costs one lookup:
+  // every item of the key in this tracker's lifetime, and the open session.
+  // An observed key has both. A checkpoint may carry either alone (the two
+  // are separate lists in the byte stream), so each has a presence flag and
+  // a restored record re-snapshots exactly what it was given.
+  // Allocator-aware so the pmr map propagates its resource into both
+  // vectors (uses-allocator construction).
+  struct KeyRecord {
+    using allocator_type = std::pmr::polymorphic_allocator<int>;
+    explicit KeyRecord(const allocator_type& alloc)
+        : items(alloc), session(alloc) {}
+    KeyRecord(const KeyRecord& other, const allocator_type& alloc)
+        : items(other.items, alloc),
+          session(other.session, alloc),
+          has_items(other.has_items),
+          has_session(other.has_session) {}
+
+    std::pmr::vector<int> items;
+    OpenSession session;
+    bool has_items = false;
+    bool has_session = false;
+  };
+
   // All pool-backed containers live behind one pointer: pmr allocators do
   // not propagate on assignment, so moving state into a different pool
   // means *reconstructing* the containers — swap the struct wholesale.
   struct State {
     explicit State(std::pmr::memory_resource* memory)
-        : key_items(memory), open_sessions(memory), by_value(memory) {}
-    // Hot per-item lookups: iteration order is not load-bearing, so these
-    // are hash maps. Map nodes never move, so the recency links can point
-    // into open_sessions.
-    std::pmr::unordered_map<int, std::pmr::vector<int>> key_items;
-    std::pmr::unordered_map<int, OpenSession> open_sessions;
+        : records(memory), by_value(memory) {}
+    // The hot per-item lookup: iteration order is not load-bearing, so this
+    // is a hash map. Map nodes never move, so the recency links can point
+    // into the records' sessions.
+    std::pmr::unordered_map<int, KeyRecord> records;
     // Inverted index: session value -> newest open session carrying it,
     // the head of a list ordered by strictly decreasing last_index, so the
     // window cutoff is a newest-first walk stopping at the first stale

@@ -24,10 +24,7 @@ OnlineClassifier::OnlineClassifier(const KvecModel& model,
 void OnlineClassifier::Repool(std::pmr::memory_resource* memory) {
   tracker_.Repool(memory);
   auto fresh = std::make_unique<KeyTable>(memory);
-  fresh->states.reserve(keys_->states.size());
-  for (const auto& [key, state] : keys_->states) {
-    fresh->states.emplace(key, state);
-  }
+  fresh->states = FlatIntMap<KeyState>(keys_->states, memory);
   // Slots keep their indices; the copy is tight (capacity == size).
   fresh->slab.assign(keys_->slab.begin(), keys_->slab.end());
   keys_ = std::move(fresh);
@@ -111,7 +108,9 @@ OnlineDecision OnlineClassifier::DecideObserved(int key, const float* row) {
   OnlineDecision decision;
   decision.key = key;
 
-  KeyState& key_state = keys_->states.at(key);  // created by EncodeBatch
+  KeyState* found = keys_->states.Find(key);  // created by EncodeBatch
+  KVEC_CHECK(found != nullptr);
+  KeyState& key_state = *found;
   if (key_state.halted) {
     decision.already_halted = true;
     decision.predicted_label = key_state.predicted;
@@ -160,13 +159,17 @@ std::vector<OnlineDecision> OnlineClassifier::ObserveBatch(
   return decisions;
 }
 
-int OnlineClassifier::ForceClassify(int key, double* confidence) {
-  auto it = keys_->states.find(key);
-  if (it == keys_->states.end() || it->second.observed == 0) {
+int OnlineClassifier::ForceClassify(int key, double* confidence,
+                                    int* observed_items) {
+  KeyState* found = keys_->states.Find(key);
+  if (observed_items != nullptr) {
+    *observed_items = found != nullptr ? found->observed : 0;
+  }
+  if (found == nullptr || found->observed == 0) {
     if (confidence != nullptr) *confidence = 0.0;
     return -1;
   }
-  KeyState& key_state = it->second;
+  KeyState& key_state = *found;
   if (!key_state.halted || confidence != nullptr) {
     const int predicted = Classify(SlotRows(key_state.slot), confidence);
     if (!key_state.halted) {
@@ -286,14 +289,16 @@ bool OnlineClassifier::Restore(BinaryReader* reader) {
   // Staged into the engine's own resource; committed by a pointer swap.
   auto keys = std::make_unique<KeyTable>(memory_);
   const int32_t num_keys = reader->ReadCount(kMinTaggedValueBytes);
-  keys->states.reserve(num_keys);
+  keys->states.Reserve(static_cast<size_t>(num_keys));
   std::vector<float> rows;
   for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
     int key = 0;
     KeyState state;
     if (!ReadKeyState(reader, &key, &state, &rows)) return false;
     if (!rows.empty()) PlaceRows(keys.get(), /*slot=*/-1, rows, &state);
-    if (!keys->states.emplace(key, state).second) return false;
+    const auto [target, inserted] = keys->states.TryEmplace(key);
+    if (!inserted) return false;
+    *target = state;
   }
   if (!reader->ok()) return false;
 
@@ -322,8 +327,8 @@ void OnlineClassifier::SnapshotDelta(BinaryWriter* writer,
   std::vector<std::pair<int, const KeyState*>> present;
   present.reserve(dirty_sorted.size());
   for (int key : dirty_sorted) {
-    const auto it = keys_->states.find(key);
-    if (it != keys_->states.end()) present.emplace_back(key, &it->second);
+    const KeyState* state = keys_->states.Find(key);
+    if (state != nullptr) present.emplace_back(key, state);
   }
   writer->WriteInt32(static_cast<int32_t>(present.size()));
   for (const auto& [key, state] : present) WriteKeyState(writer, key, *state);
@@ -363,20 +368,14 @@ bool OnlineClassifier::ApplyDelta(BinaryReader* reader) {
   return true;
 }
 
-int OnlineClassifier::ObservedItems(int key) const {
-  auto it = keys_->states.find(key);
-  return it == keys_->states.end() ? 0 : it->second.observed;
-}
-
 bool OnlineClassifier::IsHalted(int key) const {
-  auto it = keys_->states.find(key);
-  return it != keys_->states.end() && it->second.halted;
+  const KeyState* state = keys_->states.Find(key);
+  return state != nullptr && state->halted;
 }
 
 bool OnlineClassifier::IsUndecided(int key) const {
-  auto it = keys_->states.find(key);
-  return it != keys_->states.end() && it->second.observed > 0 &&
-         !it->second.halted;
+  const KeyState* state = keys_->states.Find(key);
+  return state != nullptr && state->observed > 0 && !state->halted;
 }
 
 int OnlineClassifier::CountUndecided() const {

@@ -37,21 +37,23 @@
 // re-encodes history) plus O(matches + log) correlation tracking — see
 // core/correlation.h. Memory grows with every observed item until the
 // owner rotates the engine (StreamServer's max_window_items bound).
-// Per-key fusion states live in one append-only float slab drawn from the
-// engine's memory resource: a key takes a slot on its first fused item and
+// Per-key state is one flat open-addressing table (util/flat_int_map.h)
+// of small fixed-size records, so a lookup usually reads one cache line,
+// next to one append-only float slab of fusion states; both come from the
+// engine's memory resource. A key takes a slot on its first fused item and
 // keeps it for the engine's lifetime (keys are never erased within a
-// window, so slots are never freed).
+// window, so slots are never freed and the table needs no erase).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
-#include <unordered_map>
 #include <vector>
 
 #include "core/correlation.h"
 #include "core/encoder.h"
 #include "core/model.h"
+#include "util/flat_int_map.h"
 
 namespace kvec {
 
@@ -70,7 +72,7 @@ class OnlineClassifier {
  public:
   // `model` must outlive the classifier and should be trained; the engine
   // never updates parameters. `memory` backs the long-lived per-key state
-  // (key-state map nodes, the fusion-state slab and the correlation
+  // (the key-state table, the fusion-state slab and the correlation
   // tracker's containers);
   // StreamServer passes its shard's ShardPool, standalone users get the
   // default resource. The resource must outlive the classifier.
@@ -103,11 +105,10 @@ class OnlineClassifier {
   // Forces classification of a still-open key from its current state
   // (e.g., when the flow terminates). Returns -1 if the key was never seen.
   // When `confidence` is non-null it receives the classifier's max-softmax
-  // probability (0 if the key was never seen).
-  int ForceClassify(int key, double* confidence = nullptr);
-
-  // Observed-item count of a key (0 if never seen).
-  int ObservedItems(int key) const;
+  // probability (0 if the key was never seen), and when `observed_items` is
+  // non-null the key's observed-item count (0 if never seen).
+  int ForceClassify(int key, double* confidence = nullptr,
+                    int* observed_items = nullptr);
 
   bool IsHalted(int key) const;
   // True when `key` has observed items and no verdict yet: exactly the
@@ -176,7 +177,7 @@ class OnlineClassifier {
   struct KeyTable {
     explicit KeyTable(std::pmr::memory_resource* memory)
         : states(memory), slab(memory) {}
-    std::pmr::unordered_map<int, KeyState> states;
+    FlatIntMap<KeyState> states;
     std::pmr::vector<float> slab;  // append-only, slot_width_ per slot
   };
 

@@ -95,9 +95,10 @@ void StreamServer::KeyIndex::Touch(int key, int64_t last_seen) {
   Append(node);
 }
 
-void StreamServer::KeyIndex::Erase(OpenKeyMap::iterator it) {
-  Unlink(&it->second);
-  open.erase(it);
+void StreamServer::KeyIndex::Erase(OpenKey* node) {
+  const int key = node->key;
+  Unlink(node);
+  open.erase(key);
 }
 
 void StreamServer::KeyIndex::Clear() {
@@ -119,7 +120,7 @@ void StreamServer::KeyIndex::Relink() {
 
 void StreamServer::CloseKey(int key) {
   auto it = index_->open.find(key);
-  if (it != index_->open.end()) index_->Erase(it);
+  if (it != index_->open.end()) index_->Erase(&it->second);
 }
 
 bool StreamServer::IndexMatchesEngine(const KeyIndex& index,
@@ -141,18 +142,16 @@ void StreamServer::EmitForced(int key, StreamEvent::Cause cause,
   StreamEvent event;
   event.key = key;
   event.cause = cause;
-  event.observed_items = engine_->ObservedItems(key);
-  event.predicted_label = engine_->ForceClassify(key, &event.confidence);
+  event.predicted_label = engine_->ForceClassify(key, &event.confidence,
+                                                 &event.observed_items);
   RecordEvent(event);
   events->push_back(event);
 }
 
-void StreamServer::ForceClose(int key, StreamEvent::Cause cause,
+void StreamServer::ForceClose(OpenKey* node, StreamEvent::Cause cause,
                               std::vector<StreamEvent>* events) {
-  auto it = index_->open.find(key);
-  if (it == index_->open.end()) return;
-  EmitForced(key, cause, events);
-  index_->Erase(it);
+  EmitForced(node->key, cause, events);
+  index_->Erase(node);
 }
 
 void StreamServer::CloseAllInKeyOrder(StreamEvent::Cause cause,
@@ -178,7 +177,7 @@ void StreamServer::EvictIdle(std::vector<StreamEvent>* events) {
   // inside its idle window. O(evicted), not O(open keys).
   while (index_->head != nullptr &&
          position_ - index_->head->last_seen >= config_.idle_timeout) {
-    ForceClose(index_->head->key, StreamEvent::Cause::kIdleTimeout, events);
+    ForceClose(index_->head, StreamEvent::Cause::kIdleTimeout, events);
   }
 }
 
@@ -210,8 +209,7 @@ void StreamServer::Bookkeep(const Item& item, const OnlineDecision& decision,
     index_->Touch(item.key, position_);
     if (static_cast<int>(index_->open.size()) > config_.max_open_keys) {
       // Evict the least recently active key: the head of the recency list.
-      ForceClose(index_->head->key, StreamEvent::Cause::kCapacityEviction,
-                 events);
+      ForceClose(index_->head, StreamEvent::Cause::kCapacityEviction, events);
     }
   }
 
@@ -467,7 +465,7 @@ bool StreamServer::Restore(BinaryReader* reader) {
   // A full restore invalidates any delta baseline: the restored state is a
   // new world. The chain loader re-arms tracking after its commit.
   dirty_tracking_ = false;
-  dirty_keys_.clear();
+  dirty_keys_ = DirtyKeyMap();
   pending_baseline_ = false;
   return true;
 }
@@ -481,15 +479,13 @@ void StreamServer::StageDeltaBaseline() {
 
 void StreamServer::CommitDeltaBaseline() {
   if (!pending_baseline_) return;
-  for (auto it = dirty_keys_.begin(); it != dirty_keys_.end();) {
-    // Keys re-dirtied after the staged snapshot carry a later epoch and
-    // must survive into the next delta.
-    if (it->second <= pending_epoch_) {
-      it = dirty_keys_.erase(it);
-    } else {
-      ++it;
-    }
+  // Keys re-dirtied after the staged snapshot carry a later epoch and must
+  // survive into the next delta; the rest are clean again.
+  DirtyKeyMap kept;
+  for (const auto& [key, epoch] : dirty_keys_) {
+    if (epoch > pending_epoch_) kept[key] = epoch;
   }
+  dirty_keys_ = std::move(kept);
   base_engine_items_ = pending_engine_items_;
   base_windows_started_ = pending_windows_started_;
   pending_baseline_ = false;

@@ -35,7 +35,7 @@
 // which serialises same-shard callers on a per-shard mutex.
 //
 // Memory: all long-lived per-key state — the open-key index, the
-// engine's key-state map, and the correlation containers —
+// engine's key-state table, and the correlation containers —
 // allocates from a per-server ShardPool (std::pmr::unsynchronized_pool_
 // resource), so eviction/insert churn recycles pool nodes instead of
 // hitting the global allocator. A fragmentation heuristic (pool bytes
@@ -58,6 +58,7 @@
 
 #include "core/online.h"
 #include "util/arena.h"
+#include "util/flat_int_map.h"
 #include "util/serialize.h"
 
 namespace kvec {
@@ -276,9 +277,9 @@ class StreamServer {
     int key = 0;
   };
 
-  // Emits a forced classification for `key` and drops it from the open set
-  // (no-op if `key` is not open).
-  void ForceClose(int key, StreamEvent::Cause cause,
+  // Emits a forced classification for the open key `node` and drops it
+  // from the open set.
+  void ForceClose(OpenKey* node, StreamEvent::Cause cause,
                   std::vector<StreamEvent>* events);
   // Force-classifies every open key in ascending key order, then empties
   // the index (window rotation and Flush).
@@ -318,7 +319,7 @@ class StreamServer {
     // Inserts `key` if it is not open, sets its last_seen and moves it to
     // the tail of the list.
     void Touch(int key, int64_t last_seen);
-    void Erase(OpenKeyMap::iterator it);
+    void Erase(OpenKey* node);
     void Clear();
     // Re-sorts the whole list by (last_seen, key).
     void Relink();
@@ -391,12 +392,13 @@ class StreamServer {
   std::vector<float> rows_;  // EncodeBatch output, reused across calls
 
   // ---- Dirty-key tracking (incremental checkpoints). ----
-  // Plain std containers, deliberately NOT pool-backed: the dirty map is
+  // On the default heap, deliberately NOT pool-backed: the dirty map is
   // checkpoint bookkeeping, not serving state — Compact() must not copy
   // it between pools and a snapshot of it is never taken.
+  using DirtyKeyMap = FlatIntMap<int64_t>;  // key -> epoch of mutation
   bool dirty_tracking_ = false;
   int64_t dirty_epoch_ = 0;
-  std::unordered_map<int, int64_t> dirty_keys_;  // key -> epoch of mutation
+  DirtyKeyMap dirty_keys_;
   // Baselines of the last committed snapshot: the engine item clock the
   // encoder tail starts from, and the window generation (a mismatch means
   // the engine was rebuilt since the base, so the delta carries the whole

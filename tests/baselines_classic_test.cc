@@ -56,8 +56,8 @@ Dataset MarkerDataset(int episodes_per_split = 10) {
         // PrefixEctsTest.StabilityOneHaltsAtFirstItem &co. cover.)
         const int position = t / 2;
         const int marker = label == 0 ? 5 : 6;
-        item.value = {position < 1 ? rng.NextInt(4) : marker,
-                      rng.NextInt(2)};
+        item.value = std::vector<int>{position < 1 ? rng.NextInt(4) : marker,
+                                      rng.NextInt(2)};
         item.time = t;
         episode.items.push_back(item);
       }
@@ -152,7 +152,7 @@ TEST(PrefixEctsTest, ClassifyPrefixDirectly) {
   std::vector<const Item*> prefix;
   for (int t = 0; t < 6; ++t) {
     items[t].key = 1;
-    items[t].value = {t < 2 ? 1 : 6, 0};
+    items[t].value = std::vector<int>{t < 2 ? 1 : 6, 0};
     prefix.push_back(&items[t]);
   }
   EXPECT_EQ(model.Classify(prefix), 1);
@@ -221,7 +221,7 @@ TEST(IndicatorMatcherTest, NoIndicatorsFallsBackToMajority) {
       for (int t = 0; t < 16; ++t) {
         Item item;
         item.key = t % 2;
-        item.value = {rng.NextInt(3), rng.NextInt(2)};
+        item.value = std::vector<int>{rng.NextInt(3), rng.NextInt(2)};
         item.time = t;
         episode.items.push_back(item);
       }

@@ -145,7 +145,9 @@ TEST(CompactionTest, EventStreamIdenticalUnderForcedCompaction) {
       }
       // Prime-strided forced compactions sweep across rotation, idle, and
       // capacity boundaries as the stream advances.
-      if (i % 17 == 0) ASSERT_TRUE(compacting.Compact()) << context;
+      if (i % 17 == 0) {
+        ASSERT_TRUE(compacting.Compact()) << context;
+      }
     }
     for (const StreamEvent& event : baseline.Flush()) {
       expected.push_back(event);
@@ -171,7 +173,9 @@ TEST(CompactionTest, CheckpointBytesIdenticalAcrossCompaction) {
     for (size_t i = 0; i < stream.size() / 2; ++i) {
       baseline.Observe(stream[i]);
       compacting.Observe(stream[i]);
-      if (i % 23 == 0) ASSERT_TRUE(compacting.Compact());
+      if (i % 23 == 0) {
+        ASSERT_TRUE(compacting.Compact());
+      }
     }
 
     // Before/after around one more compaction on the same server...
@@ -193,7 +197,9 @@ TEST(CompactionTest, ReplayFromCompactedCheckpointIsIdentical) {
   StreamServer uninterrupted(*fixture.model, config);
   for (size_t i = 0; i < cut; ++i) {
     uninterrupted.Observe(stream[i]);
-    if (i % 13 == 0) ASSERT_TRUE(uninterrupted.Compact());
+    if (i % 13 == 0) {
+      ASSERT_TRUE(uninterrupted.Compact());
+    }
   }
 
   const std::string bytes = uninterrupted.EncodeCheckpoint();
@@ -211,8 +217,12 @@ TEST(CompactionTest, ReplayFromCompactedCheckpointIsIdentical) {
     for (const StreamEvent& event : restored.Observe(stream[i])) {
       actual.push_back(event);
     }
-    if (i % 19 == 0) ASSERT_TRUE(uninterrupted.Compact());
-    if (i % 7 == 0) ASSERT_TRUE(restored.Compact());
+    if (i % 19 == 0) {
+      ASSERT_TRUE(uninterrupted.Compact());
+    }
+    if (i % 7 == 0) {
+      ASSERT_TRUE(restored.Compact());
+    }
   }
   for (const StreamEvent& event : uninterrupted.Flush()) {
     expected.push_back(event);
@@ -299,7 +309,9 @@ TEST(CompactionTest, ShardedCompactAllRunsEveryShardAndMergesGauges) {
       for (const StreamEvent& event : sharded.Observe(stream[i])) {
         actual.push_back(event);
       }
-      if (i % 11 == 0) EXPECT_EQ(sharded.CompactAll(), 2);
+      if (i % 11 == 0) {
+        EXPECT_EQ(sharded.CompactAll(), 2);
+      }
     }
     const StreamServerStats merged = sharded.stats();
     EXPECT_GT(merged.compactions, 0);

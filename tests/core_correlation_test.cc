@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -515,6 +516,160 @@ TEST(CorrelationTrackerTest, ApplyDeltaRejectsTwoSessionsAtOneStreamPosition) {
     BinaryReader delta(TrackerDelta(3, {{1, value, 2, {1, 2}}}));
     EXPECT_FALSE(target.ApplyDelta(&delta, 3)) << "value " << value;
   }
+}
+
+// A tracker checkpoint whose item lists and sessions name different keys.
+// The tracker keeps one record per key, so these pin that a record with
+// only one of the two restores, re-snapshots and accepts or rejects
+// exactly as two separate per-key maps did.
+struct ItemsRecord {
+  int key;
+  std::vector<int> items;
+};
+
+std::string SplitCheckpoint(const CorrelationOptions& options, int next_index,
+                            const std::vector<ItemsRecord>& item_lists,
+                            const std::vector<SessionRecord>& sessions) {
+  BinaryWriter writer;
+  writer.WriteInt32(options.use_key_correlation ? 1 : 0);
+  writer.WriteInt32(options.use_value_correlation ? 1 : 0);
+  writer.WriteInt32(options.value_correlation_window);
+  writer.WriteInt32(options.session_field);
+  writer.WriteInt32(options.max_value_correlations);
+  writer.WriteInt32(next_index);
+  writer.WriteInt32(static_cast<int32_t>(item_lists.size()));
+  for (const ItemsRecord& record : item_lists) {
+    writer.WriteInt32(record.key);
+    writer.WriteIntVector(record.items);
+  }
+  writer.WriteInt32(static_cast<int32_t>(sessions.size()));
+  for (const SessionRecord& session : sessions) {
+    writer.WriteInt32(session.key);
+    writer.WriteInt32(session.session_value);
+    writer.WriteInt32(session.last_index);
+    writer.WriteIntVector(session.item_indices);
+  }
+  return writer.buffer();
+}
+
+// One key of a tracker delta, each list behind its presence flag.
+struct DeltaRecord {
+  int key;
+  std::optional<std::vector<int>> items;
+  std::optional<SessionRecord> session;
+};
+
+std::string SplitDelta(int next_index, const std::vector<DeltaRecord>& keys) {
+  BinaryWriter writer;
+  writer.WriteInt32(next_index);
+  writer.WriteInt32(static_cast<int32_t>(keys.size()));
+  for (const DeltaRecord& record : keys) {
+    writer.WriteInt32(record.key);
+    writer.WriteInt32(record.items.has_value() ? 1 : 0);
+    if (record.items.has_value()) writer.WriteIntVector(*record.items);
+    writer.WriteInt32(record.session.has_value() ? 1 : 0);
+    if (record.session.has_value()) {
+      writer.WriteInt32(record.session->session_value);
+      writer.WriteInt32(record.session->last_index);
+      writer.WriteIntVector(record.session->item_indices);
+    }
+  }
+  return writer.buffer();
+}
+
+TEST(CorrelationTrackerTest, RestoreKeepsUnpairedItemListsAndSessions) {
+  const CorrelationOptions options = Options();
+  // Key 0 has both, key 1 only an item list, key 2 only a session.
+  const std::string bytes = SplitCheckpoint(
+      options, 4, {{0, {0, 1}}, {1, {2}}}, {{0, 7, 1, {0, 1}}, {2, 7, 3, {3}}});
+  ShardPool pool;
+  CorrelationTracker tracker(options);
+  BinaryReader reader(bytes);
+  ASSERT_TRUE(tracker.Restore(&reader));
+  EXPECT_EQ(SnapshotBytes(tracker), bytes);
+  tracker.Repool(pool.resource());
+  EXPECT_EQ(SnapshotBytes(tracker), bytes);
+
+  // A delta over all three keys carries each list only where it exists.
+  BinaryWriter delta;
+  tracker.SnapshotDelta(&delta, {0, 1, 2});
+  EXPECT_EQ(delta.buffer(),
+            SplitDelta(4, {{0, std::vector<int>{0, 1},
+                            SessionRecord{0, 7, 1, {0, 1}}},
+                           {1, std::vector<int>{2}, std::nullopt},
+                           {2, std::nullopt, SessionRecord{2, 7, 3, {3}}}}));
+
+  // Key 2 has no own items yet; key 1's session starts fresh.
+  EXPECT_EQ(tracker.ObserveItem(MakeItem(2, 7)), (std::vector<int>{0, 1}));
+  EXPECT_EQ(tracker.ObserveItem(MakeItem(1, 7)),
+            (std::vector<int>{2, 0, 1, 3, 4}));
+}
+
+TEST(CorrelationTrackerTest, ApplyDeltaKeepsUnpairedItemListsAndSessions) {
+  const CorrelationOptions options = Options();
+  CorrelationTracker source(options);
+  source.ObserveItem(MakeItem(0, 7));  // 0
+  source.ObserveItem(MakeItem(1, 7));  // 1
+  const std::string base = SnapshotBytes(source);
+
+  // Key 1 gets a new item list and keeps its base session; new keys arrive
+  // with only a session (3) or only an item list (5); key 4 carries
+  // neither and leaves no record.
+  const std::vector<DeltaRecord> upserts = {
+      {1, std::vector<int>{1, 2}, std::nullopt},
+      {3, std::nullopt, SessionRecord{3, 8, 3, {3}}},
+      {4, std::nullopt, std::nullopt},
+      {5, std::vector<int>{2}, std::nullopt}};
+  CorrelationTracker target(options);
+  BinaryReader base_reader(base);
+  ASSERT_TRUE(target.Restore(&base_reader));
+  BinaryReader delta(SplitDelta(4, upserts));
+  ASSERT_TRUE(target.ApplyDelta(&delta, 4));
+
+  BinaryWriter again;
+  target.SnapshotDelta(&again, {3, 4, 5});
+  EXPECT_EQ(again.buffer(), SplitDelta(4, {upserts[1], upserts[3]}));
+  BinaryWriter merged;
+  target.SnapshotDelta(&merged, {1});
+  EXPECT_EQ(merged.buffer(),
+            SplitDelta(4, {{1, std::vector<int>{1, 2},
+                            SessionRecord{1, 7, 1, {1}}}}));
+  EXPECT_EQ(SnapshotBytes(target),
+            SplitCheckpoint(options, 4, {{0, {0}}, {1, {1, 2}}, {5, {2}}},
+                            {{0, 7, 0, {0}}, {1, 7, 1, {1}}, {3, 8, 3, {3}}}));
+}
+
+TEST(CorrelationTrackerTest, RestoreRejectsAKeyListedTwice) {
+  const CorrelationOptions options = Options();
+  CorrelationTracker tracker(options);
+  tracker.ObserveItem(MakeItem(5, 1));
+  const std::string before = SnapshotBytes(tracker);
+
+  // Control: one key once in each list.
+  {
+    CorrelationTracker control(options);
+    BinaryReader reader(
+        SplitCheckpoint(options, 2, {{1, {0, 1}}}, {{1, 7, 1, {0, 1}}}));
+    EXPECT_TRUE(control.Restore(&reader));
+  }
+  const std::vector<std::string> corrupt = {
+      SplitCheckpoint(options, 2, {{1, {0}}, {1, {1}}}, {{1, 7, 1, {0, 1}}}),
+      SplitCheckpoint(options, 2, {{1, {0, 1}}},
+                      {{1, 7, 0, {0}}, {1, 7, 1, {1}}})};
+  for (size_t i = 0; i < corrupt.size(); ++i) {
+    BinaryReader reader(corrupt[i]);
+    EXPECT_FALSE(tracker.Restore(&reader)) << "case " << i;
+    EXPECT_EQ(SnapshotBytes(tracker), before) << "case " << i;
+  }
+
+  // A delta naming one key twice is rejected too.
+  BinaryReader base_reader(before);
+  CorrelationTracker target(options);
+  ASSERT_TRUE(target.Restore(&base_reader));
+  BinaryReader delta(SplitDelta(
+      2, {{3, std::vector<int>{1}, std::nullopt},
+          {3, std::nullopt, SessionRecord{3, 7, 1, {1}}}}));
+  EXPECT_FALSE(target.ApplyDelta(&delta, 2));
 }
 
 TEST(BuildEpisodeMaskTest, SelectiveMaskIsSubsetOfUnlimitedMask) {

@@ -1,6 +1,7 @@
 #include "core/stream_server.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -725,6 +726,91 @@ TEST(StreamServerTest, EvictionsMatchReferenceRecencyModelAcrossCuts) {
   EXPECT_GT(rotations, 0);
   EXPECT_GT(restores, 0);
   EXPECT_GT(deltas, 0);
+}
+
+// Every int is a serving key. With the key-membership embedding off (it
+// indexes a table by key), a stream relabelled over the whole int range by
+// an order-preserving map (INT_MIN, 0 and INT_MAX among the labels) serves
+// the same events, relabelled, as the original stream: through rotations,
+// capacity and idle evictions, a full restore and a delta link.
+TEST(StreamServerTest, KeysAcrossTheIntRangeServeLikeSmallKeys) {
+  Fixture fixture = TrainSmallModel(74);
+  KvecConfig model_config = fixture.model->config();
+  model_config.use_membership_embedding = false;
+  const KvecModel model(model_config);
+  std::vector<Item> pool;
+  for (const TangledSequence& episode : fixture.dataset.train) {
+    pool.insert(pool.end(), episode.items.begin(), episode.items.end());
+  }
+  ASSERT_FALSE(pool.empty());
+
+  constexpr int kKeys = 16;
+  const int64_t step = (int64_t{1} << 32) / kKeys;
+  auto relabel = [&](int key) {
+    return key == kKeys - 1 ? INT_MAX
+                            : static_cast<int>(INT_MIN + key * step);
+  };
+  ASSERT_EQ(relabel(kKeys / 2), 0);
+
+  StreamServerConfig config;
+  config.max_open_keys = 6;
+  config.idle_timeout = 24;
+  config.idle_check_interval = 3;
+  config.max_window_items = 150;
+  StreamServer small(model, config);
+  auto wide = std::make_unique<StreamServer>(model, config);
+  std::unique_ptr<StreamServer> base;
+  std::mt19937 rng(5);
+  std::vector<StreamEvent> expected, actual;
+  for (int cut = 0; cut < 8; ++cut) {
+    for (int i = 0; i < 100; ++i) {
+      Item item = pool[rng() % pool.size()];
+      item.key = static_cast<int>(rng() % kKeys);
+      for (StreamEvent event : small.Observe(item)) {
+        event.key = relabel(event.key);
+        expected.push_back(event);
+      }
+      item.key = relabel(item.key);
+      for (const StreamEvent& event : wide->Observe(item)) {
+        actual.push_back(event);
+      }
+    }
+    if (cut % 2 == 0) {
+      // Serve on from a restored copy; a second copy is the delta's base.
+      wide = RestoredCopy(model, config, *wide);
+      base = RestoredCopy(model, config, *wide);
+      wide->StageDeltaBaseline();
+      wide->CommitDeltaBaseline();
+    } else {
+      // The base catches up through ApplyDelta and takes over serving.
+      BinaryWriter delta;
+      wide->SnapshotDelta(&delta);
+      BinaryReader reader(delta.buffer());
+      ASSERT_TRUE(base->ApplyDelta(&reader)) << "cut " << cut;
+      wide = std::move(base);
+    }
+  }
+  for (StreamEvent event : small.Flush()) {
+    event.key = relabel(event.key);
+    expected.push_back(event);
+  }
+  for (const StreamEvent& event : wide->Flush()) actual.push_back(event);
+
+  ASSERT_EQ(actual.size(), expected.size());
+  std::set<int> keys;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].key, expected[i].key) << "event " << i;
+    EXPECT_EQ(actual[i].cause, expected[i].cause) << "event " << i;
+    EXPECT_EQ(actual[i].predicted_label, expected[i].predicted_label);
+    EXPECT_EQ(actual[i].observed_items, expected[i].observed_items);
+    EXPECT_EQ(actual[i].confidence, expected[i].confidence);
+    keys.insert(actual[i].key);
+  }
+  EXPECT_TRUE(keys.count(INT_MIN) && keys.count(0) && keys.count(INT_MAX));
+  const StreamServerStats& stats = small.stats();
+  EXPECT_GT(stats.capacity_evictions, 0);
+  EXPECT_GT(stats.idle_timeouts, 0);
+  EXPECT_GT(stats.rotation_classifications, 0);
 }
 
 TEST(StreamServerDeathTest, RejectsBadConfig) {

@@ -53,7 +53,9 @@ TEST_P(MaskProperty, StructuralInvariants) {
     for (int j = 0; j < 60; ++j) {
       const bool visible = mask.mask.At(i, j) == 0.0f;
       // (2) causality
-      if (j > i) EXPECT_FALSE(visible);
+      if (j > i) {
+        EXPECT_FALSE(visible);
+      }
       if (j >= i) continue;
       const bool same_key = episode.items[i].key == episode.items[j].key;
       // (3) with key correlation on, ALL earlier same-key items visible
