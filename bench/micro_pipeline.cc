@@ -94,13 +94,18 @@ void BM_Evaluate(benchmark::State& state) {
   for (int e = 0; e < 8; ++e) {
     episodes.push_back(generator.GenerateEpisode(rng));
   }
+  int64_t items_per_pass = 0;
+  for (const TangledSequence& episode : episodes) {
+    items_per_pass += static_cast<int64_t>(episode.items.size());
+  }
   KvecConfig config = ModelConfig(generator.spec());
   KvecModel model(config);
   KvecTrainer trainer(&model);
   for (auto _ : state) {
     benchmark::DoNotOptimize(trainer.Evaluate(episodes));
   }
-  state.SetItemsProcessed(state.iterations() * 8);
+  // Stream items, so items/s compares with BM_OnlineInferencePerItem.
+  state.SetItemsProcessed(state.iterations() * items_per_pass);
 }
 BENCHMARK(BM_Evaluate);
 

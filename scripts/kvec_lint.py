@@ -40,7 +40,10 @@ Enforces the rules no off-the-shelf tool knows about this codebase
                           constant may be defined and no integer literal
                           may be used as a section id (constructing a
                           ``CheckpointSection`` or calling
-                          ``Checkpoint::Find``) — two subsystems colliding
+                          ``Checkpoint::Find``, recognised by the receiver
+                          name ``checkpoint``/``delta`` or the qualified
+                          ``Checkpoint::Find``, so other containers'
+                          ``Find`` stay free) — two subsystems colliding
                           on an id silently corrupt each other's restores.
 * ``tsa-escape``        — every ``KVEC_NO_THREAD_SAFETY_ANALYSIS`` outside
                           src/util/thread_annotations.h (which defines it)
@@ -130,12 +133,16 @@ MALLOC_FAMILY = re.compile(r"(?<![\w.>:])(?:std\s*::\s*)?"
 # A new registry constant outside the registry ("=" but not "=="), or an
 # integer literal where a section id belongs: brace-constructing a
 # CheckpointSection (directly or via sections.push_back/emplace_back) or
-# looking one up with Checkpoint::Find.
+# looking one up with Checkpoint::Find. The lookup is recognised by the
+# checkpoint container's receiver names (checkpoint / delta) or the
+# qualified Checkpoint::Find, so Find on other containers (FlatIntMap)
+# takes any literal.
 SECTION_ID_CONST = re.compile(r"\bkCheckpointSection\w+\s*=(?!=)")
 SECTION_ID_LITERAL = re.compile(
     r"(?:\bCheckpointSection\s*(?:\w+\s*)?\{|"
     r"sections\.(?:push_back|emplace_back)\(\s*\{|"
-    r"\bFind\(\s*)[-+]?\d")
+    r"(?:\b(?:checkpoint|delta)\s*(?:\.|->)\s*|\bCheckpoint::)Find\(\s*)"
+    r"[-+]?\d")
 TSA_ESCAPE = re.compile(r"\bKVEC_NO_THREAD_SAFETY_ANALYSIS\b")
 # remaining() next to an arithmetic or comparison operator (the "->" of a
 # member call is not one).

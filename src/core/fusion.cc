@@ -8,14 +8,6 @@
 
 namespace kvec {
 
-void FusionState::DetachInPlace() {
-  // Tensors that don't require grad never carry parents/backward_fn
-  // (MakeOpOutput's invariant), so states produced under InferenceMode are
-  // already detached and keep their storage instead of being copied.
-  if (hidden.defined() && hidden.requires_grad()) hidden = hidden.Detach();
-  if (cell.defined() && cell.requires_grad()) cell = cell.Detach();
-}
-
 EmbeddingFusion::EmbeddingFusion(const KvecConfig& config, Rng& rng)
     : kind_(config.fusion),
       embed_dim_(config.embed_dim),

@@ -27,17 +27,15 @@
 
 namespace kvec {
 
-// Running fusion state of one key-value sequence (training and offline
-// evaluation; serving keeps the same rows in raw floats, see StepRow).
+// Running fusion state of one key-value sequence on the Tensor path
+// (training); every decision keeps the same rows in raw floats, see
+// StepRow.
 struct FusionState {
   Tensor hidden;  // s_t, the representation consumed by the heads
   Tensor cell;    // mode memory: LSTM cell (kLstm) / running sum (kMean)
   int count = 0;  // items fused so far
 
   bool defined() const { return hidden.defined(); }
-
-  // Cuts the autograd graph (evaluation).
-  void DetachInPlace();
 };
 
 class EmbeddingFusion : public Module {

@@ -22,7 +22,6 @@ namespace kvec {
 struct EpisodeIndex {
   std::vector<int> keys;           // item -> key id
   std::vector<int> position_in_key;  // item -> 0-based index within S_k
-  std::vector<int> key_lengths_so_far_unused;  // reserved
 
   static EpisodeIndex Build(const TangledSequence& episode);
 };

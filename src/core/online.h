@@ -6,8 +6,10 @@
 //  * a CorrelationTracker (streaming visibility sets),
 //  * an IncrementalEncoder (O(t·d) per item instead of re-encoding), and
 //  * the frozen fusion / policy / classifier heads of a trained KvecModel.
-// Matches KvecTrainer::Evaluate's deterministic halting (Halt iff
-// π(s) > 0.5); equivalence is covered by integration tests.
+// Deterministic halting (Halt iff π(s) > 0.5). This engine is the only
+// place a trained model reaches a decision: KvecTrainer::Evaluate serves
+// each episode through it, and tests compare it against the Tensor
+// reference rollout in tests/reference_rollout.h.
 //
 // Observation is split into two stages so callers can microbatch:
 //  * EncodeBatch — correlation tracking + incremental encoding for B

@@ -5,6 +5,7 @@
 #include <memory>
 #include <numeric>
 
+#include "core/online.h"
 #include "nn/scheduler.h"
 #include "tensor/ops.h"
 #include "util/check.h"
@@ -29,15 +30,14 @@ std::unique_ptr<LrScheduler> MakeSchedule(const KvecConfig& config,
   return std::make_unique<ConstantLr>(optimizer);
 }
 
-// Per-key rollout bookkeeping shared by training and evaluation.
+// Per-key bookkeeping of one training rollout.
 struct KeyRollout {
   FusionState state;
   bool halted = false;
-  int observed = 0;              // n_k
-  int halt_stream_position = -1;  // global index of the item that halted S_k
+  int observed = 0;  // n_k
   int predicted = -1;
   Tensor logits;
-  // Training-only step records:
+  // Per-step records of the policy gradient:
   std::vector<Tensor> halt_probs;
   std::vector<int> actions;  // 1 = Halt
   std::vector<Tensor> baseline_values;
@@ -100,7 +100,6 @@ TrainEpochStats KvecTrainer::TrainEpoch(
         rollout.logits = model_->classifier().Logits(rollout.state.hidden);
         rollout.predicted = ops::ArgMaxRow(rollout.logits, 0);
         rollout.halted = true;
-        rollout.halt_stream_position = t;
       }
     }
     // Sequences that never halted are classified on their final state (the
@@ -244,97 +243,78 @@ std::vector<TrainEpochStats> KvecTrainer::TrainWithValidation(
 }
 
 EvaluationResult KvecTrainer::Evaluate(
-    const std::vector<TangledSequence>& episodes, const EvalOptions& options) {
+    const std::vector<TangledSequence>& episodes) {
   EvaluationResult result;
-  const KvecConfig& config = model_->config();
-
   for (const TangledSequence& episode : episodes) {
     if (episode.items.empty()) continue;
-    EpisodeIndex index = EpisodeIndex::Build(episode);
-    EncodeResult encode =
-        model_->encoder().Forward(episode, index, rng_, /*training=*/false);
-
-    std::map<int, KeyRollout> rollouts;
-    const int total = static_cast<int>(episode.items.size());
-    for (int t = 0; t < total; ++t) {
-      const int key = episode.items[t].key;
-      KeyRollout& rollout = rollouts[key];
-      if (rollout.halted) continue;
-      if (!rollout.state.defined()) {
-        rollout.state = model_->fusion().InitialState();
-      }
-      Tensor item_embedding = ops::SliceRow(encode.embeddings, t);
-      rollout.state = model_->fusion().Step(rollout.state, item_embedding);
-      ++rollout.observed;
-      rollout.halt_stream_position = t;
-      Tensor halt_prob =
-          model_->policy().HaltProbability(rollout.state.hidden);
-      if (halt_prob.ScalarValue() > 0.5f) {
-        rollout.logits = model_->classifier().Logits(rollout.state.hidden);
-        rollout.predicted = ops::ArgMaxRow(rollout.logits, 0);
-        rollout.halted = true;
-      }
-      // Cut the graph: evaluation needs no gradients and long sequences
-      // would otherwise retain every intermediate.
-      rollout.state.DetachInPlace();
-    }
-    for (auto& [key, rollout] : rollouts) {
-      if (rollout.observed == 0) continue;
-      if (!rollout.halted) {
-        rollout.logits = model_->classifier().Logits(rollout.state.hidden);
-        rollout.predicted = ops::ArgMaxRow(rollout.logits, 0);
-      }
-      const int length = episode.KeyLength(key);
+    OnlineClassifier engine(*model_);
+    engine.ObserveBatch(episode.items);
+    for (const auto& [key, label] : episode.labels) {
       PredictionRecord record;
-      record.true_label = episode.labels.at(key);
-      record.predicted_label = rollout.predicted;
-      record.observed_items = rollout.observed;
-      record.sequence_length = length;
-      record.confidence = MaxSoftmaxProbability(rollout.logits);
+      record.predicted_label = engine.ForceClassify(
+          key, &record.confidence, &record.observed_items);
+      if (record.observed_items == 0) continue;  // a label without items
+      record.true_label = label;
+      record.sequence_length = episode.KeyLength(key);
       result.records.push_back(record);
 
       HaltingRecord halt;
       halt.key = key;
-      halt.halt_position = rollout.observed;
-      halt.sequence_length = length;
+      halt.halt_position = record.observed_items;
+      halt.sequence_length = record.sequence_length;
       auto truth = episode.true_halt_positions.find(key);
       halt.true_halt_position =
           truth == episode.true_halt_positions.end() ? 0 : truth->second;
       result.halts.push_back(halt);
-
-      if (options.collect_attention) {
-        // Average over the attended rows of this sequence (up to its halt)
-        // and over blocks: attention mass on same-key items (internal) vs
-        // other-key items (external).
-        double internal = 0.0, external = 0.0;
-        int rows = 0;
-        for (int t = 0; t <= rollout.halt_stream_position; ++t) {
-          if (index.keys[t] != key) continue;
-          for (const Tensor& weights : encode.attention_weights) {
-            for (int j = 0; j <= t; ++j) {
-              const float w = weights.At(t, j);
-              if (w <= 0.0f) continue;
-              if (index.keys[j] == key) {
-                internal += w;
-              } else {
-                external += w;
-              }
-            }
-            ++rows;
-          }
-        }
-        if (rows > 0) {
-          AttentionPoint point;
-          point.earliness = static_cast<double>(rollout.observed) / length;
-          point.internal_score = internal / rows;
-          point.external_score = external / rows;
-          result.attention.push_back(point);
-        }
-      }
     }
   }
-  result.summary = ::kvec::Evaluate(result.records, config.spec.num_classes);
+  result.summary =
+      ::kvec::Evaluate(result.records, model_->config().spec.num_classes);
   return result;
+}
+
+std::vector<AttentionPoint> ReadAttention(
+    const KvecModel& model, const TangledSequence& episode,
+    const std::vector<HaltingRecord>& halts) {
+  std::vector<AttentionPoint> points;
+  if (episode.items.empty()) return points;
+  InferenceMode no_tape;  // weights only, no gradients
+  EpisodeIndex index = EpisodeIndex::Build(episode);
+  Rng unused_rng;  // eval-mode dropout draws nothing
+  EncodeResult encode = model.encoder().Forward(episode, index, unused_rng,
+                                                /*training=*/false);
+  const int total = static_cast<int>(episode.items.size());
+  for (const HaltingRecord& halt : halts) {
+    // Average over the attended rows of this sequence (up to its halt)
+    // and over blocks: attention mass on same-key items (internal) vs
+    // other-key items (external).
+    double internal = 0.0, external = 0.0;
+    int rows = 0, attended = 0;
+    for (int t = 0; t < total && attended < halt.halt_position; ++t) {
+      if (index.keys[t] != halt.key) continue;
+      ++attended;
+      for (const Tensor& weights : encode.attention_weights) {
+        for (int j = 0; j <= t; ++j) {
+          const float w = weights.At(t, j);
+          if (w <= 0.0f) continue;
+          if (index.keys[j] == halt.key) {
+            internal += w;
+          } else {
+            external += w;
+          }
+        }
+        ++rows;
+      }
+    }
+    KVEC_CHECK_GT(rows, 0) << "key " << halt.key << " has no items";
+    AttentionPoint point;
+    point.earliness =
+        static_cast<double>(halt.halt_position) / halt.sequence_length;
+    point.internal_score = internal / rows;
+    point.external_score = external / rows;
+    points.push_back(point);
+  }
+  return points;
 }
 
 }  // namespace kvec

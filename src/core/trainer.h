@@ -12,9 +12,11 @@
 // observed cumulative rewards by MSE.
 //
 // Evaluation: deterministic halting (Halt iff π(s) > 0.5, forced at the end
-// of a sequence); produces PredictionRecords plus optional instrumentation
-// (internal/external attention scores for Fig. 10, halting positions for
-// Fig. 11).
+// of a sequence), decided by the streaming engine (core/online.h) — the
+// same row kernels `kvec serve` runs — so every evaluated verdict is the
+// verdict a served episode gets. Produces PredictionRecords plus the
+// halting positions of Fig. 11; ReadAttention instruments the internal/
+// external attention scores of Fig. 10 without taking part in a decision.
 //
 // Threading and determinism: a trainer drives its model single-threaded —
 // one trainer per model, no concurrent Train/Evaluate on the same
@@ -23,7 +25,8 @@
 // a given config.seed the trained parameters and every evaluation are
 // bit-identical regardless of KVEC_NUM_THREADS. Training cost is
 // O(epochs · Σ_episodes T² · d) (full-episode encoder passes); Evaluate
-// is one forward pass per episode.
+// streams each episode through a fresh OnlineClassifier, O(T · t_visible
+// · d) per episode, and uses no trainer randomness.
 #pragma once
 
 #include <vector>
@@ -43,10 +46,6 @@ struct TrainEpochStats {
   double train_accuracy = 0.0;
   double train_earliness = 0.0;
   int episodes = 0;
-};
-
-struct EvalOptions {
-  bool collect_attention = false;
 };
 
 // Internal vs external attention mass of one halted sequence (Fig. 10):
@@ -69,7 +68,6 @@ struct HaltingRecord {
 struct EvaluationResult {
   std::vector<PredictionRecord> records;
   EvaluationSummary summary;
-  std::vector<AttentionPoint> attention;
   std::vector<HaltingRecord> halts;
 };
 
@@ -94,8 +92,10 @@ class KvecTrainer {
       const std::vector<TangledSequence>& validation_episodes,
       int* best_epoch = nullptr);
 
-  EvaluationResult Evaluate(const std::vector<TangledSequence>& episodes,
-                            const EvalOptions& options = {});
+  // Serves each non-empty episode alone through a fresh OnlineClassifier
+  // and force-classifies the keys still open at its end. Records and
+  // halts are per episode, in ascending key order.
+  EvaluationResult Evaluate(const std::vector<TangledSequence>& episodes);
 
  private:
   KvecModel* model_;
@@ -103,6 +103,15 @@ class KvecTrainer {
   Adam baseline_optimizer_;
   Rng rng_;
 };
+
+// Fig. 10 instrumentation: one AttentionPoint per entry of `halts` (the
+// HaltingRecords Evaluate returned for `episode`, one per key), averaging
+// every block's attention rows of that key's items up to its halt. Runs
+// the Tensor encoder only to read the attention weights; no decision
+// depends on it.
+std::vector<AttentionPoint> ReadAttention(
+    const KvecModel& model, const TangledSequence& episode,
+    const std::vector<HaltingRecord>& halts);
 
 }  // namespace kvec
 

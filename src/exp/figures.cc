@@ -324,9 +324,6 @@ void Fig10(ExperimentScale scale, const SweepCache&, std::ostream& out) {
   KvecModel model(KvecConfigFor(dataset, MethodRunOptions::ForScale(scale)));
   KvecTrainer trainer(&model);
   trainer.Train(dataset.train);
-  EvalOptions eval_options;
-  eval_options.collect_attention = true;
-  EvaluationResult result = trainer.Evaluate(dataset.test, eval_options);
 
   const std::vector<double> edges = {0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.01};
   struct Bucket {
@@ -334,18 +331,23 @@ void Fig10(ExperimentScale scale, const SweepCache&, std::ostream& out) {
     int count = 0, correct = 0;
   };
   std::vector<Bucket> buckets(edges.size());
-  for (size_t i = 0; i < result.attention.size(); ++i) {
-    const AttentionPoint& point = result.attention[i];
-    size_t bucket = 0;
-    while (bucket + 1 < edges.size() && point.earliness > edges[bucket]) {
-      ++bucket;
-    }
-    buckets[bucket].internal += point.internal_score;
-    buckets[bucket].external += point.external_score;
-    buckets[bucket].count += 1;
-    const PredictionRecord& record = result.records[i];
-    if (record.true_label == record.predicted_label) {
-      buckets[bucket].correct += 1;
+  for (const TangledSequence& episode : dataset.test) {
+    const EvaluationResult result = trainer.Evaluate({episode});
+    const std::vector<AttentionPoint> points =
+        ReadAttention(model, episode, result.halts);
+    for (size_t i = 0; i < points.size(); ++i) {
+      const AttentionPoint& point = points[i];
+      size_t bucket = 0;
+      while (bucket + 1 < edges.size() && point.earliness > edges[bucket]) {
+        ++bucket;
+      }
+      buckets[bucket].internal += point.internal_score;
+      buckets[bucket].external += point.external_score;
+      buckets[bucket].count += 1;
+      const PredictionRecord& record = result.records[i];
+      if (record.true_label == record.predicted_label) {
+        buckets[bucket].correct += 1;
+      }
     }
   }
 

@@ -89,17 +89,6 @@ TEST(EmbeddingFusionTest, LastKeepsOnlyNewestItem) {
   EXPECT_FLOAT_EQ(state.hidden.At(0, 3), 10.0f);
 }
 
-TEST(EmbeddingFusionTest, DetachInPlaceCutsGraph) {
-  Rng rng(6);
-  EmbeddingFusion fusion(FusionConfig(KvecConfig::FusionKind::kLstm), rng);
-  FusionState state = fusion.InitialState();
-  Tensor input = Row({1, 2, 3, 4});
-  state = fusion.Step(state, input);
-  state.DetachInPlace();
-  EXPECT_FALSE(state.hidden.requires_grad());
-  EXPECT_TRUE(state.hidden.impl()->parents.empty());
-}
-
 TEST(EmbeddingFusionTest, GradientsFlowThroughLstmMode) {
   Rng rng(7);
   EmbeddingFusion fusion(FusionConfig(KvecConfig::FusionKind::kLstm), rng);

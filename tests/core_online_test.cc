@@ -1,5 +1,7 @@
 #include "core/online.h"
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -8,6 +10,7 @@
 #include "data/generator.h"
 #include "data/traffic_generator.h"
 #include "gtest/gtest.h"
+#include "reference_rollout.h"
 
 namespace kvec {
 namespace {
@@ -35,49 +38,60 @@ KvecConfig SmallModelConfig(const DatasetSpec& spec) {
 }
 
 TEST(OnlineClassifierTest, MatchesBatchEvaluation) {
-  // The streaming engine must reproduce KvecTrainer::Evaluate exactly:
-  // same halting positions, same predictions.
+  // The streaming engine must reproduce the Tensor reference rollout
+  // (tests/reference_rollout.h): same halting position, same prediction
+  // and the same confidence for every key. The second pass pins π(s) at
+  // exactly 0.5 (zero policy weight and bias): Halt iff π(s) > 0.5 is
+  // strict, so every key runs to its last item.
   Dataset dataset = SmallDataset();
   KvecConfig config = SmallModelConfig(dataset.spec);
   KvecModel model(config);
   KvecTrainer trainer(&model);
   trainer.Train(dataset.train);
 
-  for (const TangledSequence& episode : dataset.test) {
-    EvaluationResult batch = trainer.Evaluate({episode});
-    OnlineClassifier online(model);
-    std::map<int, int> online_halt, online_pred;
-    for (const Item& item : episode.items) {
-      OnlineDecision decision = online.Observe(item);
-      if (decision.halted_now) {
-        online_halt[item.key] = decision.observed_items;
-        online_pred[item.key] = decision.predicted_label;
+  for (bool pinned_policy : {false, true}) {
+    SCOPED_TRACE(pinned_policy ? "policy pinned at 0.5" : "trained policy");
+    if (pinned_policy) {
+      // MainParameters ends with the policy's weight and bias, then the
+      // classifier's weight and bias.
+      std::vector<Tensor> params = model.MainParameters();
+      for (size_t i = params.size() - 4; i < params.size() - 2; ++i) {
+        std::fill(params[i].data().begin(), params[i].data().end(), 0.0f);
       }
     }
-    for (const auto& [key, label] : episode.labels) {
-      if (!online.IsHalted(key)) {
-        online_pred[key] = online.ForceClassify(key);
-        online_halt[key] = episode.KeyLength(key);
-      }
-    }
-    for (const HaltingRecord& halt : batch.halts) {
-      EXPECT_EQ(online_halt[halt.key], halt.halt_position)
-          << "halt mismatch for key " << halt.key;
-    }
-    for (const PredictionRecord& record : batch.records) {
-      // Keys are iterated in the same (map) order in both paths.
-      (void)record;
-    }
-    for (const auto& [key, predicted] : online_pred) {
-      bool found = false;
-      for (size_t i = 0; i < batch.halts.size(); ++i) {
-        if (batch.halts[i].key == key) {
-          EXPECT_EQ(predicted, batch.records[i].predicted_label)
-              << "prediction mismatch for key " << key;
-          found = true;
+    for (const TangledSequence& episode : dataset.test) {
+      const std::map<int, reference::Verdict> expected =
+          reference::Rollout(model, episode);
+      OnlineClassifier online(model);
+      std::map<int, int> online_halt, online_pred;
+      std::map<int, double> online_confidence;
+      for (const Item& item : episode.items) {
+        OnlineDecision decision = online.Observe(item);
+        if (decision.halted_now) {
+          online_halt[item.key] = decision.observed_items;
+          online_pred[item.key] = decision.predicted_label;
+          online_confidence[item.key] = decision.confidence;
         }
       }
-      EXPECT_TRUE(found);
+      for (const auto& [key, label] : episode.labels) {
+        if (!online.IsHalted(key)) {
+          online_pred[key] =
+              online.ForceClassify(key, &online_confidence[key]);
+          online_halt[key] = episode.KeyLength(key);
+        }
+      }
+      ASSERT_EQ(online_pred.size(), expected.size());
+      for (const auto& [key, verdict] : expected) {
+        if (pinned_policy) {
+          EXPECT_EQ(verdict.observed_items, episode.KeyLength(key));
+        }
+        EXPECT_EQ(online_halt[key], verdict.observed_items)
+            << "halt mismatch for key " << key;
+        EXPECT_EQ(online_pred[key], verdict.predicted_label)
+            << "prediction mismatch for key " << key;
+        EXPECT_NEAR(online_confidence[key], verdict.confidence, 1e-5)
+            << "confidence mismatch for key " << key;
+      }
     }
   }
 }

@@ -110,15 +110,20 @@ TEST(KvecTrainerTest, AttentionInstrumentationSumsToOne) {
   KvecModel model(config);
   KvecTrainer trainer(&model);
   trainer.TrainEpoch(dataset.train);
-  EvalOptions options;
-  options.collect_attention = true;
-  EvaluationResult result = trainer.Evaluate(dataset.test, options);
-  ASSERT_FALSE(result.attention.empty());
-  for (const AttentionPoint& point : result.attention) {
-    EXPECT_NEAR(point.internal_score + point.external_score, 1.0, 1e-3);
-    EXPECT_GE(point.earliness, 0.0);
-    EXPECT_LE(point.earliness, 1.0);
+  size_t points_read = 0;
+  for (const TangledSequence& episode : dataset.test) {
+    const EvaluationResult result = trainer.Evaluate({episode});
+    const std::vector<AttentionPoint> points =
+        ReadAttention(model, episode, result.halts);
+    EXPECT_EQ(points.size(), result.halts.size());  // one per key
+    points_read += points.size();
+    for (const AttentionPoint& point : points) {
+      EXPECT_NEAR(point.internal_score + point.external_score, 1.0, 1e-3);
+      EXPECT_GE(point.earliness, 0.0);
+      EXPECT_LE(point.earliness, 1.0);
+    }
   }
+  EXPECT_GT(points_read, 0u);
 }
 
 TEST(KvecTrainerTest, AblatedValueCorrelationHasNoExternalAttention) {
@@ -129,11 +134,12 @@ TEST(KvecTrainerTest, AblatedValueCorrelationHasNoExternalAttention) {
   KvecModel model(config);
   KvecTrainer trainer(&model);
   trainer.TrainEpoch(dataset.train);
-  EvalOptions options;
-  options.collect_attention = true;
-  EvaluationResult result = trainer.Evaluate(dataset.test, options);
-  for (const AttentionPoint& point : result.attention) {
-    EXPECT_NEAR(point.external_score, 0.0, 1e-6);
+  for (const TangledSequence& episode : dataset.test) {
+    const EvaluationResult result = trainer.Evaluate({episode});
+    for (const AttentionPoint& point :
+         ReadAttention(model, episode, result.halts)) {
+      EXPECT_NEAR(point.external_score, 0.0, 1e-6);
+    }
   }
 }
 

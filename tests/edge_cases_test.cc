@@ -96,12 +96,11 @@ TEST(EdgeCaseTest, SingleKeyEpisodeHasNoExternalAttention) {
     item.time = i;
     episode.items.push_back(item);
   }
-  EvalOptions options;
-  options.collect_attention = true;
-  EvaluationResult result = trainer.Evaluate({episode}, options);
-  for (const AttentionPoint& point : result.attention) {
-    EXPECT_NEAR(point.external_score, 0.0, 1e-6);
-  }
+  EvaluationResult result = trainer.Evaluate({episode});
+  const std::vector<AttentionPoint> points =
+      ReadAttention(model, episode, result.halts);
+  ASSERT_EQ(points.size(), 1u);
+  EXPECT_NEAR(points[0].external_score, 0.0, 1e-6);
 }
 
 TEST(EdgeCaseTest, WindowOneStillBuildsValidMask) {

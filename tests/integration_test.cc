@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/online.h"
 #include "core/stream_server.h"
@@ -12,6 +14,7 @@
 #include "data/stats.h"
 #include "exp/method.h"
 #include "gtest/gtest.h"
+#include "reference_rollout.h"
 
 namespace kvec {
 namespace {
@@ -121,7 +124,9 @@ TEST(IntegrationTest, TrueHaltSignalIsLearnableEarly) {
 TEST(IntegrationTest, FullLifecycleTrainCheckpointServeConsistently) {
   // The whole production path: train -> checkpoint -> reload in a fresh
   // process stand-in -> offline evaluation, plain streaming engine, and
-  // bounded StreamServer must agree on the same stream.
+  // bounded StreamServer must agree with the Tensor reference rollout
+  // (tests/reference_rollout.h) on every test stream, served alone: per
+  // key, the same label from the same number of observed items.
   Dataset dataset =
       MakePresetDataset(PresetId::kTrafficFg, ExperimentScale::kTiny, 81);
   KvecConfig config = KvecConfig::ForSpec(dataset.spec);
@@ -144,45 +149,64 @@ TEST(IntegrationTest, FullLifecycleTrainCheckpointServeConsistently) {
   KvecModel model(config);
   ASSERT_TRUE(model.LoadFromFile(path));
   KvecTrainer evaluator(&model);
-  const TangledSequence& stream = dataset.test.front();
-  EvaluationResult offline = evaluator.Evaluate({stream});
 
-  // Plain streaming engine.
-  OnlineClassifier engine(model);
-  std::map<int, int> online_verdicts;
-  for (const Item& item : stream.items) {
-    OnlineDecision decision = engine.Observe(item);
-    if (decision.halted_now) {
-      online_verdicts[decision.key] = decision.predicted_label;
+  // Per key: (predicted label, observed items at the verdict).
+  using Verdicts = std::map<int, std::pair<int, int>>;
+  for (const TangledSequence& stream : dataset.test) {
+    Verdicts reference_verdicts;
+    for (const auto& [key, verdict] :
+         reference::Rollout(model, stream)) {
+      reference_verdicts[key] = {verdict.predicted_label,
+                                 verdict.observed_items};
     }
-  }
-  for (const auto& [key, label] : stream.labels) {
-    if (!online_verdicts.count(key)) {
-      online_verdicts[key] = engine.ForceClassify(key);
-    }
-  }
 
-  // Bounded server with bounds large enough to never trigger.
-  StreamServer server(model, {});
-  std::map<int, int> server_verdicts;
-  for (const Item& item : stream.items) {
-    for (const StreamEvent& event : server.Observe(item)) {
-      server_verdicts[event.key] = event.predicted_label;
+    // Offline evaluation.
+    const EvaluationResult offline = evaluator.Evaluate({stream});
+    Verdicts offline_verdicts;
+    for (size_t i = 0; i < offline.records.size(); ++i) {
+      offline_verdicts[offline.halts[i].key] = {
+          offline.records[i].predicted_label, offline.halts[i].halt_position};
     }
-  }
-  for (const StreamEvent& event : server.Flush()) {
-    server_verdicts[event.key] = event.predicted_label;
-  }
 
-  ASSERT_EQ(offline.records.size(), online_verdicts.size());
-  ASSERT_EQ(online_verdicts, server_verdicts);
-  // Offline evaluation and streaming inference agree per key.
-  std::map<int, int> offline_verdicts;
-  for (size_t i = 0; i < offline.records.size(); ++i) {
-    offline_verdicts[offline.halts[i].key] =
-        offline.records[i].predicted_label;
+    // Plain streaming engine.
+    OnlineClassifier engine(model);
+    Verdicts online_verdicts;
+    for (const Item& item : stream.items) {
+      OnlineDecision decision = engine.Observe(item);
+      if (decision.halted_now) {
+        online_verdicts[decision.key] = {decision.predicted_label,
+                                         decision.observed_items};
+      }
+    }
+    for (const auto& [key, label] : stream.labels) {
+      if (!online_verdicts.count(key)) {
+        int observed = 0;
+        const int predicted = engine.ForceClassify(key, nullptr, &observed);
+        online_verdicts[key] = {predicted, observed};
+      }
+    }
+
+    // Bounded server with bounds large enough to never trigger.
+    StreamServer server(model, {});
+    Verdicts server_verdicts;
+    auto record = [&](const std::vector<StreamEvent>& events) {
+      for (const StreamEvent& event : events) {
+        server_verdicts[event.key] = {event.predicted_label,
+                                      event.observed_items};
+      }
+    };
+    for (const Item& item : stream.items) record(server.Observe(item));
+    record(server.Flush());
+    const StreamServerStats& stats = server.stats();
+    EXPECT_EQ(stats.idle_timeouts + stats.capacity_evictions +
+                  stats.rotation_classifications,
+              0);
+
+    ASSERT_EQ(reference_verdicts.size(), stream.labels.size());
+    EXPECT_EQ(offline_verdicts, reference_verdicts);
+    EXPECT_EQ(online_verdicts, reference_verdicts);
+    EXPECT_EQ(server_verdicts, reference_verdicts);
   }
-  EXPECT_EQ(offline_verdicts, online_verdicts);
 }
 
 TEST(IntegrationTest, DatasetStatsShapedLikeTableOne) {

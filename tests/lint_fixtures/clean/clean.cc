@@ -4,6 +4,7 @@
 
 #include "util/check.h"
 #include "util/fault_injection.h"
+#include "util/flat_int_map.h"
 #include "util/thread_annotations.h"
 
 // A reasoned thread-safety escape is accepted.
@@ -20,4 +21,10 @@ int FixtureCleanUse() {
   // kvec-lint: allow-next(naked-new) exercising the suppression syntax
   delete p;
   return value + FixtureClean();
+}
+
+// An integer literal passed to Find on a container other than the
+// checkpoint is not a section id.
+bool FixtureTableHasTwo(const kvec::FlatIntMap<int>& table) {
+  return table.Find(2) != nullptr;
 }

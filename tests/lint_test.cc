@@ -121,6 +121,9 @@ TEST(LintTest, ViolationFixturesPinpointTheRightLines) {
       << run.output;
   EXPECT_NE(run.output.find("env_knob.cc:6: [env-knob]"), std::string::npos)
       << run.output;
+  EXPECT_NE(run.output.find("section_id.cc:23: [section-id]"),
+            std::string::npos)
+      << run.output;
 }
 
 TEST(LintTest, RealTreeIsClean) {

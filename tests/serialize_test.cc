@@ -225,11 +225,8 @@ TEST(CheckpointContainerTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.sections[0].payload, "alpha");
   EXPECT_EQ(decoded.sections[1].id, 7);
   EXPECT_EQ(decoded.sections[1].payload, std::string("\x00\x01\x02", 3));
-  // kvec-lint: allow-next(section-id) framing test looks up arbitrary ids
   ASSERT_NE(decoded.Find(7), nullptr);
-  // kvec-lint: allow-next(section-id) framing test looks up arbitrary ids
   EXPECT_EQ(decoded.Find(7)->payload.size(), 3u);
-  // kvec-lint: allow-next(section-id) framing test looks up arbitrary ids
   EXPECT_EQ(decoded.Find(99), nullptr);
 }
 
