@@ -19,7 +19,6 @@ template <typename Callback>
 void StreamRepresentations(const BaselineModel& model,
                            const TangledSequence& episode,
                            const EpisodeIndex& index, Rng& rng, bool training,
-                           const std::map<int, bool>& skip_key,
                            Callback&& on_step) {
   const int total = static_cast<int>(episode.items.size());
   std::map<int, int> remaining;
@@ -33,8 +32,6 @@ void StreamRepresentations(const BaselineModel& model,
       const int key = episode.items[t].key;
       int& left = remaining[key];
       --left;
-      auto it = skip_key.find(key);
-      if (it != skip_key.end() && it->second) continue;
       on_step(key, ops::SliceRow(encode.embeddings, t), left == 0);
     }
   } else {
@@ -44,8 +41,6 @@ void StreamRepresentations(const BaselineModel& model,
       const int key = episode.items[t].key;
       int& left = remaining[key];
       --left;
-      auto it = skip_key.find(key);
-      if (it != skip_key.end() && it->second) continue;
       LstmState& state = states[key];
       if (!state.defined()) state = model.fusion()->InitialState();
       state = model.fusion()->Step(state, ops::SliceRow(inputs, t));
@@ -91,9 +86,8 @@ TrainEpochStats BaselineTrainer::TrainEpoch(
     EpisodeIndex index = EpisodeIndex::Build(episode);
 
     std::map<int, KeyTrace> traces;
-    std::map<int, bool> no_skips;
     StreamRepresentations(
-        *model_, episode, index, rng_, /*training=*/true, no_skips,
+        *model_, episode, index, rng_, /*training=*/true,
         [&](int key, Tensor representation, bool is_last) {
           KeyTrace& trace = traces[key];
           if (trace.halted) return;
@@ -160,10 +154,10 @@ TrainEpochStats BaselineTrainer::TrainEpoch(
         }
         Tensor prefix_loss =
             ops::CrossEntropy(ops::StackRows(rows), prefix_labels);
+        // Summed below: confidence halting keeps one loss per key here,
+        // not a logits row.
         logits_rows.push_back(ops::Affine(
             prefix_loss, 1.0f / static_cast<float>(rows.size()), 0.0f));
-        // Re-used below through the AddN over logits_rows.
-        labels.push_back(-1);  // sentinel: loss already computed
         continue;
       }
       logits_rows.push_back(trace.logits);
@@ -194,13 +188,7 @@ TrainEpochStats BaselineTrainer::TrainEpoch(
     if (config.halting == HaltingKind::kConfidence) {
       l1 = ops::AddN(logits_rows);  // already per-sequence mean losses
     } else {
-      std::vector<Tensor> rows;
-      std::vector<int> row_labels;
-      for (size_t i = 0; i < logits_rows.size(); ++i) {
-        rows.push_back(logits_rows[i]);
-        row_labels.push_back(labels[i]);
-      }
-      l1 = ops::CrossEntropy(ops::StackRows(rows), row_labels);
+      l1 = ops::CrossEntropy(ops::StackRows(logits_rows), labels);
     }
 
     Tensor total_loss = l1;
@@ -264,9 +252,8 @@ EvaluationResult BaselineTrainer::Evaluate(
     if (episode.items.empty()) continue;
     EpisodeIndex index = EpisodeIndex::Build(episode);
     std::map<int, KeyTrace> traces;
-    std::map<int, bool> no_skips;
     StreamRepresentations(
-        *model_, episode, index, rng_, /*training=*/false, no_skips,
+        *model_, episode, index, rng_, /*training=*/false,
         [&](int key, Tensor representation, bool is_last) {
           KeyTrace& trace = traces[key];
           if (trace.halted) return;

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/input_embedding.h"
 #include "data/io.h"
 
 namespace kvec {
@@ -124,7 +125,8 @@ bool SpecSane(const DatasetSpec& spec) {
 
 // Items and labels must stay inside the spec's ranges: the embedding
 // lookups and the loss/metrics KVEC_CHECK (abort) on out-of-range token
-// ids and class labels, and `kvec serve`'s episode interleaving relies on
+// ids (ItemFitsEmbedding, which the TCP front end runs too) and class
+// labels, and `kvec serve`'s episode interleaving relies on
 // keys < max_keys_per_episode for globally unique key offsets — so the
 // loader rejects such data up front and keeps the fail-closed contract.
 bool EpisodesMatchSpec(const std::vector<TangledSequence>& episodes,
@@ -143,19 +145,16 @@ bool EpisodesMatchSpec(const std::vector<TangledSequence>& episodes,
       }
     }
     for (const Item& item : episode.items) {
-      if (item.key < 0 || item.key >= spec.max_keys_per_episode ||
-          static_cast<int>(item.value.size()) != spec.num_value_fields()) {
-        *error = std::string(file) + ": item key/value arity does not match "
-                                     "the spec";
+      if (item.key < 0 || item.key >= spec.max_keys_per_episode) {
+        *error = std::string(file) +
+                 ": item key out of the spec's max_keys_per_episode range";
         return false;
       }
-      for (size_t field = 0; field < item.value.size(); ++field) {
-        if (item.value[field] < 0 ||
-            item.value[field] >= spec.value_fields[field].vocab_size) {
-          *error = std::string(file) + ": value token out of the spec's '" +
-                   spec.value_fields[field].name + "' vocabulary";
-          return false;
-        }
+      if (!ItemFitsEmbedding(item, spec, /*membership_embedding=*/false)) {
+        *error = std::string(file) + ": item values do not match the spec: "
+                                     "wrong arity or a token out of its "
+                                     "field's vocabulary";
+        return false;
       }
     }
   }

@@ -13,7 +13,6 @@
 #include <map>
 #include <sstream>
 #include <thread>
-#include <type_traits>
 
 #include "cli/args.h"
 #include "cli/model_io.h"
@@ -727,8 +726,7 @@ struct ServeOutcome {
   StreamServerStats stats;
   int open_keys_after = 0;
   bool interrupted = false;
-  // One view per shard (a plain StreamServer is its own single shard) for
-  // the SIGINT report.
+  // One view per shard, for the SIGINT report.
   std::vector<StreamServerStats> per_shard;
   // --listen only: the bound HOST:PORT and the TCP front end's counters.
   std::string listen;
@@ -775,9 +773,8 @@ using ReplayTick = std::function<bool(int64_t fed, std::string* error)>;
 // fire-and-forget Submit, whose events reach the recorder through the
 // on_events sink. Shared by serve and bench so the two subcommands cannot
 // drift apart in semantics. Polls the SIGINT flag at batch boundaries.
-template <typename Server>
-Feed ReplayFeed(Server* server, EventRecorder* recorder, bool submit,
-                const std::vector<Item>& stream, int batch,
+Feed ReplayFeed(ShardedStreamServer* server, EventRecorder* recorder,
+                bool submit, const std::vector<Item>& stream, int batch,
                 const ReplayTick& tick) {
   return [=, &stream](std::string* error) {
     const size_t step = static_cast<size_t>(batch);
@@ -787,12 +784,8 @@ Feed ReplayFeed(Server* server, EventRecorder* recorder, bool submit,
       (void)KVEC_FAULT_POINT("serve.batch");
       const size_t end = std::min(stream.size(), begin + step);
       std::vector<Item> items(stream.begin() + begin, stream.begin() + end);
-      if constexpr (std::is_same_v<Server, ShardedStreamServer>) {
-        if (submit) {
-          server->Submit(items);
-        } else {
-          recorder->Record(server->ObserveBatch(items));
-        }
+      if (submit) {
+        server->Submit(items);
       } else {
         recorder->Record(server->ObserveBatch(items));
       }
@@ -837,9 +830,10 @@ Feed ListenFeed(ShardedStreamServer* server,
   };
 }
 
-// The serving-state files of one run. With --checkpoint-every, `chain` is
-// the delta chain's state (sharded servers only); otherwise it is null and
-// both files are plain snapshots.
+// The serving-state files of one run. `load` names a chain: a full base
+// plus any consecutive deltas (a lone full checkpoint is a chain of length
+// zero). With --checkpoint-every, `chain` is the state of the delta chain
+// written at `save`; otherwise it is null and `save` gets a full snapshot.
 struct CheckpointPlan {
   std::string load;
   std::string save;
@@ -852,25 +846,15 @@ struct CheckpointPlan {
 // counts *processed* items (offered minus shed), from the items_processed
 // delta so a --load-checkpoint baseline is excluded. False with *error
 // set when the run must fail.
-template <typename Server>
-bool ServeOnce(Server& server, const CheckpointPlan& plan, const Feed& feed,
-               bool flush, EventRecorder* recorder, ServeOutcome* outcome,
-               std::string* error) {
-  constexpr bool kSharded = std::is_same_v<Server, ShardedStreamServer>;
+bool ServeOnce(ShardedStreamServer& server, const CheckpointPlan& plan,
+               const Feed& feed, bool flush, EventRecorder* recorder,
+               ServeOutcome* outcome, std::string* error) {
   if (!plan.load.empty()) {
-    bool loaded = false;
-    if constexpr (kSharded) {
-      // The load path of a delta chain is its head; loading the path we
-      // save to resumes the chain in place instead of rebasing.
-      loaded = plan.chain != nullptr
-                   ? server.RestoreFromCheckpointChain(
-                         plan.load,
-                         plan.load == plan.save ? plan.chain : nullptr)
-                   : server.LoadCheckpoint(plan.load);
-    } else {
-      loaded = server.LoadCheckpoint(plan.load);
-    }
-    if (!loaded) {
+    // Loading the path a chain is written to resumes that chain in place
+    // instead of rebasing.
+    const bool resume = plan.chain != nullptr && plan.load == plan.save;
+    if (!server.RestoreFromCheckpointChain(plan.load,
+                                           resume ? plan.chain : nullptr)) {
       *error = "cannot restore checkpoint '" + plan.load + "'";
       return false;
     }
@@ -881,7 +865,7 @@ bool ServeOnce(Server& server, const CheckpointPlan& plan, const Feed& feed,
   if (end == FeedEnd::kFailed) return false;
   // Submitted batches may still sit in the shard queues; the clock stops
   // only once they are served.
-  if constexpr (kSharded) server.Drain();
+  server.Drain();
   outcome->interrupted = g_serve_interrupted.load();
   if (flush && end == FeedEnd::kEnded) {
     const std::vector<StreamEvent> events = server.Flush();
@@ -899,25 +883,17 @@ bool ServeOnce(Server& server, const CheckpointPlan& plan, const Feed& feed,
     outcome->correct = recorder->correct;
     outcome->labelled = recorder->labelled;
   }
-  if constexpr (kSharded) {
-    for (int s = 0; s < server.num_shards(); ++s) {
-      outcome->per_shard.push_back(server.shard_stats(s));
-    }
-  } else {
-    outcome->per_shard = {outcome->stats};
+  for (int s = 0; s < server.num_shards(); ++s) {
+    outcome->per_shard.push_back(server.shard_stats(s));
   }
   if (plan.save.empty()) return true;
   // A final incremental write puts the flush results on the chain; a plain
   // save would orphan the chain's fingerprints.
-  bool saved = false;
-  if constexpr (kSharded) {
-    saved = plan.chain != nullptr
-                ? server.CheckpointIncremental(plan.save, plan.rebase_every,
-                                               plan.chain)
-                : server.SaveCheckpoint(plan.save);
-  } else {
-    saved = server.SaveCheckpoint(plan.save);
-  }
+  const bool saved =
+      plan.chain != nullptr
+          ? server.CheckpointIncremental(plan.save, plan.rebase_every,
+                                         plan.chain)
+          : server.SaveCheckpoint(plan.save);
   if (!saved) *error = "cannot write checkpoint '" + plan.save + "'";
   return saved;
 }
@@ -952,7 +928,8 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
   std::string* split = parser.AddString(
       "split", "test", "which split to replay: train|validation|test");
   int64_t* shards = parser.AddInt(
-      "shards", 1, "serve through a ShardedStreamServer with N shards",
+      "shards", 1, "key-hash shards of the serving state (the shard count "
+      "of a checkpoint must match it)",
       IntAtLeast(1));
   int64_t* workers = parser.AddInt(
       "workers", 0,
@@ -1152,8 +1129,6 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
   sharded_config.shard.compaction_fragmentation_threshold =
       *compaction_threshold;
   sharded_config.shard.compaction_min_bytes = *compaction_min_bytes;
-  const bool sharded =
-      *shards > 1 || *workers > 0 || ckpt_every > 0 || listening;
   const int batch_size = static_cast<int>(*batch);
 
   const int runs = bench ? static_cast<int>(*repeat) : 1;
@@ -1166,46 +1141,38 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
     EventRecorder recorder;
     recorder.truth = &truth;
     CheckpointPlan plan{*load_checkpoint, *save_checkpoint, ckpt_rebase};
-    bool ok = false;
-    if (sharded) {
-      ShardedStreamServerConfig config = sharded_config;
-      if (*workers > 0) {
-        config.on_events = [&recorder](int /*shard*/,
-                                       const std::vector<StreamEvent>& events) {
-          recorder.Record(events);
-        };
-      }
-      ShardedStreamServer server(*model, config);
-      ShardedStreamServer::IncrementalCheckpointState chain;
-      ReplayTick tick;
-      if (ckpt_every > 0) {
-        plan.chain = &chain;
-        tick = [&server, &plan, ckpt_every, next = ckpt_every](
-                   int64_t fed, std::string* tick_error) mutable {
-          if (fed < next) return true;
-          while (next <= fed) next += ckpt_every;
-          if (server.CheckpointIncremental(plan.save, plan.rebase_every,
-                                           plan.chain)) {
-            return true;
-          }
-          *tick_error = "cannot write incremental checkpoint chain at '" +
-                        plan.save + "'";
-          return false;
-        };
-      }
-      const Feed feed =
-          listening ? ListenFeed(&server, net_config, *port_file, err, &outcome)
-                    : ReplayFeed(&server, &recorder, *workers > 0, stream,
-                                 batch_size, tick);
-      ok = ServeOnce(server, plan, feed, *flush, &recorder, &outcome, &error);
-    } else {
-      StreamServer server(*model, sharded_config.shard);
-      ok = ServeOnce(server, plan,
-                     ReplayFeed(&server, &recorder, /*submit=*/false, stream,
-                                batch_size, nullptr),
-                     *flush, &recorder, &outcome, &error);
+    ShardedStreamServerConfig config = sharded_config;
+    if (*workers > 0) {
+      config.on_events = [&recorder](int /*shard*/,
+                                     const std::vector<StreamEvent>& events) {
+        recorder.Record(events);
+      };
     }
-    if (!ok) return RuntimeError(error, err);
+    ShardedStreamServer server(*model, config);
+    ShardedStreamServer::IncrementalCheckpointState chain;
+    ReplayTick tick;
+    if (ckpt_every > 0) {
+      plan.chain = &chain;
+      tick = [&server, &plan, ckpt_every, next = ckpt_every](
+                 int64_t fed, std::string* tick_error) mutable {
+        if (fed < next) return true;
+        while (next <= fed) next += ckpt_every;
+        if (server.CheckpointIncremental(plan.save, plan.rebase_every,
+                                         plan.chain)) {
+          return true;
+        }
+        *tick_error = "cannot write incremental checkpoint chain at '" +
+                      plan.save + "'";
+        return false;
+      };
+    }
+    const Feed feed =
+        listening ? ListenFeed(&server, net_config, *port_file, err, &outcome)
+                  : ReplayFeed(&server, &recorder, *workers > 0, stream,
+                               batch_size, tick);
+    if (!ServeOnce(server, plan, feed, *flush, &recorder, &outcome, &error)) {
+      return RuntimeError(error, err);
+    }
     const bool interrupted = outcome.interrupted;
     outcomes.push_back(std::move(outcome));
     if (interrupted) break;

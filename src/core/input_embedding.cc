@@ -20,6 +20,19 @@ EpisodeIndex EpisodeIndex::Build(const TangledSequence& episode) {
   return index;
 }
 
+bool ItemFitsEmbedding(const Item& item, const DatasetSpec& spec,
+                       bool membership_embedding) {
+  if (item.value.size() != spec.value_fields.size()) return false;
+  for (size_t field = 0; field < item.value.size(); ++field) {
+    if (item.value[field] < 0 ||
+        item.value[field] >= spec.value_fields[field].vocab_size) {
+      return false;
+    }
+  }
+  return !membership_embedding ||
+         std::min(item.key, spec.max_keys_per_episode - 1) >= 0;
+}
+
 InputEmbedding::InputEmbedding(const KvecConfig& config, Rng& rng)
     : config_(config),
       membership_embedding_(config.spec.max_keys_per_episode,

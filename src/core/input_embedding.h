@@ -26,6 +26,15 @@ struct EpisodeIndex {
   static EpisodeIndex Build(const TangledSequence& episode);
 };
 
+// True when AccumulateItemRow can embed `item` for a model over `spec`:
+// one value per field, every token inside its field's vocabulary and,
+// while the membership embedding is on, a key that clamps to a membership
+// row (key >= 0). These are exactly the conditions the lookups abort on,
+// so input from outside the process (TCP clients, hand-written CSV data)
+// is checked with this before it reaches a model.
+bool ItemFitsEmbedding(const Item& item, const DatasetSpec& spec,
+                       bool membership_embedding);
+
 class InputEmbedding : public Module {
  public:
   InputEmbedding(const KvecConfig& config, Rng& rng);

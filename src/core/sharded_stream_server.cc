@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <utility>
 
 #include "util/check.h"
@@ -385,6 +386,14 @@ std::vector<CheckpointSectionView> WriterSections(
   return sections;
 }
 
+// Unlinks chain links `newest` .. 1 of `base_path`: newest first, so a
+// crash part-way leaves the base plus a consecutive delta prefix.
+void RemoveDeltasNewestFirst(const std::string& base_path, int64_t newest) {
+  for (int64_t seq = newest; seq >= 1; --seq) {
+    std::remove(ShardedStreamServer::DeltaPath(base_path, seq).c_str());
+  }
+}
+
 // Walks the `section_id` sections of `checkpoint`, one per shard, each
 // opening with its shard number: hands `apply` the shard and a reader at
 // the rest of its payload. Fails on an out-of-range, duplicate or missing
@@ -440,26 +449,30 @@ bool ShardedStreamServer::StageFromCheckpoint(
   // Delta containers (version 2) never reach here; the chain loader
   // decodes them itself. A full restore must refuse them outright.
   if (checkpoint.version != kCheckpointFormatVersion) return false;
+  // Stage every shard before swapping any in. Staging touches no live
+  // shard state, so it runs on the calling thread in both modes.
+  staged->clear();
+  staged->resize(shards_.size());
+  auto fresh = [this, staged](int shard) -> StreamServer& {
+    (*staged)[shard] = std::make_unique<StreamServer>(model_, config_.shard);
+    return *(*staged)[shard];
+  };
   const CheckpointSection* manifest =
       checkpoint.Find(kCheckpointSectionShardManifest);
-  if (manifest == nullptr) return false;
+  if (manifest == nullptr) {
+    // The plain layout holds one StreamServer: the state of one shard.
+    return shards_.size() == 1 && fresh(0).RestoreFromCheckpoint(checkpoint);
+  }
   BinaryReader manifest_reader(manifest->payload);
   const int32_t num_shards = manifest_reader.ReadInt32();
   if (!manifest_reader.ok() ||
       num_shards != static_cast<int32_t>(shards_.size())) {
     return false;
   }
-
-  // Stage every shard before swapping any in. Staging touches no live
-  // shard state, so it runs on the calling thread in both modes.
-  staged->clear();
-  staged->resize(shards_.size());
   return ForEachShardSection(
       checkpoint, kCheckpointSectionShard, num_shards,
-      [this, staged](int shard, BinaryReader* reader) {
-        auto& server = (*staged)[shard];
-        server = std::make_unique<StreamServer>(model_, config_.shard);
-        return server->Restore(reader);
+      [&fresh](int shard, BinaryReader* reader) {
+        return fresh(shard).Restore(reader);
       });
 }
 
@@ -480,13 +493,6 @@ void ShardedStreamServer::CommitStaged(
   });
 }
 
-bool ShardedStreamServer::RestoreFromCheckpoint(const Checkpoint& checkpoint) {
-  std::vector<std::unique_ptr<StreamServer>> staged;
-  if (!StageFromCheckpoint(checkpoint, &staged)) return false;
-  CommitStaged(&staged);
-  return true;
-}
-
 std::string ShardedStreamServer::EncodeCheckpoint() const {
   BinaryWriter manifest;
   std::vector<BinaryWriter> shard_writers;
@@ -499,24 +505,32 @@ std::string ShardedStreamServer::EncodeCheckpoint() const {
 
 bool ShardedStreamServer::RestoreCheckpoint(const std::string& bytes) {
   Checkpoint checkpoint;
-  return CheckpointDecode(bytes, &checkpoint) &&
-         RestoreFromCheckpoint(checkpoint);
+  std::vector<std::unique_ptr<StreamServer>> staged;
+  if (!CheckpointDecode(bytes, &checkpoint) ||
+      !StageFromCheckpoint(checkpoint, &staged)) {
+    return false;
+  }
+  CommitStaged(&staged);
+  return true;
 }
 
 bool ShardedStreamServer::SaveCheckpoint(const std::string& path) const {
   BinaryWriter manifest;
   std::vector<BinaryWriter> shard_writers;
   SnapshotSections(&manifest, &shard_writers);
+  // The new base ends any chain rooted at `path`: its deltas would not
+  // link to it. They go first, as in CheckpointIncremental's rebase, so
+  // a crash anywhere leaves a loadable chain.
+  int64_t newest = 0;
+  std::error_code ignored;
+  while (std::filesystem::exists(DeltaPath(path, newest + 1), ignored)) {
+    ++newest;
+  }
+  RemoveDeltasNewestFirst(path, newest);
   return CheckpointSave(
       path, kCheckpointFormatVersion,
       WriterSections(kCheckpointSectionShardManifest, manifest,
                      kCheckpointSectionShard, shard_writers));
-}
-
-bool ShardedStreamServer::LoadCheckpoint(const std::string& path) {
-  Checkpoint checkpoint;
-  return CheckpointLoad(path, &checkpoint) &&
-         RestoreFromCheckpoint(checkpoint);
 }
 
 std::string ShardedStreamServer::DeltaPath(const std::string& base_path,
@@ -548,9 +562,7 @@ bool ShardedStreamServer::CheckpointIncremental(
     // every crash point along the way leaves a loadable chain (old base
     // plus a consecutive delta prefix, then the old base alone, then —
     // after the atomic rename — the new base alone).
-    for (int64_t seq = state->deltas_written; seq >= 1; --seq) {
-      std::remove(DeltaPath(base_path, seq).c_str());
-    }
+    RemoveDeltasNewestFirst(base_path, state->deltas_written);
     // A failed base write leaves the old base on disk (loadable) but the
     // old deltas already unlinked — zeroing the fingerprint forces the
     // next call back into this branch instead of appending deltas to a

@@ -169,6 +169,9 @@ class ShardedStreamServer {
 
   int open_keys() const;
   int num_shards() const { return static_cast<int>(shards_.size()); }
+  // The model every shard serves; the TCP front end checks items against
+  // its spec before they reach a shard.
+  const KvecModel& model() const { return model_; }
   bool asynchronous() const { return config_.worker_threads > 0; }
 
   // ---- Checkpoint / warm restart (docs/SERVING.md). ----
@@ -186,11 +189,18 @@ class ShardedStreamServer {
   // shard leaves the server untouched. Restore also re-baselines the
   // transport counters (items_submitted := restored items_processed, shed
   // counters zeroed) so the overload invariant keeps holding after a warm
-  // restart. SaveCheckpoint is atomic, as StreamServer's is.
+  // restart. A 1-shard server also restores the plain StreamServer
+  // layout (StreamServer::SaveCheckpoint files, the v1 golden); more
+  // shards reject it. Files are loaded through RestoreFromCheckpointChain:
+  // a lone full checkpoint is a chain without deltas.
+  //
+  // SaveCheckpoint is atomic, as StreamServer's is, and ends any chain
+  // rooted at `path`: it unlinks the chain's deltas newest-first before
+  // the rename, so the chain loader never meets deltas cut against an
+  // older base.
   std::string EncodeCheckpoint() const;
   bool RestoreCheckpoint(const std::string& bytes);
   bool SaveCheckpoint(const std::string& path) const;
-  bool LoadCheckpoint(const std::string& path);
 
   // ---- Incremental checkpoints: delta chains (docs/SERVING.md). ----
   //
@@ -317,12 +327,11 @@ class ShardedStreamServer {
       const std::function<void(StreamServer&, BinaryWriter*)>& snapshot) const;
   void SnapshotSections(BinaryWriter* manifest,
                         std::vector<BinaryWriter>* shard_writers) const;
-  // Shared body of the two restoring checkpoint entry points.
-  bool RestoreFromCheckpoint(const Checkpoint& checkpoint);
   // Restore split in two so the chain loader can apply deltas between the
-  // staging and the commit: Stage parses a full checkpoint into fresh
-  // per-shard servers (no live state touched), Commit swaps them all in
-  // and re-baselines the transport counters.
+  // staging and the commit: Stage parses a full checkpoint (either
+  // layout, see EncodeCheckpoint) into fresh per-shard servers (no live
+  // state touched), Commit swaps them all in and re-baselines the
+  // transport counters.
   bool StageFromCheckpoint(const Checkpoint& checkpoint,
                            std::vector<std::unique_ptr<StreamServer>>* staged);
   void CommitStaged(std::vector<std::unique_ptr<StreamServer>>* staged);

@@ -230,6 +230,9 @@ class StreamServer {
   bool RestoreCheckpoint(const std::string& bytes);
   bool SaveCheckpoint(const std::string& path) const;
   bool LoadCheckpoint(const std::string& path);
+  // The reader behind RestoreCheckpoint and LoadCheckpoint, for a decoded
+  // container: a 1-shard ShardedStreamServer stages plain files through it.
+  bool RestoreFromCheckpoint(const Checkpoint& checkpoint);
 
   // ---- Incremental (delta) checkpointing (docs/SERVING.md). ----
   //
@@ -332,9 +335,6 @@ class StreamServer {
     void Unlink(OpenKey* node);
     void Append(OpenKey* node);
   };
-
-  // Shared body of the two restoring checkpoint entry points.
-  bool RestoreFromCheckpoint(const Checkpoint& checkpoint);
 
   // The record codecs Snapshot and SnapshotDelta share (one layout each,
   // so v1 and v2 cannot drift apart).

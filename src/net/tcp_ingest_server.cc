@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/input_embedding.h"
+
 namespace kvec {
 namespace net {
 namespace {
@@ -212,11 +214,22 @@ bool TcpIngestServer::HandleFrame(Connection* conn, const Frame& frame,
         return WriteError(conn, frame.request_id, ErrorCode::kUnsupported,
                           "hello must precede ingest");
       }
+      const KvecConfig& model = server_->model().config();
+      auto fits = [&model](const Item& item) {
+        return ItemFitsEmbedding(item, model.spec,
+                                 model.use_membership_embedding);
+      };
       std::vector<Item> items;
+      const char* malformed = nullptr;
       if (!DecodeItems(frame.payload, &items)) {
+        malformed = "bad ingest payload";
+      } else if (!std::all_of(items.begin(), items.end(), fits)) {
+        // The model's embedding lookups would abort on such an item.
+        malformed = "item outside the model's value fields or key range";
+      }
+      if (malformed != nullptr) {
         frames_malformed_.fetch_add(1, std::memory_order_relaxed);
-        WriteError(conn, frame.request_id, ErrorCode::kMalformed,
-                   "bad ingest payload");
+        WriteError(conn, frame.request_id, ErrorCode::kMalformed, malformed);
         return false;
       }
       const int64_t total = static_cast<int64_t>(items.size());

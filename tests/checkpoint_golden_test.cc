@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint_golden_recipe.h"
 #include "core/sharded_stream_server.h"
 #include "core/stream_server.h"
 #include "util/serialize.h"
@@ -44,43 +45,8 @@ namespace {
 
 constexpr char kGoldenFile[] = "/stream_server_v1.ckpt";
 
-// The generator's fixed recipe — must never change, or the committed bytes
-// stop matching it.
-KvecModel MakeGoldenModel() {
-  DatasetSpec spec;
-  spec.name = "golden";
-  spec.value_fields = {{"field", 8}};
-  spec.num_classes = 2;
-  spec.max_keys_per_episode = 64;
-  spec.max_sequence_length = 64;
-  spec.max_episode_length = 64;
-  KvecConfig config = KvecConfig::ForSpec(spec);
-  config.embed_dim = 8;
-  config.state_dim = 8;
-  config.num_blocks = 1;
-  config.ffn_hidden_dim = 8;
-  config.correlation.value_correlation_window = 16;
-  config.correlation.max_value_correlations = 4;
-  return KvecModel(config);
-}
-
-StreamServerConfig GoldenServerConfig() {
-  StreamServerConfig config;
-  config.max_window_items = 64;
-  config.idle_timeout = 40;
-  config.idle_check_interval = 8;
-  config.max_open_keys = 12;
-  return config;
-}
-
 void FeedGoldenStream(StreamServer* server) {
-  for (int i = 0; i < 120; ++i) {
-    Item item;
-    item.key = i % 23;
-    item.value = {i % 3};
-    item.time = i;
-    server->Observe(item);
-  }
+  for (int i = 0; i < 120; ++i) server->Observe(golden::StreamItem(i));
 }
 
 TEST(CheckpointGoldenTest, RegenerateGolden) {
@@ -88,8 +54,8 @@ TEST(CheckpointGoldenTest, RegenerateGolden) {
   if (out_path == nullptr) {
     GTEST_SKIP() << "set KVEC_REGEN_GOLDEN=<path> to write a fresh golden";
   }
-  KvecModel model = MakeGoldenModel();
-  StreamServer server(model, GoldenServerConfig());
+  KvecModel model = golden::MakeModel();
+  StreamServer server(model, golden::ServerConfig());
   FeedGoldenStream(&server);
   ASSERT_TRUE(server.SaveCheckpoint(out_path));
   const StreamServerStats& stats = server.stats();
@@ -140,8 +106,8 @@ TEST(CheckpointGoldenTest, PayloadFieldsDecodeAsWritten) {
 }
 
 TEST(CheckpointGoldenTest, RestoresIntoCompatibleServer) {
-  KvecModel model = MakeGoldenModel();
-  StreamServer server(model, GoldenServerConfig());
+  KvecModel model = golden::MakeModel();
+  StreamServer server(model, golden::ServerConfig());
   ASSERT_TRUE(server.LoadCheckpoint(std::string(KVEC_TEST_DATA_DIR) +
                                     kGoldenFile));
   // Pinned from generation time (see RegenerateGolden's printout).
@@ -169,8 +135,8 @@ TEST(CheckpointGoldenTest, UnknownSectionsAreSkipped) {
   // they must not break restore.
   // kvec-lint: allow-next(section-id) deliberately unknown future id
   checkpoint.sections.push_back({999, std::string("future payload")});
-  KvecModel model = MakeGoldenModel();
-  StreamServer server(model, GoldenServerConfig());
+  KvecModel model = golden::MakeModel();
+  StreamServer server(model, golden::ServerConfig());
   ASSERT_TRUE(server.RestoreCheckpoint(CheckpointEncode(checkpoint)));
   EXPECT_EQ(server.stats().items_processed, 120);
 }
@@ -182,20 +148,14 @@ constexpr char kDeltaGoldenBase[] = "/stream_server_v2_base.ckpt";
 ShardedStreamServerConfig GoldenShardedConfig() {
   ShardedStreamServerConfig config;
   config.num_shards = 2;
-  config.shard = GoldenServerConfig();
+  config.shard = golden::ServerConfig();
   return config;
 }
 
-// Same item recipe as the v1 stream, extended: the base is cut at item
-// 120 (the v1 golden's cut) and delta 1 carries items 120..179.
+// The v1 stream extended: the base is cut at item 120 (the v1 golden's
+// cut) and delta 1 carries items 120..179.
 void FeedGoldenRange(ShardedStreamServer* server, int from, int to) {
-  for (int i = from; i < to; ++i) {
-    Item item;
-    item.key = i % 23;
-    item.value = {i % 3};
-    item.time = i;
-    server->Observe(item);
-  }
+  for (int i = from; i < to; ++i) server->Observe(golden::StreamItem(i));
 }
 
 std::string SlurpFile(const std::string& path) {
@@ -210,7 +170,7 @@ TEST(CheckpointGoldenTest, RegenerateDeltaGolden) {
     GTEST_SKIP() << "set KVEC_REGEN_GOLDEN_V2=<base path> to write a fresh "
                     "delta golden (base + .delta.1)";
   }
-  KvecModel model = MakeGoldenModel();
+  KvecModel model = golden::MakeModel();
   ShardedStreamServer server(model, GoldenShardedConfig());
   ShardedStreamServer::IncrementalCheckpointState state;
   FeedGoldenRange(&server, 0, 120);
@@ -336,7 +296,7 @@ TEST(CheckpointGoldenTest, DeltaChainLayoutMatchesAReplay) {
   const std::string base_path =
       std::string(KVEC_TEST_DATA_DIR) + kDeltaGoldenBase;
   const std::string replay_path = "checkpoint_golden_test_replay.ckpt";
-  KvecModel model = MakeGoldenModel();
+  KvecModel model = golden::MakeModel();
   ShardedStreamServer replayed(model, GoldenShardedConfig());
   ShardedStreamServer::IncrementalCheckpointState state;
   FeedGoldenRange(&replayed, 0, 120);
@@ -368,7 +328,7 @@ TEST(CheckpointGoldenTest, DeltaChainLayoutMatchesAReplay) {
 TEST(CheckpointGoldenTest, DeltaChainRestoresIntoCompatibleServer) {
   const std::string base_path =
       std::string(KVEC_TEST_DATA_DIR) + kDeltaGoldenBase;
-  KvecModel model = MakeGoldenModel();
+  KvecModel model = golden::MakeModel();
   ShardedStreamServer restored(model, GoldenShardedConfig());
   ASSERT_TRUE(restored.RestoreFromCheckpointChain(base_path));
   EXPECT_EQ(restored.stats().items_processed, 180);
@@ -380,11 +340,8 @@ TEST(CheckpointGoldenTest, DeltaChainRestoresIntoCompatibleServer) {
   auto serve = [](ShardedStreamServer* server) {
     std::vector<StreamEvent> events;
     for (int i = 180; i < 300; ++i) {
-      Item item;
-      item.key = i % 23;
-      item.value = {i % 3};
-      item.time = i;
-      for (const StreamEvent& event : server->Observe(item)) {
+      for (const StreamEvent& event :
+           server->Observe(golden::StreamItem(i))) {
         events.push_back(event);
       }
     }

@@ -388,6 +388,126 @@ TEST(CliServe, InterruptDrainsReportsAndStillSavesTheCheckpoint) {
   std::filesystem::remove(checkpoint);
 }
 
+// The integer after `"key": ` in a JSON report (-1 when absent).
+int64_t JsonInt(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const size_t at = json.find(needle);
+  return at == std::string::npos ? -1
+                                 : std::stoll(json.substr(at + needle.size()));
+}
+
+// One `kvec serve --json` run over a small window size, so every run
+// rotates a few windows and `events.windows_started` tells how much state
+// a load brought back.
+CliResult Serve(std::vector<std::string> args) {
+  args.insert(args.begin(), {"serve", "--max-window-items", "50"});
+  args.push_back("--json");
+  return RunCli(args);
+}
+
+void RemoveChain(const std::string& base) {
+  std::filesystem::remove(base);
+  for (int seq = 1; seq <= 16; ++seq) {
+    std::filesystem::remove(base + ".delta." + std::to_string(seq));
+  }
+}
+
+TEST(CliServe, EveryModeLoadsTheStateEveryOtherModeSaved) {
+  // At the default --shards 1: a plain replay, a --checkpoint-every chain
+  // and a --workers 1 run each save the state the others load, and every
+  // load brings back the same state.
+  const std::map<std::string, std::vector<std::string>> modes = {
+      {"plain", {}},
+      {"chain", {"--checkpoint-every", "100"}},
+      {"workers", {"--workers", "1"}}};
+  const std::string scratch = "cli_test_modes_scratch.ckpt";
+  const int64_t fresh_windows = JsonInt(Serve({}).out, "windows_started");
+  ASSERT_GT(fresh_windows, 1);
+  std::set<int64_t> restored_windows;
+  for (const auto& [saver, save_flags] : modes) {
+    const std::string saved = "cli_test_modes_" + saver + ".ckpt";
+    RemoveChain(saved);
+    std::vector<std::string> save_args = save_flags;
+    save_args.insert(save_args.end(), {"--save-checkpoint", saved});
+    const CliResult save = Serve(save_args);
+    ASSERT_EQ(save.code, 0) << saver << ": " << save.err;
+    for (const auto& [loader, load_flags] : modes) {
+      if (loader == saver) continue;
+      SCOPED_TRACE(saver + " saved, " + loader + " loads");
+      std::vector<std::string> load_args = load_flags;
+      load_args.insert(load_args.end(), {"--load-checkpoint", saved});
+      // --checkpoint-every writes its own chain somewhere else.
+      if (loader == "chain") {
+        RemoveChain(scratch);
+        load_args.insert(load_args.end(), {"--save-checkpoint", scratch});
+      }
+      const CliResult load = Serve(load_args);
+      ASSERT_EQ(load.code, 0) << load.err;
+      restored_windows.insert(JsonInt(load.out, "windows_started"));
+    }
+    RemoveChain(saved);
+  }
+  RemoveChain(scratch);
+  ASSERT_EQ(restored_windows.size(), 1u);
+  EXPECT_GT(*restored_windows.begin(), fresh_windows);
+}
+
+TEST(CliServe, LoadCheckpointRestoresTheWholeChain) {
+  // A chain base loaded without --checkpoint-every brings back its deltas
+  // too: the same state as a full save of the same replay, and as a load
+  // that goes on writing a chain.
+  const std::string chain = "cli_test_whole_chain.ckpt";
+  const std::string full = "cli_test_whole_chain_full.ckpt";
+  const std::string scratch = "cli_test_whole_chain_scratch.ckpt";
+  for (const std::string& path : {chain, full, scratch}) RemoveChain(path);
+  ASSERT_EQ(Serve({"--shards", "2", "--checkpoint-every", "100",
+                   "--save-checkpoint", chain})
+                .code,
+            0);
+  ASSERT_TRUE(std::filesystem::exists(chain + ".delta.1"));
+  ASSERT_EQ(Serve({"--shards", "2", "--save-checkpoint", full}).code, 0);
+
+  const CliResult from_full =
+      Serve({"--shards", "2", "--load-checkpoint", full});
+  const CliResult plain = Serve({"--shards", "2", "--load-checkpoint", chain});
+  const CliResult chained =
+      Serve({"--shards", "2", "--load-checkpoint", chain,
+             "--checkpoint-every", "100", "--save-checkpoint", scratch});
+  ASSERT_EQ(from_full.code, 0) << from_full.err;
+  ASSERT_EQ(plain.code, 0) << plain.err;
+  ASSERT_EQ(chained.code, 0) << chained.err;
+  const int64_t windows = JsonInt(from_full.out, "windows_started");
+  EXPECT_EQ(JsonInt(plain.out, "windows_started"), windows);
+  EXPECT_EQ(JsonInt(chained.out, "windows_started"), windows);
+  for (const std::string& path : {chain, full, scratch}) RemoveChain(path);
+}
+
+TEST(CliServe, FullSaveOverAChainBaseEndsTheChain) {
+  // A plain --save-checkpoint over a former chain base removes the old
+  // deltas, which would not link to the new base, so the file loads.
+  const std::string path = "cli_test_full_over_chain.ckpt";
+  const std::string scratch = "cli_test_full_over_chain_scratch.ckpt";
+  RemoveChain(path);
+  RemoveChain(scratch);
+  ASSERT_EQ(Serve({"--checkpoint-every", "100", "--save-checkpoint", path})
+                .code,
+            0);
+  ASSERT_TRUE(std::filesystem::exists(path + ".delta.1"));
+  const CliResult full = Serve({"--save-checkpoint", path});
+  ASSERT_EQ(full.code, 0) << full.err;
+  EXPECT_FALSE(std::filesystem::exists(path + ".delta.1"));
+  const CliResult plain = Serve({"--load-checkpoint", path});
+  const CliResult chained =
+      Serve({"--load-checkpoint", path, "--checkpoint-every", "100",
+             "--save-checkpoint", scratch});
+  ASSERT_EQ(plain.code, 0) << plain.err;
+  ASSERT_EQ(chained.code, 0) << chained.err;
+  EXPECT_EQ(JsonInt(plain.out, "windows_started"),
+            JsonInt(chained.out, "windows_started"));
+  RemoveChain(path);
+  RemoveChain(scratch);
+}
+
 // ---- Report schemas ------------------------------------------------------
 
 // The key paths of a report's JSON ("overload.items_shed",

@@ -6,7 +6,9 @@
 // exactly as it was, and a successful restore (possible when a flip lands
 // in float payload bytes the framing cannot vet) leaves a server that is
 // still structurally sound, i.e. can serve more items without tripping an
-// invariant (the whole binary runs under ASan/UBSan in CI).
+// invariant (the whole binary runs under ASan/UBSan in CI). Every such
+// input also goes, as a plain file, to a 1-shard ShardedStreamServer,
+// which must reach the same verdict and fail just as closed.
 //
 // ~1.2k seeded cases on an untrained tiny model, so the serving-layer
 // bookkeeping dominates and the suite stays fast.
@@ -93,6 +95,15 @@ class CheckpointFuzzTest : public ::testing::Test {
     // in this state).
     StreamServer fresh(*model_, TightConfig());
     fresh_fingerprint_ = fresh.EncodeCheckpoint();
+    ShardedStreamServer fresh_one_shard(*model_, OneShardConfig());
+    fresh_one_shard_fingerprint_ = fresh_one_shard.EncodeCheckpoint();
+  }
+
+  static ShardedStreamServerConfig OneShardConfig() {
+    ShardedStreamServerConfig config;
+    config.num_shards = 1;
+    config.shard = TightConfig();
+    return config;
   }
 
   // Attempts a restore of `bytes` into a fresh server and checks the
@@ -101,6 +112,7 @@ class CheckpointFuzzTest : public ::testing::Test {
   void CheckCase(const std::string& bytes, size_t case_index) {
     StreamServer target(*model_, TightConfig());
     const bool restored = target.RestoreCheckpoint(bytes);
+    CheckOneShardCase(bytes, restored, case_index);
     if (!restored) {
       ExpectUntouched(target, fresh_fingerprint_, case_index);
       if (case_index % 97 == 0) {
@@ -119,10 +131,29 @@ class CheckpointFuzzTest : public ::testing::Test {
     }
   }
 
+  // The same bytes as a plain file restored into a 1-shard sharded
+  // server, which stages them through the same StreamServer reader: the
+  // same verdict, and a failure leaves the server untouched.
+  void CheckOneShardCase(const std::string& bytes, bool want_restored,
+                         size_t case_index) {
+    ShardedStreamServer target(*model_, OneShardConfig());
+    ASSERT_EQ(target.RestoreCheckpoint(bytes), want_restored)
+        << "case " << case_index;
+    if (!want_restored) {
+      EXPECT_EQ(target.EncodeCheckpoint(), fresh_one_shard_fingerprint_)
+          << "failed 1-shard restore mutated the server, case "
+          << case_index;
+    } else {
+      for (int i = 0; i < 8; ++i) target.Observe(stream_[i]);
+      target.Flush();
+    }
+  }
+
   std::unique_ptr<KvecModel> model_;
   std::vector<Item> stream_;
   std::string pristine_;
   std::string fresh_fingerprint_;
+  std::string fresh_one_shard_fingerprint_;
 };
 
 TEST_F(CheckpointFuzzTest, TruncationsFailCleanly) {

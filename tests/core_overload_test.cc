@@ -337,7 +337,7 @@ TEST_F(OverloadTest, CheckpointSaveFailureLeavesTheServerServing) {
   EXPECT_EQ(after.sequences_classified, before.sequences_classified);
   EXPECT_TRUE(server.SaveCheckpoint(path));
   ShardedStreamServer reloaded(*fixture.model, config);
-  EXPECT_TRUE(reloaded.LoadCheckpoint(path));
+  EXPECT_TRUE(reloaded.RestoreFromCheckpointChain(path));
   EXPECT_EQ(reloaded.stats().items_processed, before.items_processed);
   std::filesystem::remove(path);
 }

@@ -4,11 +4,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "checkpoint_golden_recipe.h"
 #include "core/trainer.h"
 #include "data/generator.h"
 #include "data/traffic_generator.h"
@@ -16,6 +18,10 @@
 
 namespace kvec {
 namespace {
+
+#ifndef KVEC_TEST_DATA_DIR
+#define KVEC_TEST_DATA_DIR "tests/data"
+#endif
 
 struct Fixture {
   Dataset dataset;
@@ -199,6 +205,78 @@ std::vector<EventFields> Fields(const std::vector<StreamEvent>& events) {
                         event.observed_items, event.confidence, event.cause);
   }
   return fields;
+}
+
+// Every event `server` emits for `items`, then for a Flush.
+template <typename Server>
+std::vector<StreamEvent> ServeAndFlush(Server* server,
+                                       const std::vector<Item>& items) {
+  std::vector<StreamEvent> events;
+  for (const Item& item : items) {
+    for (const StreamEvent& event : server->Observe(item)) {
+      events.push_back(event);
+    }
+  }
+  for (const StreamEvent& event : server->Flush()) events.push_back(event);
+  return events;
+}
+
+TEST(ShardedStreamServerTest, OneShardRestoresThePlainLayout) {
+  // `kvec serve --save-checkpoint` wrote the plain StreamServer layout for
+  // one shard. A 1-shard server restored from such bytes serves on event
+  // for event like a StreamServer restored from them; more shards reject
+  // the plain layout.
+  Fixture fixture = TrainSmallModel(79);
+  const std::vector<Item> stream = GlobalStream(fixture.dataset);
+  const size_t cut = stream.size() / 2;
+  ShardedStreamServerConfig config;
+  config.num_shards = 1;
+  config.shard.max_window_items = 40;  // rotations before and after the cut
+  StreamServer source(*fixture.model, config.shard);
+  for (size_t i = 0; i < cut; ++i) source.Observe(stream[i]);
+  const std::string bytes = source.EncodeCheckpoint();
+
+  StreamServer plain(*fixture.model, config.shard);
+  ASSERT_TRUE(plain.RestoreCheckpoint(bytes));
+  ShardedStreamServer sharded(*fixture.model, config);
+  ASSERT_TRUE(sharded.RestoreCheckpoint(bytes));
+  EXPECT_EQ(sharded.open_keys(), plain.open_keys());
+  EXPECT_EQ(sharded.stats().items_submitted, plain.stats().items_processed);
+
+  const std::vector<Item> suffix(stream.begin() + cut, stream.end());
+  const std::vector<StreamEvent> want = ServeAndFlush(&plain, suffix);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(Fields(ServeAndFlush(&sharded, suffix)), Fields(want));
+  EXPECT_GT(plain.stats().windows_started, 2);
+  EXPECT_EQ(sharded.stats().windows_started, plain.stats().windows_started);
+
+  config.num_shards = 2;
+  ShardedStreamServer two_shards(*fixture.model, config);
+  EXPECT_FALSE(two_shards.RestoreCheckpoint(bytes));
+  EXPECT_EQ(two_shards.stats().items_processed, 0);
+}
+
+TEST(ShardedStreamServerTest, OneShardLoadsTheV1Golden) {
+  // The committed v1 golden is a plain StreamServer file: the file loader
+  // of a 1-shard server (a chain without deltas) restores it, and the
+  // server serves on like a StreamServer loaded from it.
+  const std::string path =
+      std::string(KVEC_TEST_DATA_DIR) + "/stream_server_v1.ckpt";
+  KvecModel model = golden::MakeModel();
+  StreamServer plain(model, golden::ServerConfig());
+  ASSERT_TRUE(plain.LoadCheckpoint(path));
+  ShardedStreamServerConfig config;
+  config.num_shards = 1;
+  config.shard = golden::ServerConfig();
+  ShardedStreamServer sharded(model, config);
+  ASSERT_TRUE(sharded.RestoreFromCheckpointChain(path));
+  EXPECT_EQ(sharded.stats().items_processed, 120);
+
+  std::vector<Item> suffix;
+  for (int i = 120; i < 300; ++i) suffix.push_back(golden::StreamItem(i));
+  const std::vector<StreamEvent> want = ServeAndFlush(&plain, suffix);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(Fields(ServeAndFlush(&sharded, suffix)), Fields(want));
 }
 
 TEST(ShardedStreamServerTest, SubmitDeliversEachShardsEventsOnceToTheSink) {

@@ -9,9 +9,11 @@
 // items_submitted == items_processed + items_shed on the shard server.
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/sharded_stream_server.h"
@@ -215,6 +217,71 @@ TEST_F(NetServerTest, IngestBeforeHelloIsUnsupportedButRecoverable) {
                         EncodeItems(TestItems(4)), &reply),
             IngestClient::CallStatus::kOk);
   EXPECT_EQ(reply.type, FrameType::kIngestAck);
+}
+
+// Items the model cannot embed (a value arity other than the spec's, a
+// token outside its field's vocabulary, a negative key while the
+// membership embedding is on) would abort the process inside the
+// embedding lookups. Each earns a MALFORMED frame for its whole batch and
+// a frames_malformed count, never reaches the shards, and the server goes
+// on serving valid batches.
+TEST_F(NetServerTest, ItemsTheModelCannotEmbedAreMalformed) {
+  StartServer();
+  const KvecConfig& model = SharedFixture().model->config();
+  ASSERT_TRUE(model.use_membership_embedding);
+  const Item valid = TestItems(1).front();
+  auto with = [&valid](const std::function<void(Item*)>& mutate) {
+    Item item = valid;
+    mutate(&item);
+    return item;
+  };
+  const int vocab = model.spec.value_fields[0].vocab_size;
+  const std::vector<std::pair<std::string, Item>> bad = {
+      {"short value vector", with([](Item* item) { item->value.pop_back(); })},
+      {"long value vector", with([](Item* item) { item->value.push_back(0); })},
+      {"negative token", with([](Item* item) { item->value[0] = -1; })},
+      {"token past the vocabulary",
+       with([vocab](Item* item) { item->value[0] = vocab; })},
+      {"negative key", with([](Item* item) { item->key = -5; })},
+  };
+  for (const auto& [name, item] : bad) {
+    SCOPED_TRACE(name);
+    IngestClient client(MakeClientConfig());
+    ASSERT_TRUE(ClientHello(&client));
+    std::vector<Item> batch = TestItems(4);
+    batch.push_back(item);
+    Frame reply;
+    ASSERT_EQ(client.Call(FrameType::kIngestBatch, EncodeItems(batch), &reply),
+              IngestClient::CallStatus::kOk);
+    ASSERT_EQ(reply.type, FrameType::kError);
+    ErrorFrame error;
+    ASSERT_TRUE(DecodeError(reply.payload, &error));
+    EXPECT_EQ(error.code, ErrorCode::kMalformed);
+  }
+  EXPECT_EQ(tcp_->stats().frames_malformed,
+            static_cast<int64_t>(bad.size()));
+  EXPECT_EQ(tcp_->stats().items_accepted, 0);
+  const StreamServerStats untouched = server_->stats();
+  EXPECT_EQ(untouched.items_submitted, 0);
+  EXPECT_EQ(untouched.items_processed, 0);
+  EXPECT_EQ(untouched.sequences_classified, 0);
+  EXPECT_EQ(server_->open_keys(), 0);
+
+  IngestClient client(MakeClientConfig());
+  ASSERT_TRUE(ClientHello(&client));
+  const std::vector<Item> items = TestItems(8);
+  Frame reply;
+  ASSERT_EQ(client.Call(FrameType::kIngestBatch, EncodeItems(items), &reply),
+            IngestClient::CallStatus::kOk);
+  ASSERT_EQ(reply.type, FrameType::kIngestAck);
+  IngestAck ack;
+  ASSERT_TRUE(DecodeIngestAck(reply.payload, &ack));
+  EXPECT_EQ(ack.accepted, static_cast<int64_t>(items.size()));
+  client.Close();
+  tcp_->Shutdown();
+  ExpectInvariantAfterDrain();
+  EXPECT_EQ(server_->stats().items_processed,
+            static_cast<int64_t>(items.size()));
 }
 
 TEST_F(NetServerTest, GarbageBytesEarnMalformedErrorAndClose) {
