@@ -1,5 +1,5 @@
 // Serving-state checkpoint micro benchmarks: save/load round-trip latency
-// for a StreamServer carrying 8k open keys (the acceptance workload for
+// for a 1-shard ShardedStreamServer carrying 8k open keys (the acceptance workload for
 // the PR-4 checkpoint subsystem) plus the in-memory encode/restore halves
 // separately, so a regression can be blamed on serialisation vs file I/O.
 //
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/sharded_stream_server.h"
-#include "core/stream_server.h"
 
 namespace kvec {
 namespace {
@@ -53,25 +52,40 @@ StreamServerConfig UnboundedConfig() {
   return config;
 }
 
-// Feeds fresh keys until `target_open` stay open (the untrained policy
-// halts a fraction of them immediately, so more than target_open items are
-// needed).
-void FillOpenKeys(StreamServer* server, int target_open) {
+ShardedStreamServerConfig ShardedUnbounded() {
+  ShardedStreamServerConfig config;
+  config.num_shards = 1;
+  config.shard = UnboundedConfig();
+  return config;
+}
+
+// Feeds fresh keys in batches of 2048 until at least `target_open` stay
+// open (the untrained policy halts a fraction of them immediately, so more
+// than target_open items are needed).
+void FillOpenKeys(ShardedStreamServer* server, int target_open) {
   int key = 0;
-  while (server->open_keys() < target_open && key < (1 << 20)) {
-    Item item;
-    item.key = key;
-    item.value = {key % 3};
-    item.time = key;
-    ++key;
-    server->Observe(item);
+  std::vector<Item> batch;
+  while (server->open_keys() < target_open && key < (1 << 21)) {
+    batch.clear();
+    for (int i = 0; i < 2048; ++i) {
+      Item item;
+      item.key = key;
+      item.value = {key % 3};
+      item.time = key;
+      ++key;
+      batch.push_back(item);
+    }
+    server->ObserveBatch(batch);
   }
 }
 
+// The full-checkpoint halves and the file round trip run on a 1-shard
+// server, the layout every writer writes (a manifest plus one shard
+// section holding the StreamServer snapshot).
 void BM_CheckpointEncode(benchmark::State& state) {
   const int open_keys = static_cast<int>(state.range(0));
   KvecModel model = MakeModel();
-  StreamServer server(model, UnboundedConfig());
+  ShardedStreamServer server(model, ShardedUnbounded());
   FillOpenKeys(&server, open_keys);
 
   size_t bytes = 0;
@@ -89,11 +103,11 @@ BENCHMARK(BM_CheckpointEncode)->Arg(1 << 10)->Arg(8192)
 void BM_CheckpointRestore(benchmark::State& state) {
   const int open_keys = static_cast<int>(state.range(0));
   KvecModel model = MakeModel();
-  StreamServer server(model, UnboundedConfig());
+  ShardedStreamServer server(model, ShardedUnbounded());
   FillOpenKeys(&server, open_keys);
   const std::string bytes = server.EncodeCheckpoint();
 
-  StreamServer target(model, UnboundedConfig());
+  ShardedStreamServer target(model, ShardedUnbounded());
   for (auto _ : state) {
     const bool restored = target.RestoreCheckpoint(bytes);
     if (!restored) state.SkipWithError("restore failed");
@@ -110,13 +124,14 @@ BENCHMARK(BM_CheckpointRestore)->Arg(1 << 10)->Arg(8192)
 void BM_CheckpointFileRoundTrip(benchmark::State& state) {
   const int open_keys = static_cast<int>(state.range(0));
   KvecModel model = MakeModel();
-  StreamServer server(model, UnboundedConfig());
+  ShardedStreamServer server(model, ShardedUnbounded());
   FillOpenKeys(&server, open_keys);
   const std::string path = "/tmp/kvec_bench_checkpoint.ckpt";
 
-  StreamServer target(model, UnboundedConfig());
+  ShardedStreamServer target(model, ShardedUnbounded());
   for (auto _ : state) {
-    if (!server.SaveCheckpoint(path) || !target.LoadCheckpoint(path)) {
+    if (!server.SaveCheckpoint(path) ||
+        !target.RestoreFromCheckpointChain(path)) {
       state.SkipWithError("round trip failed");
     }
   }
@@ -127,30 +142,6 @@ BENCHMARK(BM_CheckpointFileRoundTrip)->Arg(1 << 10)->Arg(8192)
     ->Unit(benchmark::kMillisecond);
 
 // ---- Incremental checkpointing (PR 10) -----------------------------------
-
-ShardedStreamServerConfig ShardedUnbounded() {
-  ShardedStreamServerConfig config;
-  config.num_shards = 1;
-  config.shard = UnboundedConfig();
-  return config;
-}
-
-void FillOpenKeysSharded(ShardedStreamServer* server, int target_open) {
-  int key = 0;
-  std::vector<Item> batch;
-  while (server->open_keys() < target_open && key < (1 << 21)) {
-    batch.clear();
-    for (int i = 0; i < 2048; ++i) {
-      Item item;
-      item.key = key;
-      item.value = {key % 3};
-      item.time = key;
-      ++key;
-      batch.push_back(item);
-    }
-    server->ObserveBatch(batch);
-  }
-}
 
 // Re-observes `count` already-seen keys: each touch dirties the key's
 // serving entry, engine state, and correlation rows, which is exactly the
@@ -193,7 +184,7 @@ void BM_DeltaCheckpointWrite(benchmark::State& state) {
       std::max<int>(1, open_keys * static_cast<int>(state.range(1)) / 100);
   KvecModel model = MakeModel();
   ShardedStreamServer server(model, ShardedUnbounded());
-  FillOpenKeysSharded(&server, open_keys);
+  FillOpenKeys(&server, open_keys);
   const std::string base = "/tmp/kvec_bench_delta_chain.ckpt";
   UnlinkChain(base);
   ShardedStreamServer::IncrementalCheckpointState chain;
@@ -231,7 +222,7 @@ void BM_FullCheckpointWrite(benchmark::State& state) {
   const int open_keys = static_cast<int>(state.range(0));
   KvecModel model = MakeModel();
   ShardedStreamServer server(model, ShardedUnbounded());
-  FillOpenKeysSharded(&server, open_keys);
+  FillOpenKeys(&server, open_keys);
   const std::string base = "/tmp/kvec_bench_full_chain.ckpt";
   UnlinkChain(base);
   for (auto _ : state) {
@@ -259,7 +250,7 @@ void BM_RestoreFromChain(benchmark::State& state) {
   const int churn_keys = std::max<int>(1, open_keys / 100);
   KvecModel model = MakeModel();
   ShardedStreamServer server(model, ShardedUnbounded());
-  FillOpenKeysSharded(&server, open_keys);
+  FillOpenKeys(&server, open_keys);
   const std::string base = "/tmp/kvec_bench_restore_chain.ckpt";
   UnlinkChain(base);
   ShardedStreamServer::IncrementalCheckpointState chain;

@@ -110,29 +110,27 @@ ShardedStreamServer::~ShardedStreamServer() {
   }
 }
 
-ShardedStreamServer::ServerSlot& ShardedStreamServer::WorkerOwnedServer(
-    Shard& shard) {
-  // See the declaration for the ownership argument; every worker-side
-  // access to shard state funnels through here so the escape from the
-  // GUARDED_BY contract stays a single audited line.
-  return shard.server;
-}
-
 void ShardedStreamServer::WorkerLoop(Shard* shard, int shard_index) {
-  // The slot outlives every task; a restore task swaps the server inside
-  // it, so each task dereferences the slot afresh.
-  ServerSlot& server = WorkerOwnedServer(*shard);
+  // Only this worker takes the shard's mutex in worker mode, so every lock
+  // is uncontended; holding it lets clang check each access to the slot.
+  // A restore task swaps the server inside the slot, so each task
+  // dereferences the slot afresh.
   ShardTask task;
   while (shard->queue->Pop(&task)) {
     if (task.fn) {
-      task.fn(server);
+      MutexLock lock(shard->mutex);
+      task.fn(shard->server);
       continue;
     }
     // Stall point: tests hold the worker here mid-stream to saturate its
     // queue deterministically (the verdict is irrelevant — not a failable
     // site).
     (void)KVEC_FAULT_POINT("shard_worker.batch");
-    const std::vector<StreamEvent> events = server->ObserveBatch(task.items);
+    std::vector<StreamEvent> events;
+    {
+      MutexLock lock(shard->mutex);
+      events = shard->server->ObserveBatch(task.items);
+    }
     if (config_.on_events) config_.on_events(shard_index, events);
   }
 }
@@ -386,9 +384,16 @@ std::vector<CheckpointSectionView> WriterSections(
   return sections;
 }
 
-// Unlinks chain links `newest` .. 1 of `base_path`: newest first, so a
-// crash part-way leaves the base plus a consecutive delta prefix.
-void RemoveDeltasNewestFirst(const std::string& base_path, int64_t newest) {
+// Unlinks the chain links on disk after `base_path` (.delta.1 up to the
+// first missing one, however many an earlier writer left): newest first,
+// so a crash part-way leaves the base plus a consecutive delta prefix.
+void RemoveChainTail(const std::string& base_path) {
+  int64_t newest = 0;
+  std::error_code ignored;
+  while (std::filesystem::exists(
+      ShardedStreamServer::DeltaPath(base_path, newest + 1), ignored)) {
+    ++newest;
+  }
   for (int64_t seq = newest; seq >= 1; --seq) {
     std::remove(ShardedStreamServer::DeltaPath(base_path, seq).c_str());
   }
@@ -435,12 +440,38 @@ void ShardedStreamServer::SnapshotShards(
   }
 }
 
-void ShardedStreamServer::SnapshotSections(
-    BinaryWriter* manifest, std::vector<BinaryWriter>* shard_writers) const {
-  manifest->WriteInt32(num_shards());
-  SnapshotShards(shard_writers, [](StreamServer& server, BinaryWriter* writer) {
-    server.Snapshot(writer);
-  });
+std::vector<CheckpointSectionView> ShardedStreamServer::FullImage::sections()
+    const {
+  return WriterSections(kCheckpointSectionShardManifest, manifest,
+                        kCheckpointSectionShard, shards);
+}
+
+void ShardedStreamServer::SnapshotFullImage(bool stage_baseline,
+                                            FullImage* image) const {
+  image->manifest.WriteInt32(num_shards());
+  SnapshotShards(&image->shards,
+                 [stage_baseline](StreamServer& server, BinaryWriter* writer) {
+                   server.Snapshot(writer);
+                   if (stage_baseline) server.StageDeltaBaseline();
+                 });
+}
+
+bool ShardedStreamServer::WriteBase(const std::string& path,
+                                    bool stage_baseline,
+                                    uint64_t* fingerprint) const {
+  FullImage image;
+  SnapshotFullImage(stage_baseline, &image);
+  // The new base ends the chain rooted at `path`: its deltas would not
+  // link to it. Unlink them BEFORE replacing the base, so every crash
+  // point leaves a loadable chain on disk (old base plus a consecutive
+  // delta prefix, then the old base alone, then — after the atomic
+  // rename — the new base alone).
+  RemoveChainTail(path);
+  // Tests force the disk-full / yanked-volume shape here: a failed write
+  // leaves the old base (now without its deltas) at `path`.
+  return !KVEC_FAULT_POINT("checkpoint.save") &&
+         CheckpointWrite(path, kCheckpointFormatVersion, image.sections(),
+                         fingerprint);
 }
 
 bool ShardedStreamServer::StageFromCheckpoint(
@@ -460,8 +491,14 @@ bool ShardedStreamServer::StageFromCheckpoint(
   const CheckpointSection* manifest =
       checkpoint.Find(kCheckpointSectionShardManifest);
   if (manifest == nullptr) {
-    // The plain layout holds one StreamServer: the state of one shard.
-    return shards_.size() == 1 && fresh(0).RestoreFromCheckpoint(checkpoint);
+    // The plain layout (the v1 golden, and files written before every
+    // writer wrote the manifest layout) holds one StreamServer: the state
+    // of one shard. Nothing writes it any more.
+    const CheckpointSection* plain =
+        checkpoint.Find(kCheckpointSectionStreamServer);
+    if (plain == nullptr || shards_.size() != 1) return false;
+    BinaryReader reader(plain->payload);
+    return fresh(0).Restore(&reader);
   }
   BinaryReader manifest_reader(manifest->payload);
   const int32_t num_shards = manifest_reader.ReadInt32();
@@ -494,13 +531,9 @@ void ShardedStreamServer::CommitStaged(
 }
 
 std::string ShardedStreamServer::EncodeCheckpoint() const {
-  BinaryWriter manifest;
-  std::vector<BinaryWriter> shard_writers;
-  SnapshotSections(&manifest, &shard_writers);
-  return CheckpointEncode(
-      kCheckpointFormatVersion,
-      WriterSections(kCheckpointSectionShardManifest, manifest,
-                     kCheckpointSectionShard, shard_writers));
+  FullImage image;
+  SnapshotFullImage(/*stage_baseline=*/false, &image);
+  return CheckpointEncode(kCheckpointFormatVersion, image.sections());
 }
 
 bool ShardedStreamServer::RestoreCheckpoint(const std::string& bytes) {
@@ -515,22 +548,7 @@ bool ShardedStreamServer::RestoreCheckpoint(const std::string& bytes) {
 }
 
 bool ShardedStreamServer::SaveCheckpoint(const std::string& path) const {
-  BinaryWriter manifest;
-  std::vector<BinaryWriter> shard_writers;
-  SnapshotSections(&manifest, &shard_writers);
-  // The new base ends any chain rooted at `path`: its deltas would not
-  // link to it. They go first, as in CheckpointIncremental's rebase, so
-  // a crash anywhere leaves a loadable chain.
-  int64_t newest = 0;
-  std::error_code ignored;
-  while (std::filesystem::exists(DeltaPath(path, newest + 1), ignored)) {
-    ++newest;
-  }
-  RemoveDeltasNewestFirst(path, newest);
-  return CheckpointSave(
-      path, kCheckpointFormatVersion,
-      WriterSections(kCheckpointSectionShardManifest, manifest,
-                     kCheckpointSectionShard, shard_writers));
+  return WriteBase(path, /*stage_baseline=*/false, /*fingerprint=*/nullptr);
 }
 
 std::string ShardedStreamServer::DeltaPath(const std::string& base_path,
@@ -544,37 +562,15 @@ bool ShardedStreamServer::CheckpointIncremental(
   const bool rebase =
       state->base_fingerprint == 0 ||
       (rebase_every > 0 && state->deltas_written >= rebase_every);
-  // Every section stays in its own writer until CheckpointWrite frames it
-  // to disk; the writers die with this call.
-  BinaryWriter manifest;
-  std::vector<BinaryWriter> shard_writers;
-
   if (rebase) {
-    // Full base. Snapshot and baseline-staging happen in ONE control task
-    // per shard, so the staged dirty-clear is atomic with the bytes.
-    manifest.WriteInt32(num_shards());
-    SnapshotShards(&shard_writers,
-                   [](StreamServer& server, BinaryWriter* writer) {
-                     server.Snapshot(writer);
-                     server.StageDeltaBaseline();
-                   });
-    // Unlink the stale chain newest-first BEFORE replacing the base:
-    // every crash point along the way leaves a loadable chain (old base
-    // plus a consecutive delta prefix, then the old base alone, then —
-    // after the atomic rename — the new base alone).
-    RemoveDeltasNewestFirst(base_path, state->deltas_written);
-    // A failed base write leaves the old base on disk (loadable) but the
-    // old deltas already unlinked — zeroing the fingerprint forces the
-    // next call back into this branch instead of appending deltas to a
-    // chain whose middle links are gone. The dirty baseline stays
-    // staged-only, so no churn is lost either way.
+    // Full base, staging each shard's delta baseline in the same control
+    // task as its snapshot. A failed base write leaves the old base on
+    // disk (loadable) but its deltas already unlinked — zeroing the
+    // fingerprint forces the next call back into this branch instead of
+    // appending deltas to a chain whose middle links are gone. The dirty
+    // baseline stays staged-only, so no churn is lost either way.
     uint64_t fingerprint = 0;
-    if (KVEC_FAULT_POINT("checkpoint.save") ||
-        !CheckpointWrite(base_path, kCheckpointFormatVersion,
-                         WriterSections(kCheckpointSectionShardManifest,
-                                        manifest, kCheckpointSectionShard,
-                                        shard_writers),
-                         &fingerprint)) {
+    if (!WriteBase(base_path, /*stage_baseline=*/true, &fingerprint)) {
       state->base_fingerprint = 0;
       return false;
     }
@@ -587,6 +583,10 @@ bool ShardedStreamServer::CheckpointIncremental(
   }
 
   // Delta link. SnapshotDelta stages each shard's dirty-clear itself.
+  // Every section stays in its own writer until CheckpointWrite frames it
+  // to disk; the writers die with this call.
+  BinaryWriter manifest;
+  std::vector<BinaryWriter> shard_writers;
   const int64_t seq = state->deltas_written + 1;
   manifest.WriteInt64(static_cast<int64_t>(state->base_fingerprint));
   manifest.WriteInt64(static_cast<int64_t>(state->prev_fingerprint));

@@ -18,8 +18,10 @@
 //     one worker thread plus a bounded MPSC task queue
 //     (util/bounded_queue.h), and fn rides that queue as a waited-on
 //     control task. ALL shard-state mutation happens on the owning
-//     worker, so the hot update path takes no shard lock, and every query
-//     is answered at a batch boundary, never mid-batch.
+//     worker, which takes the shard's mutex only to let clang check the
+//     ownership (nothing else takes it in this mode, so it is never
+//     contended), and every query is answered at a batch boundary, never
+//     mid-batch.
 //
 // Either way the exclusion is per shard: no operation holds two shards at
 // once, so a cross-shard read (stats, checkpoint) can land between two
@@ -176,28 +178,33 @@ class ShardedStreamServer {
 
   // ---- Checkpoint / warm restart (docs/SERVING.md). ----
   //
-  // The checkpoint is a manifest section (shard count — restore fails on a
-  // mismatch, since the key hash routes by shard count) plus one section
-  // per shard holding that shard's full StreamServer snapshot, taken one
-  // shard at a time through the seam (worker mode: behind everything
-  // already queued to the shard). For a cross-shard-consistent
-  // checkpoint, stop submitting first (concurrent ingest would land in
-  // some shards' snapshots and not others).
+  // This class is the only checkpoint writer and reader; StreamServer
+  // supplies the per-shard record codec (Snapshot/Restore,
+  // SnapshotDelta/ApplyDelta). A full checkpoint is a manifest section
+  // (shard count — restore fails on a mismatch, since the key hash routes
+  // by shard count) plus one section per shard holding that shard's full
+  // StreamServer snapshot, taken one shard at a time through the seam
+  // (worker mode: behind everything already queued to the shard). For a
+  // cross-shard-consistent checkpoint, stop submitting first (concurrent
+  // ingest would land in some shards' snapshots and not others).
   //
   // Restore stages every shard in a fresh StreamServer and swaps all of
   // them in only when the whole checkpoint parsed — a corrupt byte in any
   // shard leaves the server untouched. Restore also re-baselines the
   // transport counters (items_submitted := restored items_processed, shed
   // counters zeroed) so the overload invariant keeps holding after a warm
-  // restart. A 1-shard server also restores the plain StreamServer
-  // layout (StreamServer::SaveCheckpoint files, the v1 golden); more
-  // shards reject it. Files are loaded through RestoreFromCheckpointChain:
-  // a lone full checkpoint is a chain without deltas.
+  // restart. A 1-shard server also restores the plain layout (one
+  // kCheckpointSectionStreamServer section: the v1 golden and older
+  // saves), which nothing writes any more; more shards reject it. Files
+  // are loaded through RestoreFromCheckpointChain: a lone full checkpoint
+  // is a chain without deltas.
   //
-  // SaveCheckpoint is atomic, as StreamServer's is, and ends any chain
-  // rooted at `path`: it unlinks the chain's deltas newest-first before
-  // the rename, so the chain loader never meets deltas cut against an
-  // older base.
+  // Every full write to a file — SaveCheckpoint and CheckpointIncremental's
+  // rebase — is one base write: atomic (a failed write leaves the previous
+  // base at `path`), and it ends any chain rooted at `path`, unlinking the
+  // deltas on disk newest-first before the rename, however many an earlier
+  // writer (this process or another) left. So the chain loader never
+  // meets deltas cut against an older base.
   std::string EncodeCheckpoint() const;
   bool RestoreCheckpoint(const std::string& bytes);
   bool SaveCheckpoint(const std::string& path) const;
@@ -210,6 +217,9 @@ class ShardedStreamServer {
   // link's fingerprint, and its own sequence number, so the loader can
   // reject a delta cut against a different base, a reordered chain, or a
   // gap — any non-linking file fails the whole load, target untouched.
+  // A chain is written by one server at a time: a second writer on the
+  // same path starts its own chain with a base write, which clears the
+  // first writer's deltas.
   struct IncrementalCheckpointState {
     int64_t deltas_written = 0;     // links currently after the base
     uint64_t base_fingerprint = 0;  // 0 = no base written/loaded yet
@@ -227,9 +237,9 @@ class ShardedStreamServer {
   // rest of the fleet keeps serving during a snapshot; dirty bits are
   // cleared only after the bytes are durably on disk (a failed write —
   // see the `checkpoint.delta` fault point — leaves the server serving,
-  // every dirty bit intact, and the previous chain loadable). A rebase
-  // unlinks old deltas newest-first before atomically replacing the base,
-  // so every crash point leaves a loadable chain on disk.
+  // every dirty bit intact, and the previous chain loadable). A rebase is
+  // the base write described above, so every crash point leaves a
+  // loadable chain on disk.
   bool CheckpointIncremental(const std::string& base_path, int rebase_every,
                              IncrementalCheckpointState* state);
 
@@ -257,11 +267,11 @@ class ShardedStreamServer {
   };
 
   struct Shard {
-    // Sync mode: every access to `server` holds this mutex (TCP handler
-    // threads call Submit concurrently), and the KVEC_GUARDED_BY below
-    // makes clang -Wthread-safety reject any that does not. Worker mode:
-    // the mutex is idle — `server` is owned by the shard's worker thread
-    // and reached only through WorkerOwnedServer.
+    // Every access to `server` holds this mutex, and the KVEC_GUARDED_BY
+    // below makes clang -Wthread-safety reject any that does not. Sync
+    // mode: it serialises callers (TCP handler threads call Submit
+    // concurrently). Worker mode: only the shard's worker takes it, so it
+    // is never contended.
     mutable Mutex mutex;
     ServerSlot server KVEC_GUARDED_BY(mutex);
     std::unique_ptr<BoundedQueue<ShardTask>> queue;  // worker mode only
@@ -302,34 +312,39 @@ class ShardedStreamServer {
   std::vector<std::vector<StreamEvent>> ServeRouted(
       const std::vector<std::vector<Item>>& routed);
 
-  // The worker's view of its own shard. Safe without the mutex because
-  // (a) the slot is written before the worker thread is spawned
-  // (constructor) or by a restore task on this same worker, and (b) the
-  // queue's internal mutex gives the worker a happens-before edge with
-  // every producer. TSA has no notion of thread ownership, hence the one
-  // escape hatch in this class.
-  static ServerSlot& WorkerOwnedServer(Shard& shard)
-      // kvec-lint: allow-next(tsa-escape) worker-thread ownership, see above
-      KVEC_NO_THREAD_SAFETY_ANALYSIS;
-
   // Copies the transport atomics into an engine-stats snapshot the caller
   // already owns (no lock needed: the counters are atomics by design).
   static StreamServerStats MergeTransportCounters(const Shard& shard,
                                                   StreamServerStats stats);
 
   // Fills one writer per shard with its index and then `snapshot`, run as
-  // one task on that shard. A full checkpoint's sections stay in their
-  // writers so Encode/Save frame them without a copy: SnapshotSections
-  // writes the manifest (the shard count) and each shard's
-  // StreamServer::Snapshot.
+  // one task on that shard.
   void SnapshotShards(
       std::vector<BinaryWriter>* shard_writers,
       const std::function<void(StreamServer&, BinaryWriter*)>& snapshot) const;
-  void SnapshotSections(BinaryWriter* manifest,
-                        std::vector<BinaryWriter>* shard_writers) const;
+
+  // A full image, its sections kept in their writers so that it is framed
+  // without a copy: the manifest (the shard count), then one section per
+  // shard holding its index and its StreamServer::Snapshot.
+  struct FullImage {
+    BinaryWriter manifest;
+    std::vector<BinaryWriter> shards;
+    std::vector<CheckpointSectionView> sections() const;
+  };
+  // The one builder of a full image, behind EncodeCheckpoint and
+  // WriteBase. With `stage_baseline`, each shard stages its delta
+  // baseline in the same task as its snapshot, so a chain base's staged
+  // dirty-clear is atomic with its bytes.
+  void SnapshotFullImage(bool stage_baseline, FullImage* image) const;
+  // The one base write, behind SaveCheckpoint and the rebase: builds a
+  // full image, unlinks the chain's deltas on disk newest-first, then
+  // atomically writes the image to `path` (`checkpoint.save` fault point).
+  // `fingerprint` (if non-null) receives the file's fingerprint.
+  bool WriteBase(const std::string& path, bool stage_baseline,
+                 uint64_t* fingerprint) const;
   // Restore split in two so the chain loader can apply deltas between the
   // staging and the commit: Stage parses a full checkpoint (either
-  // layout, see EncodeCheckpoint) into fresh per-shard servers (no live
+  // layout, see RestoreCheckpoint) into fresh per-shard servers (no live
   // state touched), Commit swaps them all in and re-baselines the
   // transport counters.
   bool StageFromCheckpoint(const Checkpoint& checkpoint,

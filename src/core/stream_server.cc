@@ -589,43 +589,6 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
   return true;
 }
 
-bool StreamServer::RestoreFromCheckpoint(const Checkpoint& checkpoint) {
-  // Delta containers (version 2) carry partial state and only make sense
-  // relative to a staged base; a full restore must refuse them.
-  if (checkpoint.version != kCheckpointFormatVersion) return false;
-  const CheckpointSection* section =
-      checkpoint.Find(kCheckpointSectionStreamServer);
-  if (section == nullptr) return false;
-  BinaryReader reader(section->payload);
-  return Restore(&reader);
-}
-
-std::string StreamServer::EncodeCheckpoint() const {
-  BinaryWriter section;
-  Snapshot(&section);
-  return CheckpointEncode(kCheckpointFormatVersion,
-                          {{kCheckpointSectionStreamServer, section.view()}});
-}
-
-bool StreamServer::RestoreCheckpoint(const std::string& bytes) {
-  Checkpoint checkpoint;
-  return CheckpointDecode(bytes, &checkpoint) &&
-         RestoreFromCheckpoint(checkpoint);
-}
-
-bool StreamServer::SaveCheckpoint(const std::string& path) const {
-  BinaryWriter section;
-  Snapshot(&section);
-  return CheckpointSave(path, kCheckpointFormatVersion,
-                        {{kCheckpointSectionStreamServer, section.view()}});
-}
-
-bool StreamServer::LoadCheckpoint(const std::string& path) {
-  Checkpoint checkpoint;
-  return CheckpointLoad(path, &checkpoint) &&
-         RestoreFromCheckpoint(checkpoint);
-}
-
 std::vector<StreamEvent> StreamServer::Flush() {
   std::vector<StreamEvent> events;
   CloseAllInKeyOrder(StreamEvent::Cause::kFlush, &events);

@@ -203,6 +203,11 @@ class StreamServer {
 
   // ---- Checkpoint / warm restart (docs/SERVING.md). ----
   //
+  // StreamServer owns the record codec only. ShardedStreamServer frames,
+  // writes and reads every checkpoint file, one Snapshot per shard
+  // section, and it alone still reads the plain layout (one
+  // kCheckpointSectionStreamServer section, the v1 golden's).
+  //
   // Snapshot captures everything the serving loop owns — config, stream
   // clocks, stats, the open-key map — plus the engine (correlation index,
   // encoder K/V arena, per-key fusion states). Restoring into a server
@@ -221,18 +226,6 @@ class StreamServer {
   // trailing bytes are treated as corruption.
   void Snapshot(BinaryWriter* writer) const;
   bool Restore(BinaryReader* reader);
-
-  // Convenience wrappers around the checkpoint container: one
-  // kCheckpointSectionStreamServer section framed with magic + version.
-  // SaveCheckpoint is atomic (CheckpointWrite): a failed save returns false
-  // and leaves any previous file at `path` intact.
-  std::string EncodeCheckpoint() const;
-  bool RestoreCheckpoint(const std::string& bytes);
-  bool SaveCheckpoint(const std::string& path) const;
-  bool LoadCheckpoint(const std::string& path);
-  // The reader behind RestoreCheckpoint and LoadCheckpoint, for a decoded
-  // container: a 1-shard ShardedStreamServer stages plain files through it.
-  bool RestoreFromCheckpoint(const Checkpoint& checkpoint);
 
   // ---- Incremental (delta) checkpointing (docs/SERVING.md). ----
   //

@@ -19,34 +19,6 @@ void Optimizer::ZeroGrad() {
   for (Tensor& param : params_) param.ZeroGrad();
 }
 
-Sgd::Sgd(std::vector<Tensor> params, float learning_rate, float momentum)
-    : Optimizer(std::move(params), learning_rate), momentum_(momentum) {
-  if (momentum_ != 0.0f) {
-    velocity_.resize(params_.size());
-    for (size_t i = 0; i < params_.size(); ++i) {
-      velocity_[i].assign(params_[i].data().size(), 0.0f);
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    auto& data = params_[i].impl()->data;
-    const auto& grad = params_[i].grad();
-    if (momentum_ == 0.0f) {
-      for (size_t j = 0; j < data.size(); ++j) {
-        data[j] -= learning_rate_ * grad[j];
-      }
-    } else {
-      auto& velocity = velocity_[i];
-      for (size_t j = 0; j < data.size(); ++j) {
-        velocity[j] = momentum_ * velocity[j] + grad[j];
-        data[j] -= learning_rate_ * velocity[j];
-      }
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> params, float learning_rate, float beta1,
            float beta2, float eps)
     : Optimizer(std::move(params), learning_rate),
@@ -78,81 +50,6 @@ void Adam::Step() {
       float m_hat = m[j] / bias1;
       float v_hat = v[j] / bias2;
       data[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + eps_);
-    }
-  }
-}
-
-AdamW::AdamW(std::vector<Tensor> params, float learning_rate,
-             float weight_decay, float beta1, float beta2, float eps)
-    : Optimizer(std::move(params), learning_rate),
-      weight_decay_(weight_decay),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps) {
-  first_moment_.resize(params_.size());
-  second_moment_.resize(params_.size());
-  for (size_t i = 0; i < params_.size(); ++i) {
-    first_moment_[i].assign(params_[i].data().size(), 0.0f);
-    second_moment_[i].assign(params_[i].data().size(), 0.0f);
-  }
-}
-
-void AdamW::Step() {
-  ++step_count_;
-  const float bias1 =
-      1.0f - std::pow(beta1_, static_cast<float>(step_count_));
-  const float bias2 =
-      1.0f - std::pow(beta2_, static_cast<float>(step_count_));
-  for (size_t i = 0; i < params_.size(); ++i) {
-    auto& data = params_[i].impl()->data;
-    const auto& grad = params_[i].grad();
-    auto& m = first_moment_[i];
-    auto& v = second_moment_[i];
-    for (size_t j = 0; j < data.size(); ++j) {
-      // Decoupled decay: shrink the weight before the adaptive update.
-      data[j] -= learning_rate_ * weight_decay_ * data[j];
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * grad[j];
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * grad[j] * grad[j];
-      float m_hat = m[j] / bias1;
-      float v_hat = v[j] / bias2;
-      data[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + eps_);
-    }
-  }
-}
-
-RmsProp::RmsProp(std::vector<Tensor> params, float learning_rate, float decay,
-                 float momentum, float eps)
-    : Optimizer(std::move(params), learning_rate),
-      decay_(decay),
-      momentum_(momentum),
-      eps_(eps) {
-  mean_square_.resize(params_.size());
-  for (size_t i = 0; i < params_.size(); ++i) {
-    mean_square_[i].assign(params_[i].data().size(), 0.0f);
-  }
-  if (momentum_ != 0.0f) {
-    velocity_.resize(params_.size());
-    for (size_t i = 0; i < params_.size(); ++i) {
-      velocity_[i].assign(params_[i].data().size(), 0.0f);
-    }
-  }
-}
-
-void RmsProp::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    auto& data = params_[i].impl()->data;
-    const auto& grad = params_[i].grad();
-    auto& ms = mean_square_[i];
-    for (size_t j = 0; j < data.size(); ++j) {
-      ms[j] = decay_ * ms[j] + (1.0f - decay_) * grad[j] * grad[j];
-      float update = grad[j] / (std::sqrt(ms[j]) + eps_);
-      if (momentum_ == 0.0f) {
-        data[j] -= learning_rate_ * update;
-      } else {
-        auto& velocity = velocity_[i];
-        velocity[j] = momentum_ * velocity[j] + update;
-        data[j] -= learning_rate_ * velocity[j];
-      }
     }
   }
 }

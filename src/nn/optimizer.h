@@ -28,18 +28,6 @@ class Optimizer {
   float learning_rate_;
 };
 
-// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float learning_rate, float momentum = 0.0f);
-
-  void Step() override;
-
- private:
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
 // Adam (Kingma & Ba, 2015) — the optimizer the paper trains with.
 class Adam : public Optimizer {
  public:
@@ -55,46 +43,6 @@ class Adam : public Optimizer {
   int64_t step_count_ = 0;
   std::vector<std::vector<float>> first_moment_;
   std::vector<std::vector<float>> second_moment_;
-};
-
-// AdamW (Loshchilov & Hutter, 2019): Adam with *decoupled* weight decay —
-// the decay is applied directly to the weights instead of being folded into
-// the gradient, so it is not rescaled by the adaptive step size.
-class AdamW : public Optimizer {
- public:
-  AdamW(std::vector<Tensor> params, float learning_rate,
-        float weight_decay = 1e-2f, float beta1 = 0.9f, float beta2 = 0.999f,
-        float eps = 1e-8f);
-
-  void Step() override;
-
-  float weight_decay() const { return weight_decay_; }
-
- private:
-  float weight_decay_;
-  float beta1_;
-  float beta2_;
-  float eps_;
-  int64_t step_count_ = 0;
-  std::vector<std::vector<float>> first_moment_;
-  std::vector<std::vector<float>> second_moment_;
-};
-
-// RMSprop (Tieleman & Hinton, 2012) with optional momentum: divides the
-// gradient by a running root-mean-square of recent gradients.
-class RmsProp : public Optimizer {
- public:
-  RmsProp(std::vector<Tensor> params, float learning_rate,
-          float decay = 0.99f, float momentum = 0.0f, float eps = 1e-8f);
-
-  void Step() override;
-
- private:
-  float decay_;
-  float momentum_;
-  float eps_;
-  std::vector<std::vector<float>> mean_square_;
-  std::vector<std::vector<float>> velocity_;  // allocated iff momentum != 0
 };
 
 }  // namespace kvec

@@ -27,27 +27,6 @@ ConstantLr::ConstantLr(Optimizer* optimizer) : LrScheduler(optimizer) {}
 
 float ConstantLr::ComputeLr(int step) const { return base_lr(); }
 
-StepDecayLr::StepDecayLr(Optimizer* optimizer, int step_size, float gamma)
-    : LrScheduler(optimizer), step_size_(step_size), gamma_(gamma) {
-  KVEC_CHECK(step_size_ > 0) << "step_size must be positive";
-}
-
-float StepDecayLr::ComputeLr(int step) const {
-  // Staircase decay: the integer division is the point — the exponent only
-  // advances once per completed step_size_ steps.
-  const int completed_stages = step / step_size_;
-  return base_lr() * std::pow(gamma_, static_cast<float>(completed_stages));
-}
-
-ExponentialDecayLr::ExponentialDecayLr(Optimizer* optimizer, float gamma)
-    : LrScheduler(optimizer), gamma_(gamma) {
-  KVEC_CHECK(gamma_ > 0.0f);
-}
-
-float ExponentialDecayLr::ComputeLr(int step) const {
-  return base_lr() * std::pow(gamma_, static_cast<float>(step));
-}
-
 CosineAnnealingLr::CosineAnnealingLr(Optimizer* optimizer, int total_steps,
                                      float min_lr)
     : LrScheduler(optimizer), total_steps_(total_steps), min_lr_(min_lr) {

@@ -57,32 +57,6 @@ class ConstantLr : public LrScheduler {
   float ComputeLr(int step) const override;
 };
 
-// Multiplies the rate by `gamma` every `step_size` steps:
-// lr = base * gamma^floor(step / step_size).
-class StepDecayLr : public LrScheduler {
- public:
-  StepDecayLr(Optimizer* optimizer, int step_size, float gamma = 0.1f);
-
- protected:
-  float ComputeLr(int step) const override;
-
- private:
-  int step_size_;
-  float gamma_;
-};
-
-// lr = base * gamma^step.
-class ExponentialDecayLr : public LrScheduler {
- public:
-  ExponentialDecayLr(Optimizer* optimizer, float gamma);
-
- protected:
-  float ComputeLr(int step) const override;
-
- private:
-  float gamma_;
-};
-
 // Cosine annealing from the base rate to `min_lr` over `total_steps`
 // (Loshchilov & Hutter, SGDR without restarts). Steps past `total_steps`
 // stay at `min_lr`.

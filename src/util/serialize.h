@@ -223,7 +223,9 @@ inline constexpr int32_t kCheckpointMaxFormatVersion = kCheckpointDeltaFormatVer
 // nowhere else (enforced by the `section-id` lint rule), so two subsystems
 // can never collide on an id without the clash being visible in one file.
 //
-// Serving state (full checkpoints, version 1):
+// Serving state (full checkpoints, version 1). The plain layout (one
+// StreamServer section, the v1 golden's) is read-only: only a 1-shard
+// ShardedStreamServer still reads it, and nothing writes it.
 inline constexpr int32_t kCheckpointSectionStreamServer = 1;
 inline constexpr int32_t kCheckpointSectionShardManifest = 2;
 inline constexpr int32_t kCheckpointSectionShard = 3;

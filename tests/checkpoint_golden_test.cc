@@ -3,8 +3,9 @@
 // A v1 StreamServer checkpoint produced by a fixed generator (tiny
 // untrained model, deterministic 120-item stream) is committed under
 // tests/data/. This test loads it, asserts the decoded frame and the
-// leading payload fields, and restores it into a compatibly-shaped
-// server. If either the container layout or the StreamServer section
+// leading payload fields, and restores its section into a
+// compatibly-shaped server (a 1-shard ShardedStreamServer reads the whole
+// file; core_sharded_stream_server_test pins that). If either the container layout or the StreamServer section
 // layout changes, this test fails — the fix is to bump
 // kCheckpointFormatVersion deliberately (and add a new golden), never to
 // regenerate this file in place.
@@ -35,6 +36,7 @@
 #include "core/stream_server.h"
 #include "util/serialize.h"
 #include "gtest/gtest.h"
+#include "stream_server_bytes.h"
 
 namespace kvec {
 namespace {
@@ -57,7 +59,8 @@ TEST(CheckpointGoldenTest, RegenerateGolden) {
   KvecModel model = golden::MakeModel();
   StreamServer server(model, golden::ServerConfig());
   FeedGoldenStream(&server);
-  ASSERT_TRUE(server.SaveCheckpoint(out_path));
+  // The plain layout: one StreamServer section, which no server writes.
+  ASSERT_TRUE(AtomicWriteFile(out_path, PlainCheckpoint(server)));
   const StreamServerStats& stats = server.stats();
   std::printf(
       "golden written to %s\n  open_keys=%d items=%lld classified=%lld "
@@ -106,10 +109,15 @@ TEST(CheckpointGoldenTest, PayloadFieldsDecodeAsWritten) {
 }
 
 TEST(CheckpointGoldenTest, RestoresIntoCompatibleServer) {
+  Checkpoint checkpoint;
+  ASSERT_TRUE(CheckpointLoad(
+      std::string(KVEC_TEST_DATA_DIR) + kGoldenFile, &checkpoint));
+  const CheckpointSection* section =
+      checkpoint.Find(kCheckpointSectionStreamServer);
+  ASSERT_NE(section, nullptr);
   KvecModel model = golden::MakeModel();
   StreamServer server(model, golden::ServerConfig());
-  ASSERT_TRUE(server.LoadCheckpoint(std::string(KVEC_TEST_DATA_DIR) +
-                                    kGoldenFile));
+  ASSERT_TRUE(RestoreSnapshot(&server, section->payload));
   // Pinned from generation time (see RegenerateGolden's printout).
   const StreamServerStats& stats = server.stats();
   EXPECT_EQ(server.open_keys(), 10);
@@ -136,7 +144,10 @@ TEST(CheckpointGoldenTest, UnknownSectionsAreSkipped) {
   // kvec-lint: allow-next(section-id) deliberately unknown future id
   checkpoint.sections.push_back({999, std::string("future payload")});
   KvecModel model = golden::MakeModel();
-  StreamServer server(model, golden::ServerConfig());
+  ShardedStreamServerConfig config;
+  config.num_shards = 1;
+  config.shard = golden::ServerConfig();
+  ShardedStreamServer server(model, config);
   ASSERT_TRUE(server.RestoreCheckpoint(CheckpointEncode(checkpoint)));
   EXPECT_EQ(server.stats().items_processed, 120);
 }

@@ -508,6 +508,26 @@ TEST(CliServe, FullSaveOverAChainBaseEndsTheChain) {
   RemoveChain(scratch);
 }
 
+TEST(CliServe, ShorterChainOverALongerOneStillLoads) {
+  // A fresh --checkpoint-every chain over a path holding a longer chain:
+  // its first base write clears the old tail, so the path loads.
+  const std::string path = "cli_test_stale_tail.ckpt";
+  RemoveChain(path);
+  ASSERT_EQ(Serve({"--episodes", "100", "--checkpoint-every", "20",
+                   "--save-checkpoint", path})
+                .code,
+            0);
+  ASSERT_TRUE(std::filesystem::exists(path + ".delta.6"));
+  ASSERT_EQ(Serve({"--episodes", "30", "--checkpoint-every", "20",
+                   "--save-checkpoint", path})
+                .code,
+            0);
+  EXPECT_FALSE(std::filesystem::exists(path + ".delta.6"));
+  const CliResult load = Serve({"--load-checkpoint", path});
+  EXPECT_EQ(load.code, 0) << load.err;
+  RemoveChain(path);
+}
+
 // ---- Report schemas ------------------------------------------------------
 
 // The key paths of a report's JSON ("overload.items_shed",

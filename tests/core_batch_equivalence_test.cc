@@ -25,6 +25,7 @@
 #include "data/generator.h"
 #include "data/traffic_generator.h"
 #include "gtest/gtest.h"
+#include "stream_server_bytes.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
@@ -381,7 +382,7 @@ TEST(BatchEquivalenceTest, EarlyHaltingServerMatchesAcrossBatchSizes) {
           events.push_back(event);
         }
       }
-      const std::string bytes = server.EncodeCheckpoint();
+      const std::string bytes = SnapshotBytes(server);
       for (const StreamEvent& event : server.Flush()) events.push_back(event);
 
       const StreamServerStats& stats = server.stats();

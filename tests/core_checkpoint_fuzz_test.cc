@@ -1,4 +1,5 @@
-// Corruption-fuzz property test for CheckpointLoad / RestoreCheckpoint.
+// Corruption-fuzz property test for ShardedStreamServer's checkpoint
+// readers (RestoreCheckpoint, RestoreFromCheckpointChain).
 //
 // Property: feeding the restore path truncated, bit-flipped, or
 // wrong-version checkpoint bytes NEVER crashes, hangs, over-allocates, or
@@ -6,9 +7,10 @@
 // exactly as it was, and a successful restore (possible when a flip lands
 // in float payload bytes the framing cannot vet) leaves a server that is
 // still structurally sound, i.e. can serve more items without tripping an
-// invariant (the whole binary runs under ASan/UBSan in CI). Every such
-// input also goes, as a plain file, to a 1-shard ShardedStreamServer,
-// which must reach the same verdict and fail just as closed.
+// invariant (the whole binary runs under ASan/UBSan in CI). The
+// single-server cases corrupt the plain layout (one StreamServer section,
+// composed here) and restore it into a 1-shard server, the only reader it
+// still has; the sharded and chain cases corrupt what the server writes.
 //
 // ~1.2k seeded cases on an untrained tiny model, so the serving-layer
 // bookkeeping dominates and the suite stays fast.
@@ -25,6 +27,7 @@
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "gtest/gtest.h"
+#include "stream_server_bytes.h"
 
 namespace kvec {
 namespace {
@@ -75,7 +78,7 @@ StreamServerConfig TightConfig() {
 
 // The target must be byte-for-byte unmutated after a failed restore; its
 // re-encoded checkpoint is the cheapest complete fingerprint of its state.
-void ExpectUntouched(const StreamServer& server,
+void ExpectUntouched(const ShardedStreamServer& server,
                      const std::string& fingerprint, size_t case_index) {
   EXPECT_EQ(server.EncodeCheckpoint(), fingerprint)
       << "failed restore mutated the server, case " << case_index;
@@ -88,15 +91,19 @@ class CheckpointFuzzTest : public ::testing::Test {
     stream_ = MakeStream(300);
     StreamServer source(*model_, TightConfig());
     for (const Item& item : stream_) source.Observe(item);
-    pristine_ = source.EncodeCheckpoint();
+    pristine_ = PlainCheckpoint(source);
     ASSERT_GT(pristine_.size(), 64u);
+    // What a 1-shard server fed the same stream encodes: the state the
+    // pristine plain bytes restore.
+    ShardedStreamServer fed_one_shard(*model_, OneShardConfig());
+    for (const Item& item : stream_) fed_one_shard.Observe(item);
+    pristine_one_shard_ = fed_one_shard.EncodeCheckpoint();
 
     // Fingerprint of a fresh, never-fed server (every fuzz target starts
     // in this state).
-    StreamServer fresh(*model_, TightConfig());
+    ShardedStreamServer fresh(*model_, OneShardConfig());
     fresh_fingerprint_ = fresh.EncodeCheckpoint();
-    ShardedStreamServer fresh_one_shard(*model_, OneShardConfig());
-    fresh_one_shard_fingerprint_ = fresh_one_shard.EncodeCheckpoint();
+    fresh_snapshot_ = SnapshotBytes(StreamServer(*model_, TightConfig()));
   }
 
   static ShardedStreamServerConfig OneShardConfig() {
@@ -106,20 +113,20 @@ class CheckpointFuzzTest : public ::testing::Test {
     return config;
   }
 
-  // Attempts a restore of `bytes` into a fresh server and checks the
-  // property; every `replay_stride`-th failing case additionally proves
-  // the target still accepts the pristine checkpoint and replays.
+  // Attempts a restore of `bytes` into a fresh 1-shard server and checks
+  // the property; every 97th failing case additionally proves the target
+  // still accepts the pristine checkpoint.
   void CheckCase(const std::string& bytes, size_t case_index) {
-    StreamServer target(*model_, TightConfig());
+    ShardedStreamServer target(*model_, OneShardConfig());
     const bool restored = target.RestoreCheckpoint(bytes);
-    CheckOneShardCase(bytes, restored, case_index);
+    CheckBareRestore(bytes, restored, case_index);
     if (!restored) {
       ExpectUntouched(target, fresh_fingerprint_, case_index);
       if (case_index % 97 == 0) {
         // A failed restore must not poison later restores.
         ASSERT_TRUE(target.RestoreCheckpoint(pristine_))
             << "case " << case_index;
-        EXPECT_EQ(target.EncodeCheckpoint(), pristine_)
+        EXPECT_EQ(target.EncodeCheckpoint(), pristine_one_shard_)
             << "case " << case_index;
       }
     } else {
@@ -131,29 +138,34 @@ class CheckpointFuzzTest : public ::testing::Test {
     }
   }
 
-  // The same bytes as a plain file restored into a 1-shard sharded
-  // server, which stages them through the same StreamServer reader: the
-  // same verdict, and a failure leaves the server untouched.
-  void CheckOneShardCase(const std::string& bytes, bool want_restored,
-                         size_t case_index) {
-    ShardedStreamServer target(*model_, OneShardConfig());
-    ASSERT_EQ(target.RestoreCheckpoint(bytes), want_restored)
+  // When `bytes` still frame a version-1 plain section, the record codec
+  // under the 1-shard reader gets the section's payload on a bare
+  // StreamServer: the same verdict, and a failure leaves it untouched.
+  void CheckBareRestore(const std::string& bytes, bool want_restored,
+                        size_t case_index) {
+    Checkpoint checkpoint;
+    if (!CheckpointDecode(bytes, &checkpoint) ||
+        checkpoint.version != kCheckpointFormatVersion) {
+      return;
+    }
+    const CheckpointSection* section =
+        checkpoint.Find(kCheckpointSectionStreamServer);
+    if (section == nullptr) return;
+    StreamServer bare(*model_, TightConfig());
+    ASSERT_EQ(RestoreSnapshot(&bare, section->payload), want_restored)
         << "case " << case_index;
     if (!want_restored) {
-      EXPECT_EQ(target.EncodeCheckpoint(), fresh_one_shard_fingerprint_)
-          << "failed 1-shard restore mutated the server, case "
-          << case_index;
-    } else {
-      for (int i = 0; i < 8; ++i) target.Observe(stream_[i]);
-      target.Flush();
+      EXPECT_EQ(SnapshotBytes(bare), fresh_snapshot_)
+          << "failed Restore mutated the bare server, case " << case_index;
     }
   }
 
   std::unique_ptr<KvecModel> model_;
   std::vector<Item> stream_;
   std::string pristine_;
+  std::string pristine_one_shard_;
   std::string fresh_fingerprint_;
-  std::string fresh_one_shard_fingerprint_;
+  std::string fresh_snapshot_;
 };
 
 TEST_F(CheckpointFuzzTest, TruncationsFailCleanly) {
@@ -190,7 +202,7 @@ TEST_F(CheckpointFuzzTest, WrongVersionAndHeaderMutationsAreRejected) {
   for (int32_t version : {-1, 0, 2, 3, 1000, INT32_MIN, INT32_MAX}) {
     std::string corrupt = pristine_;
     std::memcpy(&corrupt[4], &version, sizeof(version));
-    StreamServer target(*model_, TightConfig());
+    ShardedStreamServer target(*model_, OneShardConfig());
     EXPECT_FALSE(target.RestoreCheckpoint(corrupt)) << "version " << version;
     ExpectUntouched(target, fresh_fingerprint_, case_index++);
   }

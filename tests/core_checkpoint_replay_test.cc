@@ -24,6 +24,7 @@
 #include "data/generator.h"
 #include "data/traffic_generator.h"
 #include "gtest/gtest.h"
+#include "stream_server_bytes.h"
 
 namespace kvec {
 namespace {
@@ -129,9 +130,9 @@ void ReplayFromCut(const KvecModel& model, const StreamServerConfig& config,
   StreamServer uninterrupted(model, config);
   for (size_t i = 0; i < cut; ++i) uninterrupted.Observe(stream[i]);
 
-  const std::string bytes = uninterrupted.EncodeCheckpoint();
   StreamServer restored(model, config);
-  ASSERT_TRUE(restored.RestoreCheckpoint(bytes)) << context;
+  ASSERT_TRUE(RestoreSnapshot(&restored, SnapshotBytes(uninterrupted)))
+      << context;
   EXPECT_EQ(restored.open_keys(), uninterrupted.open_keys()) << context;
   ExpectIdenticalStats(uninterrupted.stats(), restored.stats(), context);
 
@@ -252,17 +253,25 @@ TEST(CheckpointReplayTest, ReplaySeedFromEnv) {
 
 // ---- Checkpoint file round trip and cross-layout guards. ----
 
+// One shard: the CLI's `--shards 1`, and the only server that still reads
+// the plain layout.
+ShardedStreamServerConfig OneShard() {
+  ShardedStreamServerConfig config;
+  config.num_shards = 1;
+  return config;
+}
+
 TEST(CheckpointReplayTest, FileRoundTripRestoresState) {
   Fixture fixture = TrainSmallModel(84);
   const std::vector<Item> stream = ConcatStream(fixture.dataset);
-  StreamServer server(*fixture.model, {});
+  ShardedStreamServer server(*fixture.model, OneShard());
   for (size_t i = 0; i < stream.size() / 2; ++i) server.Observe(stream[i]);
 
   const std::string path =
       ::testing::TempDir() + "/kvec_stream_server.ckpt";
   ASSERT_TRUE(server.SaveCheckpoint(path));
-  StreamServer restored(*fixture.model, {});
-  ASSERT_TRUE(restored.LoadCheckpoint(path));
+  ShardedStreamServer restored(*fixture.model, OneShard());
+  ASSERT_TRUE(restored.RestoreFromCheckpointChain(path));
   EXPECT_EQ(restored.open_keys(), server.open_keys());
   ExpectIdenticalStats(server.stats(), restored.stats(), "file round trip");
   std::remove(path.c_str());
@@ -290,7 +299,7 @@ TEST(CheckpointReplayTest, ShardCountMismatchIsRejected) {
 TEST(CheckpointReplayTest, SingleShardBytesRejectedByShardedServer) {
   Fixture fixture = TrainSmallModel(85);
   StreamServer server(*fixture.model, {});
-  const std::string bytes = server.EncodeCheckpoint();
+  const std::string bytes = PlainCheckpoint(server);
   ShardedStreamServerConfig config;
   config.num_shards = 2;
   ShardedStreamServer sharded(*fixture.model, config);
@@ -310,11 +319,11 @@ TEST(CheckpointReplayTest, TrailingBytesInsideSectionAreRejected) {
     server.Observe(stream[i]);
   }
   Checkpoint checkpoint;
-  ASSERT_TRUE(CheckpointDecode(server.EncodeCheckpoint(), &checkpoint));
+  ASSERT_TRUE(CheckpointDecode(PlainCheckpoint(server), &checkpoint));
   ASSERT_EQ(checkpoint.sections.size(), 1u);
   checkpoint.sections[0].payload.append("garbage");
 
-  StreamServer target(*fixture.model, {});
+  ShardedStreamServer target(*fixture.model, OneShard());
   EXPECT_FALSE(target.RestoreCheckpoint(CheckpointEncode(checkpoint)));
   EXPECT_EQ(target.stats().items_processed, 0);
   EXPECT_EQ(target.open_keys(), 0);
@@ -327,12 +336,12 @@ TEST(CheckpointReplayTest, ModelShapeMismatchIsRejected) {
   for (size_t i = 0; i < 16 && i < stream.size(); ++i) {
     server.Observe(stream[i]);
   }
-  const std::string bytes = server.EncodeCheckpoint();
+  const std::string bytes = PlainCheckpoint(server);
 
   KvecConfig other_config = fixture.model->config();
   other_config.embed_dim = 8;  // different encoder geometry
   KvecModel other_model(other_config);
-  StreamServer mismatched(other_model, {});
+  ShardedStreamServer mismatched(other_model, OneShard());
   EXPECT_FALSE(mismatched.RestoreCheckpoint(bytes));
   EXPECT_EQ(mismatched.stats().items_processed, 0);
 }

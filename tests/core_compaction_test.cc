@@ -6,9 +6,9 @@
 //    emits the bit-identical StreamEvent sequence (keys, labels, causes,
 //    order, confidences) of a server that never compacts, for the same
 //    stream;
-//  * checkpoint byte-identity — EncodeCheckpoint() returns byte-identical
-//    strings immediately before and after a compaction, and a compacting
-//    server's checkpoint equals a never-compacting twin's at the same
+//  * checkpoint byte-identity — the server's Snapshot bytes are identical
+//    immediately before and after a compaction, and a compacting
+//    server's snapshot equals a never-compacting twin's at the same
 //    stream position.
 // Both are exercised with compactions *forced* at exact stream positions
 // (including rotation/idle/capacity boundaries), not left to the
@@ -25,6 +25,7 @@
 #include "data/generator.h"
 #include "data/traffic_generator.h"
 #include "gtest/gtest.h"
+#include "stream_server_bytes.h"
 #include "util/fault_injection.h"
 
 namespace kvec {
@@ -179,12 +180,12 @@ TEST(CompactionTest, CheckpointBytesIdenticalAcrossCompaction) {
     }
 
     // Before/after around one more compaction on the same server...
-    const std::string before = compacting.EncodeCheckpoint();
+    const std::string before = SnapshotBytes(compacting);
     ASSERT_TRUE(compacting.Compact());
-    const std::string after = compacting.EncodeCheckpoint();
+    const std::string after = SnapshotBytes(compacting);
     EXPECT_EQ(before, after);
     // ...and against the never-compacted twin at the same position.
-    EXPECT_EQ(baseline.EncodeCheckpoint(), after);
+    EXPECT_EQ(SnapshotBytes(baseline), after);
   }
 }
 
@@ -202,9 +203,9 @@ TEST(CompactionTest, ReplayFromCompactedCheckpointIsIdentical) {
     }
   }
 
-  const std::string bytes = uninterrupted.EncodeCheckpoint();
+  const std::string bytes = SnapshotBytes(uninterrupted);
   StreamServer restored(*fixture.model, config);
-  ASSERT_TRUE(restored.RestoreCheckpoint(bytes));
+  ASSERT_TRUE(RestoreSnapshot(&restored, bytes));
   EXPECT_EQ(restored.open_keys(), uninterrupted.open_keys());
 
   // The suffix compacts at *different* positions on each replica; the
@@ -244,7 +245,7 @@ TEST(CompactionTest, RestorePreservesCompactionKnobsAndCounter) {
   for (size_t i = 0; i < 32 && i < stream.size(); ++i) {
     source.Observe(stream[i]);
   }
-  const std::string bytes = source.EncodeCheckpoint();
+  const std::string bytes = SnapshotBytes(source);
 
   // The target runs different (process-local) knobs and has compacted;
   // restoring serving state must clobber neither.
@@ -255,7 +256,7 @@ TEST(CompactionTest, RestorePreservesCompactionKnobsAndCounter) {
   StreamServer target(*fixture.model, target_config);
   ASSERT_TRUE(target.Compact());
   ASSERT_EQ(target.stats().compactions, 1);
-  ASSERT_TRUE(target.RestoreCheckpoint(bytes));
+  ASSERT_TRUE(RestoreSnapshot(&target, bytes));
   EXPECT_EQ(target.stats().compactions, 1);
   EXPECT_EQ(target.stats().items_processed, source.stats().items_processed);
 }

@@ -334,6 +334,47 @@ TEST(IncrementalCheckpointTest, RebaseFoldsTheChain) {
   UnlinkChain(base);
 }
 
+// A second writer that starts a fresh chain (a new process, a new
+// IncrementalCheckpointState) on a path holding a longer chain: its base
+// write must clear the old tail, or the loader meets the old writer's
+// deltas after the new ones and the path no longer loads.
+TEST(IncrementalCheckpointTest, FreshChainClearsALongerStaleTail) {
+  Fixture fixture = TrainSmallModel(94);
+  const std::vector<Item> stream = ConcatStream(fixture.dataset);
+  ShardedStreamServerConfig config;
+  config.num_shards = 2;
+  const std::string base = ChainBase("stale_tail");
+  UnlinkChain(base);
+
+  // A base after the first `step` items, then one delta per `step` more.
+  auto write_chain = [&](size_t step, int deltas) {
+    auto server = std::make_unique<ShardedStreamServer>(*fixture.model, config);
+    IncState state;
+    size_t fed = 0;
+    for (int link = 0; link <= deltas; ++link) {
+      for (size_t i = 0; i < step && fed < stream.size(); ++i) {
+        server->Observe(stream[fed++]);
+      }
+      EXPECT_TRUE(
+          server->CheckpointIncremental(base, /*rebase_every=*/0, &state));
+    }
+    EXPECT_EQ(state.deltas_written, deltas);
+    return server;
+  };
+  write_chain(/*step=*/20, /*deltas=*/6);
+  const std::unique_ptr<ShardedStreamServer> writer =
+      write_chain(/*step=*/15, /*deltas=*/2);
+  std::FILE* stale =
+      std::fopen(ShardedStreamServer::DeltaPath(base, 3).c_str(), "rb");
+  EXPECT_EQ(stale, nullptr);
+  if (stale != nullptr) std::fclose(stale);
+
+  ShardedStreamServer restored(*fixture.model, config);
+  ASSERT_TRUE(restored.RestoreFromCheckpointChain(base));
+  EXPECT_EQ(restored.EncodeCheckpoint(), writer->EncodeCheckpoint());
+  UnlinkChain(base);
+}
+
 // Restoring with a state continues the chain in place: the next write
 // appends the next delta and a fresh restore still reconstructs exactly.
 TEST(IncrementalCheckpointTest, RestoredStateContinuesTheChain) {

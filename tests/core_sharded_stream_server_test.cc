@@ -15,6 +15,7 @@
 #include "data/generator.h"
 #include "data/traffic_generator.h"
 #include "gtest/gtest.h"
+#include "stream_server_bytes.h"
 
 namespace kvec {
 namespace {
@@ -222,10 +223,10 @@ std::vector<StreamEvent> ServeAndFlush(Server* server,
 }
 
 TEST(ShardedStreamServerTest, OneShardRestoresThePlainLayout) {
-  // `kvec serve --save-checkpoint` wrote the plain StreamServer layout for
-  // one shard. A 1-shard server restored from such bytes serves on event
-  // for event like a StreamServer restored from them; more shards reject
-  // the plain layout.
+  // `kvec serve --save-checkpoint` once wrote the plain StreamServer
+  // layout for one shard. A 1-shard server restored from such bytes serves
+  // on event for event like a StreamServer restored from the same
+  // snapshot; more shards reject the plain layout.
   Fixture fixture = TrainSmallModel(79);
   const std::vector<Item> stream = GlobalStream(fixture.dataset);
   const size_t cut = stream.size() / 2;
@@ -234,10 +235,10 @@ TEST(ShardedStreamServerTest, OneShardRestoresThePlainLayout) {
   config.shard.max_window_items = 40;  // rotations before and after the cut
   StreamServer source(*fixture.model, config.shard);
   for (size_t i = 0; i < cut; ++i) source.Observe(stream[i]);
-  const std::string bytes = source.EncodeCheckpoint();
+  const std::string bytes = PlainCheckpoint(source);
 
   StreamServer plain(*fixture.model, config.shard);
-  ASSERT_TRUE(plain.RestoreCheckpoint(bytes));
+  ASSERT_TRUE(RestoreSnapshot(&plain, SnapshotBytes(source)));
   ShardedStreamServer sharded(*fixture.model, config);
   ASSERT_TRUE(sharded.RestoreCheckpoint(bytes));
   EXPECT_EQ(sharded.open_keys(), plain.open_keys());
@@ -259,12 +260,17 @@ TEST(ShardedStreamServerTest, OneShardRestoresThePlainLayout) {
 TEST(ShardedStreamServerTest, OneShardLoadsTheV1Golden) {
   // The committed v1 golden is a plain StreamServer file: the file loader
   // of a 1-shard server (a chain without deltas) restores it, and the
-  // server serves on like a StreamServer loaded from it.
+  // server serves on like a StreamServer restored from its section.
   const std::string path =
       std::string(KVEC_TEST_DATA_DIR) + "/stream_server_v1.ckpt";
+  Checkpoint golden_file;
+  ASSERT_TRUE(CheckpointLoad(path, &golden_file));
+  const CheckpointSection* section =
+      golden_file.Find(kCheckpointSectionStreamServer);
+  ASSERT_NE(section, nullptr);
   KvecModel model = golden::MakeModel();
   StreamServer plain(model, golden::ServerConfig());
-  ASSERT_TRUE(plain.LoadCheckpoint(path));
+  ASSERT_TRUE(RestoreSnapshot(&plain, section->payload));
   ShardedStreamServerConfig config;
   config.num_shards = 1;
   config.shard = golden::ServerConfig();

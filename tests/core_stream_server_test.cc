@@ -15,6 +15,7 @@
 #include "data/generator.h"
 #include "data/traffic_generator.h"
 #include "gtest/gtest.h"
+#include "stream_server_bytes.h"
 
 namespace kvec {
 namespace {
@@ -508,19 +509,19 @@ TEST(StreamServerTest, RestoreRejectsOpenKeyTheEngineNeverSaw) {
   Fixture fixture = TrainSmallModel(72);
   StreamServer source(*fixture.model, {});
   OpenKeys(source, fixture.dataset.test[0].items[0], {777777, 5});
-  std::string bytes = source.EncodeCheckpoint();
+  std::string bytes = SnapshotBytes(source);
   ASSERT_TRUE(ReplaceFirstInt32(&bytes, 777777, 888888));
 
   StreamServer target(*fixture.model, {});
   OpenKeys(target, fixture.dataset.test[0].items[1], {11});
-  const std::string before = target.EncodeCheckpoint();
-  EXPECT_FALSE(target.RestoreCheckpoint(bytes));
-  EXPECT_EQ(target.EncodeCheckpoint(), before);  // untouched
+  const std::string before = SnapshotBytes(target);
+  EXPECT_FALSE(RestoreSnapshot(&target, bytes));
+  EXPECT_EQ(SnapshotBytes(target), before);  // untouched
   EXPECT_EQ(KeysOf(target.Flush()), std::vector<int>{11});
 
-  // The untampered checkpoint restores.
+  // The untampered snapshot restores.
   StreamServer fresh(*fixture.model, {});
-  ASSERT_TRUE(fresh.RestoreCheckpoint(source.EncodeCheckpoint()));
+  ASSERT_TRUE(RestoreSnapshot(&fresh, SnapshotBytes(source)));
   EXPECT_EQ(KeysOf(fresh.Flush()), (std::vector<int>{5, 777777}));
 }
 

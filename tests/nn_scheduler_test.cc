@@ -20,31 +20,6 @@ TEST(ConstantLrTest, NeverChangesRate) {
   EXPECT_EQ(schedule.step_count(), 10);
 }
 
-TEST(StepDecayLrTest, DecaysEveryStepSize) {
-  Adam adam({Param()}, 1.0f);
-  StepDecayLr schedule(&adam, /*step_size=*/3, /*gamma=*/0.5f);
-  std::vector<float> rates;
-  for (int i = 0; i < 9; ++i) {
-    schedule.Step();
-    rates.push_back(adam.learning_rate());
-  }
-  // Steps 1,2 -> 1.0; steps 3..5 -> 0.5; steps 6..8 -> 0.25; step 9 -> 0.125.
-  EXPECT_FLOAT_EQ(rates[0], 1.0f);
-  EXPECT_FLOAT_EQ(rates[1], 1.0f);
-  EXPECT_FLOAT_EQ(rates[2], 0.5f);
-  EXPECT_FLOAT_EQ(rates[5], 0.25f);
-  EXPECT_FLOAT_EQ(rates[8], 0.125f);
-}
-
-TEST(ExponentialDecayLrTest, GeometricDecay) {
-  Sgd sgd({Param()}, 2.0f);
-  ExponentialDecayLr schedule(&sgd, 0.9f);
-  schedule.Step();
-  EXPECT_NEAR(sgd.learning_rate(), 2.0f * 0.9f, 1e-6f);
-  schedule.Step();
-  EXPECT_NEAR(sgd.learning_rate(), 2.0f * 0.81f, 1e-6f);
-}
-
 TEST(CosineAnnealingLrTest, StartsAtBaseEndsAtMin) {
   Adam adam({Param()}, 1.0f);
   CosineAnnealingLr schedule(&adam, /*total_steps=*/10, /*min_lr=*/0.1f);
@@ -108,7 +83,6 @@ TEST(WarmupCosineLrTest, ZeroWarmupEqualsCosine) {
 
 TEST(SchedulerDeathTest, RejectsBadParameters) {
   Adam adam({Param()}, 1.0f);
-  EXPECT_DEATH(StepDecayLr(&adam, 0), "step_size");
   EXPECT_DEATH(CosineAnnealingLr(&adam, 0), "total_steps");
   EXPECT_DEATH(WarmupCosineLr(&adam, 5, 5), "exceed warmup");
 }
