@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/sharded_stream_server.h"
+#include "util/serialize.h"
 
 namespace kvec {
 namespace {
@@ -283,6 +284,31 @@ BENCHMARK(BM_RestoreFromChain)
     ->Args({8192, 1})
     ->Args({8192, 5})
     ->Args({100000, 5})
+    ->Unit(benchmark::kMillisecond);
+
+// Fingerprint throughput over a 32 MB buffer, about one state-churn delta
+// link: range(0) = 0 is FNV-1a (what version-2 links carry, now only
+// verified on restore), 1 is XXH64 (what CheckpointWrite folds over every
+// file it writes). Report-only; bytes_per_second is the figure to read.
+void BM_CheckpointFingerprint(benchmark::State& state) {
+  const bool xxh64 = state.range(0) != 0;
+  std::string bytes(size_t{32} << 20, '\0');
+  uint64_t fill = 0x9E3779B97F4A7C15ull;
+  for (char& byte : bytes) {
+    fill = fill * 6364136223846793005ull + 1442695040888963407ull;
+    byte = static_cast<char>(fill >> 56);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xxh64 ? CheckpointFingerprint(bytes)
+                                   : CheckpointFingerprintV2(bytes));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes.size()));
+  state.SetLabel(xxh64 ? "xxh64 (v3)" : "fnv1a (v2, verify only)");
+}
+BENCHMARK(BM_CheckpointFingerprint)
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

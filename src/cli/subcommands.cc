@@ -128,6 +128,16 @@ bool CheckSplit(const std::string& split, std::ostream& err) {
   return false;
 }
 
+// --episodes overrides a preset's total episode count, which is split
+// 8:1:1 and so needs at least SplitCounts::kMinTotalEpisodes; 0 keeps the
+// preset's own count. Checked before the dataset is resolved.
+bool CheckEpisodes(int64_t episodes, std::ostream& err) {
+  if (episodes == 0 || episodes >= SplitCounts::kMinTotalEpisodes) return true;
+  err << "kvec: --episodes must be 0 (the preset default) or at least "
+      << SplitCounts::kMinTotalEpisodes << ", got " << episodes << "\n";
+  return false;
+}
+
 int UsageError(ArgParser& parser, std::ostream& err) {
   err << "kvec: " << parser.error() << "\n" << parser.Usage();
   return kExitUsage;
@@ -219,6 +229,7 @@ int RunGenerate(const std::vector<std::string>& args, std::ostream& out,
     err << parser.Usage();
     return kExitOk;
   }
+  if (!CheckEpisodes(*dataset_flags.episodes, err)) return kExitUsage;
 
   if (*list) {
     Table table({"preset", "alias", "classes", "value fields", "episodes "
@@ -318,6 +329,7 @@ int RunTrain(const std::vector<std::string>& args, std::ostream& out,
     err << parser.Usage();
     return kExitOk;
   }
+  if (!CheckEpisodes(*dataset_flags.episodes, err)) return kExitUsage;
   if (model_path->empty()) {
     err << "kvec: train requires --model <path>\n" << parser.Usage();
     return kExitUsage;
@@ -401,6 +413,7 @@ int RunEval(const std::vector<std::string>& args, std::ostream& out,
     err << parser.Usage();
     return kExitOk;
   }
+  if (!CheckEpisodes(*dataset_flags.episodes, err)) return kExitUsage;
   if (model_path->empty()) {
     err << "kvec: eval requires --model <path>\n" << parser.Usage();
     return kExitUsage;
@@ -518,6 +531,7 @@ int RunSweep(const std::vector<std::string>& args, std::ostream& out,
     err << parser.Usage();
     return kExitOk;
   }
+  if (!CheckEpisodes(*episodes, err)) return kExitUsage;
 
   // Profile resolution. "smoke" shrinks everything so a cold checkout can
   // prove train→eval→table end-to-end in seconds (the CI docs job runs
@@ -1021,6 +1035,7 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
     err << parser.Usage();
     return kExitOk;
   }
+  if (!CheckEpisodes(*dataset_flags.episodes, err)) return kExitUsage;
 
   // Every flag is checked here, before the dataset is resolved (and a
   // throwaway model trained), so a bad value is a usage error rather than
@@ -1272,6 +1287,7 @@ int RunLoadgenCommand(const std::vector<std::string>& args, std::ostream& out,
     err << parser.Usage();
     return kExitOk;
   }
+  if (!CheckEpisodes(*dataset_flags.episodes, err)) return kExitUsage;
   if (connect->empty()) {
     err << "kvec: --connect HOST:PORT is required\n" << parser.Usage();
     return kExitUsage;

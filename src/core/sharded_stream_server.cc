@@ -399,6 +399,13 @@ void RemoveChainTail(const std::string& base_path) {
   }
 }
 
+// The fingerprint a delta link at `version` (2 or 3) carries of a file.
+uint64_t LinkFingerprint(int32_t version, const std::string& bytes) {
+  return version == kCheckpointFnvDeltaFormatVersion
+             ? CheckpointFingerprintV2(bytes)
+             : CheckpointFingerprint(bytes);
+}
+
 // Walks the `section_id` sections of `checkpoint`, one per shard, each
 // opening with its shard number: hands `apply` the shard and a reader at
 // the rest of its payload. Fails on an out-of-range, duplicate or missing
@@ -477,7 +484,7 @@ bool ShardedStreamServer::WriteBase(const std::string& path,
 bool ShardedStreamServer::StageFromCheckpoint(
     const Checkpoint& checkpoint,
     std::vector<std::unique_ptr<StreamServer>>* staged) {
-  // Delta containers (version 2) never reach here; the chain loader
+  // Delta containers (versions 2 and 3) never reach here; the chain loader
   // decodes them itself. A full restore must refuse them outright.
   if (checkpoint.version != kCheckpointFormatVersion) return false;
   // Stage every shard before swapping any in. Staging touches no live
@@ -627,8 +634,12 @@ bool ShardedStreamServer::RestoreFromCheckpointChain(
   std::vector<std::unique_ptr<StreamServer>> staged;
   if (!StageFromCheckpoint(base, &staged)) return false;
 
-  const uint64_t base_fp = CheckpointFingerprint(base_bytes);
-  uint64_t prev_fp = base_fp;
+  // Link 1 sets the chain's version and every later link must match it:
+  // v3 links are linked by XXH64, v2 links by FNV-1a, and a chain that
+  // mixes them fails. The base is hashed once that version is known.
+  int32_t chain_version = kCheckpointDeltaFormatVersion;
+  uint64_t base_fp = 0;
+  uint64_t prev_fp = 0;
   int64_t seq = 1;
   for (;; ++seq) {
     std::string delta_bytes;
@@ -637,7 +648,17 @@ bool ShardedStreamServer::RestoreFromCheckpointChain(
     }
     Checkpoint delta;
     if (!CheckpointDecode(delta_bytes, &delta)) return false;
-    if (delta.version != kCheckpointDeltaFormatVersion) return false;
+    if (seq == 1) {
+      if (delta.version != kCheckpointDeltaFormatVersion &&
+          delta.version != kCheckpointFnvDeltaFormatVersion) {
+        return false;
+      }
+      chain_version = delta.version;
+      base_fp = LinkFingerprint(chain_version, base_bytes);
+      prev_fp = base_fp;
+    } else if (delta.version != chain_version) {
+      return false;
+    }
     const CheckpointSection* manifest =
         delta.Find(kCheckpointSectionDeltaManifest);
     if (manifest == nullptr) return false;
@@ -662,7 +683,7 @@ bool ShardedStreamServer::RestoreFromCheckpointChain(
                              })) {
       return false;
     }
-    prev_fp = CheckpointFingerprint(delta_bytes);
+    prev_fp = LinkFingerprint(chain_version, delta_bytes);
   }
 
   CommitStaged(&staged);
@@ -676,9 +697,16 @@ bool ShardedStreamServer::RestoreFromCheckpointChain(
       server->StageDeltaBaseline();
       server->CommitDeltaBaseline();
     });
-    state->base_fingerprint = base_fp;
-    state->prev_fingerprint = prev_fp;
-    state->deltas_written = seq - 1;
+    // A v2 chain is never extended with v3 links: a zero base fingerprint
+    // makes the next CheckpointIncremental write a fresh base, and that
+    // write removes the v2 deltas.
+    *state = {};
+    if (chain_version == kCheckpointDeltaFormatVersion) {
+      if (seq == 1) base_fp = prev_fp = CheckpointFingerprint(base_bytes);
+      state->base_fingerprint = base_fp;
+      state->prev_fingerprint = prev_fp;
+      state->deltas_written = seq - 1;
+    }
   }
   return true;
 }

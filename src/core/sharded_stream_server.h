@@ -212,11 +212,13 @@ class ShardedStreamServer {
   // ---- Incremental checkpoints: delta chains (docs/SERVING.md). ----
   //
   // On-disk layout: a full version-1 base at `base_path` plus consecutive
-  // version-2 delta files at `base_path + ".delta.1"`, ".delta.2", ...
+  // version-3 delta files at `base_path + ".delta.1"`, ".delta.2", ...
   // Each delta's manifest stores the base's fingerprint, the previous
   // link's fingerprint, and its own sequence number, so the loader can
   // reject a delta cut against a different base, a reordered chain, or a
   // gap — any non-linking file fails the whole load, target untouched.
+  // Version-2 chains (FNV-1a fingerprints) still load; a chain mixing v2
+  // and v3 links does not.
   // A chain is written by one server at a time: a second writer on the
   // same path starts its own chain with a base write, which clears the
   // first writer's deltas.
@@ -250,7 +252,9 @@ class ShardedStreamServer {
   // the chain: dirty tracking is re-armed at the restored state and
   // `state` is filled; a null `state` is a plain warm restart (tracking
   // stays disarmed so the dirty map cannot grow on a server that never
-  // checkpoints again).
+  // checkpoints again). A restored v2 chain leaves `state` zeroed, so the
+  // next CheckpointIncremental rebases instead of appending v3 links to
+  // it.
   bool RestoreFromCheckpointChain(const std::string& base_path,
                                   IncrementalCheckpointState* state = nullptr);
 

@@ -7,7 +7,7 @@
 namespace kvec {
 
 SplitCounts SplitCounts::FromTotal(int total_episodes) {
-  KVEC_CHECK_GE(total_episodes, 10);
+  KVEC_CHECK_GE(total_episodes, kMinTotalEpisodes);
   SplitCounts counts;
   counts.validation = std::max(1, total_episodes / 10);
   counts.test = std::max(1, total_episodes / 10);

@@ -29,6 +29,10 @@ struct SplitCounts {
   int validation = 0;
   int test = 0;
 
+  // The smallest total FromTotal accepts: one episode each for validation
+  // and test needs a tenth of it.
+  static constexpr int kMinTotalEpisodes = 10;
+
   static SplitCounts FromTotal(int total_episodes);
 };
 

@@ -20,14 +20,18 @@
 // skip sections whose id they do not recognise, so a version bump is only
 // needed when an existing section's payload layout changes.
 //
-// Two container versions exist today:
+// Three container versions exist today:
 //   * version 1 — full checkpoints (the complete serving state; the layout
 //     pinned byte-for-byte by tests/data/stream_server_v1.ckpt).
 //   * version 2 — delta checkpoints (docs/SERVING.md "Incremental
 //     checkpoints"): a chain manifest carrying the base checkpoint's
 //     fingerprint plus one dirty-key delta section per shard. Deltas never
 //     stand alone; they are applied on top of a restored version-1 base in
-//     chain order, with fingerprint linkage validated link by link.
+//     chain order, with fingerprint linkage validated link by link. The
+//     manifest's fingerprints are FNV-1a 64 (CheckpointFingerprintV2).
+//     Read-only: nothing writes version 2 any more.
+//   * version 3 — the same delta sections and manifest layout, with XXH64
+//     fingerprints (CheckpointFingerprint). The only delta version written.
 #pragma once
 
 #include <cstdint>
@@ -211,9 +215,11 @@ inline constexpr uint32_t kCheckpointMagic = 0x4b564350u;  // "PCVK" on disk
 // Version 1: full checkpoints. Pinned byte-for-byte by the v1 golden; a
 // `Checkpoint` defaults to this so the full path can never silently drift.
 inline constexpr int32_t kCheckpointFormatVersion = 1;
-// Version 2: delta checkpoints (chain manifest + per-shard dirty-key
-// deltas). Only `ShardedStreamServer::CheckpointIncremental` emits these.
-inline constexpr int32_t kCheckpointDeltaFormatVersion = 2;
+// Version 3: delta checkpoints (chain manifest + per-shard dirty-key
+// deltas) linked by XXH64. Only `ShardedStreamServer::CheckpointIncremental`
+// emits these. Version 2 (the same layout linked by FNV-1a) is read-only.
+inline constexpr int32_t kCheckpointDeltaFormatVersion = 3;
+inline constexpr int32_t kCheckpointFnvDeltaFormatVersion = 2;
 // Highest version CheckpointDecode accepts.
 inline constexpr int32_t kCheckpointMaxFormatVersion = kCheckpointDeltaFormatVersion;
 
@@ -229,7 +235,7 @@ inline constexpr int32_t kCheckpointMaxFormatVersion = kCheckpointDeltaFormatVer
 inline constexpr int32_t kCheckpointSectionStreamServer = 1;
 inline constexpr int32_t kCheckpointSectionShardManifest = 2;
 inline constexpr int32_t kCheckpointSectionShard = 3;
-// Delta chains (version 2):
+// Delta chains (versions 2 and 3):
 inline constexpr int32_t kCheckpointSectionDeltaManifest = 4;
 inline constexpr int32_t kCheckpointSectionShardDelta = 5;
 // Model bundles (src/cli/model_io.h owns the payload layouts):
@@ -265,7 +271,7 @@ struct CheckpointSectionView {
 // the header and each payload go straight to a sibling ".tmp" file, which
 // is renamed over `path` once complete, so a failure or crash mid-write
 // leaves either the old file or the complete new one, never a torn one.
-// The file's bytes equal CheckpointEncode of the same sections. FNV-1a is
+// The file's bytes equal CheckpointEncode of the same sections. XXH64 is
 // folded over them in the same pass; on success `*fingerprint` (if
 // non-null) receives CheckpointFingerprint of the file. Returns false on
 // I/O failure, having removed the ".tmp" file.
@@ -286,11 +292,40 @@ bool CheckpointSave(const std::string& path, int32_t version,
 bool CheckpointSave(const std::string& path, const Checkpoint& checkpoint);
 bool CheckpointLoad(const std::string& path, Checkpoint* out);
 
-// FNV-1a 64 over the encoded bytes. Delta-chain manifests embed the base
+// ---- Fingerprints ----------------------------------------------------------
+//
+// XXH64 with seed 0 (Collet, xxHash specification,
+// https://github.com/Cyan4973/xxHash/blob/dev/doc/xxhash_spec.md), fed in
+// pieces of any size: Update carries the tail of an unfinished 32-byte
+// stripe over to the next call, so a digest depends only on the
+// concatenated bytes, not on how they were split. Each stripe feeds four
+// independent 8-byte lanes, where FNV-1a waits on one multiply per byte.
+class Xxh64 {
+ public:
+  static constexpr size_t kStripeBytes = 32;
+
+  Xxh64();
+  void Update(const void* data, size_t size);
+  // The hash of every byte passed to Update so far; Update may go on.
+  uint64_t Digest() const;
+
+ private:
+  uint64_t lanes_[4];
+  uint64_t total_ = 0;
+  unsigned char carry_[kStripeBytes];
+  size_t carry_size_ = 0;
+};
+
+// XXH64 of the encoded bytes. Version-3 delta manifests embed the base
 // checkpoint's fingerprint (and the previous link's) so a delta can never be
 // applied to a base it was not cut against. Not cryptographic — this guards
 // against operational mix-ups and reordering, not adversaries.
 uint64_t CheckpointFingerprint(const std::string& bytes);
+
+// FNV-1a 64 of the encoded bytes: the fingerprint version-2 delta
+// manifests carry. Only the chain loader verifies with it; nothing writes
+// it.
+uint64_t CheckpointFingerprintV2(const std::string& bytes);
 
 // Writes `bytes` to `path` via a sibling ".tmp" file + rename (the same
 // writer CheckpointWrite uses).

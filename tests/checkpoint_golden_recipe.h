@@ -1,6 +1,6 @@
 // The fixed recipe behind the committed serving-checkpoint goldens
-// (tests/data/stream_server_v1.ckpt and the v2 chain
-// stream_server_v2_base.ckpt{,.delta.1}): a tiny untrained model, the
+// (tests/data/stream_server_v1.ckpt and the v2 and v3 chains
+// stream_server_v{2,3}_base.ckpt{,.delta.1}): a tiny untrained model, the
 // per-server bounds, and the item stream. It must never change, or the
 // committed bytes stop matching it.
 #pragma once
@@ -39,8 +39,8 @@ inline StreamServerConfig ServerConfig() {
   return config;
 }
 
-// Item `i` of the stream. The v1 golden holds items 0..119; the v2 base
-// is cut at item 120 and its delta.1 carries items 120..179.
+// Item `i` of the stream. The v1 golden holds items 0..119; each delta
+// chain's base is cut at item 120 and its delta.1 carries items 120..179.
 inline Item StreamItem(int i) {
   Item item;
   item.key = i % 23;

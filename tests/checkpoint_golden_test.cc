@@ -14,14 +14,18 @@
 //   KVEC_REGEN_GOLDEN=tests/data/stream_server_v1.ckpt ./checkpoint_golden_test
 // then update the pinned constants below from the printed values.
 //
-// The version-2 delta golden is a two-shard chain (base + delta.1)
-// produced by the same tiny recipe. It pins the delta container frame and
-// manifest, the kernel-independent layout of every link against a fresh
-// replay, and the events a chain-restored server serves. Its floats come
-// from the -march=native kernels, so no check compares them, and the
-// suite passes on the scalar kernel build too. Regenerating it (one
-// command line):
-//   KVEC_REGEN_GOLDEN_V2=tests/data/stream_server_v2_base.ckpt
+// The delta goldens are two-shard chains (base + delta.1) produced by the
+// same tiny recipe: stream_server_v2_base.ckpt links by FNV-1a (version
+// 2, read-only) and stream_server_v3_base.ckpt by XXH64 (version 3, what
+// CheckpointIncremental writes). Their bases are the same bytes and their
+// deltas differ only in the version field and the two manifest
+// fingerprints. They pin the delta container frame and manifest, the
+// kernel-independent layout of every link against a fresh replay, and
+// the events a chain-restored server serves. Their floats come from the
+// -march=native kernels, so no check compares them, and the suite passes
+// on the scalar kernel build too. The regeneration command line writes a
+// chain at the current delta version (never over a committed golden):
+//   KVEC_REGEN_GOLDEN_V2=tests/data/stream_server_v3_base.ckpt
 //       ./checkpoint_golden_test
 #include <cstdio>
 #include <cstdlib>
@@ -206,7 +210,7 @@ TEST(CheckpointGoldenTest, DeltaFrameDecodesAtVersion2) {
   Checkpoint delta;
   ASSERT_TRUE(CheckpointLoad(delta_path, &delta))
       << "committed delta golden missing or unreadable";
-  EXPECT_EQ(delta.version, kCheckpointDeltaFormatVersion);
+  EXPECT_EQ(delta.version, kCheckpointFnvDeltaFormatVersion);
   ASSERT_EQ(delta.sections.size(), 3u);
   EXPECT_EQ(delta.sections[0].id, kCheckpointSectionDeltaManifest);
   EXPECT_EQ(delta.sections[1].id, kCheckpointSectionShardDelta);
@@ -214,6 +218,44 @@ TEST(CheckpointGoldenTest, DeltaFrameDecodesAtVersion2) {
 
   // Manifest layout: base fingerprint, previous-link fingerprint (the base
   // again for link 1), sequence number, shard count.
+  BinaryReader reader(delta.sections[0].payload);
+  const uint64_t stored_base = static_cast<uint64_t>(reader.ReadInt64());
+  const uint64_t stored_prev = static_cast<uint64_t>(reader.ReadInt64());
+  EXPECT_EQ(reader.ReadInt64(), 1);  // seq
+  EXPECT_EQ(reader.ReadInt32(), 2);  // num_shards
+  ASSERT_TRUE(reader.ok());
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(stored_base, CheckpointFingerprintV2(SlurpFile(base_path)));
+  EXPECT_EQ(stored_prev, stored_base);
+}
+
+constexpr char kDeltaGoldenV3Base[] = "/stream_server_v3_base.ckpt";
+
+// The v3 golden is the v2 golden relinked: the same base bytes, the same
+// delta sections, and a manifest whose fingerprints are XXH64.
+TEST(CheckpointGoldenTest, DeltaFrameDecodesAtVersion3) {
+  const std::string base_path =
+      std::string(KVEC_TEST_DATA_DIR) + kDeltaGoldenV3Base;
+  const std::string v2_base_path =
+      std::string(KVEC_TEST_DATA_DIR) + kDeltaGoldenBase;
+  EXPECT_EQ(SlurpFile(base_path), SlurpFile(v2_base_path));
+
+  Checkpoint delta;
+  Checkpoint v2_delta;
+  ASSERT_TRUE(
+      CheckpointLoad(ShardedStreamServer::DeltaPath(base_path, 1), &delta))
+      << "committed delta golden missing or unreadable";
+  ASSERT_TRUE(
+      CheckpointLoad(ShardedStreamServer::DeltaPath(v2_base_path, 1), &v2_delta));
+  EXPECT_EQ(delta.version, 3);
+  ASSERT_EQ(delta.sections.size(), 3u);
+  EXPECT_EQ(delta.sections[0].id, kCheckpointSectionDeltaManifest);
+  for (size_t i = 1; i < delta.sections.size(); ++i) {
+    EXPECT_EQ(delta.sections[i].id, kCheckpointSectionShardDelta);
+    EXPECT_EQ(delta.sections[i].payload, v2_delta.sections[i].payload)
+        << "section " << i;
+  }
+
   BinaryReader reader(delta.sections[0].payload);
   const uint64_t stored_base = static_cast<uint64_t>(reader.ReadInt64());
   const uint64_t stored_prev = static_cast<uint64_t>(reader.ReadInt64());
@@ -280,7 +322,7 @@ std::string KernelIndependentValues(const std::string& payload) {
 
 // Section by section: same ids, and the same kernel-independent values.
 // A delta manifest opens with the fingerprints of the base and the
-// previous link, which hash those links' floats; DeltaFrameDecodesAtVersion2
+// previous link, which hash those links' floats; DeltaFrameDecodesAtVersion3
 // pins the committed ones, so they are left out here.
 void ExpectSameLayout(const Checkpoint& committed, const Checkpoint& replayed) {
   EXPECT_EQ(committed.version, replayed.version);
@@ -301,11 +343,12 @@ void ExpectSameLayout(const Checkpoint& committed, const Checkpoint& replayed) {
   }
 }
 
-// The committed chain (base + delta.1) has the layout a fresh replay of
-// the generator's stream writes on this build.
+// The committed v3 chain (base + delta.1) has the layout a fresh replay
+// of the generator's stream writes on this build. The v2 chain carries the
+// same sections (DeltaFrameDecodesAtVersion3).
 TEST(CheckpointGoldenTest, DeltaChainLayoutMatchesAReplay) {
   const std::string base_path =
-      std::string(KVEC_TEST_DATA_DIR) + kDeltaGoldenBase;
+      std::string(KVEC_TEST_DATA_DIR) + kDeltaGoldenV3Base;
   const std::string replay_path = "checkpoint_golden_test_replay.ckpt";
   KvecModel model = golden::MakeModel();
   ShardedStreamServer replayed(model, GoldenShardedConfig());
@@ -332,13 +375,12 @@ TEST(CheckpointGoldenTest, DeltaChainLayoutMatchesAReplay) {
   std::remove(replay_path.c_str());
 }
 
-// The committed chain restores into a server that serves any continuation
-// exactly as a fresh replay of the generator's 180 items does. Confidences
-// may differ in their last bits on the scalar kernels (the restored K/V
-// came from the native ones); keys, labels, causes and counts may not.
-TEST(CheckpointGoldenTest, DeltaChainRestoresIntoCompatibleServer) {
-  const std::string base_path =
-      std::string(KVEC_TEST_DATA_DIR) + kDeltaGoldenBase;
+// Each committed chain restores into a server that serves any
+// continuation exactly as a fresh replay of the generator's 180 items
+// does. Confidences may differ in their last bits on the scalar kernels
+// (the restored K/V came from the native ones); keys, labels, causes and
+// counts may not.
+void ExpectChainRestoresIntoCompatibleServer(const std::string& base_path) {
   KvecModel model = golden::MakeModel();
   ShardedStreamServer restored(model, GoldenShardedConfig());
   ASSERT_TRUE(restored.RestoreFromCheckpointChain(base_path));
@@ -376,6 +418,87 @@ TEST(CheckpointGoldenTest, DeltaChainRestoresIntoCompatibleServer) {
   EXPECT_EQ(got_stats.items_processed, want_stats.items_processed);
   EXPECT_EQ(got_stats.sequences_classified, want_stats.sequences_classified);
   EXPECT_EQ(got_stats.class_counts, want_stats.class_counts);
+}
+
+TEST(CheckpointGoldenTest, DeltaChainRestoresIntoCompatibleServer) {
+  for (const char* golden : {kDeltaGoldenBase, kDeltaGoldenV3Base}) {
+    SCOPED_TRACE(golden);
+    ExpectChainRestoresIntoCompatibleServer(std::string(KVEC_TEST_DATA_DIR) +
+                                            golden);
+  }
+}
+
+// A copy of each committed chain, restored with `state` and checkpointed
+// twice more. A v3 chain grows: delta.2 and delta.3 follow the committed
+// link. A v2 chain is never extended with v3 links: the next checkpoint
+// writes a fresh base and drops the v2 delta, and a v3 delta.1 follows.
+// Either way the chain on disk restores to the live server's state.
+TEST(CheckpointGoldenTest, ContinuedChainsExtendAtV3AndRebaseAtV2) {
+  const std::string copy_path = "checkpoint_golden_test_continued.ckpt";
+  auto delta_path = [&copy_path](int64_t seq) {
+    return ShardedStreamServer::DeltaPath(copy_path, seq);
+  };
+  auto remove_copy = [&] {
+    for (int64_t seq = 3; seq >= 1; --seq) {
+      std::remove(delta_path(seq).c_str());
+    }
+    std::remove(copy_path.c_str());
+  };
+  KvecModel model = golden::MakeModel();
+  for (const bool v2 : {true, false}) {
+    SCOPED_TRACE(v2 ? "v2 chain" : "v3 chain");
+    const std::string golden =
+        std::string(KVEC_TEST_DATA_DIR) +
+        (v2 ? kDeltaGoldenBase : kDeltaGoldenV3Base);
+    remove_copy();
+    ASSERT_TRUE(AtomicWriteFile(copy_path, SlurpFile(golden)));
+    ASSERT_TRUE(AtomicWriteFile(
+        delta_path(1), SlurpFile(ShardedStreamServer::DeltaPath(golden, 1))));
+
+    ShardedStreamServer server(model, GoldenShardedConfig());
+    ShardedStreamServer::IncrementalCheckpointState state;
+    ASSERT_TRUE(server.RestoreFromCheckpointChain(copy_path, &state));
+    if (v2) {
+      EXPECT_EQ(state.base_fingerprint, 0u);
+      EXPECT_EQ(state.prev_fingerprint, 0u);
+      EXPECT_EQ(state.deltas_written, 0);
+    } else {
+      EXPECT_EQ(state.base_fingerprint,
+                CheckpointFingerprint(SlurpFile(copy_path)));
+      EXPECT_EQ(state.prev_fingerprint,
+                CheckpointFingerprint(SlurpFile(delta_path(1))));
+      EXPECT_EQ(state.deltas_written, 1);
+    }
+
+    FeedGoldenRange(&server, 180, 240);
+    ASSERT_TRUE(server.CheckpointIncremental(copy_path, 0, &state));
+    FeedGoldenRange(&server, 240, 300);
+    ASSERT_TRUE(server.CheckpointIncremental(copy_path, 0, &state));
+
+    const int64_t last = v2 ? 1 : 3;
+    EXPECT_EQ(state.deltas_written, last);
+    if (v2) {
+      // The fresh base holds items 0..239, so its bytes left the golden's.
+      EXPECT_NE(SlurpFile(copy_path), SlurpFile(golden));
+      EXPECT_EQ(state.base_fingerprint,
+                CheckpointFingerprint(SlurpFile(copy_path)));
+    } else {
+      EXPECT_EQ(SlurpFile(copy_path), SlurpFile(golden));
+    }
+    for (int64_t seq = 1; seq <= last; ++seq) {
+      Checkpoint delta;
+      ASSERT_TRUE(CheckpointLoad(delta_path(seq), &delta)) << "seq " << seq;
+      EXPECT_EQ(delta.version, kCheckpointDeltaFormatVersion) << "seq " << seq;
+    }
+    Checkpoint stale;
+    EXPECT_FALSE(CheckpointLoad(delta_path(last + 1), &stale));
+
+    ShardedStreamServer restored(model, GoldenShardedConfig());
+    ASSERT_TRUE(restored.RestoreFromCheckpointChain(copy_path));
+    EXPECT_EQ(restored.stats().items_processed, 300);
+    EXPECT_EQ(restored.EncodeCheckpoint(), server.EncodeCheckpoint());
+  }
+  remove_copy();
 }
 
 }  // namespace

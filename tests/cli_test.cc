@@ -981,6 +981,39 @@ TEST(CliFlags, OutOfRangeFlagsAreUsageErrorsBeforeAnyWork) {
   }
 }
 
+// --episodes overrides a preset's total, which is split 8:1:1: 1-9
+// episodes cannot fill three splits and are a usage error in every
+// subcommand that takes the flag, before any dataset is generated. 0 (the
+// preset default) and 10 stay valid.
+TEST(CliFlags, TooFewEpisodesAreUsageErrors) {
+  const std::vector<std::vector<std::string>> commands = {
+      {"generate", "--preset", "ustc", "--out", "cli_test_few_episodes"},
+      {"serve", "--preset", "ustc"},
+      {"bench", "--preset", "ustc"},
+      {"train", "--preset", "ustc", "--model", "cli_test_few_episodes.kvm"},
+      {"eval", "--preset", "ustc", "--model", "cli_test_no_such.kvm"},
+      {"loadgen", "--preset", "ustc", "--connect", "127.0.0.1:1"},
+      {"sweep", "--preset", "smoke"},
+  };
+  for (const std::vector<std::string>& command : commands) {
+    for (const char* episodes : {"1", "6", "9"}) {
+      std::vector<std::string> args = command;
+      args.insert(args.end(), {"--episodes", episodes});
+      const CliResult result = RunCli(args);
+      EXPECT_EQ(result.code, 2) << command[0] << " --episodes " << episodes
+                                << "\n" << result.err;
+      EXPECT_NE(result.err.find("kvec: --episodes must be 0"),
+                std::string::npos)
+          << result.err;
+    }
+  }
+  const CliResult ten =
+      RunCli({"generate", "--preset", "ustc", "--episodes", "10", "--out",
+              "cli_test_few_episodes"});
+  EXPECT_EQ(ten.code, 0) << ten.err;
+  std::filesystem::remove_all("cli_test_few_episodes");
+}
+
 // ---- kvec figure ---------------------------------------------------------
 
 TEST(CliFigure, ListNamesEveryExperiment) {

@@ -290,6 +290,12 @@ class DeltaChainFuzzTest : public ::testing::Test {
     ASSERT_TRUE(Slurp(base_, &base_bytes_));
     ASSERT_TRUE(Slurp(Delta(1), &delta1_bytes_));
     ASSERT_TRUE(Slurp(Delta(2), &delta2_bytes_));
+    // Every case below corrupts a chain of the version the writer writes.
+    for (const std::string* link : {&delta1_bytes_, &delta2_bytes_}) {
+      Checkpoint delta;
+      ASSERT_TRUE(CheckpointDecode(*link, &delta));
+      ASSERT_EQ(delta.version, kCheckpointDeltaFormatVersion);
+    }
 
     ShardedStreamServer fresh(*model_, config_);
     fresh_fingerprint_ = fresh.EncodeCheckpoint();
@@ -457,6 +463,69 @@ TEST_F(DeltaChainFuzzTest, WrongFingerprintsAndSequenceAreRejected) {
     ShardedStreamServer target(*model_, config_);
     EXPECT_FALSE(target.RestoreFromCheckpointChain(base_)) << mutation.name;
     EXPECT_EQ(target.EncodeCheckpoint(), fresh_fingerprint_) << mutation.name;
+  }
+  ExpectPristineChainStillLoads();
+}
+
+// `link` reframed at `version` with its manifest's two fingerprints
+// replaced; sequence number, shard count and delta sections stay.
+std::string Relink(const std::string& link, int32_t version,
+                   uint64_t base_fp, uint64_t prev_fp) {
+  Checkpoint delta;
+  EXPECT_TRUE(CheckpointDecode(link, &delta));
+  delta.version = version;
+  for (CheckpointSection& section : delta.sections) {
+    if (section.id != kCheckpointSectionDeltaManifest) continue;
+    BinaryReader reader(section.payload);
+    reader.ReadInt64();
+    reader.ReadInt64();
+    const int64_t seq = reader.ReadInt64();
+    const int32_t num_shards = reader.ReadInt32();
+    EXPECT_TRUE(reader.ok());
+    BinaryWriter writer;
+    writer.WriteInt64(static_cast<int64_t>(base_fp));
+    writer.WriteInt64(static_cast<int64_t>(prev_fp));
+    writer.WriteInt64(seq);
+    writer.WriteInt32(num_shards);
+    section.payload = writer.buffer();
+  }
+  return CheckpointEncode(delta);
+}
+
+// Each link of a mixed chain links correctly by its own version's hash, so
+// only the mix can fail it. The same two links both at v2 do load.
+TEST_F(DeltaChainFuzzTest, MixedVersionChainIsRejected) {
+  const int32_t v2 = kCheckpointFnvDeltaFormatVersion;
+  const int32_t v3 = kCheckpointDeltaFormatVersion;
+  const uint64_t fnv_base = CheckpointFingerprintV2(base_bytes_);
+  const uint64_t xxh_base = CheckpointFingerprint(base_bytes_);
+  const std::string v2_link1 = Relink(delta1_bytes_, v2, fnv_base, fnv_base);
+  const std::string v2_link2 = Relink(delta2_bytes_, v2, fnv_base,
+                                      CheckpointFingerprintV2(v2_link1));
+  const std::string v2_after_v3 = Relink(
+      delta2_bytes_, v2, fnv_base, CheckpointFingerprintV2(delta1_bytes_));
+  const std::string v3_after_v2 = Relink(delta2_bytes_, v3, xxh_base,
+                                         CheckpointFingerprint(v2_link1));
+  struct Chain {
+    const char* name;
+    const std::string* link1;
+    const std::string* link2;
+  };
+  const Chain mixed[] = {{"v3 then v2", &delta1_bytes_, &v2_after_v3},
+                         {"v2 then v3", &v2_link1, &v3_after_v2}};
+  for (const Chain& chain : mixed) {
+    ASSERT_TRUE(AtomicWriteFile(Delta(1), *chain.link1));
+    ASSERT_TRUE(AtomicWriteFile(Delta(2), *chain.link2));
+    ShardedStreamServer target(*model_, config_);
+    EXPECT_FALSE(target.RestoreFromCheckpointChain(base_)) << chain.name;
+    EXPECT_EQ(target.EncodeCheckpoint(), fresh_fingerprint_) << chain.name;
+  }
+  ASSERT_TRUE(AtomicWriteFile(Delta(1), v2_link1));
+  ASSERT_TRUE(AtomicWriteFile(Delta(2), v2_link2));
+  {
+    ShardedStreamServer target(*model_, config_);
+    ASSERT_TRUE(target.RestoreFromCheckpointChain(base_));
+    EXPECT_EQ(target.EncodeCheckpoint(), expected_);
   }
   ExpectPristineChainStillLoads();
 }

@@ -1,5 +1,6 @@
 #include "util/serialize.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -286,6 +287,64 @@ TEST(CheckpointFingerprintTest, SensitiveToEveryByte) {
     mutated[i] = static_cast<char>(mutated[i] ^ 0x01);
     EXPECT_NE(CheckpointFingerprint(mutated), base) << "byte " << i;
   }
+}
+
+// Published XXH64 (seed 0) vectors: the empty input, inputs shorter than
+// one 32-byte stripe, and one longer than a stripe.
+TEST(Xxh64Test, MatchesPublishedVectors) {
+  EXPECT_EQ(CheckpointFingerprint(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(CheckpointFingerprint("a"), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(CheckpointFingerprint("abc"), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(CheckpointFingerprint("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ull);
+}
+
+// Fed in pieces, the streaming hash gives the one-shot digest whatever the
+// split points: random ones, and ones 1-31 bytes either side of a stripe
+// boundary, so every carry length is exercised.
+TEST(Xxh64Test, StreamingEqualsOneShot) {
+  Rng rng(20261020);
+  std::string bytes(1000, '\0');
+  for (char& byte : bytes) byte = static_cast<char>(rng.NextInt(256));
+  auto streamed = [&bytes](const std::vector<size_t>& cuts) {
+    Xxh64 hash;
+    size_t from = 0;
+    for (const size_t cut : cuts) {
+      hash.Update(bytes.data() + from, cut - from);
+      from = cut;
+    }
+    hash.Update(bytes.data() + from, bytes.size() - from);
+    return hash.Digest();
+  };
+  const uint64_t want = CheckpointFingerprint(bytes);
+  for (size_t stripe = 1; stripe <= 3; ++stripe) {
+    for (size_t offset = 1; offset < Xxh64::kStripeBytes; ++offset) {
+      const size_t boundary = stripe * Xxh64::kStripeBytes;
+      EXPECT_EQ(streamed({boundary - offset}), want)
+          << "cut " << offset << " before stripe " << stripe;
+      EXPECT_EQ(streamed({boundary + offset}), want)
+          << "cut " << offset << " after stripe " << stripe;
+      EXPECT_EQ(streamed({boundary - offset, boundary + offset}), want)
+          << offset << " bytes either side of stripe " << stripe;
+    }
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<size_t> cuts;
+    const int pieces = 1 + rng.NextInt(12);
+    for (int i = 0; i < pieces; ++i) {
+      cuts.push_back(static_cast<size_t>(
+          rng.NextInt(static_cast<int>(bytes.size()) + 1)));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    EXPECT_EQ(streamed(cuts), want) << "trial " << trial;
+  }
+}
+
+// The v2 chain verifier stays FNV-1a 64 (published vectors).
+TEST(CheckpointFingerprintTest, VersionTwoIsFnv1a) {
+  EXPECT_EQ(CheckpointFingerprintV2(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(CheckpointFingerprintV2("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(CheckpointFingerprintV2("foobar"), 0x85944171f73967e8ull);
 }
 
 TEST(CheckpointContainerTest, RejectsEveryTruncationPoint) {
