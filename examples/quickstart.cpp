@@ -9,6 +9,7 @@
 // Build & run:   ./build/examples/quickstart
 #include <cstdio>
 
+#include "cli/model_io.h"
 #include "core/model.h"
 #include "core/trainer.h"
 #include "data/generator.h"
@@ -59,9 +60,8 @@ int main() {
 
   // ---- 4. Checkpoint round trip. ----
   const char* path = "/tmp/kvec_quickstart_model.bin";
-  if (model.SaveToFile(path)) {
-    KvecModel restored(config);
-    if (restored.LoadFromFile(path)) {
+  if (cli::SaveModelBundle(path, &model)) {
+    if (cli::LoadModelBundle(path) != nullptr) {
       std::printf("checkpoint saved to %s and restored successfully\n", path);
     }
   }

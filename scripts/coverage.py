@@ -29,12 +29,16 @@ import sys
 # full ctest suite), rounded down to a whole percent: src/cli 90.9 %,
 # src/core 98.9 %, src/net 92.3 %, src/util 95.4 %; src/exp 54.7 % once
 # ctest ran the figure registry (exp_figures_smoke). At that run the others
-# read 91.2, 98.9, 92.2 and 96.0 %. A directory must stay at or above its
-# floor.
+# read 91.2, 98.9, 92.2 and 96.0 %. src/baselines and src/metrics, which
+# share the training objective and the verdict record with src/core, read
+# 99.2 % each when their floors were added. A directory must stay at or
+# above its floor.
 FLOORS = {
+    "src/baselines": 99,
     "src/cli": 90,
     "src/core": 98,
     "src/exp": 54,
+    "src/metrics": 99,
     "src/net": 92,
     "src/util": 95,
 }

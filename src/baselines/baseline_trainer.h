@@ -1,5 +1,8 @@
 // Training and evaluation loops for the baseline methods, mirroring
 // KvecTrainer but with per-method representation / halting behaviour.
+// EARLIEST and SRN-EARLIEST sample Halt/Wait and train on KVEC's ECTL
+// objective itself (HaltTrace, EctlObjective in core/trainer.h); SRN-Fixed
+// and SRN-Confidence take only its classification term and θ's update.
 #pragma once
 
 #include <vector>
@@ -21,8 +24,7 @@ class BaselineTrainer {
 
  private:
   BaselineModel* model_;
-  Adam main_optimizer_;
-  Adam baseline_optimizer_;
+  EctlObjective objective_;
   Rng rng_;
 };
 

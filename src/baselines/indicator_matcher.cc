@@ -169,25 +169,10 @@ EvaluationResult IndicatorMatcher::Evaluate(
     }
     for (const auto& [key, rollout] : rollouts) {
       if (rollout.length == 0) continue;
-      PredictionRecord record;
-      record.true_label = episode.labels.at(key);
-      record.predicted_label =
-          rollout.halted ? rollout.predicted : majority_class_;
-      record.observed_items =
-          rollout.halted ? rollout.halted_at : rollout.length;
-      record.sequence_length = rollout.length;
-      record.confidence =
-          rollout.halted ? rollout.confidence : majority_fraction_;
-      result.records.push_back(record);
-
-      HaltingRecord halt;
-      halt.key = key;
-      halt.halt_position = record.observed_items;
-      halt.sequence_length = rollout.length;
-      auto truth = episode.true_halt_positions.find(key);
-      halt.true_halt_position =
-          truth == episode.true_halt_positions.end() ? 0 : truth->second;
-      result.halts.push_back(halt);
+      result.records.push_back(MakeRecord(
+          episode, key, rollout.halted ? rollout.predicted : majority_class_,
+          rollout.halted ? rollout.halted_at : rollout.length,
+          rollout.halted ? rollout.confidence : majority_fraction_));
     }
   }
   result.summary = ::kvec::Evaluate(result.records, spec_.num_classes);

@@ -17,8 +17,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/trainer.h"
 #include "data/types.h"
+#include "metrics/metrics.h"
 
 namespace kvec {
 

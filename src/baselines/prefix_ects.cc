@@ -199,22 +199,8 @@ EvaluationResult PrefixEcts::Evaluate(
       }
       if (predicted < 0) predicted = last_prediction;
 
-      PredictionRecord record;
-      record.true_label = episode.labels.at(key);
-      record.predicted_label = predicted;
-      record.observed_items = halted_at;
-      record.sequence_length = length;
-      record.confidence = confidence;
-      result.records.push_back(record);
-
-      HaltingRecord halt;
-      halt.key = key;
-      halt.halt_position = halted_at;
-      halt.sequence_length = length;
-      auto truth = episode.true_halt_positions.find(key);
-      halt.true_halt_position =
-          truth == episode.true_halt_positions.end() ? 0 : truth->second;
-      result.halts.push_back(halt);
+      result.records.push_back(
+          MakeRecord(episode, key, predicted, halted_at, confidence));
     }
   }
   result.summary = ::kvec::Evaluate(result.records, spec_.num_classes);

@@ -19,8 +19,8 @@
 
 #include <vector>
 
-#include "core/trainer.h"
 #include "data/types.h"
+#include "metrics/metrics.h"
 #include "util/rng.h"
 
 namespace kvec {

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "core/input_embedding.h"
 #include "data/io.h"
@@ -60,39 +59,6 @@ std::string Lower(const std::string& text) {
   std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   return out;
-}
-
-bool ParseIntField(const std::string& text, int* out) {
-  try {
-    size_t consumed = 0;
-    int value = std::stoi(text, &consumed);
-    if (consumed != text.size()) return false;
-    *out = value;
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool ParseDoubleField(const std::string& text, double* out) {
-  try {
-    size_t consumed = 0;
-    double value = std::stod(text, &consumed);
-    if (consumed != text.size()) return false;
-    *out = value;
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool ReadFileToString(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
 }
 
 // Caps on the spec-driven sizes a config/spec may request: every one of
@@ -403,7 +369,7 @@ bool LoadDatasetDir(const std::string& dir, Dataset* dataset,
     return false;
   };
   std::string spec_csv;
-  if (!ReadFileToString(dir + "/spec.csv", &spec_csv)) {
+  if (!ReadFileBytes(dir + "/spec.csv", &spec_csv)) {
     return fail("cannot read '" + dir + "/spec.csv'");
   }
   Table spec_table({"key", "value", "aux"});

@@ -37,18 +37,4 @@ std::vector<Tensor> KvecModel::BaselineParameters() {
   return params;
 }
 
-bool KvecModel::SaveToFile(const std::string& path) {
-  BinaryWriter writer;
-  writer.WriteString("kvec-model-v1");
-  SaveParameters(&writer);
-  return writer.SaveToFile(path);
-}
-
-bool KvecModel::LoadFromFile(const std::string& path) {
-  BinaryReader reader = BinaryReader::FromFile(path);
-  if (!reader.ok()) return false;
-  if (reader.ReadString() != "kvec-model-v1") return false;
-  return LoadParameters(&reader);
-}
-
 }  // namespace kvec

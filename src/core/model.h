@@ -1,18 +1,19 @@
 // The complete KVEC model (paper Fig. 2): KVRL encoder + LSTM fusion cell +
 // ECTL halting policy + baseline + classifier.
 //
-// Threading: construction and parameter updates (training, LoadFromFile)
-// are single-threaded — exactly one writer, no concurrent readers. Once
+// Threading: construction and parameter updates (training,
+// LoadParameters) are single-threaded — exactly one writer, no concurrent readers. Once
 // the parameters are frozen, any number of threads may read the model
 // concurrently; this is what lets every shard of a ShardedStreamServer
 // share one `const KvecModel&`.
 //
-// Checkpointing: SaveToFile/LoadFromFile persist the *parameter values
-// only*, in registration order, shapes included — not the config. The
-// loader must construct the model from an identical KvecConfig first
-// (LoadFromFile fails closed on any shape mismatch). The `kvec` CLI's
-// model bundles (src/cli/model_io.h) wrap exactly this stream together
-// with the serialised config to make the artifact self-describing.
+// Checkpointing: Module::SaveParameters/LoadParameters stream the
+// *parameter values only*, in registration order, shapes included — not
+// the config. The loader must construct the model from an identical
+// KvecConfig first (LoadParameters fails closed on any shape mismatch).
+// The one model file format is the `kvec` CLI's model bundle
+// (src/cli/model_io.h), which wraps exactly this stream together with the
+// serialised config to make the artifact self-describing.
 // Serving-side state (open sessions, encoder caches) is checkpointed
 // separately by StreamServer; see docs/SERVING.md.
 #pragma once
@@ -47,10 +48,6 @@ class KvecModel : public Module {
   std::vector<Tensor> MainParameters();
   // θ_b — the baseline network only (Algorithm 1, line 19).
   std::vector<Tensor> BaselineParameters();
-
-  // Checkpointing convenience; returns false on failure.
-  bool SaveToFile(const std::string& path);
-  bool LoadFromFile(const std::string& path);
 
  private:
   KvecConfig config_;

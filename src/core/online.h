@@ -124,7 +124,7 @@ class OnlineClassifier {
   // tracker, the encoder's K/V caches, and every per-key fusion state.
   // Restore must be given an engine built over the same model (dimensions
   // and correlation options are validated; weights are the caller's
-  // responsibility, exactly as with KvecModel::LoadFromFile). Fails closed:
+  // responsibility, exactly as with Module::LoadParameters). Fails closed:
   // returns false with *this untouched on corrupt or mismatched bytes.
   void Snapshot(BinaryWriter* writer) const;
   bool Restore(BinaryReader* reader);

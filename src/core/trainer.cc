@@ -37,32 +37,130 @@ struct KeyRollout {
   int observed = 0;  // n_k
   int predicted = -1;
   Tensor logits;
-  // Per-step records of the policy gradient:
-  std::vector<Tensor> halt_probs;
-  std::vector<int> actions;  // 1 = Halt
-  std::vector<Tensor> baseline_values;
+  HaltTrace trace;
 };
 
 float ClampProbability(float p) { return std::clamp(p, 1e-4f, 1.0f - 1e-4f); }
 
 }  // namespace
 
+bool HaltTrace::Sample(const EctlPolicy& policy,
+                       const BaselineNetwork& baseline, const Tensor& state,
+                       Rng& rng) {
+  Tensor halt_prob = policy.HaltProbability(state);
+  halt_probs.push_back(halt_prob);
+  baseline_values.push_back(baseline.Forward(state.Detach()));
+  const float p = ClampProbability(halt_prob.ScalarValue());
+  const int action = rng.NextBernoulli(p) ? 1 : 0;
+  actions.push_back(action);
+  return action == 1;
+}
+
+EctlObjective::EctlObjective(const KvecConfig& config,
+                             std::vector<Tensor> main_parameters,
+                             std::vector<Tensor> baseline_parameters)
+    : alpha_(config.alpha),
+      beta_(config.beta),
+      grad_clip_(config.grad_clip),
+      main_optimizer_(std::move(main_parameters), config.learning_rate),
+      baseline_optimizer_(std::move(baseline_parameters),
+                          config.baseline_learning_rate) {}
+
+void EctlObjective::AddKey(int observed, int length, bool correct,
+                           const HaltTrace* trace) {
+  ++verdicts_;
+  if (correct) ++correct_;
+  earliness_sum_ += static_cast<double>(observed) / length;
+  if (trace == nullptr) return;
+  const int n = observed;
+  KVEC_CHECK_EQ(static_cast<int>(trace->actions.size()), n);
+  const float reward = correct ? 1.0f : -1.0f;
+  for (int i = 0; i < n; ++i) {
+    // Paper: R(i) = Σ_{s=i+1..n} r(s); with constant per-step reward
+    // this is (n - (i+1)) * r (0 for the final action).
+    const float cumulative = static_cast<float>(n - (i + 1)) * reward;
+    const float advantage =
+        cumulative - trace->baseline_values[i].ScalarValue();
+    const Tensor& p = trace->halt_probs[i];
+    Tensor log_prob = trace->actions[i] == 1
+                          ? ops::Log(p)
+                          : ops::Log(ops::Affine(p, -1.0f, 1.0f));
+    policy_terms_.push_back(ops::Affine(log_prob, -advantage, 0.0f));
+    earliness_terms_.push_back(ops::Affine(ops::Log(p), -1.0f, 0.0f));
+    baseline_rows_.push_back(trace->baseline_values[i]);
+    baseline_targets_.push_back(cumulative);
+  }
+}
+
+void EctlObjective::Update(const Tensor& l1, int keys) {
+  KVEC_CHECK_GT(keys, 0);
+  const float inv_keys = 1.0f / static_cast<float>(keys);
+  Tensor total_loss;
+  if (policy_terms_.empty()) {
+    total_loss = ops::Affine(l1, inv_keys, 0.0f);
+  } else {
+    Tensor l2 = ops::AddN(policy_terms_);
+    Tensor l3 = ops::AddN(earliness_terms_);
+    total_loss = ops::Affine(ops::AddN({l1, ops::Affine(l2, alpha_, 0.0f),
+                                        ops::Affine(l3, beta_, 0.0f)}),
+                             inv_keys, 0.0f);
+    stats_.policy_loss += l2.ScalarValue() * inv_keys;
+    stats_.earliness_loss += l3.ScalarValue() * inv_keys;
+  }
+
+  main_optimizer_.ZeroGrad();
+  total_loss.Backward();
+  ClipGradNorm(main_optimizer_.params(), grad_clip_);
+  main_optimizer_.Step();
+
+  if (!baseline_rows_.empty()) {
+    // θ_b: regression of the baseline onto the realised cumulative rewards.
+    Tensor baseline_loss =
+        ops::MseLoss(ops::StackRows(baseline_rows_), baseline_targets_);
+    baseline_optimizer_.ZeroGrad();
+    baseline_loss.Backward();
+    ClipGradNorm(baseline_optimizer_.params(), grad_clip_);
+    baseline_optimizer_.Step();
+    stats_.baseline_loss += baseline_loss.ScalarValue();
+  }
+
+  stats_.total_loss += total_loss.ScalarValue();
+  stats_.classification_loss += l1.ScalarValue() * inv_keys;
+  stats_.episodes += 1;
+  policy_terms_.clear();
+  earliness_terms_.clear();
+  baseline_rows_.clear();
+  baseline_targets_.clear();
+}
+
+TrainEpochStats EctlObjective::TakeEpochStats() {
+  TrainEpochStats stats = stats_;
+  if (stats.episodes > 0) {
+    stats.total_loss /= stats.episodes;
+    stats.classification_loss /= stats.episodes;
+    stats.policy_loss /= stats.episodes;
+    stats.earliness_loss /= stats.episodes;
+    stats.baseline_loss /= stats.episodes;
+  }
+  if (verdicts_ > 0) {
+    stats.train_accuracy = static_cast<double>(correct_) / verdicts_;
+    stats.train_earliness = earliness_sum_ / verdicts_;
+  }
+  stats_ = TrainEpochStats();
+  verdicts_ = correct_ = 0;
+  earliness_sum_ = 0.0;
+  return stats;
+}
+
 KvecTrainer::KvecTrainer(KvecModel* model)
     : model_(model),
-      main_optimizer_(model->MainParameters(),
-                      model->config().learning_rate),
-      baseline_optimizer_(model->BaselineParameters(),
-                          model->config().baseline_learning_rate),
+      objective_(model->config(), model->MainParameters(),
+                 model->BaselineParameters()),
       rng_(model->config().seed ^ 0x7261696e65724bULL) {}
 
 TrainEpochStats KvecTrainer::TrainEpoch(
     const std::vector<TangledSequence>& episodes) {
   KVEC_CHECK(!episodes.empty());
-  const KvecConfig& config = model_->config();
-  TrainEpochStats stats;
-  int64_t halted_sequences = 0, correct_sequences = 0;
-  double earliness_sum = 0.0;
-
   std::vector<int> order(episodes.size());
   std::iota(order.begin(), order.end(), 0);
   rng_.Shuffle(order);
@@ -86,17 +184,8 @@ TrainEpochStats KvecTrainer::TrainEpoch(
       Tensor item_embedding = ops::SliceRow(encode.embeddings, t);
       rollout.state = model_->fusion().Step(rollout.state, item_embedding);
       ++rollout.observed;
-
-      Tensor halt_prob =
-          model_->policy().HaltProbability(rollout.state.hidden);
-      rollout.halt_probs.push_back(halt_prob);
-      rollout.baseline_values.push_back(
-          model_->baseline().Forward(rollout.state.hidden.Detach()));
-
-      const float p = ClampProbability(halt_prob.ScalarValue());
-      const int action = rng_.NextBernoulli(p) ? 1 : 0;
-      rollout.actions.push_back(action);
-      if (action == 1) {
+      if (rollout.trace.Sample(model_->policy(), model_->baseline(),
+                               rollout.state.hidden, rng_)) {
         rollout.logits = model_->classifier().Logits(rollout.state.hidden);
         rollout.predicted = ops::ArgMaxRow(rollout.logits, 0);
         rollout.halted = true;
@@ -111,87 +200,21 @@ TrainEpochStats KvecTrainer::TrainEpoch(
       }
     }
 
-    // ---- Assemble the three losses. ----
     std::vector<Tensor> logits_rows;
     std::vector<int> labels;
-    std::vector<Tensor> policy_terms;   // -(R_i - b_i) log P(a_i | s_i)
-    std::vector<Tensor> earliness_terms;  // -log P(Halt | s_i)
-    std::vector<Tensor> baseline_rows;
-    std::vector<float> baseline_targets;
-
     for (auto& [key, rollout] : rollouts) {
       if (rollout.observed == 0) continue;
       const int label = episode.labels.at(key);
       logits_rows.push_back(rollout.logits);
       labels.push_back(label);
-
-      const float reward = (rollout.predicted == label) ? 1.0f : -1.0f;
-      const int n = rollout.observed;
-      for (int i = 0; i < n; ++i) {
-        // Paper: R(i) = Σ_{s=i+1..n} r(s); with constant per-step reward
-        // this is (n - (i+1)) * r (0 for the final action).
-        const float cumulative = static_cast<float>(n - (i + 1)) * reward;
-        const float advantage =
-            cumulative - rollout.baseline_values[i].ScalarValue();
-        const Tensor& p = rollout.halt_probs[i];
-        Tensor log_prob = rollout.actions[i] == 1
-                              ? ops::Log(p)
-                              : ops::Log(ops::Affine(p, -1.0f, 1.0f));
-        policy_terms.push_back(ops::Affine(log_prob, -advantage, 0.0f));
-        earliness_terms.push_back(ops::Affine(ops::Log(p), -1.0f, 0.0f));
-        baseline_rows.push_back(rollout.baseline_values[i]);
-        baseline_targets.push_back(cumulative);
-      }
-
-      ++halted_sequences;
-      if (rollout.predicted == label) ++correct_sequences;
-      earliness_sum += static_cast<double>(n) / episode.KeyLength(key);
+      objective_.AddKey(rollout.observed, episode.KeyLength(key),
+                        rollout.predicted == label, &rollout.trace);
     }
     if (logits_rows.empty()) continue;
-
-    const float inv_keys = 1.0f / static_cast<float>(logits_rows.size());
-    Tensor l1 = ops::CrossEntropy(ops::StackRows(logits_rows), labels);
-    Tensor l2 = ops::AddN(policy_terms);
-    Tensor l3 = ops::AddN(earliness_terms);
-    Tensor total_loss = ops::Affine(
-        ops::AddN({l1, ops::Affine(l2, config.alpha, 0.0f),
-                   ops::Affine(l3, config.beta, 0.0f)}),
-        inv_keys, 0.0f);
-
-    main_optimizer_.ZeroGrad();
-    total_loss.Backward();
-    ClipGradNorm(main_optimizer_.params(), config.grad_clip);
-    main_optimizer_.Step();
-
-    // θ_b: regression of the baseline onto the realised cumulative rewards.
-    Tensor baseline_loss =
-        ops::MseLoss(ops::StackRows(baseline_rows), baseline_targets);
-    baseline_optimizer_.ZeroGrad();
-    baseline_loss.Backward();
-    ClipGradNorm(baseline_optimizer_.params(), config.grad_clip);
-    baseline_optimizer_.Step();
-
-    stats.total_loss += total_loss.ScalarValue();
-    stats.classification_loss += l1.ScalarValue() * inv_keys;
-    stats.policy_loss += l2.ScalarValue() * inv_keys;
-    stats.earliness_loss += l3.ScalarValue() * inv_keys;
-    stats.baseline_loss += baseline_loss.ScalarValue();
-    stats.episodes += 1;
+    objective_.Update(ops::CrossEntropy(ops::StackRows(logits_rows), labels),
+                      static_cast<int>(logits_rows.size()));
   }
-
-  if (stats.episodes > 0) {
-    stats.total_loss /= stats.episodes;
-    stats.classification_loss /= stats.episodes;
-    stats.policy_loss /= stats.episodes;
-    stats.earliness_loss /= stats.episodes;
-    stats.baseline_loss /= stats.episodes;
-  }
-  if (halted_sequences > 0) {
-    stats.train_accuracy =
-        static_cast<double>(correct_sequences) / halted_sequences;
-    stats.train_earliness = earliness_sum / halted_sequences;
-  }
-  return stats;
+  return objective_.TakeEpochStats();
 }
 
 std::vector<TrainEpochStats> KvecTrainer::Train(
@@ -199,7 +222,7 @@ std::vector<TrainEpochStats> KvecTrainer::Train(
   std::vector<TrainEpochStats> history;
   history.reserve(model_->config().epochs);
   std::unique_ptr<LrScheduler> schedule =
-      MakeSchedule(model_->config(), &main_optimizer_);
+      MakeSchedule(model_->config(), objective_.main_optimizer());
   for (int epoch = 0; epoch < model_->config().epochs; ++epoch) {
     // Stepping before the epoch makes warmup effective from epoch 0
     // (ComputeLr(1) is the first warmup rate).
@@ -217,7 +240,7 @@ std::vector<TrainEpochStats> KvecTrainer::TrainWithValidation(
   std::vector<TrainEpochStats> history;
   history.reserve(model_->config().epochs);
   std::unique_ptr<LrScheduler> schedule =
-      MakeSchedule(model_->config(), &main_optimizer_);
+      MakeSchedule(model_->config(), objective_.main_optimizer());
   double best_hm = -1.0;
   int best = -1;
   std::string best_snapshot;
@@ -250,22 +273,12 @@ EvaluationResult KvecTrainer::Evaluate(
     OnlineClassifier engine(*model_);
     engine.ObserveBatch(episode.items);
     for (const auto& [key, label] : episode.labels) {
-      PredictionRecord record;
-      record.predicted_label = engine.ForceClassify(
-          key, &record.confidence, &record.observed_items);
-      if (record.observed_items == 0) continue;  // a label without items
-      record.true_label = label;
-      record.sequence_length = episode.KeyLength(key);
-      result.records.push_back(record);
-
-      HaltingRecord halt;
-      halt.key = key;
-      halt.halt_position = record.observed_items;
-      halt.sequence_length = record.sequence_length;
-      auto truth = episode.true_halt_positions.find(key);
-      halt.true_halt_position =
-          truth == episode.true_halt_positions.end() ? 0 : truth->second;
-      result.halts.push_back(halt);
+      double confidence = 0.0;
+      int observed = 0;
+      const int predicted = engine.ForceClassify(key, &confidence, &observed);
+      if (observed == 0) continue;  // a label without items
+      result.records.push_back(
+          MakeRecord(episode, key, predicted, observed, confidence));
     }
   }
   result.summary =
@@ -275,7 +288,7 @@ EvaluationResult KvecTrainer::Evaluate(
 
 std::vector<AttentionPoint> ReadAttention(
     const KvecModel& model, const TangledSequence& episode,
-    const std::vector<HaltingRecord>& halts) {
+    const std::vector<PredictionRecord>& records) {
   std::vector<AttentionPoint> points;
   if (episode.items.empty()) return points;
   InferenceMode no_tape;  // weights only, no gradients
@@ -284,20 +297,20 @@ std::vector<AttentionPoint> ReadAttention(
   EncodeResult encode = model.encoder().Forward(episode, index, unused_rng,
                                                 /*training=*/false);
   const int total = static_cast<int>(episode.items.size());
-  for (const HaltingRecord& halt : halts) {
+  for (const PredictionRecord& record : records) {
     // Average over the attended rows of this sequence (up to its halt)
     // and over blocks: attention mass on same-key items (internal) vs
     // other-key items (external).
     double internal = 0.0, external = 0.0;
     int rows = 0, attended = 0;
-    for (int t = 0; t < total && attended < halt.halt_position; ++t) {
-      if (index.keys[t] != halt.key) continue;
+    for (int t = 0; t < total && attended < record.observed_items; ++t) {
+      if (index.keys[t] != record.key) continue;
       ++attended;
       for (const Tensor& weights : encode.attention_weights) {
         for (int j = 0; j <= t; ++j) {
           const float w = weights.At(t, j);
           if (w <= 0.0f) continue;
-          if (index.keys[j] == halt.key) {
+          if (index.keys[j] == record.key) {
             internal += w;
           } else {
             external += w;
@@ -306,10 +319,10 @@ std::vector<AttentionPoint> ReadAttention(
         ++rows;
       }
     }
-    KVEC_CHECK_GT(rows, 0) << "key " << halt.key << " has no items";
+    KVEC_CHECK_GT(rows, 0) << "key " << record.key << " has no items";
     AttentionPoint point;
     point.earliness =
-        static_cast<double>(halt.halt_position) / halt.sequence_length;
+        static_cast<double>(record.observed_items) / record.sequence_length;
     point.internal_score = internal / rows;
     point.external_score = external / rows;
     points.push_back(point);

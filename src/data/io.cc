@@ -1,8 +1,8 @@
 #include "data/io.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/check.h"
 
@@ -24,25 +24,31 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   return fields;
 }
 
-bool ParseInt(const std::string& text, int* value) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  long parsed = std::strtol(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *value = static_cast<int>(parsed);
-  return true;
-}
-
-bool ParseDouble(const std::string& text, double* value) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  double parsed = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  *value = parsed;
-  return true;
-}
-
 }  // namespace
+
+bool ParseIntField(const std::string& text, int* out) {
+  try {
+    size_t consumed = 0;
+    int value = std::stoi(text, &consumed);
+    if (consumed != text.size()) return false;
+    *out = value;
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
+bool ParseDoubleField(const std::string& text, double* out) {
+  try {
+    size_t consumed = 0;
+    double value = std::stod(text, &consumed);
+    if (consumed != text.size()) return false;
+    *out = value;
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
 
 std::string TangledSequencesToCsv(const std::vector<TangledSequence>& episodes,
                                   int num_value_fields) {
@@ -57,10 +63,7 @@ std::string TangledSequencesToCsv(const std::vector<TangledSequence>& episodes,
       out << e << "," << item.key << "," << item.time << ","
           << episode.labels.at(item.key);
       for (int value : item.value) out << "," << value;
-      auto truth = episode.true_halt_positions.find(item.key);
-      out << ","
-          << (truth == episode.true_halt_positions.end() ? 0 : truth->second)
-          << "\n";
+      out << "," << episode.TrueHaltPosition(item.key) << "\n";
     }
   }
   return out.str();
@@ -93,8 +96,10 @@ bool TangledSequencesFromCsv(const std::string& csv,
     }
     int episode_id = 0, key = 0, label = 0;
     double time = 0.0;
-    if (!ParseInt(fields[0], &episode_id) || !ParseInt(fields[1], &key) ||
-        !ParseDouble(fields[2], &time) || !ParseInt(fields[3], &label)) {
+    if (!ParseIntField(fields[0], &episode_id) ||
+        !ParseIntField(fields[1], &key) ||
+        !ParseDoubleField(fields[2], &time) ||
+        !ParseIntField(fields[3], &label)) {
       return false;
     }
     if (episode_id != current_episode) {
@@ -111,14 +116,14 @@ bool TangledSequencesFromCsv(const std::string& csv,
     item.time = time;
     item.value.resize(num_value_fields);
     for (int v = 0; v < num_value_fields; ++v) {
-      if (!ParseInt(fields[4 + v], &item.value[v])) return false;
+      if (!ParseIntField(fields[4 + v], &item.value[v])) return false;
     }
     TangledSequence& episode = parsed.back();
     auto [it, inserted] = episode.labels.emplace(key, label);
     if (!inserted && it->second != label) return false;  // inconsistent
     if (has_true_halt) {
       int truth = 0;
-      if (!ParseInt(fields.back(), &truth)) return false;
+      if (!ParseIntField(fields.back(), &truth)) return false;
       if (truth > 0) episode.true_halt_positions[key] = truth;
     }
     episode.items.push_back(std::move(item));

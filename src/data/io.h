@@ -29,6 +29,14 @@ std::string TangledSequencesToCsv(const std::vector<TangledSequence>& episodes,
 bool TangledSequencesFromCsv(const std::string& csv,
                              std::vector<TangledSequence>* episodes);
 
+// The strict field parsers behind the CSV layout above (and the `kvec`
+// CLI's spec.csv): the whole of `text` must be one decimal int / double
+// that fits its type — an empty field, trailing characters, or a value
+// strtol/strtod would report out of range (an int past INT_MAX, a double
+// that overflows or underflows) return false and leave `*out` untouched.
+bool ParseIntField(const std::string& text, int* out);
+bool ParseDoubleField(const std::string& text, double* out);
+
 // File convenience wrappers; false on I/O or parse failure.
 bool SaveTangledSequences(const std::vector<TangledSequence>& episodes,
                           int num_value_fields, const std::string& path);

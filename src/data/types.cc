@@ -20,6 +20,11 @@ int TangledSequence::KeyLength(int key) const {
   return length;
 }
 
+int TangledSequence::TrueHaltPosition(int key) const {
+  auto truth = true_halt_positions.find(key);
+  return truth == true_halt_positions.end() ? 0 : truth->second;
+}
+
 void TangledSequence::Validate(int num_value_fields) const {
   double previous_time = -1.0;
   for (const Item& item : items) {

@@ -44,6 +44,9 @@ struct TangledSequence {
   // Length |S_k|.
   int KeyLength(int key) const;
 
+  // true_halt_positions[key], or 0 when the key has no ground truth.
+  int TrueHaltPosition(int key) const;
+
   // Asserts chronological order, label coverage, and value-field arity.
   void Validate(int num_value_fields) const;
 };

@@ -334,7 +334,7 @@ void Fig10(ExperimentScale scale, const SweepCache&, std::ostream& out) {
   for (const TangledSequence& episode : dataset.test) {
     const EvaluationResult result = trainer.Evaluate({episode});
     const std::vector<AttentionPoint> points =
-        ReadAttention(model, episode, result.halts);
+        ReadAttention(model, episode, result.records);
     for (size_t i = 0; i < points.size(); ++i) {
       const AttentionPoint& point = points[i];
       size_t bucket = 0;
@@ -402,9 +402,9 @@ std::vector<double> BestHaltPositions(const Dataset& dataset,
     best_score = score;
     best_positions.clear();
     const EvaluationResult result = trainer.Evaluate(dataset.test);
-    for (const HaltingRecord& halt : result.halts) {
-      best_positions.push_back(static_cast<double>(halt.halt_position) /
-                               halt.sequence_length);
+    for (const PredictionRecord& record : result.records) {
+      best_positions.push_back(static_cast<double>(record.observed_items) /
+                               record.sequence_length);
     }
   }
   return best_positions;

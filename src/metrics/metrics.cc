@@ -5,6 +5,19 @@
 
 namespace kvec {
 
+PredictionRecord MakeRecord(const TangledSequence& episode, int key,
+                            int predicted, int observed, double confidence) {
+  PredictionRecord record;
+  record.key = key;
+  record.true_label = episode.labels.at(key);
+  record.predicted_label = predicted;
+  record.observed_items = observed;
+  record.sequence_length = episode.KeyLength(key);
+  record.true_halt_position = episode.TrueHaltPosition(key);
+  record.confidence = confidence;
+  return record;
+}
+
 double HarmonicMean(double accuracy, double earliness) {
   double timeliness = 1.0 - earliness;
   double denominator = timeliness + accuracy;

@@ -7,18 +7,29 @@
 #include <string>
 #include <vector>
 
+#include "data/types.h"
+
 namespace kvec {
 
-// One early-classification outcome for one key-value sequence S_k.
+// One early-classification outcome (verdict) for one key-value sequence
+// S_k of an episode.
 struct PredictionRecord {
+  int key = 0;
   int true_label = 0;
   int predicted_label = 0;
-  int observed_items = 0;  // n_k
+  int observed_items = 0;  // n_k, the halting position (1-based)
   int sequence_length = 0;  // |S_k|
+  int true_halt_position = 0;  // 0 when the dataset has no ground truth
   // The classifier's probability for the predicted label at the halting
   // point (max softmax). 0 when the method does not expose confidences.
   double confidence = 0.0;
 };
+
+// The record of a verdict `predicted` on key `key` of `episode`, reached
+// after `observed` of its items; the label, |S_k| and the true halting
+// position come from the episode.
+PredictionRecord MakeRecord(const TangledSequence& episode, int key,
+                            int predicted, int observed, double confidence);
 
 struct EvaluationSummary {
   double earliness = 0.0;  // mean over sequences of n_k / |S_k|
@@ -33,6 +44,13 @@ struct EvaluationSummary {
 // Computes all metrics over `records`; `num_classes` bounds the labels.
 EvaluationSummary Evaluate(const std::vector<PredictionRecord>& records,
                            int num_classes);
+
+// What every method's Evaluate returns: one record per classified
+// sequence, and the metrics over them.
+struct EvaluationResult {
+  std::vector<PredictionRecord> records;
+  EvaluationSummary summary;
+};
 
 // HM as defined in the paper: 2 (1-E) A / ((1-E) + A); 0 when degenerate.
 double HarmonicMean(double accuracy, double earliness);

@@ -103,19 +103,7 @@ void BinaryWriter::Grow(size_t size) {
   capacity_ = capacity;
 }
 
-bool BinaryWriter::SaveToFile(const std::string& path) const {
-  return AtomicWriteFile(path, view());
-}
-
 BinaryReader::BinaryReader(std::string buffer) : buffer_(std::move(buffer)) {}
-
-BinaryReader BinaryReader::FromFile(const std::string& path) {
-  std::string contents;
-  const bool read = ReadFileBytes(path, &contents);
-  BinaryReader reader(std::move(contents));
-  reader.ok_ = read;
-  return reader;
-}
 
 bool BinaryReader::Consume(void* data, size_t size) {
   if (!ok_) return false;

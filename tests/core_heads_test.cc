@@ -75,16 +75,16 @@ TEST(KvecModelTest, SaveLoadRoundTrip) {
   config.seed = 99;  // different init
   KvecModel b(config);
 
-  std::string path = ::testing::TempDir() + "/kvec_model_test.bin";
-  ASSERT_TRUE(a.SaveToFile(path));
-  ASSERT_TRUE(b.LoadFromFile(path));
+  BinaryWriter writer;
+  a.SaveParameters(&writer);
+  BinaryReader reader(writer.buffer());
+  ASSERT_TRUE(b.LoadParameters(&reader));
   std::vector<Tensor> pa = a.Parameters();
   std::vector<Tensor> pb = b.Parameters();
   ASSERT_EQ(pa.size(), pb.size());
   for (size_t i = 0; i < pa.size(); ++i) {
     EXPECT_EQ(pa[i].data(), pb[i].data()) << "parameter " << i;
   }
-  std::remove(path.c_str());
 }
 
 TEST(KvecModelTest, LoadRejectsWrongArchitecture) {
@@ -94,17 +94,21 @@ TEST(KvecModelTest, LoadRejectsWrongArchitecture) {
   KvecModel a(config);
   config.embed_dim = 12;
   KvecModel b(config);
-  std::string path = ::testing::TempDir() + "/kvec_model_mismatch.bin";
-  ASSERT_TRUE(a.SaveToFile(path));
-  EXPECT_FALSE(b.LoadFromFile(path));
-  std::remove(path.c_str());
+  BinaryWriter writer;
+  a.SaveParameters(&writer);
+  BinaryReader reader(writer.buffer());
+  EXPECT_FALSE(b.LoadParameters(&reader));
 }
 
-TEST(KvecModelTest, LoadRejectsMissingFile) {
+TEST(KvecModelTest, LoadRejectsTruncatedStream) {
   KvecConfig config = KvecConfig::ForSpec(TinySpec());
   config.num_blocks = 1;
   KvecModel model(config);
-  EXPECT_FALSE(model.LoadFromFile("/nonexistent/model.bin"));
+  BinaryWriter writer;
+  model.SaveParameters(&writer);
+  const std::string bytes = writer.buffer();
+  BinaryReader reader(bytes.substr(0, bytes.size() / 2));
+  EXPECT_FALSE(model.LoadParameters(&reader));
 }
 
 TEST(KvecModelTest, DeterministicInitGivenSeed) {

@@ -5,6 +5,7 @@
 #include "data/generator.h"
 #include "data/traffic_generator.h"
 #include "gtest/gtest.h"
+#include "tensor/ops.h"
 
 namespace kvec {
 namespace {
@@ -76,7 +77,6 @@ TEST(KvecTrainerTest, EvaluateRecordsAreConsistent) {
     EXPECT_GE(record.predicted_label, 0);
     EXPECT_LT(record.predicted_label, 2);
   }
-  EXPECT_EQ(result.halts.size(), result.records.size());
 }
 
 TEST(KvecTrainerTest, LargeBetaHaltsEarlier) {
@@ -114,8 +114,8 @@ TEST(KvecTrainerTest, AttentionInstrumentationSumsToOne) {
   for (const TangledSequence& episode : dataset.test) {
     const EvaluationResult result = trainer.Evaluate({episode});
     const std::vector<AttentionPoint> points =
-        ReadAttention(model, episode, result.halts);
-    EXPECT_EQ(points.size(), result.halts.size());  // one per key
+        ReadAttention(model, episode, result.records);
+    EXPECT_EQ(points.size(), result.records.size());  // one per key
     points_read += points.size();
     for (const AttentionPoint& point : points) {
       EXPECT_NEAR(point.internal_score + point.external_score, 1.0, 1e-3);
@@ -137,7 +137,7 @@ TEST(KvecTrainerTest, AblatedValueCorrelationHasNoExternalAttention) {
   for (const TangledSequence& episode : dataset.test) {
     const EvaluationResult result = trainer.Evaluate({episode});
     for (const AttentionPoint& point :
-         ReadAttention(model, episode, result.halts)) {
+         ReadAttention(model, episode, result.records)) {
       EXPECT_NEAR(point.external_score, 0.0, 1e-6);
     }
   }
@@ -235,6 +235,125 @@ TEST(KvecTrainerTest, TrainingIsDeterministicGivenSeeds) {
   tb.Train(dataset.train);
   EXPECT_EQ(ta.Evaluate(dataset.test).summary.accuracy,
             tb.Evaluate(dataset.test).summary.accuracy);
+}
+
+// Algorithm 1's objective on a two-key rollout built by hand: fixed halt
+// probabilities, actions and baseline values, so every term has a closed
+// form. Key 0 is classified correctly after halting at its third of four
+// items; key 1 is misclassified after running to its end (2 items).
+TEST(EctlObjectiveTest, TermsMatchTheClosedForm) {
+  struct Step {
+    float halt_prob;
+    int action;
+    float baseline;
+  };
+  const std::vector<std::vector<Step>> steps = {
+      {{0.2f, 0, 0.1f}, {0.3f, 0, -0.2f}, {0.6f, 1, 0.5f}},
+      {{0.4f, 0, 0.0f}, {0.7f, 0, 0.3f}}};
+  const bool correct[] = {true, false};
+  const int lengths[] = {4, 2};
+
+  KvecConfig config;
+  config.alpha = 0.5f;
+  config.beta = 0.25f;
+  std::vector<Tensor> main_parameters, baseline_parameters;
+  std::vector<HaltTrace> traces(steps.size());
+  for (size_t k = 0; k < steps.size(); ++k) {
+    for (const Step& step : steps[k]) {
+      traces[k].halt_probs.push_back(Tensor::Scalar(step.halt_prob, true));
+      traces[k].actions.push_back(step.action);
+      traces[k].baseline_values.push_back(Tensor::Scalar(step.baseline, true));
+      main_parameters.push_back(traces[k].halt_probs.back());
+      baseline_parameters.push_back(traces[k].baseline_values.back());
+    }
+  }
+  Tensor logits = Tensor::FromData(2, 2, {1.0f, 0.0f, 0.0f, 1.0f}, true);
+  main_parameters.push_back(logits);
+  EctlObjective objective(config, main_parameters, baseline_parameters);
+  for (size_t k = 0; k < steps.size(); ++k) {
+    objective.AddKey(static_cast<int>(steps[k].size()), lengths[k],
+                     correct[k], &traces[k]);
+  }
+
+  // R(i) = Σ_{s=i+1..n} r = (n − (i+1))·r, r = ±1; the REINFORCE term is
+  // −(R(i) − b_i)·log P(a_i), the earliness term −log π(s_i).
+  ASSERT_EQ(objective.policy_terms().size(), 5u);
+  ASSERT_EQ(objective.earliness_terms().size(), 5u);
+  ASSERT_EQ(objective.baseline_targets().size(), 5u);
+  size_t term = 0;
+  float l2 = 0.0f, l3 = 0.0f;
+  for (size_t k = 0; k < steps.size(); ++k) {
+    const int n = static_cast<int>(steps[k].size());
+    const float reward = correct[k] ? 1.0f : -1.0f;
+    for (int i = 0; i < n; ++i, ++term) {
+      const Step& step = steps[k][i];
+      const float cumulative = static_cast<float>(n - (i + 1)) * reward;
+      const float log_prob = std::log(step.action == 1 ? step.halt_prob
+                                                       : 1.0f - step.halt_prob);
+      const float policy = -(cumulative - step.baseline) * log_prob;
+      const float earliness = -std::log(step.halt_prob);
+      EXPECT_EQ(objective.baseline_targets()[term], cumulative) << term;
+      EXPECT_EQ(objective.policy_terms()[term].ScalarValue(), policy) << term;
+      EXPECT_EQ(objective.earliness_terms()[term].ScalarValue(), earliness)
+          << term;
+      l2 += policy;  // AddN's order
+      l3 += earliness;
+    }
+  }
+  EXPECT_EQ(objective.baseline_targets(),
+            (std::vector<float>{2.0f, 1.0f, 0.0f, -1.0f, 0.0f}));
+
+  const Tensor l1 = ops::CrossEntropy(logits, {0, 0});
+  objective.Update(l1, 2);
+  EXPECT_TRUE(objective.policy_terms().empty());  // the episode is closed
+  EXPECT_TRUE(objective.baseline_targets().empty());
+  const TrainEpochStats stats = objective.TakeEpochStats();
+  EXPECT_EQ(stats.episodes, 1);
+  EXPECT_EQ(stats.policy_loss, static_cast<double>(l2 * 0.5f));
+  EXPECT_EQ(stats.earliness_loss, static_cast<double>(l3 * 0.5f));
+  EXPECT_NEAR(stats.total_loss,
+              0.5 * (l1.ScalarValue() + 0.5 * l2 + 0.25 * l3), 1e-5);
+  // θ_b regresses b_i onto R(i) by mean squared error.
+  const std::vector<float> targets = {2.0f, 1.0f, 0.0f, -1.0f, 0.0f};
+  float squared = 0.0f;
+  for (size_t k = 0, t = 0; k < steps.size(); ++k) {
+    for (const Step& step : steps[k]) {
+      const float diff = step.baseline - targets[t++];
+      squared += diff * diff;
+    }
+  }
+  EXPECT_EQ(stats.baseline_loss, static_cast<double>(squared / 5.0f));
+  EXPECT_EQ(stats.train_accuracy, 0.5);
+  EXPECT_EQ(stats.train_earliness, (3.0 / 4 + 2.0 / 2) / 2);
+  // Both updates moved their parameters.
+  EXPECT_NE(traces[0].halt_probs[0].ScalarValue(), 0.2f);
+  EXPECT_NE(traces[0].baseline_values[0].ScalarValue(), 0.1f);
+  // The next epoch starts from zero.
+  EXPECT_EQ(objective.TakeEpochStats().episodes, 0);
+}
+
+// Without halt traces (SRN-Fixed, SRN-Confidence) the objective is l1 per
+// key alone, and θ_b is left untouched.
+TEST(EctlObjectiveTest, WithoutTracesOnlyTheClassificationTermTrains) {
+  KvecConfig config;
+  Tensor logits = Tensor::FromData(2, 2, {1.0f, 0.0f, 0.0f, 1.0f}, true);
+  Tensor baseline_weight = Tensor::Scalar(0.5f, true);
+  EctlObjective objective(config, {logits}, {baseline_weight});
+  objective.AddKey(1, 4, true, nullptr);
+  objective.AddKey(4, 4, false, nullptr);
+  EXPECT_TRUE(objective.policy_terms().empty());
+  const Tensor l1 = ops::CrossEntropy(logits, {0, 0});
+  const float l1_value = l1.ScalarValue();
+  objective.Update(l1, 2);
+  const TrainEpochStats stats = objective.TakeEpochStats();
+  EXPECT_EQ(stats.total_loss, static_cast<double>(l1_value * 0.5f));
+  EXPECT_EQ(stats.classification_loss, static_cast<double>(l1_value * 0.5f));
+  EXPECT_EQ(stats.policy_loss, 0.0);
+  EXPECT_EQ(stats.earliness_loss, 0.0);
+  EXPECT_EQ(stats.baseline_loss, 0.0);
+  EXPECT_EQ(stats.train_accuracy, 0.5);
+  EXPECT_EQ(stats.train_earliness, (1.0 / 4 + 4.0 / 4) / 2);
+  EXPECT_EQ(baseline_weight.ScalarValue(), 0.5f);
 }
 
 }  // namespace

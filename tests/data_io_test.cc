@@ -29,6 +29,7 @@ TEST(DataIoTest, RoundTripPreservesEverything) {
   std::string csv = TangledSequencesToCsv(episodes, 2);
   std::vector<TangledSequence> loaded;
   ASSERT_TRUE(TangledSequencesFromCsv(csv, &loaded));
+  EXPECT_EQ(TangledSequencesToCsv(loaded, 2), csv);  // byte for byte
   ASSERT_EQ(loaded.size(), episodes.size());
   for (size_t e = 0; e < episodes.size(); ++e) {
     ASSERT_EQ(loaded[e].items.size(), episodes[e].items.size());
@@ -97,6 +98,37 @@ TEST(DataIoTest, RejectsNonNumeric) {
   std::vector<TangledSequence> episodes;
   EXPECT_FALSE(TangledSequencesFromCsv(
       "episode,key,time,label,v0,true_halt\n0,zero,0.0,1,2,0\n", &episodes));
+}
+
+// A value past its type's range must fail the parse, not wrap: 4294967296
+// would otherwise read as 0 and 4294967297 as 1, a key and token the model
+// embeds without complaint.
+TEST(DataIoTest, RejectsNumbersOutOfRange) {
+  const std::string header = "episode,key,time,label,v0,true_halt\n";
+  const char* rows[] = {
+      "0,4294967296,0.0,1,2,0\n",   // key
+      "0,2147483648,0.0,1,2,0\n",   // key, INT_MAX + 1
+      "0,-2147483649,0.0,1,2,0\n",  // key, INT_MIN - 1
+      "0,0,0.0,1,4294967297,0\n",   // value token
+      "0,0,0.0,4294967297,2,0\n",   // label
+      "0,0,0.0,1,2,4294967298\n",   // true_halt
+      "4294967296,0,0.0,1,2,0\n",   // episode
+      "0,0,1e400,1,2,0\n",          // time, past DBL_MAX
+  };
+  for (const char* row : rows) {
+    std::vector<TangledSequence> episodes;
+    EXPECT_FALSE(TangledSequencesFromCsv(header + row, &episodes)) << row;
+  }
+  std::vector<TangledSequence> episodes;
+  EXPECT_FALSE(TangledSequencesFromCsv(
+      "episode,key,time,label,v0\n0,4294967296,0.0,1,4294967297\n",
+      &episodes));
+  // The range ends themselves still parse.
+  ASSERT_TRUE(TangledSequencesFromCsv(
+      header + "0,2147483647,0.0,1,-2147483648,2147483647\n", &episodes));
+  EXPECT_EQ(episodes[0].items[0].key, 2147483647);
+  EXPECT_EQ(episodes[0].items[0].value[0], -2147483648LL);
+  EXPECT_EQ(episodes[0].true_halt_positions.at(2147483647), 2147483647);
 }
 
 TEST(DataIoTest, RejectsInconsistentLabels) {

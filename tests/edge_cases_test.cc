@@ -98,7 +98,7 @@ TEST(EdgeCaseTest, SingleKeyEpisodeHasNoExternalAttention) {
   }
   EvaluationResult result = trainer.Evaluate({episode});
   const std::vector<AttentionPoint> points =
-      ReadAttention(model, episode, result.halts);
+      ReadAttention(model, episode, result.records);
   ASSERT_EQ(points.size(), 1u);
   EXPECT_NEAR(points[0].external_score, 0.0, 1e-6);
 }

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli/model_io.h"
 #include "core/online.h"
 #include "core/stream_server.h"
 #include "core/trainer.h"
@@ -55,16 +56,16 @@ TEST(IntegrationTest, CheckpointPreservesEvaluation) {
   trainer.Train(dataset.train);
   EvaluationResult before = trainer.Evaluate(dataset.test);
 
-  std::string path = ::testing::TempDir() + "/kvec_integration_ckpt.bin";
-  ASSERT_TRUE(model.SaveToFile(path));
+  BinaryWriter writer;
+  model.SaveParameters(&writer);
   config.seed = 999;  // fresh random weights
   KvecModel restored(config);
-  ASSERT_TRUE(restored.LoadFromFile(path));
+  BinaryReader reader(writer.buffer());
+  ASSERT_TRUE(restored.LoadParameters(&reader));
   KvecTrainer restored_trainer(&restored);
   EvaluationResult after = restored_trainer.Evaluate(dataset.test);
   EXPECT_EQ(before.summary.accuracy, after.summary.accuracy);
   EXPECT_EQ(before.summary.earliness, after.summary.earliness);
-  std::remove(path.c_str());
 }
 
 TEST(IntegrationTest, StreamingEngineOnPresetStream) {
@@ -116,8 +117,8 @@ TEST(IntegrationTest, TrueHaltSignalIsLearnableEarly) {
   trainer.Train(dataset.train);
   EvaluationResult result = trainer.Evaluate(dataset.test);
   EXPECT_LT(result.summary.earliness, 0.9);
-  for (const HaltingRecord& halt : result.halts) {
-    EXPECT_GT(halt.true_halt_position, 0);  // ground truth present
+  for (const PredictionRecord& record : result.records) {
+    EXPECT_GT(record.true_halt_position, 0);  // ground truth present
   }
 }
 
@@ -138,17 +139,20 @@ TEST(IntegrationTest, FullLifecycleTrainCheckpointServeConsistently) {
   config.beta = 1e-2f;
   config.seed = 13;
 
-  const std::string path = ::testing::TempDir() + "/kvec_lifecycle.ckpt";
+  const std::string path = ::testing::TempDir() + "/kvec_lifecycle.kvm";
   {
     KvecModel trainee(config);
     KvecTrainer trainer(&trainee);
     trainer.Train(dataset.train);
-    ASSERT_TRUE(trainee.SaveToFile(path));
+    ASSERT_TRUE(cli::SaveModelBundle(path, &trainee));
   }
 
-  KvecModel model(config);
-  ASSERT_TRUE(model.LoadFromFile(path));
-  KvecTrainer evaluator(&model);
+  std::string error;
+  std::unique_ptr<KvecModel> loaded = cli::LoadModelBundle(path, &error);
+  ASSERT_NE(loaded, nullptr) << error;
+  std::remove(path.c_str());
+  const KvecModel& model = *loaded;
+  KvecTrainer evaluator(loaded.get());
 
   // Per key: (predicted label, observed items at the verdict).
   using Verdicts = std::map<int, std::pair<int, int>>;
@@ -163,9 +167,9 @@ TEST(IntegrationTest, FullLifecycleTrainCheckpointServeConsistently) {
     // Offline evaluation.
     const EvaluationResult offline = evaluator.Evaluate({stream});
     Verdicts offline_verdicts;
-    for (size_t i = 0; i < offline.records.size(); ++i) {
-      offline_verdicts[offline.halts[i].key] = {
-          offline.records[i].predicted_label, offline.halts[i].halt_position};
+    for (const PredictionRecord& record : offline.records) {
+      offline_verdicts[record.key] = {record.predicted_label,
+                                      record.observed_items};
     }
 
     // Plain streaming engine.

@@ -53,18 +53,20 @@ TEST(SerializeTest, FileRoundTrip) {
   BinaryWriter writer;
   writer.WriteInt32(99);
   writer.WriteFloatVector({0.5f, 1.5f});
-  ASSERT_TRUE(writer.SaveToFile(path));
+  ASSERT_TRUE(AtomicWriteFile(path, writer.view()));
 
-  BinaryReader reader = BinaryReader::FromFile(path);
-  ASSERT_TRUE(reader.ok());
+  std::string bytes;
+  ASSERT_TRUE(ReadFileBytes(path, &bytes));
+  BinaryReader reader(bytes);
   EXPECT_EQ(reader.ReadInt32(), 99);
   EXPECT_EQ(reader.ReadFloatVector(), (std::vector<float>{0.5f, 1.5f}));
+  EXPECT_TRUE(reader.ok());
   std::remove(path.c_str());
 }
 
 TEST(SerializeTest, MissingFileReportsNotOk) {
-  BinaryReader reader = BinaryReader::FromFile("/nonexistent/kvec.bin");
-  EXPECT_FALSE(reader.ok());
+  std::string bytes;
+  EXPECT_FALSE(ReadFileBytes("/nonexistent/kvec.bin", &bytes));
 }
 
 // ---- Fail-closed reads (the reader must never abort, allocate huge
@@ -597,16 +599,16 @@ TEST(CheckpointWriteTest, FailedSaveKeepsTheOldFile) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointWriteTest, FailedSaveToFileKeepsTheOldFile) {
+TEST(CheckpointWriteTest, FailedAtomicWriteKeepsTheOldFile) {
   const std::string path = ::testing::TempDir() + "/kvec_atomic_params.bin";
   BinaryWriter old_writer;
   old_writer.WriteFloatVector({1.0f, 2.0f});
-  ASSERT_TRUE(old_writer.SaveToFile(path));
+  ASSERT_TRUE(AtomicWriteFile(path, old_writer.view()));
 
   BinaryWriter new_writer;
   new_writer.WriteFloatVector(std::vector<float>(1 << 18, 3.0f));
   FailWritesAfter(0);
-  EXPECT_FALSE(new_writer.SaveToFile(path));
+  EXPECT_FALSE(AtomicWriteFile(path, new_writer.view()));
   FaultInjection::DisarmAll();
   EXPECT_EQ(SlurpFile(path), old_writer.buffer());
   EXPECT_FALSE(FileExists(path + ".tmp"));
