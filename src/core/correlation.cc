@@ -4,6 +4,7 @@
 
 #include "tensor/ops.h"
 #include "util/check.h"
+#include "util/key_order.h"
 
 namespace kvec {
 namespace {
@@ -293,7 +294,7 @@ void CorrelationTracker::Snapshot(BinaryWriter* writer) const {
     num_items += record.has_items ? 1 : 0;
     num_sessions += record.has_session ? 1 : 0;
   }
-  std::sort(by_key.begin(), by_key.end());
+  SortByIntKey(&by_key, [](const auto& entry) { return entry.first; });
   writer->WriteInt32(num_items);
   for (const auto& [key, record] : by_key) {
     if (!record->has_items) continue;

@@ -75,8 +75,8 @@ float* IncrementalEncoder::ValuePanel(int block, int head) {
 void IncrementalEncoder::RepackArena(int new_capacity) {
   KVEC_DCHECK(new_capacity >= num_items_);
   const int num_blocks = static_cast<int>(encoder_.blocks().size());
-  std::vector<float> fresh = BufferPool::Global().AcquireUninitialized(
-      2 * static_cast<size_t>(num_blocks) * new_capacity * dim_);
+  std::vector<float> fresh =
+      BufferPool::Global().AcquireUninitialized(ArenaFloats(new_capacity));
   if (num_items_ > 0) {
     // Move the live [num_items_, head_dim] panels into the new layout.
     const size_t old_block_stride = 2 * static_cast<size_t>(capacity_) * dim_;

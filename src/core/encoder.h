@@ -147,9 +147,13 @@ class IncrementalEncoder {
   void ResetScratch() { scratch_.Reset(); }
 
   // ---- Memory accounting ----
-  // Bytes held by the K/V arena plus the batch scratch arena.
+  // Bytes of the K/V arena plus the batch scratch arena. The arena counts
+  // the size it asked BufferPool for, not the capacity it was handed: the
+  // shared pool may return a cached buffer up to twice as large, and which
+  // buffer a shard gets depends on other threads' releases, so the
+  // capacity is not a function of the input.
   size_t resident_bytes() const {
-    return arena_.capacity() * sizeof(float) + scratch_.reserved_bytes();
+    return ArenaFloats(capacity_) * sizeof(float) + scratch_.reserved_bytes();
   }
   size_t scratch_high_water() const { return scratch_.high_water(); }
 
@@ -161,6 +165,11 @@ class IncrementalEncoder {
   //   K(b,h) = arena + b·2·C·d + h·C·head_dim
   //   V(b,h) = arena + b·2·C·d + C·d + h·C·head_dim
   // where C = capacity_ (items). head_dim·num_heads == d.
+  // Floats of an arena that holds `capacity` items: K and V panels of
+  // every block.
+  size_t ArenaFloats(int capacity) const {
+    return 2 * encoder_.blocks().size() * static_cast<size_t>(capacity) * dim_;
+  }
   float* KeyPanel(int block, int head);
   float* ValuePanel(int block, int head);
   // Grows the arena (geometrically) to hold at least `min_items` cached

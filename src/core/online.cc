@@ -5,6 +5,7 @@
 
 #include "tensor/ops.h"
 #include "util/check.h"
+#include "util/key_order.h"
 
 namespace kvec {
 
@@ -267,7 +268,7 @@ void OnlineClassifier::Snapshot(BinaryWriter* writer) const {
   for (const auto& [key, state] : keys_->states) {
     sorted.emplace_back(key, &state);
   }
-  std::sort(sorted.begin(), sorted.end());
+  SortByIntKey(&sorted, [](const auto& entry) { return entry.first; });
   writer->WriteInt32(static_cast<int32_t>(sorted.size()));
   for (const auto& [key, state] : sorted) WriteKeyState(writer, key, *state);
 

@@ -369,21 +369,6 @@ int ShardedStreamServer::CompactAll() {
 
 namespace {
 
-// A checkpoint file's sections: the manifest, then one section per shard,
-// each borrowing its writer's bytes so the file is framed straight from
-// them.
-std::vector<CheckpointSectionView> WriterSections(
-    int32_t manifest_id, const BinaryWriter& manifest, int32_t shard_id,
-    const std::vector<BinaryWriter>& shards) {
-  std::vector<CheckpointSectionView> sections;
-  sections.reserve(1 + shards.size());
-  sections.push_back({manifest_id, manifest.view()});
-  for (const BinaryWriter& shard : shards) {
-    sections.push_back({shard_id, shard.view()});
-  }
-  return sections;
-}
-
 // Unlinks the chain links on disk after `base_path` (.delta.1 up to the
 // first missing one, however many an earlier writer left): newest first,
 // so a crash part-way leaves the base plus a consecutive delta prefix.
@@ -430,6 +415,27 @@ bool ForEachShardSection(
 
 }  // namespace
 
+void ShardedStreamServer::ImageWriters::Clear() {
+  manifest.Clear();
+  for (BinaryWriter& shard : shards) shard.Clear();
+}
+
+std::vector<CheckpointSectionView> ShardedStreamServer::ImageWriters::sections(
+    int32_t manifest_id, int32_t shard_id) const {
+  std::vector<CheckpointSectionView> views;
+  views.reserve(1 + shards.size());
+  views.push_back({manifest_id, manifest.view()});
+  for (const BinaryWriter& shard : shards) {
+    views.push_back({shard_id, shard.view()});
+  }
+  return views;
+}
+
+std::vector<CheckpointSectionView>
+ShardedStreamServer::ImageWriters::full_sections() const {
+  return sections(kCheckpointSectionShardManifest, kCheckpointSectionShard);
+}
+
 void ShardedStreamServer::SnapshotShards(
     std::vector<BinaryWriter>* shard_writers,
     const std::function<void(StreamServer&, BinaryWriter*)>& snapshot) const {
@@ -447,14 +453,9 @@ void ShardedStreamServer::SnapshotShards(
   }
 }
 
-std::vector<CheckpointSectionView> ShardedStreamServer::FullImage::sections()
-    const {
-  return WriterSections(kCheckpointSectionShardManifest, manifest,
-                        kCheckpointSectionShard, shards);
-}
-
 void ShardedStreamServer::SnapshotFullImage(bool stage_baseline,
-                                            FullImage* image) const {
+                                            ImageWriters* image) const {
+  image->Clear();
   image->manifest.WriteInt32(num_shards());
   SnapshotShards(&image->shards,
                  [stage_baseline](StreamServer& server, BinaryWriter* writer) {
@@ -464,10 +465,9 @@ void ShardedStreamServer::SnapshotFullImage(bool stage_baseline,
 }
 
 bool ShardedStreamServer::WriteBase(const std::string& path,
-                                    bool stage_baseline,
+                                    bool stage_baseline, ImageWriters* image,
                                     uint64_t* fingerprint) const {
-  FullImage image;
-  SnapshotFullImage(stage_baseline, &image);
+  SnapshotFullImage(stage_baseline, image);
   // The new base ends the chain rooted at `path`: its deltas would not
   // link to it. Unlink them BEFORE replacing the base, so every crash
   // point leaves a loadable chain on disk (old base plus a consecutive
@@ -477,8 +477,8 @@ bool ShardedStreamServer::WriteBase(const std::string& path,
   // Tests force the disk-full / yanked-volume shape here: a failed write
   // leaves the old base (now without its deltas) at `path`.
   return !KVEC_FAULT_POINT("checkpoint.save") &&
-         CheckpointWrite(path, kCheckpointFormatVersion, image.sections(),
-                         fingerprint);
+         CheckpointWrite(path, kCheckpointFormatVersion,
+                         image->full_sections(), fingerprint);
 }
 
 bool ShardedStreamServer::StageFromCheckpoint(
@@ -538,9 +538,9 @@ void ShardedStreamServer::CommitStaged(
 }
 
 std::string ShardedStreamServer::EncodeCheckpoint() const {
-  FullImage image;
+  ImageWriters image;
   SnapshotFullImage(/*stage_baseline=*/false, &image);
-  return CheckpointEncode(kCheckpointFormatVersion, image.sections());
+  return CheckpointEncode(kCheckpointFormatVersion, image.full_sections());
 }
 
 bool ShardedStreamServer::RestoreCheckpoint(const std::string& bytes) {
@@ -555,7 +555,9 @@ bool ShardedStreamServer::RestoreCheckpoint(const std::string& bytes) {
 }
 
 bool ShardedStreamServer::SaveCheckpoint(const std::string& path) const {
-  return WriteBase(path, /*stage_baseline=*/false, /*fingerprint=*/nullptr);
+  ImageWriters image;
+  return WriteBase(path, /*stage_baseline=*/false, &image,
+                   /*fingerprint=*/nullptr);
 }
 
 std::string ShardedStreamServer::DeltaPath(const std::string& base_path,
@@ -577,7 +579,8 @@ bool ShardedStreamServer::CheckpointIncremental(
     // appending deltas to a chain whose middle links are gone. The dirty
     // baseline stays staged-only, so no churn is lost either way.
     uint64_t fingerprint = 0;
-    if (!WriteBase(base_path, /*stage_baseline=*/true, &fingerprint)) {
+    if (!WriteBase(base_path, /*stage_baseline=*/true, &link_writers_,
+                   &fingerprint)) {
       state->base_fingerprint = 0;
       return false;
     }
@@ -591,17 +594,18 @@ bool ShardedStreamServer::CheckpointIncremental(
 
   // Delta link. SnapshotDelta stages each shard's dirty-clear itself.
   // Every section stays in its own writer until CheckpointWrite frames it
-  // to disk; the writers die with this call.
-  BinaryWriter manifest;
-  std::vector<BinaryWriter> shard_writers;
+  // to disk; the writers stay for the next link.
+  link_writers_.Clear();
+  BinaryWriter& manifest = link_writers_.manifest;
   const int64_t seq = state->deltas_written + 1;
   manifest.WriteInt64(static_cast<int64_t>(state->base_fingerprint));
   manifest.WriteInt64(static_cast<int64_t>(state->prev_fingerprint));
   manifest.WriteInt64(seq);
   manifest.WriteInt32(num_shards());
-  SnapshotShards(&shard_writers, [](StreamServer& server, BinaryWriter* writer) {
-    server.SnapshotDelta(writer);
-  });
+  SnapshotShards(&link_writers_.shards,
+                 [](StreamServer& server, BinaryWriter* writer) {
+                   server.SnapshotDelta(writer);
+                 });
   // Failed delta write: no baseline commit, so every dirty bit survives
   // and the next delta re-carries this one's churn; the chain on disk is
   // untouched and stays loadable. Tests force this path here.
@@ -609,9 +613,8 @@ bool ShardedStreamServer::CheckpointIncremental(
   uint64_t fingerprint = 0;
   if (!CheckpointWrite(DeltaPath(base_path, seq),
                        kCheckpointDeltaFormatVersion,
-                       WriterSections(kCheckpointSectionDeltaManifest,
-                                      manifest, kCheckpointSectionShardDelta,
-                                      shard_writers),
+                       link_writers_.sections(kCheckpointSectionDeltaManifest,
+                                              kCheckpointSectionShardDelta),
                        &fingerprint)) {
     return false;
   }

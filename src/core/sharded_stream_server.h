@@ -241,7 +241,9 @@ class ShardedStreamServer {
   // see the `checkpoint.delta` fault point — leaves the server serving,
   // every dirty bit intact, and the previous chain loadable). A rebase is
   // the base write described above, so every crash point leaves a
-  // loadable chain on disk.
+  // loadable chain on disk. The server keeps the writers its links are
+  // framed from between calls, bounded by the largest link written
+  // (docs/SERVING.md, "Retained writer memory").
   bool CheckpointIncremental(const std::string& base_path, int rebase_every,
                              IncrementalCheckpointState* state);
 
@@ -321,31 +323,40 @@ class ShardedStreamServer {
   static StreamServerStats MergeTransportCounters(const Shard& shard,
                                                   StreamServerStats stats);
 
+  // The writers a checkpoint file is framed from without a copy: the
+  // manifest, then one section per shard holding its index and that
+  // shard's snapshot.
+  struct ImageWriters {
+    BinaryWriter manifest;
+    std::vector<BinaryWriter> shards;
+    // Empties every writer and keeps its pages.
+    void Clear();
+    // The file's sections, each borrowing its writer's bytes.
+    std::vector<CheckpointSectionView> sections(int32_t manifest_id,
+                                                int32_t shard_id) const;
+    // sections() under the full layout's ids, the one place that names
+    // them for a write.
+    std::vector<CheckpointSectionView> full_sections() const;
+  };
+
   // Fills one writer per shard with its index and then `snapshot`, run as
   // one task on that shard.
   void SnapshotShards(
       std::vector<BinaryWriter>* shard_writers,
       const std::function<void(StreamServer&, BinaryWriter*)>& snapshot) const;
-
-  // A full image, its sections kept in their writers so that it is framed
-  // without a copy: the manifest (the shard count), then one section per
-  // shard holding its index and its StreamServer::Snapshot.
-  struct FullImage {
-    BinaryWriter manifest;
-    std::vector<BinaryWriter> shards;
-    std::vector<CheckpointSectionView> sections() const;
-  };
   // The one builder of a full image, behind EncodeCheckpoint and
-  // WriteBase. With `stage_baseline`, each shard stages its delta
-  // baseline in the same task as its snapshot, so a chain base's staged
-  // dirty-clear is atomic with its bytes.
-  void SnapshotFullImage(bool stage_baseline, FullImage* image) const;
+  // WriteBase: clears `image`, then writes the manifest (the shard count)
+  // and every shard's StreamServer::Snapshot. With `stage_baseline`, each
+  // shard stages its delta baseline in the same task as its snapshot, so a
+  // chain base's staged dirty-clear is atomic with its bytes.
+  void SnapshotFullImage(bool stage_baseline, ImageWriters* image) const;
   // The one base write, behind SaveCheckpoint and the rebase: builds a
-  // full image, unlinks the chain's deltas on disk newest-first, then
-  // atomically writes the image to `path` (`checkpoint.save` fault point).
-  // `fingerprint` (if non-null) receives the file's fingerprint.
+  // full image in `image`, unlinks the chain's deltas on disk
+  // newest-first, then atomically writes the image to `path`
+  // (`checkpoint.save` fault point). `fingerprint` (if non-null) receives
+  // the file's fingerprint.
   bool WriteBase(const std::string& path, bool stage_baseline,
-                 uint64_t* fingerprint) const;
+                 ImageWriters* image, uint64_t* fingerprint) const;
   // Restore split in two so the chain loader can apply deltas between the
   // staging and the commit: Stage parses a full checkpoint (either
   // layout, see RestoreCheckpoint) into fresh per-shard servers (no live
@@ -359,6 +370,11 @@ class ShardedStreamServer {
   ShardedStreamServerConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<int> all_shards_;  // 0 .. num_shards-1, for RunOnAllShards
+  // CheckpointIncremental's writers, kept from one link to the next:
+  // rebases and deltas alike write into pages an earlier link already
+  // faulted in. They keep as many bytes mapped as the largest link written
+  // so far, per section (docs/SERVING.md "Incremental checkpoints").
+  ImageWriters link_writers_;
 };
 
 }  // namespace kvec

@@ -5,6 +5,7 @@
 #include "tensor/tensor.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
+#include "util/key_order.h"
 
 namespace kvec {
 
@@ -159,7 +160,7 @@ void StreamServer::CloseAllInKeyOrder(StreamEvent::Cause cause,
   std::vector<int> keys;
   keys.reserve(index_->open.size());
   for (const auto& [key, node] : index_->open) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
+  SortIntKeys(&keys);
   for (int key : keys) EmitForced(key, cause, events);
   index_->Clear();
 }
@@ -413,7 +414,8 @@ void StreamServer::Snapshot(BinaryWriter* writer) const {
   for (const auto& [key, node] : index_->open) {
     open.emplace_back(key, node.last_seen);
   }
-  std::sort(open.begin(), open.end());
+  SortByIntKey(&open,
+               [](const OpenKeyRecord& record) { return record.first; });
   WriteOpenKeys(writer, open);
 
   // Engine last: Restore stages everything above in temporaries and only
@@ -498,7 +500,7 @@ void StreamServer::SnapshotDelta(BinaryWriter* writer) {
   std::vector<int> dirty_sorted;
   dirty_sorted.reserve(dirty_keys_.size());
   for (const auto& [key, epoch] : dirty_keys_) dirty_sorted.push_back(key);
-  std::sort(dirty_sorted.begin(), dirty_sorted.end());
+  SortIntKeys(&dirty_sorted);
 
   // The full snapshot's header: the config echo keeps a delta from ever
   // applying to a server with different serving semantics, and the stats

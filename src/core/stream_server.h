@@ -147,7 +147,10 @@ struct StreamServerStats {
   // are NOT serialized (process-lifetime observability, and the v1
   // checkpoint layout stays byte-identical). Merge() sums them, so a
   // sharded server's view reports fleet-total resident bytes.
-  int64_t bytes_resident = 0;      // shard pool + encoder arena + scratch
+  // Shard pool + encoder arena + scratch. The arena counts the size the
+  // encoder asked BufferPool for; the pool's slack (a cached buffer may be
+  // up to twice that) is left out, so this is not the memory held.
+  int64_t bytes_resident = 0;
   int64_t pool_blocks = 0;         // chunks the pool holds from the OS
   int64_t scratch_high_water = 0;  // batch scratch arena high-water bytes
   int64_t compactions = 0;         // Compact() runs (heuristic or forced)

@@ -63,8 +63,8 @@ inline constexpr size_t kMinTaggedValueBytes = 8;
 // copied in place. The buffer doubles when full and is never zero-filled:
 // below 1 MB it is a heap block grown with realloc; from 1 MB on it is an
 // anonymous mapping of its own, grown by remapping its pages rather than
-// copying them and unmapped when the writer dies. Checkpoint snapshots
-// write tens of MB through here one value at a time.
+// copying them and unmapped when the writer dies (Clear keeps it).
+// Checkpoint snapshots write tens of MB through here one value at a time.
 class BinaryWriter {
  public:
   BinaryWriter() = default;
@@ -106,7 +106,11 @@ class BinaryWriter {
     WriteSized(serialize_internal::kTagIntVec, values, count, sizeof(int));
   }
 
-  // The bytes written so far; valid until the next write or move.
+  // Drops the bytes written so far and keeps the buffer, so the next
+  // writes land in pages that are already mapped and faulted in.
+  void Clear() { size_ = 0; }
+
+  // The bytes written so far; valid until the next write, Clear or move.
   std::string_view view() const { return {data_, size_}; }
   // A copy of the bytes written so far.
   std::string buffer() const { return std::string(view()); }

@@ -528,6 +528,31 @@ TEST(CliServe, ShorterChainOverALongerOneStillLoads) {
   RemoveChain(path);
 }
 
+TEST(CliServe, WorkersModeLoadReportsOneResidentByteCount) {
+  // memory.bytes_resident is a function of the input: after a load in
+  // workers mode it used to follow which cached pool buffer each shard's
+  // encoder arena happened to get, one 32 KiB buffer apart between runs.
+  const std::string path = "cli_test_resident_bytes.ckpt";
+  RemoveChain(path);
+  const std::vector<std::string> flags = {
+      "serve",   "--episodes", "300", "--max-window-items", "300",
+      "--shards", "3",         "--batch", "1", "--workers", "3", "--json"};
+  std::vector<std::string> save = flags;
+  save.insert(save.end(), {"--save-checkpoint", path});
+  ASSERT_EQ(RunCli(save).code, 0);
+  std::set<int64_t> resident;
+  for (int run = 0; run < 5; ++run) {
+    std::vector<std::string> load = flags;
+    load.insert(load.end(), {"--load-checkpoint", path});
+    const CliResult result = RunCli(load);
+    ASSERT_EQ(result.code, 0) << result.err;
+    resident.insert(JsonInt(result.out, "bytes_resident"));
+  }
+  RemoveChain(path);
+  EXPECT_EQ(resident.size(), 1u);
+  EXPECT_GT(*resident.begin(), 0);
+}
+
 // ---- Report schemas ------------------------------------------------------
 
 // The key paths of a report's JSON ("overload.items_shed",

@@ -28,6 +28,7 @@
 #include "data/generator.h"
 #include "data/traffic_generator.h"
 #include "util/fault_injection.h"
+#include "util/serialize.h"
 #include "gtest/gtest.h"
 
 namespace kvec {
@@ -508,6 +509,69 @@ TEST(IncrementalCheckpointTest, FailedRebaseForcesFreshBase) {
   ShardedStreamServer recovered(*fixture.model, config);
   ASSERT_TRUE(recovered.RestoreFromCheckpointChain(base));
   EXPECT_EQ(recovered.EncodeCheckpoint(), server.EncodeCheckpoint());
+  UnlinkChain(base);
+}
+
+// The writers a chain's links are framed from stay with the server from
+// one link to the next. A full write smaller than the links before it (a
+// window rotation shrank the state) must carry none of their bytes: the
+// file equals the encoding of the same state by a server that never wrote
+// a checkpoint, and the chain it starts restores.
+TEST(IncrementalCheckpointTest, SmallerLinkAfterALargerOneCarriesNoStaleBytes) {
+  Fixture fixture = TrainSmallModel(98);
+  const std::vector<Item> stream = ConcatStream(fixture.dataset);
+  ShardedStreamServerConfig config;
+  config.num_shards = 2;
+  config.shard.max_window_items = 60;  // per shard
+  const std::string base = ChainBase("retained_writers");
+  UnlinkChain(base);
+
+  ShardedStreamServer server(*fixture.model, config);
+  ShardedStreamServer twin(*fixture.model, config);  // never checkpoints
+  IncState state;
+  size_t fed = 0;
+  auto feed = [&](size_t until) {
+    for (; fed < until && fed < stream.size(); ++fed) {
+      server.Observe(stream[fed]);
+      twin.Observe(stream[fed]);
+    }
+  };
+  auto file_bytes = [](const std::string& path) {
+    std::string bytes;
+    EXPECT_TRUE(ReadFileBytes(path, &bytes)) << path;
+    return bytes;
+  };
+
+  // A base and a delta late in the first window (no shard has seen 60
+  // items yet), when the state is large.
+  feed(55);
+  ASSERT_TRUE(server.CheckpointIncremental(base, /*rebase_every=*/1, &state));
+  const size_t large_base = file_bytes(base).size();
+  feed(58);
+  ASSERT_TRUE(server.CheckpointIncremental(base, /*rebase_every=*/1, &state));
+  ASSERT_EQ(state.deltas_written, 1);
+
+  // Once a window rotation has shrunk the state below the first base's
+  // size by a tenth, the rebase writes fewer bytes than the writers hold.
+  while (fed < stream.size() &&
+         twin.EncodeCheckpoint().size() > large_base * 9 / 10) {
+    feed(fed + 1);
+  }
+  ASSERT_GT(twin.stats().windows_started, server.num_shards());
+  ASSERT_TRUE(server.CheckpointIncremental(base, /*rebase_every=*/1, &state));
+  ASSERT_EQ(state.deltas_written, 0);
+  const std::string small_base = file_bytes(base);
+  EXPECT_LT(small_base.size(), large_base);
+  EXPECT_EQ(small_base, twin.EncodeCheckpoint());
+
+  // A delta on the fresh base, then the chain restores to the live state.
+  feed(fed + 5);
+  ASSERT_TRUE(server.CheckpointIncremental(base, /*rebase_every=*/1, &state));
+  ASSERT_EQ(state.deltas_written, 1);
+  ShardedStreamServer restored(*fixture.model, config);
+  ASSERT_TRUE(restored.RestoreFromCheckpointChain(base));
+  EXPECT_EQ(restored.EncodeCheckpoint(), twin.EncodeCheckpoint());
+  EXPECT_EQ(restored.EncodeCheckpoint(), server.EncodeCheckpoint());
   UnlinkChain(base);
 }
 

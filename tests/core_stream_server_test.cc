@@ -16,6 +16,7 @@
 #include "data/traffic_generator.h"
 #include "gtest/gtest.h"
 #include "stream_server_bytes.h"
+#include "util/key_order.h"
 
 namespace kvec {
 namespace {
@@ -812,6 +813,57 @@ TEST(StreamServerTest, KeysAcrossTheIntRangeServeLikeSmallKeys) {
   EXPECT_GT(stats.capacity_evictions, 0);
   EXPECT_GT(stats.idle_timeouts, 0);
   EXPECT_GT(stats.rotation_classifications, 0);
+}
+
+// A rotation closes its open keys in ascending key order over the whole int
+// range, whether a few keys are open or more than the radix sort's
+// small-input cut-over (src/util/key_order.h).
+TEST(StreamServerTest, RotationOverTheIntRangeClosesInAscendingKeyOrder) {
+  Fixture fixture = TrainSmallModel(75);
+  KvecConfig model_config = fixture.model->config();
+  model_config.use_membership_embedding = false;  // it indexes by key
+  const KvecModel model(model_config);
+  const std::vector<Item>& items = fixture.dataset.train[0].items;
+  std::mt19937 rng(9);
+  std::uniform_int_distribution<int> any(INT_MIN, INT_MAX);
+  for (int num_keys : {12, 1000}) {
+    SCOPED_TRACE(num_keys);
+    std::set<int> unique = {INT_MIN, INT_MAX, -1, 0};
+    while (static_cast<int>(unique.size()) < num_keys) unique.insert(any(rng));
+    std::vector<int> keys(unique.begin(), unique.end());
+    std::shuffle(keys.begin(), keys.end(), rng);
+
+    StreamServerConfig config;
+    config.max_window_items = num_keys;
+    config.idle_timeout = 1 << 20;
+    config.max_open_keys = 1 << 20;
+    StreamServer server(model, config);
+    // One item per key fills the window; a key whose item halts it closes
+    // on the spot.
+    std::set<int> open;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      Item item = items[i % items.size()];
+      item.key = keys[i];
+      if (server.Observe(item).empty()) open.insert(keys[i]);
+    }
+    // Open keys on the side of the radix cut-over the case is for.
+    ASSERT_GE(open.size(), 3u);
+    if (num_keys > 100) {
+      ASSERT_GT(open.size(), kRadixSortMinEntries);
+    }
+
+    // The next item, under a new key, rotates the window first; the item
+    // itself may then halt its key.
+    Item next = items[0];
+    next.key = 5;
+    while (unique.count(next.key) != 0) ++next.key;
+    std::vector<StreamEvent> rotated = server.Observe(next);
+    if (!rotated.empty() && rotated.back().key == next.key) rotated.pop_back();
+    for (const StreamEvent& event : rotated) {
+      EXPECT_EQ(event.cause, Cause::kWindowRotation);
+    }
+    EXPECT_EQ(KeysOf(rotated), std::vector<int>(open.begin(), open.end()));
+  }
 }
 
 TEST(StreamServerDeathTest, RejectsBadConfig) {

@@ -506,6 +506,27 @@ TEST(BinaryWriterBytesTest, MatchesReferenceEncoderOnRandomSequences) {
   }
 }
 
+// Clear keeps the buffer (a heap block, or from 1 MB on a mapping) and
+// drops its bytes: what is written after it reads exactly as a fresh
+// writer's bytes, with nothing left over from the longer contents before.
+TEST(BinaryWriterBytesTest, ClearedWriterWritesLikeAFreshOne) {
+  BinaryWriter writer;
+  for (size_t large : {size_t{100}, size_t{3} << 19}) {
+    SCOPED_TRACE(large);
+    const std::vector<int> big(large, 7);
+    writer.WriteInts(big.data(), big.size());
+    writer.Clear();
+    EXPECT_TRUE(writer.view().empty());
+    BinaryWriter fresh;
+    for (BinaryWriter* target : {&writer, &fresh}) {
+      target->WriteInt32(-3);
+      target->WriteString("after clear");
+    }
+    EXPECT_EQ(writer.buffer(), fresh.buffer());
+    writer.Clear();
+  }
+}
+
 // ---- CheckpointWrite: the one atomic checkpoint file writer ----
 
 std::string SlurpFile(const std::string& path) {
