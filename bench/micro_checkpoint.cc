@@ -177,8 +177,12 @@ int64_t FileBytes(const std::string& path) {
 }
 
 // Delta write cost as a function of churn: range(0) open keys, range(1)
-// percent of them re-touched between writes. The chain never rebases, so
-// every iteration times exactly one delta encode + atomic file write.
+// percent of them re-touched between writes. Every iteration times one
+// delta encode + atomic file write of the same delta: untimed, it restores
+// the server from the base, drops the previous delta and re-touches the
+// same keys at the same clock, so the bytes written do not depend on how
+// many iterations run. The untimed restore dominates the wall time, so the
+// iteration count is fixed rather than grown to --benchmark_min_time.
 void BM_DeltaCheckpointWrite(benchmark::State& state) {
   const int open_keys = static_cast<int>(state.range(0));
   const int churn_keys =
@@ -193,10 +197,15 @@ void BM_DeltaCheckpointWrite(benchmark::State& state) {
     state.SkipWithError("base rebase failed");
     return;
   }
-  int next = 0;
-  int64_t clock = 1 << 21;
   for (auto _ : state) {
     state.PauseTiming();
+    std::remove(ShardedStreamServer::DeltaPath(base, 1).c_str());
+    if (!server.RestoreFromCheckpointChain(base, &chain)) {
+      state.SkipWithError("base restore failed");
+      break;
+    }
+    int next = 0;
+    int64_t clock = 1 << 21;
     ChurnKeys(&server, churn_keys, &next, open_keys, &clock);
     state.ResumeTiming();
     if (!server.CheckpointIncremental(base, /*rebase_every=*/0, &chain)) {
@@ -214,6 +223,7 @@ BENCHMARK(BM_DeltaCheckpointWrite)
     ->Args({8192, 1})
     ->Args({100000, 1})
     ->Args({100000, 10})
+    ->Iterations(20)
     ->Unit(benchmark::kMillisecond);
 
 // The rebase comparator: a fresh chain state forces the full-base branch

@@ -9,10 +9,10 @@
 //    concurrent keys sharing one session value). Historically sharding
 //    helped even single-threaded because each shard's engine scanned only
 //    its own open sessions; the PR-3 inverted correlation index removed
-//    that scan, so single-core throughput now peaks at 1 shard and extra
-//    shards pay for themselves only via the multi-core ObserveBatch
-//    fan-out (see docs/SERVING.md and bench/micro_pipeline.cc's
-//    BM_StreamServeEndToEnd).
+//    that scan, so throughput peaks at 1 shard. Sync-mode shards run one
+//    after another on the caller's thread, so extra shards here only add
+//    routing cost; parallel shards are the worker mode's job
+//    (BM_ShardWorkerThroughput below, docs/SERVING.md).
 //  * BM_CapacityEvictionSteadyState — per-item cost of StreamServer at the
 //    capacity limit (every item evicts). With the hash map + recency list
 //    this is O(1); the pre-index full scan was O(open_keys)

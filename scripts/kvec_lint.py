@@ -60,6 +60,11 @@ Enforces the rules no off-the-shelf tool knows about this codebase
                           whose reason says why the setting cannot be a
                           flag: an environment variable is a hidden
                           execution mode no ``--help`` lists.
+* ``doc-ref``           — a comment that names a markdown file
+                          (``docs/SERVING.md``, or a bare ``DESIGN.md``,
+                          which resolves under docs/ or the repo root)
+                          names one that exists, and every ``§N.N`` after
+                          the name on that line is a heading of that file.
 
 Suppressions (a reason is mandatory):
 
@@ -98,6 +103,7 @@ RULES = (
     "tsa-escape",
     "count-guard",
     "env-knob",
+    "doc-ref",
 )
 
 ALLOW = re.compile(r"//\s*kvec-lint:\s*allow(-next)?\(([a-z-]+)\)\s*(\S.*)?$")
@@ -150,6 +156,11 @@ COUNT_GUARD = re.compile(
     r"(?:[-+*/%<]|(?<!-)>)=?\s*(?:\w+\s*(?:\.|->)\s*)?remaining\(\s*\)"
     r"|\bremaining\(\s*\)\s*[-+*/%<>]")
 GETENV = re.compile(r"\b(?:secure_)?getenv\s*\(")
+# A markdown file named in a comment, optionally docs/-qualified, and the
+# section marks that follow it; a heading is "## §4.1 Title".
+DOC_REF = re.compile(r"(?<![\w/.-])(docs/)?([A-Z][A-Z0-9_]*\.md)\b")
+SECTION_REF = re.compile(r"§(\d+(?:\.\d+)*)")
+SECTION_HEADING = re.compile(r"^#{1,6}\s+§(\d+(?:\.\d+)*)\b", re.M)
 
 
 def path_components(path):
@@ -242,7 +253,44 @@ def documented_fault_points(repo_root):
         return set(re.findall(r"`([a-z0-9_.]+)`", handle.read()))
 
 
-def lint_file(file, repo_root, fault_doc, errors):
+def doc_headings(path, cache):
+    """The § headings of the markdown file at `path`, or None when the
+    file does not exist."""
+    if path not in cache:
+        if os.path.isfile(path):
+            with open(path, encoding="utf-8") as handle:
+                cache[path] = set(SECTION_HEADING.findall(handle.read()))
+        else:
+            cache[path] = None
+    return cache[path]
+
+
+def check_doc_refs(comment, repo_root, doc_cache, report):
+    """Reports each markdown file `comment` names that does not exist, and
+    each § mark after a name that is not one of that file's headings."""
+    refs = list(DOC_REF.finditer(comment))
+    for i, ref in enumerate(refs):
+        qualified, name = ref.groups()
+        candidates = [os.path.join(repo_root, "docs", name)]
+        if not qualified:
+            candidates.append(os.path.join(repo_root, name))
+        headings = None
+        for candidate in candidates:
+            headings = doc_headings(candidate, doc_cache)
+            if headings is not None:
+                break
+        shown = (qualified or "") + name
+        if headings is None:
+            report(f"comment names {shown}, which does not exist")
+            continue
+        end = refs[i + 1].start() if i + 1 < len(refs) else len(comment)
+        for section in SECTION_REF.findall(comment[ref.end():end]):
+            if section not in headings:
+                report(f"comment cites {shown} §{section}, which has no "
+                       "such heading")
+
+
+def lint_file(file, repo_root, fault_doc, doc_cache, errors):
     comps = path_components(file.path)
     in_tensor = "tensor" in comps
     in_cli = "cli" in comps
@@ -273,6 +321,12 @@ def lint_file(file, repo_root, fault_doc, errors):
         report(1, "test-wiring",
                "a .cc in tests/ must be named *_test.cc or the CMake glob "
                "never builds it (and ctest never runs it)")
+
+    for lineno, raw in enumerate(file.raw_lines, start=1):
+        if "//" in raw:
+            check_doc_refs(raw.split("//", 1)[1], repo_root, doc_cache,
+                           lambda message, n=lineno: report(n, "doc-ref",
+                                                            message))
 
     for lineno, line in file.code_lines:
         for point in FAULT_POINT.findall(line):
@@ -387,8 +441,9 @@ def main(argv):
         print(f"kvec_lint: warning: {FAULT_POINT_DOC} not found; "
               "fault-point-doc rule skipped")
     errors = []
+    doc_cache = {}
     for path in files:
-        lint_file(File(path), repo_root, fault_doc, errors)
+        lint_file(File(path), repo_root, fault_doc, doc_cache, errors)
     for path, lineno, rule, message in errors:
         print(f"{path}:{lineno}: [{rule}] {message}")
     print(f"checked {len(files)} file(s): "

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -135,9 +134,6 @@ struct SoakOptions {
   bool incremental = false;
   bool compact = true;
   uint64_t seed = 42;
-  int compaction_check_interval = 4096;
-  double compaction_threshold = 2.0;
-  int64_t compaction_min_bytes = 4 << 20;
 };
 
 struct StageResult {
@@ -194,10 +190,6 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
       std::max<int64_t>(64, per_shard + (3 * per_shard) / 10));
   config.shard.max_window_items =
       static_cast<int>(std::max<int64_t>(256, kPassesPerCycle * per_shard));
-  config.shard.compaction_check_interval = options.compaction_check_interval;
-  config.shard.compaction_fragmentation_threshold =
-      options.compaction_threshold;
-  config.shard.compaction_min_bytes = options.compaction_min_bytes;
 
   ShardedStreamServer server(model, config);
   Rng rng(options.seed ^ static_cast<uint64_t>(target_keys));
@@ -478,17 +470,6 @@ int RunSoakCommand(const std::vector<std::string>& args, std::ostream& out,
   bool* compact = parser.AddBool(
       "compact", true, "force CompactAll every cycle (the fragmentation "
                        "heuristic still runs either way)");
-  int64_t* compaction_interval = parser.AddInt(
-      "compaction-check-interval", 4096,
-      "per-shard items between fragmentation checks (<=0 disables the "
-      "heuristic)",
-      IntAtLeast(std::numeric_limits<int>::min()));
-  double* compaction_threshold = parser.AddDouble(
-      "compaction-threshold", 2.0,
-      "compact when pool resident/live exceeds this ratio");
-  int64_t* compaction_min_bytes = parser.AddInt(
-      "compaction-min-bytes", 4 << 20,
-      "never compact pools smaller than this many resident bytes");
   int64_t* seed = parser.AddInt("seed", 42, "value-stream RNG seed");
   std::string* curve = parser.AddString(
       "curve", "", "write the memory-vs-open-keys curve (bench-report JSON) "
@@ -543,9 +524,6 @@ int RunSoakCommand(const std::vector<std::string>& args, std::ostream& out,
   }
   options.compact = *compact;
   options.seed = static_cast<uint64_t>(*seed);
-  options.compaction_check_interval = static_cast<int>(*compaction_interval);
-  options.compaction_threshold = *compaction_threshold;
-  options.compaction_min_bytes = *compaction_min_bytes;
 
   KvecConfig model_config = KvecConfig::ForSpec(SoakSpec());
   model_config.embed_dim = 12;

@@ -9,7 +9,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -968,17 +967,6 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
       IntAtLeast(1));
   int64_t* max_open_keys = parser.AddInt(
       "max-open-keys", 1024, "open-key capacity per shard", IntAtLeast(1));
-  int64_t* compaction_interval = parser.AddInt(
-      "compaction-check-interval", 4096,
-      "per-shard items between pool-fragmentation checks (<=0 disables "
-      "automatic compaction)",
-      IntAtLeast(std::numeric_limits<int>::min()));
-  double* compaction_threshold = parser.AddDouble(
-      "compaction-threshold", 2.0,
-      "compact a shard pool when resident/live bytes exceed this ratio");
-  int64_t* compaction_min_bytes = parser.AddInt(
-      "compaction-min-bytes", 4 << 20,
-      "never compact pools smaller than this many resident bytes");
   bool* flush = parser.AddBool(
       "flush", true, "force-classify still-open keys at end of stream");
   std::string* load_checkpoint = parser.AddString(
@@ -1139,11 +1127,6 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
   sharded_config.shard.max_window_items = static_cast<int>(*max_window);
   sharded_config.shard.idle_timeout = static_cast<int>(*idle_timeout);
   sharded_config.shard.max_open_keys = static_cast<int>(*max_open_keys);
-  sharded_config.shard.compaction_check_interval =
-      static_cast<int>(*compaction_interval);
-  sharded_config.shard.compaction_fragmentation_threshold =
-      *compaction_threshold;
-  sharded_config.shard.compaction_min_bytes = *compaction_min_bytes;
   const int batch_size = static_cast<int>(*batch);
 
   const int runs = bench ? static_cast<int>(*repeat) : 1;

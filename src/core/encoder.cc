@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "util/check.h"
@@ -55,10 +54,6 @@ IncrementalEncoder::IncrementalEncoder(const KvrlEncoder& encoder)
   }
 }
 
-IncrementalEncoder::~IncrementalEncoder() {
-  BufferPool::Global().Release(std::move(arena_));
-}
-
 float* IncrementalEncoder::KeyPanel(int block, int head) {
   const size_t block_stride = 2 * static_cast<size_t>(capacity_) * dim_;
   return arena_.data() + block * block_stride +
@@ -72,11 +67,22 @@ float* IncrementalEncoder::ValuePanel(int block, int head) {
          static_cast<size_t>(head) * capacity_ * head_dim_;
 }
 
-void IncrementalEncoder::RepackArena(int new_capacity) {
-  KVEC_DCHECK(new_capacity >= num_items_);
+void IncrementalEncoder::AdoptArena(IncrementalEncoder* retiring) {
+  KVEC_CHECK_EQ(num_items_, 0);
+  KVEC_CHECK(&encoder_ == &retiring->encoder_);
+  arena_ = std::move(retiring->arena_);
+  capacity_ = retiring->capacity_;
+  retiring->arena_ = std::vector<float>();
+  retiring->capacity_ = 0;
+  retiring->num_items_ = 0;
+}
+
+void IncrementalEncoder::EnsureCapacity(int min_items) {
+  if (capacity_ >= min_items) return;
+  int new_capacity = std::max(capacity_ * 2, 64);
+  while (new_capacity < min_items) new_capacity *= 2;
   const int num_blocks = static_cast<int>(encoder_.blocks().size());
-  std::vector<float> fresh =
-      BufferPool::Global().AcquireUninitialized(ArenaFloats(new_capacity));
+  std::vector<float> fresh(ArenaFloats(new_capacity));
   if (num_items_ > 0) {
     // Move the live [num_items_, head_dim] panels into the new layout.
     const size_t old_block_stride = 2 * static_cast<size_t>(capacity_) * dim_;
@@ -102,26 +108,8 @@ void IncrementalEncoder::RepackArena(int new_capacity) {
       }
     }
   }
-  BufferPool::Global().Release(std::move(arena_));
   arena_ = std::move(fresh);
   capacity_ = new_capacity;
-}
-
-void IncrementalEncoder::EnsureCapacity(int min_items) {
-  if (capacity_ >= min_items) return;
-  int new_capacity = std::max(capacity_ * 2, 64);
-  while (new_capacity < min_items) new_capacity *= 2;
-  RepackArena(new_capacity);
-}
-
-void IncrementalEncoder::ShrinkToFit() {
-  if (capacity_ == 0) return;
-  // Same geometric ladder EnsureCapacity climbs, so a shrink lands on a
-  // capacity growth would also have produced (keeps sizes pool-friendly).
-  int tight = 64;
-  while (tight < num_items_) tight *= 2;
-  if (tight >= capacity_) return;
-  RepackArena(tight);
 }
 
 void IncrementalEncoder::ScatterKv(int block, int t, const float* k,

@@ -59,20 +59,20 @@ class KvrlEncoder : public Module {
 // dropout; caches per-block keys/values and computes only the new row(s)
 // for each arriving item or microbatch.
 //
-// Memory layout: all cached K/V panels live in ONE contiguous arena drawn
-// from BufferPool and grown geometrically, laid out SoA head-major —
+// Memory layout: all cached K/V panels live in ONE contiguous arena,
+// grown geometrically, laid out SoA head-major —
 // for block b and head h the keys of items 0..t form one contiguous
 // [t, head_dim] panel. The attention score loop over an item's visible set
 // therefore gathers contiguous head_dim-long rows (kernels::GatherDots and
 // kernels::GatherWeightedSum on sequential memory) instead of striding across a [t, d] row-major matrix,
-// and window rotation returns the whole arena to the pool in one release.
+// and a window rotation hands the whole arena to the next window's encoder
+// (AdoptArena) at full capacity.
 // (The seed implementation kept three std::vectors per block — including a
 // block-outputs cache that nothing ever read — each reallocating
 // independently as the window grew.)
 class IncrementalEncoder {
  public:
   explicit IncrementalEncoder(const KvrlEncoder& encoder);
-  ~IncrementalEncoder();
 
   IncrementalEncoder(const IncrementalEncoder&) = delete;
   IncrementalEncoder& operator=(const IncrementalEncoder&) = delete;
@@ -137,21 +137,20 @@ class IncrementalEncoder {
   void SnapshotTail(BinaryWriter* writer, int base_items) const;
   bool RestoreTail(BinaryReader* reader, int expected_items = -1);
 
-  // Repacks the K/V arena into the smallest geometric capacity that holds
-  // the live items, returning the slack to BufferPool (shard compaction).
-  // A no-op when the arena is already tight.
-  void ShrinkToFit();
+  // Takes `retiring`'s K/V arena at its full capacity, leaving `retiring`
+  // with none. *this must hold no items and share `retiring`'s frozen
+  // encoder. The inherited rows are never read: only rows [0, num_items())
+  // are, and each is written when its item arrives. The arena never
+  // shrinks: every window fills to the owner's window bound before it
+  // rotates, so the capacity one window reached is the next one's too.
+  void AdoptArena(IncrementalEncoder* retiring);
 
   // Rewinds the batch scratch arena (called after a drained microbatch;
   // AppendBatch also resets defensively on entry).
   void ResetScratch() { scratch_.Reset(); }
 
   // ---- Memory accounting ----
-  // Bytes of the K/V arena plus the batch scratch arena. The arena counts
-  // the size it asked BufferPool for, not the capacity it was handed: the
-  // shared pool may return a cached buffer up to twice as large, and which
-  // buffer a shard gets depends on other threads' releases, so the
-  // capacity is not a function of the input.
+  // Bytes of the K/V arena plus the batch scratch arena.
   size_t resident_bytes() const {
     return ArenaFloats(capacity_) * sizeof(float) + scratch_.reserved_bytes();
   }
@@ -173,11 +172,8 @@ class IncrementalEncoder {
   float* KeyPanel(int block, int head);
   float* ValuePanel(int block, int head);
   // Grows the arena (geometrically) to hold at least `min_items` cached
-  // items, repacking the live panels into the new layout.
+  // items, moving the live panels into the new layout.
   void EnsureCapacity(int min_items);
-  // Moves the live panels into a fresh arena of `new_capacity` items
-  // (either direction: growth or shrink-to-fit).
-  void RepackArena(int new_capacity);
   // Scatters one item's k/v rows (length d each) into the head panels.
   void ScatterKv(int block, int t, const float* k, const float* v);
   // Masked attention for one query row against the cached panels of
@@ -203,12 +199,12 @@ class IncrementalEncoder {
   int num_items_ = 0;
   int capacity_ = 0;           // cached items the arena can hold
   int max_ffn_dim_ = 1;        // widest FFN hidden layer over the blocks
-  std::vector<float> arena_;   // pooled; see layout above
+  std::vector<float> arena_;   // see layout above
 
   // Batch scratch (AppendBatch): all [batch, ·] panels come from this
   // monotonic arena, reset at the top of every batch — per-microbatch
-  // scratch costs one pointer bump per panel instead of nine BufferPool
-  // draws (and plateaus at the largest batch seen).
+  // scratch costs one pointer bump per panel instead of nine allocations
+  // (and plateaus at the largest batch seen).
   ScratchArena scratch_;
   std::vector<float> scores_;
   std::vector<int> targets_;

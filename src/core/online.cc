@@ -30,7 +30,10 @@ void OnlineClassifier::Repool(std::pmr::memory_resource* memory) {
   fresh->slab.assign(keys_->slab.begin(), keys_->slab.end());
   keys_ = std::move(fresh);
   memory_ = memory;
-  incremental_.ShrinkToFit();
+}
+
+void OnlineClassifier::AdoptEncoderArena(OnlineClassifier* retiring) {
+  incremental_.AdoptArena(&retiring->incremental_);
 }
 
 int OnlineClassifier::AddSlot(KeyTable* table) const {

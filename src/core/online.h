@@ -145,12 +145,18 @@ class OnlineClassifier {
   bool ApplyDelta(BinaryReader* reader);
 
   // Rebuilds the per-key map, the fusion-state slab and the tracker
-  // containers into `memory` (leaving the old resource empty) and
-  // tight-repacks the encoder's K/V arena.
+  // containers into `memory` (leaving the old resource empty). The
+  // encoder's K/V arena stays as it is (IncrementalEncoder::AdoptArena).
   // Observable behaviour is unchanged — shard compaction's correctness
   // contract (bit-identical events, byte-identical checkpoints) rests on
   // every snapshot path already being canonical-order.
   void Repool(std::pmr::memory_resource* memory);
+
+  // Takes `retiring`'s encoder K/V arena at full capacity (see
+  // IncrementalEncoder::AdoptArena); *this must not have observed an item
+  // yet. A window rotation builds the next engine this way, so the new
+  // window does not regrow the arena from empty.
+  void AdoptEncoderArena(OnlineClassifier* retiring);
 
   // Returns the encoder's batch scratch arena to its reset point; the
   // serving loop calls this after each drained microbatch.

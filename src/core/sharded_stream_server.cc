@@ -10,7 +10,6 @@
 #include "util/fault_injection.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace kvec {
 
@@ -139,26 +138,13 @@ void ShardedStreamServer::RunOnShards(const std::vector<int>& shards,
                                       const ShardFn& fn) const {
   if (shards.empty()) return;
   if (!asynchronous()) {
-    auto run = [this, &fn](int s) {
+    // The caller's thread runs every listed shard in turn, so each shard's
+    // memory stays with one thread; parallel shards are worker mode's job.
+    for (int s : shards) {
       Shard& shard = *shards_[s];
       MutexLock lock(shard.mutex);
       fn(s, shard.server);
-    };
-    if (shards.size() == 1) {
-      // Entering ParallelFor would mark the thread as inside a parallel
-      // region and force the tensor kernels under `fn` to run serial; one
-      // shard has nothing to fan out, so it runs inline.
-      run(shards[0]);
-      return;
     }
-    // One chunk per shard. Model inference inside `fn` may itself use
-    // ParallelFor: nested regions run inline, and a caller runs its own
-    // region's queued chunks, so a shard-mutex holder never waits on a
-    // chunk stuck behind that mutex — this cannot deadlock.
-    ParallelFor(0, static_cast<int>(shards.size()), /*grain=*/1,
-                [&run, &shards](int begin, int end) {
-                  for (int i = begin; i < end; ++i) run(shards[i]);
-                });
     return;
   }
   Barrier barrier(static_cast<int>(shards.size()));

@@ -10,10 +10,11 @@
 // to itself, and return once all ran. The seam has two executors:
 //
 //   * synchronous (worker_threads = 0, the default) — the calling thread
-//     runs fn under the shard's mutex; a call that touches several shards
-//     fans them out on the global ThreadPool. Deterministic and
-//     byte-identical to the historical behavior: the replay/golden/
-//     equivalence tests run this mode.
+//     runs fn under each listed shard's mutex in turn, so a call that
+//     touches several shards runs them one after another, and each shard's
+//     memory stays with one thread. Deterministic: the replay/golden/
+//     equivalence tests run this mode. Shards in parallel are the worker
+//     mode's job.
 //   * shard-owned workers (worker_threads = num_shards) — each shard owns
 //     one worker thread plus a bounded MPSC task queue
 //     (util/bounded_queue.h), and fn rides that queue as a waited-on
@@ -113,7 +114,8 @@ class ShardedStreamServer {
   std::vector<StreamEvent> Observe(const Item& item);
 
   // Batched ingest with synchronous semantics: fans `items` out to their
-  // shards (sync mode: global ThreadPool; worker mode: the shard workers),
+  // shards (sync mode: one after another on the caller's thread; worker
+  // mode: in parallel on the shard workers),
   // handing each shard its sub-batch as one contiguous microbatch
   // (StreamServer::ObserveBatch — arrival order within the shard
   // preserved, encoder projections batched through GEMM). Returned events
@@ -295,8 +297,8 @@ class ShardedStreamServer {
   // The one shard-dispatch seam: runs fn(s, slot) on every listed shard
   // and returns once all of them ran. Apart from start-up and shutdown,
   // only this function and Submit know the execution mode:
-  //   * sync — each shard runs under its mutex; more than one listed
-  //     shard fans out on the global ThreadPool, a single one runs inline;
+  //   * sync — the caller's thread runs each listed shard in turn, under
+  //     its mutex;
   //   * workers — each shard gets a non-sheddable control task, FIFO
   //     behind everything already queued to it, and a Barrier collects
   //     them.

@@ -165,10 +165,16 @@ void StreamServer::CloseAllInKeyOrder(StreamEvent::Cause cause,
   index_->Clear();
 }
 
+void StreamServer::RebuildEngine() {
+  auto engine = std::make_unique<OnlineClassifier>(model_, pool_->resource());
+  engine->AdoptEncoderArena(engine_.get());
+  engine_ = std::move(engine);
+}
+
 void StreamServer::RotateWindow(std::vector<StreamEvent>* events) {
   // Close everything still open under the old engine, then rebuild it.
   CloseAllInKeyOrder(StreamEvent::Cause::kWindowRotation, events);
-  engine_ = std::make_unique<OnlineClassifier>(model_, pool_->resource());
+  RebuildEngine();
   window_items_ = 0;
   ++stats_.windows_started;
 }
@@ -578,7 +584,7 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
   if (engine_reset != 0) {
     // Mirrors RotateWindow on the writer: a fresh engine over the live
     // pool, whose delta then carries the whole young window from item 0.
-    engine_ = std::make_unique<OnlineClassifier>(model_, pool_->resource());
+    RebuildEngine();
   }
   if (!engine_->ApplyDelta(reader)) return false;
   if (!reader->AtEnd()) return false;

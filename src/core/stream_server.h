@@ -147,9 +147,7 @@ struct StreamServerStats {
   // are NOT serialized (process-lifetime observability, and the v1
   // checkpoint layout stays byte-identical). Merge() sums them, so a
   // sharded server's view reports fleet-total resident bytes.
-  // Shard pool + encoder arena + scratch. The arena counts the size the
-  // encoder asked BufferPool for; the pool's slack (a cached buffer may be
-  // up to twice that) is left out, so this is not the memory held.
+  // Shard pool + encoder arena + scratch.
   int64_t bytes_resident = 0;
   int64_t pool_blocks = 0;         // chunks the pool holds from the OS
   int64_t scratch_high_water = 0;  // batch scratch arena high-water bytes
@@ -190,8 +188,8 @@ class StreamServer {
   std::vector<StreamEvent> Flush();
 
   // Rebuilds all pool-backed state (open-key index, engine key states,
-  // correlation containers) into a fresh ShardPool, tight-packs the
-  // encoder's K/V arena, and releases the old pool's chunks. Observable
+  // correlation containers) into a fresh ShardPool and releases the old
+  // pool's chunks. Observable
   // behaviour is unchanged: subsequent events and checkpoints are
   // identical to a never-compacted server. Called automatically by the
   // fragmentation heuristic (see StreamServerConfig); safe to force at any
@@ -289,6 +287,10 @@ class StreamServer {
   void EmitForced(int key, StreamEvent::Cause cause,
                   std::vector<StreamEvent>* events);
   void RotateWindow(std::vector<StreamEvent>* events);
+  // Replaces the engine with a fresh one over the live pool that inherits
+  // the retiring engine's K/V arena (RotateWindow, and ApplyDelta across a
+  // rotation).
+  void RebuildEngine();
   void EvictIdle(std::vector<StreamEvent>* events);
   void RecordEvent(const StreamEvent& event);
   // The one ingest body behind Observe (count = 1) and ObserveBatch:

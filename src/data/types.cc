@@ -4,14 +4,6 @@
 
 namespace kvec {
 
-std::vector<int> TangledSequence::KeyItemIndices(int key) const {
-  std::vector<int> indices;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].key == key) indices.push_back(static_cast<int>(i));
-  }
-  return indices;
-}
-
 int TangledSequence::KeyLength(int key) const {
   int length = 0;
   for (const Item& item : items) {

@@ -38,9 +38,6 @@ struct TangledSequence {
 
   int num_keys() const { return static_cast<int>(labels.size()); }
 
-  // Items of S_k as indices into `items`, in order.
-  std::vector<int> KeyItemIndices(int key) const;
-
   // Length |S_k|.
   int KeyLength(int key) const;
 

@@ -711,23 +711,6 @@ Tensor Relu(const Tensor& a) {
       [](float y, float x) { return x > 0.0f ? 1.0f : 0.0f; });
 }
 
-Tensor Gelu(const Tensor& a) {
-  // tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
-  return ElementwiseOp(
-      a,
-      [](float x) {
-        return 0.5f * x * (1.0f + std::tanh(kC * (x + kA * x * x * x)));
-      },
-      [](float y, float x) {
-        const float u = kC * (x + kA * x * x * x);
-        const float t = std::tanh(u);
-        const float du = kC * (1.0f + 3.0f * kA * x * x);
-        return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-      });
-}
-
 Tensor Sigmoid(const Tensor& a) {
   return ElementwiseOp(
       a, [](float x) { return kernels::Sigmoid(x); },

@@ -80,8 +80,6 @@ Tensor SliceCols(const Tensor& a, int begin, int end);
 // ---- Nonlinearities ----
 
 Tensor Relu(const Tensor& a);
-// Gaussian Error Linear Unit (tanh approximation, as in GPT/BERT).
-Tensor Gelu(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 // Natural log; inputs are clamped to >= eps to keep log finite.

@@ -1,10 +1,9 @@
 #include "tensor/tensor.h"
 
 #include <atomic>
-#include <sstream>
+#include <limits>
 #include <unordered_set>
 
-#include "tensor/buffer_pool.h"
 #include "util/check.h"
 
 namespace kvec {
@@ -19,15 +18,8 @@ InferenceMode::InferenceMode() { ++t_inference_depth; }
 InferenceMode::~InferenceMode() { --t_inference_depth; }
 bool InferenceMode::Enabled() { return t_inference_depth > 0; }
 
-TensorImpl::~TensorImpl() {
-  if (data_from_pool) BufferPool::Global().Release(std::move(data));
-  BufferPool::Global().Release(std::move(grad));
-}
-
 void TensorImpl::EnsureGrad() {
-  if (grad.size() != data.size()) {
-    grad = BufferPool::Global().Acquire(data.size(), 0.0f);
-  }
+  if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
 }
 
 Tensor Tensor::Zeros(int rows, int cols, bool requires_grad) {
@@ -40,9 +32,7 @@ Tensor Tensor::Full(int rows, int cols, float value, bool requires_grad) {
   auto impl = std::make_shared<TensorImpl>();
   impl->rows = rows;
   impl->cols = cols;
-  impl->data =
-      BufferPool::Global().Acquire(static_cast<size_t>(rows) * cols, value);
-  impl->data_from_pool = true;
+  impl->data.assign(static_cast<size_t>(rows) * cols, value);
   impl->requires_grad = requires_grad;
   return Tensor(std::move(impl));
 }
@@ -131,11 +121,7 @@ Tensor Tensor::Detach() const {
 
 void Tensor::ZeroGrad() {
   KVEC_CHECK(defined());
-  if (impl_->grad.size() == impl_->data.size()) {
-    std::fill(impl_->grad.begin(), impl_->grad.end(), 0.0f);
-  } else {
-    impl_->grad = BufferPool::Global().Acquire(impl_->data.size(), 0.0f);
-  }
+  impl_->grad.assign(impl_->data.size(), 0.0f);
 }
 
 void Tensor::Backward() {
@@ -178,21 +164,6 @@ void Tensor::Backward() {
   }
 }
 
-std::string Tensor::ToString() const {
-  if (!defined()) return "[undefined]";
-  std::ostringstream out;
-  out << "[" << rows() << "x" << cols() << "][";
-  for (int r = 0; r < rows(); ++r) {
-    if (r > 0) out << "; ";
-    for (int c = 0; c < cols(); ++c) {
-      if (c > 0) out << " ";
-      out << At(r, c);
-    }
-  }
-  out << "]";
-  return out.str();
-}
-
 namespace internal {
 
 Tensor MakeOpOutput(int rows, int cols,
@@ -201,14 +172,19 @@ Tensor MakeOpOutput(int rows, int cols,
   KVEC_CHECK_GT(rows, 0);
   KVEC_CHECK_GT(cols, 0);
   requires_grad = requires_grad && !InferenceMode::Enabled();
-  // Op outputs are written in full by the caller, so the buffer contents can
-  // stay uninitialised (ops that accumulate zero it themselves).
+  // Op outputs are written in full by the caller (ops that accumulate zero
+  // the buffer themselves). Debug builds poison the fresh buffer so an op
+  // that fails to overwrite its whole output surfaces as NaNs instead of
+  // silently reading zeros.
   auto impl = std::make_shared<TensorImpl>();
   impl->rows = rows;
   impl->cols = cols;
-  impl->data = BufferPool::Global().AcquireUninitialized(
-      static_cast<size_t>(rows) * cols);
-  impl->data_from_pool = true;
+#ifdef NDEBUG
+  impl->data.resize(static_cast<size_t>(rows) * cols);
+#else
+  impl->data.assign(static_cast<size_t>(rows) * cols,
+                    std::numeric_limits<float>::quiet_NaN());
+#endif
   impl->requires_grad = requires_grad;
   Tensor out(std::move(impl));
   if (requires_grad) {

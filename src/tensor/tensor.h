@@ -23,15 +23,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace kvec {
 
 struct TensorImpl {
   TensorImpl() = default;
-  // Returns `data`/`grad` storage to the BufferPool free list.
-  ~TensorImpl();
 
   TensorImpl(const TensorImpl&) = delete;
   TensorImpl& operator=(const TensorImpl&) = delete;
@@ -40,13 +37,6 @@ struct TensorImpl {
   int cols = 0;
   std::vector<float> data;
   std::vector<float> grad;  // allocated lazily; same layout as `data`
-  // True when `data` came from the BufferPool (Zeros/Full/op outputs). Only
-  // pool-acquired storage is returned on destruction; adopted vectors
-  // (FromData and friends) free normally. Without the distinction every
-  // adopted buffer is a net deposit into the pool — releases permanently
-  // outnumber acquires and the free list ratchets up to its cap instead of
-  // holding steady at the live working set. `grad` is always pool-acquired.
-  bool data_from_pool = false;
   bool requires_grad = false;
   std::vector<std::shared_ptr<TensorImpl>> parents;
   // Propagates `grad` of this node into the parents' `grad`.
@@ -117,9 +107,6 @@ class Tensor {
 
   std::shared_ptr<TensorImpl> impl() const { return impl_; }
   explicit Tensor(std::shared_ptr<TensorImpl> impl) : impl_(std::move(impl)) {}
-
-  // Debug rendering, e.g. "[2x3][1 2 3; 4 5 6]".
-  std::string ToString() const;
 
  private:
   std::shared_ptr<TensorImpl> impl_;

@@ -5,7 +5,7 @@
 // possible annotated shims over the standard primitives — zero added
 // state, every method a direct forward — so the lock discipline of the
 // serving stack (util/bounded_queue.h, util/thread_pool.h,
-// core/sharded_stream_server.h, tensor/buffer_pool.h) is machine-checked
+// core/sharded_stream_server.h) is machine-checked
 // while the generated code stays exactly what std::mutex produces.
 //
 //   Mutex mu;

@@ -96,14 +96,4 @@ int Rng::NextPoisson(double mean) {
   return count;
 }
 
-int Rng::NextGeometric(double p) {
-  KVEC_CHECK_GT(p, 0.0);
-  KVEC_CHECK_LE(p, 1.0);
-  int trials = 1;
-  while (!NextBernoulli(p)) ++trials;
-  return trials;
-}
-
-Rng Rng::Split() { return Rng(NextUint64()); }
-
 }  // namespace kvec

@@ -39,9 +39,6 @@ class Rng {
   // Poisson-distributed count with the given mean (mean < ~50 expected).
   int NextPoisson(double mean);
 
-  // Geometric number of trials until first success (>= 1), success prob p.
-  int NextGeometric(double p);
-
   // In-place Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& values) {
@@ -50,10 +47,6 @@ class Rng {
       std::swap(values[i], values[j]);
     }
   }
-
-  // A new generator with a stream derived from this one; used to give
-  // independent substreams to data generation vs. model init.
-  Rng Split();
 
  private:
   uint64_t state_[4];

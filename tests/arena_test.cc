@@ -7,7 +7,7 @@
 // rebuilds — with every handed-out byte stamped and re-checked, so a
 // use-after-reset, overlap, or misaccounting shows up as a data mismatch
 // here and as a hard fault under the ASan CI job (which runs this test
-// with detect_leaks=1, KVEC_NO_BUFFER_POOL=1, and the scalar kernels).
+// with detect_leaks=1 and the scalar kernels).
 // The counter invariants pin the accounting the compaction heuristic
 // reads: live returns to zero when containers die, resident never lies
 // below live, and destroying a pool releases everything.

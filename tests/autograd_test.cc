@@ -294,21 +294,6 @@ TEST(OpsForwardTest, SliceColsRoundTripsWithConcat) {
   }
 }
 
-TEST(GradCheckTest, Gelu) {
-  Rng rng(44);
-  Tensor a = RandomTensor(3, 4, rng);
-  ExpectGradientsMatch({a},
-                       [&]() { return ops::SumAll(ops::Gelu(a)); });
-}
-
-TEST(OpsForwardTest, GeluKnownValues) {
-  Tensor x = Tensor::FromData(1, 3, {-10.0f, 0.0f, 10.0f});
-  Tensor y = ops::Gelu(x);
-  EXPECT_NEAR(y.At(0, 0), 0.0f, 1e-4f);   // strongly negative -> ~0
-  EXPECT_NEAR(y.At(0, 1), 0.0f, 1e-6f);   // gelu(0) = 0
-  EXPECT_NEAR(y.At(0, 2), 10.0f, 1e-4f);  // strongly positive -> identity
-}
-
 TEST(GradCheckTest, StackRows) {
   Rng rng(16);
   Tensor a = RandomTensor(1, 4, rng);

@@ -916,7 +916,6 @@ TEST(CliServe, OutOfRangeFlagsAreUsageErrorsBeforeTheDataset) {
       {"--batch", "-5"},
       {"--max-open-keys", "4294967297"},
       {"--shards", "2147483648"},
-      {"--compaction-check-interval", "4294967296"},
       {"--split", "nope"},
   };
   const std::vector<std::vector<std::string>> listen_cases = {
@@ -972,8 +971,6 @@ TEST(CliFlags, OutOfRangeFlagsAreUsageErrorsBeforeAnyWork) {
       {"soak", "--warmup-cycles", "-1"},
       {"soak", "--cycles", "4294967297"},
       {"soak", "--cycles", "0"},
-      {"soak", "--compaction-check-interval", "4294967296"},
-      {"soak", "--compaction-check-interval", "-4294967296"},
       {"train", "--epochs", "4294967298"},
       {"train", "--epochs", "-1"},
       {"train", "--embed-dim", "4294967297"},

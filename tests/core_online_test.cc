@@ -209,6 +209,62 @@ void ExpectRestore(const KvecModel& model, bool with_hidden, bool with_cell,
   EXPECT_GE(online.ForceClassify(5), 0);
 }
 
+// A window rotation hands the retiring engine's K/V arena to the next
+// window's engine (StreamServer::RebuildEngine). The arena moves whole, at
+// full capacity, and is not regrown for a shorter window; the adopting
+// engine decides and snapshots exactly like a freshly built one, because
+// only the rows it writes itself are ever read.
+TEST(OnlineClassifierTest, AdoptedArenaServesLikeAFreshEngine) {
+  Dataset dataset = SmallDataset();
+  KvecModel model(SmallModelConfig(dataset.spec));
+
+  // The first window: every test episode, keys kept apart, so the arena
+  // grows past its smallest capacity.
+  OnlineClassifier retiring(model);
+  int offset = 0;
+  for (const TangledSequence& episode : dataset.test) {
+    for (Item item : episode.items) {
+      item.key += offset;
+      retiring.Observe(item);
+    }
+    offset += 1000;
+  }
+  ASSERT_GT(retiring.num_items_observed(), 64);
+  const size_t retiring_bytes = retiring.encoder_resident_bytes();
+
+  OnlineClassifier next(model);
+  next.AdoptEncoderArena(&retiring);
+  const size_t adopted = next.encoder_resident_bytes();
+  EXPECT_GT(adopted, 0u);
+  EXPECT_EQ(adopted + retiring.encoder_resident_bytes(), retiring_bytes);
+
+  // The next window is one episode, shorter than the adopted capacity.
+  OnlineClassifier fresh(model);
+  const std::vector<Item>& window = dataset.test[0].items;
+  ASSERT_LT(static_cast<int>(window.size()), retiring.num_items_observed());
+  for (const Item& item : window) {
+    const OnlineDecision got = next.Observe(item);
+    const OnlineDecision want = fresh.Observe(item);
+    EXPECT_EQ(got.halted_now, want.halted_now);
+    EXPECT_EQ(got.already_halted, want.already_halted);
+    EXPECT_EQ(got.predicted_label, want.predicted_label);
+    EXPECT_EQ(got.halt_probability, want.halt_probability);
+    EXPECT_EQ(got.confidence, want.confidence);
+    EXPECT_EQ(got.observed_items, want.observed_items);
+  }
+  for (const auto& [key, label] : dataset.test[0].labels) {
+    double got_confidence = 0.0, want_confidence = 0.0;
+    EXPECT_EQ(next.ForceClassify(key, &got_confidence),
+              fresh.ForceClassify(key, &want_confidence));
+    EXPECT_EQ(got_confidence, want_confidence);
+  }
+  EXPECT_EQ(EngineBytes(next), EngineBytes(fresh));
+  // Same items, so the same scratch: the byte difference is the arena
+  // alone, and the adopted one is larger than the fresh engine's.
+  EXPECT_GT(next.encoder_resident_bytes(), fresh.encoder_resident_bytes());
+  EXPECT_GE(next.encoder_resident_bytes(), adopted);
+}
+
 TEST(OnlineClassifierRestoreTest, GatedStateNeedsBothRows) {
   Dataset dataset = SmallDataset();
   for (auto kind :

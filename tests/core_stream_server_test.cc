@@ -473,6 +473,52 @@ TEST(StreamServerTest, RotationAndFlushCloseInAscendingKeyOrder) {
   }
 }
 
+// After a rotation the next window is served exactly as by a server that
+// never saw the first: the next engine inherits only the retiring one's
+// K/V arena (OnlineClassifierTest.AdoptedArenaServesLikeAFreshEngine
+// checks the arena itself), never its rows.
+TEST(StreamServerTest, NextWindowServesLikeAFreshServer) {
+  Fixture fixture = TrainSmallModel(71);
+  const std::vector<TangledSequence>& episodes = fixture.dataset.test;
+  ASSERT_GE(episodes.size(), 2u);
+  std::vector<Item> first, next;
+  for (size_t e = 0; e < episodes.size(); ++e) {
+    for (Item item : episodes[e].items) {
+      item.key += 1000 * static_cast<int>(e);
+      (e + 1 < episodes.size() ? first : next).push_back(item);
+    }
+  }
+  ASSERT_LT(next.size(), first.size());
+  StreamServerConfig config;
+  config.max_window_items = static_cast<int>(first.size());
+  config.idle_timeout = 1 << 20;
+
+  StreamServer rotated(*fixture.model, config);
+  rotated.ObserveBatch(first);
+  std::vector<StreamEvent> got;
+  for (const StreamEvent& event : rotated.ObserveBatch(next)) {
+    if (event.cause != Cause::kWindowRotation) got.push_back(event);
+  }
+  const std::vector<StreamEvent> got_flush = rotated.Flush();
+  got.insert(got.end(), got_flush.begin(), got_flush.end());
+
+  StreamServer fresh(*fixture.model, config);
+  std::vector<StreamEvent> want = fresh.ObserveBatch(next);
+  const std::vector<StreamEvent> want_flush = fresh.Flush();
+  want.insert(want.end(), want_flush.begin(), want_flush.end());
+
+  EXPECT_EQ(rotated.stats().windows_started,
+            fresh.stats().windows_started + 1);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(KeysAndCauses(got), KeysAndCauses(want));
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].predicted_label, want[i].predicted_label) << i;
+    EXPECT_EQ(got[i].observed_items, want[i].observed_items) << i;
+    EXPECT_EQ(got[i].confidence, want[i].confidence) << i;
+  }
+}
+
 TEST(StreamServerTest, RestoredLastSeenTiesEvictInLastSeenThenKeyOrder) {
   // A hand-built snapshot whose open keys share last_seen values, listed in
   // key order, which is not their recency order: after Restore, capacity

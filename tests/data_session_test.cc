@@ -86,7 +86,6 @@ TEST(TangledSequenceTest, KeyHelpers) {
   };
   EXPECT_EQ(episode.KeyLength(3), 2);
   EXPECT_EQ(episode.KeyLength(5), 1);
-  EXPECT_EQ(episode.KeyItemIndices(3), (std::vector<int>{0, 2}));
   EXPECT_EQ(episode.num_keys(), 2);
 }
 

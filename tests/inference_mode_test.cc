@@ -9,7 +9,6 @@
 #include "data/generator.h"
 #include "data/traffic_generator.h"
 #include "gtest/gtest.h"
-#include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -105,23 +104,6 @@ TEST(InferenceModeTest, StreamServerPushBuildsZeroTape) {
   EXPECT_GT(events_seen, 0);
   EXPECT_EQ(internal::GraphNodesRecorded(), nodes_before)
       << "serving built autograd tape nodes";
-}
-
-TEST(BufferPoolTest, RecyclesOpOutputBuffers) {
-  BufferPool& pool = BufferPool::Global();
-  if (!pool.enabled()) {
-    GTEST_SKIP() << "buffer pool disabled (KVEC_NO_BUFFER_POOL)";
-  }
-  Rng rng(9);
-  Tensor a = RandomGradTensor(8, 8, rng).Detach();
-  // Warm up: let the first round's buffers flow back into the free list.
-  for (int i = 0; i < 4; ++i) ops::Relu(ops::MatMul(a, a));
-  const BufferPool::Stats warm = pool.stats();
-  for (int i = 0; i < 16; ++i) ops::Relu(ops::MatMul(a, a));
-  const BufferPool::Stats after = pool.stats();
-  // Steady state: every op output reuses pooled storage.
-  EXPECT_GE(after.hits - warm.hits, 30u);
-  EXPECT_EQ(after.misses, warm.misses);
 }
 
 }  // namespace

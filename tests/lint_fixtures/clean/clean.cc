@@ -23,6 +23,10 @@ int FixtureCleanUse() {
   return value + FixtureClean();
 }
 
+// Doc references that resolve: docs/SERVING.md, a bare DESIGN.md, and
+// its headings DESIGN.md §1 and §4.5.
+int FixtureDocRefs() { return 3; }
+
 // An integer literal passed to Find on a container other than the
 // checkpoint is not a section id.
 bool FixtureTableHasTwo(const kvec::FlatIntMap<int>& table) {

@@ -91,7 +91,7 @@ TEST(LintTest, ViolationFixturesFlagEveryRule) {
       "[pragma-once]",      "[iostream-outside-cli]",
       "[raw-syscall]",      "[test-wiring]", "[include-path]",
       "[pool-discipline]",  "[section-id]",  "[tsa-escape]",
-      "[count-guard]",      "[env-knob]",
+      "[count-guard]",      "[env-knob]",    "[doc-ref]",
       // Not a configurable rule but a linter invariant: suppressions must
       // name a real rule and carry a reason.
       "[bad-allow]",
@@ -123,6 +123,17 @@ TEST(LintTest, ViolationFixturesPinpointTheRightLines) {
       << run.output;
   EXPECT_NE(run.output.find("section_id.cc:23: [section-id]"),
             std::string::npos)
+      << run.output;
+  // The missing file, then only the missing heading: §4.1 exists.
+  EXPECT_NE(run.output.find("doc_ref.cc:4: [doc-ref] comment names "
+                            "docs/NO_SUCH_FILE.md"),
+            std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("doc_ref.cc:7: [doc-ref] comment cites "
+                            "DESIGN.md §9.9"),
+            std::string::npos)
+      << run.output;
+  EXPECT_EQ(run.output.find("DESIGN.md §4.1,"), std::string::npos)
       << run.output;
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -117,12 +116,6 @@ TEST(TensorTest, GraphIsFreedWhenOutputsGoOutOfScope) {
   EXPECT_EQ(x.impl().use_count(), baseline);  // graph freed
 }
 
-TEST(TensorTest, ToStringRendersValues) {
-  Tensor t = Tensor::FromData(2, 2, {1, 2, 3, 4});
-  EXPECT_EQ(t.ToString(), "[2x2][1 2; 3 4]");
-  EXPECT_EQ(Tensor().ToString(), "[undefined]");
-}
-
 TEST(TensorDeathTest, ScalarValueRejectsMatrix) {
   Tensor t = Tensor::Zeros(2, 2);
   EXPECT_DEATH(t.ScalarValue(), "non-scalar");
@@ -137,35 +130,6 @@ TEST(TensorDeathTest, AtBoundsChecked) {
 TEST(TensorDeathTest, BackwardRequiresScalar) {
   Tensor t = Tensor::Zeros(2, 2, /*requires_grad=*/true);
   EXPECT_DEATH(t.Backward(), "scalar");
-}
-
-// Regression for the soak harness's RSS ratchet: a tensor that ADOPTS an
-// externally built vector (FromData/Scalar/Clone) must free it normally on
-// destruction, not deposit it into the BufferPool. Every adopted buffer
-// released into the pool is a net gain the pool never handed out — with one
-// FromData per served item the free list outgrew the live working set and
-// climbed toward its cap instead of holding flat.
-TEST(TensorTest, AdoptedBuffersDoNotDepositIntoThePool) {
-  BufferPool& pool = BufferPool::Global();
-  pool.SetEnabled(true);
-  pool.Clear();
-  const BufferPool::Stats before = pool.stats();
-
-  {
-    std::vector<float> values(16, 1.0f);
-    Tensor adopted = Tensor::FromData(4, 4, std::move(values));
-  }
-  BufferPool::Stats after = pool.stats();
-  EXPECT_EQ(after.returned, before.returned);
-  EXPECT_EQ(after.cached_floats, 0u);
-
-  // Pool-acquired storage still recycles: Zeros draws from the pool, so its
-  // buffer is returned on destruction.
-  { Tensor pooled = Tensor::Zeros(4, 4); }
-  after = pool.stats();
-  EXPECT_EQ(after.returned, before.returned + 1);
-  EXPECT_EQ(after.cached_floats, 16u);
-  pool.Clear();
 }
 
 // ---- Row kernels: bit-equal to their references on every kernel build ----
