@@ -23,7 +23,7 @@
 #                    memory-vs-open-keys curve at 25k/50k/100k open keys:
 #                    peak steady-state RSS, upward drift vs the flatness
 #                    band, shard-pool resident bytes, scratch high water,
-#                    and compaction counts; the PR-9 memory subsystem).
+#                    and released-pool counts; the PR-9 memory subsystem).
 #                    The soak CLI emits this shape itself via --curve, and
 #                    the run FAILS if post-warm-up RSS trends upward.
 #   BENCH_PR10.json — incremental checkpointing (delta write latency vs

@@ -32,8 +32,9 @@ Enforces the rules no off-the-shelf tool knows about this codebase
                           util/arena.h (ShardPool / ScratchArena): no raw
                           ``std::pmr`` resource primitives outside that
                           wrapper, and no ``malloc``/``free`` family
-                          anywhere (a malloc'd block can never move into a
-                          compaction pool).
+                          anywhere (a malloc'd block is invisible to the
+                          pool gauges and outlives the shard pool a window
+                          rotation releases).
 * ``section-id``        — checkpoint-container section ids live in ONE
                           registry (src/util/serialize.h): outside
                           serialize.{h,cc} no new ``kCheckpointSection*``
@@ -359,8 +360,8 @@ def lint_file(file, repo_root, fault_doc, doc_cache, errors):
                 report(lineno, "pool-discipline",
                        f"raw pmr primitive '{primitive.group(1)}' outside "
                        "src/util/arena.* (per-key state goes through "
-                       "ShardPool / ScratchArena so compaction can account "
-                       "for and rebuild it)")
+                       "ShardPool / ScratchArena so the pool gauges see it "
+                       "and a window rotation can release it)")
         malloc_call = MALLOC_FAMILY.search(line)
         if malloc_call:
             report(lineno, "pool-discipline",

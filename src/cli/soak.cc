@@ -132,7 +132,6 @@ struct SoakOptions {
   // CheckpointIncremental / RestoreFromCheckpointChain round-trip, so the
   // soak also proves the delta chain holds RSS flat under churn.
   bool incremental = false;
-  bool compact = true;
   uint64_t seed = 42;
 };
 
@@ -144,15 +143,15 @@ struct StageResult {
   int64_t rss_steady = -1;  // median of post-warm-up samples; -1 unknown
   // Upward-trend measure over the post-warm-up samples: peak of the second
   // half relative to the median of the first half. Negative when RSS
-  // settles downward (allocator trim, buffer-pool drain) — benign for a
-  // bounded-memory claim, so it must not trip the band the way a
-  // symmetric (max-min)/min spread would.
+  // settles downward (allocator trim, a pool released at a rotation) —
+  // benign for a bounded-memory claim, so it must not trip the band the
+  // way a symmetric (max-min)/min spread would.
   double rss_drift = 0.0;
   bool rss_flat = true;
   // The server's counters at the end of the stage, except the memory
   // group: its gauges are the last ones read before a checkpoint restore
-  // (scratch_high_water the highest), and `compactions` sums the runs
-  // across restores.
+  // (scratch_high_water the highest), and `compactions` sums the pools
+  // released across restores.
   StreamServerStats stats;
   std::vector<int64_t> rss_samples;  // per-steady-cycle peak RSS, in order
 };
@@ -160,8 +159,9 @@ struct StageResult {
 // One soak stage: a fresh server scoped to `target_keys`, warm-up cycles
 // to reach the plateau, then steady cycles whose per-cycle peak-RSS
 // samples must show no upward trend beyond the band. Each cycle: kPassesPerCycle round-robin
-// passes over the (churning) key window, optional forced compaction,
-// optional checkpoint encode + restore at peak population.
+// passes over the (churning) key window (the window rotation, which can
+// release a shard pool, falls once per cycle), optional checkpoint encode
+// + restore at peak population.
 bool RunStage(const KvecModel& model, const SoakOptions& options,
               int64_t target_keys, bool extend_to_minutes,
               StageResult* result, std::string* error) {
@@ -220,8 +220,6 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
       0, static_cast<int64_t>(options.churn * static_cast<double>(target_keys)));
   int64_t key_base = 0;
   int64_t position = 0;
-  int64_t compactions_seen = 0;
-  int64_t compaction_counter_floor = 0;
   StreamServerStats gauges;
   std::vector<int64_t> steady_rss;
   result->target_keys = target_keys;
@@ -278,16 +276,13 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
       if (!warmup) key_base += churn_keys / kPassesPerCycle;
     }
 
-    if (options.compact) server.CompactAll();
-
-    // Gauges and compaction deltas are read BEFORE the checkpoint
-    // round-trip: restore stages fresh shards, which restarts the
-    // process-lifetime counters (they are deliberately not serialized), so
-    // the harness accumulates deltas across restores.
+    // Gauges are read BEFORE the checkpoint round-trip: restore stages
+    // fresh shards, which restarts the process-lifetime counters (they are
+    // deliberately not serialized), so the harness sums the released pools
+    // across restores.
     {
       const StreamServerStats stats = server.stats();
-      compactions_seen += stats.compactions - compaction_counter_floor;
-      compaction_counter_floor = stats.compactions;
+      if (options.checkpoint) gauges.compactions += stats.compactions;
       gauges.bytes_resident = stats.bytes_resident;
       gauges.pool_blocks = stats.pool_blocks;
       gauges.scratch_high_water =
@@ -312,7 +307,6 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
           return false;
         }
       }
-      compaction_counter_floor = server.stats().compactions;
       cycle_rss_peak = std::max(cycle_rss_peak, ReadRssBytes());
     }
 
@@ -333,7 +327,7 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
   result->stats.bytes_resident = gauges.bytes_resident;
   result->stats.pool_blocks = gauges.pool_blocks;
   result->stats.scratch_high_water = gauges.scratch_high_water;
-  result->stats.compactions = compactions_seen;
+  result->stats.compactions += gauges.compactions;
 
   result->rss_samples = steady_rss;
   if (!steady_rss.empty()) {
@@ -343,7 +337,7 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
     // A leak trends UP: the late samples sit above the early ones. Compare
     // the second half's peak against the first half's median so monotone
     // growth fails the band while benign downward settling (glibc trim,
-    // buffer-pool drain after the warm-up overshoot) does not.
+    // a pool released after the warm-up overshoot) does not.
     if (steady_rss.size() >= 2) {
       const size_t half = steady_rss.size() / 2;
       std::vector<int64_t> early(steady_rss.begin(),
@@ -467,9 +461,6 @@ int RunSoakCommand(const std::vector<std::string>& args, std::ostream& out,
       "per-cycle checkpoint round-trip: full (in-memory encode/restore) or "
       "incremental (on-disk delta chain via CheckpointIncremental + "
       "RestoreFromCheckpointChain)");
-  bool* compact = parser.AddBool(
-      "compact", true, "force CompactAll every cycle (the fragmentation "
-                       "heuristic still runs either way)");
   int64_t* seed = parser.AddInt("seed", 42, "value-stream RNG seed");
   std::string* curve = parser.AddString(
       "curve", "", "write the memory-vs-open-keys curve (bench-report JSON) "
@@ -522,7 +513,6 @@ int RunSoakCommand(const std::vector<std::string>& args, std::ostream& out,
         << *checkpoint_mode << "'\n";
     return kExitUsage;
   }
-  options.compact = *compact;
   options.seed = static_cast<uint64_t>(*seed);
 
   KvecConfig model_config = KvecConfig::ForSpec(SoakSpec());

@@ -1,8 +1,8 @@
 // `kvec soak` — the time-compressed bounded-memory soak harness
 // (docs/SERVING.md "Memory management", docs/REPRODUCING.md).
 //
-// Drives a ShardedStreamServer through ingest / idle-eviction /
-// checkpoint-restore / compaction cycles at 100k–1M open keys while
+// Drives a ShardedStreamServer through ingest / idle-eviction / window
+// rotation / checkpoint-restore cycles at 100k–1M open keys while
 // sampling process RSS and the pool gauges, and FAILS (exit 1) when the
 // post-warm-up RSS samples drift outside the configured flatness band —
 // "bounded memory" as a tested claim rather than a design note. The

@@ -35,21 +35,6 @@ CorrelationTracker::CorrelationTracker(const CorrelationOptions& options,
   KVEC_CHECK_GT(options_.value_correlation_window, 0);
 }
 
-void CorrelationTracker::Repool(std::pmr::memory_resource* memory) {
-  auto fresh = std::make_unique<State>(memory);
-  fresh->records.reserve(state_->records.size());
-  for (const auto& [key, record] : state_->records) {
-    fresh->records.emplace(key, record);
-  }
-  // The live state never has two sessions at one stream position.
-  const bool linked = RebuildValueIndex(fresh.get());
-  KVEC_CHECK(linked);
-  // Destroy the old containers while their resource is still alive, then
-  // adopt the new one.
-  state_ = std::move(fresh);
-  memory_ = memory;
-}
-
 void CorrelationTracker::PushNewest(OpenSession** head, OpenSession* session) {
   session->newer = nullptr;
   session->older = *head;

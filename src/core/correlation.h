@@ -42,8 +42,7 @@
 // vectors and the inverted index allocate from the memory_resource passed
 // at construction; only the per-item merge scratch uses the default heap.
 // Serving hands in the shard's ShardPool so session churn recycles pool
-// nodes; training and tests use the default resource. Repool() rebuilds
-// the whole state into a fresh resource (shard compaction).
+// nodes; training and tests use the default resource.
 #pragma once
 
 #include <cstdint>
@@ -109,25 +108,13 @@ class CorrelationTracker {
                      const std::vector<int>& dirty_sorted) const;
   bool ApplyDelta(BinaryReader* reader, int expected_next_index = -1);
 
-  // Rebuilds every container into `memory` and adopts it for all future
-  // allocations. Observable state is unchanged (the canonical key-sorted
-  // Snapshot cannot tell the difference); the point is that the old
-  // resource is left with zero live blocks so the caller can drop it.
-  void Repool(std::pmr::memory_resource* memory);
-
  private:
   // An open session (the key's current run of one session value) and its
-  // link in that value's recency list. The links point into the owning
-  // State, so the allocator-extended copy (Repool copying a record) leaves
-  // them null for RebuildValueIndex to set.
+  // link in that value's recency list (RebuildValueIndex sets them from
+  // scratch after a restore).
   struct OpenSession {
     using allocator_type = std::pmr::polymorphic_allocator<int>;
     explicit OpenSession(const allocator_type& alloc) : item_indices(alloc) {}
-    OpenSession(const OpenSession& other, const allocator_type& alloc)
-        : key(other.key),
-          session_value(other.session_value),
-          item_indices(other.item_indices, alloc),
-          last_index(other.last_index) {}
 
     int key = -1;
     int session_value = -1;
@@ -149,11 +136,6 @@ class CorrelationTracker {
     using allocator_type = std::pmr::polymorphic_allocator<int>;
     explicit KeyRecord(const allocator_type& alloc)
         : items(alloc), session(alloc) {}
-    KeyRecord(const KeyRecord& other, const allocator_type& alloc)
-        : items(other.items, alloc),
-          session(other.session, alloc),
-          has_items(other.has_items),
-          has_session(other.has_session) {}
 
     std::pmr::vector<int> items;
     OpenSession session;

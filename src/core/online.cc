@@ -22,16 +22,6 @@ OnlineClassifier::OnlineClassifier(const KvecModel& model,
       decide_scratch_(model.fusion().row_scratch_dim() +
                       model.classifier().num_classes()) {}
 
-void OnlineClassifier::Repool(std::pmr::memory_resource* memory) {
-  tracker_.Repool(memory);
-  auto fresh = std::make_unique<KeyTable>(memory);
-  fresh->states = FlatIntMap<KeyState>(keys_->states, memory);
-  // Slots keep their indices; the copy is tight (capacity == size).
-  fresh->slab.assign(keys_->slab.begin(), keys_->slab.end());
-  keys_ = std::move(fresh);
-  memory_ = memory;
-}
-
 void OnlineClassifier::AdoptEncoderArena(OnlineClassifier* retiring) {
   incremental_.AdoptArena(&retiring->incremental_);
 }

@@ -144,14 +144,6 @@ class OnlineClassifier {
                      int base_items) const;
   bool ApplyDelta(BinaryReader* reader);
 
-  // Rebuilds the per-key map, the fusion-state slab and the tracker
-  // containers into `memory` (leaving the old resource empty). The
-  // encoder's K/V arena stays as it is (IncrementalEncoder::AdoptArena).
-  // Observable behaviour is unchanged — shard compaction's correctness
-  // contract (bit-identical events, byte-identical checkpoints) rests on
-  // every snapshot path already being canonical-order.
-  void Repool(std::pmr::memory_resource* memory);
-
   // Takes `retiring`'s encoder K/V arena at full capacity (see
   // IncrementalEncoder::AdoptArena); *this must not have observed an item
   // yet. A window rotation builds the next engine this way, so the new
@@ -179,9 +171,8 @@ class OnlineClassifier {
     int predicted = -1;
   };
   // Everything per key, all in the engine's memory resource. pmr
-  // allocators do not propagate on assignment, so rebinding to a fresh
-  // pool (Repool) means reconstructing the table; owning it through a
-  // pointer makes that, and Restore's commit, a swap.
+  // allocators do not propagate on assignment, so Restore builds a new
+  // table; owning it through a pointer makes the commit a swap.
   struct KeyTable {
     explicit KeyTable(std::pmr::memory_resource* memory)
         : states(memory), slab(memory) {}

@@ -343,16 +343,6 @@ int ShardedStreamServer::open_keys() const {
   return total;
 }
 
-int ShardedStreamServer::CompactAll() {
-  int compacted = 0;
-  for (int s : all_shards_) {
-    bool ran = false;
-    RunOnShard(s, [&ran](int, ServerSlot& server) { ran = server->Compact(); });
-    if (ran) ++compacted;
-  }
-  return compacted;
-}
-
 namespace {
 
 // Unlinks the chain links on disk after `base_path` (.delta.1 up to the

@@ -162,15 +162,6 @@ class ShardedStreamServer {
   // One shard's own stats (same snapshot discipline as stats()).
   StreamServerStats shard_stats(int shard) const;
 
-  // Forces a pool compaction on every shard (StreamServer::Compact), one
-  // shard at a time through the shard seam — shard s rebuilds its pool
-  // while every other shard keeps serving, so it composes with the
-  // overload policies the same way checkpoint encode does. Returns how
-  // many shards actually compacted (the `compaction.run` fault point can
-  // suppress individual shards). The heuristic pass needs no call here:
-  // each shard's own serving loop triggers it.
-  int CompactAll();
-
   int open_keys() const;
   int num_shards() const { return static_cast<int>(shards_.size()); }
   // The model every shard serves; the TCP front end checks items against

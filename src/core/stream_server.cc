@@ -4,10 +4,18 @@
 
 #include "tensor/tensor.h"
 #include "util/check.h"
-#include "util/fault_injection.h"
 #include "util/key_order.h"
 
 namespace kvec {
+
+namespace {
+
+// A window rotation releases a shard pool that holds at least this much.
+// Below it, reusing the pool's cached chunks in the next window is
+// cheaper than returning them and allocating anew.
+constexpr size_t kReleasePoolBytes = size_t{4} << 20;
+
+}  // namespace
 
 void StreamServerStats::Merge(const StreamServerStats& other) {
   items_processed += other.items_processed;
@@ -165,8 +173,8 @@ void StreamServer::CloseAllInKeyOrder(StreamEvent::Cause cause,
   index_->Clear();
 }
 
-void StreamServer::RebuildEngine() {
-  auto engine = std::make_unique<OnlineClassifier>(model_, pool_->resource());
+void StreamServer::RebuildEngine(ShardPool* pool) {
+  auto engine = std::make_unique<OnlineClassifier>(model_, pool->resource());
   engine->AdoptEncoderArena(engine_.get());
   engine_ = std::move(engine);
 }
@@ -174,7 +182,18 @@ void StreamServer::RebuildEngine() {
 void StreamServer::RotateWindow(std::vector<StreamEvent>* events) {
   // Close everything still open under the old engine, then rebuild it.
   CloseAllInKeyOrder(StreamEvent::Cause::kWindowRotation, events);
-  RebuildEngine();
+  if (pool_->bytes_resident() < kReleasePoolBytes) {
+    RebuildEngine(pool_.get());
+  } else {
+    // No key is open, so the next window needs nothing the pool holds.
+    // Destruction order matters: the old engine, then the old index, then
+    // the old pool they allocated from.
+    auto pool = std::make_unique<ShardPool>();
+    RebuildEngine(pool.get());
+    index_ = std::make_unique<KeyIndex>(pool->resource());
+    pool_ = std::move(pool);
+    ++stats_.compactions;
+  }
   window_items_ = 0;
   ++stats_.windows_started;
 }
@@ -262,50 +281,9 @@ std::vector<StreamEvent> StreamServer::ObserveItems(const Item* items,
     // The microbatch is drained: rewind the encoder's scratch arena so a
     // rare giant batch does not pin its high-water reservation forever.
     engine_->ResetEncodeScratch();
-    MaybeCompact(chunk);
     begin += chunk;
   }
   return events;
-}
-
-bool StreamServer::Compact() {
-  // Failable point: tests suppress the heuristic here, or stall a worker
-  // mid-compaction to compose with the overload policies.
-  if (KVEC_FAULT_POINT("compaction.run")) return false;
-  auto pool = std::make_unique<ShardPool>();
-  // Order matters. (1) Move the engine's state into the fresh pool while
-  // both pools are alive; (2) rebuild the open-key index in the fresh pool,
-  // copying it in list order so the new list is ordered too; (3) drop the
-  // old index, then (4) the old pool — destruction of pool-backed
-  // containers must precede their pool's.
-  engine_->Repool(pool->resource());
-  auto index = std::make_unique<KeyIndex>(pool->resource());
-  index->open.reserve(index_->open.size());
-  for (const OpenKey* node = index_->head; node != nullptr; node = node->next) {
-    index->Touch(node->key, node->last_seen);
-  }
-  index_ = std::move(index);
-  pool_ = std::move(pool);
-  ++stats_.compactions;
-  items_since_compaction_check_ = 0;
-  return true;
-}
-
-void StreamServer::MaybeCompact(int items) {
-  if (config_.compaction_check_interval <= 0) return;
-  items_since_compaction_check_ += items;
-  if (items_since_compaction_check_ < config_.compaction_check_interval) {
-    return;
-  }
-  items_since_compaction_check_ = 0;
-  if (static_cast<int64_t>(pool_->bytes_resident()) <
-      config_.compaction_min_bytes) {
-    return;
-  }
-  if (pool_->fragmentation() < config_.compaction_fragmentation_threshold) {
-    return;
-  }
-  Compact();
 }
 
 void StreamServer::RefreshMemoryStats() const {
@@ -350,8 +328,8 @@ void StreamServer::WriteHeader(BinaryWriter* writer) const {
 }
 
 bool StreamServer::ReadHeader(BinaryReader* reader, Header* header) const {
-  // The compaction knobs, the compaction count and the memory gauges are
-  // process-local (never serialized; see StreamServerConfig): a restore
+  // The released-pool count, items_after_verdict and the memory gauges
+  // are process-local (never serialized; see StreamServerStats): a restore
   // keeps the live values.
   header->config = config_;
   header->config.max_window_items = reader->ReadInt32();
@@ -445,7 +423,7 @@ bool StreamServer::Restore(BinaryReader* reader) {
   }
   // Staged into the live shard pool (the pool just grows while the old
   // state still exists; a failed restore leaves only recyclable pool
-  // space behind, which the next compaction reclaims).
+  // space behind, which the next releasing rotation reclaims).
   auto index = std::make_unique<KeyIndex>(pool_->resource());
   index->open.reserve(open.size());
   for (const auto& [key, last_seen] : open) index->Touch(key, last_seen);
@@ -469,7 +447,6 @@ bool StreamServer::Restore(BinaryReader* reader) {
   stats_ = std::move(header.stats);
   index_ = std::move(index);
   engine_ = std::move(engine);
-  items_since_compaction_check_ = 0;
   // A full restore invalidates any delta baseline: the restored state is a
   // new world. The chain loader re-arms tracking after its commit.
   dirty_tracking_ = false;
@@ -582,9 +559,11 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
   if (!upserts.empty()) index_->Relink();
 
   if (engine_reset != 0) {
-    // Mirrors RotateWindow on the writer: a fresh engine over the live
-    // pool, whose delta then carries the whole young window from item 0.
-    RebuildEngine();
+    // Mirrors RotateWindow on the writer: a fresh engine, whose delta then
+    // carries the whole young window from item 0. The live pool stays even
+    // where the writer released its own: a staged server's pool is new,
+    // and the index already holds the delta's upserts.
+    RebuildEngine(pool_.get());
   }
   if (!engine_->ApplyDelta(reader)) return false;
   if (!reader->AtEnd()) return false;
@@ -593,7 +572,6 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
   position_ = header.position;
   window_items_ = header.window_items;
   stats_ = std::move(header.stats);
-  items_since_compaction_check_ = 0;
   return true;
 }
 

@@ -38,14 +38,11 @@
 // engine's key-state table, and the correlation containers —
 // allocates from a per-server ShardPool (std::pmr::unsynchronized_pool_
 // resource), so eviction/insert churn recycles pool nodes instead of
-// hitting the global allocator. A fragmentation heuristic (pool bytes
-// resident vs live) periodically triggers Compact(), which rebuilds the
-// state into a fresh pool and returns the old pool's chunks to the OS in
-// one sweep. Compaction is semantics-free: a server that compacts
-// mid-stream emits bit-identical StreamEvents and byte-identical
-// checkpoints versus one that never compacts (pinned by
-// tests/core_compaction_test.cc). docs/SERVING.md "Memory management"
-// covers the lifecycle and knobs.
+// hitting the global allocator. A pool never returns chunks while it
+// lives, so the window rotation is where one is released: once every key
+// is closed, a pool holding at least 4 MiB is dropped whole and the next
+// window starts on a fresh one. docs/SERVING.md "Memory management"
+// covers the lifecycle.
 #pragma once
 
 #include <cstdint>
@@ -83,21 +80,6 @@ struct StreamServerConfig {
   int idle_check_interval = 32;
   // Maximum concurrently open keys before LRU eviction.
   int max_open_keys = 1024;
-
-  // ---- Compaction (process-local; deliberately NOT serialized into
-  // checkpoints — Restore keeps the live server's values, so operators can
-  // retune without invalidating checkpoints and the v1 layout stays
-  // byte-identical). ----
-  //
-  // Run the fragmentation check every `compaction_check_interval` observed
-  // items; <= 0 disables automatic compaction (explicit Compact() calls
-  // still work).
-  int compaction_check_interval = 4096;
-  // Compact when pool bytes_resident / bytes_live exceeds this ratio ...
-  double compaction_fragmentation_threshold = 2.0;
-  // ... and the pool holds at least this many resident bytes (small pools
-  // are never worth rebuilding).
-  int64_t compaction_min_bytes = 4 << 20;
 };
 
 struct StreamEvent {
@@ -143,7 +125,7 @@ struct StreamServerStats {
   // ---- Memory counters. ----
   //
   // Gauges refreshed from the shard pool / encoder on every stats() read,
-  // plus a lifetime compaction counter. Like the transport counters they
+  // plus a lifetime count of released pools. Like the transport counters they
   // are NOT serialized (process-lifetime observability, and the v1
   // checkpoint layout stays byte-identical). Merge() sums them, so a
   // sharded server's view reports fleet-total resident bytes.
@@ -151,7 +133,7 @@ struct StreamServerStats {
   int64_t bytes_resident = 0;
   int64_t pool_blocks = 0;         // chunks the pool holds from the OS
   int64_t scratch_high_water = 0;  // batch scratch arena high-water bytes
-  int64_t compactions = 0;         // Compact() runs (heuristic or forced)
+  int64_t compactions = 0;         // pools released at a window rotation
 
   // Items whose key already had a verdict when they arrived: the engine
   // keeps them only as context for other keys, and skips their final-block
@@ -186,16 +168,6 @@ class StreamServer {
 
   // Force-classifies all still-open keys (end of stream).
   std::vector<StreamEvent> Flush();
-
-  // Rebuilds all pool-backed state (open-key index, engine key states,
-  // correlation containers) into a fresh ShardPool and releases the old
-  // pool's chunks. Observable
-  // behaviour is unchanged: subsequent events and checkpoints are
-  // identical to a never-compacted server. Called automatically by the
-  // fragmentation heuristic (see StreamServerConfig); safe to force at any
-  // item boundary. Returns false when the `compaction.run` fault point
-  // suppressed the run.
-  bool Compact();
 
   // Refreshes the memory gauges before returning (compactions/counters are
   // maintained incrementally; the gauges mirror live pool state).
@@ -286,16 +258,19 @@ class StreamServer {
   // event; the caller drops the key from the index.
   void EmitForced(int key, StreamEvent::Cause cause,
                   std::vector<StreamEvent>* events);
+  // Closes every open key, then starts the next window: on a fresh pool
+  // (with a fresh engine and index) when the live pool holds at least
+  // kReleasePoolBytes, else by RebuildEngine over the live one.
   void RotateWindow(std::vector<StreamEvent>* events);
-  // Replaces the engine with a fresh one over the live pool that inherits
-  // the retiring engine's K/V arena (RotateWindow, and ApplyDelta across a
+  // Replaces the engine with a fresh one over `pool` that inherits the
+  // retiring engine's K/V arena (RotateWindow, and ApplyDelta across a
   // rotation).
-  void RebuildEngine();
+  void RebuildEngine(ShardPool* pool);
   void EvictIdle(std::vector<StreamEvent>* events);
   void RecordEvent(const StreamEvent& event);
   // The one ingest body behind Observe (count = 1) and ObserveBatch:
   // rotate → EncodeBatch → per-item DecideObserved + Bookkeep → scratch
-  // reset → compaction check, one microbatch per window segment.
+  // reset, one microbatch per window segment.
   std::vector<StreamEvent> ObserveItems(const Item* items, int count);
   // Post-decision bookkeeping for one observed item: advances the clocks,
   // emits/halts/evicts.
@@ -311,9 +286,9 @@ class StreamServer {
   // (last_seen, key): Touch appends at the tail, which is correct because
   // every touch carries a position later than any in the list, and the
   // paths that can set any last_seen (Restore, ApplyDelta) call Relink.
-  // pmr allocators do not propagate on assignment, so rebinding to a fresh
-  // pool (Compact) means reconstructing the index; owning it through a
-  // pointer makes the rebuild an allocate-copy-swap.
+  // pmr allocators do not propagate on assignment, so moving to a fresh
+  // pool (a releasing rotation, or Restore's staged commit) means building
+  // a new index; owning it through a pointer makes that a swap.
   struct KeyIndex {
     explicit KeyIndex(std::pmr::memory_resource* memory) : open(memory) {}
 
@@ -338,7 +313,7 @@ class StreamServer {
   // so v1 and v2 cannot drift apart).
   // The header both layouts open with: the four serialized config knobs,
   // the stream clock, and the serialized stats. ReadHeader keeps the live
-  // process-local fields (compaction knobs, memory gauges) and checks what
+  // process-local fields (released-pool count, memory gauges) and checks what
   // any header must satisfy; Restore and ApplyDelta add their own checks.
   struct Header {
     StreamServerConfig config;
@@ -369,9 +344,6 @@ class StreamServer {
     if (dirty_tracking_) dirty_keys_[key] = dirty_epoch_;
   }
 
-  // Runs the fragmentation heuristic after `items` more observed items;
-  // calls Compact() when it trips.
-  void MaybeCompact(int items);
   // Copies live pool/encoder gauges into stats_ (const via mutable: the
   // gauges are observability, not serving state).
   void RefreshMemoryStats() const;
@@ -385,14 +357,13 @@ class StreamServer {
   std::unique_ptr<KeyIndex> index_;
   int64_t position_ = 0;  // global items processed
   int window_items_ = 0;  // items in the current engine window
-  int items_since_compaction_check_ = 0;
   mutable StreamServerStats stats_;
   std::vector<float> rows_;  // EncodeBatch output, reused across calls
 
   // ---- Dirty-key tracking (incremental checkpoints). ----
   // On the default heap, deliberately NOT pool-backed: the dirty map is
-  // checkpoint bookkeeping, not serving state — Compact() must not copy
-  // it between pools and a snapshot of it is never taken.
+  // checkpoint bookkeeping, not serving state — it outlives every pool a
+  // rotation releases and a snapshot of it is never taken.
   using DirtyKeyMap = FlatIntMap<int64_t>;  // key -> epoch of mutation
   bool dirty_tracking_ = false;
   int64_t dirty_epoch_ = 0;

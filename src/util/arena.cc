@@ -7,8 +7,7 @@ namespace kvec {
 ShardPool::ShardPool()
     // kvec-lint: allow-next(pool-discipline) wiring the sanctioned primitives
     : upstream_counter_(std::pmr::new_delete_resource()),
-      pool_(&upstream_counter_),
-      request_counter_(&pool_) {}
+      pool_(&upstream_counter_) {}
 
 ShardPool::~ShardPool() = default;
 

@@ -4,16 +4,15 @@
 // Three pieces, layered:
 //
 //  * CountingResource  — a pass-through std::pmr::memory_resource that
-//    counts live bytes/blocks and high-water marks. Two of them bracket
-//    the pool below so a shard can see both what its containers hold
-//    (live) and what the pool holds from the OS (resident); the ratio is
-//    the fragmentation signal that triggers compaction.
-//  * ShardPool         — a std::pmr::unsynchronized_pool_resource wired
-//    between two CountingResources. All long-lived per-key state of one
-//    StreamServer shard (open-key map nodes, CorrelationTracker sessions,
+//    counts live bytes/blocks and high-water marks. One of them sits
+//    under the pool below, so a shard can see what the pool holds from
+//    the OS (resident).
+//  * ShardPool         — a std::pmr::unsynchronized_pool_resource over a
+//    CountingResource. All long-lived per-key state of one StreamServer
+//    shard (open-key map nodes, CorrelationTracker sessions,
 //    OnlineClassifier key states) allocates from here, so eviction storms
 //    recycle same-sized nodes inside the pool instead of hammering
-//    malloc, and compaction can drop the whole pool in O(chunks).
+//    malloc, and a window rotation can drop the whole pool in O(chunks).
 //  * ScratchArena      — a monotonic bump allocator for batch-path
 //    scratch (the encoder's per-microbatch panels). Reset() after every
 //    drained microbatch returns the cursor to zero without freeing; the
@@ -84,8 +83,9 @@ class CountingResource : public std::pmr::memory_resource {
 // One shard's pool for long-lived per-key state. Containers allocate via
 // resource(); the pool batches their requests into large upstream chunks
 // and never returns a chunk until the ShardPool is destroyed — which is
-// exactly what compaction exploits: rebuild into a fresh ShardPool, drop
-// the old one, and the fragmented chunks go back to the OS in one sweep.
+// exactly what a window rotation exploits: once every key is closed, it
+// starts the next window on a fresh ShardPool and drops the old one, so
+// the chunks go back to the OS in one sweep.
 class ShardPool {
  public:
   ShardPool();
@@ -94,33 +94,20 @@ class ShardPool {
   ShardPool(const ShardPool&) = delete;
   ShardPool& operator=(const ShardPool&) = delete;
 
-  // The resource pmr containers should be constructed with. Allocations
-  // are metered on both sides of the pool.
-  std::pmr::memory_resource* resource() { return &request_counter_; }
+  // The resource pmr containers should be constructed with.
+  std::pmr::memory_resource* resource() { return &pool_; }
 
   // Bytes/chunks the pool holds from the global allocator. Monotone
   // within one pool's lifetime (the pool caches freed blocks).
   size_t bytes_resident() const { return upstream_counter_.bytes_live(); }
   size_t blocks_resident() const { return upstream_counter_.blocks_live(); }
-  // Bytes containers currently have allocated (live objects only).
-  size_t bytes_live() const { return request_counter_.bytes_live(); }
-
-  // resident / live — grows past 1.0 as evictions leave dead space inside
-  // pool chunks. The compaction heuristic compares this against
-  // StreamServerConfig::compaction_fragmentation_threshold.
-  double fragmentation() const {
-    size_t live = bytes_live();
-    return static_cast<double>(bytes_resident()) /
-           static_cast<double>(live > 0 ? live : 1);
-  }
 
  private:
-  // Order matters: the pool outlives the request counter that fronts it,
-  // and the upstream counter outlives the pool that drains into it.
+  // Order matters: the upstream counter outlives the pool that drains
+  // into it.
   CountingResource upstream_counter_;
   // kvec-lint: allow-next(pool-discipline) the one sanctioned pool primitive
   std::pmr::unsynchronized_pool_resource pool_;
-  CountingResource request_counter_;
 };
 
 // Monotonic bump allocator for microbatch scratch. Alloc() never frees;

@@ -17,8 +17,7 @@
 //
 // Memory: the slot array comes from the memory_resource passed at
 // construction and is released back to it. Move assignment adopts the
-// source's resource along with its slots, so copying a table into a fresh
-// resource and moving the copy over it leaves the old resource empty.
+// source's resource along with its slots.
 //
 // Threading: NOT thread-safe; it belongs to one owner like the containers it
 // replaces.
@@ -45,14 +44,6 @@ class FlatIntMap {
   explicit FlatIntMap(
       std::pmr::memory_resource* memory = std::pmr::get_default_resource())
       : memory_(memory) {}
-  // A copy of `other` whose slots come from `memory`. Moving it over
-  // `other` rebinds a table to a fresh pool (compaction) and gives the old
-  // pool its slot array back.
-  FlatIntMap(const FlatIntMap& other, std::pmr::memory_resource* memory)
-      : memory_(memory) {
-    Reserve(other.size_);
-    for (const Slot& slot : other) *TryEmplace(slot.key).first = slot.value;
-  }
   FlatIntMap(const FlatIntMap&) = delete;
   FlatIntMap& operator=(const FlatIntMap&) = delete;
   FlatIntMap(FlatIntMap&& other) noexcept { Steal(&other); }

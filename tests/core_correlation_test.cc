@@ -300,17 +300,14 @@ void RunDifferential(const CorrelationOptions& options, Shape shape,
                                                    tracker.num_observed()));
           break;
         }
-        default: {
-          follower->how = "Repool";
-          ShardPool staging;
-          follower->tracker =
-              std::make_unique<CorrelationTracker>(options, staging.resource());
-          ASSERT_TRUE(follower->tracker->Restore(&full));
+        default:
+          // Serving keeps a tracker's containers in a shard pool.
+          follower->how = "Restore into a ShardPool";
           follower->pool = std::make_unique<ShardPool>();
-          follower->tracker->Repool(follower->pool->resource());
-          EXPECT_EQ(staging.bytes_live(), 0u);
+          follower->tracker = std::make_unique<CorrelationTracker>(
+              options, follower->pool->resource());
+          ASSERT_TRUE(follower->tracker->Restore(&full));
           break;
-        }
       }
       followers.push_back(std::move(follower));
       base = SnapshotBytes(tracker);
@@ -582,12 +579,9 @@ TEST(CorrelationTrackerTest, RestoreKeepsUnpairedItemListsAndSessions) {
   // Key 0 has both, key 1 only an item list, key 2 only a session.
   const std::string bytes = SplitCheckpoint(
       options, 4, {{0, {0, 1}}, {1, {2}}}, {{0, 7, 1, {0, 1}}, {2, 7, 3, {3}}});
-  ShardPool pool;
   CorrelationTracker tracker(options);
   BinaryReader reader(bytes);
   ASSERT_TRUE(tracker.Restore(&reader));
-  EXPECT_EQ(SnapshotBytes(tracker), bytes);
-  tracker.Repool(pool.resource());
   EXPECT_EQ(SnapshotBytes(tracker), bytes);
 
   // A delta over all three keys carries each list only where it exists.

@@ -8,8 +8,9 @@
 // at the cut, and (b) the two servers to emit bit-identical StreamEvent
 // suffixes (keys, labels, causes, order, confidences) when fed the same
 // remaining stream. The matrix runs three stream seeds, cut styles that
-// straddle window-rotation / idle-timeout / capacity-eviction /
-// compaction activity, 1/2/4 shards, and chain lengths 0/1/5.
+// straddle window-rotation / idle-timeout / capacity-eviction activity and
+// a rotation that releases the shard pool, 1/2/4 shards, and chain
+// lengths 0/1/5.
 //
 // The `checkpoint.delta` fault case proves the failure contract: a failed
 // delta write leaves the server serving, the chain state untouched, the
@@ -62,6 +63,18 @@ Fixture TrainSmallModel(uint64_t seed) {
   KvecTrainer trainer(fixture.model.get());
   trainer.Train(fixture.dataset.train);
   return fixture;
+}
+
+// `count` keys from 1 << 20 up (above every episode key) with one item
+// each, their values taken from `stream` in turn.
+std::vector<Item> OneItemKeys(const std::vector<Item>& stream, int count) {
+  std::vector<Item> items;
+  for (int i = 0; i < count; ++i) {
+    Item item = stream[static_cast<size_t>(i) % stream.size()];
+    item.key = (1 << 20) + i;
+    items.push_back(std::move(item));
+  }
+  return items;
 }
 
 std::vector<Item> ConcatStream(const Dataset& dataset) {
@@ -127,10 +140,12 @@ void UnlinkChain(const std::string& base) {
 // each later boundary (chain_length deltas total, never auto-rebasing);
 // chain-restore a fresh server and require byte-identical full encodings,
 // then identical event suffixes and stats after replaying the rest.
+// *at_cut, when given, receives the uninterrupted server's stats at the cut.
 void ReplayFromChain(const KvecModel& model,
                      const ShardedStreamServerConfig& config,
                      const std::vector<Item>& stream, size_t cut,
-                     int chain_length, const std::string& context) {
+                     int chain_length, const std::string& context,
+                     StreamServerStats* at_cut = nullptr) {
   ASSERT_GT(cut, static_cast<size_t>(chain_length)) << context;
   const std::string base = ChainBase(std::to_string(
       std::hash<std::string>{}(context) & 0xffffff));
@@ -151,6 +166,7 @@ void ReplayFromChain(const KvecModel& model,
   ASSERT_EQ(fed, cut) << context;
   ASSERT_EQ(state.deltas_written, chain_length) << context;
   const std::string full_at_cut = uninterrupted.EncodeCheckpoint();
+  if (at_cut != nullptr) *at_cut = uninterrupted.stats();
 
   ShardedStreamServer restored(model, config);
   ASSERT_TRUE(restored.RestoreFromCheckpointChain(base)) << context;
@@ -185,8 +201,8 @@ void ReplayFromChain(const KvecModel& model,
 
 // The seed matrix: per-shard configs whose bounds put the cut in the thick
 // of a specific close path — window rotation, idle sweep + capacity
-// eviction, or pool compaction — crossed with 1/2/4 shards and chain
-// lengths 0/1/5.
+// eviction, or a rotation that releases the shard pool — crossed with
+// 1/2/4 shards and chain lengths 0/1/5.
 void RunIncrementalMatrix(uint64_t seed) {
   Fixture fixture = TrainSmallModel(seed);
   const std::vector<Item> stream = ConcatStream(fixture.dataset);
@@ -202,19 +218,20 @@ void RunIncrementalMatrix(uint64_t seed) {
   evicting.idle_check_interval = 4;
   evicting.max_open_keys = 2;
 
-  StreamServerConfig compacting;
-  compacting.max_window_items = 41;
-  compacting.idle_timeout = 16;
-  compacting.idle_check_interval = 8;
-  compacting.max_open_keys = 8;
-  compacting.compaction_check_interval = 16;
-  compacting.compaction_fragmentation_threshold = 1.01;
-  compacting.compaction_min_bytes = 0;
+  // A rotation releases a shard pool that holds 4 MiB. A window of 10,000
+  // open one-item keys leaves about 6 MB there in these models.
+  StreamServerConfig releasing;
+  releasing.max_window_items = 10000;
+  releasing.idle_timeout = 1 << 20;
+  releasing.max_open_keys = 1 << 20;
 
+  // A style with filler_per_shard > 0 runs on that many one-item keys per
+  // shard ahead of the stream, and its cut counts from the stream's start.
   struct Style {
     const char* name;
     StreamServerConfig config;
     size_t cut;
+    int filler_per_shard = 0;
   };
   const std::vector<Style> styles = {
       // One item past a rotation: the restored engine window is young and
@@ -222,21 +239,31 @@ void RunIncrementalMatrix(uint64_t seed) {
       {"rotation", rotation, static_cast<size_t>(rotation.max_window_items) + 1},
       // Just after an idle sweep fired with the capacity bound pinching.
       {"evicting", evicting, stream.size() / 2},
-      // Deep enough that the fragmentation heuristic has compacted pools.
-      {"compacting", compacting, (2 * stream.size()) / 3},
+      // One item past the filler: each shard (whose share of the filler
+      // is 11,000 give or take a few percent) rotated once inside it,
+      // releasing its pool, and is about 1,000 items into its next window.
+      {"releasing", releasing, 1, 11000},
   };
 
   for (const Style& style : styles) {
     for (int shards : {1, 2, 4}) {
+      std::vector<Item> filled =
+          OneItemKeys(stream, style.filler_per_shard * shards);
+      const size_t cut = filled.size() + style.cut;
+      filled.insert(filled.end(), stream.begin(), stream.end());
       for (int chain_length : {0, 1, 5}) {
         ShardedStreamServerConfig config;
         config.num_shards = shards;
         config.shard = style.config;
-        ReplayFromChain(*fixture.model, config, stream, style.cut,
-                        chain_length,
-                        "seed " + std::to_string(seed) + " " + style.name +
-                            " shards " + std::to_string(shards) + " chain " +
-                            std::to_string(chain_length));
+        const std::string context =
+            "seed " + std::to_string(seed) + " " + style.name + " shards " +
+            std::to_string(shards) + " chain " + std::to_string(chain_length);
+        StreamServerStats at_cut;
+        ReplayFromChain(*fixture.model, config, filled, cut, chain_length,
+                        context, &at_cut);
+        if (style.filler_per_shard > 0) {
+          EXPECT_EQ(at_cut.compactions, shards) << context;
+        }
       }
     }
   }

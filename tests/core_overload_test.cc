@@ -376,11 +376,11 @@ TEST_F(OverloadTest, QueuePushDelayPointWidensTheRaceWindow) {
   EXPECT_EQ(stats.items_submitted, stats.items_processed + stats.items_shed);
 }
 
-TEST_F(OverloadTest, CompactionUnderOverloadShedsCountedAndCompletes) {
-  // A compaction pass is a control task on the owning worker, so a slow
-  // compaction IS an overload condition: while the worker is held inside
-  // `compaction.run`, its depth-1 queue saturates and the shed policy must
-  // count every drop — and the compaction itself must complete and leave a
+TEST_F(OverloadTest, ControlTaskUnderOverloadShedsCountedAndCompletes) {
+  // A control task (here Flush) queues on the owning worker like a batch,
+  // so a stalled worker holds it too: while the worker is held inside a
+  // batch, its depth-1 queue saturates and the shed policy must count
+  // every drop — and the control task itself must complete and leave a
   // serving, invariant-clean shard.
   const Fixture& fixture = SharedFixture();
   const std::vector<Item> stream = OfferedStream(fixture.dataset, 2);
@@ -389,11 +389,10 @@ TEST_F(OverloadTest, CompactionUnderOverloadShedsCountedAndCompletes) {
 
   std::promise<void> release;
   std::shared_future<void> released(release.get_future());
-  std::atomic<bool> stalled{false};
-  FaultInjection::Arm("compaction.run", [&](const char*) {
-    stalled.store(true);
-    released.wait();
-    return false;  // stall only; the compaction then runs
+  std::atomic<bool> stalled_once{false};
+  FaultInjection::Arm("shard_worker.batch", [&](const char*) {
+    if (!stalled_once.exchange(true)) released.wait();
+    return false;
   });
 
   ShardedStreamServerConfig config;
@@ -401,30 +400,28 @@ TEST_F(OverloadTest, CompactionUnderOverloadShedsCountedAndCompletes) {
   config.worker_threads = 1;
   config.queue_depth = 1;
   config.overload_policy = OverloadPolicy::kShedNewest;
-  config.shard.compaction_check_interval = 0;  // only the forced pass runs
   ShardedStreamServer server(*fixture.model, config);
   server.Submit(batches[0]);
-  server.Drain();  // some real state in the pool before compacting
+  while (!stalled_once.load()) std::this_thread::yield();
 
-  // CompactAll blocks until the shard ran it, so it needs its own thread;
-  // the producer below saturates the queue while the worker is stalled
-  // inside the compaction.
-  std::thread compactor([&server]() { EXPECT_EQ(server.CompactAll(), 1); });
-  while (!stalled.load()) std::this_thread::yield();
+  // Flush blocks until the shard ran it, so it needs its own thread; the
+  // producer below saturates the queue while the worker is stalled.
+  size_t flushed = 0;
+  std::thread flusher(
+      [&server, &flushed]() { flushed = server.Flush().size(); });
   for (const std::vector<Item>& batch : batches) server.Submit(batch);
   release.set_value();
-  compactor.join();
+  flusher.join();
   server.Drain();
 
   const StreamServerStats stats = server.stats();
-  EXPECT_EQ(stats.compactions, 1);
-  EXPECT_EQ(FaultInjection::FireCount("compaction.run"), 1);
+  EXPECT_EQ(stats.flush_classifications, static_cast<int64_t>(flushed));
   EXPECT_EQ(stats.items_submitted,
             static_cast<int64_t>(stream.size() + batches[0].size()));
   EXPECT_EQ(stats.items_submitted, stats.items_processed + stats.items_shed);
   EXPECT_GT(stats.items_shed, 0);  // the stall really saturated the queue
 
-  // The shard still serves after the compaction-under-pressure episode.
+  // The shard still serves after the control-task-under-pressure episode.
   const int64_t processed_before = stats.items_processed;
   server.Submit(batches[0]);
   server.Drain();

@@ -165,16 +165,29 @@ TEST(ShardedStreamServerTest, MergedStatsAddUp) {
   EXPECT_EQ(by_class, stats.sequences_classified);
   EXPECT_EQ(stats.windows_started, config.num_shards);  // no rotations here
 
-  // The merged view is exactly the sum of the per-shard views.
+  // The merged view is exactly the sum of the per-shard views, the memory
+  // gauges included.
   int64_t per_shard_items = 0;
   int64_t per_shard_verdicts = 0;
+  int64_t per_shard_resident = 0;
+  int64_t per_shard_blocks = 0;
+  int64_t per_shard_scratch = 0;
   for (int s = 0; s < server.num_shards(); ++s) {
     const StreamServerStats shard = server.shard_stats(s);
     per_shard_items += shard.items_processed;
     per_shard_verdicts += shard.sequences_classified;
+    EXPECT_GT(shard.bytes_resident, 0) << "shard " << s;
+    EXPECT_GT(shard.pool_blocks, 0) << "shard " << s;
+    per_shard_resident += shard.bytes_resident;
+    per_shard_blocks += shard.pool_blocks;
+    per_shard_scratch += shard.scratch_high_water;
   }
   EXPECT_EQ(per_shard_items, stats.items_processed);
   EXPECT_EQ(per_shard_verdicts, stats.sequences_classified);
+  EXPECT_EQ(per_shard_resident, stats.bytes_resident);
+  EXPECT_EQ(per_shard_blocks, stats.pool_blocks);
+  EXPECT_EQ(per_shard_scratch, stats.scratch_high_water);
+  EXPECT_GT(stats.scratch_high_water, 0);
 }
 
 TEST(ShardedStreamServerTest, EveryKeyGetsExactlyOneVerdict) {

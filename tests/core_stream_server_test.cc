@@ -386,35 +386,52 @@ std::unique_ptr<StreamServer> RestoredCopy(const KvecModel& model,
   return copy;
 }
 
+// A StreamServer snapshot in its three parts: the header (config, clocks,
+// stats), the open-key records, and the engine's bytes.
+struct SnapshotParts {
+  std::string header;
+  std::vector<std::pair<int, int64_t>> open;  // (key, last_seen)
+  std::string engine;
+};
+
+SnapshotParts SplitSnapshot(const std::string& snapshot) {
+  BinaryReader reader(snapshot);
+  BinaryWriter header;
+  for (int i = 0; i < 4; ++i) header.WriteInt32(reader.ReadInt32());  // config
+  header.WriteInt64(reader.ReadInt64());  // position
+  header.WriteInt32(reader.ReadInt32());  // window_items
+  for (int i = 0; i < 7; ++i) header.WriteInt64(reader.ReadInt64());  // stats
+  header.WriteInt32(reader.ReadInt32());  // windows_started
+  const int32_t num_classes = reader.ReadInt32();
+  header.WriteInt32(num_classes);
+  for (int32_t c = 0; c < num_classes; ++c) {
+    header.WriteInt64(reader.ReadInt64());
+  }
+  SnapshotParts parts;
+  parts.header = header.buffer();
+  const int32_t num_open = reader.ReadInt32();
+  for (int32_t i = 0; i < num_open && reader.ok(); ++i) {
+    const int key = reader.ReadInt32();
+    parts.open.emplace_back(key, reader.ReadInt64());
+  }
+  EXPECT_TRUE(reader.ok());
+  parts.engine = snapshot.substr(snapshot.size() - reader.remaining());
+  return parts;
+}
+
 // Re-encodes a StreamServer snapshot with its open-key records replaced by
 // `records` ((key, last_seen) pairs, written in the given order); every
 // other byte is kept.
 std::string WithOpenKeys(const std::string& snapshot,
                          const std::vector<std::pair<int, int64_t>>& records) {
-  BinaryReader reader(snapshot);
+  const SnapshotParts parts = SplitSnapshot(snapshot);
   BinaryWriter writer;
-  for (int i = 0; i < 4; ++i) writer.WriteInt32(reader.ReadInt32());  // config
-  writer.WriteInt64(reader.ReadInt64());  // position
-  writer.WriteInt32(reader.ReadInt32());  // window_items
-  for (int i = 0; i < 7; ++i) writer.WriteInt64(reader.ReadInt64());  // stats
-  writer.WriteInt32(reader.ReadInt32());  // windows_started
-  const int32_t num_classes = reader.ReadInt32();
-  writer.WriteInt32(num_classes);
-  for (int32_t c = 0; c < num_classes; ++c) {
-    writer.WriteInt64(reader.ReadInt64());
-  }
-  const int32_t num_open = reader.ReadInt32();
-  for (int32_t i = 0; i < num_open; ++i) {
-    reader.ReadInt32();
-    reader.ReadInt64();
-  }
-  EXPECT_TRUE(reader.ok());
   writer.WriteInt32(static_cast<int32_t>(records.size()));
   for (const auto& [key, last_seen] : records) {
     writer.WriteInt32(key);
     writer.WriteInt64(last_seen);
   }
-  return writer.buffer() + snapshot.substr(snapshot.size() - reader.remaining());
+  return parts.header + writer.buffer() + parts.engine;
 }
 
 // Overwrites the first little-endian occurrence of `from` in `bytes`.
@@ -473,42 +490,82 @@ TEST(StreamServerTest, RotationAndFlushCloseInAscendingKeyOrder) {
   }
 }
 
-// After a rotation the next window is served exactly as by a server that
-// never saw the first: the next engine inherits only the retiring one's
-// K/V arena (OnlineClassifierTest.AdoptedArenaServesLikeAFreshEngine
-// checks the arena itself), never its rows.
-TEST(StreamServerTest, NextWindowServesLikeAFreshServer) {
-  Fixture fixture = TrainSmallModel(71);
-  const std::vector<TangledSequence>& episodes = fixture.dataset.test;
+// `count` keys from `first_key` up with one item each, their values taken
+// from `templates` in turn: a window that fills the shard pool with
+// per-key state.
+std::vector<Item> OneItemKeys(const std::vector<Item>& templates,
+                              int first_key, int count) {
+  std::vector<Item> items;
+  items.reserve(static_cast<size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    Item item = templates[static_cast<size_t>(i) % templates.size()];
+    item.key = first_key + i;
+    item.time = i * 1e-3;
+    items.push_back(std::move(item));
+  }
+  return items;
+}
+
+// The test episodes of `dataset` with episode e's keys moved up by
+// 1000 * e: all but the last as the first window, the last as the next.
+void SplitEpisodes(const Dataset& dataset, std::vector<Item>* first,
+                   std::vector<Item>* next) {
+  const std::vector<TangledSequence>& episodes = dataset.test;
   ASSERT_GE(episodes.size(), 2u);
-  std::vector<Item> first, next;
   for (size_t e = 0; e < episodes.size(); ++e) {
     for (Item item : episodes[e].items) {
       item.key += 1000 * static_cast<int>(e);
-      (e + 1 < episodes.size() ? first : next).push_back(item);
+      (e + 1 < episodes.size() ? first : next)->push_back(item);
     }
   }
+}
+
+// Serves `first` as one whole window and then `next` on one server, and
+// `next` alone on a fresh one. After the rotation the next window must be
+// served exactly as by the fresh server: the same events, the same engine
+// bytes, and the same open keys with last_seen moved by the first window.
+// The next engine inherits only the retiring one's K/V arena
+// (OnlineClassifierTest.AdoptedArenaServesLikeAFreshEngine checks the
+// arena itself), never its rows. *before and *after are the rotated
+// server's stats just before and just after `next`.
+void ExpectNextWindowLikeAFreshServer(const KvecModel& model,
+                                      const std::vector<Item>& first,
+                                      const std::vector<Item>& next,
+                                      StreamServerStats* before,
+                                      StreamServerStats* after) {
   ASSERT_LT(next.size(), first.size());
   StreamServerConfig config;
   config.max_window_items = static_cast<int>(first.size());
+  config.max_open_keys = static_cast<int>(first.size());
   config.idle_timeout = 1 << 20;
 
-  StreamServer rotated(*fixture.model, config);
+  StreamServer rotated(model, config);
   rotated.ObserveBatch(first);
+  *before = rotated.stats();
   std::vector<StreamEvent> got;
   for (const StreamEvent& event : rotated.ObserveBatch(next)) {
     if (event.cause != Cause::kWindowRotation) got.push_back(event);
   }
+  *after = rotated.stats();
+
+  StreamServer fresh(model, config);
+  std::vector<StreamEvent> want = fresh.ObserveBatch(next);
+
+  const SnapshotParts got_state = SplitSnapshot(SnapshotBytes(rotated));
+  const SnapshotParts want_state = SplitSnapshot(SnapshotBytes(fresh));
+  EXPECT_EQ(got_state.engine, want_state.engine);
+  std::vector<std::pair<int, int64_t>> shifted = want_state.open;
+  for (auto& [key, last_seen] : shifted) {
+    last_seen += static_cast<int64_t>(first.size());
+  }
+  EXPECT_EQ(got_state.open, shifted);
+
   const std::vector<StreamEvent> got_flush = rotated.Flush();
   got.insert(got.end(), got_flush.begin(), got_flush.end());
-
-  StreamServer fresh(*fixture.model, config);
-  std::vector<StreamEvent> want = fresh.ObserveBatch(next);
   const std::vector<StreamEvent> want_flush = fresh.Flush();
   want.insert(want.end(), want_flush.begin(), want_flush.end());
 
-  EXPECT_EQ(rotated.stats().windows_started,
-            fresh.stats().windows_started + 1);
+  EXPECT_EQ(after->windows_started, fresh.stats().windows_started + 1);
   ASSERT_FALSE(want.empty());
   EXPECT_EQ(KeysAndCauses(got), KeysAndCauses(want));
   ASSERT_EQ(got.size(), want.size());
@@ -517,6 +574,105 @@ TEST(StreamServerTest, NextWindowServesLikeAFreshServer) {
     EXPECT_EQ(got[i].observed_items, want[i].observed_items) << i;
     EXPECT_EQ(got[i].confidence, want[i].confidence) << i;
   }
+}
+
+// A window this many one-item keys wide leaves well over 4 MiB in the
+// shard pool, so its rotation releases the pool.
+constexpr int kReleasingWindowKeys = 12000;
+
+// A small window's rotation keeps the pool and rebuilds the engine on it.
+TEST(StreamServerTest, NextWindowServesLikeAFreshServer) {
+  Fixture fixture = TrainSmallModel(71);
+  std::vector<Item> first, next;
+  SplitEpisodes(fixture.dataset, &first, &next);
+  StreamServerStats before, after;
+  ExpectNextWindowLikeAFreshServer(*fixture.model, first, next, &before,
+                                   &after);
+  EXPECT_EQ(after.compactions, 0);
+}
+
+// A large window's rotation starts the next window on a fresh pool and
+// releases the old one, which the next window cannot tell.
+TEST(StreamServerTest, NextWindowAfterAReleasedPoolServesLikeAFreshServer) {
+  Fixture fixture = TrainSmallModel(71);
+  std::vector<Item> templates, next;
+  SplitEpisodes(fixture.dataset, &templates, &next);
+  StreamServerStats before, after;
+  ExpectNextWindowLikeAFreshServer(
+      *fixture.model, OneItemKeys(templates, 1 << 20, kReleasingWindowKeys),
+      next, &before, &after);
+  EXPECT_EQ(before.compactions, 0);
+  EXPECT_EQ(after.compactions, 1);
+  EXPECT_LT(after.pool_blocks, before.pool_blocks);
+}
+
+// A delta cut one item past a rotation that released the pool carries the
+// whole young window, and applies onto the pre-rotation base: the staged
+// server rebuilds its engine on its own pool, whose index already holds
+// the delta's upserts.
+TEST(StreamServerTest, DeltaCutRightAfterAReleasingRotationRestores) {
+  Fixture fixture = TrainSmallModel(71);
+  std::vector<Item> templates, next;
+  SplitEpisodes(fixture.dataset, &templates, &next);
+  StreamServerConfig config;
+  config.max_window_items = kReleasingWindowKeys;
+  config.max_open_keys = kReleasingWindowKeys;
+  config.idle_timeout = 1 << 20;
+  const std::vector<Item> window =
+      OneItemKeys(templates, 1 << 20, kReleasingWindowKeys);
+
+  StreamServer live(*fixture.model, config);
+  live.ObserveBatch({window.begin(), window.begin() + 100});
+  std::unique_ptr<StreamServer> restored =
+      RestoredCopy(*fixture.model, config, live);
+  live.StageDeltaBaseline();
+  live.CommitDeltaBaseline();
+  live.ObserveBatch({window.begin() + 100, window.end()});
+  live.Observe(next[0]);
+  ASSERT_EQ(live.stats().compactions, 1);
+  BinaryWriter delta;
+  live.SnapshotDelta(&delta);
+  live.CommitDeltaBaseline();
+
+  BinaryReader reader(delta.buffer());
+  ASSERT_TRUE(restored->ApplyDelta(&reader));
+  EXPECT_EQ(SnapshotBytes(*restored), SnapshotBytes(live));
+  const std::vector<Item> rest(next.begin() + 1, next.end());
+  EXPECT_EQ(KeysAndCauses(restored->ObserveBatch(rest)),
+            KeysAndCauses(live.ObserveBatch(rest)));
+  EXPECT_EQ(SnapshotBytes(*restored), SnapshotBytes(live));
+}
+
+// compactions, items_after_verdict and the memory gauges describe the
+// process, not serving state: they are never serialized, and a restore
+// keeps the live server's values.
+TEST(StreamServerTest, RestoreKeepsTheLiveProcessLocalCounters) {
+  Fixture fixture = TrainSmallModel(71);
+  std::vector<Item> templates, next;
+  SplitEpisodes(fixture.dataset, &templates, &next);
+  StreamServerConfig config;
+  config.max_window_items = kReleasingWindowKeys;
+  config.max_open_keys = kReleasingWindowKeys;
+  config.idle_timeout = 1 << 20;
+  StreamServer target(*fixture.model, config);
+  target.ObserveBatch(OneItemKeys(templates, 1 << 20, kReleasingWindowKeys));
+  target.ObserveBatch(templates);  // rotates, then halts keys early
+  const StreamServerStats before = target.stats();
+  ASSERT_EQ(before.compactions, 1);
+  ASSERT_GT(before.items_after_verdict, 0);
+  ASSERT_GT(before.scratch_high_water, 0);
+
+  StreamServer source(*fixture.model, {});
+  source.ObserveBatch(next);
+  ASSERT_TRUE(RestoreSnapshot(&target, SnapshotBytes(source)));
+  EXPECT_EQ(SnapshotBytes(target), SnapshotBytes(source));
+  const StreamServerStats after = target.stats();
+  EXPECT_EQ(after.items_processed, source.stats().items_processed);
+  EXPECT_EQ(after.compactions, before.compactions);
+  EXPECT_EQ(after.items_after_verdict, before.items_after_verdict);
+  EXPECT_EQ(after.scratch_high_water, before.scratch_high_water);
+  EXPECT_GT(after.bytes_resident, 0);
+  EXPECT_GT(after.pool_blocks, 0);
 }
 
 TEST(StreamServerTest, RestoredLastSeenTiesEvictInLastSeenThenKeyOrder) {

@@ -1,7 +1,7 @@
 // Tests for FlatIntMap (src/util/flat_int_map.h), the open-addressing
 // per-key table of the serving engine: every int is a valid key, lookups
 // agree with std::unordered_map through many rehashes, iteration visits
-// each entry once, and a repooled table leaves the old resource empty.
+// each entry once, and the slot array lives in the table's resource.
 #include "util/flat_int_map.h"
 
 #include <climits>
@@ -132,33 +132,20 @@ TEST(FlatIntMapTest, ReserveAvoidsRehash) {
   EXPECT_EQ(table.capacity(), capacity);
 }
 
-// Repooling a table (OnlineClassifier::Repool at shard compaction) is a
-// copy into the new resource moved over the old table.
-TEST(FlatIntMapTest, RepoolLeavesTheOldPoolEmpty) {
-  ShardPool staging;
-  FlatIntMap<Record> table(staging.resource());
-  for (int key = -3000; key < 3000; ++key) table[key] = {key, key * 3};
-  table[INT_MIN] = {1, 2};
-  EXPECT_GT(staging.bytes_live(), 0u);
-
-  ShardPool target;
-  table = FlatIntMap<Record>(table, target.resource());
-  EXPECT_EQ(staging.bytes_live(), 0u);
-  EXPECT_GT(target.bytes_live(), 0u);
-  EXPECT_EQ(table.size(), 6001u);
-  for (int key = -3000; key < 3000; ++key) {
-    const Record* record = table.Find(key);
-    ASSERT_NE(record, nullptr) << key;
-    EXPECT_EQ(record->a, key);
-    EXPECT_EQ(record->b, key * 3);
+// The slot array comes from the table's resource, and every block goes
+// back to it: when the table grows, and when it dies.
+TEST(FlatIntMapTest, SlotsComeFromAndReturnToItsResource) {
+  CountingResource counter(std::pmr::get_default_resource());
+  {
+    FlatIntMap<Record> table(&counter);
+    for (int key = -3000; key < 3000; ++key) table[key] = {key, key * 3};
+    table[INT_MIN] = {1, 2};
+    EXPECT_GT(counter.allocation_count(), 1u);  // grew through rehashes
+    EXPECT_EQ(counter.blocks_live(), 1u);
+    EXPECT_GE(counter.bytes_live(),
+              table.capacity() * sizeof(FlatIntMap<Record>::Slot));
   }
-  EXPECT_EQ(table.Find(INT_MIN)->b, 2);
-
-  // Growth after the move allocates from the new resource only.
-  for (int key = 3000; key < 20000; ++key) table[key].a = key;
-  EXPECT_EQ(staging.bytes_live(), 0u);
-  table = FlatIntMap<Record>(target.resource());
-  EXPECT_EQ(target.bytes_live(), 0u);
+  EXPECT_EQ(counter.bytes_live(), 0u);
 }
 
 }  // namespace
