@@ -365,8 +365,10 @@ BENCHMARK(BM_StreamServeChurn)->Unit(benchmark::kMillisecond);
 // open keys (the pre-index tracker scanned every open session per item —
 // linear). Sessions rotate every round (two alternating session values) so
 // matched sessions stay short and the measurement isolates the lookup.
-void BM_CorrelationObserve(benchmark::State& state) {
-  const int open_keys = static_cast<int>(state.range(0));
+// Every round visits the keys in `order`.
+void RunCorrelationObserve(benchmark::State& state,
+                           const std::vector<int>& order) {
+  const int open_keys = static_cast<int>(order.size());
   CorrelationOptions options;
   options.use_key_correlation = false;  // isolate the value-matching path
   options.use_value_correlation = true;
@@ -377,20 +379,44 @@ void BM_CorrelationObserve(benchmark::State& state) {
 
   Item item;
   item.value = {0};
-  for (int i = 0; i < open_keys; ++i) {
-    item.key = i;
+  for (int key : order) {
+    item.key = key;
     tracker.ObserveItem(item);
   }
   int next = 0;
   for (auto _ : state) {
-    item.key = next % open_keys;
+    item.key = order[next % open_keys];
     item.value[0] = (next / open_keys) % 2;  // rotate sessions every round
     next = next + 1 == 2 * open_keys ? 0 : next + 1;
     benchmark::DoNotOptimize(tracker.ObserveItem(item));
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+// Keys in ascending order.
+void BM_CorrelationObserve(benchmark::State& state) {
+  std::vector<int> order(static_cast<size_t>(state.range(0)));
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  RunCorrelationObserve(state, order);
+}
 BENCHMARK(BM_CorrelationObserve)
+    ->Arg(1 << 10)
+    ->Arg(1 << 14)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
+// The same keys in one fixed random order. Ascending keys flatter a
+// node-based map: libstdc++ hashes an int to itself and its nodes sit in
+// insertion order, so an ascending walk reads memory sequentially, which
+// no served stream does.
+void BM_CorrelationObserveShuffled(benchmark::State& state) {
+  std::vector<int> order(static_cast<size_t>(state.range(0)));
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  Rng rng(29);
+  rng.Shuffle(order);
+  RunCorrelationObserve(state, order);
+}
+BENCHMARK(BM_CorrelationObserveShuffled)
     ->Arg(1 << 10)
     ->Arg(1 << 14)
     ->Arg(100000)

@@ -148,10 +148,9 @@ struct StageResult {
   // way a symmetric (max-min)/min spread would.
   double rss_drift = 0.0;
   bool rss_flat = true;
-  // The server's counters at the end of the stage, except the memory
-  // group: its gauges are the last ones read before a checkpoint restore
-  // (scratch_high_water the highest), and `compactions` sums the pools
-  // released across restores.
+  // The server's counters at the end of the stage, except the two pool
+  // gauges (bytes_resident, pool_blocks): they are the last ones read
+  // before a checkpoint restore.
   StreamServerStats stats;
   std::vector<int64_t> rss_samples;  // per-steady-cycle peak RSS, in order
 };
@@ -276,17 +275,13 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
       if (!warmup) key_base += churn_keys / kPassesPerCycle;
     }
 
-    // Gauges are read BEFORE the checkpoint round-trip: restore stages
-    // fresh shards, which restarts the process-lifetime counters (they are
-    // deliberately not serialized), so the harness sums the released pools
-    // across restores.
+    // The pool gauges are read BEFORE the checkpoint round-trip: a
+    // restore stages fresh shard pools that hold only the restored state.
+    // The process-local counters survive the restore.
     {
       const StreamServerStats stats = server.stats();
-      if (options.checkpoint) gauges.compactions += stats.compactions;
       gauges.bytes_resident = stats.bytes_resident;
       gauges.pool_blocks = stats.pool_blocks;
-      gauges.scratch_high_water =
-          std::max(gauges.scratch_high_water, stats.scratch_high_water);
     }
 
     if (options.checkpoint) {
@@ -320,14 +315,12 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
           .count();
   if (options.incremental) unlink_chain();
 
-  // The serving counters ARE serialized, so they survive the per-cycle
-  // restores and read cumulatively here; the memory gauges were captured
-  // pre-restore inside the loop.
+  // The serving counters are serialized and the process-local ones are
+  // kept, so both survive the per-cycle restores and read cumulatively
+  // here; the pool gauges were captured pre-restore inside the loop.
   result->stats = server.stats();
   result->stats.bytes_resident = gauges.bytes_resident;
   result->stats.pool_blocks = gauges.pool_blocks;
-  result->stats.scratch_high_water = gauges.scratch_high_water;
-  result->stats.compactions += gauges.compactions;
 
   result->rss_samples = steady_rss;
   if (!steady_rss.empty()) {

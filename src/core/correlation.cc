@@ -35,6 +35,37 @@ CorrelationTracker::CorrelationTracker(const CorrelationOptions& options,
   KVEC_CHECK_GT(options_.value_correlation_window, 0);
 }
 
+CorrelationTracker::RecordStore::~RecordStore() {
+  int32_t left = size_;
+  for (KeyRecord* chunk : chunks_) {
+    std::destroy_n(chunk, std::min(left, kChunkRecords));
+    alloc_.deallocate(chunk, kChunkRecords);
+    left -= kChunkRecords;
+  }
+}
+
+int32_t CorrelationTracker::RecordStore::Append(int key) {
+  if ((size_ & kChunkMask) == 0) {
+    chunks_.push_back(alloc_.allocate(kChunkRecords));
+  }
+  KeyRecord* record = chunks_.back() + (size_ & kChunkMask);
+  alloc_.construct(record);  // uses-allocator: the vectors get the resource
+  record->session.key = key;
+  return size_++;
+}
+
+CorrelationTracker::KeyRecord& CorrelationTracker::State::Upsert(int key) {
+  const auto [index, inserted] = keys.TryEmplace(key);
+  if (inserted) *index = records.Append(key);
+  return records[*index];
+}
+
+const CorrelationTracker::KeyRecord* CorrelationTracker::State::Find(
+    int key) const {
+  const int32_t* index = keys.Find(key);
+  return index == nullptr ? nullptr : &records[*index];
+}
+
 void CorrelationTracker::PushNewest(OpenSession** head, OpenSession* session) {
   session->newer = nullptr;
   session->older = *head;
@@ -62,7 +93,8 @@ void CorrelationTracker::Unlink(State* state, OpenSession* session) {
 bool CorrelationTracker::RebuildValueIndex(State* state) {
   std::vector<OpenSession*> by_recency;
   by_recency.reserve(state->records.size());
-  for (auto& [key, record] : state->records) {
+  for (int32_t i = 0; i < state->records.size(); ++i) {
+    KeyRecord& record = state->records[i];
     OpenSession& session = record.session;
     session.newer = nullptr;
     session.older = nullptr;
@@ -192,7 +224,7 @@ void CorrelationTracker::ObserveItem(const Item& item,
                 static_cast<int>(item.value.size()));
   const int session_value = item.value[options_.session_field];
   State& state = *state_;
-  KeyRecord& record = state.records.try_emplace(item.key).first->second;
+  KeyRecord& record = state.Upsert(item.key);
   OpenSession*& head = state.by_value[session_value];
   if (visible != nullptr) {
     CollectVisible(index, item.key, record.items, head, visible);
@@ -210,7 +242,6 @@ void CorrelationTracker::ObserveItem(const Item& item,
     PushNewest(&head, &session);
   }
   if (session.item_indices.empty() || session.session_value != session_value) {
-    session.key = item.key;
     session.session_value = session_value;
     session.item_indices.clear();
   }
@@ -241,15 +272,14 @@ void CorrelationTracker::WriteSession(BinaryWriter* writer,
   writer->WriteInts(session.item_indices.data(), session.item_indices.size());
 }
 
-bool CorrelationTracker::ReadSession(BinaryReader* reader, int key,
-                                     int next_index, OpenSession* session) {
+bool CorrelationTracker::ReadSession(BinaryReader* reader, int next_index,
+                                     OpenSession* session) {
   const int session_value = reader->ReadInt32();
   const int last_index = reader->ReadInt32();
   const std::vector<int> item_indices = reader->ReadIntVector();
   if (!reader->ok() || !ValidSession(last_index, item_indices, next_index)) {
     return false;
   }
-  session->key = key;
   session->session_value = session_value;
   session->last_index = last_index;
   session->item_indices.assign(item_indices.begin(), item_indices.end());
@@ -266,16 +296,18 @@ void CorrelationTracker::Snapshot(BinaryWriter* writer) const {
   writer->WriteInt32(options_.max_value_correlations);
   writer->WriteInt32(next_index_);
 
-  // Key-sorted iteration makes the byte stream canonical (unordered_map
-  // order depends on insertion history, which a restored tracker does not
+  // Key-sorted iteration makes the byte stream canonical (the store holds
+  // records in first-observation order, which a restored tracker does not
   // share). Each entry keeps its record's address, so the write loops need
-  // no second lookup. The item lists come first, then the sessions.
+  // no lookup. The item lists come first, then the sessions.
+  const RecordStore& records = state_->records;
   std::vector<std::pair<int, const KeyRecord*>> by_key;
-  by_key.reserve(state_->records.size());
+  by_key.reserve(records.size());
   int32_t num_items = 0;
   int32_t num_sessions = 0;
-  for (const auto& [key, record] : state_->records) {
-    by_key.emplace_back(key, &record);
+  for (int32_t i = 0; i < records.size(); ++i) {
+    const KeyRecord& record = records[i];
+    by_key.emplace_back(record.session.key, &record);
     num_items += record.has_items ? 1 : 0;
     num_sessions += record.has_session ? 1 : 0;
   }
@@ -315,10 +347,9 @@ bool CorrelationTracker::Restore(BinaryReader* reader) {
   auto staged = std::make_unique<State>(memory_);
   // A key listed twice in either list is corruption.
   const int32_t num_keys = reader->ReadCount(kMinTaggedValueBytes);
-  staged->records.reserve(num_keys);
+  staged->keys.Reserve(num_keys);
   for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
-    const int key = reader->ReadInt32();
-    KeyRecord& record = staged->records.try_emplace(key).first->second;
+    KeyRecord& record = staged->Upsert(reader->ReadInt32());
     if (record.has_items || !ReadItems(reader, next_index, &record.items)) {
       return false;
     }
@@ -327,10 +358,9 @@ bool CorrelationTracker::Restore(BinaryReader* reader) {
 
   const int32_t num_sessions = reader->ReadCount(kMinTaggedValueBytes);
   for (int32_t i = 0; i < num_sessions && reader->ok(); ++i) {
-    const int key = reader->ReadInt32();
-    KeyRecord& record = staged->records.try_emplace(key).first->second;
+    KeyRecord& record = staged->Upsert(reader->ReadInt32());
     if (record.has_session ||
-        !ReadSession(reader, key, next_index, &record.session)) {
+        !ReadSession(reader, next_index, &record.session)) {
       return false;
     }
     record.has_session = true;
@@ -347,21 +377,21 @@ void CorrelationTracker::SnapshotDelta(
   writer->WriteInt32(next_index_);
   // Only dirty keys that actually carry tracker state are serialised (a
   // key can be dirtied by a force-close without ever reaching the
-  // tracker's records in this window). Each key is looked up once.
-  std::vector<std::pair<int, const KeyRecord*>> present;
-  present.reserve(dirty_sorted.size());
+  // tracker's records in this window). Each key is looked up once, and
+  // the count goes in front once the records are written.
+  const size_t count_at = writer->WriteInt32Placeholder();
+  int32_t count = 0;
   for (int key : dirty_sorted) {
-    const auto it = state_->records.find(key);
-    if (it != state_->records.end()) present.emplace_back(key, &it->second);
-  }
-  writer->WriteInt32(static_cast<int32_t>(present.size()));
-  for (const auto& [key, record] : present) {
+    const KeyRecord* record = state_->Find(key);
+    if (record == nullptr) continue;
+    ++count;
     writer->WriteInt32(key);
     writer->WriteInt32(record->has_items ? 1 : 0);
     if (record->has_items) WriteItems(writer, record->items);
     writer->WriteInt32(record->has_session ? 1 : 0);
     if (record->has_session) WriteSession(writer, record->session);
   }
+  writer->PatchInt32(count_at, count);
 }
 
 bool CorrelationTracker::ApplyDelta(BinaryReader* reader,
@@ -382,13 +412,13 @@ bool CorrelationTracker::ApplyDelta(BinaryReader* reader,
 
     // A record is created only for a key the delta carries a list for.
     if (reader->ReadInt32() != 0) {
-      KeyRecord& record = state_->records.try_emplace(key).first->second;
+      KeyRecord& record = state_->Upsert(key);
       if (!ReadItems(reader, next_index, &record.items)) return false;
       record.has_items = true;
     }
     if (reader->ReadInt32() != 0) {
-      KeyRecord& record = state_->records.try_emplace(key).first->second;
-      if (!ReadSession(reader, key, next_index, &record.session)) {
+      KeyRecord& record = state_->Upsert(key);
+      if (!ReadSession(reader, next_index, &record.session)) {
         return false;
       }
       record.has_session = true;

@@ -36,13 +36,19 @@
 // (OnlineClassifier) and is mutated on every ObserveItem. Independent
 // trackers on different threads never share state.
 //
-// Memory: one hash-map node per key holds both the key's item list and its
-// open session (including the session's index vector), so an item costs
-// one per-key lookup plus one in the inverted index. Those nodes, their
-// vectors and the inverted index allocate from the memory_resource passed
-// at construction; only the per-item merge scratch uses the default heap.
-// Serving hands in the shard's ShardPool so session churn recycles pool
-// nodes; training and tests use the default resource.
+// Memory: one record per key holds both the key's item list and its open
+// session (including the session's index vector), so an item costs one
+// per-key lookup plus one in the inverted index. The lookup is a flat
+// key -> record-index table (util/flat_int_map.h, 8-byte slots); the
+// records live in an append-only store of fixed chunks that never move,
+// filled in first-observation order. A tracker never drops a key during
+// its life (one engine window), so the store never erases, and destroying
+// the tracker walks the records chunk by chunk in address order. The
+// table, the chunks, the records' vectors and the inverted index allocate
+// from the memory_resource passed at construction; only the per-item merge
+// scratch uses the default heap. Serving hands in the shard's ShardPool so
+// session churn recycles pool blocks; training and tests use the default
+// resource.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +60,7 @@
 #include "core/config.h"
 #include "data/types.h"
 #include "tensor/tensor.h"
+#include "util/flat_int_map.h"
 #include "util/serialize.h"
 
 namespace kvec {
@@ -116,7 +123,7 @@ class CorrelationTracker {
     using allocator_type = std::pmr::polymorphic_allocator<int>;
     explicit OpenSession(const allocator_type& alloc) : item_indices(alloc) {}
 
-    int key = -1;
+    int key = -1;  // the owning record's key, set when the record is made
     int session_value = -1;
     std::pmr::vector<int> item_indices;  // members of the open session
     int last_index = -1;                 // -1: not in any recency list
@@ -130,8 +137,8 @@ class CorrelationTracker {
   // An observed key has both. A checkpoint may carry either alone (the two
   // are separate lists in the byte stream), so each has a presence flag and
   // a restored record re-snapshots exactly what it was given.
-  // Allocator-aware so the pmr map propagates its resource into both
-  // vectors (uses-allocator construction).
+  // Allocator-aware so the store's uses-allocator construction hands its
+  // resource to both vectors.
   struct KeyRecord {
     using allocator_type = std::pmr::polymorphic_allocator<int>;
     explicit KeyRecord(const allocator_type& alloc)
@@ -143,16 +150,56 @@ class CorrelationTracker {
     bool has_session = false;
   };
 
+  // Append-only storage for the key records: fixed chunks of kChunkRecords
+  // records, allocated from the tracker's resource as they fill. A record
+  // never moves, so the recency links can point into the records' sessions
+  // and an index into the store stays valid for the store's life. Indices
+  // run in address order within a chunk, and destruction frees the records
+  // chunk by chunk in that order.
+  class RecordStore {
+   public:
+    explicit RecordStore(std::pmr::memory_resource* memory)
+        : alloc_(memory), chunks_(memory) {}
+    RecordStore(const RecordStore&) = delete;
+    RecordStore& operator=(const RecordStore&) = delete;
+    ~RecordStore();
+
+    int32_t size() const { return size_; }
+    KeyRecord& operator[](int32_t i) {
+      return chunks_[i >> kChunkShift][i & kChunkMask];
+    }
+    const KeyRecord& operator[](int32_t i) const {
+      return chunks_[i >> kChunkShift][i & kChunkMask];
+    }
+    // Builds an empty record for `key` at the end and returns its index.
+    int32_t Append(int key);
+
+   private:
+    // 256 records of 104 bytes: a chunk (26 KB) is far above the largest
+    // block a ShardPool pools, so each one is its own upstream block.
+    static constexpr int kChunkShift = 8;
+    static constexpr int32_t kChunkRecords = int32_t{1} << kChunkShift;
+    static constexpr int32_t kChunkMask = kChunkRecords - 1;
+
+    std::pmr::polymorphic_allocator<KeyRecord> alloc_;
+    std::pmr::vector<KeyRecord*> chunks_;
+    int32_t size_ = 0;
+  };
+
   // All pool-backed containers live behind one pointer: pmr allocators do
-  // not propagate on assignment, so moving state into a different pool
-  // means *reconstructing* the containers — swap the struct wholesale.
+  // not propagate on assignment, so Restore stages a new State in the
+  // tracker's resource and commits it by swapping the pointer.
   struct State {
     explicit State(std::pmr::memory_resource* memory)
-        : records(memory), by_value(memory) {}
-    // The hot per-item lookup: iteration order is not load-bearing, so this
-    // is a hash map. Map nodes never move, so the recency links can point
-    // into the records' sessions.
-    std::pmr::unordered_map<int, KeyRecord> records;
+        : keys(memory), records(memory), by_value(memory) {}
+    // The record of `key`, appended empty when the key is new.
+    KeyRecord& Upsert(int key);
+    // The record of `key`, or null.
+    const KeyRecord* Find(int key) const;
+
+    // The hot per-item lookup: key -> index of its record in `records`.
+    FlatIntMap<int32_t> keys;
+    RecordStore records;
     // Inverted index: session value -> newest open session carrying it,
     // the head of a list ordered by strictly decreasing last_index, so the
     // window cutoff is a newest-first walk stopping at the first stale
@@ -188,7 +235,7 @@ class CorrelationTracker {
   static bool ReadItems(BinaryReader* reader, int next_index,
                         std::pmr::vector<int>* items);
   static void WriteSession(BinaryWriter* writer, const OpenSession& session);
-  static bool ReadSession(BinaryReader* reader, int key, int next_index,
+  static bool ReadSession(BinaryReader* reader, int next_index,
                           OpenSession* session);
 
   // Links every open session with a stream position into its value's

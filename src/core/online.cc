@@ -317,15 +317,16 @@ void OnlineClassifier::SnapshotDelta(BinaryWriter* writer,
 
   // Dirty keys that reached the engine this window (a key can be dirtied
   // purely in the serving index — e.g. evicted before its first item of a
-  // fresh window — without a KeyState).
-  std::vector<std::pair<int, const KeyState*>> present;
-  present.reserve(dirty_sorted.size());
+  // fresh window — without a KeyState), counted as they are written.
+  const size_t count_at = writer->WriteInt32Placeholder();
+  int32_t count = 0;
   for (int key : dirty_sorted) {
     const KeyState* state = keys_->states.Find(key);
-    if (state != nullptr) present.emplace_back(key, state);
+    if (state == nullptr) continue;
+    ++count;
+    WriteKeyState(writer, key, *state);
   }
-  writer->WriteInt32(static_cast<int32_t>(present.size()));
-  for (const auto& [key, state] : present) WriteKeyState(writer, key, *state);
+  writer->PatchInt32(count_at, count);
 
   incremental_.SnapshotTail(writer, base_items);
 }

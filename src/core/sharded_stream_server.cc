@@ -500,12 +500,15 @@ void ShardedStreamServer::CommitStaged(
     std::vector<std::unique_ptr<StreamServer>>* staged) {
   // All-or-nothing commit. Re-baseline the transport counters to the
   // restored items_processed so the overload invariant (submitted ==
-  // processed + shed) holds for the life of the restored server.
+  // processed + shed) holds for the life of the restored server, and keep
+  // each live shard's process-local counters, as StreamServer::Restore
+  // does.
   std::vector<int64_t> processed(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     processed[s] = (*staged)[s]->stats().items_processed;
   }
   RunOnAllShards([this, staged, &processed](int s, ServerSlot& server) {
+    (*staged)[s]->KeepProcessLocalCounters(*server);
     server = std::move((*staged)[s]);
     shards_[s]->items_submitted.store(processed[s], std::memory_order_relaxed);
     shards_[s]->batches_shed.store(0, std::memory_order_relaxed);

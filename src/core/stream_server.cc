@@ -327,6 +327,21 @@ void StreamServer::WriteHeader(BinaryWriter* writer) const {
   // them out keeps the v1 snapshot layout byte-identical.
 }
 
+void StreamServer::CopyProcessLocal(const StreamServerStats& from,
+                                    StreamServerStats* to) {
+  to->compactions = from.compactions;
+  to->items_after_verdict = from.items_after_verdict;
+  to->scratch_high_water = from.scratch_high_water;
+  to->bytes_resident = from.bytes_resident;
+  to->pool_blocks = from.pool_blocks;
+}
+
+void StreamServer::KeepProcessLocalCounters(const StreamServer& live) {
+  // stats() brings live's scratch high-water up to date first. The pool
+  // gauges come along, and the next stats() read refreshes them.
+  CopyProcessLocal(live.stats(), &stats_);
+}
+
 bool StreamServer::ReadHeader(BinaryReader* reader, Header* header) const {
   // The released-pool count, items_after_verdict and the memory gauges
   // are process-local (never serialized; see StreamServerStats): a restore
@@ -355,11 +370,7 @@ bool StreamServer::ReadHeader(BinaryReader* reader, Header* header) const {
   }
   stats.class_counts.resize(num_classes);
   for (int64_t& count : stats.class_counts) count = reader->ReadInt64();
-  stats.compactions = stats_.compactions;
-  stats.items_after_verdict = stats_.items_after_verdict;
-  stats.scratch_high_water = stats_.scratch_high_water;
-  stats.bytes_resident = stats_.bytes_resident;
-  stats.pool_blocks = stats_.pool_blocks;
+  CopyProcessLocal(stats_, &stats);
   return reader->ok() && header->position >= 0 && header->window_items >= 0 &&
          header->window_items <= header->config.max_window_items;
 }

@@ -199,6 +199,11 @@ class StreamServer {
   // trailing bytes are treated as corruption.
   void Snapshot(BinaryWriter* writer) const;
   bool Restore(BinaryReader* reader);
+  // Takes over `live`'s process-local counters (the released-pool count,
+  // items_after_verdict, the scratch high-water), which no snapshot
+  // carries: a server restored beside `live` to replace it then keeps the
+  // live values, as Restore into `live` itself would.
+  void KeepProcessLocalCounters(const StreamServer& live);
 
   // ---- Incremental (delta) checkpointing (docs/SERVING.md). ----
   //
@@ -323,6 +328,9 @@ class StreamServer {
   };
   void WriteHeader(BinaryWriter* writer) const;
   bool ReadHeader(BinaryReader* reader, Header* header) const;
+  // Copies the process-local fields of `from` into *to.
+  static void CopyProcessLocal(const StreamServerStats& from,
+                               StreamServerStats* to);
   // A (key, last_seen) list of open keys, written in the given order.
   // ReadOpenKeys rejects a last_seen outside [0, position].
   using OpenKeyRecord = std::pair<int, int64_t>;

@@ -106,6 +106,20 @@ class BinaryWriter {
     WriteSized(serialize_internal::kTagIntVec, values, count, sizeof(int));
   }
 
+  // Writes an int32 whose value is not known yet and returns where it
+  // starts; PatchInt32 sets it later. A record list writes its count this
+  // way ahead of records it filters while writing, without collecting them
+  // first.
+  size_t WriteInt32Placeholder() {
+    const size_t at = size_;
+    WriteInt32(0);
+    return at;
+  }
+  void PatchInt32(size_t at, int32_t value) {
+    std::memcpy(data_ + at + sizeof(serialize_internal::kTagInt32), &value,
+                sizeof(value));
+  }
+
   // Drops the bytes written so far and keeps the buffer, so the next
   // writes land in pages that are already mapped and faulted in.
   void Clear() { size_ = 0; }

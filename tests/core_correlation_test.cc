@@ -1,6 +1,7 @@
 #include "core/correlation.h"
 
 #include <algorithm>
+#include <climits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -204,6 +205,8 @@ class ReferenceTracker {
     return visible;
   }
 
+  int num_keys() const { return static_cast<int>(key_items_.size()); }
+
   int narrow_unions = 0;
   int wide_unions = 0;
   int refilled_buckets = 0;
@@ -227,11 +230,23 @@ class ReferenceTracker {
 // item in 8 comes from 128 long-lived keys sharing two values, the rest
 // from one-off keys whose values match nothing, so matched sessions reach
 // far back with few items. Drifting: the value vocabulary moves on and
-// comes back, so buckets empty and refill.
-enum class Shape { kDense, kSparse, kDrifting };
+// comes back, so buckets empty and refill. Wide: keys over the whole int
+// range (INT_MIN, INT_MAX, 0, -1 among 64 recurring keys), and three items
+// in five from one-off keys that still share the four values, so one
+// stream makes more than kWideMinKeys records: more than four chunks of
+// the tracker's record store and several growths of its key table.
+enum class Shape { kDense, kSparse, kDrifting, kWide };
+constexpr int kWideMinKeys = 4 * 256;
+
+int WideKey(Rng* rng) {
+  return static_cast<int>(static_cast<uint32_t>(rng->NextUint64()));
+}
 
 std::vector<Item> MakeStream(Shape shape, int length, Rng* rng) {
   std::vector<int> current(128, 0);
+  std::vector<int> wide_keys = {INT_MIN, INT_MAX, 0, -1, INT_MIN + 1,
+                                INT_MAX - 1};
+  while (wide_keys.size() < 64) wide_keys.push_back(WideKey(rng));
   std::vector<Item> stream;
   for (int t = 0; t < length; ++t) {
     if (shape == Shape::kSparse && rng->NextInt(8) != 0) {
@@ -239,14 +254,21 @@ std::vector<Item> MakeStream(Shape shape, int length, Rng* rng) {
       stream.push_back(MakeItem(key, 100 + key, t));
       continue;
     }
-    const int key = rng->NextInt(shape == Shape::kSparse ? 128 : 12);
-    if (rng->NextBernoulli(shape == Shape::kSparse ? 0.02 : 0.3)) {
-      current[key] = shape == Shape::kSparse     ? rng->NextInt(2)
-                     : shape == Shape::kDrifting ? 2 * ((t / 300) % 3) +
-                                                       rng->NextInt(2)
-                                                 : rng->NextInt(4);
+    if (shape == Shape::kWide && rng->NextBernoulli(0.6)) {
+      stream.push_back(MakeItem(WideKey(rng), rng->NextInt(4), t));
+      continue;
     }
-    stream.push_back(MakeItem(key, current[key], t));
+    const int slot = rng->NextInt(shape == Shape::kSparse ? 128
+                                  : shape == Shape::kWide ? 64
+                                                          : 12);
+    if (rng->NextBernoulli(shape == Shape::kSparse ? 0.02 : 0.3)) {
+      current[slot] = shape == Shape::kSparse     ? rng->NextInt(2)
+                      : shape == Shape::kDrifting ? 2 * ((t / 300) % 3) +
+                                                        rng->NextInt(2)
+                                                  : rng->NextInt(4);
+    }
+    const int key = shape == Shape::kWide ? wide_keys[slot] : slot;
+    stream.push_back(MakeItem(key, current[slot], t));
   }
   return stream;
 }
@@ -340,7 +362,8 @@ TEST(CorrelationTrackerTest, MatchesBruteForceReferenceAcrossCuts) {
     for (int window : {1, 16, 64}) {
       for (auto [key_corr, value_corr] :
            {std::pair{true, true}, {true, false}, {false, true}}) {
-        for (Shape shape : {Shape::kDense, Shape::kSparse, Shape::kDrifting}) {
+        for (Shape shape : {Shape::kDense, Shape::kSparse, Shape::kDrifting,
+                            Shape::kWide}) {
           CorrelationOptions options = Options(key_corr, value_corr, window);
           options.max_value_correlations = cap;
           ReferenceTracker reference(options);
@@ -350,6 +373,9 @@ TEST(CorrelationTrackerTest, MatchesBruteForceReferenceAcrossCuts) {
                        << static_cast<int>(shape));
           ASSERT_NO_FATAL_FAILURE(
               RunDifferential(options, shape, seed++, &reference));
+          if (shape == Shape::kWide) {
+            EXPECT_GT(reference.num_keys(), kWideMinKeys);
+          }
           narrow_unions += reference.narrow_unions;
           wide_unions += reference.wide_unions;
           refilled_buckets += reference.refilled_buckets;
@@ -371,7 +397,8 @@ TEST(CorrelationTrackerTest, MatchesBruteForceReferenceAcrossCuts) {
 TEST(CorrelationTrackerTest, ObservingWithoutVisibleSetKeepsStateIdentical) {
   uint64_t seed = 11;
   for (int cap : {0, 4}) {
-    for (Shape shape : {Shape::kDense, Shape::kSparse, Shape::kDrifting}) {
+    for (Shape shape :
+         {Shape::kDense, Shape::kSparse, Shape::kDrifting, Shape::kWide}) {
       SCOPED_TRACE(::testing::Message() << "cap " << cap << " shape "
                                         << static_cast<int>(shape));
       CorrelationOptions options = Options(true, true, 16);

@@ -1,6 +1,7 @@
 #include "core/sharded_stream_server.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -296,6 +297,86 @@ TEST(ShardedStreamServerTest, OneShardLoadsTheV1Golden) {
   const std::vector<StreamEvent> want = ServeAndFlush(&plain, suffix);
   ASSERT_FALSE(want.empty());
   EXPECT_EQ(Fields(ServeAndFlush(&sharded, suffix)), Fields(want));
+}
+
+// A restore keeps every live shard's process-local counters (the
+// released-pool count, items_after_verdict, the scratch high-water), which
+// no checkpoint carries, as StreamServer::Restore does: through a full
+// checkpoint and through a delta chain, in sync and in worker mode.
+TEST(ShardedStreamServerTest, RestoreKeepsTheLiveProcessLocalCounters) {
+  Fixture fixture = TrainSmallModel(83);
+  const std::vector<Item> stream = GlobalStream(fixture.dataset);
+  // One-item keys above the stream's: about 18,000 per shard, so each
+  // shard's first window (12,000 keys) fills its pool past the release
+  // threshold and its rotation releases the pool.
+  constexpr int kWindowKeys = 12000;
+  std::vector<Item> fill;
+  for (int i = 0; i < 3 * kWindowKeys; ++i) {
+    Item item = stream[static_cast<size_t>(i) % stream.size()];
+    item.key = (1 << 20) + i;
+    fill.push_back(std::move(item));
+  }
+  // Then eight key-shifted copies of the stream, each served twice: keys
+  // halt inside the window, so the second passes serve items after their
+  // verdicts on both shards.
+  std::vector<Item> again;
+  for (int copy = 0; copy < 8; ++copy) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (Item item : stream) {
+        item.key += 100000 * copy;
+        again.push_back(std::move(item));
+      }
+    }
+  }
+  const std::string path =
+      ::testing::TempDir() + "/kvec_sharded_process_local.ckpt";
+  for (int workers : {0, 2}) {
+    for (bool chain : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "workers " << workers << " chain " << chain);
+      ShardedStreamServerConfig config;
+      config.num_shards = 2;
+      config.worker_threads = workers;
+      config.shard.max_window_items = kWindowKeys;
+      config.shard.max_open_keys = kWindowKeys;
+      config.shard.idle_timeout = 1 << 20;
+      ShardedStreamServer server(*fixture.model, config);
+      server.ObserveBatch(fill);
+      server.ObserveBatch(again);
+      std::string bytes;
+      if (chain) {
+        ShardedStreamServer::IncrementalCheckpointState state;
+        ASSERT_TRUE(server.CheckpointIncremental(path, 0, &state));
+        server.ObserveBatch(again);
+        ASSERT_TRUE(server.CheckpointIncremental(path, 0, &state));
+        ASSERT_EQ(state.deltas_written, 1);
+      } else {
+        bytes = server.EncodeCheckpoint();
+      }
+      std::vector<StreamServerStats> before;
+      for (int s = 0; s < server.num_shards(); ++s) {
+        before.push_back(server.shard_stats(s));
+        EXPECT_EQ(before[s].compactions, 1) << "shard " << s;
+        EXPECT_GT(before[s].items_after_verdict, 0) << "shard " << s;
+        EXPECT_GT(before[s].scratch_high_water, 0) << "shard " << s;
+      }
+      const std::string image = server.EncodeCheckpoint();
+
+      ASSERT_TRUE(chain ? server.RestoreFromCheckpointChain(path)
+                        : server.RestoreCheckpoint(bytes));
+      EXPECT_EQ(server.EncodeCheckpoint(), image);
+      for (int s = 0; s < server.num_shards(); ++s) {
+        const StreamServerStats after = server.shard_stats(s);
+        EXPECT_EQ(after.compactions, before[s].compactions) << "shard " << s;
+        EXPECT_EQ(after.items_after_verdict, before[s].items_after_verdict)
+            << "shard " << s;
+        EXPECT_EQ(after.scratch_high_water, before[s].scratch_high_water)
+            << "shard " << s;
+      }
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(ShardedStreamServer::DeltaPath(path, 1).c_str());
 }
 
 TEST(ShardedStreamServerTest, SubmitDeliversEachShardsEventsOnceToTheSink) {

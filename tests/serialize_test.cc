@@ -38,6 +38,24 @@ TEST(SerializeTest, RoundTripAllTypes) {
   EXPECT_TRUE(reader.ok());
 }
 
+// A count written as a placeholder and patched after the records it counts
+// gives the bytes of writing it directly, also when the records grow the
+// buffer past its first megabyte (a remap that moves it) in between.
+TEST(SerializeTest, PatchedPlaceholderMatchesADirectWrite) {
+  const std::vector<int> records(600000, 7);
+  BinaryWriter patched;
+  patched.WriteInt64(5);
+  const size_t at = patched.WriteInt32Placeholder();
+  patched.WriteIntVector(records);
+  patched.PatchInt32(at, -123456);
+
+  BinaryWriter direct;
+  direct.WriteInt64(5);
+  direct.WriteInt32(-123456);
+  direct.WriteIntVector(records);
+  EXPECT_EQ(patched.view(), direct.view());
+}
+
 TEST(SerializeTest, EmptyContainers) {
   BinaryWriter writer;
   writer.WriteString("");
