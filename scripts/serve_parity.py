@@ -7,9 +7,14 @@ write. The matrix covers, over `--episodes 300 --max-window-items 300`:
 * `--shards 1` and `--shards 3`;
 * `--batch 1` and `--batch 64`;
 * synchronous ingest (`--workers 0`) and one worker per shard
-  (`--workers N`, N = the shard count).
+  (`--workers N`, N = the shard count);
+* the default serving bounds, which on this stream close keys only by
+  policy halts, rotations and the final flush, and tight ones
+  (`--idle-timeout 24 --max-open-keys 16`, names ending in `-tight`),
+  which also fire idle timeouts and capacity evictions in every
+  configuration.
 
-Each of those eight configurations runs four times:
+Each of those sixteen configurations runs four times:
 
 1. `--save-checkpoint full.ckpt` (one full image);
 2. `--checkpoint-every 400 --rebase-every 3 --save-checkpoint chain.ckpt`
@@ -42,16 +47,22 @@ import tempfile
 
 BASE_FLAGS = ["--episodes", "300", "--max-window-items", "300", "--json"]
 ALWAYS_MASKED = ("seconds", "items_per_sec")
+# (name suffix, flags): the serving bounds each configuration runs under.
+BOUNDS = (
+    ("", []),
+    ("-tight", ["--idle-timeout", "24", "--max-open-keys", "16"]),
+)
 
 
 def configurations():
-    for shards in (1, 3):
-        for batch in (1, 64):
-            for workers in (0, shards):
-                name = "s%d-b%d-w%d" % (shards, batch, workers)
-                flags = ["--shards", str(shards), "--batch", str(batch),
-                         "--workers", str(workers)]
-                yield name, flags
+    for suffix, bounds in BOUNDS:
+        for shards in (1, 3):
+            for batch in (1, 64):
+                for workers in (0, shards):
+                    name = "s%d-b%d-w%d%s" % (shards, batch, workers, suffix)
+                    flags = ["--shards", str(shards), "--batch", str(batch),
+                             "--workers", str(workers)] + bounds
+                    yield name, flags
 
 
 # (run name, extra flags); paths are relative to the run's directory.

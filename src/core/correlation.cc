@@ -54,16 +54,10 @@ int32_t CorrelationTracker::RecordStore::Append(int key) {
   return size_++;
 }
 
-CorrelationTracker::KeyRecord& CorrelationTracker::State::Upsert(int key) {
+int32_t CorrelationTracker::State::Upsert(int key) {
   const auto [index, inserted] = keys.TryEmplace(key);
   if (inserted) *index = records.Append(key);
-  return records[*index];
-}
-
-const CorrelationTracker::KeyRecord* CorrelationTracker::State::Find(
-    int key) const {
-  const int32_t* index = keys.Find(key);
-  return index == nullptr ? nullptr : &records[*index];
+  return *index;
 }
 
 void CorrelationTracker::PushNewest(OpenSession** head, OpenSession* session) {
@@ -217,14 +211,14 @@ std::vector<int> CorrelationTracker::ObserveItem(const Item& item) {
   return visible;
 }
 
-void CorrelationTracker::ObserveItem(const Item& item,
+void CorrelationTracker::ObserveItem(const Item& item, int32_t id,
                                      std::vector<int>* visible) {
   const int index = next_index_++;
   KVEC_CHECK_LT(options_.session_field,
                 static_cast<int>(item.value.size()));
   const int session_value = item.value[options_.session_field];
   State& state = *state_;
-  KeyRecord& record = state.Upsert(item.key);
+  KeyRecord& record = state.records[id];
   OpenSession*& head = state.by_value[session_value];
   if (visible != nullptr) {
     CollectVisible(index, item.key, record.items, head, visible);
@@ -286,7 +280,8 @@ bool CorrelationTracker::ReadSession(BinaryReader* reader, int next_index,
   return true;
 }
 
-void CorrelationTracker::Snapshot(BinaryWriter* writer) const {
+void CorrelationTracker::Snapshot(BinaryWriter* writer,
+                                  KeyOrder* by_key) const {
   // Echo the options so a checkpoint can never be restored into a tracker
   // with different correlation semantics.
   writer->WriteInt32(options_.use_key_correlation ? 1 : 0);
@@ -298,31 +293,32 @@ void CorrelationTracker::Snapshot(BinaryWriter* writer) const {
 
   // Key-sorted iteration makes the byte stream canonical (the store holds
   // records in first-observation order, which a restored tracker does not
-  // share). Each entry keeps its record's address, so the write loops need
-  // no lookup. The item lists come first, then the sessions.
+  // share). Each entry carries its record's id, so the write loops need no
+  // lookup. The item lists come first, then the sessions.
   const RecordStore& records = state_->records;
-  std::vector<std::pair<int, const KeyRecord*>> by_key;
-  by_key.reserve(records.size());
+  KeyOrder own_order;
+  KeyOrder& order = by_key != nullptr ? *by_key : own_order;
+  order.clear();
+  order.reserve(records.size());
   int32_t num_items = 0;
   int32_t num_sessions = 0;
-  for (int32_t i = 0; i < records.size(); ++i) {
-    const KeyRecord& record = records[i];
-    by_key.emplace_back(record.session.key, &record);
-    num_items += record.has_items ? 1 : 0;
-    num_sessions += record.has_session ? 1 : 0;
+  for (int32_t id = 0; id < records.size(); ++id) {
+    order.emplace_back(records[id].session.key, id);
+    num_items += records[id].has_items ? 1 : 0;
+    num_sessions += records[id].has_session ? 1 : 0;
   }
-  SortByIntKey(&by_key, [](const auto& entry) { return entry.first; });
+  SortByIntKey(&order, [](const auto& entry) { return entry.first; });
   writer->WriteInt32(num_items);
-  for (const auto& [key, record] : by_key) {
-    if (!record->has_items) continue;
+  for (const auto& [key, id] : order) {
+    if (!records[id].has_items) continue;
     writer->WriteInt32(key);
-    WriteItems(writer, record->items);
+    WriteItems(writer, records[id].items);
   }
   writer->WriteInt32(num_sessions);
-  for (const auto& [key, record] : by_key) {
-    if (!record->has_session) continue;
+  for (const auto& [key, id] : order) {
+    if (!records[id].has_session) continue;
     writer->WriteInt32(key);
-    WriteSession(writer, record->session);
+    WriteSession(writer, records[id].session);
   }
 }
 
@@ -349,7 +345,7 @@ bool CorrelationTracker::Restore(BinaryReader* reader) {
   const int32_t num_keys = reader->ReadCount(kMinTaggedValueBytes);
   staged->keys.Reserve(num_keys);
   for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
-    KeyRecord& record = staged->Upsert(reader->ReadInt32());
+    KeyRecord& record = staged->records[staged->Upsert(reader->ReadInt32())];
     if (record.has_items || !ReadItems(reader, next_index, &record.items)) {
       return false;
     }
@@ -358,7 +354,7 @@ bool CorrelationTracker::Restore(BinaryReader* reader) {
 
   const int32_t num_sessions = reader->ReadCount(kMinTaggedValueBytes);
   for (int32_t i = 0; i < num_sessions && reader->ok(); ++i) {
-    KeyRecord& record = staged->Upsert(reader->ReadInt32());
+    KeyRecord& record = staged->records[staged->Upsert(reader->ReadInt32())];
     if (record.has_session ||
         !ReadSession(reader, next_index, &record.session)) {
       return false;
@@ -382,14 +378,15 @@ void CorrelationTracker::SnapshotDelta(
   const size_t count_at = writer->WriteInt32Placeholder();
   int32_t count = 0;
   for (int key : dirty_sorted) {
-    const KeyRecord* record = state_->Find(key);
-    if (record == nullptr) continue;
+    const int32_t id = FindKey(key);
+    if (id < 0) continue;
+    const KeyRecord& record = state_->records[id];
     ++count;
     writer->WriteInt32(key);
-    writer->WriteInt32(record->has_items ? 1 : 0);
-    if (record->has_items) WriteItems(writer, record->items);
-    writer->WriteInt32(record->has_session ? 1 : 0);
-    if (record->has_session) WriteSession(writer, record->session);
+    writer->WriteInt32(record.has_items ? 1 : 0);
+    if (record.has_items) WriteItems(writer, record.items);
+    writer->WriteInt32(record.has_session ? 1 : 0);
+    if (record.has_session) WriteSession(writer, record.session);
   }
   writer->PatchInt32(count_at, count);
 }
@@ -412,12 +409,12 @@ bool CorrelationTracker::ApplyDelta(BinaryReader* reader,
 
     // A record is created only for a key the delta carries a list for.
     if (reader->ReadInt32() != 0) {
-      KeyRecord& record = state_->Upsert(key);
+      KeyRecord& record = state_->records[state_->Upsert(key)];
       if (!ReadItems(reader, next_index, &record.items)) return false;
       record.has_items = true;
     }
     if (reader->ReadInt32() != 0) {
-      KeyRecord& record = state_->Upsert(key);
+      KeyRecord& record = state_->records[state_->Upsert(key)];
       if (!ReadSession(reader, next_index, &record.session)) {
         return false;
       }

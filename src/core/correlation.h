@@ -43,18 +43,22 @@
 // records live in an append-only store of fixed chunks that never move,
 // filled in first-observation order. A tracker never drops a key during
 // its life (one engine window), so the store never erases, and destroying
-// the tracker walks the records chunk by chunk in address order. The
-// table, the chunks, the records' vectors and the inverted index allocate
-// from the memory_resource passed at construction; only the per-item merge
-// scratch uses the default heap. Serving hands in the shard's ShardPool so
-// session churn recycles pool blocks; training and tests use the default
-// resource.
+// the tracker walks the records chunk by chunk in address order. A
+// record's index is its key's id (see "Key ids" below): the engine and
+// the serving index keep their per-key state in arrays indexed by it, so
+// this table is the only key -> per-window state map in a serving shard.
+// The table, the chunks, the records' vectors and the inverted index
+// allocate from the memory_resource passed at construction; only the
+// per-item merge scratch uses the default heap. Serving hands in the
+// shard's ShardPool so session churn recycles pool blocks; training and
+// tests use the default resource.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -83,9 +87,28 @@ class CorrelationTracker {
   // value-match walk and merge — for a consumer that will not attend for
   // this item; the tracker's state, and so every later visible set and
   // every snapshot byte, is the same either way.
-  void ObserveItem(const Item& item, std::vector<int>* visible);
+  void ObserveItem(const Item& item, std::vector<int>* visible) {
+    ObserveItem(item, AddKey(item.key), visible);
+  }
+  // The same, for an item whose key has id `id` (from AddKey).
+  void ObserveItem(const Item& item, int32_t id, std::vector<int>* visible);
 
   int num_observed() const { return next_index_; }
+
+  // ---- Key ids. ----
+  // A key's id is the index of its record: ids are dense from 0, assigned
+  // in the order keys first reach the tracker (ObserveItem, AddKey,
+  // Restore, ApplyDelta), and a key keeps its id for the tracker's life.
+  // A fresh or restored tracker numbers its keys from 0 again.
+  int32_t num_keys() const { return state_->records.size(); }
+  // The id of `key`, or -1 when the tracker holds no record of it.
+  int32_t FindKey(int key) const {
+    const int32_t* id = state_->keys.Find(key);
+    return id == nullptr ? -1 : *id;
+  }
+  // The id of `key`, appending an empty record when the key is new; the
+  // caller observes the key's item next, with ObserveItem(item, id, ...).
+  int32_t AddKey(int key) { return state_->Upsert(key); }
 
   // Serving-state checkpointing. Snapshot writes a canonical (key-sorted)
   // byte stream; Restore parses it into a tracker constructed with the
@@ -94,7 +117,11 @@ class CorrelationTracker {
   // or structurally impossible indices (out of range, session items out of
   // order, two sessions at one stream position) it returns false and
   // leaves *this untouched.
-  void Snapshot(BinaryWriter* writer) const;
+  // When `by_key` is non-null, it receives every (key, id) pair in
+  // ascending key order, the order the records were written, so an owner
+  // snapshotting per-key state beside the tracker shares the one sort.
+  using KeyOrder = std::vector<std::pair<int, int32_t>>;
+  void Snapshot(BinaryWriter* writer, KeyOrder* by_key = nullptr) const;
   bool Restore(BinaryReader* reader);
 
   // Delta checkpointing (docs/SERVING.md "Incremental checkpoints").
@@ -192,10 +219,8 @@ class CorrelationTracker {
   struct State {
     explicit State(std::pmr::memory_resource* memory)
         : keys(memory), records(memory), by_value(memory) {}
-    // The record of `key`, appended empty when the key is new.
-    KeyRecord& Upsert(int key);
-    // The record of `key`, or null.
-    const KeyRecord* Find(int key) const;
+    // The id of `key`, with an empty record appended when the key is new.
+    int32_t Upsert(int key);
 
     // The hot per-item lookup: key -> index of its record in `records`.
     FlatIntMap<int32_t> keys;

@@ -26,25 +26,18 @@ void OnlineClassifier::AdoptEncoderArena(OnlineClassifier* retiring) {
   incremental_.AdoptArena(&retiring->incremental_);
 }
 
-int OnlineClassifier::AddSlot(KeyTable* table) const {
-  // The slab starts above the pool's largest pooled block (4 KB with the
-  // default pool options), so it is always one upstream block: growing
+void OnlineClassifier::GrowKeys(KeyTable* table, int32_t size) const {
+  // Both arrays start above the pool's largest pooled block (4 KB with the
+  // default pool options), so each is always one upstream block: growing
   // through the small size classes would leave a cached chunk in each.
+  constexpr size_t kFirstStates = 256;
   constexpr size_t kFirstSlabFloats = 2048;
-  if (table->slab.capacity() < kFirstSlabFloats) {
+  if (table->states.capacity() < kFirstStates) {
+    table->states.reserve(kFirstStates);
     table->slab.reserve(kFirstSlabFloats);
   }
-  const size_t offset = table->slab.size();
-  table->slab.resize(offset + slot_width_, 0.0f);
-  return static_cast<int>(offset / slot_width_);
-}
-
-void OnlineClassifier::PlaceRows(KeyTable* table, int slot,
-                                 const std::vector<float>& rows,
-                                 KeyState* state) const {
-  state->slot = slot >= 0 ? slot : AddSlot(table);
-  const size_t offset = static_cast<size_t>(state->slot) * slot_width_;
-  std::copy(rows.begin(), rows.end(), table->slab.data() + offset);
+  table->states.resize(size);
+  table->slab.resize(static_cast<size_t>(size) * slot_width_, 0.0f);
 }
 
 int OnlineClassifier::Classify(const float* hidden, double* confidence) {
@@ -83,14 +76,23 @@ void OnlineClassifier::EncodeBatch(const Item* items, int count,
   }
   position_scratch_.resize(count);
   needed_scratch_.resize(count);
+  encoded_.resize(count);
+  next_decide_ = 0;
   for (int i = 0; i < count; ++i) {
-    KeyState& state = keys_->states[items[i].key];
+    // The item's one key lookup: a new key gets the next id in the tracker
+    // and an empty state here.
+    const int32_t id = tracker_.AddKey(items[i].key);
+    if (id == static_cast<int32_t>(keys_->states.size())) {
+      GrowKeys(keys_.get(), id + 1);
+    }
+    encoded_[i] = {items[i].key, id};
+    KeyState& state = keys_->states[id];
     position_scratch_[i] = state.position_in_key++;
     const bool needed = !state.halted;
     needed_scratch_[i] = needed ? 1 : 0;
-    tracker_.ObserveItem(items[i], needed || earlier_blocks_attend
-                                       ? &visible_scratch_[i]
-                                       : nullptr);
+    tracker_.ObserveItem(items[i], id,
+                         needed || earlier_blocks_attend ? &visible_scratch_[i]
+                                                         : nullptr);
   }
   incremental_.AppendBatch(items, position_scratch_.data(),
                            visible_scratch_.data(), count, rows,
@@ -101,20 +103,25 @@ void OnlineClassifier::EncodeBatch(const Item* items, int count,
 OnlineDecision OnlineClassifier::DecideObserved(int key, const float* row) {
   OnlineDecision decision;
   decision.key = key;
+  // The id EncodeBatch recorded for this item; a call off the contract's
+  // order still finds the key (created by EncodeBatch) in the tracker.
+  if (next_decide_ < encoded_.size() && encoded_[next_decide_].first == key) {
+    decision.id = encoded_[next_decide_++].second;
+  } else {
+    decision.id = tracker_.FindKey(key);
+    KVEC_CHECK_GE(decision.id, 0);
+  }
 
-  KeyState* found = keys_->states.Find(key);  // created by EncodeBatch
-  KVEC_CHECK(found != nullptr);
-  KeyState& key_state = *found;
+  KeyState& key_state = keys_->states[decision.id];
   if (key_state.halted) {
     decision.already_halted = true;
     decision.predicted_label = key_state.predicted;
     decision.observed_items = key_state.observed;
     return decision;
   }
-  if (key_state.slot < 0) key_state.slot = AddSlot(keys_.get());
+  key_state.has_rows = true;
 
-  // Taken after AddSlot: growing the slab moves every slot.
-  float* hidden = SlotRows(key_state.slot);
+  float* hidden = SlotRows(decision.id);
   float* cell = cell_dim_ > 0 ? hidden + hidden_dim_ : nullptr;
   ++key_state.fused;
   model_.fusion().StepRow(hidden, cell, key_state.fused, row,
@@ -153,19 +160,17 @@ std::vector<OnlineDecision> OnlineClassifier::ObserveBatch(
   return decisions;
 }
 
-int OnlineClassifier::ForceClassify(int key, double* confidence,
-                                    int* observed_items) {
-  KeyState* found = keys_->states.Find(key);
-  if (observed_items != nullptr) {
-    *observed_items = found != nullptr ? found->observed : 0;
-  }
-  if (found == nullptr || found->observed == 0) {
+int OnlineClassifier::ForceClassifyById(int32_t id, double* confidence,
+                                        int* observed_items) {
+  const int observed = id >= 0 ? keys_->states[id].observed : 0;
+  if (observed_items != nullptr) *observed_items = observed;
+  if (observed == 0) {
     if (confidence != nullptr) *confidence = 0.0;
     return -1;
   }
-  KeyState& key_state = *found;
+  KeyState& key_state = keys_->states[id];
   if (!key_state.halted || confidence != nullptr) {
-    const int predicted = Classify(SlotRows(key_state.slot), confidence);
+    const int predicted = Classify(SlotRows(id), confidence);
     if (!key_state.halted) {
       key_state.predicted = predicted;
       key_state.halted = true;
@@ -184,10 +189,9 @@ void WriteStateRow(BinaryWriter* writer, const float* row, int cols) {
   writer->WriteFloats(row, static_cast<size_t>(cols));
 }
 
-// Appends one stored row to *out; anything but a single row of
+// Copies one stored row to `out`; anything but a single row of
 // `expected_cols` floats is corruption.
-bool ReadStateRow(BinaryReader* reader, int expected_cols,
-                  std::vector<float>* out) {
+bool ReadStateRow(BinaryReader* reader, int expected_cols, float* out) {
   const int rows = reader->ReadInt32();
   const int cols = reader->ReadInt32();
   std::vector<float> data = reader->ReadFloatVector();
@@ -195,75 +199,86 @@ bool ReadStateRow(BinaryReader* reader, int expected_cols,
       data.size() != static_cast<size_t>(expected_cols)) {
     return false;
   }
-  out->insert(out->end(), data.begin(), data.end());
+  std::copy(data.begin(), data.end(), out);
   return true;
 }
 
 }  // namespace
 
 void OnlineClassifier::WriteKeyState(BinaryWriter* writer, int key,
-                                     const KeyState& state) const {
+                                     int32_t id) const {
+  const KeyState& state = keys_->states[id];
   writer->WriteInt32(key);
   writer->WriteInt32(state.halted ? 1 : 0);
   writer->WriteInt32(state.observed);
   writer->WriteInt32(state.position_in_key);
   writer->WriteInt32(state.predicted);
   writer->WriteInt32(state.fused);
-  const bool has_state = state.slot >= 0;
-  writer->WriteInt32(has_state ? 1 : 0);
-  if (has_state) WriteStateRow(writer, SlotRows(state.slot), hidden_dim_);
-  const bool has_cell = has_state && cell_dim_ > 0;
+  writer->WriteInt32(state.has_rows ? 1 : 0);
+  if (state.has_rows) WriteStateRow(writer, SlotRows(id), hidden_dim_);
+  const bool has_cell = state.has_rows && cell_dim_ > 0;
   writer->WriteInt32(has_cell ? 1 : 0);
-  if (has_cell) {
-    WriteStateRow(writer, SlotRows(state.slot) + hidden_dim_, cell_dim_);
-  }
+  if (has_cell) WriteStateRow(writer, SlotRows(id) + hidden_dim_, cell_dim_);
 }
 
-bool OnlineClassifier::ReadKeyState(BinaryReader* reader, int* key,
-                                    KeyState* state,
-                                    std::vector<float>* rows) const {
-  const KvecConfig& config = model_.config();
-  rows->clear();
-  *key = reader->ReadInt32();
-  state->slot = -1;
-  state->halted = reader->ReadInt32() != 0;
-  state->observed = reader->ReadInt32();
-  state->position_in_key = reader->ReadInt32();
-  state->predicted = reader->ReadInt32();
-  state->fused = reader->ReadInt32();
-  if (!reader->ok() || state->observed < 0 ||
-      state->position_in_key < state->observed || state->fused < 0 ||
-      state->predicted < -1 || state->predicted >= config.spec.num_classes) {
-    return false;
+bool OnlineClassifier::ReadKeyStates(BinaryReader* reader,
+                                     const CorrelationTracker& tracker,
+                                     int32_t num_base_keys,
+                                     KeyTable* table) const {
+  const int num_classes = model_.config().spec.num_classes;
+  GrowKeys(table, tracker.num_keys());
+  const int32_t count = reader->ReadCount(kMinTaggedValueBytes);
+  int prev_key = -1;
+  int32_t num_new_keys = 0;
+  for (int32_t i = 0; i < count && reader->ok(); ++i) {
+    const int key = reader->ReadInt32();
+    KeyState state;
+    state.halted = reader->ReadInt32() != 0;
+    state.observed = reader->ReadInt32();
+    state.position_in_key = reader->ReadInt32();
+    state.predicted = reader->ReadInt32();
+    state.fused = reader->ReadInt32();
+    state.has_rows = reader->ReadInt32() != 0;
+    // Keys come strictly ascending (the canonical order), each with its
+    // tracker record.
+    const int32_t id = tracker.FindKey(key);
+    if (!reader->ok() || (i > 0 && key <= prev_key) || id < 0 ||
+        state.observed < 0 || state.position_in_key < state.observed ||
+        state.fused < 0 || state.predicted < -1 ||
+        state.predicted >= num_classes) {
+      return false;
+    }
+    prev_key = key;
+    float* rows = table->slab.data() + static_cast<size_t>(id) * slot_width_;
+    std::fill(rows, rows + slot_width_, 0.0f);  // a state not set yet
+    if (state.has_rows && !ReadStateRow(reader, hidden_dim_, rows)) {
+      return false;
+    }
+    const bool has_cell = reader->ReadInt32() != 0;
+    // A state is a whole slot: the cell row comes with the hidden row
+    // exactly when the fusion kind keeps one (kLstm, kMean). A record
+    // without it would make StepRow read past the key's slot.
+    if (has_cell != (state.has_rows && cell_dim_ > 0)) return false;
+    if (has_cell && !ReadStateRow(reader, cell_dim_, rows + hidden_dim_)) {
+      return false;
+    }
+    // ForceClassify and StepRow both read the state of any key with
+    // observed items; a checkpoint without one is corrupt.
+    if (state.observed > 0 && !state.has_rows) return false;
+    table->states[id] = state;
+    if (id >= num_base_keys) ++num_new_keys;
   }
-  const bool has_hidden = reader->ReadInt32() != 0;
-  if (has_hidden && !ReadStateRow(reader, hidden_dim_, rows)) return false;
-  const bool has_cell = reader->ReadInt32() != 0;
-  // A state is a whole slot: the cell row comes with the hidden row exactly
-  // when the fusion kind keeps one (kLstm, kMean). A record without it would
-  // make StepRow read past the key's slot.
-  if (has_cell != (has_hidden && cell_dim_ > 0)) return false;
-  if (has_cell && !ReadStateRow(reader, cell_dim_, rows)) return false;
-  // ForceClassify and StepRow both read the state of any key with observed
-  // items; a checkpoint without one is corrupt.
-  if (state->observed > 0 && !has_hidden) return false;
-  return true;
+  return reader->ok() && num_new_keys == tracker.num_keys() - num_base_keys;
 }
 
 void OnlineClassifier::Snapshot(BinaryWriter* writer) const {
   writer->WriteInt32(num_items_);
-  tracker_.Snapshot(writer);
-
-  // Key-sorted for a canonical byte stream; each entry keeps its state's
-  // address so the write loop needs no second lookup.
-  std::vector<std::pair<int, const KeyState*>> sorted;
-  sorted.reserve(keys_->states.size());
-  for (const auto& [key, state] : keys_->states) {
-    sorted.emplace_back(key, &state);
-  }
-  SortByIntKey(&sorted, [](const auto& entry) { return entry.first; });
-  writer->WriteInt32(static_cast<int32_t>(sorted.size()));
-  for (const auto& [key, state] : sorted) WriteKeyState(writer, key, *state);
+  // One key sort for the tracker's records and the key states, which are
+  // the same key set: the canonical byte stream is key-sorted.
+  CorrelationTracker::KeyOrder by_key;
+  tracker_.Snapshot(writer, &by_key);
+  writer->WriteInt32(static_cast<int32_t>(by_key.size()));
+  for (const auto& [key, id] : by_key) WriteKeyState(writer, key, id);
 
   // The encoder arena goes last so Restore can stage everything else in
   // temporaries and only mutate members once all sections parsed.
@@ -282,19 +297,9 @@ bool OnlineClassifier::Restore(BinaryReader* reader) {
 
   // Staged into the engine's own resource; committed by a pointer swap.
   auto keys = std::make_unique<KeyTable>(memory_);
-  const int32_t num_keys = reader->ReadCount(kMinTaggedValueBytes);
-  keys->states.Reserve(static_cast<size_t>(num_keys));
-  std::vector<float> rows;
-  for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
-    int key = 0;
-    KeyState state;
-    if (!ReadKeyState(reader, &key, &state, &rows)) return false;
-    if (!rows.empty()) PlaceRows(keys.get(), /*slot=*/-1, rows, &state);
-    const auto [target, inserted] = keys->states.TryEmplace(key);
-    if (!inserted) return false;
-    *target = state;
+  if (!ReadKeyStates(reader, tracker, /*num_base_keys=*/0, keys.get())) {
+    return false;
   }
-  if (!reader->ok()) return false;
 
   // The encoder is the only member mutated before the commit point below,
   // and its Restore is itself all-or-nothing (with the item count
@@ -305,6 +310,7 @@ bool OnlineClassifier::Restore(BinaryReader* reader) {
   num_items_ = num_items;
   tracker_ = std::move(tracker);
   keys_ = std::move(keys);
+  encoded_.clear();  // the ids it holds were the old tracker's
   return true;
 }
 
@@ -317,14 +323,14 @@ void OnlineClassifier::SnapshotDelta(BinaryWriter* writer,
 
   // Dirty keys that reached the engine this window (a key can be dirtied
   // purely in the serving index — e.g. evicted before its first item of a
-  // fresh window — without a KeyState), counted as they are written.
+  // fresh window — without a state), counted as they are written.
   const size_t count_at = writer->WriteInt32Placeholder();
   int32_t count = 0;
   for (int key : dirty_sorted) {
-    const KeyState* state = keys_->states.Find(key);
-    if (state == nullptr) continue;
+    const int32_t id = FindKey(key);
+    if (id < 0) continue;
     ++count;
-    WriteKeyState(writer, key, *state);
+    WriteKeyState(writer, key, id);
   }
   writer->PatchInt32(count_at, count);
 
@@ -339,46 +345,14 @@ bool OnlineClassifier::ApplyDelta(BinaryReader* reader) {
     return false;
   }
   if (!tracker_.ApplyDelta(reader, num_items)) return false;
-
-  const int32_t num_keys = reader->ReadCount(kMinTaggedValueBytes);
-  int prev_key = -1;
-  bool first = true;
-  std::vector<float> rows;
-  for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
-    int key = 0;
-    KeyState state;
-    if (!ReadKeyState(reader, &key, &state, &rows)) return false;
-    if (!first && key <= prev_key) return false;  // canonical ascending
-    first = false;
-    prev_key = key;
-    KeyState& target = keys_->states[key];
-    // An upserted key keeps its slot; a new one appends.
-    if (!rows.empty()) PlaceRows(keys_.get(), target.slot, rows, &state);
-    target = state;
+  encoded_.clear();
+  const int32_t num_base_keys = static_cast<int32_t>(keys_->states.size());
+  if (!ReadKeyStates(reader, tracker_, num_base_keys, keys_.get())) {
+    return false;
   }
-  if (!reader->ok()) return false;
-
   if (!incremental_.RestoreTail(reader, num_items)) return false;
   num_items_ = num_items;
   return true;
-}
-
-bool OnlineClassifier::IsHalted(int key) const {
-  const KeyState* state = keys_->states.Find(key);
-  return state != nullptr && state->halted;
-}
-
-bool OnlineClassifier::IsUndecided(int key) const {
-  const KeyState* state = keys_->states.Find(key);
-  return state != nullptr && state->observed > 0 && !state->halted;
-}
-
-int OnlineClassifier::CountUndecided() const {
-  int count = 0;
-  for (const auto& [key, state] : keys_->states) {
-    if (state.observed > 0 && !state.halted) ++count;
-  }
-  return count;
 }
 
 }  // namespace kvec

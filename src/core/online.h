@@ -39,23 +39,27 @@
 // re-encodes history) plus O(matches + log) correlation tracking — see
 // core/correlation.h. Memory grows with every observed item until the
 // owner rotates the engine (StreamServer's max_window_items bound).
-// Per-key state is one flat open-addressing table (util/flat_int_map.h)
-// of small fixed-size records, so a lookup usually reads one cache line,
-// next to one append-only float slab of fusion states; both come from the
-// engine's memory resource. A key takes a slot on its first fused item and
-// keeps it for the engine's lifetime (keys are never erased within a
-// window, so slots are never freed and the table needs no erase).
+// Per-key state has no table of its own: a key's id is its record index in
+// the correlation tracker (CorrelationTracker "Key ids"), and the engine
+// keeps one array of small fixed-size records and one float slab of fusion
+// states, both indexed by that id and both from the engine's memory
+// resource. EncodeBatch looks each item's key up once, in the tracker's
+// table, and records the id for DecideObserved, so deciding an item looks
+// nothing up. A key keeps its id and its row for the engine's lifetime
+// (keys are never erased within a window), and the engine's keys and the
+// tracker's records are always the same set: Restore and ApplyDelta
+// reject any checkpoint where they differ.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
+#include <utility>
 #include <vector>
 
 #include "core/correlation.h"
 #include "core/encoder.h"
 #include "core/model.h"
-#include "util/flat_int_map.h"
 
 namespace kvec {
 
@@ -68,16 +72,17 @@ struct OnlineDecision {
   double halt_probability = 0.0;
   double confidence = 0.0;  // classifier max-softmax, set on halt
   int observed_items = 0;   // n_k so far
+  int32_t id = -1;          // the key's id in the engine (num_keys)
 };
 
 class OnlineClassifier {
  public:
   // `model` must outlive the classifier and should be trained; the engine
   // never updates parameters. `memory` backs the long-lived per-key state
-  // (the key-state table, the fusion-state slab and the correlation
-  // tracker's containers);
-  // StreamServer passes its shard's ShardPool, standalone users get the
-  // default resource. The resource must outlive the classifier.
+  // (the key states, the fusion-state slab and the correlation tracker's
+  // containers); StreamServer passes its shard's ShardPool, standalone
+  // users get the default resource. The resource must outlive the
+  // classifier.
   explicit OnlineClassifier(
       const KvecModel& model,
       std::pmr::memory_resource* memory = std::pmr::get_default_resource());
@@ -110,14 +115,29 @@ class OnlineClassifier {
   // probability (0 if the key was never seen), and when `observed_items` is
   // non-null the key's observed-item count (0 if never seen).
   int ForceClassify(int key, double* confidence = nullptr,
-                    int* observed_items = nullptr);
+                    int* observed_items = nullptr) {
+    return ForceClassifyById(FindKey(key), confidence, observed_items);
+  }
 
-  bool IsHalted(int key) const;
-  // True when `key` has observed items and no verdict yet: exactly the
-  // keys StreamServer keeps open. CountUndecided is O(keys).
-  bool IsUndecided(int key) const;
-  int CountUndecided() const;
+  bool IsHalted(int key) const {
+    const int32_t id = FindKey(key);
+    return id >= 0 && keys_->states[id].halted;
+  }
   int num_items_observed() const { return num_items_; }
+
+  // ---- Key ids (the tracker's; see the file comment). ----
+  // Ids run over [0, num_keys()); StreamServer indexes its serving index
+  // with them. A restored engine numbers its keys anew.
+  int32_t num_keys() const { return tracker_.num_keys(); }
+  // The id of `key`, or -1 when the engine has never seen it.
+  int32_t FindKey(int key) const { return tracker_.FindKey(key); }
+  // ForceClassify of the key with id `id` (-1: a key never seen).
+  int ForceClassifyById(int32_t id, double* confidence, int* observed_items);
+  // True when the key with id `id` has observed items and no verdict yet:
+  // exactly the keys StreamServer keeps open.
+  bool IsUndecidedById(int32_t id) const {
+    return keys_->states[id].observed > 0 && !keys_->states[id].halted;
+  }
   int embed_dim() const { return model_.config().embed_dim; }
 
   // Serving-state checkpointing: the stream clock, the correlation
@@ -125,7 +145,9 @@ class OnlineClassifier {
   // Restore must be given an engine built over the same model (dimensions
   // and correlation options are validated; weights are the caller's
   // responsibility, exactly as with Module::LoadParameters). Fails closed:
-  // returns false with *this untouched on corrupt or mismatched bytes.
+  // returns false with *this untouched on corrupt or mismatched bytes, and
+  // on key states whose keys are not exactly the tracker's (ApplyDelta
+  // checks the same of the keys it adds).
   void Snapshot(BinaryWriter* writer) const;
   bool Restore(BinaryReader* reader);
 
@@ -160,50 +182,50 @@ class OnlineClassifier {
 
  private:
   struct KeyState {
-    // This key's fusion state: slot `slot` of KeyTable::slab holds the
-    // hidden row then the cell row. -1 until the first fused item (the
-    // state is then all-zero, EmbeddingFusion::InitialState).
-    int slot = -1;
     int fused = 0;  // items folded into the fusion state (FusionState::count)
-    bool halted = false;
     int observed = 0;
     int position_in_key = 0;
     int predicted = -1;
+    bool halted = false;
+    // The key's fusion state is set (its slab row is all-zero until then,
+    // EmbeddingFusion::InitialState); false until the first fused item.
+    bool has_rows = false;
   };
-  // Everything per key, all in the engine's memory resource. pmr
-  // allocators do not propagate on assignment, so Restore builds a new
-  // table; owning it through a pointer makes the commit a swap.
+  // Everything per key, indexed by the key's id, all in the engine's
+  // memory resource. pmr allocators do not propagate on assignment, so
+  // Restore builds a new table; owning it through a pointer makes the
+  // commit a swap.
   struct KeyTable {
     explicit KeyTable(std::pmr::memory_resource* memory)
         : states(memory), slab(memory) {}
-    FlatIntMap<KeyState> states;
-    std::pmr::vector<float> slab;  // append-only, slot_width_ per slot
+    std::pmr::vector<KeyState> states;
+    // slot_width_ floats per id: the hidden row, then the cell row.
+    std::pmr::vector<float> slab;
   };
 
-  // Appends an all-zero slot to `table` and returns its index.
-  int AddSlot(KeyTable* table) const;
-  // Copies a restored record's rows (ReadKeyState) into `slot` of `table`,
-  // or into a new slot when `slot` is -1, and points *state at it.
-  void PlaceRows(KeyTable* table, int slot, const std::vector<float>& rows,
-                 KeyState* state) const;
-  float* SlotRows(int slot) {
-    return keys_->slab.data() + static_cast<size_t>(slot) * slot_width_;
+  // Grows `table` to `size` ids; the new ones get an empty state.
+  void GrowKeys(KeyTable* table, int32_t size) const;
+  float* SlotRows(int32_t id) {
+    return keys_->slab.data() + static_cast<size_t>(id) * slot_width_;
   }
-  const float* SlotRows(int slot) const {
-    return keys_->slab.data() + static_cast<size_t>(slot) * slot_width_;
+  const float* SlotRows(int32_t id) const {
+    return keys_->slab.data() + static_cast<size_t>(id) * slot_width_;
   }
   // Runs the classifier on `hidden`, returning its argmax; the max-softmax
   // confidence goes to *confidence when it is non-null.
   int Classify(const float* hidden, double* confidence);
 
-  // One per-key record of the snapshot byte stream (shared by the full and
-  // delta paths so the two formats cannot drift). ReadKeyState leaves the
-  // record's fusion rows (hidden then cell) in *rows, or clears it when the
-  // record has none; state->slot is left -1 for the caller to place them.
-  void WriteKeyState(BinaryWriter* writer, int key,
-                     const KeyState& state) const;
-  bool ReadKeyState(BinaryReader* reader, int* key, KeyState* state,
-                    std::vector<float>* rows) const;
+  // The per-key records of the snapshot byte stream (shared by the full
+  // and delta paths so the two formats cannot drift). ReadKeyStates reads
+  // a list of them (strictly ascending keys) into `table` at the ids of
+  // `tracker`, which holds exactly the keys the list must cover: every
+  // record's key has a tracker record, and every id at or past
+  // `num_base_keys` (the ids `table` held before) gets a record. Restore
+  // passes 0; ApplyDelta, whose tracker delta appended the new ids, the
+  // engine's key count before it.
+  void WriteKeyState(BinaryWriter* writer, int key, int32_t id) const;
+  bool ReadKeyStates(BinaryReader* reader, const CorrelationTracker& tracker,
+                     int32_t num_base_keys, KeyTable* table) const;
 
   const KvecModel& model_;
   std::pmr::memory_resource* memory_;
@@ -218,6 +240,11 @@ class OnlineClassifier {
   std::vector<std::vector<int>> visible_scratch_;
   std::vector<int> position_scratch_;
   std::vector<uint8_t> needed_scratch_;  // 1: the item's key has no verdict
+  // The last EncodeBatch's (key, id) pairs, in stream order, and the next
+  // one DecideObserved expects: a caller keeping to its contract decides
+  // without a lookup.
+  std::vector<std::pair<int, int32_t>> encoded_;
+  size_t next_decide_ = 0;
   // DecideObserved / ForceClassify scratch, sized once at construction:
   // the fusion step's rows, then the classifier's logits.
   std::vector<float> decide_scratch_;

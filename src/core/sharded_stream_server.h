@@ -1,7 +1,7 @@
 // Concurrent stream serving: N StreamServer shards behind a key hash.
 //
 // One StreamServer is inherently serial — every item mutates one engine,
-// one open-key map, one stats block. ShardedStreamServer partitions the
+// one serving index, one stats block. ShardedStreamServer partitions the
 // key space across `num_shards` independent shards, each owning a full
 // StreamServer (engine + open-key state + stats).
 //

@@ -81,102 +81,101 @@ void StreamServer::RecordEvent(const StreamEvent& event) {
   }
 }
 
-void StreamServer::KeyIndex::Unlink(OpenKey* node) {
-  (node->prev != nullptr ? node->prev->next : head) = node->next;
-  (node->next != nullptr ? node->next->prev : tail) = node->prev;
-  node->prev = node->next = nullptr;
+void StreamServer::KeyIndex::Unlink(int32_t id) {
+  Slot& slot = slots[id];
+  (slot.prev != kNone ? slots[slot.prev].next : head) = slot.next;
+  (slot.next != kNone ? slots[slot.next].prev : tail) = slot.prev;
+  slot.prev = slot.next = kNone;
 }
 
-void StreamServer::KeyIndex::Append(OpenKey* node) {
-  node->prev = tail;
-  node->next = nullptr;
-  (tail != nullptr ? tail->next : head) = node;
-  tail = node;
+void StreamServer::KeyIndex::Append(int32_t id) {
+  Slot& slot = slots[id];
+  slot.prev = tail;
+  slot.next = kNone;
+  (tail != kNone ? slots[tail].next : head) = id;
+  tail = id;
 }
 
-void StreamServer::KeyIndex::Touch(int key, int64_t last_seen) {
-  auto [it, inserted] = open.try_emplace(key);
-  OpenKey* node = &it->second;
-  node->key = key;
-  node->last_seen = last_seen;
-  if (node == tail) return;  // a fresh node is never the tail
-  if (!inserted) Unlink(node);
-  Append(node);
-}
-
-void StreamServer::KeyIndex::Erase(OpenKey* node) {
-  const int key = node->key;
-  Unlink(node);
-  open.erase(key);
-}
-
-void StreamServer::KeyIndex::Clear() {
-  open.clear();
-  head = tail = nullptr;
-}
-
-void StreamServer::KeyIndex::Relink() {
-  std::vector<OpenKey*> nodes;
-  nodes.reserve(open.size());
-  for (auto& [key, node] : open) nodes.push_back(&node);
-  std::sort(nodes.begin(), nodes.end(), [](const OpenKey* a, const OpenKey* b) {
-    return a->last_seen != b->last_seen ? a->last_seen < b->last_seen
-                                        : a->key < b->key;
-  });
-  head = tail = nullptr;
-  for (OpenKey* node : nodes) Append(node);
-}
-
-void StreamServer::CloseKey(int key) {
-  auto it = index_->open.find(key);
-  if (it != index_->open.end()) index_->Erase(&it->second);
-}
-
-bool StreamServer::IndexMatchesEngine(const KeyIndex& index,
-                                      const OnlineClassifier& engine) {
-  // Every open key is undecided in the engine, and the counts agree, so
-  // the two key sets are equal.
-  for (const auto& [key, node] : index.open) {
-    if (!engine.IsUndecided(key)) return false;
+void StreamServer::KeyIndex::Touch(int32_t id, int key, int64_t last_seen) {
+  Slot& slot = slots[id];
+  slot.last_seen = last_seen;
+  if (id == tail) return;  // a closed slot is never the tail
+  if (slot.open) {
+    Unlink(id);
+  } else {
+    slot.open = true;
+    slot.key = key;
+    ++num_open;
   }
-  return static_cast<int>(index.open.size()) == engine.CountUndecided();
+  Append(id);
 }
 
-void StreamServer::EmitForced(int key, StreamEvent::Cause cause,
+void StreamServer::KeyIndex::Close(int32_t id) {
+  if (!slots[id].open) return;
+  Unlink(id);
+  slots[id].open = false;
+  --num_open;
+}
+
+bool StreamServer::KeyIndex::Open(const std::vector<OpenKeyRecord>& records,
+                                  const OnlineClassifier& engine) {
+  slots.resize(engine.num_keys());  // new keys' slots: closed
+  for (const auto& [key, last_seen] : records) {
+    const int32_t id = engine.FindKey(key);
+    if (id < 0) return false;
+    Touch(id, key, last_seen);
+  }
+  // One slot per engine key, open exactly when the key is undecided.
+  for (int32_t id = 0; id < engine.num_keys(); ++id) {
+    if (slots[id].open != engine.IsUndecidedById(id)) return false;
+  }
+  if (records.empty()) return true;  // the list order stands
+  std::vector<int32_t> ids;
+  ids.reserve(num_open);
+  for (int32_t id = head; id != kNone; id = slots[id].next) ids.push_back(id);
+  std::sort(ids.begin(), ids.end(), [this](int32_t a, int32_t b) {
+    return slots[a].last_seen != slots[b].last_seen
+               ? slots[a].last_seen < slots[b].last_seen
+               : slots[a].key < slots[b].key;
+  });
+  head = tail = kNone;
+  for (int32_t id : ids) Append(id);
+  return true;
+}
+
+void StreamServer::ForceClose(int32_t id, StreamEvent::Cause cause,
                               std::vector<StreamEvent>* events) {
   // ForceClassify mutates the key's engine state (halted/predicted) and
   // the close drops it from the serving index — both must reach the next
   // delta (as an engine upsert and a tombstone respectively).
-  MarkDirty(key);
   StreamEvent event;
-  event.key = key;
+  event.key = index_->slots[id].key;
   event.cause = cause;
-  event.predicted_label = engine_->ForceClassify(key, &event.confidence,
-                                                 &event.observed_items);
+  MarkDirty(event.key);
+  event.predicted_label = engine_->ForceClassifyById(id, &event.confidence,
+                                                     &event.observed_items);
   RecordEvent(event);
   events->push_back(event);
-}
-
-void StreamServer::ForceClose(OpenKey* node, StreamEvent::Cause cause,
-                              std::vector<StreamEvent>* events) {
-  EmitForced(node->key, cause, events);
-  index_->Erase(node);
+  index_->Close(id);
 }
 
 void StreamServer::CloseAllInKeyOrder(StreamEvent::Cause cause,
                                       std::vector<StreamEvent>* events) {
-  std::vector<int> keys;
-  keys.reserve(index_->open.size());
-  for (const auto& [key, node] : index_->open) keys.push_back(key);
-  SortIntKeys(&keys);
-  for (int key : keys) EmitForced(key, cause, events);
-  index_->Clear();
+  std::vector<std::pair<int, int32_t>> keys;  // (key, id)
+  keys.reserve(index_->num_open);
+  for (int32_t id = index_->head; id != KeyIndex::kNone;
+       id = index_->slots[id].next) {
+    keys.emplace_back(index_->slots[id].key, id);
+  }
+  SortByIntKey(&keys, [](const auto& entry) { return entry.first; });
+  for (const auto& [key, id] : keys) ForceClose(id, cause, events);
 }
 
 void StreamServer::RebuildEngine(ShardPool* pool) {
   auto engine = std::make_unique<OnlineClassifier>(model_, pool->resource());
   engine->AdoptEncoderArena(engine_.get());
   engine_ = std::move(engine);
+  index_ = std::make_unique<KeyIndex>(pool->resource());
 }
 
 void StreamServer::RotateWindow(std::vector<StreamEvent>* events) {
@@ -186,11 +185,10 @@ void StreamServer::RotateWindow(std::vector<StreamEvent>* events) {
     RebuildEngine(pool_.get());
   } else {
     // No key is open, so the next window needs nothing the pool holds.
-    // Destruction order matters: the old engine, then the old index, then
-    // the old pool they allocated from.
+    // Destruction order matters: the old engine and index (RebuildEngine),
+    // then the old pool they allocated from.
     auto pool = std::make_unique<ShardPool>();
     RebuildEngine(pool.get());
-    index_ = std::make_unique<KeyIndex>(pool->resource());
     pool_ = std::move(pool);
     ++stats_.compactions;
   }
@@ -201,8 +199,9 @@ void StreamServer::RotateWindow(std::vector<StreamEvent>* events) {
 void StreamServer::EvictIdle(std::vector<StreamEvent>* events) {
   // Oldest-first walk of the recency list: stop at the first key still
   // inside its idle window. O(evicted), not O(open keys).
-  while (index_->head != nullptr &&
-         position_ - index_->head->last_seen >= config_.idle_timeout) {
+  while (index_->head != KeyIndex::kNone &&
+         position_ - index_->slots[index_->head].last_seen >=
+             config_.idle_timeout) {
     ForceClose(index_->head, StreamEvent::Cause::kIdleTimeout, events);
   }
 }
@@ -222,7 +221,7 @@ void StreamServer::Bookkeep(const Item& item, const OnlineDecision& decision,
     // below must still run: these items advance the clock like any other.
     ++stats_.items_after_verdict;
   } else if (decision.halted_now) {
-    CloseKey(item.key);
+    index_->Close(decision.id);
     StreamEvent event;
     event.key = item.key;
     event.predicted_label = decision.predicted_label;
@@ -232,8 +231,8 @@ void StreamServer::Bookkeep(const Item& item, const OnlineDecision& decision,
     RecordEvent(event);
     events->push_back(event);
   } else {
-    index_->Touch(item.key, position_);
-    if (static_cast<int>(index_->open.size()) > config_.max_open_keys) {
+    index_->Touch(decision.id, item.key, position_);
+    if (index_->num_open > config_.max_open_keys) {
       // Evict the least recently active key: the head of the recency list.
       ForceClose(index_->head, StreamEvent::Cause::kCapacityEviction, events);
     }
@@ -272,6 +271,7 @@ std::vector<StreamEvent> StreamServer::ObserveItems(const Item* items,
     const int chunk =
         std::min(count - begin, config_.max_window_items - window_items_);
     engine_->EncodeBatch(items + begin, chunk, &rows_);
+    index_->slots.resize(engine_->num_keys());  // new keys' slots: closed
     for (int i = 0; i < chunk; ++i) {
       const Item& item = items[begin + i];
       OnlineDecision decision = engine_->DecideObserved(
@@ -394,7 +394,12 @@ bool StreamServer::ReadOpenKeys(BinaryReader* reader, int64_t position,
   for (int32_t i = 0; i < count && reader->ok(); ++i) {
     const int key = reader->ReadInt32();
     const int64_t last_seen = reader->ReadInt64();
-    if (last_seen < 0 || last_seen > position) return false;
+    // Strictly ascending keys are the canonical encoding: a repeated key
+    // is corruption.
+    if (last_seen < 0 || last_seen > position ||
+        (i > 0 && key <= records->back().first)) {
+      return false;
+    }
     records->emplace_back(key, last_seen);
   }
   return reader->ok();
@@ -405,9 +410,10 @@ void StreamServer::Snapshot(BinaryWriter* writer) const {
 
   // Key-sorted for a canonical byte stream.
   std::vector<OpenKeyRecord> open;
-  open.reserve(index_->open.size());
-  for (const auto& [key, node] : index_->open) {
-    open.emplace_back(key, node.last_seen);
+  open.reserve(index_->num_open);
+  for (int32_t id = index_->head; id != KeyIndex::kNone;
+       id = index_->slots[id].next) {
+    open.emplace_back(index_->slots[id].key, index_->slots[id].last_seen);
   }
   SortByIntKey(&open,
                [](const OpenKeyRecord& record) { return record.first; });
@@ -434,19 +440,13 @@ bool StreamServer::Restore(BinaryReader* reader) {
   }
   // Staged into the live shard pool (the pool just grows while the old
   // state still exists; a failed restore leaves only recyclable pool
-  // space behind, which the next releasing rotation reclaims).
-  auto index = std::make_unique<KeyIndex>(pool_->resource());
-  index->open.reserve(open.size());
-  for (const auto& [key, last_seen] : open) index->Touch(key, last_seen);
-  // A repeated key would have been touched twice into one node.
-  if (index->open.size() != open.size()) return false;
-  index->Relink();
-
-  // A fresh engine keeps the current one intact if the engine section is
-  // the part that turns out to be corrupt.
+  // space behind, which the next releasing rotation reclaims). A fresh
+  // engine keeps the current one intact if the engine section is the part
+  // that turns out to be corrupt; the index is built over its key ids.
   auto engine = std::make_unique<OnlineClassifier>(model_, pool_->resource());
   if (!engine->Restore(reader)) return false;
-  if (!IndexMatchesEngine(*index, *engine)) return false;
+  auto index = std::make_unique<KeyIndex>(pool_->resource());
+  if (!index->Open(open, *engine)) return false;
   // The snapshot is the last thing in its section: bytes after it are
   // corruption the container framing cannot see. Checked before the
   // commit below so a tainted checkpoint leaves *this untouched.
@@ -491,10 +491,9 @@ void StreamServer::CommitDeltaBaseline() {
 void StreamServer::SnapshotDelta(BinaryWriter* writer) {
   StageDeltaBaseline();
 
-  std::vector<int> dirty_sorted;
-  dirty_sorted.reserve(dirty_keys_.size());
-  for (const auto& [key, epoch] : dirty_keys_) dirty_sorted.push_back(key);
-  SortIntKeys(&dirty_sorted);
+  delta_dirty_.clear();
+  for (const auto& [key, epoch] : dirty_keys_) delta_dirty_.push_back(key);
+  SortIntKeys(&delta_dirty_);
 
   // The full snapshot's header: the config echo keeps a delta from ever
   // applying to a server with different serving semantics, and the stats
@@ -509,23 +508,23 @@ void StreamServer::SnapshotDelta(BinaryWriter* writer) {
   const int base_items = engine_reset ? 0 : base_engine_items_;
 
   // Serving-index upserts: dirty keys still open (canonical ascending).
-  std::vector<OpenKeyRecord> open_dirty;
-  std::vector<int> tombstones;
-  for (int key : dirty_sorted) {
-    const auto it = index_->open.find(key);
-    if (it != index_->open.end()) {
-      open_dirty.emplace_back(key, it->second.last_seen);
+  delta_open_.clear();
+  delta_tombstones_.clear();
+  for (int key : delta_dirty_) {
+    const int32_t id = engine_->FindKey(key);
+    if (id >= 0 && index_->slots[id].open) {
+      delta_open_.emplace_back(key, index_->slots[id].last_seen);
     } else {
-      tombstones.push_back(key);
+      delta_tombstones_.push_back(key);
     }
   }
-  WriteOpenKeys(writer, open_dirty);
+  WriteOpenKeys(writer, delta_open_);
   // Tombstones: dirty keys no longer open (closed, evicted, or rotated
   // away since the base).
-  writer->WriteInt32(static_cast<int32_t>(tombstones.size()));
-  for (int key : tombstones) writer->WriteInt32(key);
+  writer->WriteInt32(static_cast<int32_t>(delta_tombstones_.size()));
+  for (int key : delta_tombstones_) writer->WriteInt32(key);
 
-  engine_->SnapshotDelta(writer, dirty_sorted, base_items);
+  engine_->SnapshotDelta(writer, delta_dirty_, base_items);
 }
 
 bool StreamServer::ApplyDelta(BinaryReader* reader) {
@@ -546,12 +545,9 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
 
   std::vector<OpenKeyRecord> upserts;
   if (!ReadOpenKeys(reader, header.position, &upserts)) return false;
-  for (size_t i = 0; i < upserts.size(); ++i) {
-    // Strictly ascending is the canonical encoding.
-    if (i > 0 && upserts[i].first <= upserts[i - 1].first) return false;
-    index_->Touch(upserts[i].first, upserts[i].second);
-  }
-
+  // Tombstones close keys of the live index, whose ids stand until the
+  // engine is rebuilt. Across a rotation the writer closed every key, so
+  // the fresh index below starts empty and they change nothing.
   const int32_t num_tombstones = reader->ReadCount(kMinTaggedValueBytes);
   int prev_key = -1;
   for (int32_t i = 0; i < num_tombstones && reader->ok(); ++i) {
@@ -560,25 +556,27 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
     // reordered) tombstone list is corruption, not a double-close.
     if (!reader->ok() || (i > 0 && key <= prev_key)) return false;
     prev_key = key;
-    CloseKey(key);
+    const int32_t id = engine_->FindKey(key);
+    if (id >= 0) index_->Close(id);
   }
-  if (!reader->ok() ||
-      static_cast<int>(index_->open.size()) > config_.max_open_keys) {
-    return false;
-  }
-  // The upserts can carry any last_seen; the list order is restored once.
-  if (!upserts.empty()) index_->Relink();
+  if (!reader->ok()) return false;
 
   if (engine_reset != 0) {
-    // Mirrors RotateWindow on the writer: a fresh engine, whose delta then
-    // carries the whole young window from item 0. The live pool stays even
-    // where the writer released its own: a staged server's pool is new,
-    // and the index already holds the delta's upserts.
+    // Mirrors RotateWindow on the writer: a fresh engine and index, whose
+    // delta then carries the whole young window from item 0. The live
+    // pool stays even where the writer released its own: a staged
+    // server's pool is new.
     RebuildEngine(pool_.get());
   }
   if (!engine_->ApplyDelta(reader)) return false;
   if (!reader->AtEnd()) return false;
-  if (!IndexMatchesEngine(*index_, *engine_)) return false;
+
+  // The upserts may name keys the engine section just added: they apply
+  // once it has assigned their ids.
+  if (!index_->Open(upserts, *engine_) ||
+      index_->num_open > config_.max_open_keys) {
+    return false;
+  }
 
   position_ = header.position;
   window_items_ = header.window_items;

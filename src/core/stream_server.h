@@ -17,10 +17,13 @@
 //   * capacity eviction — when more than `max_open_keys` keys are open,
 //     the least recently active one is force-classified.
 //
-// Both evictions are driven by the serving index: one hash map of open
-// keys whose nodes also form an intrusive recency list, least recently
-// active first. Stream positions only grow, so a touched key always moves
-// to the tail and the list stays ordered by (last_seen, key) without any
+// Both evictions are driven by the serving index: one slot per engine key,
+// indexed by the key's id (the engine's correlation tracker numbers its
+// keys densely, see CorrelationTracker "Key ids"), whose open slots form
+// an intrusive recency list, least recently active first. The engine
+// hands each decided item's id to the bookkeeping, so the index looks no
+// key up. Stream positions only grow, so a touched key always moves to
+// the tail and the list stays ordered by (last_seen, key) without any
 // search: touching a key, closing it, popping the LRU key and each step of
 // an idle sweep are O(1), and a sweep never scans the open set. Only the
 // callers that need key order pay a sort: Snapshot, and the close-all of a
@@ -34,22 +37,23 @@
 // thread. For concurrent ingest wrap shards in ShardedStreamServer,
 // which serialises same-shard callers on a per-shard mutex.
 //
-// Memory: all long-lived per-key state — the open-key index, the
-// engine's key-state table, and the correlation containers —
-// allocates from a per-server ShardPool (std::pmr::unsynchronized_pool_
-// resource), so eviction/insert churn recycles pool nodes instead of
-// hitting the global allocator. A pool never returns chunks while it
-// lives, so the window rotation is where one is released: once every key
-// is closed, a pool holding at least 4 MiB is dropped whole and the next
-// window starts on a fresh one. docs/SERVING.md "Memory management"
-// covers the lifecycle.
+// Memory: all long-lived per-key state — the serving index's slots, the
+// engine's key states and fusion rows, and the correlation tracker's key
+// table and records — allocates from a per-server ShardPool
+// (std::pmr::unsynchronized_pool_resource), so session churn recycles
+// pool blocks instead of hitting the global allocator. The tracker's key
+// table is the shard's one key -> per-window state map; the engine's and
+// the index's arrays are indexed by its ids. A pool never returns chunks
+// while it lives, so the window rotation is where one is released: once
+// every key is closed, a pool holding at least 4 MiB is dropped whole and
+// the next window starts on a fresh one. docs/SERVING.md "Memory
+// management" covers the lifecycle.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -172,7 +176,7 @@ class StreamServer {
   // Refreshes the memory gauges before returning (compactions/counters are
   // maintained incrementally; the gauges mirror live pool state).
   const StreamServerStats& stats() const;
-  int open_keys() const { return static_cast<int>(index_->open.size()); }
+  int open_keys() const { return index_->num_open; }
 
   // ---- Checkpoint / warm restart (docs/SERVING.md). ----
   //
@@ -192,11 +196,12 @@ class StreamServer {
   // bytes it returns false and the server is untouched (pinned by the
   // corruption-fuzz test). So does an open-key set that disagrees with the
   // engine: every open key must be an engine key with observed items and
-  // no verdict, and every such engine key must be open. The snapshot
-  // stores (key, last_seen) pairs in ascending key order; the recency list
-  // is rebuilt from them, ordered by (last_seen, key). The snapshot must be
-  // the reader's final content (it always is in a checkpoint section);
-  // trailing bytes are treated as corruption.
+  // no verdict, and every such engine key must be open (and inside the
+  // engine, its key states and correlation records must be one key set).
+  // The snapshot stores (key, last_seen) pairs in strictly ascending key
+  // order; the recency list is rebuilt from them, ordered by (last_seen,
+  // key). The snapshot must be the reader's final content (it always is in
+  // a checkpoint section); trailing bytes are treated as corruption.
   void Snapshot(BinaryWriter* writer) const;
   bool Restore(BinaryReader* reader);
   // Takes over `live`'s process-local counters (the released-pool count,
@@ -243,33 +248,22 @@ class StreamServer {
   void CommitDeltaBaseline();
 
  private:
-  // One open key: a node of the index's hash map and of its recency list.
-  struct OpenKey {
-    OpenKey* prev = nullptr;  // next less recently active key
-    OpenKey* next = nullptr;  // next more recently active key
-    int64_t last_seen = 0;    // global stream position of the latest item
-    int key = 0;
-  };
-
-  // Emits a forced classification for the open key `node` and drops it
-  // from the open set.
-  void ForceClose(OpenKey* node, StreamEvent::Cause cause,
+  // Emits a forced classification for the open key with id `id` and
+  // drops it from the open set.
+  void ForceClose(int32_t id, StreamEvent::Cause cause,
                   std::vector<StreamEvent>* events);
-  // Force-classifies every open key in ascending key order, then empties
-  // the index (window rotation and Flush).
+  // Force-closes every open key, in ascending key order (window rotation
+  // and Flush).
   void CloseAllInKeyOrder(StreamEvent::Cause cause,
                           std::vector<StreamEvent>* events);
-  // The event half of a forced close: classifies `key` and records the
-  // event; the caller drops the key from the index.
-  void EmitForced(int key, StreamEvent::Cause cause,
-                  std::vector<StreamEvent>* events);
   // Closes every open key, then starts the next window: on a fresh pool
-  // (with a fresh engine and index) when the live pool holds at least
-  // kReleasePoolBytes, else by RebuildEngine over the live one.
+  // when the live pool holds at least kReleasePoolBytes, else over the
+  // live one.
   void RotateWindow(std::vector<StreamEvent>* events);
   // Replaces the engine with a fresh one over `pool` that inherits the
-  // retiring engine's K/V arena (RotateWindow, and ApplyDelta across a
-  // rotation).
+  // retiring engine's K/V arena, and the index with an empty one over
+  // `pool`: the fresh engine numbers its keys from 0 (RotateWindow, and
+  // ApplyDelta across a rotation).
   void RebuildEngine(ShardPool* pool);
   void EvictIdle(std::vector<StreamEvent>* events);
   void RecordEvent(const StreamEvent& event);
@@ -282,36 +276,57 @@ class StreamServer {
   void Bookkeep(const Item& item, const OnlineDecision& decision,
                 std::vector<StreamEvent>* events);
 
-  using OpenKeyMap = std::pmr::unordered_map<int, OpenKey>;
+  // An open key's (key, last_seen), as checkpoints carry it.
+  using OpenKeyRecord = std::pair<int, int64_t>;
 
-  // The pool-backed serving index: the open keys in a hash map whose nodes
-  // are linked into a recency list, head = least recently active. Map
-  // nodes never move (rehashing relinks buckets, not nodes), so the links
-  // stay valid for a node's whole life. The list is ordered by
-  // (last_seen, key): Touch appends at the tail, which is correct because
-  // every touch carries a position later than any in the list, and the
-  // paths that can set any last_seen (Restore, ApplyDelta) call Relink.
-  // pmr allocators do not propagate on assignment, so moving to a fresh
-  // pool (a releasing rotation, or Restore's staged commit) means building
-  // a new index; owning it through a pointer makes that a swap.
+  // The pool-backed serving index: one slot per engine key id, grown as
+  // the engine adds keys, whose open slots are linked into a recency list,
+  // head = least recently active. The list is ordered by (last_seen,
+  // key): Touch appends at the tail, which is correct because every touch
+  // carries a position later than any in the list, and the paths that can
+  // set any last_seen (Restore, ApplyDelta) call Open. Ids restart with
+  // every engine, and pmr allocators do not propagate on assignment, so a
+  // new engine (a rotation, Restore's staged commit) comes with a new
+  // index; owning it through a pointer makes that a swap.
   struct KeyIndex {
-    explicit KeyIndex(std::pmr::memory_resource* memory) : open(memory) {}
+    static constexpr int32_t kNone = -1;
+    struct Slot {
+      int64_t last_seen = 0;  // global stream position of the latest item
+      int32_t prev = kNone;   // next less recently active open key
+      int32_t next = kNone;   // next more recently active open key
+      int key = 0;            // set when the slot opens
+      bool open = false;      // fed to the engine and not yet closed
+    };
 
-    // Inserts `key` if it is not open, sets its last_seen and moves it to
-    // the tail of the list.
-    void Touch(int key, int64_t last_seen);
-    void Erase(OpenKey* node);
-    void Clear();
-    // Re-sorts the whole list by (last_seen, key).
-    void Relink();
+    // The slots start above the pool's largest pooled block (4 KB with
+    // the default pool options), so they are always one upstream block:
+    // growing through the small size classes would leave a cached chunk
+    // in each (OnlineClassifier::GrowKeys reserves its arrays alike).
+    explicit KeyIndex(std::pmr::memory_resource* memory) : slots(memory) {
+      slots.reserve(256);
+    }
 
-    OpenKeyMap open;  // keys fed to the engine, not yet closed
-    OpenKey* head = nullptr;  // least recently active: the LRU candidate
-    OpenKey* tail = nullptr;  // most recently active
+    // Opens `id` (key `key`) if it is closed, sets its last_seen and moves
+    // it to the tail of the list.
+    void Touch(int32_t id, int key, int64_t last_seen);
+    // Closes `id`; no-op when it is not open.
+    void Close(int32_t id);
+    // Opens (or re-stamps) each (key, last_seen) of `records` at
+    // `engine`'s ids, then re-sorts the list by (last_seen, key). Returns
+    // false unless every record names an engine key and the open slots
+    // are then exactly the keys `engine` has observed and not yet
+    // classified (Restore and ApplyDelta reject any other state).
+    bool Open(const std::vector<OpenKeyRecord>& records,
+              const OnlineClassifier& engine);
+
+    std::pmr::vector<Slot> slots;
+    int32_t head = kNone;  // least recently active: the LRU candidate
+    int32_t tail = kNone;  // most recently active
+    int num_open = 0;
 
    private:
-    void Unlink(OpenKey* node);
-    void Append(OpenKey* node);
+    void Unlink(int32_t id);
+    void Append(int32_t id);
   };
 
   // The record codecs Snapshot and SnapshotDelta share (one layout each,
@@ -332,19 +347,13 @@ class StreamServer {
   static void CopyProcessLocal(const StreamServerStats& from,
                                StreamServerStats* to);
   // A (key, last_seen) list of open keys, written in the given order.
-  // ReadOpenKeys rejects a last_seen outside [0, position].
-  using OpenKeyRecord = std::pair<int, int64_t>;
+  // ReadOpenKeys rejects a last_seen outside [0, position] and keys that
+  // are not strictly ascending.
   static void WriteOpenKeys(BinaryWriter* writer,
                             const std::vector<OpenKeyRecord>& records);
   static bool ReadOpenKeys(BinaryReader* reader, int64_t position,
                            std::vector<OpenKeyRecord>* records);
 
-  // Drops `key` from the index; no-op if it is not open.
-  void CloseKey(int key);
-  // True when `index` holds exactly the keys `engine` has observed and not
-  // yet classified (Restore and ApplyDelta reject any other state).
-  static bool IndexMatchesEngine(const KeyIndex& index,
-                                 const OnlineClassifier& engine);
 
   // Records `key` as mutated since the last committed delta baseline.
   // No-op until dirty tracking is armed (see SnapshotDelta above).
@@ -387,6 +396,11 @@ class StreamServer {
   int64_t pending_epoch_ = 0;
   int pending_engine_items_ = 0;
   int pending_windows_started_ = 1;
+  // SnapshotDelta's key lists, kept between deltas: a churning shard's
+  // lists run to hundreds of KB, which a fresh allocation faults in anew.
+  std::vector<int> delta_dirty_;
+  std::vector<OpenKeyRecord> delta_open_;
+  std::vector<int> delta_tombstones_;
 };
 
 }  // namespace kvec

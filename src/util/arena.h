@@ -9,10 +9,13 @@
 //    the OS (resident).
 //  * ShardPool         — a std::pmr::unsynchronized_pool_resource over a
 //    CountingResource. All long-lived per-key state of one StreamServer
-//    shard (open-key map nodes, CorrelationTracker sessions,
-//    OnlineClassifier key states) allocates from here, so eviction storms
-//    recycle same-sized nodes inside the pool instead of hammering
-//    malloc, and a window rotation can drop the whole pool in O(chunks).
+//    shard allocates from here: the CorrelationTracker's key table,
+//    record chunks, session vectors and inverted index, and the arrays
+//    indexed by the tracker's key ids (OnlineClassifier's key states and
+//    fusion-state slab, StreamServer's serving-index slots). Session
+//    churn recycles same-sized blocks inside the pool instead of
+//    hammering malloc, and a window rotation can drop the whole pool in
+//    O(chunks).
 //  * ScratchArena      — a monotonic bump allocator for batch-path
 //    scratch (the encoder's per-microbatch panels). Reset() after every
 //    drained microbatch returns the cursor to zero without freeing; the

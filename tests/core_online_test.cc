@@ -1,6 +1,7 @@
 #include "core/online.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -142,40 +143,53 @@ TEST(OnlineClassifierTest, ObservedCountsPerKey) {
 
 // ---- Restore validates each key's fusion-state record. ----
 
-// A hand-built engine snapshot of an empty stream (no items, no tracker
-// sessions, empty encoder cache) plus one key record with one observed item,
-// whose fusion rows are present as the flags say. The rows are full width,
-// so only their presence decides whether the record is valid.
-std::string SnapshotWithOneKey(const KvecModel& model, bool with_hidden,
-                               bool with_cell) {
+// A hand-built engine snapshot: one item of `base` under each of
+// `tracker_keys`, in the tracker and the encoder cache, and a key record
+// with one observed item for each of `engine_keys`, whose fusion rows are
+// present as the flags say. The rows are full width, so only their
+// presence decides whether a record is valid. A stream makes the two key
+// lists equal.
+std::string EngineSnapshot(const KvecModel& model, Item base,
+                           const std::vector<int>& tracker_keys,
+                           const std::vector<int>& engine_keys,
+                           bool with_hidden = true, bool with_cell = true) {
   const KvecConfig& config = model.config();
   const int hidden_dim = model.fusion().output_dim();
   const int cell_dim = config.fusion == KvecConfig::FusionKind::kLstm
                            ? config.state_dim
                            : config.embed_dim;
+  CorrelationTracker tracker(config.correlation);
+  IncrementalEncoder encoder(model.encoder());
+  for (int key : tracker_keys) {
+    base.key = key;
+    encoder.AppendItem(base, /*position_in_key=*/0, tracker.ObserveItem(base));
+    base.time += 1.0;
+  }
   BinaryWriter writer;
-  writer.WriteInt32(0);  // stream clock
-  CorrelationTracker(config.correlation).Snapshot(&writer);
-  writer.WriteInt32(1);   // one key record:
-  writer.WriteInt32(5);   // key
-  writer.WriteInt32(0);   // halted
-  writer.WriteInt32(1);   // observed
-  writer.WriteInt32(1);   // position_in_key
-  writer.WriteInt32(-1);  // predicted
-  writer.WriteInt32(1);   // items fused
-  writer.WriteInt32(with_hidden ? 1 : 0);
-  if (with_hidden) {
-    writer.WriteInt32(1);
-    writer.WriteInt32(hidden_dim);
-    writer.WriteFloatVector(std::vector<float>(hidden_dim, 0.25f));
+  writer.WriteInt32(static_cast<int32_t>(tracker_keys.size()));  // clock
+  tracker.Snapshot(&writer);
+  writer.WriteInt32(static_cast<int32_t>(engine_keys.size()));
+  for (int key : engine_keys) {
+    writer.WriteInt32(key);
+    writer.WriteInt32(0);   // halted
+    writer.WriteInt32(1);   // observed
+    writer.WriteInt32(1);   // position_in_key
+    writer.WriteInt32(-1);  // predicted
+    writer.WriteInt32(1);   // items fused
+    writer.WriteInt32(with_hidden ? 1 : 0);
+    if (with_hidden) {
+      writer.WriteInt32(1);
+      writer.WriteInt32(hidden_dim);
+      writer.WriteFloatVector(std::vector<float>(hidden_dim, 0.25f));
+    }
+    writer.WriteInt32(with_cell ? 1 : 0);
+    if (with_cell) {
+      writer.WriteInt32(1);
+      writer.WriteInt32(cell_dim);
+      writer.WriteFloatVector(std::vector<float>(cell_dim, 0.5f));
+    }
   }
-  writer.WriteInt32(with_cell ? 1 : 0);
-  if (with_cell) {
-    writer.WriteInt32(1);
-    writer.WriteInt32(cell_dim);
-    writer.WriteFloatVector(std::vector<float>(cell_dim, 0.5f));
-  }
-  IncrementalEncoder(model.encoder()).Snapshot(&writer);
+  encoder.Snapshot(&writer);
   return writer.buffer();
 }
 
@@ -194,16 +208,18 @@ void ExpectRestore(const KvecModel& model, bool with_hidden, bool with_cell,
   for (const Item& item : dataset.test[0].items) online.Observe(item);
   const std::string before = EngineBytes(online);
 
-  BinaryReader reader(SnapshotWithOneKey(model, with_hidden, with_cell));
+  Item item;
+  item.key = 5;
+  item.value = dataset.test[0].items[0].value;
+  item.time = 0.0;
+  BinaryReader reader(
+      EngineSnapshot(model, item, {5}, {5}, with_hidden, with_cell));
   ASSERT_EQ(online.Restore(&reader), want_ok);
   if (!want_ok) {
     EXPECT_EQ(EngineBytes(online), before) << "failed restore mutated";
     return;
   }
   // A valid record serves: the key folds its next item and classifies.
-  Item item;
-  item.key = 5;
-  item.value = dataset.test[0].items[0].value;
   item.time = 1.0;
   EXPECT_EQ(online.Observe(item).observed_items, 2);
   EXPECT_GE(online.ForceClassify(5), 0);
@@ -290,6 +306,85 @@ TEST(OnlineClassifierRestoreTest, CelllessStateRejectsACell) {
     ExpectRestore(model, /*with_hidden=*/true, /*with_cell=*/false, true);
     ExpectRestore(model, /*with_hidden=*/true, /*with_cell=*/true, false);
   }
+}
+
+// The engine's key states are indexed by the tracker's key ids, so a
+// checkpoint whose engine keys and tracker records differ cannot be
+// served: Restore rejects it and leaves the engine untouched.
+TEST(OnlineClassifierRestoreTest, EngineKeysMustMatchTrackerRecords) {
+  Dataset dataset = SmallDataset();
+  KvecModel model(SmallModelConfig(dataset.spec));
+  const Item base = dataset.test[0].items[0];
+  OnlineClassifier online(model);
+  for (const Item& item : dataset.test[0].items) online.Observe(item);
+  const std::string before = EngineBytes(online);
+
+  struct Case {
+    std::vector<int> tracker_keys;
+    std::vector<int> engine_keys;
+  };
+  const std::vector<Case> rejected = {
+      {{5}, {5, 6}},  // an engine key with no tracker record
+      {{5, 6}, {5}},  // a tracker record with no engine key
+      {{5}, {6}},     // one of each
+  };
+  for (const Case& c : rejected) {
+    BinaryReader reader(
+        EngineSnapshot(model, base, c.tracker_keys, c.engine_keys));
+    EXPECT_FALSE(online.Restore(&reader));
+    EXPECT_EQ(EngineBytes(online), before) << "failed restore mutated";
+  }
+  BinaryReader reader(EngineSnapshot(model, base, {5, 6}, {5, 6}));
+  ASSERT_TRUE(online.Restore(&reader));
+  EXPECT_GE(online.ForceClassify(6), 0);
+}
+
+// Overwrites the first (or last) little-endian occurrence of `from` in
+// `bytes`.
+bool ReplaceInt32(std::string* bytes, int32_t from, int32_t to, bool last) {
+  const std::string pattern(reinterpret_cast<const char*>(&from), sizeof(from));
+  const size_t at = last ? bytes->rfind(pattern) : bytes->find(pattern);
+  if (at == std::string::npos) return false;
+  std::memcpy(bytes->data() + at, &to, sizeof(to));
+  return true;
+}
+
+// The delta side: a delta's new tracker records and new engine keys must
+// be the same keys. ApplyDelta may leave a failed target partially
+// updated (callers stage into a scratch engine), so only the verdict is
+// checked.
+TEST(OnlineClassifierRestoreTest, ApplyDeltaEngineKeysMustMatchTrackerRecords) {
+  Dataset dataset = SmallDataset();
+  KvecModel model(SmallModelConfig(dataset.spec));
+  Item item = dataset.test[0].items[0];
+  OnlineClassifier live(model);
+  item.key = 5;
+  live.Observe(item);
+  const std::string base = EngineBytes(live);
+  item.key = 777777;
+  item.time += 1.0;
+  live.Observe(item);
+  BinaryWriter writer;
+  live.SnapshotDelta(&writer, {777777}, /*base_items=*/1);
+  const std::string delta = writer.buffer();
+
+  auto apply = [&](const std::string& bytes) {
+    OnlineClassifier target(model);
+    BinaryReader base_reader(base);
+    EXPECT_TRUE(target.Restore(&base_reader));
+    BinaryReader reader(bytes);
+    return target.ApplyDelta(&reader);
+  };
+  EXPECT_TRUE(apply(delta));
+  // The tracker's record renamed: the engine key has no tracker record.
+  std::string renamed_record = delta;
+  ASSERT_TRUE(ReplaceInt32(&renamed_record, 777777, 888888, /*last=*/false));
+  EXPECT_FALSE(apply(renamed_record));
+  // The engine's key renamed to a base key: the new tracker record has no
+  // engine key.
+  std::string renamed_key = delta;
+  ASSERT_TRUE(ReplaceInt32(&renamed_key, 777777, 5, /*last=*/true));
+  EXPECT_FALSE(apply(renamed_key));
 }
 
 #if defined(__AVX512F__) && defined(KVEC_RELEASE_BUILD) && \

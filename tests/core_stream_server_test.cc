@@ -394,7 +394,9 @@ struct SnapshotParts {
   std::string engine;
 };
 
-SnapshotParts SplitSnapshot(const std::string& snapshot) {
+// A SnapshotDelta splits the same way: its header part ends with the
+// engine-reset flag, and its engine part starts with the tombstones.
+SnapshotParts SplitSnapshot(const std::string& snapshot, bool delta = false) {
   BinaryReader reader(snapshot);
   BinaryWriter header;
   for (int i = 0; i < 4; ++i) header.WriteInt32(reader.ReadInt32());  // config
@@ -407,6 +409,7 @@ SnapshotParts SplitSnapshot(const std::string& snapshot) {
   for (int32_t c = 0; c < num_classes; ++c) {
     header.WriteInt64(reader.ReadInt64());
   }
+  if (delta) header.WriteInt32(reader.ReadInt32());  // engine reset
   SnapshotParts parts;
   parts.header = header.buffer();
   const int32_t num_open = reader.ReadInt32();
@@ -419,12 +422,11 @@ SnapshotParts SplitSnapshot(const std::string& snapshot) {
   return parts;
 }
 
-// Re-encodes a StreamServer snapshot with its open-key records replaced by
-// `records` ((key, last_seen) pairs, written in the given order); every
-// other byte is kept.
-std::string WithOpenKeys(const std::string& snapshot,
+// Re-encodes a split snapshot (or delta) with its open-key records
+// replaced by `records` ((key, last_seen) pairs, written in the given
+// order); every other byte is kept.
+std::string WithOpenKeys(const SnapshotParts& parts,
                          const std::vector<std::pair<int, int64_t>>& records) {
-  const SnapshotParts parts = SplitSnapshot(snapshot);
   BinaryWriter writer;
   writer.WriteInt32(static_cast<int32_t>(records.size()));
   for (const auto& [key, last_seen] : records) {
@@ -432,6 +434,11 @@ std::string WithOpenKeys(const std::string& snapshot,
     writer.WriteInt64(last_seen);
   }
   return parts.header + writer.buffer() + parts.engine;
+}
+
+std::string WithOpenKeys(const std::string& snapshot,
+                         const std::vector<std::pair<int, int64_t>>& records) {
+  return WithOpenKeys(SplitSnapshot(snapshot), records);
 }
 
 // Overwrites the first little-endian occurrence of `from` in `bytes`.
@@ -742,6 +749,28 @@ TEST(StreamServerTest, RestoreRejectsUndecidedEngineKeyMissingFromIndex) {
   EXPECT_EQ(target.open_keys(), 0);
 }
 
+TEST(StreamServerTest, RestoreRejectsTrackerKeyTheEngineNeverSaw) {
+  // A flipped key in the correlation tracker's section leaves a tracker
+  // record with no engine key state. The engine indexes its key states by
+  // the tracker's key ids, so no server can serve that state.
+  Fixture fixture = TrainSmallModel(72);
+  StreamServer source(*fixture.model, {});
+  OpenKeys(source, fixture.dataset.test[0].items[0], {777777, 5});
+  source.Flush();  // nothing open: the key's first bytes are the tracker's
+  std::string bytes = SnapshotBytes(source);
+  ASSERT_TRUE(ReplaceFirstInt32(&bytes, 777777, 888888));
+
+  StreamServer target(*fixture.model, {});
+  OpenKeys(target, fixture.dataset.test[0].items[1], {11});
+  const std::string before = SnapshotBytes(target);
+  EXPECT_FALSE(RestoreSnapshot(&target, bytes));
+  EXPECT_EQ(SnapshotBytes(target), before);  // untouched
+  EXPECT_EQ(KeysOf(target.Flush()), std::vector<int>{11});
+
+  StreamServer fresh(*fixture.model, {});
+  EXPECT_TRUE(RestoreSnapshot(&fresh, SnapshotBytes(source)));
+}
+
 TEST(StreamServerTest, ApplyDeltaRejectsOpenKeyTheEngineNeverSaw) {
   Fixture fixture = TrainSmallModel(72);
   StreamServer live(*fixture.model, {});
@@ -765,6 +794,33 @@ TEST(StreamServerTest, ApplyDeltaRejectsOpenKeyTheEngineNeverSaw) {
   BinaryReader good(delta.buffer());
   ASSERT_TRUE(clean_base->ApplyDelta(&good));
   EXPECT_EQ(KeysOf(clean_base->Flush()), (std::vector<int>{5, 777777}));
+}
+
+TEST(StreamServerTest, ApplyDeltaRejectsUndecidedEngineKeyMissingFromIndex) {
+  // The delta-side twin of the restore test: a delta whose open-key
+  // upserts drop a key the engine holds undecided.
+  Fixture fixture = TrainSmallModel(72);
+  StreamServer live(*fixture.model, {});
+  const Item base = fixture.dataset.test[0].items[0];
+  OpenKeys(live, base, {5});
+  std::unique_ptr<StreamServer> tampered_base =
+      RestoredCopy(*fixture.model, {}, live);
+  std::unique_ptr<StreamServer> clean_base =
+      RestoredCopy(*fixture.model, {}, live);
+  live.StageDeltaBaseline();
+  live.CommitDeltaBaseline();
+  OpenKeys(live, base, {3, 9});
+  BinaryWriter delta;
+  live.SnapshotDelta(&delta);
+
+  const SnapshotParts parts = SplitSnapshot(delta.buffer(), /*delta=*/true);
+  ASSERT_EQ(parts.open.size(), 2u);
+  BinaryReader bad(WithOpenKeys(parts, {parts.open[0]}));
+  EXPECT_FALSE(tampered_base->ApplyDelta(&bad));
+
+  BinaryReader good(delta.buffer());
+  ASSERT_TRUE(clean_base->ApplyDelta(&good));
+  EXPECT_EQ(KeysOf(clean_base->Flush()), (std::vector<int>{3, 5, 9}));
 }
 
 // The recency model the hash index replaced, kept as the test's reference:
